@@ -7,9 +7,12 @@
 //!
 //! * **steps/sec** of the interpreter hot loop on fixed workloads —
 //!   the twin counter under `Origin`/`iDO`, the hash map under
-//!   `iDO`/`JustDo` (region tracking + boundary persists), and two
-//!   dispatch-bound microloops (pure arithmetic, and a branchy variant)
-//!   where instruction dispatch itself is the cost;
+//!   `iDO`/`JustDo` (region tracking + boundary persists), the `iDO` map
+//!   at 1/4/16/64 threads and fixed total ops (what scheduling costs as
+//!   hand-offs multiply; the `steps/pick` column is the mean run-ahead
+//!   length, `Vm::steps / Vm::sched_picks`), and two dispatch-bound
+//!   microloops (pure arithmetic, and a branchy variant) where instruction
+//!   dispatch itself is the cost;
 //! * the same workloads on the **tier-2 block-compiled engine** (ISSUE 6),
 //!   reported as a `tier2` series with per-bench speedups — tier 2 must
 //!   hold ≥2× on the dispatch-bound loops while staying step-for-step
@@ -144,6 +147,8 @@ impl WorkloadSpec for BranchySpec {
 struct Measurement {
     name: &'static str,
     steps: u64,
+    /// Mean steps a thread ran between scheduler hand-offs.
+    steps_per_pick: f64,
     wall_ms: f64,
     steps_per_sec: f64,
 }
@@ -167,6 +172,7 @@ fn measure_on(
     Measurement {
         name,
         steps: stats.steps,
+        steps_per_pick: stats.steps as f64 / stats.sched_picks.max(1) as f64,
         wall_ms,
         steps_per_sec: stats.steps as f64 / wall.as_secs_f64(),
     }
@@ -181,7 +187,10 @@ fn main() {
     let rows: Vec<(&'static str, Scheme, &dyn WorkloadSpec, usize, u64)> = vec![
         ("origin_twin_1t", Scheme::Origin, &TwinSpec, 1, ops),
         ("ido_twin_1t", Scheme::Ido, &TwinSpec, 1, ops),
+        ("ido_map_1t", Scheme::Ido, &map, 1, ops),
         ("ido_map_4t", Scheme::Ido, &map, 4, ops / 4),
+        ("ido_map_16t", Scheme::Ido, &map, 16, ops / 16),
+        ("ido_map_64t", Scheme::Ido, &map, 64, ops / 64),
         ("justdo_map_4t", Scheme::JustDo, &map, 4, ops / 4),
         ("origin_arith_1t", Scheme::Origin, &ArithSpec, 1, arith_ops),
         ("origin_branchy_1t", Scheme::Origin, &BranchySpec, 1, arith_ops),
@@ -202,14 +211,15 @@ fn main() {
 
     println!("== Interpreter throughput (wall clock) ==");
     println!(
-        "{:>18} {:>12} {:>14} {:>14} {:>8}",
-        "bench", "steps", "t1 steps/sec", "t2 steps/sec", "t2/t1"
+        "{:>18} {:>12} {:>11} {:>14} {:>14} {:>8}",
+        "bench", "steps", "steps/pick", "t1 steps/sec", "t2 steps/sec", "t2/t1"
     );
     for (m, m2) in measurements.iter().zip(&tier2) {
         println!(
-            "{:>18} {:>12} {:>14.0} {:>14.0} {:>7.2}x",
+            "{:>18} {:>12} {:>11.2} {:>14.0} {:>14.0} {:>7.2}x",
             m.name,
             m.steps,
+            m.steps_per_pick,
             m.steps_per_sec,
             m2.steps_per_sec,
             m2.steps_per_sec / m.steps_per_sec
@@ -245,8 +255,8 @@ fn main() {
         let comma = if i + 1 == measurements.len() { "" } else { "," };
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"steps\": {}, \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}}}{comma}",
-            m.name, m.steps, m.wall_ms, m.steps_per_sec
+            "    {{\"name\": \"{}\", \"steps\": {}, \"steps_per_pick\": {:.2}, \"wall_ms\": {:.3}, \"steps_per_sec\": {:.0}}}{comma}",
+            m.name, m.steps, m.steps_per_pick, m.wall_ms, m.steps_per_sec
         );
     }
     let _ = writeln!(json, "  ],");

@@ -125,7 +125,7 @@ fn run_scheme(scheme: Scheme, g: Geometry) -> SchemeResult {
     }
     let mut outcome = RunOutcome::Paused;
     while vm.max_clock_ns() < g.t_crash_ns && outcome == RunOutcome::Paused {
-        outcome = vm.run_steps(vm.steps() + CRASH_CHUNK_STEPS);
+        outcome = vm.run_steps(CRASH_CHUNK_STEPS);
     }
     assert_eq!(
         outcome,

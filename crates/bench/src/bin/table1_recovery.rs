@@ -110,7 +110,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
             vm.spawn("worker", &spec.worker_args(&base, t, ops));
         }
         // Crash mid-run so recovery actually resumes FASEs.
-        vm.run_steps(vm.steps() + ops * THREADS as u64 / 2);
+        vm.run_steps(ops * THREADS as u64 / 2);
         let pool = vm.crash(2);
         pool.set_trace(TraceConfig::on());
         pool.set_metrics(MetricsConfig::with_window(WINDOW_NS));

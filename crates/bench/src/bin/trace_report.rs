@@ -187,7 +187,7 @@ fn main() -> ExitCode {
         for t in 0..THREADS {
             vm.spawn("worker", &spec.worker_args(&base, t, ops));
         }
-        vm.run_steps(vm.steps() + 40 * ops);
+        vm.run_steps(40 * ops);
         let t_crash = vm.max_clock_ns();
         let pool = vm.crash(7);
         let svc_pre = pool.take_trace().expect("service pre-crash trace");

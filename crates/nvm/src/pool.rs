@@ -294,7 +294,7 @@ impl PmemPool {
             latency: self.inner.config.latency,
             clock_ns: 0,
             pending: Vec::new(),
-            stats: PersistStats::default(),
+            stats: StatsSnapshot::default(),
             trace,
             metrics,
             costs: CostBreakdown::default(),
@@ -562,7 +562,9 @@ pub struct PmemHandle {
     latency: LatencyModel,
     clock_ns: u64,
     pending: Vec<usize>,
-    stats: PersistStats,
+    /// Local counters; folded into the pool's [`PersistStats`] on
+    /// [`PmemHandle::merge_stats`] and on drop.
+    stats: StatsSnapshot,
     trace: TraceHandle,
     metrics: MetricsHandle,
     /// Per-category simulated-time attribution, accumulated
@@ -1008,14 +1010,14 @@ impl PmemHandle {
 
     /// This handle's local statistics.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.stats
     }
 
     /// Folds this handle's statistics into the pool-global counters and
     /// resets the local ones.
     pub fn merge_stats(&mut self) {
         self.inner.global_stats.merge(&self.stats);
-        self.stats = PersistStats::default();
+        self.stats = StatsSnapshot::default();
     }
 }
 
@@ -1064,6 +1066,16 @@ mod tests {
 
     fn pool() -> PmemPool {
         PmemPool::new(PoolConfig::small_for_tests())
+    }
+
+    /// A handle is per-simulated-thread hot state: the VM's scheduler and
+    /// step loop stride over one per thread. It carries plain counters
+    /// only — the cache-padded accumulator lives in the pool — and must
+    /// not silently regrow (it was 704 B when it embedded one).
+    #[test]
+    fn handle_stays_within_four_cache_lines() {
+        let size = std::mem::size_of::<PmemHandle>();
+        assert!(size <= 256, "PmemHandle grew to {size} B");
     }
 
     #[test]

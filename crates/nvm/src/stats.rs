@@ -4,35 +4,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::pad::CachePadded;
 
-/// Internal mutable counter block. Per-handle instances use it through
-/// `&mut`-free atomic adds so the same type can serve as the pool-global
-/// accumulator.
+/// The pool-global accumulator: per-handle counters (a plain
+/// [`StatsSnapshot`] carried in each handle) are folded in here when a
+/// handle merges or drops. Each counter sits in its own cache line: sweeps
+/// running 64+ simulated threads fold per-handle stats in from many OS
+/// threads at once, and unpadded neighbours false-share. Only the pool
+/// holds one — a handle that embedded these seven padded lines paid ~450 B
+/// of hot per-thread state for counters it never touched.
 #[derive(Debug, Default)]
 pub struct PersistStats {
-    /// Word loads.
-    pub loads: u64,
-    /// Word stores (cached).
-    pub stores: u64,
-    /// Non-temporal stores.
-    pub nt_stores: u64,
-    /// `clwb`/`clflush` issues.
-    pub clwbs: u64,
-    /// Persist fences executed.
-    pub fences: u64,
-    /// Cache lines actually drained to NVM by fences.
-    pub lines_persisted: u64,
-    /// Bytes written into log structures (stores issued inside a
-    /// [`log scope`](crate::PmemHandle::begin_log) — UNDO/REDO entry
-    /// payloads, shadow register files, recovery markers).
-    pub log_bytes: u64,
-    global: GlobalCounters,
-}
-
-/// The pool-global accumulator half. Each counter sits in its own cache
-/// line: sweeps running 64+ simulated threads fold per-handle stats in
-/// from many OS threads at once, and unpadded neighbours false-share.
-#[derive(Debug, Default)]
-struct GlobalCounters {
     loads: CachePadded<AtomicU64>,
     stores: CachePadded<AtomicU64>,
     nt_stores: CachePadded<AtomicU64>,
@@ -43,29 +23,27 @@ struct GlobalCounters {
 }
 
 impl PersistStats {
-    /// Folds another counter block into this one's global (atomic) half.
-    pub fn merge(&self, other: &PersistStats) {
-        let o = other.snapshot();
-        self.global.loads.fetch_add(o.loads, Ordering::Relaxed);
-        self.global.stores.fetch_add(o.stores, Ordering::Relaxed);
-        self.global.nt_stores.fetch_add(o.nt_stores, Ordering::Relaxed);
-        self.global.clwbs.fetch_add(o.clwbs, Ordering::Relaxed);
-        self.global.fences.fetch_add(o.fences, Ordering::Relaxed);
-        self.global.lines_persisted.fetch_add(o.lines_persisted, Ordering::Relaxed);
-        self.global.log_bytes.fetch_add(o.log_bytes, Ordering::Relaxed);
+    /// Folds a handle's local counters into the accumulator.
+    pub fn merge(&self, o: &StatsSnapshot) {
+        self.loads.fetch_add(o.loads, Ordering::Relaxed);
+        self.stores.fetch_add(o.stores, Ordering::Relaxed);
+        self.nt_stores.fetch_add(o.nt_stores, Ordering::Relaxed);
+        self.clwbs.fetch_add(o.clwbs, Ordering::Relaxed);
+        self.fences.fetch_add(o.fences, Ordering::Relaxed);
+        self.lines_persisted.fetch_add(o.lines_persisted, Ordering::Relaxed);
+        self.log_bytes.fetch_add(o.log_bytes, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy combining the local and global halves.
+    /// A point-in-time copy of the accumulated counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            loads: self.loads + self.global.loads.load(Ordering::Relaxed),
-            stores: self.stores + self.global.stores.load(Ordering::Relaxed),
-            nt_stores: self.nt_stores + self.global.nt_stores.load(Ordering::Relaxed),
-            clwbs: self.clwbs + self.global.clwbs.load(Ordering::Relaxed),
-            fences: self.fences + self.global.fences.load(Ordering::Relaxed),
-            lines_persisted: self.lines_persisted
-                + self.global.lines_persisted.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes + self.global.log_bytes.load(Ordering::Relaxed),
+            loads: self.loads.load(Ordering::Relaxed),
+            stores: self.stores.load(Ordering::Relaxed),
+            nt_stores: self.nt_stores.load(Ordering::Relaxed),
+            clwbs: self.clwbs.load(Ordering::Relaxed),
+            fences: self.fences.load(Ordering::Relaxed),
+            lines_persisted: self.lines_persisted.load(Ordering::Relaxed),
+            log_bytes: self.log_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -85,7 +63,9 @@ pub struct StatsSnapshot {
     pub fences: u64,
     /// Cache lines actually drained to NVM by fences.
     pub lines_persisted: u64,
-    /// Bytes written into log structures (see [`PersistStats::log_bytes`]).
+    /// Bytes written into log structures (stores issued inside a
+    /// [`log scope`](crate::PmemHandle::begin_log) — UNDO/REDO entry
+    /// payloads, shadow register files, recovery markers).
     pub log_bytes: u64,
 }
 
@@ -120,10 +100,7 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let g = PersistStats::default();
-        let mut a = PersistStats::default();
-        a.loads = 3;
-        a.fences = 1;
-        a.log_bytes = 64;
+        let mut a = StatsSnapshot { loads: 3, fences: 1, log_bytes: 64, ..Default::default() };
         g.merge(&a);
         a.loads = 2;
         g.merge(&a);

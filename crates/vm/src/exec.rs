@@ -27,6 +27,7 @@ use crate::layout::{
 };
 use crate::locks::{Acquire, LockTable, ThreadId};
 use crate::profile::Profile;
+use crate::sched::{Sched, NOT_READY};
 use crate::tier2;
 
 /// Reserved transient lock id for Mnemosyne's single global transaction
@@ -259,7 +260,9 @@ pub(crate) struct ThreadCtx {
     // allocation), and the store-address sets are plain accumulators that
     // are sorted + deduped only when drained to the log, which reproduces
     // the old `BTreeSet` ascending flush order exactly (see DESIGN.md §7).
-    lock_slots: [Option<u64>; LOCK_ARRAY_SLOTS],
+    /// Boxed: 1 KiB touched only by lock-record `Rt` ops and recovery,
+    /// kept off the struct the step loop switches between.
+    lock_slots: Box<[Option<u64>; LOCK_ARRAY_SLOTS]>,
     pub(crate) region_stores: Vec<PAddr>,
     pub(crate) dirty_regs: RegBitset,
     pub(crate) written_regs: RegBitset,
@@ -282,6 +285,18 @@ pub(crate) struct ThreadCtx {
     pub(crate) mn_cursor: usize,
     dirty_pages: HashSet<usize>,
     nvml_added: HashSet<PAddr>,
+}
+
+impl ThreadCtx {
+    /// The scheduler's view of this thread (see [`crate::sched`]).
+    #[inline]
+    pub(crate) fn ready_key(&self) -> u64 {
+        if self.status == Status::Runnable {
+            self.handle.clock_ns()
+        } else {
+            NOT_READY
+        }
+    }
 }
 
 impl std::fmt::Debug for ThreadCtx {
@@ -355,6 +370,9 @@ pub struct Vm {
     config: VmConfig,
     pub(crate) threads: Vec<ThreadCtx>,
     pub(crate) locks: LockTable,
+    /// Ready keys of `threads` and the current pick's run-ahead bound;
+    /// rebuilt on every `run_steps` entry.
+    sched: Sched,
     rng: u64,
     stamp: u64,
     lock_release_stamps: HashMap<u64, u64>,
@@ -405,6 +423,7 @@ impl Vm {
             scheme: instrumented.scheme,
             threads: Vec::new(),
             locks: LockTable::new(),
+            sched: Sched::default(),
             rng: config.seed | 1,
             config,
             stamp: 1,
@@ -460,6 +479,7 @@ impl Vm {
             scheme: instrumented.scheme,
             threads: Vec::new(),
             locks: LockTable::new(),
+            sched: Sched::default(),
             rng: config.seed | 1,
             config,
             stamp: 1,
@@ -508,6 +528,12 @@ impl Vm {
     /// Total instructions executed.
     pub fn steps(&self) -> u64 {
         self.steps
+    }
+
+    /// Scheduler picks made so far — one per hand-off, not per step, so
+    /// `steps() / sched_picks()` is the mean run-ahead length.
+    pub fn sched_picks(&self) -> u64 {
+        self.sched.picks()
     }
 
     /// Maximum simulated thread clock, in ns.
@@ -586,7 +612,7 @@ impl Vm {
             app_log,
             stack_area,
             stack_top: slots,
-            lock_slots: [None; LOCK_ARRAY_SLOTS],
+            lock_slots: Box::new([None; LOCK_ARRAY_SLOTS]),
             region_stores: Vec::new(),
             // Parameters count as defined-since-the-last-boundary so the
             // first boundary of the first FASE logs them; a live register's
@@ -629,7 +655,7 @@ impl Vm {
         pc: Pc,
         regs: Vec<u64>,
         stack_base: PAddr,
-        lock_slots: [Option<u64>; LOCK_ARRAY_SLOTS],
+        lock_slots: Box<[Option<u64>; LOCK_ARRAY_SLOTS]>,
     ) -> ThreadCtx {
         let f = self.program.function(frame_func);
         let mut handle = self.pool.handle();
@@ -675,76 +701,72 @@ impl Vm {
         self.threads[t.0].status
     }
 
-    fn next_rng(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
     fn next_stamp(&mut self) -> u64 {
         self.stamp += 1;
         self.stamp
     }
 
-    /// Allocation-free scheduler pick. Both policies reproduce the old
-    /// collect-into-a-Vec selection exactly: Random draws one RNG word per
-    /// executed step and indexes the runnable list in thread order;
-    /// MinClock takes the (clock, index)-minimal runnable thread. Shared by
-    /// both execution tiers so the schedule is tier-independent by
-    /// construction.
-    fn pick_runnable(&mut self) -> Option<usize> {
+    /// One scheduler pick (shared by both tiers, so the schedule is
+    /// tier-independent by construction): the thread to run, and whether
+    /// it is the sole runnable thread under Random. How long the pick may
+    /// run ahead is `self.sched.limit()`.
+    fn pick(&mut self) -> Option<(usize, bool)> {
         match self.config.sched {
-            SchedPolicy::Random => {
-                let runnable =
-                    self.threads.iter().filter(|t| t.status == Status::Runnable).count();
-                if runnable == 0 {
-                    return None;
-                }
-                let k = (self.next_rng() % runnable as u64) as usize;
-                Some(
-                    self.threads
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, t)| t.status == Status::Runnable)
-                        .nth(k)
-                        .expect("kth runnable thread")
-                        .0,
-                )
-            }
-            SchedPolicy::MinClock => self
-                .threads
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.status == Status::Runnable)
-                .min_by_key(|(i, t)| (t.handle.clock_ns(), *i))
-                .map(|(i, _)| i),
+            SchedPolicy::Random => self.sched.pick_random(&mut self.rng),
+            SchedPolicy::MinClock => self.sched.pick_min_clock().map(|p| (p, false)),
         }
     }
 
-    /// MinClock pick plus the runner-up's `(clock, index)` key, found in a
-    /// single pass over the threads. The runner-up bounds how long the
-    /// pick may keep running before the scheduler must reconsider, so
-    /// tier 2 needs both — computing them together halves the per-segment
-    /// scheduling scan at high thread counts.
-    fn pick_minclock2(&self) -> Option<(usize, Option<(u64, usize)>)> {
-        let mut best: Option<(u64, usize)> = None;
-        let mut second: Option<(u64, usize)> = None;
-        for (i, t) in self.threads.iter().enumerate() {
-            if t.status != Status::Runnable {
-                continue;
+    /// The pre-scheduler pick, kept as the reference the equivalence tests
+    /// compare against: a scan over the threads themselves before every
+    /// step — Random indexes the runnable threads in thread order with one
+    /// RNG word, MinClock takes the `(clock, index)`-minimal one.
+    #[cfg(test)]
+    fn pick_reference(&mut self) -> Option<usize> {
+        let runnable = || {
+            self.threads.iter().enumerate().filter(|(_, t)| t.status == Status::Runnable)
+        };
+        match self.config.sched {
+            SchedPolicy::Random => {
+                let n = runnable().count();
+                if n == 0 {
+                    return None;
+                }
+                let k = (crate::sched::next_rng(&mut self.rng) % n as u64) as usize;
+                runnable().nth(k).map(|(i, _)| i)
             }
-            let key = (t.handle.clock_ns(), i);
-            if best.is_none_or(|b| key < b) {
-                second = best;
-                best = Some(key);
-            } else if second.is_none_or(|s| key < s) {
-                second = Some(key);
+            SchedPolicy::MinClock => {
+                runnable().min_by_key(|(i, t)| (t.handle.clock_ns(), *i)).map(|(i, _)| i)
             }
         }
-        best.map(|(_, i)| (i, second))
+    }
+
+    /// [`Vm::run_steps`] on the reference scheduler: one
+    /// [`Vm::pick_reference`] per tier-1 step, no key array, no run-ahead.
+    #[cfg(test)]
+    fn run_steps_reference(&mut self, budget: u64) -> RunOutcome {
+        // Unused by the reference picks; sized so `wake` can index it.
+        self.sched.rebuild(self.threads.iter().map(ThreadCtx::ready_key));
+        let code = Arc::clone(&self.code);
+        for _ in 0..budget {
+            let Some(pick) = self.pick_reference() else {
+                return self.stalled_outcome();
+            };
+            self.step_thread(pick, &code);
+            self.steps += 1;
+            if self.fire_hook(pick) == StepControl::Pause {
+                return RunOutcome::Paused;
+            }
+        }
+        self.budget_outcome()
+    }
+
+    /// Publishes the key of the thread that just stepped; returns it.
+    #[inline]
+    fn publish_key(&mut self, t: usize) -> u64 {
+        let key = self.threads[t].ready_key();
+        self.sched.set(t, key);
+        key
     }
 
     /// Fires the step hook (if installed) for the step just executed by
@@ -762,9 +784,14 @@ impl Vm {
         }
     }
 
-    /// Executes up to `budget` instructions; returns when the budget is
-    /// exhausted, all threads are done, or no thread can run.
+    /// Executes up to `budget` *more* instructions — a relative budget,
+    /// not an absolute step count: two `run_steps(n)` calls execute `2n`
+    /// steps. Returns when the budget is exhausted, all threads are done,
+    /// or no thread can run.
     pub fn run_steps(&mut self, budget: u64) -> RunOutcome {
+        // Spawns, recovery drivers and the oracle change `threads` between
+        // calls; inside the step loops only the stepper and wakes do.
+        self.sched.rebuild(self.threads.iter().map(ThreadCtx::ready_key));
         match self.config.tier {
             ExecTier::Tier1 => self.run_steps_tier1(budget),
             ExecTier::Tier2 => self.run_steps_tier2(budget),
@@ -775,154 +802,144 @@ impl Vm {
         // Hold the decoded stream for the whole loop: one Arc clone per
         // call, zero per-step refcount traffic or program lookups.
         let code = Arc::clone(&self.code);
-        for _ in 0..budget {
-            let pick = match self.pick_runnable() {
-                Some(p) => p,
-                None => return self.stalled_outcome(),
-            };
-            self.step_thread(pick, &code);
-            self.steps += 1;
-            if self.fire_hook(pick) == StepControl::Pause {
-                return RunOutcome::Paused;
-            }
-        }
-        if self.threads.iter().all(|t| t.status == Status::Done) {
-            RunOutcome::Completed
-        } else {
-            RunOutcome::Paused
-        }
-    }
-
-    /// The tier-2 step loop: the scheduler pick is identical to tier 1, but
-    /// once a thread is picked the VM executes as many consecutive
-    /// instructions of that thread as the policy would have granted it
-    /// anyway — a *segment* of fused superinstructions, chained across
-    /// blocks — before returning to the scheduler. Any pc whose entry is
-    /// not fusible deopts to one tier-1 `step_thread` call, so calls,
-    /// returns, allocation, and every scheme runtime op run on the
-    /// reference engine with bit-identical semantics.
-    fn run_steps_tier2(&mut self, budget: u64) -> RunOutcome {
-        let code = Arc::clone(&self.code);
-        let t2 = Arc::clone(self.t2.as_ref().expect("tier-2 program compiled at construction"));
         let mut remaining = budget;
         while remaining > 0 {
-            // MinClock finds the pick and the runner-up (the segment's
-            // clock bound) in one scan; Random draws via pick_runnable so
-            // the RNG stream matches tier 1 word for word.
-            let (pick, min_other) = match self.config.sched {
-                SchedPolicy::MinClock => match self.pick_minclock2() {
-                    Some(p) => p,
-                    None => return self.stalled_outcome(),
-                },
-                SchedPolicy::Random => match self.pick_runnable() {
-                    Some(p) => (p, None),
-                    None => return self.stalled_outcome(),
-                },
+            let Some((pick, _)) = self.pick() else {
+                return self.stalled_outcome();
             };
-            let th = &self.threads[pick];
-            let pc = th.frames.last().expect("runnable thread has a frame").pc;
-            // Recovery threads always run on tier 1: their lock semantics
-            // (idempotent release, halt-after-release) are deopt paths.
-            let entry = if th.recovery {
-                Tier2Entry::Unfused
-            } else {
-                t2.function(pc.func).entry_at(pc)
-            };
-            let (seg, op, branch_half) = match entry {
-                Tier2Entry::Unfused => {
-                    self.step_thread(pick, &code);
-                    self.steps += 1;
-                    remaining -= 1;
-                    if self.fire_hook(pick) == StepControl::Pause {
-                        return RunOutcome::Paused;
-                    }
-                    continue;
-                }
-                Tier2Entry::Op { seg, op } => (seg, op, false),
-                Tier2Entry::BranchHalf { seg, op } => (seg, op, true),
-            };
-            // How many steps may this thread run before the scheduler must
-            // get control back? With a hook installed, exactly one (the
-            // oracle pauses between individual steps). Under Random with
-            // other runnable threads, one (the next pick is a fresh draw).
-            // Under MinClock, until this thread's clock passes the next
-            // runnable thread's (ties break by index).
-            let hooked = self.step_hook.is_some();
-            let mut max_steps = if hooked { 1 } else { remaining };
-            let mut clock_limit = None;
-            let mut burn_rng = false;
-            match self.config.sched {
-                SchedPolicy::MinClock => {
-                    if let Some((clock, idx)) = min_other {
-                        // `pick` keeps running while (clock, pick) is still
-                        // minimal: strictly-below when pick > idx,
-                        // at-or-below when pick < idx.
-                        clock_limit = Some(clock + u64::from(pick < idx));
-                    }
-                }
-                SchedPolicy::Random => {
-                    let runnable =
-                        self.threads.iter().filter(|t| t.status == Status::Runnable).count();
-                    if runnable == 1 {
-                        // Sole runnable thread: every tier-1 pick would
-                        // re-select it but still draw one RNG word per
-                        // step. The segment burns the same draws.
-                        burn_rng = true;
-                    } else {
-                        max_steps = 1;
-                    }
-                }
-            }
-            // Short-segment fast path: when the gate could only admit a
-            // single step anyway (clock already at the scheduler limit, or
-            // a contended Random pick), the segment's setup/teardown costs
-            // more than it fuses — execute that one step on the tier-1
-            // stepper instead, which is observationally identical for a
-            // single instruction. Never taken with a hook installed: the
-            // oracle must crash genuine tier-2 machine states.
-            // The segment gate charges the JustDo per-step memory tax into
-            // its pending work *before* re-checking the clock limit, so a
-            // taxed thread whose clock is within one tax of the limit also
-            // gets exactly one step. Folding the tax in here lets those
-            // picks (the common case in multi-thread JustDo sweeps, where
-            // MinClock rotates threads every step or two) skip segment
-            // setup/teardown entirely.
-            let tax = if self.scheme == Scheme::JustDo && self.threads[pick].fase_active {
-                self.config.justdo_mem_tax_ns
-            } else {
-                0
-            };
-            let single_by_clock = clock_limit
-                .is_some_and(|lim| self.threads[pick].handle.clock_ns() + tax >= lim);
-            if !hooked && !burn_rng && (max_steps == 1 || single_by_clock) {
+            // Run-ahead: `pick` keeps stepping, with no rescan, while the
+            // per-step scan would have chosen it again (DESIGN.md §7.4).
+            loop {
                 self.step_thread(pick, &code);
                 self.steps += 1;
                 remaining -= 1;
-                continue;
-            }
-            let Vm { ref mut threads, ref mut locks, ref config, scheme, ref mut rng, .. } =
-                *self;
-            let run = tier2::exec_segment(
-                pick,
-                &mut threads[pick],
-                locks,
-                scheme,
-                config,
-                t2.function(pc.func),
-                tier2::SegEntry { seg, op, branch_half },
-                pc.block,
-                tier2::SegLimits { max_steps, clock_limit, rng: burn_rng.then_some(rng) },
-            );
-            debug_assert!(run.executed >= 1 && run.executed <= max_steps);
-            self.steps += run.executed;
-            remaining -= run.executed;
-            if let tier2::SegExit::Wake(woken) = run.exit {
-                self.wake(pick, woken);
-            }
-            if self.fire_hook(pick) == StepControl::Pause {
-                return RunOutcome::Paused;
+                let key = self.publish_key(pick);
+                if self.fire_hook(pick) == StepControl::Pause {
+                    return RunOutcome::Paused;
+                }
+                if remaining == 0 || key >= self.sched.limit() {
+                    break;
+                }
             }
         }
+        self.budget_outcome()
+    }
+
+    /// The tier-2 step loop: the scheduler pick and run-ahead are tier 1's,
+    /// but where tier 1 executes one instruction the VM executes as many
+    /// consecutive instructions of that thread as the policy would have
+    /// granted it anyway — a *segment* of fused superinstructions, chained
+    /// across blocks. Any pc whose entry is not fusible deopts to one
+    /// tier-1 `step_thread` call, so calls, returns, allocation, and every
+    /// scheme runtime op run on the reference engine with bit-identical
+    /// semantics.
+    fn run_steps_tier2(&mut self, budget: u64) -> RunOutcome {
+        let code = Arc::clone(&self.code);
+        let t2 = Arc::clone(self.t2.as_ref().expect("tier-2 program compiled at construction"));
+        // With a hook installed every dispatch is exactly one step (the
+        // oracle pauses between individual steps).
+        let hooked = self.step_hook.is_some();
+        let min_clock = self.config.sched == SchedPolicy::MinClock;
+        let mut remaining = budget;
+        while remaining > 0 {
+            let Some((pick, sole)) = self.pick() else {
+                return self.stalled_outcome();
+            };
+            // Under Random with other runnable threads, the next pick is a
+            // fresh draw: one step. As the sole runnable thread, every
+            // tier-1 pick would re-select it but still draw one RNG word
+            // per step; the segment burns the same draws.
+            let burn_rng = !min_clock && sole;
+            let one_step = hooked || !(min_clock || sole);
+            loop {
+                let th = &self.threads[pick];
+                let pc = th.frames.last().expect("runnable thread has a frame").pc;
+                // Recovery threads always run on tier 1: their lock
+                // semantics (idempotent release, halt-after-release) are
+                // deopt paths.
+                let entry = if th.recovery {
+                    Tier2Entry::Unfused
+                } else {
+                    t2.function(pc.func).entry_at(pc)
+                };
+                // Under MinClock the segment may run until this thread's
+                // clock reaches the run-ahead limit.
+                let clock_limit = if min_clock { self.sched.limit() } else { u64::MAX };
+                // The segment gate charges the JustDo per-step memory tax
+                // into its pending work *before* re-checking the clock
+                // limit, so a taxed thread whose clock is within one tax
+                // of the limit also gets exactly one step.
+                let tax = if self.scheme == Scheme::JustDo && th.fase_active {
+                    self.config.justdo_mem_tax_ns
+                } else {
+                    0
+                };
+                let fused = match entry {
+                    Tier2Entry::Unfused => None,
+                    // Short-segment fast path: when the gate could only
+                    // admit a single step anyway, the segment's setup and
+                    // teardown cost more than it fuses — that one step
+                    // runs on the tier-1 stepper, which is observationally
+                    // identical for a single instruction. Never taken with
+                    // a hook installed: the oracle must crash genuine
+                    // tier-2 machine states.
+                    _ if !hooked
+                        && !burn_rng
+                        && (one_step || th.handle.clock_ns() + tax >= clock_limit) =>
+                    {
+                        None
+                    }
+                    Tier2Entry::Op { seg, op } => Some((seg, op, false)),
+                    Tier2Entry::BranchHalf { seg, op } => Some((seg, op, true)),
+                };
+                let executed = match fused {
+                    None => {
+                        self.step_thread(pick, &code);
+                        1
+                    }
+                    Some((seg, op, branch_half)) => {
+                        let max_steps = if one_step { 1 } else { remaining };
+                        let Vm {
+                            ref mut threads, ref mut locks, ref config, scheme, ref mut rng, ..
+                        } = *self;
+                        let run = tier2::exec_segment(
+                            pick,
+                            &mut threads[pick],
+                            locks,
+                            scheme,
+                            config,
+                            t2.function(pc.func),
+                            tier2::SegEntry { seg, op, branch_half },
+                            pc.block,
+                            tier2::SegLimits {
+                                max_steps,
+                                clock_limit,
+                                rng: burn_rng.then_some(rng),
+                            },
+                        );
+                        debug_assert!(run.executed >= 1 && run.executed <= max_steps);
+                        if let tier2::SegExit::Wake(woken) = run.exit {
+                            self.wake(pick, woken);
+                        }
+                        run.executed
+                    }
+                };
+                self.steps += executed;
+                remaining -= executed;
+                let key = self.publish_key(pick);
+                if self.fire_hook(pick) == StepControl::Pause {
+                    return RunOutcome::Paused;
+                }
+                if remaining == 0 || key >= self.sched.limit() {
+                    break;
+                }
+            }
+        }
+        self.budget_outcome()
+    }
+
+    /// The outcome when the step budget ran out.
+    fn budget_outcome(&self) -> RunOutcome {
         if self.threads.iter().all(|t| t.status == Status::Done) {
             RunOutcome::Completed
         } else {
@@ -1308,7 +1325,8 @@ impl Vm {
     }
 
     /// Wakes a lock waiter, advancing its clock to the release time so that
-    /// contention appears as elapsed simulated time.
+    /// contention appears as elapsed simulated time, and tells the scheduler
+    /// (the waiter's key changed; the releaser's run-ahead may end).
     fn wake(&mut self, releaser: usize, woken: ThreadId) {
         let release_time = self.threads[releaser].handle.clock_ns();
         let w = &mut self.threads[woken.0];
@@ -1316,6 +1334,8 @@ impl Vm {
             w.handle.set_clock_ns(release_time);
         }
         w.status = Status::Runnable;
+        let key = w.ready_key();
+        self.sched.wake(woken.0, key);
     }
 
     // ------------------------------------------------------------------
@@ -2041,6 +2061,9 @@ fn drain_write_set(ws: &mut HashMap<PAddr, u64>) -> Vec<(PAddr, u64)> {
 pub(crate) use ido_ir::semantics::eval_binop;
 
 #[cfg(test)]
+mod sched_equivalence;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use ido_compiler::instrument_program;
@@ -2265,6 +2288,33 @@ mod tests {
             (vm.steps(), vm.max_clock_ns())
         };
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn run_steps_budget_is_relative() {
+        // Two `run_steps(n)` calls execute exactly `2n` steps: the budget
+        // counts steps from the call, not from the start of the run.
+        for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+            let inst = counter_program(Scheme::Ido);
+            let mut vm = Vm::new(inst, VmConfig { tier, ..VmConfig::for_tests() });
+            let (lh, c) = vm.setup(|h, al, _| (al.alloc(h, 8).unwrap(), al.alloc(h, 8).unwrap()));
+            for _ in 0..4 {
+                vm.spawn("incr", &[lh as u64, c as u64]);
+            }
+            assert_eq!(vm.run_steps(7), RunOutcome::Paused);
+            assert_eq!(vm.steps(), 7, "{tier:?}");
+            assert_eq!(vm.run_steps(7), RunOutcome::Paused);
+            assert_eq!(vm.steps(), 14, "{tier:?}");
+        }
+    }
+
+    /// The step loop switches between `ThreadCtx`s on every hand-off, so
+    /// the struct's size is host cost at high thread counts. It was 2176 B
+    /// with the lock-record array inline and a 704 B handle; keep both out.
+    #[test]
+    fn thread_ctx_stays_compact() {
+        let size = std::mem::size_of::<ThreadCtx>();
+        assert!(size <= 640, "ThreadCtx grew to {size} B");
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod layout;
 pub mod locks;
 pub mod profile;
 pub mod recovery;
+mod sched;
 mod tier2;
 
 pub use exec::{

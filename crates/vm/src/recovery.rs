@@ -197,7 +197,7 @@ fn build_recovery_threads(
                 let nregs = func.num_regs() as usize;
                 let mut frame_regs = vec![0u64; nregs];
                 frame_regs.copy_from_slice(&regs[..nregs]);
-                let mut lock_slots = [None; LOCK_ARRAY_SLOTS];
+                let mut lock_slots = Box::new([None; LOCK_ARRAY_SLOTS]);
                 for &(slot, lock) in &lock_list {
                     lock_slots[slot] = Some(lock);
                 }

@@ -44,6 +44,7 @@ use crate::exec::{
     eval_binop, mem_addr, scheme_load, scheme_store, Status, ThreadCtx, VmConfig,
 };
 use crate::locks::{Acquire, LockTable, ThreadId};
+use crate::sched::next_rng;
 use ido_compiler::Scheme;
 
 /// Where to enter the segment (resolved from a [`Tier2Entry`]).
@@ -63,9 +64,9 @@ pub(crate) struct SegLimits<'a> {
     /// Maximum tier-1 steps to execute (≥ 1; the pick grants at least one).
     pub max_steps: u64,
     /// Stop before a step that would start with this thread's clock at or
-    /// above the limit (MinClock: the next runnable thread's clock, +1 if
-    /// that thread loses index ties).
-    pub clock_limit: Option<u64>,
+    /// above the limit (MinClock: the scheduler's run-ahead limit;
+    /// `u64::MAX` for none).
+    pub clock_limit: u64,
     /// When set (Random policy, sole runnable thread), draw one word per
     /// executed step after the first — the draws tier-1 picks would have
     /// consumed.
@@ -113,7 +114,6 @@ pub(crate) fn exec_segment(
     // `fase_active`.
     let tax = if scheme == Scheme::JustDo && th.fase_active { config.justdo_mem_tax_ns } else { 0 };
     let SegLimits { max_steps, clock_limit, mut rng } = limits;
-    let clock_lim = clock_limit.unwrap_or(u64::MAX);
 
     let frame = th.frames.last_mut().expect("runnable thread has a frame");
     let func: FuncId = frame.func;
@@ -189,15 +189,11 @@ pub(crate) fn exec_segment(
                     if executed >= max_steps {
                         break 'run (SegExit::Return, $idx);
                     }
-                    if th.handle.clock_ns() + pending_work + pending_log >= clock_lim {
+                    if th.handle.clock_ns() + pending_work + pending_log >= clock_limit {
                         break 'run (SegExit::Return, $idx);
                     }
                     if let Some(r) = rng.as_mut() {
-                        let mut x = **r;
-                        x ^= x << 13;
-                        x ^= x >> 7;
-                        x ^= x << 17;
-                        **r = x;
+                        next_rng(r);
                     }
                 }
                 pending_log += tax;

@@ -58,6 +58,9 @@ pub struct RunStats {
     pub sim_ns: u64,
     /// Instructions interpreted.
     pub steps: u64,
+    /// Scheduler picks ([`Vm::sched_picks`]); `steps / sched_picks` is the
+    /// mean number of steps a thread ran between hand-offs.
+    pub sched_picks: u64,
     /// Dynamic region profile (meaningful under iDO).
     pub profile: Profile,
     /// Pool-wide persistence-operation counters.
@@ -115,6 +118,7 @@ pub fn run_workload(
 
     let sim_ns = vm.max_clock_ns();
     let steps = vm.steps();
+    let sched_picks = vm.sched_picks();
     let profile = vm.profile().clone();
     let log_entries = count_log_entries(&vm);
     let pool = vm.pool().clone();
@@ -126,6 +130,7 @@ pub fn run_workload(
         total_ops,
         sim_ns,
         steps,
+        sched_picks,
         profile,
         mem_stats: pool.global_stats(),
         log_entries,

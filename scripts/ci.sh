@@ -18,13 +18,18 @@ cargo build --release --workspace
 echo "== test (workspace) =="
 cargo test --workspace -q
 
-echo "== cross-tier differential harness (tier-2 must match tier-1) =="
+echo "== cross-tier differential harness + scheduler equivalence (tier-2 must match tier-1, run-ahead must match the per-step scan) =="
 # Named gates for the block-compiled engine: byte-identical images, stats,
 # and traces across tiers; the pre-decode goldens reproduced on tier 2;
 # and the tier-2 crash-oracle pass (exhaustive explore + sabotage
 # self-test). All also run under the workspace pass above — kept explicit
-# so a tier-2 regression is called out by name in the CI log.
+# so a tier-2 or scheduler regression is called out by name in the CI log.
 cargo test -q -p ido-workloads --test tier_equivalence
+# Scheduler-equivalence gate: the shared ready-key scheduler with run-ahead
+# must schedule, step for step, what the per-step thread scan it replaced
+# did (kept as a cfg(test) reference) — 1-65 threads, both policies, both
+# tiers, across hook pauses, small budgets and threads added between calls.
+cargo test -q -p ido-vm --lib sched_equivalence
 cargo test -q -p ido-workloads --test decoded_golden
 cargo test -q -p ido-vm --test trace_golden
 cargo test -q -p ido-crashtest --test tier2_oracle
@@ -82,7 +87,9 @@ cargo test -q -p ido-nvm --test alloc_shard
 echo "== windowed metrics gates: golden series, fan-out determinism, zero-alloc =="
 # Named gates for the metrics subsystem: the checked-in iDO window-series
 # golden, the jobs-invariant shard fan-out, and the metered hot loop's
-# zero-allocation pin. All also run under the workspace pass above.
+# zero-allocation pin (which measures a *second* `run_steps` call, so it
+# also pins the scheduler's key rebuild on entry as allocation-free). All
+# also run under the workspace pass above.
 cargo test -q -p ido-workloads --test service_metrics
 cargo test -q -p ido-workloads --test no_alloc_hot_loop
 
