@@ -9,7 +9,9 @@
 //!    could be improved with better alias analysis"): basicAA vs. no alias
 //!    analysis at all.
 
-use ido_bench::{bench_config, counters_to_fields, ops_per_thread, run_point, COUNTER_HEADER};
+use ido_bench::{
+    bench_config, counters_to_fields, ops_per_thread, run_point, COUNTER_HEADER, NO_LOG,
+};
 use ido_compiler::Scheme;
 use ido_idem::{analyze_with, AliasMode, RegionStats};
 use ido_vm::VmConfig;
@@ -37,7 +39,7 @@ fn measure(
 
 fn main() {
     let ops = ops_per_thread(400);
-    let base = bench_config(256, 1 << 15);
+    let base = bench_config(256, 8, ops, NO_LOG); // iDO variants only
 
     println!("\n== Ablation 1+2 — iDO runtime mechanisms (Mops/s) ==");
     println!(

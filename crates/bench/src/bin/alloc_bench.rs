@@ -195,6 +195,5 @@ fn main() {
          \"loads_per_op_lo\": {lo:.4}, \"loads_per_op_hi\": {hi:.4}, \"ratio\": {ratio:.4}}}"
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_alloc.json", &json).expect("write BENCH_alloc.json");
-    println!("wrote BENCH_alloc.json");
+    ido_bench::write_bench_json("alloc", quick, &json);
 }

@@ -10,7 +10,7 @@
 
 use ido_bench::{
     bench_config, curve_for, curves_to_rows, format_curves, hi_thread_config, ops_per_thread,
-    peak, sweep_threads, write_csv, HI_THREAD_SWEEP, THREAD_SWEEP,
+    peak, sweep_threads, write_csv, HI_THREAD_SWEEP, LOG_PER_OP, THREAD_SWEEP,
 };
 use ido_compiler::Scheme;
 use ido_workloads::kv::memcached::MemcachedSpec;
@@ -25,7 +25,7 @@ fn main() {
         Scheme::Nvthreads,
     ];
     let ops = ops_per_thread(400);
-    let cfg = bench_config(256, 1 << 15);
+    let cfg = bench_config(256, 64, ops, LOG_PER_OP);
 
     for (label, spec) in [
         ("insertion-intensive (50% set)", MemcachedSpec::insertion_intensive()),
@@ -53,7 +53,7 @@ fn main() {
     // threads over the sharded allocator (the global-mutex allocator would
     // serialize spawn-time log allocation and mask the runtimes' own
     // saturation, which is the phenomenon of interest here).
-    let hi_cfg = hi_thread_config(cfg);
+    let hi_cfg = hi_thread_config(256, ops, LOG_PER_OP);
     for (tag, spec) in [
         ("insert", MemcachedSpec::insertion_intensive()),
         ("search", MemcachedSpec::search_intensive()),

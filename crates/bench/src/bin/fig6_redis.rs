@@ -7,7 +7,7 @@
 //! paths are idempotent, hence nearly free under iDO); NVML beats Atlas
 //! (no compiler tracking or lock instrumentation to pay for).
 
-use ido_bench::{bench_config, ops_per_thread, run_point, write_csv};
+use ido_bench::{bench_config, ops_per_thread, run_point, write_csv, LOG_PER_OP};
 use ido_compiler::Scheme;
 use ido_workloads::kv::redis::RedisSpec;
 
@@ -29,8 +29,8 @@ fn main() {
     for (range, label, ops_scale) in ranges {
         let spec = RedisSpec::with_range(range);
         let ops = base_ops * ops_scale;
-        let pool_mib = (64 + range / 12_000).next_power_of_two() as usize;
-        let cfg = bench_config(pool_mib, 1 << 14);
+        let heap_mib = (64 + range / 12_000).next_power_of_two() as usize;
+        let cfg = bench_config(heap_mib, 1, ops, LOG_PER_OP);
         print!("{label:>8}");
         let mut origin_mops = 0.0;
         let mut ido_mops = 0.0;

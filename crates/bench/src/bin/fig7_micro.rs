@@ -11,8 +11,8 @@
 
 use ido_bench::{
     bench_config, counters_to_fields, curves_from_stats, curves_to_rows, format_curves,
-    hi_thread_config, ops_per_thread, point_at, sweep_stats, write_csv, COUNTER_HEADER,
-    HI_THREAD_SWEEP, THREAD_SWEEP,
+    hi_thread_config, list_log_per_op, ops_per_thread, point_at, sweep_stats, write_csv,
+    COUNTER_HEADER, HI_THREAD_SWEEP, LOG_PER_OP, THREAD_SWEEP,
 };
 use ido_compiler::Scheme;
 use ido_workloads::micro::{AllocChurnSpec, ListSpec, MapSpec, QueueSpec, StackSpec};
@@ -22,7 +22,8 @@ fn main() {
     let schemes =
         [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme::Mnemosyne, Scheme::JustDo];
     let ops = ops_per_thread(300);
-    let cfg = bench_config(512, 1 << 17);
+    // One config for all four structures, sized for the hungriest.
+    let cfg = bench_config(512, 64, ops, list_log_per_op(256));
 
     let specs: Vec<(&str, Box<dyn WorkloadSpec>)> = vec![
         ("stack", Box::new(StackSpec)),
@@ -73,7 +74,7 @@ fn main() {
     // most headroom — the near-linear hash map (does iDO keep scaling to
     // 256 threads?) and the alloc-churn workload (the allocator itself on
     // the hot path) — over 64–256 threads with the sharded allocator.
-    let hi_cfg = hi_thread_config(cfg);
+    let hi_cfg = hi_thread_config(512, ops, LOG_PER_OP);
     let hi_specs: Vec<(&str, Box<dyn WorkloadSpec>)> = vec![
         ("hash-map", Box::new(MapSpec { buckets: 512, key_range: 16384 })),
         ("alloc-churn", Box::new(AllocChurnSpec)),

@@ -9,7 +9,7 @@
 //! live-in registers, so a typical log operation flushes a single cache
 //! line.
 
-use ido_bench::{bench_config, ops_per_thread, run_point, write_csv};
+use ido_bench::{bench_config, ops_per_thread, run_point, write_csv, NO_LOG};
 use ido_compiler::Scheme;
 use ido_vm::profile::BUCKETS;
 use ido_workloads::kv::{memcached::MemcachedSpec, redis::RedisSpec};
@@ -18,7 +18,7 @@ use ido_workloads::WorkloadSpec;
 
 fn main() {
     let ops = ops_per_thread(1500);
-    let cfg = bench_config(256, 1 << 15);
+    let cfg = bench_config(256, 4, ops, NO_LOG); // iDO only
     let specs: Vec<(&str, Box<dyn WorkloadSpec>, usize)> = vec![
         ("stack", Box::new(StackSpec), 4),
         ("queue", Box::new(QueueSpec), 4),

@@ -7,7 +7,7 @@
 //! delay of ~100 ns and degrade beyond it; JUSTDO suffers a 1.5–2×
 //! slowdown already at 20 ns because it fences every store.
 
-use ido_bench::{bench_config, ops_per_thread, run_point, with_nvm_delay, write_csv};
+use ido_bench::{bench_config, ops_per_thread, run_point, with_nvm_delay, write_csv, LOG_PER_OP};
 use ido_compiler::Scheme;
 use ido_nvm::MetricsConfig;
 use ido_workloads::kv::{memcached::MemcachedSpec, redis::RedisSpec};
@@ -15,7 +15,7 @@ use ido_workloads::WorkloadSpec;
 
 const DELAYS_NS: [u64; 6] = [0, 20, 100, 500, 1000, 2000];
 
-/// `(label, workload, threads, ops, pool MiB)`.
+/// `(label, workload, threads, ops, heap MiB)`.
 type Case = (&'static str, Box<dyn WorkloadSpec>, usize, u64, usize);
 
 fn main() {
@@ -26,19 +26,19 @@ fn main() {
             Box::new(MemcachedSpec::insertion_intensive()),
             32,
             ops_per_thread(300),
-            32,
+            224,
         ),
         (
             "redis large (1M keys), 1 thread",
             Box::new(RedisSpec::with_range(1_000_000)),
             1,
             ops_per_thread(3000),
-            256,
+            448,
         ),
     ];
 
     let mut rows = Vec::new();
-    for (label, spec, threads, ops, pool_mib) in &cases {
+    for (label, spec, threads, ops, heap_mib) in &cases {
         println!("\n== Fig. 9 — {label} ==  (Mops/s; % of zero-delay in parens)");
         print!("{:>10}", "delay ns");
         for s in schemes {
@@ -47,7 +47,7 @@ fn main() {
         println!();
         let mut base = [0.0f64; 3];
         for delay in DELAYS_NS {
-            let mut cfg = with_nvm_delay(bench_config(*pool_mib + 192, 1 << 15), delay);
+            let mut cfg = with_nvm_delay(bench_config(*heap_mib, *threads, *ops, LOG_PER_OP), delay);
             // Metrics on: the kv workloads bracket every op with span
             // markers, so each point also yields latency quantiles.
             cfg.pool.metrics = MetricsConfig::on();

@@ -29,7 +29,9 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use ido_bench::{bench_config, ops_per_thread, sweep_threads};
+use ido_bench::{
+    bench_config, ops_per_thread, sweep_threads, write_bench_json, LOG_PER_OP, NO_LOG,
+};
 use ido_compiler::Scheme;
 use ido_ir::{BinOp, Program, ProgramBuilder};
 use ido_vm::{ExecTier, Vm};
@@ -162,7 +164,7 @@ fn measure_on(
     tier: ExecTier,
 ) -> Measurement {
     // One warmup run (page faults, lazy init), then the timed run.
-    let mut cfg = bench_config(64, 1 << 14);
+    let mut cfg = bench_config(64, threads, ops, NO_LOG); // Origin, iDO, JUSTDO rows only
     cfg.tier = tier;
     run_workload(scheme, spec, threads, ops / 4 + 1, cfg.clone());
     let start = Instant::now();
@@ -232,7 +234,7 @@ fn main() {
     let schemes = [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme::JustDo];
     let threads = [1usize, 2, 4, 8];
     let start = Instant::now();
-    let curves = sweep_threads(&map, &schemes, &threads, sweep_ops, bench_config(64, 1 << 14));
+    let curves = sweep_threads(&map, &schemes, &threads, sweep_ops, bench_config(64, 8, sweep_ops, LOG_PER_OP));
     let sweep_wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(curves.len(), schemes.len());
     println!(
@@ -283,7 +285,5 @@ fn main() {
         sweep_wall_ms
     );
     json.push_str("}\n");
-    if std::fs::write("BENCH_interp.json", &json).is_ok() {
-        println!("wrote BENCH_interp.json");
-    }
+    write_bench_json("interp", quick, &json);
 }

@@ -20,7 +20,7 @@
 
 use std::fmt::Write as _;
 
-use ido_bench::{bench_config, hi_thread_config, ops_per_thread, sweep_stats};
+use ido_bench::{hi_thread_config, ops_per_thread, sweep_stats, write_bench_json, NO_LOG};
 use ido_compiler::Scheme;
 use ido_workloads::lockfree::LfMapSpec;
 use ido_workloads::micro::HohMapMixSpec;
@@ -39,10 +39,9 @@ fn main() {
     let threads: &[usize] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 64, 128, 256] };
     let mixes: &[u64] = if quick { &[500] } else { &[100, 500, 900] };
     let ops = ops_per_thread(if quick { 60 } else { 200 });
-    // Small append log: neither iDO (fixed-slot region log) nor the
-    // lock-free schemes (descriptor table) use it, and the default 128k
-    // entries x 256 threads would not even fit the pool.
-    let cfg = hi_thread_config(bench_config(1024, 1 << 12));
+    // Neither iDO (fixed-slot region log) nor the lock-free schemes
+    // (descriptor table) use the append log.
+    let cfg = hi_thread_config(1024, ops, NO_LOG);
 
     // One sweep per (mix, implementation). Each sweep internally fans its
     // (scheme × threads) points over ido-par with input-order reassembly,
@@ -150,6 +149,5 @@ fn main() {
         let _ = writeln!(json, "    ]}}{}", if mi + 1 < per_mix.len() { "," } else { "" });
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_lockfree.json", &json).expect("write BENCH_lockfree.json");
-    println!("wrote BENCH_lockfree.json");
+    write_bench_json("lockfree", quick, &json);
 }

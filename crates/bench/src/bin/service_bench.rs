@@ -21,9 +21,9 @@
 
 use std::fmt::Write as _;
 
-use ido_bench::bench_config;
+use ido_bench::write_bench_json;
 use ido_compiler::{instrument_program, Scheme};
-use ido_nvm::{AllocPolicy, MetricsConfig, ServiceMetrics};
+use ido_nvm::{AllocPolicy, MetricsConfig, PoolConfig, ServiceMetrics};
 use ido_trace::chrome::ChromeTrace;
 use ido_trace::RecoveryPhase;
 use ido_vm::{recover, RecoveryConfig, RunOutcome, SchedPolicy, Vm, VmConfig};
@@ -81,7 +81,14 @@ const SERVICE_RC: RecoveryConfig =
 const CRASH_CHUNK_STEPS: u64 = 2000;
 
 fn service_config(g: Geometry) -> VmConfig {
-    let mut cfg = bench_config(64, 1 << 15);
+    // The shard's pool size is part of what is measured, not a capacity
+    // setting: re-attach scans one allocator descriptor per 2 KiB chunk of
+    // it (the rebuild phase). The log holds `ops_a` operations' records.
+    let mut cfg = VmConfig {
+        pool: PoolConfig { size: 64 << 20, ..PoolConfig::default() },
+        log_entries: 1 << 15,
+        ..VmConfig::default()
+    };
     cfg.sched = SchedPolicy::MinClock;
     // Sharded allocator so re-attach performs (and the metrics show) the
     // descriptor-scan rebuild phase.
@@ -285,6 +292,5 @@ fn main() {
     ido_trace::json::validate_json(&json).expect("BENCH_service.json is valid JSON");
     ido_trace::json::validate_json(&std::fs::read_to_string(&perfetto).expect("reread perfetto"))
         .expect("perfetto counter export is valid JSON");
-    std::fs::write("BENCH_service.json", &json).expect("write BENCH_service.json");
-    println!("wrote BENCH_service.json");
+    write_bench_json("service", quick, &json);
 }

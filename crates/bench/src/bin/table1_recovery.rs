@@ -16,7 +16,7 @@
 //! a T-second run would accumulate. (Simulating 50 s × 64 threads of
 //! wall-clock directly would interpret ~10¹¹ instructions.)
 
-use ido_bench::{bench_config, ops_per_thread};
+use ido_bench::{bench_config, list_log_per_op, ops_per_thread};
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::MetricsConfig;
 use ido_trace::{TraceConfig, RECOVERY_PHASES};
@@ -79,7 +79,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
     let (atlas_sim_ns, atlas_entries, atlas_recovery, atlas_phase_ns, atlas_windows) = {
         let program = spec.build_program();
         let inst = instrument_program(program, Scheme::Atlas).expect("instrument atlas");
-        let mut cfg = bench_config(256, 1 << 15);
+        let mut cfg = bench_config(256, THREADS, ops, list_log_per_op(128));
         cfg.sched = SchedPolicy::MinClock;
         let mut vm = Vm::new(inst.clone(), cfg.clone());
         let base = spec.setup(&mut vm, THREADS, ops);
@@ -102,7 +102,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
     let (ido_recovery_ns, ido_phase_ns, ido_windows) = {
         let program = spec.build_program();
         let inst = instrument_program(program, Scheme::Ido).expect("instrument ido");
-        let mut cfg = bench_config(256, 1 << 15);
+        let mut cfg = bench_config(256, THREADS, ops, list_log_per_op(128));
         cfg.sched = SchedPolicy::MinClock;
         let mut vm = Vm::new(inst.clone(), cfg.clone());
         let base = spec.setup(&mut vm, THREADS, ops);

@@ -14,7 +14,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ido_bench::{bench_config, ops_per_thread, sweep_stats, write_csv};
+use ido_bench::{
+    bench_config, list_log_per_op, ops_per_thread, sweep_stats, with_sharded_alloc, write_csv,
+};
 use ido_compiler::{instrument_program, Scheme};
 use ido_trace::chrome::ChromeTrace;
 use ido_trace::json::validate_json;
@@ -47,7 +49,7 @@ fn main() -> ExitCode {
     let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
     let smoke = std::env::var("IDO_TRACE_SMOKE").is_ok_and(|v| v == "1");
     let ops = ops_per_thread(if quick { 40 } else { 250 });
-    let mut cfg = bench_config(64, 1 << 14);
+    let mut cfg = bench_config(64, THREADS, ops, list_log_per_op(64));
     // Force tracing on regardless of IDO_TRACE; honor IDO_TRACE_BUF.
     cfg.pool.trace = TraceConfig { enabled: true, ..TraceConfig::from_env() };
 
@@ -178,9 +180,8 @@ fn main() -> ExitCode {
     let (svc_pre, svc_post) = {
         let spec = ido_workloads::service::ServiceSpec::with_range(512);
         let inst = instrument_program(spec.build_program(), Scheme::Ido).expect("instrument ido");
-        let mut scfg = cfg.clone();
+        let mut scfg = with_sharded_alloc(cfg.clone(), 4);
         scfg.sched = SchedPolicy::MinClock;
-        scfg.alloc = ido_nvm::AllocPolicy::Sharded { shards: 4 };
         scfg.pool.metrics = ido_nvm::MetricsConfig::with_window(100_000);
         let mut vm = Vm::new(inst.clone(), scfg.clone());
         let base = spec.setup(&mut vm, THREADS, ops);

@@ -13,6 +13,7 @@ use std::path::PathBuf;
 
 use ido_compiler::Scheme;
 use ido_nvm::{LatencyModel, PoolConfig};
+use ido_vm::layout::AppendLogLayout;
 use ido_vm::VmConfig;
 use ido_workloads::{run_workload, RunStats, WorkloadSpec};
 
@@ -24,23 +25,60 @@ pub const THREAD_SWEEP: [usize; 7] = [1, 2, 4, 8, 16, 32, 64];
 /// convoys, and allocator contention dominate).
 pub const HI_THREAD_SWEEP: [usize; 3] = [64, 128, 256];
 
-/// Adapts a config for high-thread runs: a registry sized for
-/// [`HI_THREAD_SWEEP`]'s maximum and the sharded allocator (the legacy
-/// global-mutex allocator would serialize spawn-time log allocation and
-/// drown the signal being measured).
-pub fn hi_thread_config(mut cfg: VmConfig) -> VmConfig {
-    cfg.max_threads = 256;
-    cfg.alloc = ido_nvm::AllocPolicy::Sharded { shards: 64 };
+/// Append-log records one operation can leave behind under the hungriest
+/// scheme, for every workload but the hand-over-hand list: NVML's
+/// line-granular `TX_ADD` leaves at most 14 (stack, queue), Atlas at most
+/// 18 (hash map at 256 threads, lock-retry records included) — measured
+/// as whole-run averages, so 64 leaves head-room for the unluckiest thread.
+pub const LOG_PER_OP: usize = 64;
+
+/// For sweeps that measure no append-log scheme (Origin, iDO, JUSTDO).
+pub const NO_LOG: usize = 0;
+
+/// [`LOG_PER_OP`] for the hand-over-hand ordered list, where Atlas logs an
+/// acquire and a release record per node visited.
+pub fn list_log_per_op(key_range: u64) -> usize {
+    2 * key_range as usize + LOG_PER_OP
+}
+
+/// Returns a VM configuration for up to `threads` workers of `ops`
+/// operations each.
+///
+/// No scheme truncates its append log during a run (Atlas keeps it for
+/// dependence tracking, NVML scans it for the last commit), so its
+/// capacity is `ops * log_per_op` records, and the pool is `heap_mib` for
+/// the workload's own data plus every thread's log and stack: a sweep
+/// sized this way can raise `IDO_BENCH_OPS` or its thread count without
+/// overflowing a log or exhausting the pool.
+pub fn bench_config(heap_mib: usize, threads: usize, ops: u64, log_per_op: usize) -> VmConfig {
+    let base = VmConfig::default();
+    let log_entries = (ops as usize * log_per_op).next_multiple_of(1 << 10).max(1 << 12);
+    // The iDO and JUSTDO logs are a few hundred bytes each.
+    let per_thread = AppendLogLayout::size_for(log_entries) + base.stack_bytes + (8 << 10);
+    VmConfig {
+        pool: PoolConfig { size: (heap_mib << 20) + threads * per_thread, ..PoolConfig::default() },
+        log_entries,
+        max_threads: threads.max(base.max_threads),
+        ..base
+    }
+}
+
+/// Switches a [`bench_config`] to the sharded allocator and doubles its
+/// pool: that allocator keeps up to half the pool for its small-object
+/// chunks, while the logs, stacks and arenas `bench_config` sized are
+/// large blocks, which come out of the other half.
+pub fn with_sharded_alloc(mut cfg: VmConfig, shards: usize) -> VmConfig {
+    cfg.alloc = ido_nvm::AllocPolicy::Sharded { shards };
+    cfg.pool.size *= 2;
     cfg
 }
 
-/// Returns a VM configuration sized for the harness workloads.
-pub fn bench_config(pool_mib: usize, log_entries: usize) -> VmConfig {
-    VmConfig {
-        pool: PoolConfig { size: pool_mib << 20, ..PoolConfig::default() },
-        log_entries,
-        ..VmConfig::default()
-    }
+/// [`bench_config`] for [`HI_THREAD_SWEEP`], over the sharded allocator
+/// (the legacy global-mutex allocator would serialize spawn-time log
+/// allocation and drown the signal being measured).
+pub fn hi_thread_config(heap_mib: usize, ops: u64, log_per_op: usize) -> VmConfig {
+    let threads = HI_THREAD_SWEEP[HI_THREAD_SWEEP.len() - 1];
+    with_sharded_alloc(bench_config(heap_mib, threads, ops, log_per_op), 64)
 }
 
 /// Applies an extra NVM delay (the Fig. 9 knob) to a config.
@@ -201,6 +239,20 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     }
 }
 
+/// Writes a trajectory file: the committed `BENCH_<name>.json` at the repo
+/// root for a full run, `target/figures/BENCH_<name>.json` for a quick
+/// one — so a smoke run never overwrites the committed full-run numbers.
+///
+/// # Panics
+/// Panics if the file cannot be written.
+pub fn write_bench_json(name: &str, quick: bool, json: &str) {
+    let dir = PathBuf::from(if quick { "target/figures" } else { "." });
+    let _ = fs::create_dir_all(&dir);
+    let path = dir.join(format!("BENCH_{name}.json"));
+    fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// Converts curves to CSV rows `threads,scheme,mops`.
 pub fn curves_to_rows(curves: &[Curve]) -> Vec<String> {
     let mut rows = Vec::new();
@@ -252,7 +304,7 @@ mod tests {
             &[Scheme::Origin, Scheme::Ido],
             &[1, 2],
             20,
-            bench_config(8, 2048),
+            bench_config(8, 2, 20, NO_LOG),
         );
         assert_eq!(curves.len(), 2);
         assert_eq!(curves[0].points.len(), 2);

@@ -7,7 +7,7 @@
 //! `IDO_JOBS`, because the process environment is shared across the test
 //! harness's threads.
 
-use ido_bench::{bench_config, curves_to_rows, format_curves, sweep_threads_jobs};
+use ido_bench::{bench_config, curves_to_rows, format_curves, sweep_threads_jobs, LOG_PER_OP};
 use ido_compiler::Scheme;
 use ido_workloads::micro::{MapSpec, StackSpec};
 
@@ -17,9 +17,10 @@ const SCHEMES: [Scheme; 4] = [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme
 fn sweep_is_byte_identical_for_any_job_count() {
     let spec = MapSpec { buckets: 16, key_range: 256 };
     let threads = [1usize, 2, 4];
-    let serial = sweep_threads_jobs(1, &spec, &SCHEMES, &threads, 30, bench_config(16, 4096));
+    let cfg = bench_config(16, 4, 30, LOG_PER_OP);
+    let serial = sweep_threads_jobs(1, &spec, &SCHEMES, &threads, 30, cfg.clone());
     for jobs in [2usize, 4, 8] {
-        let par = sweep_threads_jobs(jobs, &spec, &SCHEMES, &threads, 30, bench_config(16, 4096));
+        let par = sweep_threads_jobs(jobs, &spec, &SCHEMES, &threads, 30, cfg.clone());
         // The formatted table and the CSV rows are the artifacts the
         // figure binaries emit; both must match byte for byte.
         assert_eq!(
@@ -37,7 +38,7 @@ fn sweep_is_byte_identical_for_any_job_count() {
 
 #[test]
 fn sweep_curves_come_back_in_scheme_order() {
-    let curves = sweep_threads_jobs(4, &StackSpec, &SCHEMES, &[1, 2], 20, bench_config(8, 2048));
+    let curves = sweep_threads_jobs(4, &StackSpec, &SCHEMES, &[1, 2], 20, bench_config(8, 2, 20, LOG_PER_OP));
     let got: Vec<Scheme> = curves.iter().map(|c| c.scheme).collect();
     assert_eq!(got, SCHEMES.to_vec(), "curve order must follow the schemes argument");
     for c in &curves {

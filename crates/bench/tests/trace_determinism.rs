@@ -2,14 +2,14 @@
 //! across repeated runs and across sweep worker counts (`IDO_JOBS`), since
 //! every figure and the CI smoke diff traces byte-for-byte.
 
-use ido_bench::{bench_config, sweep_stats_jobs};
+use ido_bench::{bench_config, sweep_stats_jobs, LOG_PER_OP};
 use ido_compiler::Scheme;
 use ido_trace::TraceConfig;
 use ido_vm::VmConfig;
 use ido_workloads::micro::{MapSpec, StackSpec};
 
 fn traced_cfg() -> VmConfig {
-    let mut cfg = bench_config(8, 2048);
+    let mut cfg = bench_config(8, 3, 25, LOG_PER_OP);
     cfg.pool.trace = TraceConfig { enabled: true, buf_entries: 1 << 12 };
     cfg
 }

@@ -1,117 +1,31 @@
-//! Satellite gate: the four seed structures' *native* invariant checkers
-//! (`ido-structures`) wired into crash-oracle exploration.
+//! The four seed structures under exhaustive crash-oracle exploration.
 //!
-//! The micro workloads build the same persistent layouts the native
-//! `PStack`/`PQueue`/`POrderedList`/`PHashMap` use (that equivalence is
-//! what lets `Resumable` recovery and IR recovery share a heap), but until
-//! this gate their crash states were only checked by the workloads' own
-//! ad-hoc verifiers. Each wrapper spec here delegates program/setup to the
-//! micro spec and *additionally* re-attaches the native structure to the
-//! post-crash heap and runs its `check_invariants` — so every explored
-//! crash state must satisfy the structure's full contract (acyclicity,
-//! sorted chains, tail reachability, home-bucket placement), not just the
-//! workload's weaker checks.
-//!
-//! This sweep is what surfaced the `emit_bucket_hash` seed bug: the IR
-//! emitter hashed with a truncated 32-bit constant while the native
-//! `PHashMap::bucket_of` uses the 64-bit Fibonacci multiplier, so the
-//! map wrapper's home-bucket assertion failed on every put-containing
-//! schedule until the emitter was fixed.
+//! The micro specs' own `verify` carries the full structural contract —
+//! acyclicity, sorted chains, queue tail reachable *and* last, every map
+//! key in the home bucket recomputed on the host — so every explored crash
+//! state is held to it after recovery.
 
 use ido_compiler::Scheme;
 use ido_crashtest::{explore, OracleConfig};
-use ido_ir::Program;
-use ido_nvm::PAddr;
-use ido_structures::{PHashMap, POrderedList, PQueue, PStack};
-use ido_vm::Vm;
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
 use ido_workloads::WorkloadSpec;
 
-/// Which native checker to run against the post-crash heap.
-#[derive(Clone, Copy)]
-enum Native {
-    Stack,
-    Queue,
-    List,
-    Map,
-}
-
-/// A micro workload with the corresponding native structure's
-/// `check_invariants` layered onto `verify`.
-struct NativeChecked<S: WorkloadSpec> {
-    inner: S,
-    native: Native,
-}
-
-impl<S: WorkloadSpec> WorkloadSpec for NativeChecked<S> {
-    fn name(&self) -> String {
-        format!("{}+native", self.inner.name())
-    }
-
-    fn build_program(&self) -> Program {
-        self.inner.build_program()
-    }
-
-    fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        self.inner.setup(vm, threads, ops)
-    }
-
-    fn worker_args(&self, base: &[u64], thread: usize, ops: u64) -> Vec<u64> {
-        self.inner.worker_args(base, thread, ops)
-    }
-
-    fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
-        self.inner.verify(vm, base, total_ops);
-        let mut h = vm.pool().handle();
-        // Generous acyclicity bound: ops plus any setup pre-population.
-        let bound = total_ops as usize + 4096;
-        match self.native {
-            Native::Stack => {
-                // StackSpec base: [lock, header, arena, stride].
-                let s = PStack::attach(base[1] as PAddr, base[0] as PAddr);
-                s.check_invariants(&mut h, bound);
-            }
-            Native::Queue => {
-                // QueueSpec base: [enq_lock, deq_lock, header, arena,
-                // stride]; enq guards the tail, deq the head.
-                let q = PQueue::attach(base[2] as PAddr, base[1] as PAddr, base[0] as PAddr);
-                q.check_invariants(&mut h, bound);
-            }
-            Native::List => {
-                let l = POrderedList::attach(base[0] as PAddr);
-                l.check_invariants(&mut h, bound);
-            }
-            Native::Map => {
-                let m = PHashMap::attach(&mut h, base[0] as PAddr);
-                m.check_invariants(&mut h, bound);
-            }
-        }
-    }
-}
-
-fn wrapped_specs() -> Vec<Box<dyn WorkloadSpec>> {
+fn specs() -> Vec<Box<dyn WorkloadSpec>> {
     vec![
-        Box::new(NativeChecked { inner: StackSpec, native: Native::Stack }),
-        Box::new(NativeChecked { inner: QueueSpec, native: Native::Queue }),
-        Box::new(NativeChecked {
-            inner: ListSpec { key_range: 16 },
-            native: Native::List,
-        }),
-        Box::new(NativeChecked {
-            inner: MapSpec { buckets: 4, key_range: 64 },
-            native: Native::Map,
-        }),
+        Box::new(StackSpec),
+        Box::new(QueueSpec),
+        Box::new(ListSpec { key_range: 16 }),
+        Box::new(MapSpec { buckets: 4, key_range: 64 }),
     ]
 }
 
-/// iDO plus two undo-log baselines, exhaustively explored with the native
-/// checkers active. Every crash state of every seed structure must satisfy
-/// the native structural contract after recovery.
+/// iDO plus two undo-log baselines: every crash state of every seed
+/// structure must satisfy the structural contract after recovery.
 #[test]
-fn seed_structures_pass_native_invariants_under_ido_and_baselines() {
+fn seed_structures_pass_invariants_under_ido_and_baselines() {
     let cfg = OracleConfig::default();
     for scheme in [Scheme::Ido, Scheme::Atlas, Scheme::JustDo] {
-        for spec in wrapped_specs() {
+        for spec in specs() {
             let r = explore(spec.as_ref(), scheme, &cfg);
             assert!(
                 r.counterexample.is_none(),
@@ -128,24 +42,18 @@ fn seed_structures_pass_native_invariants_under_ido_and_baselines() {
     }
 }
 
-/// The wrapped specs are live, not vacuous: under the injected
-/// flush-skipping iDO bug the wrapped queue still produces a
-/// counterexample (a torn enqueue detaches the tail, violating the
-/// reachability contract both the workload and the native checker
-/// assert — the stack and list invariants cannot observe this particular
+/// The checks are live, not vacuous: under the injected flush-skipping
+/// iDO bug the queue produces a counterexample (a torn enqueue detaches
+/// the tail; the stack and list invariants cannot observe this particular
 /// tear at this schedule size), and the honest runtime passes the exact
 /// same crash state.
 #[test]
-fn native_checkers_catch_the_injected_ido_bug() {
+fn queue_invariants_catch_the_injected_ido_bug() {
     let mut cfg = OracleConfig::default();
     cfg.vm.ido_bug_skip_store_flush = true;
-    let spec = NativeChecked { inner: QueueSpec, native: Native::Queue };
-    let r = explore(&spec, Scheme::Ido, &cfg);
-    assert!(
-        r.counterexample.is_some(),
-        "wrapped spec must still catch the injected bug: {r}"
-    );
+    let r = explore(&QueueSpec, Scheme::Ido, &cfg);
+    assert!(r.counterexample.is_some(), "queue must catch the injected bug: {r}");
     let mut fixed = r.counterexample.unwrap();
     fixed.vm.ido_bug_skip_store_flush = false;
-    assert_eq!(fixed.reproduce(&spec), Ok(()), "honest runtime passes the same state");
+    assert_eq!(fixed.reproduce(&QueueSpec), Ok(()), "honest runtime passes the same state");
 }

@@ -44,8 +44,8 @@ impl NvtMap {
         self.buckets
     }
 
-    /// The home bucket of `key` (Fibonacci hashing, matching
-    /// `ido-structures`' `PHashMap`).
+    /// The home bucket of `key` (Fibonacci hashing: 64-bit multiply, top
+    /// 32 bits, modulo the bucket count).
     pub fn bucket_of(&self, key: i64) -> u32 {
         (((key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % self.buckets as u64) as u32
     }

@@ -92,6 +92,8 @@ pub struct Trace {
     pub fase_hist: Hist,
     /// Region size histogram (stores per idempotent region).
     pub region_hist: Hist,
+    /// Recovery phase totals, summed at emission like `costs`.
+    recovery_ns: [u64; RECOVERY_PHASES],
 }
 
 impl Trace {
@@ -110,6 +112,9 @@ impl Trace {
             t.costs.merge(&b.costs);
             t.fase_hist.merge(&b.fase_hist);
             t.region_hist.merge(&b.region_hist);
+            for (sum, ns) in t.recovery_ns.iter_mut().zip(b.recovery_ns) {
+                *sum += ns;
+            }
             b.for_each_ordered(|e| t.events.push(e));
         }
         t.events.sort_by_key(|e| e.ts_ns);
@@ -137,18 +142,11 @@ impl Trace {
     }
 
     /// Summed durations of recovery phases, indexed by [`RecoveryPhase`]
-    /// (`[scan, resume, release, rebuild]` in simulated ns), read from
-    /// the duration payload of [`EventKind::RecoveryEnd`] events.
+    /// (`[scan, resume, release, rebuild]` in simulated ns): the duration
+    /// payloads of every [`EventKind::RecoveryEnd`] emitted, including
+    /// ones the rings have since overwritten.
     pub fn recovery_phase_ns(&self) -> [u64; RECOVERY_PHASES] {
-        let mut out = [0u64; RECOVERY_PHASES];
-        for e in &self.events {
-            if e.kind == EventKind::RecoveryEnd {
-                if let Some(p) = RecoveryPhase::from_u64(e.a) {
-                    out[p as usize - 1] += e.b;
-                }
-            }
-        }
-        out
+        self.recovery_ns
     }
 
     /// Compact deterministic binary encoding (32 bytes per event plus a

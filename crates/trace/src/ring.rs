@@ -1,6 +1,6 @@
 //! Per-thread event rings and the zero-cost-when-off emission handle.
 
-use crate::event::{Category, Event, EventKind};
+use crate::event::{Category, Event, EventKind, RecoveryPhase, RECOVERY_PHASES};
 use crate::hist::Hist;
 
 /// Simulated-ns cost attribution accumulator (the Fig. 7 breakdown).
@@ -46,8 +46,9 @@ impl CostBreakdown {
 ///
 /// The ring is fully preallocated at construction; once full, new events
 /// overwrite the oldest and the `dropped` count grows — but the cost
-/// breakdown and the FASE/region histograms are updated *at emission
-/// time*, so aggregate reports stay exact under overflow.
+/// breakdown, the FASE/region histograms and the recovery phase totals are
+/// updated *at emission time*, so aggregate reports stay exact under
+/// overflow.
 #[derive(Debug)]
 pub struct TraceBuf {
     thread: u16,
@@ -61,6 +62,10 @@ pub struct TraceBuf {
     pub fase_hist: Hist,
     /// Region size histogram (exact, overflow-immune).
     pub region_hist: Hist,
+    /// Summed [`EventKind::RecoveryEnd`] durations per [`RecoveryPhase`]
+    /// (exact, overflow-immune: one recovery emits far more write-back
+    /// events than a ring holds, evicting the early phases' markers).
+    pub recovery_ns: [u64; RECOVERY_PHASES],
     fase_enter_ns: u64,
     op_enter_ns: u64,
 }
@@ -76,6 +81,7 @@ impl TraceBuf {
             costs: CostBreakdown::default(),
             fase_hist: Hist::default(),
             region_hist: Hist::default(),
+            recovery_ns: [0; RECOVERY_PHASES],
             fase_enter_ns: 0,
             op_enter_ns: 0,
         })
@@ -116,6 +122,7 @@ impl TraceBuf {
             }
             EventKind::RegionBoundary => self.region_hist.record(a),
             EventKind::OpBegin => self.op_enter_ns = ts_ns,
+            EventKind::RecoveryEnd => self.note_recovery_end(a, b),
             _ => {}
         }
         let b = match kind {
@@ -133,6 +140,16 @@ impl TraceBuf {
             if self.head == self.events.len() {
                 self.head = 0;
             }
+        }
+    }
+
+    /// Out of line: `push` is inlined into every memory operation of the
+    /// interpreter, and a recovery emits a handful of these.
+    #[cold]
+    #[inline(never)]
+    fn note_recovery_end(&mut self, phase: u64, duration_ns: u64) {
+        if let Some(p) = RecoveryPhase::from_u64(phase) {
+            self.recovery_ns[p as usize - 1] += duration_ns;
         }
     }
 
@@ -274,6 +291,18 @@ mod tests {
         let mut last = None;
         b.for_each_ordered(|e| last = Some(e));
         assert_eq!(last.unwrap().b, 50, "FaseExit carries its duration");
+    }
+
+    #[test]
+    fn recovery_phase_totals_survive_overflow() {
+        let mut b = TraceBuf::new(0, 2);
+        b.push(0, EventKind::RecoveryBegin, RecoveryPhase::Scan as u64, 0);
+        b.push(10, EventKind::RecoveryEnd, RecoveryPhase::Scan as u64, 10);
+        for i in 0..10u64 {
+            b.push(10 + i, EventKind::Clwb, i, 0); // evicts the scan markers
+        }
+        b.push(30, EventKind::RecoveryEnd, RecoveryPhase::Release as u64, 20);
+        assert_eq!(b.recovery_ns, [10, 0, 20, 0]);
     }
 
     #[test]

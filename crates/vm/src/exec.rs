@@ -2439,6 +2439,23 @@ mod tests {
     }
 
     #[test]
+    fn ido_coalesces_boundary_outputs_into_line_flushes() {
+        // A boundary's live-out registers share log lines (Section IV-B):
+        // one write-back and one fence per line, not per register.
+        let fences = |no_coalescing| {
+            let cfg = VmConfig { ido_no_coalescing: no_coalescing, ..VmConfig::for_tests() };
+            let mut vm = Vm::new(counter_program(Scheme::Ido), cfg);
+            let (lh, c) = vm.setup(|h, al, _| (al.alloc(h, 8).unwrap(), al.alloc(h, 8).unwrap()));
+            vm.spawn("incr", &[lh as u64, c as u64]);
+            vm.run();
+            let pool = vm.pool().clone();
+            drop(vm); // thread handles fold their stats into the pool
+            pool.global_stats().fences
+        };
+        assert!(fences(false) < fences(true), "coalescing must save fences");
+    }
+
+    #[test]
     fn step_hook_observes_every_step_and_replays_deterministically() {
         // Reference run: uninterrupted, record the persist-event trace.
         let (mut vm, p) = fase_vm(Scheme::Ido, 42);

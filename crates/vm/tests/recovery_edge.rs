@@ -252,3 +252,26 @@ fn nested_indirect_locks_recover_at_every_step() {
         }
     }
 }
+
+/// The trace and the metrics plane observe the same recovery spans, so
+/// their per-phase totals must agree even when the recovery emits far more
+/// events than a trace ring holds (every undone store and every retired
+/// log entry is a write-back event): the ring evicts the early scan and
+/// resume markers, the emission-time totals keep them.
+#[test]
+fn trace_and_metrics_agree_on_recovery_phases_under_ring_overflow() {
+    let inst = twin_counter(Scheme::Atlas);
+    let (mut vm, ..) = twin_setup(&inst, 31, 4);
+    vm.run_steps(30);
+    let pool = vm.crash(7);
+    pool.set_trace(ido_trace::TraceConfig { enabled: true, buf_entries: 8 });
+    pool.set_metrics(ido_nvm::MetricsConfig::with_window(1_000));
+    // Nonzero scan cost, so the evicted scan phase has a duration to lose.
+    recover(pool.clone(), inst, cfg(31), RecoveryConfig::default());
+    let trace = pool.take_trace().expect("tracing was on");
+    let metrics = pool.take_metrics().expect("metrics were on");
+    assert!(trace.dropped > 0, "the recovery must overflow the 8-event ring");
+    let phases = trace.recovery_phase_ns();
+    assert!(phases[0] > 0, "the scan phase took simulated time: {phases:?}");
+    assert_eq!(phases, metrics.recovery_phase_totals());
+}

@@ -14,6 +14,7 @@
 //! * [`MapSpec`] — hash of hand-over-hand lists (near-linear scaling).
 
 use ido_ir::{BinOp, BlockId, FunctionBuilder, Operand, Program, ProgramBuilder, Reg};
+use ido_lockfree::NvtMap;
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{PmemHandle, PAddr};
 use ido_vm::Vm;
@@ -297,7 +298,6 @@ impl WorkloadSpec for QueueSpec {
         let header = base[2] as PAddr;
         let tail = h.read_u64(header + 8) as PAddr;
         let mut cur = h.read_u64(header) as PAddr;
-        let mut saw_tail = cur == tail;
         let mut n = 0u64;
         loop {
             let next = h.read_u64(cur) as PAddr;
@@ -307,9 +307,8 @@ impl WorkloadSpec for QueueSpec {
             n += 1;
             assert!(n <= total_ops + 1, "queue chain too long: cycle");
             cur = next;
-            saw_tail |= cur == tail;
         }
-        assert!(saw_tail, "queue tail unreachable from head");
+        assert_eq!(cur, tail, "queue tail must be the last node reachable from head");
     }
 }
 
@@ -528,17 +527,27 @@ impl WorkloadSpec for ListSpec {
 
     fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
         let mut h = vm.pool().handle();
-        verify_sorted_chain(&mut h, base[0] as PAddr, total_ops + self.key_range);
+        verify_sorted_chain(&mut h, base[0] as PAddr, total_ops + self.key_range, |_| {});
     }
 }
 
-fn verify_sorted_chain(h: &mut PmemHandle, sentinel: PAddr, bound: u64) {
+/// Walks the chain from `sentinel`: keys strictly increase and it ends
+/// within `bound` nodes. `on_key` sees every key but the sentinel's.
+fn verify_sorted_chain(
+    h: &mut PmemHandle,
+    sentinel: PAddr,
+    bound: u64,
+    mut on_key: impl FnMut(i64),
+) {
     let mut last = i64::MIN;
     let mut cur = sentinel;
     let mut n = 0u64;
     while cur != 0 {
         let k = h.read_u64(cur + 8) as i64;
         assert!(k > last || cur == sentinel, "chain keys not strictly increasing");
+        if cur != sentinel {
+            on_key(k);
+        }
         last = k;
         n += 1;
         assert!(n <= bound + 2, "chain too long: cycle suspected");
@@ -630,13 +639,22 @@ impl WorkloadSpec for MapSpec {
     }
 
     fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
-        let mut h = vm.pool().handle();
-        let directory = base[0] as PAddr;
-        let n = h.read_u64(directory);
-        for i in 0..n as usize {
-            let sentinel = h.read_u64(directory + 8 + i * 8) as PAddr;
-            verify_sorted_chain(&mut h, sentinel, total_ops + 1);
-        }
+        verify_hoh_map(&mut vm.pool().handle(), base[0] as PAddr, total_ops + 1);
+    }
+}
+
+/// Every bucket chain is sorted and acyclic, and every key sits in its
+/// home bucket. The home bucket is recomputed on the host by
+/// [`NvtMap::bucket_of`] (the directory layout is the same), never by the
+/// IR emitter `emit_bucket_hash` the workers ran: that independence is
+/// what catches an emitter that hashes wrongly but consistently.
+fn verify_hoh_map(h: &mut PmemHandle, directory: PAddr, bound: u64) {
+    let map = NvtMap::attach(h, directory);
+    for b in 0..map.buckets() {
+        let sentinel = h.read_u64(directory + 8 + b as usize * 8) as PAddr;
+        verify_sorted_chain(h, sentinel, bound, |key| {
+            assert_eq!(map.bucket_of(key), b, "key {key} found in wrong bucket {b}");
+        });
     }
 }
 
@@ -731,13 +749,7 @@ impl WorkloadSpec for HohMapMixSpec {
     }
 
     fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
-        let mut h = vm.pool().handle();
-        let directory = base[0] as PAddr;
-        let n = h.read_u64(directory);
-        for i in 0..n as usize {
-            let sentinel = h.read_u64(directory + 8 + i * 8) as PAddr;
-            verify_sorted_chain(&mut h, sentinel, total_ops + 1);
-        }
+        verify_hoh_map(&mut vm.pool().handle(), base[0] as PAddr, total_ops + 1);
     }
 }
 

@@ -55,15 +55,14 @@ pub fn emit_arena_take(f: &mut FunctionBuilder<'_>, dst: Reg, cursor: Reg, size:
 
 /// Emits the Fibonacci bucket hash
 /// `dst = ((key * 0x9E37_79B9_7F4A_7C15) >> 32) mod buckets`, bit-exact
-/// with the native `PHashMap::bucket_of` and `NvtMap::bucket_of`.
+/// with the host-side `NvtMap::bucket_of`.
 ///
-/// Bit-exactness matters: the native structures' `check_invariants`
-/// recompute the hash to assert home-bucket placement, so the crash
-/// oracle can only wire those checkers against IR-built map states if
-/// the IR worker and the native code agree on every key's bucket. (The
-/// original emitter multiplied by a truncated 32-bit constant and
-/// shifted by 16 — disagreeing with the native hash for almost every
-/// key, which the structures-oracle differential surfaced.)
+/// Bit-exactness matters: the map workloads' `verify` recompute the hash
+/// on the host to assert home-bucket placement on every crash state the
+/// oracle explores, so the IR workers and the host code must agree on
+/// every key's bucket. (The original emitter multiplied by a truncated
+/// 32-bit constant and shifted by 16 — disagreeing with the host hash for
+/// almost every key, which that check surfaced.)
 pub fn emit_bucket_hash(f: &mut FunctionBuilder<'_>, dst: Reg, key: Reg, buckets: Reg) {
     let mixed = f.new_reg();
     f.bin(BinOp::Mul, mixed, key, 0x9E37_79B9_7F4A_7C15u64 as i64);

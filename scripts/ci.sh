@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: build, full test suite, and a crash-oracle smoke sweep.
+# CI entry point: build, full test suite, smoke runs of every bench and
+# figure binary, and the CLI gates. Quick-mode runs write their
+# BENCH_*.json under target/figures/, so the tree is clean afterwards.
 #
 # Proptest regression files (tests/*.proptest-regressions) are committed and
 # replayed automatically by proptest before new random cases — the guard
@@ -16,23 +18,16 @@ echo "== build (release) =="
 cargo build --release --workspace
 
 echo "== test (workspace) =="
-cargo test --workspace -q
-
-echo "== cross-tier differential harness + scheduler equivalence (tier-2 must match tier-1, run-ahead must match the per-step scan) =="
-# Named gates for the block-compiled engine: byte-identical images, stats,
-# and traces across tiers; the pre-decode goldens reproduced on tier 2;
-# and the tier-2 crash-oracle pass (exhaustive explore + sabotage
-# self-test). All also run under the workspace pass above — kept explicit
-# so a tier-2 or scheduler regression is called out by name in the CI log.
-cargo test -q -p ido-workloads --test tier_equivalence
-# Scheduler-equivalence gate: the shared ready-key scheduler with run-ahead
-# must schedule, step for step, what the per-step thread scan it replaced
-# did (kept as a cfg(test) reference) — 1-65 threads, both policies, both
-# tiers, across hook pauses, small budgets and threads added between calls.
-cargo test -q -p ido-vm --lib sched_equivalence
-cargo test -q -p ido-workloads --test decoded_golden
-cargo test -q -p ido-vm --test trace_golden
-cargo test -q -p ido-crashtest --test tier2_oracle
+# Not -q: every suite is named in the log as it runs, so a regression in
+# one of the gates below is called out by name — the cross-tier
+# differential harness (tier_equivalence, decoded_golden, trace_golden,
+# tier2_oracle), scheduler equivalence (ido-vm --lib sched_equivalence),
+# allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
+# (service_metrics, no_alloc_hot_loop), lock-free gates (lockfree_oracle,
+# structures_oracle, lockfree_differential, rcas_proptest) and the
+# textual-frontend gates (corpus, roundtrip_fuzz, diagnostics_golden,
+# explain_golden).
+cargo test --workspace
 
 echo "== static atomicity lint + differential smoke (verify_report) =="
 # Lints every standard workload under every scheme and cross-checks the
@@ -64,51 +59,24 @@ IDO_TRACE=0 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin interp_b
 
 echo "== sweep determinism: IDO_JOBS=2 must match IDO_JOBS=1 =="
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin interp_bench
-cp BENCH_interp.json /tmp/bench_jobs1.json
+cp target/figures/BENCH_interp.json target/figures/BENCH_interp.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin interp_bench
 # Steps (and everything else derived from simulation state) are identical
 # across job counts; only wall-clock fields may differ.
-for f in /tmp/bench_jobs1.json BENCH_interp.json; do
-  grep -o '"steps": [0-9]*' "$f" > "$f.steps"
-done
-diff /tmp/bench_jobs1.json.steps BENCH_interp.json.steps \
+diff <(grep -o '"steps": [0-9]*' target/figures/BENCH_interp.jobs1.json) \
+     <(grep -o '"steps": [0-9]*' target/figures/BENCH_interp.json) \
   || { echo "IDO_JOBS=2 changed simulation results"; exit 1; }
-rm -f /tmp/bench_jobs1.json /tmp/bench_jobs1.json.steps BENCH_interp.json.steps
-
-echo "== allocator crash sweeps (persist-trap boundary enumeration) =="
-# Named gates for the sharded two-level allocator: every-flush-boundary
-# interruption sweeps (legacy + sharded policies) and the cross-shard
-# property tests. Both also run under the workspace pass above — kept
-# explicit so an allocator crash-consistency regression is named in the
-# CI log.
-cargo test -q -p ido-nvm --test alloc_crash
-cargo test -q -p ido-nvm --test alloc_shard
-
-echo "== windowed metrics gates: golden series, fan-out determinism, zero-alloc =="
-# Named gates for the metrics subsystem: the checked-in iDO window-series
-# golden, the jobs-invariant shard fan-out, and the metered hot loop's
-# zero-allocation pin (which measures a *second* `run_steps` call, so it
-# also pins the scheduler's key rebuild on entry as allocation-free). All
-# also run under the workspace pass above.
-cargo test -q -p ido-workloads --test service_metrics
-cargo test -q -p ido-workloads --test no_alloc_hot_loop
 
 echo "== service bench smoke (crash under load, online-recovery windows) =="
-# Quick-mode runs rewrite BENCH_service.json; preserve the committed
-# full-run numbers and restore them after the determinism diff. The
-# binary itself asserts the crash lands mid-traffic for every durable
+# The binary itself asserts the crash lands mid-traffic for every durable
 # scheme, re-verifies the recovered table, and validates every emitted
-# JSON artifact before writing it.
-cp BENCH_service.json /tmp/bench_service_committed.json
+# JSON artifact before writing it. BENCH_service.json holds only
+# simulated quantities, so it must be byte-identical for any worker count.
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin service_bench
-cp BENCH_service.json /tmp/bench_service_jobs1.json
+cp target/figures/BENCH_service.json target/figures/BENCH_service.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin service_bench
-# BENCH_service.json holds only simulated quantities, so it must be
-# byte-identical for any worker count.
-cmp /tmp/bench_service_jobs1.json BENCH_service.json \
+cmp target/figures/BENCH_service.jobs1.json target/figures/BENCH_service.json \
   || { echo "IDO_JOBS=2 changed service bench results"; exit 1; }
-mv /tmp/bench_service_committed.json BENCH_service.json
-rm -f /tmp/bench_service_jobs1.json
 
 echo "== metrics-off overhead guard (best-of-7 wall ns/step) =="
 # Disabled metrics must stay one untaken branch per marker: the guard
@@ -116,63 +84,33 @@ echo "== metrics-off overhead guard (best-of-7 wall ns/step) =="
 # CI if the disabled path grows past the tolerance.
 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin metrics_guard
 
-echo "== lock-free scheme gates: oracle sweeps, differential, rcas proptests =="
-# Named gates for the recoverable lock-free family: exhaustive crash
-# exploration of the lock-free list/map on both execution tiers (clean
-# sweeps + injected window-flush/publish bugs caught), the seed
-# structures' native invariant checkers under oracle exploration, the
-# static/dynamic differential on the lock-free invariants, the
-# crash-at-every-persist-boundary rcas proptests, and the metrics
-# span-accounting regression tests. All also run under the workspace
-# pass above — kept explicit so a lock-free crash-consistency
-# regression is named in the CI log.
-cargo test -q -p ido-crashtest --test lockfree_oracle
-cargo test -q -p ido-crashtest --test structures_oracle
-cargo test -q -p ido-verify --test lockfree_differential
-cargo test -q -p ido-lockfree --test rcas_proptest
-cargo test -q -p ido-metrics
-
 echo "== lock-free contention smoke (quick mode, window <= eager clwb gate) =="
-# Quick-mode runs rewrite BENCH_lockfree.json; preserve the committed
-# full-sweep numbers and restore them after the determinism diff. The
-# binary itself asserts every point completes and that window flushing
-# never issues more clwbs than eager flushing.
-cp BENCH_lockfree.json /tmp/bench_lockfree_committed.json
+# The binary itself asserts every point completes and that window flushing
+# never issues more clwbs than eager flushing. BENCH_lockfree.json holds
+# only simulated quantities: byte-identical for any worker count.
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin lockfree_bench
-cp BENCH_lockfree.json /tmp/bench_lockfree_jobs1.json
+cp target/figures/BENCH_lockfree.json target/figures/BENCH_lockfree.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin lockfree_bench
-# BENCH_lockfree.json holds only simulated quantities, so it must be
-# byte-identical for any worker count.
-cmp /tmp/bench_lockfree_jobs1.json BENCH_lockfree.json \
+cmp target/figures/BENCH_lockfree.jobs1.json target/figures/BENCH_lockfree.json \
   || { echo "IDO_JOBS=2 changed lock-free bench results"; exit 1; }
-mv /tmp/bench_lockfree_committed.json BENCH_lockfree.json
-rm -f /tmp/bench_lockfree_jobs1.json
 
 echo "== allocator scaling smoke (quick mode, asserts >= 4x at 64T) =="
-# Quick-mode runs rewrite BENCH_alloc.json; preserve the committed
-# full-sweep numbers and restore them after the determinism diff.
-cp BENCH_alloc.json /tmp/bench_alloc_committed.json
+# BENCH_alloc.json holds only simulated quantities: byte-identical for
+# any worker count.
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin alloc_bench
-cp BENCH_alloc.json /tmp/bench_alloc_jobs1.json
+cp target/figures/BENCH_alloc.json target/figures/BENCH_alloc.jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin alloc_bench
-# BENCH_alloc.json holds only simulated quantities, so it must be
-# byte-identical for any worker count.
-cmp /tmp/bench_alloc_jobs1.json BENCH_alloc.json \
+cmp target/figures/BENCH_alloc.jobs1.json target/figures/BENCH_alloc.json \
   || { echo "IDO_JOBS=2 changed allocator bench results"; exit 1; }
-mv /tmp/bench_alloc_committed.json BENCH_alloc.json
-rm -f /tmp/bench_alloc_jobs1.json
 
-echo "== textual frontend gates: corpus round-trip, diagnostics goldens, fuzz =="
-# Named gates for the `.ido` frontend: the corpus suite (parse +
-# pretty-print round-trip, both-tier byte-identity vs the Rust builder,
-# mutation fuzz, crash-oracle smoke), the random-program round-trip
-# fuzzer, and the pinned parser/explain diagnostic renderings. All also
-# run under the workspace pass above — kept explicit so a frontend
-# regression is named in the CI log.
-cargo test -q -p ido-repro --test corpus
-cargo test -q -p ido-lang --test roundtrip_fuzz
-cargo test -q -p ido-lang --test diagnostics_golden
-cargo test -q -p ido-lang --test explain_golden
+echo "== figure/table smoke: every paper binary at IDO_BENCH_OPS=200 =="
+# Each binary sizes its pool and logs from (threads, ops), so the smoke
+# exercises the same code as a full regeneration, 64-256-thread sweeps
+# included.
+for b in fig5_memcached fig6_redis fig7_micro fig8_regions fig9_latency \
+         table1_recovery table2_properties ablation; do
+  IDO_BENCH_OPS=200 cargo run -q --release -p ido-bench --bin "$b" > /dev/null
+done
 
 echo "== ido verify over the scenario corpus (static atomicity, all schemes) =="
 # Every checked-in scenario must verify clean under every scheme it names.

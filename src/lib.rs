@@ -22,26 +22,20 @@
 //!   register-WAR repair).
 //! * [`compiler`] — FASE inference and per-scheme instrumentation.
 //! * [`vm`] — the interpreter with deterministic scheduling, crash
-//!   injection at any instruction, discrete-event timing, and per-scheme
-//!   recovery.
-//! * [`core`] — the native iDO runtime library (log, boundaries, indirect
-//!   locks, resumable recovery).
-//! * [`baselines`] — native JUSTDO, Atlas, Mnemosyne, NVML, and NVThreads
-//!   runtimes behind the same `Session` trait.
-//! * [`structures`] — persistent stack, queue, ordered list, and hash map.
-//! * [`workloads`] — the paper's benchmark workloads and the throughput
-//!   harness.
+//!   injection at any instruction, discrete-event timing, and the one
+//!   runtime, log layout, and recovery procedure of every scheme (iDO,
+//!   JUSTDO, Atlas, Mnemosyne, NVML, NVThreads).
+//! * [`workloads`] — the paper's benchmark workloads (stack, queue,
+//!   ordered list, hash map, memcached- and redis-like stores) and the
+//!   throughput harness.
 //! * [`crashtest`] — the systematic crash-point exploration oracle:
 //!   persist-boundary enumeration, lost-line subset covers, deterministic
 //!   replay, and minimal-counterexample shrinking.
 
-pub use ido_baselines as baselines;
 pub use ido_crashtest as crashtest;
 pub use ido_compiler as compiler;
-pub use ido_core as core;
 pub use ido_idem as idem;
 pub use ido_ir as ir;
 pub use ido_nvm as nvm;
-pub use ido_structures as structures;
 pub use ido_vm as vm;
 pub use ido_workloads as workloads;

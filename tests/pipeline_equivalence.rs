@@ -4,7 +4,7 @@
 //! regardless of which failure-atomicity scheme instruments it.
 
 use ido_compiler::Scheme;
-use ido_nvm::{PmemPool, PoolConfig};
+use ido_nvm::PoolConfig;
 use ido_vm::VmConfig;
 use ido_workloads::kv::redis::RedisSpec;
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
@@ -87,28 +87,4 @@ fn list_contents_identical_across_schemes() {
         let got = chain_fingerprint(&spec, scheme, 0);
         assert_eq!(got, origin, "list contents diverged under {scheme}");
     }
-}
-
-#[test]
-fn native_and_ir_structures_agree() {
-    // The native PStack and the IR stack workload implement the same
-    // structure; a fixed op sequence must produce identical contents.
-    use ido_core::{OriginSession, Session};
-    let pool = PmemPool::new(PoolConfig::small_for_tests());
-    let mut s = OriginSession::format(&pool);
-    let mut native = ido_structures::PStack::create(&mut s).unwrap();
-    let ops: &[(bool, u64)] = &[(true, 1), (true, 2), (false, 0), (true, 3), (false, 0), (false, 0)];
-    let mut model = Vec::new();
-    for &(push, v) in ops {
-        if push {
-            native.push(&mut s, v).unwrap();
-            model.push(v);
-        } else {
-            assert_eq!(native.pop(&mut s), model.pop());
-        }
-    }
-    let vals = native.values(s.handle());
-    let mut expect = model.clone();
-    expect.reverse();
-    assert_eq!(vals, expect);
 }
