@@ -17,20 +17,25 @@ fn main() {
         "== Crash oracle — twin-counter, {} thread(s) x {} op(s), seed {:#x} ==",
         cfg.threads, cfg.ops_per_thread, cfg.seed
     );
+    // `replayed` (steps the forward runs executed: at most jobs x steps)
+    // and `forked` (lines copied to fork crash states) are host-side costs
+    // that vary with IDO_JOBS, so they are printed but not in the CSV.
     println!(
-        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>8}",
-        "scheme", "steps", "events", "boundaries", "crash states", "result"
+        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>8}",
+        "scheme", "steps", "events", "boundaries", "crash states", "replayed", "forked", "result"
     );
     let reports = explore_all(&TwinSpec, &cfg);
     let mut rows = Vec::new();
     for r in &reports {
         println!(
-            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>8}",
+            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>8}",
             r.scheme.name(),
             r.total_steps,
             r.persist_events,
             r.boundary_steps,
             r.crash_states_explored,
+            r.replayed_steps,
+            r.forked_lines,
             if r.counterexample.is_none() { "ok" } else { "FAIL" }
         );
         rows.push(format!(

@@ -11,13 +11,18 @@
 //!    the distinct *persist boundaries* — step 0, every step whose counter
 //!    advanced, and the final step — cover every reachable NVM crash state
 //!    exactly once.
-//! 2. **Crash-state exploration** — for each boundary step, deterministically
-//!    replays a fresh VM to that step (the schedule is a pure function of the
-//!    seed, program, and spawn order), reads the set of dirty cache lines,
-//!    and crashes with `CrashPolicy::Subset` once per candidate *lost-line
-//!    set*: exhaustively (all `2^n` subsets) when few lines are dirty, and
-//!    with a bounded cover (everything, nothing, every singleton, every
-//!    co-singleton, plus seeded random subsets) when many are.
+//! 2. **Crash-state exploration** — one *forward run* per worker: a live VM
+//!    replays once to the first boundary of the worker's contiguous chunk
+//!    and from then on only steps forward, boundary to boundary (the
+//!    schedule is a pure function of the seed, program, and spawn order,
+//!    and pausing does not perturb it). At each boundary it reads the set
+//!    of dirty cache lines and, once per candidate *lost-line set* —
+//!    exhaustively (all `2^n` subsets) when few lines are dirty, with a
+//!    bounded cover (everything, nothing, every singleton, every
+//!    co-singleton, plus seeded random subsets) when many are — *forks* the
+//!    state: a scratch pool is re-synced to the live pool
+//!    (`PmemPool::sync_from`, O(lines either changed)) and crashed with
+//!    `CrashPolicy::Subset`. Nothing is rebuilt per state.
 //! 3. **Verification** — after each injected crash the scheme's recovery
 //!    runs, the workload's own invariants are checked, and recovery is
 //!    re-run to confirm idempotence — all under `catch_unwind`.
@@ -26,7 +31,11 @@
 //!    is minimized to the earliest boundary where that set still fails. The
 //!    resulting [`Counterexample`] carries everything needed to replay it —
 //!    seed, VM config, crash step, lost lines — plus the persist-event
-//!    journal tail leading into the crash.
+//!    journal tail leading into the crash. Shrinking, journal capture and
+//!    [`Counterexample::reproduce`] use the from-scratch
+//!    [`check_crash_state`] (a fresh VM replayed from step 0): they are
+//!    rare, jump backwards, and are the independent reference the forked
+//!    path is differentially tested against.
 //!
 //! Determinism: the VM's scheduler RNG lives in the VM and never observes
 //! the step hook, so a run paused at every step, a run paused once at step
@@ -38,12 +47,13 @@
 #![deny(missing_docs)]
 
 use std::cell::{Cell, RefCell};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Once;
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
-use ido_nvm::{CrashPolicy, PersistEvent};
+use ido_nvm::{CrashPolicy, PersistEvent, PmemPool};
 use ido_vm::{recover, recover_partial, RecoveryConfig, RunOutcome, StepControl, Vm, VmConfig};
 use ido_workloads::WorkloadSpec;
 
@@ -146,6 +156,15 @@ pub struct Exploration {
     pub crash_states_explored: usize,
     /// Extra states checked while shrinking a counterexample.
     pub shrink_attempts: usize,
+    /// Interpreter steps the workers' forward runs executed, summed. Each
+    /// worker replays once to its chunk's first boundary and then only
+    /// steps forward, so this is at most `jobs × total_steps` — exploration
+    /// is linear in run length. A host-side cost: it varies with the job
+    /// count and is therefore not part of the [`std::fmt::Display`] report.
+    pub replayed_steps: u64,
+    /// Cache lines `PmemPool::sync_from` copied to fork crash states, summed
+    /// over workers (host-side, like `replayed_steps`).
+    pub forked_lines: u64,
     /// The minimal failing crash state, if any check failed.
     pub counterexample: Option<Counterexample>,
 }
@@ -224,6 +243,9 @@ impl Counterexample {
     /// # Errors
     /// `Err(failure)` with the replayed failure message if the failure still
     /// reproduces; `Ok(())` if it no longer does (i.e. the bug is fixed).
+    /// A counterexample that no longer names a crash state of this program
+    /// — one of its lost lines is not dirty at its crash step — is also an
+    /// `Err` ("lost line N is not dirty at step S"), never a silent "fixed".
     pub fn reproduce(&self, spec: &dyn WorkloadSpec) -> Result<(), String> {
         let cfg = OracleConfig {
             threads: self.threads,
@@ -307,63 +329,71 @@ pub fn persist_boundaries(
     (total, events, boundaries)
 }
 
-/// Checks one crash state: replay to `step`, crash losing exactly
-/// `lost_lines` of the dirty lines, recover, verify the workload's
-/// invariants on a re-attached VM, and recover again to confirm idempotence.
-///
-/// # Errors
-/// The panic message of whichever stage failed.
-pub fn check_crash_state(
+/// `Err` naming the first line of `lost` that is not dirty in `pool`, which
+/// has run to `step`: losing a clean line is not a crash state, and
+/// `CrashPolicy::Subset` would silently check a different one.
+fn require_dirty(pool: &PmemPool, step: u64, lost: &[usize]) -> Result<(), String> {
+    let dirty = pool.dirty_lines();
+    match lost.iter().find(|l| dirty.binary_search(l).is_err()) {
+        Some(l) => Err(format!("lost line {l} is not dirty at step {step}")),
+        None => Ok(()),
+    }
+}
+
+/// The from-scratch way to a crash state: a fresh VM replayed to `step` and
+/// crashed losing exactly `lost_lines`. Returns the crashed pool and the
+/// workload's setup values.
+fn replay_and_crash(
     spec: &dyn WorkloadSpec,
     inst: &Instrumented,
     cfg: &OracleConfig,
     step: u64,
     lost_lines: &[usize],
-) -> Result<(), String> {
+) -> Result<(PmemPool, Vec<u64>), String> {
     let (mut vm, base) = make_vm(spec, inst, cfg);
     vm.run_steps(step);
-    let policy = CrashPolicy::losing(lost_lines.iter().copied());
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &policy);
+    require_dirty(vm.pool(), step, lost_lines)?;
+    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost_lines.iter().copied()));
+    Ok((pool, base))
+}
+
+/// The verdict on a crashed `pool`: recover, verify the workload's
+/// invariants on a re-attached VM, and recover again to confirm idempotence.
+fn verify_recovery(
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    base: &[u64],
+    pool: &PmemPool,
+) -> Result<(), String> {
     let vc = cfg.vm_config();
-    let total_ops = cfg.total_ops();
     quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let _ = recover(pool.clone(), inst.clone(), vc.clone(), RecoveryConfig::for_tests());
             let post = Vm::attach(pool.clone(), inst.clone(), vc.clone());
-            spec.verify(&post, &base, total_ops);
+            spec.verify(&post, base, cfg.total_ops());
             drop(post);
-            let second = recover(pool, inst.clone(), vc, RecoveryConfig::for_tests());
+            let second = recover(pool.clone(), inst.clone(), vc, RecoveryConfig::for_tests());
             assert_eq!(second.resumed, 0, "second recovery must find nothing to resume");
         }))
     })
     .map_err(panic_text)
 }
 
-/// Checks one crash-**during-recovery** state: replay to `step`, crash
-/// losing `lost_lines`, run recovery with a work budget of
-/// `recovery_budget` (interpreter steps for resumption schemes, persist
-/// operations for the log-processing baselines), and — if the budget
-/// interrupts it — crash *again* losing exactly `recovery_lost` of the
-/// lines the interrupted recovery left dirty. A full recovery must then
-/// restore the workload's invariants, and a third recovery must find
-/// nothing left to do.
-///
-/// # Errors
-/// The panic message of whichever stage failed.
-pub fn check_recovery_crash_state(
+/// The verdict on a crashed `pool` whose recovery is itself interrupted
+/// after `recovery_budget` units of work and — if that interrupts it —
+/// crashed again losing `recovery_lost`: a full recovery must then restore
+/// the workload's invariants, and a further one find nothing left to do.
+fn verify_interrupted_recovery(
     spec: &dyn WorkloadSpec,
     inst: &Instrumented,
     cfg: &OracleConfig,
-    step: u64,
-    lost_lines: &[usize],
+    base: &[u64],
+    pool: &PmemPool,
     recovery_budget: u64,
     recovery_lost: &[usize],
 ) -> Result<(), String> {
-    let (mut vm, base) = make_vm(spec, inst, cfg);
-    vm.run_steps(step);
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost_lines.iter().copied()));
     let vc = cfg.vm_config();
-    let total_ops = cfg.total_ops();
     quiet_panics(|| {
         catch_unwind(AssertUnwindSafe(|| {
             let complete =
@@ -377,41 +407,207 @@ pub fn check_recovery_crash_state(
                     recover(pool.clone(), inst.clone(), vc.clone(), RecoveryConfig::for_tests());
             }
             let post = Vm::attach(pool.clone(), inst.clone(), vc.clone());
-            spec.verify(&post, &base, total_ops);
+            spec.verify(&post, base, cfg.total_ops());
             drop(post);
-            let second = recover(pool, inst.clone(), vc, RecoveryConfig::for_tests());
+            let second = recover(pool.clone(), inst.clone(), vc, RecoveryConfig::for_tests());
             assert_eq!(second.resumed, 0, "final recovery must find nothing to resume");
         }))
     })
     .map_err(panic_text)
 }
 
-/// The dirty-line set an interrupted recovery leaves behind: replay to
-/// `step`, crash losing `lost_lines`, run recovery under `recovery_budget`.
-/// `None` when the recovery completes within the budget (nothing left to
-/// crash).
-fn interrupted_recovery_dirty(
+/// Checks one crash state from scratch: replay a fresh VM to `step`, crash
+/// losing exactly `lost_lines` of the dirty lines, recover, verify the
+/// workload's invariants on a re-attached VM, and recover again to confirm
+/// idempotence. [`explore`] reaches the same states by forking a forward
+/// run instead; this is the reference it is tested against, and what
+/// shrinking and [`Counterexample::reproduce`] use.
+///
+/// # Errors
+/// The panic message of whichever stage failed, or "lost line N is not
+/// dirty at step S" when `lost_lines` does not name a crash state.
+pub fn check_crash_state(
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    step: u64,
+    lost_lines: &[usize],
+) -> Result<(), String> {
+    let (pool, base) = replay_and_crash(spec, inst, cfg, step, lost_lines)?;
+    verify_recovery(spec, inst, cfg, &base, &pool)
+}
+
+/// Checks one crash-**during-recovery** state from scratch: replay to
+/// `step`, crash losing `lost_lines`, run recovery with a work budget of
+/// `recovery_budget` (interpreter steps for resumption schemes, persist
+/// operations for the log-processing baselines), and — if the budget
+/// interrupts it — crash *again* losing exactly `recovery_lost` of the
+/// lines the interrupted recovery left dirty. A full recovery must then
+/// restore the workload's invariants, and a third recovery must find
+/// nothing left to do.
+///
+/// # Errors
+/// The panic message of whichever stage failed, or "lost line N is not
+/// dirty at step S" when `lost_lines` does not name a crash state.
+pub fn check_recovery_crash_state(
     spec: &dyn WorkloadSpec,
     inst: &Instrumented,
     cfg: &OracleConfig,
     step: u64,
     lost_lines: &[usize],
     recovery_budget: u64,
-) -> Option<Vec<usize>> {
-    let (mut vm, _) = make_vm(spec, inst, cfg);
-    vm.run_steps(step);
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost_lines.iter().copied()));
-    let complete = quiet_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            recover_partial(pool.clone(), inst.clone(), cfg.vm_config(), recovery_budget)
-        }))
-    })
-    .unwrap_or(true); // a panicking recovery is caught by the checker proper
-    if complete {
-        None
-    } else {
-        Some(pool.dirty_lines())
+    recovery_lost: &[usize],
+) -> Result<(), String> {
+    let (pool, base) = replay_and_crash(spec, inst, cfg, step, lost_lines)?;
+    verify_interrupted_recovery(spec, inst, cfg, &base, &pool, recovery_budget, recovery_lost)
+}
+
+/// One worker's share of an exploration: a live VM that only ever steps
+/// forward, and a scratch pool re-synced to the live one for every crash
+/// state, so a state costs the lines it touched — no VM, pool or replay
+/// per state.
+struct ForwardRun<'a> {
+    spec: &'a dyn WorkloadSpec,
+    inst: &'a Instrumented,
+    cfg: &'a OracleConfig,
+    live: Vm,
+    /// The workload's setup values (what `spec.verify` checks against).
+    base: Vec<u64>,
+    /// Paired with `live.pool()` for [`PmemPool::sync_from`]: both start
+    /// zeroed and nothing else ever syncs from the live pool.
+    scratch: PmemPool,
+    forked_lines: u64,
+}
+
+impl<'a> ForwardRun<'a> {
+    fn new(spec: &'a dyn WorkloadSpec, inst: &'a Instrumented, cfg: &'a OracleConfig) -> Self {
+        let (live, base) = make_vm(spec, inst, cfg);
+        let scratch = live.pool().scratch();
+        ForwardRun { spec, inst, cfg, live, base, scratch, forked_lines: 0 }
     }
+
+    /// Steps the live VM forward to absolute step `step` (a boundary at or
+    /// after its current step) and returns the lines dirty there.
+    fn advance_to(&mut self, step: u64) -> Vec<usize> {
+        self.live.run_steps(step - self.live.steps());
+        self.live.pool().dirty_lines()
+    }
+
+    /// Forks the live VM's current state into the scratch pool and crashes
+    /// it losing exactly `lost` (a subset of the lines dirty right now).
+    fn fork_and_crash(&mut self, lost: &[usize]) {
+        self.forked_lines += self.scratch.sync_from(self.live.pool()) as u64;
+        // What the from-scratch pool drops with its VM: handles of earlier
+        // states' recoveries folded their rings into the scratch pool.
+        drop((self.scratch.take_trace(), self.scratch.take_metrics()));
+        let outcome = self
+            .scratch
+            .crash_with(self.cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost.iter().copied()));
+        assert_eq!(outcome.lines_dropped, lost.len(), "forked state lost a line that was not dirty");
+    }
+
+    /// The forked [`check_crash_state`] at the live VM's current step.
+    fn check(&mut self, lost: &[usize]) -> Result<(), String> {
+        self.fork_and_crash(lost);
+        verify_recovery(self.spec, self.inst, self.cfg, &self.base, &self.scratch)
+    }
+
+    /// The forked [`check_recovery_crash_state`] at the current step.
+    fn check_recovery(
+        &mut self,
+        lost: &[usize],
+        recovery_budget: u64,
+        recovery_lost: &[usize],
+    ) -> Result<(), String> {
+        self.fork_and_crash(lost);
+        verify_interrupted_recovery(
+            self.spec,
+            self.inst,
+            self.cfg,
+            &self.base,
+            &self.scratch,
+            recovery_budget,
+            recovery_lost,
+        )
+    }
+
+    /// The dirty-line set an interrupted recovery leaves behind: crash the
+    /// current state losing `lost`, run recovery under `recovery_budget`.
+    /// `None` when the recovery completes within the budget (nothing left
+    /// to crash).
+    fn interrupted_recovery_dirty(&mut self, lost: &[usize], recovery_budget: u64) -> Option<Vec<usize>> {
+        self.fork_and_crash(lost);
+        let complete = quiet_panics(|| {
+            catch_unwind(AssertUnwindSafe(|| {
+                recover_partial(
+                    self.scratch.clone(),
+                    self.inst.clone(),
+                    self.cfg.vm_config(),
+                    recovery_budget,
+                )
+            }))
+        })
+        .unwrap_or(true); // a panicking recovery is caught by the checker proper
+        (!complete).then(|| self.scratch.dirty_lines())
+    }
+}
+
+/// What [`sweep`] returns: per-boundary outcomes in boundary order, up to
+/// and including the first failing boundary, and the workers' summed costs.
+struct Sweep<T> {
+    outcomes: Vec<(u64, T)>,
+    replayed_steps: u64,
+    forked_lines: u64,
+}
+
+/// Fans `boundaries` out over `jobs` workers (ido-par's deterministic
+/// ordered map) as contiguous chunks. Each worker drives one
+/// [`ForwardRun`] through its chunk, calling `at_boundary(run, step,
+/// dirty)` with the live VM paused at each boundary; `Break` marks a
+/// failing boundary and ends that worker's chunk. A boundary's outcome is a
+/// pure function of (workload, scheme, config, step) — the forward run
+/// reaches the same machine state as a fresh replay — and outcomes are
+/// reassembled in boundary order and cut after the first failure, so the
+/// result, and every counterexample derived from it, is identical for any
+/// job count; only the two cost totals depend on it.
+fn sweep<T: Send>(
+    jobs: usize,
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    boundaries: &[u64],
+    at_boundary: impl Fn(&mut ForwardRun<'_>, u64, Vec<usize>) -> ControlFlow<T, T> + Sync,
+) -> Sweep<T> {
+    // `boundaries` is never empty: step 0 is always one.
+    let chunk_len = boundaries.len().div_ceil(jobs.max(1));
+    let chunks: Vec<&[u64]> = boundaries.chunks(chunk_len).collect();
+    let per_chunk = ido_par::par_map_jobs(jobs, chunks, |chunk| {
+        let mut run = ForwardRun::new(spec, inst, cfg);
+        let mut outcomes = Vec::with_capacity(chunk.len());
+        let mut failed = false;
+        for &step in chunk {
+            let dirty = run.advance_to(step);
+            let flow = at_boundary(&mut run, step, dirty);
+            failed = flow.is_break();
+            let (ControlFlow::Continue(outcome) | ControlFlow::Break(outcome)) = flow;
+            outcomes.push((step, outcome));
+            if failed {
+                break;
+            }
+        }
+        (outcomes, failed, run.live.steps(), run.forked_lines)
+    });
+    let mut sweep = Sweep { outcomes: Vec::new(), replayed_steps: 0, forked_lines: 0 };
+    let mut reached = true;
+    for (outcomes, failed, steps, lines) in per_chunk {
+        sweep.replayed_steps += steps;
+        sweep.forked_lines += lines;
+        if reached {
+            sweep.outcomes.extend(outcomes);
+            reached = !failed;
+        }
+    }
+    sweep
 }
 
 /// A minimal failing crash-during-recovery state.
@@ -466,6 +662,12 @@ pub struct RecoveryExploration {
     /// Crash-during-recovery states checked: one per (boundary, budget,
     /// recovery-lost-subset) triple.
     pub crash_states_explored: usize,
+    /// Interpreter steps the workers' forward runs executed (see
+    /// [`Exploration::replayed_steps`]).
+    pub replayed_steps: u64,
+    /// Cache lines copied to fork crash states (see
+    /// [`Exploration::forked_lines`]).
+    pub forked_lines: u64,
     /// The first failing state, minimized over its recovery-lost set.
     pub counterexample: Option<RecoveryCounterexample>,
 }
@@ -503,50 +705,44 @@ pub fn explore_recovery(
 ) -> RecoveryExploration {
     let inst = instrument(spec, scheme);
     let (_, _, boundaries) = persist_boundaries(spec, &inst, cfg);
-    let inst_ref = &inst;
 
-    // One task per boundary: the first crash loses everything dirty (the
-    // classic drop-all crash maximizes the recovery work available to
-    // interrupt), then each budget that actually interrupts the recovery
-    // fans out over subsets of the mid-recovery dirty set.
-    type Outcome = (usize, usize, Option<(u64, Vec<usize>)>);
-    let outcomes: Vec<Outcome> = ido_par::par_map_jobs(ido_par::jobs(), boundaries.clone(), |step| {
-        let (mut vm, _) = make_vm(spec, inst_ref, cfg);
-        vm.run_steps(step);
-        let lost = vm.pool().dirty_lines();
-        drop(vm);
-        let mut interruptions = 0usize;
-        let mut checked = 0usize;
+    // At each boundary the first crash loses everything dirty (the classic
+    // drop-all crash maximizes the recovery work available to interrupt),
+    // then each budget that actually interrupts the recovery fans out over
+    // subsets of the mid-recovery dirty set. Every state re-forks the
+    // boundary and re-runs the (cheap, budgeted) partial recovery rather
+    // than forking a second time mid-recovery.
+    struct AtBoundary {
+        interruptions: usize,
+        checked: usize,
+        /// `(lost, budget, recovery_lost)` of the first failing state.
+        fail: Option<(Vec<usize>, u64, Vec<usize>)>,
+    }
+    let swept = sweep(ido_par::jobs(), spec, &inst, cfg, &boundaries, |run, step, lost| {
+        let mut at = AtBoundary { interruptions: 0, checked: 0, fail: None };
         for &budget in budgets {
-            let Some(dirty) =
-                interrupted_recovery_dirty(spec, inst_ref, cfg, step, &lost, budget)
-            else {
+            let Some(dirty) = run.interrupted_recovery_dirty(&lost, budget) else {
                 continue;
             };
-            interruptions += 1;
+            at.interruptions += 1;
             for rec_lost in candidate_subsets(&dirty, cfg, step ^ budget.rotate_left(17)) {
-                checked += 1;
-                if check_recovery_crash_state(spec, inst_ref, cfg, step, &lost, budget, &rec_lost)
-                    .is_err()
-                {
-                    return (interruptions, checked, Some((budget, rec_lost)));
+                at.checked += 1;
+                if run.check_recovery(&lost, budget, &rec_lost).is_err() {
+                    at.fail = Some((lost, budget, rec_lost));
+                    return ControlFlow::Break(at);
                 }
             }
         }
-        (interruptions, checked, None)
+        ControlFlow::Continue(at)
     });
 
     let mut interruptions = 0usize;
     let mut explored = 0usize;
     let mut counterexample = None;
-    for (&step, (ints, checked, fail)) in boundaries.iter().zip(outcomes) {
-        interruptions += ints;
-        explored += checked;
-        if let Some((budget, mut rec_lost)) = fail {
-            let (mut vm, _) = make_vm(spec, &inst, cfg);
-            vm.run_steps(step);
-            let lost = vm.pool().dirty_lines();
-            drop(vm);
+    for (step, at) in swept.outcomes {
+        interruptions += at.interruptions;
+        explored += at.checked;
+        if let Some((lost, budget, mut rec_lost)) = at.fail {
             // Greedily minimize the recovery-lost set.
             let mut failure = check_recovery_crash_state(
                 spec, &inst, cfg, step, &lost, budget, &rec_lost,
@@ -580,7 +776,6 @@ pub fn explore_recovery(
                 recovery_lost_lines: rec_lost,
                 failure,
             });
-            break;
         }
     }
 
@@ -590,6 +785,8 @@ pub fn explore_recovery(
         boundary_steps: boundaries.len(),
         interruptions,
         crash_states_explored: explored,
+        replayed_steps: swept.replayed_steps,
+        forked_lines: swept.forked_lines,
         counterexample,
     }
 }
@@ -601,7 +798,7 @@ pub fn explore(spec: &dyn WorkloadSpec, scheme: Scheme, cfg: &OracleConfig) -> E
     explore_jobs(ido_par::jobs(), spec, scheme, cfg)
 }
 
-/// [`explore`] with an explicit worker count for the per-boundary fan-out.
+/// [`explore`] with an explicit worker count for the boundary fan-out.
 /// The determinism tests use this to compare `jobs = 1` against `jobs = N`
 /// in-process without racing on the `IDO_JOBS` environment variable.
 pub fn explore_jobs(
@@ -613,39 +810,27 @@ pub fn explore_jobs(
     let inst = instrument(spec, scheme);
     let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
 
-    // Fan the per-boundary checks out over ido-par's deterministic ordered
-    // parallel map (worker count from IDO_JOBS). Each task is a pure
-    // function of (workload, scheme, config, boundary step): it replays
-    // its own VM over its own pool, enumerates candidate lost-line
-    // subsets, and stops at its boundary's first failure — exactly the
-    // inner loop of the old serial sweep. Results return in boundary
-    // order, so the first failing boundary *in input order* (and hence
-    // the shrunk counterexample) is identical for any job count.
-    let inst_ref = &inst;
-    let outcomes: Vec<(usize, Option<(Vec<usize>, String)>)> =
-        ido_par::par_map_jobs(jobs, boundaries.clone(), |step| {
-            let (mut vm, _) = make_vm(spec, inst_ref, cfg);
-            vm.run_steps(step);
-            let dirty = vm.pool().dirty_lines();
-            drop(vm);
-            let mut checked = 0usize;
-            for lost in candidate_subsets(&dirty, cfg, step) {
-                checked += 1;
-                if let Err(failure) = check_crash_state(spec, inst_ref, cfg, step, &lost) {
-                    return (checked, Some((lost, failure)));
-                }
+    // At each boundary: enumerate candidate lost-line subsets and stop at
+    // the boundary's first failure.
+    type AtBoundary = (usize, Option<(Vec<usize>, String)>);
+    let swept = sweep(jobs, spec, &inst, cfg, &boundaries, |run, step, dirty| {
+        let mut checked = 0usize;
+        for lost in candidate_subsets(&dirty, cfg, step) {
+            checked += 1;
+            if let Err(failure) = run.check(&lost) {
+                return ControlFlow::<AtBoundary, _>::Break((checked, Some((lost, failure))));
             }
-            (checked, None)
-        });
+        }
+        ControlFlow::Continue((checked, None))
+    });
 
-    // Reassemble serial semantics: `explored` counts every subset checked
-    // up to and including the first failing one; later boundaries (which
-    // the serial loop never reached) contribute nothing. Shrinking stays
-    // serial — it is a data-dependent greedy walk from one failure.
+    // `explored` counts every subset checked up to and including the first
+    // failing one. Shrinking is serial and from scratch — it is a
+    // data-dependent greedy walk from one failure, backwards in steps.
     let mut explored = 0usize;
     let mut shrinks = 0usize;
     let mut counterexample = None;
-    for (&step, (checked, fail)) in boundaries.iter().zip(outcomes) {
+    for (step, (checked, fail)) in swept.outcomes {
         explored += checked;
         if let Some((lost, failure)) = fail {
             counterexample = Some(shrink(
@@ -659,7 +844,6 @@ pub fn explore_jobs(
                 failure,
                 &mut shrinks,
             ));
-            break;
         }
     }
 
@@ -672,6 +856,8 @@ pub fn explore_jobs(
         boundary_steps: boundaries.len(),
         crash_states_explored: explored,
         shrink_attempts: shrinks,
+        replayed_steps: swept.replayed_steps,
+        forked_lines: swept.forked_lines,
         counterexample,
     }
 }
@@ -681,12 +867,13 @@ pub fn explore_all(spec: &dyn WorkloadSpec, cfg: &OracleConfig) -> Vec<Explorati
     DURABLE_SCHEMES.iter().map(|&s| explore(spec, s, cfg)).collect()
 }
 
-/// Candidate lost-line sets for a crash point whose dirty lines are `dirty`:
-/// the full powerset when `dirty` is small, a bounded deduplicated cover
-/// (full set, empty set, singletons, co-singletons, seeded random subsets)
-/// when it is large. The full set comes first — it is the classic
-/// drop-all-dirty crash and the most likely to fail.
-fn candidate_subsets(dirty: &[usize], cfg: &OracleConfig, step: u64) -> Vec<Vec<usize>> {
+/// Candidate lost-line sets for a crash point whose dirty lines are `dirty`,
+/// in the order [`explore`] checks them: the full powerset when `dirty` is
+/// small, a bounded deduplicated cover (full set, empty set, singletons,
+/// co-singletons, subsets drawn from `(cfg.seed, step)`) when it is large.
+/// The full set comes first — it is the classic drop-all-dirty crash and
+/// the most likely to fail.
+pub fn candidate_subsets(dirty: &[usize], cfg: &OracleConfig, step: u64) -> Vec<Vec<usize>> {
     let n = dirty.len();
     let pick = |mask: u64| -> Vec<usize> {
         dirty
@@ -776,7 +963,11 @@ fn shrink(
     }
     for &s in boundaries.iter().filter(|&&s| s < step) {
         *attempts += 1;
-        if let Err(f) = check_crash_state(spec, inst, cfg, s, &lost) {
+        // Where a line of `lost` is not dirty yet, (s, lost) is no crash state.
+        let Ok((pool, base)) = replay_and_crash(spec, inst, cfg, s, &lost) else {
+            continue;
+        };
+        if let Err(f) = verify_recovery(spec, inst, cfg, &base, &pool) {
             step = s;
             failure = f;
             break;

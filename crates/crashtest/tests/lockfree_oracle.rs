@@ -131,9 +131,10 @@ fn skipped_publish_flush_is_caught_under_both_schemes() {
 }
 
 /// The counterexample replays from its recorded seed, and the honest
-/// runtime passes the exact crash state that broke the buggy one.
+/// runtime cannot reach the crash state that broke the buggy one (the
+/// publish write-back has cleaned the lost line by then).
 #[test]
-fn lockfree_counterexample_reproduces_and_fix_passes_it() {
+fn lockfree_counterexample_reproduces_and_fix_retires_it() {
     let mut cfg = OracleConfig::default();
     cfg.vm.lf_bug_skip_publish = true;
     let cex = explore(&LfListSpec, Scheme::Nvtraverse, &cfg)
@@ -144,7 +145,10 @@ fn lockfree_counterexample_reproduces_and_fix_passes_it() {
     assert_eq!(first, second, "replay must be deterministic");
     let mut fixed = cex.clone();
     fixed.vm.lf_bug_skip_publish = false;
-    assert_eq!(fixed.reproduce(&LfListSpec), Ok(()), "without the bug the state recovers");
+    let stale = fixed.reproduce(&LfListSpec).expect_err("the lost line is clean without the bug");
+    assert!(stale.contains("is not dirty at step"), "{stale}");
+    fixed.lost_lines.clear();
+    assert_eq!(fixed.reproduce(&LfListSpec), Ok(()), "without the bug the step recovers");
 }
 
 /// The exploration is a pure function of its config.

@@ -112,14 +112,23 @@ fn counterexample_reproduces_from_its_seed() {
     assert_eq!(again.lost_lines, cex.lost_lines);
 }
 
-/// The fixed scheme passes the exact crash state that broke the buggy one —
-/// the counterexample is about the bug, not about the oracle.
+/// The fixed scheme cannot reach the crash state that broke the buggy one:
+/// the fix *is* that the lost line is written back before that step. A
+/// stale counterexample says so — it used to lose nothing instead, check a
+/// different state, and report "fixed" — and what the honest runtime can
+/// still lose at that step, it survives.
 #[test]
-fn fixed_scheme_passes_the_counterexample_state() {
+fn fixed_scheme_no_longer_reaches_the_counterexample_state() {
     let cex = find_bug();
     let mut fixed = cex.clone();
     fixed.vm.ido_bug_skip_store_flush = false;
-    assert_eq!(fixed.reproduce(&TwinSpec), Ok(()), "without the bug the state recovers");
+    let stale = fixed.reproduce(&TwinSpec).expect_err("the lost line is clean without the bug");
+    assert_eq!(
+        stale,
+        format!("lost line {} is not dirty at step {}", cex.lost_lines[0], cex.crash_step)
+    );
+    fixed.lost_lines.clear();
+    assert_eq!(fixed.reproduce(&TwinSpec), Ok(()), "without the bug the step recovers");
 }
 
 /// The sharded allocator under the full crash oracle: an alloc/free churn

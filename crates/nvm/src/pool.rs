@@ -55,6 +55,19 @@ impl CrashPolicy {
         CrashPolicy::Subset { lost: Arc::new(lost.into_iter().collect()) }
     }
 
+    /// Whether dirty line `line` survives a crash under this policy
+    /// (`Random` draws one word from `rng`; the others ignore it).
+    fn survives(&self, line: usize, rng: &mut SplitMix64) -> bool {
+        match self {
+            CrashPolicy::DropDirty => false,
+            CrashPolicy::EvictAll => true,
+            CrashPolicy::Random { persist_permille } => {
+                (rng.next() % 1000) < *persist_permille as u64
+            }
+            CrashPolicy::Subset { lost } => !lost.contains(&line),
+        }
+    }
+
     /// Short display name for reports and journal entries.
     pub fn name(&self) -> &'static str {
         match self {
@@ -116,9 +129,22 @@ struct Inner {
     volatile: Vec<AtomicU64>,
     /// The NVM view: what survives a crash.
     persistent: Vec<AtomicU64>,
-    /// One bit per cache line: set if the volatile line differs from the
-    /// persistent line by an un-written-back store.
+    /// One bit per cache line: set if the volatile line may differ from the
+    /// persistent line by an un-written-back store. The converse is the
+    /// **clean-line invariant** every O(dirty) operation below relies on: a
+    /// line whose bit is clear holds the same eight words in both images.
+    /// Every store sets the bit before or with its volatile write; only a
+    /// write-back (fence, crash survivor) or a restore (crash loser) — both
+    /// of which equalize the line first — clears it; a non-temporal store
+    /// writes both images.
     dirty: Vec<AtomicU64>,
+    /// One bit per cache line: set where the *persistent* image or a crash
+    /// changed the line since the last [`PmemPool::sync_from`] — by
+    /// [`Inner::writeback_line`], `nt_store_u64`, and every line a crash
+    /// resolves. Plain stores do not set it (they set `dirty`), so the
+    /// store path pays nothing; `touched ∪ dirty` is exactly the set of
+    /// lines that can differ from a pool last synced with this one.
+    touched: Vec<AtomicU64>,
     config: PoolConfig,
     crashes: AtomicU64,
     global_stats: PersistStats,
@@ -163,13 +189,41 @@ impl Inner {
     }
 
     #[inline]
-    fn writeback_line(&self, line: usize) {
-        let base = line * WORDS_PER_LINE;
-        for i in 0..WORDS_PER_LINE {
-            let v = self.volatile[base + i].load(Ordering::Relaxed);
-            self.persistent[base + i].store(v, Ordering::Relaxed);
+    fn set_touched(&self, line: usize) {
+        let (word, bit) = (&self.touched[line / 64], 1u64 << (line % 64));
+        // Only a sync clears the bit, and log heads and hot lines are
+        // fenced over and over: usually this is a load, not an RMW.
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
         }
     }
+
+    #[inline]
+    fn writeback_line(&self, line: usize) {
+        copy_line(&self.volatile, &self.persistent, line);
+        self.set_touched(line);
+    }
+}
+
+/// Copies the eight words of `line` from `src` to `dst`.
+#[inline]
+fn copy_line(src: &[AtomicU64], dst: &[AtomicU64], line: usize) {
+    let base = line * WORDS_PER_LINE;
+    for (s, d) in src[base..base + WORDS_PER_LINE].iter().zip(&dst[base..base + WORDS_PER_LINE]) {
+        d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+/// The set bits of `bits`, as line indices of bitset word `word`.
+#[inline]
+fn lines_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let line = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            line
+        })
+    })
 }
 
 /// A simulated pool of byte-addressable nonvolatile memory.
@@ -191,47 +245,80 @@ impl std::fmt::Debug for PmemPool {
     }
 }
 
-/// Allocates `n` zeroed `AtomicU64`s without writing them.
+/// Allocates `n` zeroed `AtomicU64`s.
 ///
 /// `AtomicU64` is `repr(transparent)` over `u64` and all-zeros is a valid
-/// value, so `alloc_zeroed` (which hands back untouched zero pages from the
-/// OS) is a correct initializer. This makes pool construction O(1) in
-/// memory touched instead of a multi-megabyte memset per VM — and the crash
-/// oracle and the figure sweeps build a fresh VM per crash state / data
-/// point, so construction cost is on their critical path.
-fn zeroed_atomics(n: usize) -> Vec<AtomicU64> {
+/// value, so `alloc_zeroed` is a correct initializer. What it costs depends
+/// on where the allocator finds the memory. A fresh anonymous mapping is
+/// untouched zero pages: nothing is written, and only pages the pool's
+/// user later touches become resident — but the mapping, its first-touch
+/// faults and its unmapping go through the kernel (and the process-wide
+/// mapping lock). Recycled heap memory stays in user space but must be
+/// cleared, which writes, and makes resident, the whole image. glibc maps
+/// requests above a threshold that starts at 128 KiB and *grows* to the
+/// size of every mapped block freed, up to 32 MiB, so a process that
+/// builds pool after pool gets its second and later images from the heap:
+/// ≈ 62 µs of `calloc` clearing and 2 MiB resident per 1 MiB test pool
+/// (`nvm.pool_new_us`) — construction is O(pool).
+///
+/// That is the right trade for a pool built per run, by the thousand and
+/// from parallel workers (mapping every pool instead took the workspace
+/// tests from 24 s to 58 s), and the wrong one for a pool that lives long
+/// and is mostly never touched. `reserve` is for the latter
+/// ([`PmemPool::scratch`]): the request is padded past glibc's cap, so it
+/// is always a mapping; the padding is address space only. Under another
+/// allocator it is merely a larger reservation.
+fn zeroed_atomics(n: usize, reserve: bool) -> Vec<AtomicU64> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+    /// One word past glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit).
+    const ALWAYS_MAPPED_WORDS: usize = (32 << 20) / 8 + 1;
     if n == 0 {
         return Vec::new();
     }
-    let layout = Layout::array::<AtomicU64>(n).expect("pool allocation fits a Layout");
+    let cap = if reserve { n.max(ALWAYS_MAPPED_WORDS) } else { n };
+    let layout = Layout::array::<AtomicU64>(cap).expect("pool allocation fits a Layout");
     // SAFETY: the pointer comes from the global allocator with exactly the
-    // layout `Vec`'s drop will deallocate with (len == capacity == n), and
-    // the zero bit pattern is a valid `AtomicU64` for all n elements.
+    // layout `Vec`'s drop will deallocate with (capacity == cap), and the
+    // zero bit pattern is a valid `AtomicU64` for all `n <= cap` elements.
     unsafe {
         let ptr = alloc_zeroed(layout) as *mut AtomicU64;
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
-        Vec::from_raw_parts(ptr, n, n)
+        Vec::from_raw_parts(ptr, n, cap)
     }
 }
 
 impl PmemPool {
     /// Creates a pool whose volatile and persistent images are zero-filled.
     pub fn new(config: PoolConfig) -> Self {
+        Self::zeroed(config, false)
+    }
+
+    /// Creates the scratch half of a [`PmemPool::sync_from`] pair: an empty
+    /// pool of this pool's configuration, for a caller that keeps it for
+    /// many syncs. Its images are reserved as untouched mappings (see
+    /// `zeroed_atomics`), so it is resident only where syncs and its own
+    /// users write: a forked copy of a pool does not double its footprint.
+    pub fn scratch(&self) -> Self {
+        Self::zeroed(self.inner.config.clone(), true)
+    }
+
+    fn zeroed(config: PoolConfig, reserve: bool) -> Self {
         let size = config.size.next_multiple_of(CACHE_LINE).max(CACHE_LINE);
         let words = size / 8;
         let lines = size / CACHE_LINE;
-        let mk = zeroed_atomics;
+        let mk = |n| zeroed_atomics(n, false);
+        let image = || zeroed_atomics(words, reserve);
         let config = PoolConfig { size, ..config };
         let trace = config.trace;
         let metrics = config.metrics;
         PmemPool {
             inner: Arc::new(Inner {
-                volatile: mk(words),
-                persistent: mk(words),
+                volatile: image(),
+                persistent: image(),
                 dirty: mk(lines.div_ceil(64)),
+                touched: mk(lines.div_ceil(64)),
                 config,
                 crashes: AtomicU64::new(0),
                 global_stats: PersistStats::default(),
@@ -369,9 +456,9 @@ impl PmemPool {
     /// value. Every line that was still dirty is resolved by the pool's
     /// [`CrashPolicy`] using `seed`: it either survives with its current
     /// volatile contents (a cache eviction happened to save it) or reverts to
-    /// its last persisted contents. Afterwards the volatile image is reloaded
-    /// from the persistent image, exactly as a fresh process mapping the NVM
-    /// region would observe.
+    /// its last persisted contents. Afterwards the volatile image equals the
+    /// persistent image, exactly as a fresh process mapping the NVM region
+    /// would observe.
     ///
     /// Callers must ensure no handle is concurrently accessing the pool
     /// (crashed threads are, by definition, gone).
@@ -384,37 +471,70 @@ impl PmemPool {
     /// instead of the pool's configured policy. The crash oracle uses this
     /// to lose a chosen [`CrashPolicy::Subset`] of the lines that are dirty
     /// at the crash point it is exploring, without rebuilding the pool.
+    ///
+    /// Costs O(dirty-bitset words + dirty lines), not O(pool): by the
+    /// clean-line invariant (see `Inner::dirty`) a clean line already reads
+    /// the same in both images, so only dirty lines are visited — survivors
+    /// are written back, losers restored from the persistent image — in
+    /// ascending line order, one RNG draw per dirty line under
+    /// [`CrashPolicy::Random`].
     pub fn crash_with(&self, seed: u64, policy: &CrashPolicy) -> CrashOutcome {
         let inner = &*self.inner;
-        let lines = inner.config.size / CACHE_LINE;
         let mut rng = SplitMix64::new(seed ^ 0x1d0_c4a5);
         let mut evicted = 0usize;
         let mut dropped = 0usize;
-        for l in 0..lines {
-            if !self.is_dirty(l) {
+        for (w, word) in inner.dirty.iter().enumerate() {
+            let bits = word.load(Ordering::Relaxed);
+            if bits == 0 {
                 continue;
             }
-            let survive = match policy {
-                CrashPolicy::DropDirty => false,
-                CrashPolicy::EvictAll => true,
-                CrashPolicy::Random { persist_permille } => {
-                    (rng.next() % 1000) < *persist_permille as u64
+            for l in lines_of(w, bits) {
+                if policy.survives(l, &mut rng) {
+                    copy_line(&inner.volatile, &inner.persistent, l);
+                    evicted += 1;
+                } else {
+                    copy_line(&inner.persistent, &inner.volatile, l);
+                    dropped += 1;
                 }
-                CrashPolicy::Subset { lost } => !lost.contains(&l),
-            };
-            if survive {
-                self.writeback_line(l);
+            }
+            word.store(0, Ordering::Relaxed);
+            inner.touched[w].fetch_or(bits, Ordering::Relaxed);
+        }
+        self.note_crash(policy, evicted, dropped)
+    }
+
+    /// The pre-O(dirty) [`PmemPool::crash_with`], kept as the reference the
+    /// equivalence test compares against: tests every line of the pool for
+    /// dirtiness, then reloads the whole volatile image word by word.
+    #[cfg(test)]
+    fn crash_with_full_reload(&self, seed: u64, policy: &CrashPolicy) -> CrashOutcome {
+        let inner = &*self.inner;
+        let mut rng = SplitMix64::new(seed ^ 0x1d0_c4a5);
+        let mut evicted = 0usize;
+        let mut dropped = 0usize;
+        for l in 0..inner.config.size / CACHE_LINE {
+            if !inner.is_dirty(l) {
+                continue;
+            }
+            if policy.survives(l, &mut rng) {
+                copy_line(&inner.volatile, &inner.persistent, l);
                 evicted += 1;
             } else {
                 dropped += 1;
             }
-            self.clear_dirty(l);
+            inner.clear_dirty(l);
         }
         // The "new process" sees only what persisted.
         for w in 0..inner.volatile.len() {
             let v = inner.persistent[w].load(Ordering::Relaxed);
             inner.volatile[w].store(v, Ordering::Relaxed);
         }
+        self.note_crash(policy, evicted, dropped)
+    }
+
+    /// The bookkeeping tail of a crash: counter, journal and trace events.
+    fn note_crash(&self, policy: &CrashPolicy, evicted: usize, dropped: usize) -> CrashOutcome {
+        let inner = &*self.inner;
         inner.crashes.fetch_add(1, Ordering::Relaxed);
         inner.journal.record(|| PersistEventKind::Crash {
             policy: policy.name(),
@@ -435,6 +555,51 @@ impl PmemPool {
         CrashOutcome { lines_evicted: evicted, lines_dropped: dropped }
     }
 
+    /// Makes this pool an exact image of `live` — both images and the dirty
+    /// set — at a cost of O(bitset words + lines either pool changed since
+    /// they were last equal), never O(pool). Returns the number of lines
+    /// copied.
+    ///
+    /// The two pools must be a *pair*: the same size, and equal at some
+    /// point in the past — at construction (two fresh pools are both zero)
+    /// or at the previous `sync_from` between them — with every change
+    /// since made through the pool API. Under that contract a line can
+    /// differ only if it is dirty or `touched` on one side, so exactly
+    /// those lines are copied, and both `touched` sets are cleared: the
+    /// pair is equal again. (Syncing a third pool from `live` afterwards
+    /// would miss the lines this call just forgot; the crash oracle keeps
+    /// one scratch pool per live pool.) Only memory state is copied —
+    /// counters, journal, trace and metrics collectors stay each pool's own.
+    ///
+    /// Callers must ensure no handle is concurrently accessing either pool.
+    ///
+    /// # Panics
+    /// Panics if the pools differ in size.
+    pub fn sync_from(&self, live: &PmemPool) -> usize {
+        let (dst, src) = (&*self.inner, &*live.inner);
+        assert_eq!(dst.config.size, src.config.size, "sync_from needs equal-sized pools");
+        let mut copied = 0usize;
+        for w in 0..dst.dirty.len() {
+            let src_dirty = src.dirty[w].load(Ordering::Relaxed);
+            let differ = src_dirty
+                | src.touched[w].load(Ordering::Relaxed)
+                | dst.dirty[w].load(Ordering::Relaxed)
+                | dst.touched[w].load(Ordering::Relaxed);
+            if differ == 0 {
+                continue;
+            }
+            for l in lines_of(w, differ) {
+                copy_line(&src.volatile, &dst.volatile, l);
+                copy_line(&src.persistent, &dst.persistent, l);
+                copied += 1;
+            }
+            dst.dirty[w].store(src_dirty, Ordering::Relaxed);
+            dst.touched[w].store(0, Ordering::Relaxed);
+            src.touched[w].store(0, Ordering::Relaxed);
+        }
+        copied
+    }
+
     /// Indices of all currently dirty lines, ascending. The crash oracle
     /// reads this at a prospective crash point to know which line subsets
     /// are worth losing.
@@ -446,11 +611,7 @@ impl PmemPool {
         // no tail masking is needed.
         let mut out = Vec::new();
         for (w, word) in self.inner.dirty.iter().enumerate() {
-            let mut bits = word.load(Ordering::Relaxed);
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+            out.extend(lines_of(w, word.load(Ordering::Relaxed)));
         }
         out
     }
@@ -527,19 +688,7 @@ impl PmemPool {
 
     /// True if the line containing `addr` has unpersisted stores.
     pub fn is_line_dirty(&self, addr: PAddr) -> bool {
-        self.is_dirty(line_of(addr))
-    }
-
-    fn is_dirty(&self, line: usize) -> bool {
-        self.inner.is_dirty(line)
-    }
-
-    fn clear_dirty(&self, line: usize) {
-        self.inner.clear_dirty(line);
-    }
-
-    fn writeback_line(&self, line: usize) {
-        self.inner.writeback_line(line);
+        self.inner.is_dirty(line_of(addr))
     }
 }
 
@@ -831,6 +980,7 @@ impl PmemHandle {
         self.charge_store_and_emit(self.latency.nt_store_cost(), 8, addr, value);
         self.inner.volatile[w].store(value, Ordering::Release);
         self.inner.persistent[w].store(value, Ordering::Release);
+        self.inner.set_touched(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::NtStore { addr, value });
     }
 
@@ -1321,6 +1471,79 @@ mod tests {
             p.crash_with(0, &CrashPolicy::losing(lost));
             let mut h = p.handle();
             assert_eq!(h.read_u64(64), expect);
+        }
+    }
+
+    /// One seeded sequence of every operation that can change a line's
+    /// dirtiness or either image, confined to 24 lines so that stores,
+    /// non-temporal stores, write-backs and fences keep landing on each
+    /// other's lines.
+    fn churn(h: &mut PmemHandle, seed: u64) {
+        let mut rng = SplitMix64::new(seed);
+        for _ in 0..rng.next() % 60 {
+            let addr = (rng.next() % (24 * 8)) as usize * 8;
+            let v = rng.next();
+            match rng.next() % 9 {
+                0 | 1 => h.write_u64(addr, v),
+                2 => h.write_bytes(addr + 3, &v.to_le_bytes().repeat(10)), // spans lines
+                3 => h.nt_store_u64(addr, v),
+                4 => drop(h.fetch_or_u64(addr, v)),
+                5 => drop(h.fetch_and_u64(addr, v)),
+                6 => {
+                    // Succeeds when the word is still zero, fails otherwise.
+                    let _ = h.compare_exchange_u64(addr, 0, v | 1);
+                }
+                7 => h.clwb(addr),
+                _ => h.sfence(),
+            }
+        }
+    }
+
+    /// The four policies, `Subset` losing a seeded selection of `dirty`.
+    fn policies(dirty: &[usize], seed: u64) -> [CrashPolicy; 4] {
+        let mut rng = SplitMix64::new(!seed);
+        [
+            CrashPolicy::DropDirty,
+            CrashPolicy::EvictAll,
+            CrashPolicy::Random { persist_permille: (seed * 37 % 1001) as u16 },
+            CrashPolicy::losing(dirty.iter().copied().filter(|_| rng.next() & 1 == 0)),
+        ]
+    }
+
+    /// The O(dirty) crash against the full-reload loop it replaced: same
+    /// outcome, same persistent image, same journal, and afterwards the
+    /// state a reload produces — every word equal in both images, no line
+    /// dirty.
+    #[test]
+    fn crash_with_matches_the_full_reload_reference() {
+        let mk = || {
+            let p = PmemPool::new(PoolConfig { size: 64 << 10, ..PoolConfig::small_for_tests() });
+            p.record_journal(256);
+            p
+        };
+        for seed in 0..150u64 {
+            let probe = mk();
+            churn(&mut probe.handle(), seed);
+            for policy in policies(&probe.dirty_lines(), seed) {
+                let (new, old) = (mk(), mk());
+                churn(&mut new.handle(), seed);
+                churn(&mut old.handle(), seed);
+                let what = format!("seed {seed}, {}", policy.name());
+                assert_eq!(
+                    new.crash_with(seed, &policy),
+                    old.crash_with_full_reload(seed, &policy),
+                    "{what}"
+                );
+                assert!(new.persistent_snapshot() == old.persistent_snapshot(), "{what}: image");
+                assert_eq!(new.journal_tail(256), old.journal_tail(256), "{what}: journal");
+                assert!(new.dirty_lines().is_empty(), "{what}: dirty lines left");
+                let (n, o) = (&*new.inner, &*old.inner);
+                for w in 0..n.volatile.len() {
+                    let v = n.volatile[w].load(Ordering::Relaxed);
+                    assert_eq!(v, n.persistent[w].load(Ordering::Relaxed), "{what}: word {w}");
+                    assert_eq!(v, o.volatile[w].load(Ordering::Relaxed), "{what}: word {w}");
+                }
+            }
         }
     }
 

@@ -10,6 +10,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# `timed <label> <command...>`: runs the command and prints how long it
+# took, so a stage getting slower (or faster) is in the log.
+timed() {
+  local label=$1 start=$SECONDS
+  shift
+  "$@"
+  echo "-- $label: $((SECONDS - start)) s"
+}
+
 echo "== check: proptest regression files present =="
 test -f tests/proptest_crash.proptest-regressions \
   || { echo "missing proptest regression file"; exit 1; }
@@ -22,21 +31,32 @@ echo "== test (workspace) =="
 # one of the gates below is called out by name — the cross-tier
 # differential harness (tier_equivalence, decoded_golden, trace_golden,
 # tier2_oracle), scheduler equivalence (ido-vm --lib sched_equivalence),
+# the forked oracle against the from-scratch one (fork_equivalence,
+# par_determinism) and the O(dirty) crash against the full reload (ido-nvm
+# --lib crash_with_matches_the_full_reload_reference, proptest_nvm),
 # allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
 # (service_metrics, no_alloc_hot_loop), lock-free gates (lockfree_oracle,
 # structures_oracle, lockfree_differential, rcas_proptest) and the
 # textual-frontend gates (corpus, roundtrip_fuzz, diagnostics_golden,
 # explain_golden).
-cargo test --workspace
+timed "workspace tests" cargo test --workspace
 
 echo "== static atomicity lint + differential smoke (verify_report) =="
 # Lints every standard workload under every scheme and cross-checks the
 # static verdicts against the crash oracle; any violation or
 # static/dynamic disagreement makes the binary assert and fail CI.
-IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin verify_report
+timed "verify_report" env IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin verify_report
 
-echo "== crash-oracle smoke sweep =="
-IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle
+echo "== crash-oracle smoke sweep + memcached-like store at 512 ops (iDO, Atlas) =="
+# The second is the application-scale gate: every persist boundary of a
+# 512-operation run, bounded lost-line cover, affordable because the
+# oracle steps one VM forward per worker and forks states from it.
+# Release-only (the test is ignored in unoptimized builds).
+oracle_stage() {
+  IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle
+  cargo test -q --release -p ido-crashtest --test kv_sweep -- --nocapture
+}
+timed "crash oracle" oracle_stage
 
 echo "== interpreter throughput smoke (quick mode, tier-1 + tier-2 series) =="
 # interp_bench measures every bench on both execution tiers and asserts
