@@ -31,7 +31,9 @@ pub struct AntidepPair {
 ///
 /// The search walks each region's members in order, tracking loads seen so
 /// far in that region (with base-register invalidation identical to the
-/// partitioner's), and reports any store that may alias one of them.
+/// partitioner's), and reports any store that may alias one of them and
+/// that the load can reach inside the region — the two arms of a branch
+/// diamond share a region but no execution.
 pub fn uncut_pairs(func: &Function, analysis: &RegionAnalysis) -> Vec<AntidepPair> {
     let mut pairs = Vec::new();
     for region in analysis.regions() {
@@ -52,7 +54,7 @@ pub fn uncut_pairs(func: &Function, analysis: &RegionAnalysis) -> Vec<AntidepPai
                             } else {
                                 matches!(loc, MemLoc::Heap { .. })
                             };
-                            if conflict {
+                            if conflict && reaches(func, analysis, region, lpos, (b, i)) {
                                 pairs.push(AntidepPair { load: lpos, store: (b, i), loc: lloc });
                             }
                         }
@@ -65,6 +67,36 @@ pub fn uncut_pairs(func: &Function, analysis: &RegionAnalysis) -> Vec<AntidepPai
         }
     }
     pairs
+}
+
+/// True if execution can get from `from` to `to` without leaving `region`
+/// (arriving at its entry again is a new execution of it).
+fn reaches(
+    func: &Function,
+    analysis: &RegionAnalysis,
+    region: &crate::regions::Region,
+    from: Pos,
+    to: Pos,
+) -> bool {
+    let mut seen = BTreeSet::from([from]);
+    let mut work = vec![from];
+    while let Some((b, i)) = work.pop() {
+        let inst = &func.block(b).insts[i];
+        let next: Vec<Pos> = if inst.is_terminator() {
+            inst.targets().into_iter().map(|t| (t, 0)).collect()
+        } else {
+            vec![(b, i + 1)]
+        };
+        for p in next {
+            if p == to {
+                return true;
+            }
+            if p != region.entry && analysis.region_at(p) == Some(region.id) && seen.insert(p) {
+                work.push(p);
+            }
+        }
+    }
+    false
 }
 
 fn invalidate(seen: &mut [(Pos, MemLoc, bool)], d: Reg) {
@@ -125,7 +157,8 @@ pub fn check_partition(func: &Function, analysis: &RegionAnalysis) -> Vec<String
         problems.push(format!("register WAR: input {r} redefined at {pos:?}"));
     }
     // Single-entry: every non-entry member's intra-region predecessors must
-    // be in the same region, and the entry must be the unique cut.
+    // be in the same region, and the entry must be the unique cut. A
+    // predecessor that can never execute enters nothing.
     let cfg = Cfg::new(func);
     for region in analysis.regions() {
         let members: BTreeSet<Pos> = region.members.iter().copied().collect();
@@ -141,7 +174,7 @@ pub fn check_partition(func: &Function, analysis: &RegionAnalysis) -> Vec<String
                     ));
                 }
             } else {
-                for &p in cfg.preds(b) {
+                for &p in cfg.preds(b).iter().filter(|p| cfg.reachable()[p.0 as usize]) {
                     let last = func.block(p).insts.len() - 1;
                     if analysis.region_at((p, last)) != Some(region.id) {
                         problems.push(format!(

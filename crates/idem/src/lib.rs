@@ -44,6 +44,13 @@
 //! This is exactly the split the paper's allocator-level mechanism induces
 //! at machine level.
 //!
+//! Fixups are applied one at a time, always to the violation a from-scratch
+//! analysis would meet first, so the instrumented text is a function of the
+//! input alone; what a fixup *costs* is the zone forward of its marker up to
+//! the next structural cut, not a whole-function analysis (the private
+//! `formation` module has the argument, `tests/partition_equivalence.rs`
+//! the old loop it is held to).
+//!
 //! # Example
 //!
 //! ```
@@ -68,9 +75,12 @@
 #![deny(missing_docs)]
 
 pub mod antidep;
+mod formation;
 pub mod hitting;
 pub mod regions;
 pub mod stats;
 
-pub use regions::{analyze, analyze_with, partition, AliasMode, Pos, Region, RegionAnalysis, RegionId};
+pub use regions::{
+    analyze, analyze_with, partition, AliasMode, PartitionWork, Pos, Region, RegionAnalysis, RegionId,
+};
 pub use stats::{RegionStats, StaticRegionSummary};

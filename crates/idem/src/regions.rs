@@ -1,11 +1,10 @@
 //! Region cut placement, construction, and the register-WAR fixup.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use ido_ir::alias::{alias, mem_access, AccessKind, AliasResult, MemLoc};
-use ido_ir::cfg::Cfg;
-use ido_ir::liveness::{reg_var, slot_var, Liveness, Var};
 use ido_ir::{BlockId, Function, Inst, Operand, Reg, StackSlot};
+
+use crate::formation::Formation;
 
 /// A code position: `(block, instruction index)`. A *cut at `p`* means a
 /// region boundary immediately **before** the instruction at `p`.
@@ -35,7 +34,7 @@ pub enum AliasMode {
 pub struct RegionId(pub u32);
 
 /// One idempotent region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Region {
     /// This region's id.
     pub id: RegionId,
@@ -74,14 +73,24 @@ impl Region {
 }
 
 /// The full partition of one function into idempotent regions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionAnalysis {
     regions: Vec<Region>,
-    region_of: BTreeMap<Pos, RegionId>,
+    /// `region_of[block][index]`, dense.
+    region_of: Vec<Vec<RegionId>>,
     cuts: BTreeSet<Pos>,
 }
 
 impl RegionAnalysis {
+    pub(crate) fn from_parts(
+        regions: Vec<Region>,
+        region_of: Vec<Vec<RegionId>>,
+        mut entries: Vec<Pos>,
+    ) -> RegionAnalysis {
+        entries.sort_unstable();
+        RegionAnalysis { regions, region_of, cuts: entries.into_iter().collect() }
+    }
+
     /// All regions, indexed by [`RegionId`].
     pub fn regions(&self) -> &[Region] {
         &self.regions
@@ -94,7 +103,7 @@ impl RegionAnalysis {
 
     /// The region containing the instruction at `pos`.
     pub fn region_at(&self, pos: Pos) -> Option<RegionId> {
-        self.region_of.get(&pos).copied()
+        self.region_of.get(pos.0 .0 as usize)?.get(pos.1).copied()
     }
 
     /// All cut positions (region entries), including implicit single-entry
@@ -109,60 +118,18 @@ impl RegionAnalysis {
     }
 }
 
-/// Outstanding-loads abstract state for antidependence detection.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct Outstanding {
-    locs: BTreeSet<MemLoc>,
-    /// Set when a tracked heap location's base register was redefined: its
-    /// address is no longer describable, so any later store may alias it.
-    wildcard: bool,
-}
-
-impl Outstanding {
-    fn clear(&mut self) {
-        self.locs.clear();
-        self.wildcard = false;
-    }
-
-    fn note_load(&mut self, loc: MemLoc) {
-        self.locs.insert(loc);
-    }
-
-    fn note_def(&mut self, r: Reg) {
-        let before = self.locs.len();
-        self.locs.retain(|l| !matches!(l, MemLoc::Heap { base, .. } if *base == r));
-        if self.locs.len() != before {
-            self.wildcard = true;
-        }
-    }
-
-    fn store_conflicts(&self, loc: MemLoc, mode: AliasMode) -> bool {
-        if mode == AliasMode::None {
-            return !self.locs.is_empty() || self.wildcard;
-        }
-        if mode == AliasMode::Precise {
-            return self
-                .locs
-                .iter()
-                .any(|l| matches!(alias(*l, loc, true), AliasResult::Must));
-        }
-        if self.wildcard && matches!(loc, MemLoc::Heap { .. }) {
-            return true;
-        }
-        self.locs.iter().any(|l| {
-            // Bases are tracked precisely (redefinitions invalidate), so
-            // same-base offset reasoning is valid here.
-            !matches!(alias(*l, loc, true), AliasResult::No)
-        })
-    }
-
-    fn merge(&mut self, other: &Outstanding) -> bool {
-        let n = self.locs.len();
-        let w = self.wildcard;
-        self.locs.extend(other.locs.iter().copied());
-        self.wildcard |= other.wildcard;
-        self.locs.len() != n || self.wildcard != w
-    }
+/// What one [`partition`] call did, for the host side to observe itself:
+/// read-only counts, no knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PartitionWork {
+    /// Register-WAR fixups applied.
+    pub fixups: usize,
+    /// Positions whose cuts and membership were re-derived after a fixup
+    /// (the sizes of the fixups' zones, summed).
+    pub positions_reanalysed: usize,
+    /// Region members visited while looking for violations, the first scan
+    /// of every region included.
+    pub positions_scanned: usize,
 }
 
 /// Computes the region partition of `func` without mutating it. If the
@@ -175,11 +142,7 @@ pub fn analyze(func: &Function) -> RegionAnalysis {
 
 /// [`analyze`] with an explicit alias-analysis precision (ablation knob).
 pub fn analyze_with(func: &Function, mode: AliasMode) -> RegionAnalysis {
-    let cfg = Cfg::new(func);
-    let liveness = Liveness::new(func, &cfg);
-    let mut cuts = structural_cuts(func, &cfg);
-    add_antidep_cuts(func, &cfg, &mut cuts, mode);
-    build(func, &cfg, &liveness, cuts)
+    Formation::new(func, mode).summarize(func)
 }
 
 /// Computes the region partition, repairing register antidependences on
@@ -187,13 +150,25 @@ pub fn analyze_with(func: &Function, mode: AliasMode) -> RegionAnalysis {
 /// renaming defs and inserting `RegionMarker` + compensation `mov`s; returns
 /// the final analysis, which is guaranteed WAR-free.
 pub fn partition(func: &mut Function) -> RegionAnalysis {
-    loop {
-        let analysis = analyze(func);
-        match find_war_violation(func, &analysis) {
-            Some((pos, r)) => apply_war_fixup(func, pos, r),
-            None => return analysis,
-        }
+    partition_counted(func).0
+}
+
+/// [`partition`], also reporting the work it did.
+///
+/// Violations are repaired one at a time, in the order a from-scratch
+/// analysis after every fixup would meet them — so fresh registers and
+/// markers land exactly where they always did — but each fixup re-derives
+/// only the zone it touched (see `formation.rs`). The analysis returned is
+/// still one ordinary from-scratch [`analyze`] of the final function: the
+/// incremental state only has to get the sequence of fixups right.
+#[doc(hidden)]
+pub fn partition_counted(func: &mut Function) -> (RegionAnalysis, PartitionWork) {
+    let mut formation = Formation::new(func, AliasMode::Basic);
+    while let Some((pos, r)) = formation.next_violation(func) {
+        apply_war_fixup(func, pos, r);
+        formation.fixed_up(func, pos);
     }
+    (analyze(func), formation.work)
 }
 
 /// Finds the first definition of a region-input register inside its own
@@ -224,315 +199,21 @@ fn apply_war_fixup(func: &mut Function, pos: Pos, r: Reg) {
     bb.insts.insert(i + 2, Inst::Mov { dst: r, src: Operand::Reg(fresh) });
 }
 
+/// Every arm of [`Inst::def_reg`] has one here.
 fn rename_def(inst: &mut Inst, from: Reg, to: Reg) {
     match inst {
         Inst::Mov { dst, .. }
         | Inst::Bin { dst, .. }
         | Inst::LoadStack { dst, .. }
         | Inst::Load { dst, .. }
-        | Inst::Alloc { dst, .. } => {
-            assert_eq!(*dst, from, "rename target mismatch");
-            *dst = to;
-        }
-        Inst::Call { ret: Some(dst), .. } => {
+        | Inst::Cas { dst, .. }
+        | Inst::Alloc { dst, .. }
+        | Inst::Call { ret: Some(dst), .. } => {
             assert_eq!(*dst, from, "rename target mismatch");
             *dst = to;
         }
         other => panic!("instruction {other} does not define a register"),
     }
-}
-
-/// Structural cuts: the function entry, lock/durable-region boundaries,
-/// runtime calls, and explicit `RegionMarker`s. Loop back edges are *not*
-/// cut (see below).
-fn structural_cuts(func: &Function, cfg: &Cfg) -> BTreeSet<Pos> {
-    let mut cuts = BTreeSet::new();
-    cuts.insert((BlockId(0), 0));
-    for (bi, bb) in func.blocks().iter().enumerate() {
-        let b = BlockId(bi as u32);
-        let len = bb.insts.len();
-        for (i, inst) in bb.insts.iter().enumerate() {
-            match inst {
-                // Boundary after acquire: the robbed-lock effect (Sec. III-B)
-                // relies on no FASE instruction preceding this boundary.
-                Inst::Lock { .. } | Inst::DurableBegin
-                    if i + 1 < len => {
-                        cuts.insert((b, i + 1));
-                    }
-                // Boundary before release: everything the FASE did under the
-                // lock is persisted before the lock can be stolen.
-                Inst::Unlock { .. } | Inst::DurableEnd => {
-                    cuts.insert((b, i));
-                }
-                // Runtime calls with external side effects delimit regions
-                // on both sides so they are never re-executed.
-                Inst::Call { .. } | Inst::Alloc { .. } | Inst::Free { .. } => {
-                    cuts.insert((b, i));
-                    if i + 1 < len {
-                        cuts.insert((b, i + 1));
-                    }
-                }
-                Inst::RegionMarker => {
-                    cuts.insert((b, i));
-                }
-                _ => {}
-            }
-        }
-    }
-    // Loop back edges are deliberately *not* structural cuts: a read-only
-    // traversal loop is idempotent as a whole (restarting it from the region
-    // entry re-traverses from scratch), which is exactly why the paper's
-    // Redis read paths are nearly free under iDO. Loop-carried memory
-    // antidependences are found by the cross-block fixpoint (which
-    // propagates around back edges), and loop-carried register WARs are
-    // repaired by `partition`'s fixup, which inserts its own boundary.
-    let _ = cfg.back_edges();
-    cuts
-}
-
-/// Adds cuts breaking every memory antidependence (load followed by a
-/// possibly-aliasing store with no intervening cut). Cuts are placed
-/// immediately before the violating store — the right-endpoint greedy rule,
-/// optimal for the interval-stabbing formulation.
-fn add_antidep_cuts(func: &Function, cfg: &Cfg, cuts: &mut BTreeSet<Pos>, mode: AliasMode) {
-    loop {
-        let block_in = outstanding_fixpoint(func, cfg, cuts);
-        let mut new_cuts = Vec::new();
-        for (bi, bb) in func.blocks().iter().enumerate() {
-            let b = BlockId(bi as u32);
-            let mut state = block_in[bi].clone();
-            for (i, inst) in bb.insts.iter().enumerate() {
-                if cuts.contains(&(b, i)) {
-                    state.clear();
-                }
-                if let Some((loc, kind)) = mem_access(inst) {
-                    match kind {
-                        AccessKind::Load => state.note_load(loc),
-                        AccessKind::Store => {
-                            if state.store_conflicts(loc, mode) {
-                                new_cuts.push((b, i));
-                                state.clear();
-                            }
-                        }
-                    }
-                }
-                if let Some(d) = inst.def_reg() {
-                    state.note_def(d);
-                }
-            }
-        }
-        if new_cuts.is_empty() {
-            return;
-        }
-        cuts.extend(new_cuts);
-    }
-}
-
-/// Forward fixpoint: outstanding loads at each block entry, given `cuts`.
-fn outstanding_fixpoint(func: &Function, cfg: &Cfg, cuts: &BTreeSet<Pos>) -> Vec<Outstanding> {
-    let n = func.num_blocks();
-    let mut block_in: Vec<Outstanding> = vec![Outstanding::default(); n];
-    let mut block_out: Vec<Outstanding> = vec![Outstanding::default(); n];
-    let rpo = cfg.rpo();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in &rpo {
-            let bi = b.0 as usize;
-            let mut input = Outstanding::default();
-            for &p in cfg.preds(b) {
-                input.merge(&block_out[p.0 as usize]);
-            }
-            if input != block_in[bi] {
-                block_in[bi] = input.clone();
-                changed = true;
-            }
-            let mut state = input;
-            for (i, inst) in func.block(b).insts.iter().enumerate() {
-                if cuts.contains(&(b, i)) {
-                    state.clear();
-                }
-                if let Some((loc, AccessKind::Load)) = mem_access(inst) {
-                    state.note_load(loc);
-                }
-                if let Some(d) = inst.def_reg() {
-                    state.note_def(d);
-                }
-            }
-            if state != block_out[bi] {
-                block_out[bi] = state;
-                changed = true;
-            }
-        }
-    }
-    block_in
-}
-
-/// Builds regions from the cut set: assigns every instruction to a region,
-/// adding implicit cuts at joins whose predecessors disagree (single-entry
-/// enforcement), then computes per-region inputs, outputs, and store counts.
-fn build(
-    func: &Function,
-    cfg: &Cfg,
-    liveness: &Liveness,
-    mut cuts: BTreeSet<Pos>,
-) -> RegionAnalysis {
-    let reachable = cfg.reachable();
-    for (bi, r) in reachable.iter().enumerate() {
-        if !*r {
-            // Unreachable code gets its own region; it never executes.
-            cuts.insert((BlockId(bi as u32), 0));
-        }
-    }
-
-    // Membership assignment. A block head that is not a cut inherits its
-    // predecessors' region. Predecessors not yet assigned (back edges) are
-    // treated optimistically; after the pass, any head whose predecessors
-    // disagree with its assignment becomes an implicit cut (single-entry
-    // enforcement) and the pass restarts. Cuts only grow, so this
-    // terminates.
-    let (region_of, entries) = loop {
-        let mut region_of: BTreeMap<Pos, RegionId> = BTreeMap::new();
-        let mut entries: Vec<Pos> = Vec::new();
-        for &b in &cfg.rpo() {
-            let bb = func.block(b);
-            let mut cur: Option<RegionId> = None;
-            for i in 0..bb.insts.len() {
-                let pos = (b, i);
-                let id = if cuts.contains(&pos) {
-                    entries.push(pos);
-                    RegionId(entries.len() as u32 - 1)
-                } else if let Some(cur) = cur {
-                    cur
-                } else {
-                    // Inherit from the first already-assigned predecessor.
-                    let known = cfg
-                        .preds(b)
-                        .iter()
-                        .filter(|p| reachable[p.0 as usize])
-                        .find_map(|p| {
-                            let last = func.block(*p).insts.len() - 1;
-                            region_of.get(&(*p, last)).copied()
-                        });
-                    match known {
-                        Some(r) => r,
-                        None => {
-                            // No assigned predecessor at all: treat as entry.
-                            entries.push(pos);
-                            RegionId(entries.len() as u32 - 1)
-                        }
-                    }
-                };
-                region_of.insert(pos, id);
-                cur = Some(id);
-            }
-        }
-        // Consistency check: every non-cut head must agree with all of its
-        // reachable predecessors.
-        let mut new_cuts = Vec::new();
-        for (bi, bb) in func.blocks().iter().enumerate() {
-            let b = BlockId(bi as u32);
-            if !reachable[bi] || cuts.contains(&(b, 0)) || bb.insts.is_empty() {
-                continue;
-            }
-            let my = region_of[&(b, 0)];
-            let disagrees = cfg.preds(b).iter().any(|p| {
-                if !reachable[p.0 as usize] {
-                    return false;
-                }
-                let last = func.block(*p).insts.len() - 1;
-                region_of.get(&(*p, last)) != Some(&my)
-            });
-            if disagrees {
-                new_cuts.push((b, 0));
-            }
-        }
-        if new_cuts.is_empty() {
-            break (region_of, entries);
-        }
-        cuts.extend(new_cuts);
-    };
-
-    // Collect members per region.
-    let mut members: Vec<Vec<Pos>> = vec![Vec::new(); entries.len()];
-    for (&pos, &id) in &region_of {
-        members[id.0 as usize].push(pos);
-    }
-
-    let mut regions = Vec::with_capacity(entries.len());
-    for (idx, entry) in entries.iter().enumerate() {
-        let id = RegionId(idx as u32);
-        let mems = std::mem::take(&mut members[idx]);
-
-        // Used and defined variables.
-        let mut used_regs: BTreeSet<Reg> = BTreeSet::new();
-        let mut used_slots: BTreeSet<StackSlot> = BTreeSet::new();
-        let mut def_regs: BTreeSet<Reg> = BTreeSet::new();
-        let mut def_slots: BTreeSet<StackSlot> = BTreeSet::new();
-        let mut heap_stores = 0;
-        let mut stack_stores = 0;
-        for &(b, i) in &mems {
-            let inst = &func.block(b).insts[i];
-            used_regs.extend(inst.uses());
-            used_slots.extend(inst.stack_uses());
-            def_regs.extend(inst.def_reg());
-            def_slots.extend(inst.stack_def());
-            match inst {
-                Inst::Store { .. } => heap_stores += 1,
-                Inst::StoreStack { .. } => stack_stores += 1,
-                _ => {}
-            }
-        }
-
-        // Inputs: live at entry ∩ used in region.
-        let entry_live = liveness.live_before(func, entry.0, entry.1);
-        let input_regs: Vec<Reg> = used_regs
-            .iter()
-            .copied()
-            .filter(|r| entry_live.contains(&reg_var(*r)))
-            .collect();
-        let input_slots: Vec<StackSlot> = used_slots
-            .iter()
-            .copied()
-            .filter(|s| entry_live.contains(&slot_var(*s)))
-            .collect();
-
-        // Outputs: Def ∩ LiveOut over all exits.
-        let mut exit_live: BTreeSet<Var> = BTreeSet::new();
-        for &(b, i) in &mems {
-            let inst = &func.block(b).insts[i];
-            if inst.is_terminator() {
-                for s in inst.targets() {
-                    if region_of.get(&(s, 0)) != Some(&id) {
-                        exit_live.extend(liveness.live_in(s));
-                    }
-                }
-            } else {
-                let next = (b, i + 1);
-                if region_of.get(&next) != Some(&id) {
-                    exit_live.extend(liveness.live_before(func, b, i + 1));
-                }
-            }
-        }
-        let output_regs: Vec<Reg> =
-            def_regs.iter().copied().filter(|r| exit_live.contains(&reg_var(*r))).collect();
-        let output_slots: Vec<StackSlot> =
-            def_slots.iter().copied().filter(|s| exit_live.contains(&slot_var(*s))).collect();
-
-        regions.push(Region {
-            id,
-            entry: *entry,
-            members: mems,
-            input_regs,
-            input_slots,
-            output_regs,
-            output_slots,
-            heap_stores,
-            stack_stores,
-        });
-    }
-
-    RegionAnalysis { regions, region_of, cuts }
 }
 
 #[cfg(test)]
@@ -737,6 +418,32 @@ mod tests {
         // The repair introduced a marker and a compensation mov.
         let has_marker = func.iter_insts().any(|(_, i)| matches!(i, Inst::RegionMarker));
         assert!(has_marker);
+    }
+
+    #[test]
+    fn cas_redefining_an_input_is_renamed_like_any_other_def() {
+        // r1 is an input of the entry region (the add reads it) and the CAS
+        // writes its result back into r1: `rename_def` once had no arm for
+        // `Cas`, so this panicked the compiler.
+        let mut pb = ProgramBuilder::new();
+        let mut fb = pb.new_function("c", 2);
+        let (cell, v) = (fb.param(0), fb.param(1));
+        let t = fb.new_reg();
+        fb.bin(BinOp::Add, t, v, 1i64);
+        fb.cas(v, cell, 0, v, t);
+        fb.store(cell, 8, Operand::Reg(v));
+        fb.ret(None);
+        let id = fb.finish().unwrap();
+        let mut prog = pb.finish();
+        let func = prog.function_mut(id);
+        let (analysis, work) = partition_counted(func);
+        assert_eq!(work.fixups, 1);
+        assert!(find_war_violation(func, &analysis).is_none());
+        let fresh = Reg::int(3);
+        let insts = &func.block(BlockId(0)).insts;
+        assert!(matches!(insts[1], Inst::Cas { dst, .. } if dst == fresh), "{}", insts[1]);
+        assert_eq!(insts[2], Inst::RegionMarker);
+        assert_eq!(insts[3], Inst::Mov { dst: v, src: Operand::Reg(fresh) });
     }
 
     #[test]

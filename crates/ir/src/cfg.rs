@@ -3,11 +3,15 @@
 
 use crate::func::{BlockId, Function};
 
-/// Precomputed CFG adjacency for one function.
+/// Precomputed CFG adjacency for one function, with its reverse postorder
+/// and reachability (one DFS at construction, not one per query: the
+/// fixpoint passes ask for the order once per round).
 #[derive(Debug, Clone)]
 pub struct Cfg {
     succs: Vec<Vec<BlockId>>,
     preds: Vec<Vec<BlockId>>,
+    rpo: Vec<BlockId>,
+    reachable: Vec<bool>,
 }
 
 impl Cfg {
@@ -22,7 +26,8 @@ impl Cfg {
                 preds[t.0 as usize].push(BlockId(bi as u32));
             }
         }
-        Cfg { succs, preds }
+        let (rpo, reachable) = Self::dfs_order(&succs);
+        Cfg { succs, preds, rpo, reachable }
     }
 
     /// Successor blocks of `b`.
@@ -48,19 +53,23 @@ impl Cfg {
 
     /// Blocks in reverse postorder from the entry. Unreachable blocks are
     /// appended at the end (in index order) so analyses still cover them.
+    pub fn rpo(&self) -> &[BlockId] {
+        &self.rpo
+    }
+
+    /// Reverse postorder and reachability from the entry.
     ///
     /// Iterative DFS: instrumented programs reach tens of thousands of
     /// blocks, so a call-stack recursion per block would overflow.
-    pub fn rpo(&self) -> Vec<BlockId> {
-        let n = self.len();
+    fn dfs_order(succs: &[Vec<BlockId>]) -> (Vec<BlockId>, Vec<bool>) {
+        let n = succs.len();
         let mut visited = vec![false; n];
         let mut post = Vec::with_capacity(n);
         if n > 0 {
             visited[0] = true;
             let mut stack: Vec<(BlockId, usize)> = vec![(BlockId(0), 0)];
             while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-                if *i < self.succs(b).len() {
-                    let s = self.succs(b)[*i];
+                if let Some(&s) = succs[b.0 as usize].get(*i) {
                     *i += 1;
                     if !std::mem::replace(&mut visited[s.0 as usize], true) {
                         stack.push((s, 0));
@@ -77,13 +86,14 @@ impl Cfg {
                 post.push(BlockId(i as u32));
             }
         }
-        post
+        (post, visited)
     }
 
     /// Edges `(from, to)` that close a cycle in a DFS from the entry.
     ///
-    /// The iDO region partitioner cuts every back edge so that a region can
-    /// never contain a loop-carried antidependence on its own inputs.
+    /// Region formation does *not* cut these (`ido-idem` explains why: a
+    /// read-only traversal loop is idempotent as a whole); loop-carried
+    /// antidependences are found by its cross-block fixpoint instead.
     pub fn back_edges(&self) -> Vec<(BlockId, BlockId)> {
         #[derive(Clone, Copy, PartialEq)]
         enum State {
@@ -123,18 +133,9 @@ impl Cfg {
         edges
     }
 
-    /// True if block `b` is reachable from the entry.
-    pub fn reachable(&self) -> Vec<bool> {
-        let n = self.len();
-        let mut seen = vec![false; n];
-        let mut stack = vec![BlockId(0)];
-        while let Some(b) = stack.pop() {
-            if std::mem::replace(&mut seen[b.0 as usize], true) {
-                continue;
-            }
-            stack.extend(self.succs(b).iter().copied());
-        }
-        seen
+    /// `reachable()[b]` is true if block `b` is reachable from the entry.
+    pub fn reachable(&self) -> &[bool] {
+        &self.reachable
     }
 }
 
@@ -203,6 +204,6 @@ mod tests {
         let p = pb.finish();
         let cfg = Cfg::new(p.function(id));
         assert!(cfg.back_edges().is_empty());
-        assert_eq!(cfg.reachable(), vec![true]);
+        assert_eq!(cfg.reachable(), [true]);
     }
 }

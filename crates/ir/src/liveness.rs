@@ -70,6 +70,19 @@ impl Liveness {
         }
     }
 
+    /// The dense bit index of `v` in the sets this analysis hands out
+    /// ([`Liveness::live_in_set`], [`Liveness::live_before_each`]):
+    /// registers first, by id, then stack slots.
+    pub fn index(&self, v: Var) -> usize {
+        Self::index_of(self.n_regs, v)
+    }
+
+    /// Number of registers the function had when it was analysed; register
+    /// ids at or above it are unknown to this analysis.
+    pub fn num_regs(&self) -> u32 {
+        self.n_regs
+    }
+
     fn var_of(&self, i: usize) -> Var {
         if (i as u32) < self.n_regs {
             Var::Reg(i as u32)
@@ -88,6 +101,16 @@ impl Liveness {
         self.block_out[b.0 as usize].iter().map(|i| self.var_of(i)).collect()
     }
 
+    /// The live-in set of `b` as a bitset over [`Liveness::index`].
+    pub fn live_in_set(&self, b: BlockId) -> &BitSet {
+        &self.block_in[b.0 as usize]
+    }
+
+    /// The live-out set of `b` as a bitset over [`Liveness::index`].
+    pub fn live_out_set(&self, b: BlockId) -> &BitSet {
+        &self.block_out[b.0 as usize]
+    }
+
     /// True if `v` is live at entry to `b`.
     pub fn is_live_in(&self, b: BlockId, v: Var) -> bool {
         self.block_in[b.0 as usize].contains(Self::index_of(self.n_regs, v))
@@ -101,12 +124,28 @@ impl Liveness {
     /// Variables live immediately **before** instruction `idx` of block `b`,
     /// computed by walking the block backward from its live-out set.
     pub fn live_before(&self, func: &Function, b: BlockId, idx: usize) -> Vec<Var> {
-        let bb = func.block(b);
-        let mut set = self.block_out[b.0 as usize].clone();
-        for inst in bb.insts[idx..].iter().rev() {
-            Self::step_backward(self.n_regs, &mut set, inst);
-        }
+        let set = &self.live_before_each(func, b, &[idx])[0];
         set.iter().map(|i| self.var_of(i)).collect()
+    }
+
+    /// The sets live immediately before each instruction index in `at`
+    /// (ascending) of block `b`, from one backward sweep of the block — the
+    /// bulk form of [`Liveness::live_before`] for callers that need many
+    /// positions of one block (every region entry, say).
+    pub fn live_before_each(&self, func: &Function, b: BlockId, at: &[usize]) -> Vec<BitSet> {
+        let insts = &func.block(b).insts;
+        let mut set = self.block_out[b.0 as usize].clone();
+        let mut out = Vec::with_capacity(at.len());
+        let mut end = insts.len();
+        for &idx in at.iter().rev() {
+            for inst in insts[idx..end].iter().rev() {
+                Self::step_backward(self.n_regs, &mut set, inst);
+            }
+            end = idx;
+            out.push(set.clone());
+        }
+        out.reverse();
+        out
     }
 
     fn step_backward(n_regs: u32, set: &mut BitSet, inst: &Inst) {
@@ -234,5 +273,12 @@ mod tests {
         assert!(lv.live_before(func, BlockId(0), 0).contains(&reg_var(a)));
         assert!(!lv.live_before(func, BlockId(0), 1).contains(&reg_var(a)));
         assert!(lv.live_before(func, BlockId(0), 1).contains(&reg_var(b)));
+        // The bulk sweep agrees with the one-position walk at every index.
+        let each = lv.live_before_each(func, BlockId(0), &[0, 1, 2]);
+        for (idx, set) in each.iter().enumerate() {
+            let vars: Vec<Var> = lv.live_before(func, BlockId(0), idx);
+            let bits: Vec<usize> = vars.iter().map(|v| lv.index(*v)).collect();
+            assert_eq!(set.iter().collect::<Vec<_>>(), bits, "index {idx}");
+        }
     }
 }

@@ -401,7 +401,7 @@ fn check_tx_open(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Dia
     let rpo = cfg.rpo();
     loop {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             let bi = b.0 as usize;
             let mut input = bi != 0;
             for &p in cfg.preds(b) {
@@ -421,7 +421,7 @@ fn check_tx_open(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Dia
             break;
         }
     }
-    for &b in &rpo {
+    for &b in rpo {
         let start = block_in[b.0 as usize];
         transfer_tx(func, fase, b, start, |pos, what| {
             diags.push(diag(

@@ -89,7 +89,7 @@ fn check_boundary_coverage(
     let rpo = cfg.rpo();
     loop {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             let bi = b.0 as usize;
             let mut input = if bi == 0 { false } else { true };
             for &p in cfg.preds(b) {
@@ -110,7 +110,7 @@ fn check_boundary_coverage(
         }
     }
     // Reporting pass over the stable solution.
-    for &b in &rpo {
+    for &b in rpo {
         let start = block_in[b.0 as usize];
         transfer_coverage(func, fase, b, start, |store_pos| {
             let witness = uncovered_witness(func, cfg, fase, &block_out, store_pos);
@@ -318,7 +318,7 @@ fn check_antideps(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Di
     let rpo = cfg.rpo();
     loop {
         let mut changed = false;
-        for &b in &rpo {
+        for &b in rpo {
             let bi = b.0 as usize;
             let mut input =
                 if bi == 0 { RegionState::entry() } else { RegionState::default() };
@@ -340,7 +340,7 @@ fn check_antideps(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Di
         }
     }
     let mut seen: BTreeSet<(Pos, Invariant)> = BTreeSet::new();
-    for &b in &rpo {
+    for &b in rpo {
         let start = block_in[b.0 as usize].clone();
         transfer_antidep(func, fase, b, start, |v| {
             if seen.insert((v.at, v.invariant)) {

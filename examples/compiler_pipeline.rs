@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example compiler_pipeline`
 
 use ido_compiler::{instrument_program, Scheme};
-use ido_idem::partition;
+use ido_idem::regions::partition_counted;
 use ido_ir::{BinOp, Operand, ProgramBuilder};
 use ido_vm::{recover, RecoveryConfig, Vm, VmConfig};
 
@@ -38,9 +38,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let id = f.finish()?;
     let mut program = pb.finish();
 
-    // Phase 2: idempotent region formation (on a clone, for display).
-    let analysis = partition(program.function_mut(id));
+    // Phase 2: idempotent region formation, with the work it reports about
+    // itself (instrumentation below finds the function already repaired).
+    let (analysis, work) = partition_counted(program.function_mut(id));
     println!("== idempotent regions ==");
+    println!(
+        "  {}: {} instrs, {} WAR fixups, {} positions re-analysed, {} scanned",
+        program.function(id).name(),
+        program.function(id).num_insts(),
+        work.fixups,
+        work.positions_reanalysed,
+        work.positions_scanned
+    );
     for r in analysis.regions() {
         println!(
             "  region {:?}: entry {:?}, {} instrs, {} stores, inputs {:?}",

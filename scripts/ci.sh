@@ -34,12 +34,22 @@ echo "== test (workspace) =="
 # the forked oracle against the from-scratch one (fork_equivalence,
 # par_determinism) and the O(dirty) crash against the full reload (ido-nvm
 # --lib crash_with_matches_the_full_reload_reference, proptest_nvm),
+# zone-incremental region formation against the analyse-everything-per-fixup
+# loop (ido-idem partition_equivalence),
 # allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
 # (service_metrics, no_alloc_hot_loop), lock-free gates (lockfree_oracle,
 # structures_oracle, lockfree_differential, rcas_proptest) and the
 # textual-frontend gates (corpus, roundtrip_fuzz, diagnostics_golden,
 # explain_golden).
 timed "workspace tests" cargo test --workspace
+
+echo "== region formation: partition against the reference loop at full size, and its scaling =="
+# The workspace run above already did both unoptimized; in a release build
+# the differential reaches the 2 048-instruction synthetic function (the
+# reference loop is quadratic) and the scaling test's wall-clock backstop
+# for 8 192 instructions is armed.
+timed "region formation" cargo test -q --release -p ido-idem \
+  --test partition_equivalence --test partition_scaling
 
 echo "== static atomicity lint + differential smoke (verify_report) =="
 # Lints every standard workload under every scheme and cross-checks the
