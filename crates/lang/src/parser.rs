@@ -608,7 +608,20 @@ impl Parser {
             }
             "delay" => {
                 self.bump();
-                let (ns, _) = self.expect_u64("as the delay")?;
+                let (ns, span) = self.expect_u64("as the delay")?;
+                // One delay alone would leave the range the VM's scheduler
+                // orders clocks in; a sum that does is a run-time failure.
+                if ns > ido_vm::MAX_CLOCK_NS {
+                    return Err(LangError::new(
+                        format!(
+                            "delay of {ns} ns exceeds the simulated clock's range \
+                             (at most {} ns, about 3.26 simulated days)",
+                            ido_vm::MAX_CLOCK_NS
+                        ),
+                        span,
+                        "too long",
+                    ));
+                }
                 self.expect_keyword("ns", "after the delay value")?;
                 Ok(Inst::Delay { ns })
             }

@@ -107,3 +107,13 @@ fn midline_span_diagnostic() {
         "fn worker() regs=2 slots=1 {\n  bb0:\n    stack[s0] = r1 extra\n    ret\n}\n",
     );
 }
+
+/// A `delay` the simulated clock cannot represent (ISSUE 19): rejected where
+/// it is written, with the bound, instead of wrapping the clock at run time.
+#[test]
+fn delay_out_of_range_diagnostic() {
+    program_error(
+        "delay_out_of_range",
+        "fn worker() regs=1 slots=0 {\n  bb0:\n    delay 18446744073709551000 ns\n    ret\n}\n",
+    );
+}

@@ -135,7 +135,9 @@ fn mid_inst() -> BoxedStrategy<Inst> {
         Just(Inst::DurableBegin),
         Just(Inst::DurableEnd),
         Just(Inst::RegionMarker),
-        prop_oneof![3 => 0u64..10_000, 1 => Just(u64::MAX)].prop_map(|ns| Inst::Delay { ns }),
+        // The largest delay the parser accepts is the edge value.
+        prop_oneof![3 => 0u64..10_000, 1 => Just(ido_vm::MAX_CLOCK_NS)]
+            .prop_map(|ns| Inst::Delay { ns }),
         (operand(), prop::bool::ANY).prop_map(|(kind, begin)| Inst::OpMark { kind, begin }),
         // Calls target the fixed one-parameter helper (FuncId 0).
         (operand(), reg(), prop::bool::ANY).prop_map(|(arg, r, wants_ret)| Inst::Call {

@@ -741,6 +741,16 @@ impl std::fmt::Debug for PmemHandle {
 }
 
 impl PmemHandle {
+    /// Every advance of the simulated clock. Saturating: a clock that
+    /// overflowed would wrap to a small value, re-enter the scheduler's
+    /// order as its favourite thread and be reported as a short run;
+    /// pinned at `u64::MAX` it stays outside the range the VM's scheduler
+    /// accepts (`ido_vm::MAX_CLOCK_NS`), which stops the run by name.
+    #[inline(always)]
+    fn tick(&mut self, ns: u64) {
+        self.clock_ns = self.clock_ns.saturating_add(ns);
+    }
+
     #[inline]
     fn charge(&mut self, ns: u64) {
         self.charge_cat(Category::Work, ns);
@@ -748,7 +758,7 @@ impl PmemHandle {
 
     #[inline]
     fn charge_cat(&mut self, cat: Category, ns: u64) {
-        self.clock_ns += ns;
+        self.tick(ns);
         // `cat` is a constant at every call site, so this folds to one add.
         self.costs.add(cat, ns);
         self.latency.realize(ns);
@@ -762,7 +772,7 @@ impl PmemHandle {
     /// ~5% of interpreter throughput).
     #[inline(always)]
     fn charge_store_and_emit(&mut self, ns: u64, bytes: u64, addr: PAddr, value: u64) {
-        self.clock_ns += ns;
+        self.tick(ns);
         if self.log_depth > 0 {
             self.stats.log_bytes += bytes;
             self.costs.log_ns += ns;
@@ -957,7 +967,7 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.stores += 1;
         let ns = self.latency.store_ns;
-        self.clock_ns += ns;
+        self.tick(ns);
         self.stats.log_bytes += 8;
         self.costs.log_ns += ns;
         if let Some(buf) = self.trace.as_buf_mut() {
@@ -1001,7 +1011,7 @@ impl PmemHandle {
         let line = line_of(addr);
         self.stats.clwbs += 1;
         let ns = self.latency.clwb_issue_ns;
-        self.clock_ns += ns;
+        self.tick(ns);
         if !self.pending.contains(&line) {
             self.pending.push(line);
         }
@@ -1028,7 +1038,7 @@ impl PmemHandle {
         self.stats.fences += 1;
         self.stats.lines_persisted += n;
         let ns = self.latency.fence_cost(n);
-        self.clock_ns += ns;
+        self.tick(ns);
         self.costs.fence_ns += ns;
         self.latency.realize(ns);
         // Iterate in place and clear afterwards so `pending` keeps its
@@ -1131,7 +1141,7 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.stores += 1;
         let ns = self.latency.store_ns;
-        self.clock_ns += ns;
+        self.tick(ns);
         if self.log_depth > 0 {
             self.stats.log_bytes += 8;
             self.costs.log_ns += ns;
@@ -1226,6 +1236,35 @@ mod tests {
     fn handle_stays_within_four_cache_lines() {
         let size = std::mem::size_of::<PmemHandle>();
         assert!(size <= 256, "PmemHandle grew to {size} B");
+    }
+
+    /// The simulated clock saturates: a wrapped clock would be a small
+    /// one — 584 simulated years reported as a few hundred ns, and MinClock's
+    /// favourite thread. Every operation that charges time is driven over
+    /// the edge here.
+    #[test]
+    fn the_simulated_clock_saturates_instead_of_wrapping() {
+        let p = PmemPool::new(PoolConfig {
+            latency: LatencyModel::default(),
+            ..PoolConfig::small_for_tests()
+        });
+        let ops: [fn(&mut PmemHandle); 9] = [
+            |h| h.advance(1000),
+            |h| h.advance_as(Category::Log, 1000),
+            |h| h.write_u64(128, 1),
+            |h| h.log_write_u64(128, 1),
+            |h| h.nt_store_u64(128, 1),
+            |h| h.clwb(128),
+            |h| h.sfence(),
+            |h| _ = h.compare_exchange_u64(128, 0, 1),
+            |h| _ = h.read_u64(128),
+        ];
+        for (i, op) in ops.iter().enumerate() {
+            let mut h = p.handle();
+            h.set_clock_ns(u64::MAX - 1);
+            op(&mut h);
+            assert_eq!(h.clock_ns(), u64::MAX, "operation {i}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::layout::{
 };
 use crate::locks::{Acquire, LockTable, ThreadId};
 use crate::profile::Profile;
-use crate::sched::{Sched, NOT_READY};
+use crate::sched::{self, Sched, MAX_CLOCK_NS, NOT_READY};
 use crate::tier2;
 
 /// Reserved transient lock id for Mnemosyne's single global transaction
@@ -288,11 +288,17 @@ pub(crate) struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    /// The scheduler's view of this thread (see [`crate::sched`]).
+    /// The scheduler's view of this thread, `idx` being its position in
+    /// `Vm::threads` (see [`crate::sched`]).
+    ///
+    /// # Panics
+    /// Panics, naming the thread, if its clock left the scheduler's range
+    /// — runnable or not, so no step ends with a clock out of range.
     #[inline]
-    pub(crate) fn ready_key(&self) -> u64 {
+    pub(crate) fn ready_key(&self, idx: usize) -> u64 {
+        let key = sched::pack(self.handle.clock_ns(), idx);
         if self.status == Status::Runnable {
-            self.handle.clock_ns()
+            key
         } else {
             NOT_READY
         }
@@ -423,7 +429,7 @@ impl Vm {
             scheme: instrumented.scheme,
             threads: Vec::new(),
             locks: LockTable::new(),
-            sched: Sched::default(),
+            sched: Sched::new(config.max_threads),
             rng: config.seed | 1,
             config,
             stamp: 1,
@@ -479,7 +485,7 @@ impl Vm {
             scheme: instrumented.scheme,
             threads: Vec::new(),
             locks: LockTable::new(),
-            sched: Sched::default(),
+            sched: Sched::new(config.max_threads),
             rng: config.seed | 1,
             config,
             stamp: 1,
@@ -746,7 +752,7 @@ impl Vm {
     #[cfg(test)]
     fn run_steps_reference(&mut self, budget: u64) -> RunOutcome {
         // Unused by the reference picks; sized so `wake` can index it.
-        self.sched.rebuild(self.threads.iter().map(ThreadCtx::ready_key));
+        self.rebuild_sched();
         let code = Arc::clone(&self.code);
         for _ in 0..budget {
             let Some(pick) = self.pick_reference() else {
@@ -761,10 +767,17 @@ impl Vm {
         self.budget_outcome()
     }
 
+    /// Re-reads every thread's key: spawns, recovery drivers and the oracle
+    /// change `threads` between `run_steps` calls; inside the step loops
+    /// only the stepper and wakes do.
+    fn rebuild_sched(&mut self) {
+        self.sched.rebuild(self.threads.iter().enumerate().map(|(i, t)| t.ready_key(i)));
+    }
+
     /// Publishes the key of the thread that just stepped; returns it.
     #[inline]
     fn publish_key(&mut self, t: usize) -> u64 {
-        let key = self.threads[t].ready_key();
+        let key = self.threads[t].ready_key(t);
         self.sched.set(t, key);
         key
     }
@@ -789,9 +802,7 @@ impl Vm {
     /// steps. Returns when the budget is exhausted, all threads are done,
     /// or no thread can run.
     pub fn run_steps(&mut self, budget: u64) -> RunOutcome {
-        // Spawns, recovery drivers and the oracle change `threads` between
-        // calls; inside the step loops only the stepper and wakes do.
-        self.sched.rebuild(self.threads.iter().map(ThreadCtx::ready_key));
+        self.rebuild_sched();
         match self.config.tier {
             ExecTier::Tier1 => self.run_steps_tier1(budget),
             ExecTier::Tier2 => self.run_steps_tier2(budget),
@@ -817,7 +828,7 @@ impl Vm {
                 if self.fire_hook(pick) == StepControl::Pause {
                     return RunOutcome::Paused;
                 }
-                if remaining == 0 || key >= self.sched.limit() {
+                if remaining == 0 || key >= self.sched.limit_key() {
                     break;
                 }
             }
@@ -863,8 +874,10 @@ impl Vm {
                     t2.function(pc.func).entry_at(pc)
                 };
                 // Under MinClock the segment may run until this thread's
-                // clock reaches the run-ahead limit.
-                let clock_limit = if min_clock { self.sched.limit() } else { u64::MAX };
+                // clock reaches the run-ahead limit; under either policy it
+                // stops at the first clock outside the scheduler's range,
+                // which the `publish_key` below turns into the named failure.
+                let clock_limit = if min_clock { self.sched.limit() } else { MAX_CLOCK_NS + 1 };
                 // The segment gate charges the JustDo per-step memory tax
                 // into its pending work *before* re-checking the clock
                 // limit, so a taxed thread whose clock is within one tax
@@ -930,7 +943,7 @@ impl Vm {
                 if self.fire_hook(pick) == StepControl::Pause {
                     return RunOutcome::Paused;
                 }
-                if remaining == 0 || key >= self.sched.limit() {
+                if remaining == 0 || key >= self.sched.limit_key() {
                     break;
                 }
             }
@@ -1334,7 +1347,7 @@ impl Vm {
             w.handle.set_clock_ns(release_time);
         }
         w.status = Status::Runnable;
-        let key = w.ready_key();
+        let key = w.ready_key(woken.0);
         self.sched.wake(woken.0, key);
     }
 

@@ -18,7 +18,9 @@ use ido_nvm::{LatencyModel, PoolConfig, StatsSnapshot};
 
 use super::*;
 
-const THREAD_COUNTS: [usize; 7] = [1, 2, 3, 4, 16, 64, 65];
+/// The tournament tree's edge sizes — a power of two, one below, one above
+/// — up to one count past [`MAX_THREADS`] (`max_threads` raised for it).
+const THREAD_COUNTS: [usize; 13] = [1, 2, 3, 4, 5, 8, 9, 16, 63, 64, 65, 128, 129];
 const SCHEMES: [Scheme; 5] =
     [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme::Mnemosyne, Scheme::JustDo];
 const OPS: u64 = 3;
@@ -114,10 +116,11 @@ impl Case {
         sched: SchedPolicy,
         tier: ExecTier,
         zero_lat: bool,
+        max_threads: usize,
     ) -> Self {
         let latency = if zero_lat { LatencyModel::zero() } else { LatencyModel::default() };
         let pool = PoolConfig { size: 8 << 20, latency, ..PoolConfig::small_for_tests() };
-        let cfg = VmConfig { pool, sched, tier, seed: 11, ..VmConfig::for_tests() };
+        let cfg = VmConfig { pool, sched, tier, seed: 11, max_threads, ..VmConfig::for_tests() };
         let mut vm = Vm::new(instrumented(guest, scheme), cfg);
         let base = vm.setup(|h, al, _| {
             let bytes = 16 * BUCKETS as usize;
@@ -202,7 +205,8 @@ fn sched_equivalence_matches_the_reference_scan_step_for_step() {
                     // tie-break); the default model spreads clocks out.
                     let zero_lat = threads % 2 == 0;
                     let build = |tier| {
-                        let mut c = Case::new(guest, scheme, sched, tier, zero_lat);
+                        let max_threads = threads.max(MAX_THREADS);
+                        let mut c = Case::new(guest, scheme, sched, tier, zero_lat, max_threads);
                         (0..threads).for_each(|_| c.spawn_worker(guest));
                         c.vm
                     };
@@ -241,7 +245,7 @@ fn sched_equivalence_survives_pauses_and_small_budgets() {
         for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
             for tier in [ExecTier::Tier1, ExecTier::Tier2] {
                 let build = || {
-                    let mut c = Case::new(guest, Scheme::Ido, sched, tier, false);
+                    let mut c = Case::new(guest, Scheme::Ido, sched, tier, false, MAX_THREADS);
                     (0..5).for_each(|_| c.spawn_worker(guest));
                     c.vm
                 };
@@ -274,7 +278,7 @@ fn sched_equivalence_sees_threads_added_between_calls() {
         for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
             for tier in [ExecTier::Tier1, ExecTier::Tier2] {
                 let drive = |run: Runner| {
-                    let mut c = Case::new(guest, Scheme::Ido, sched, tier, false);
+                    let mut c = Case::new(guest, Scheme::Ido, sched, tier, false, MAX_THREADS);
                     let seq = record(&mut c.vm, 0);
                     (0..3).for_each(|_| c.spawn_worker(guest));
                     assert_eq!(run(&mut c.vm, 150), RunOutcome::Paused);

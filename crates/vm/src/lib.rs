@@ -46,3 +46,4 @@ pub use recovery::{
     recover, recover_budgeted, recover_interrupted, recover_partial, RecoveryConfig,
     RecoveryReport,
 };
+pub use sched::MAX_CLOCK_NS;

@@ -133,10 +133,9 @@ impl LockTable {
     /// # Errors
     /// Returns [`NotOwner`] if `t` does not own the lock.
     pub fn release(&mut self, lock: u64, t: ThreadId) -> Result<Option<ThreadId>, NotOwner> {
-        let s = self.locks.entry(lock).or_default();
-        if s.owner != Some(t) {
-            return Err(NotOwner);
-        }
+        // No entry is an unowned lock: a recovery thread's idempotent
+        // releases must not grow the table.
+        let s = self.locks.get_mut(&lock).filter(|s| s.owner == Some(t)).ok_or(NotOwner)?;
         match s.waiters.pop_front() {
             Some(next) => {
                 s.owner = Some(next);
@@ -205,6 +204,10 @@ mod tests {
         t.acquire(L, ThreadId(0));
         assert_eq!(t.release(L, ThreadId(1)), Err(NotOwner));
         assert_eq!(t.release(0x2000, ThreadId(1)), Err(NotOwner));
+        assert_eq!(t.locks.len(), 1, "releasing a lock nobody acquired must not insert it");
+        let mut empty = LockTable::new();
+        assert_eq!(empty.release(L, ThreadId(0)), Err(NotOwner));
+        assert!(empty.locks.is_empty());
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crate::exec::{
     eval_binop, mem_addr, scheme_load, scheme_store, Status, ThreadCtx, VmConfig,
 };
 use crate::locks::{Acquire, LockTable, ThreadId};
-use crate::sched::next_rng;
+use crate::sched::{next_rng, MAX_CLOCK_NS};
 use ido_compiler::Scheme;
 
 /// Where to enter the segment (resolved from a [`Tier2Entry`]).
@@ -314,7 +314,15 @@ pub(crate) fn exec_segment(
                     }
                     T2Kind::Delay { ns } => {
                         gate!(idx);
-                        pending_work += ns;
+                        if ns > MAX_CLOCK_NS {
+                            // Charged at once (`ido-nvm` saturates) so the
+                            // batched sums cannot wrap; the next gate ends
+                            // the segment and the publish names the failure.
+                            flush!();
+                            th.handle.advance(ns);
+                        } else {
+                            pending_work += ns;
+                        }
                         executed += 1;
                         op_i += 1;
                     }

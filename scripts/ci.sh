@@ -31,6 +31,10 @@ echo "== test (workspace) =="
 # one of the gates below is called out by name — the cross-tier
 # differential harness (tier_equivalence, decoded_golden, trace_golden,
 # tier2_oracle), scheduler equivalence (ido-vm --lib sched_equivalence),
+# the tournament tree against the linear scan, pick for pick and limit for
+# limit, and its nodes-per-pick bound (ido-vm --lib
+# tree_matches_the_linear_scan_on_random_operation_sequences,
+# picks_visit_logarithmically_many_nodes),
 # the forked oracle against the from-scratch one (fork_equivalence,
 # par_determinism) and the O(dirty) crash against the full reload (ido-nvm
 # --lib crash_with_matches_the_full_reload_reference, proptest_nvm),
@@ -50,6 +54,11 @@ echo "== region formation: partition against the reference loop at full size, an
 # for 8 192 instructions is armed.
 timed "region formation" cargo test -q --release -p ido-idem \
   --test partition_equivalence --test partition_scaling
+
+echo "== scheduler: tree vs scan model test, scaling, sched_equivalence to 129 threads =="
+# Optimized: the 128-129-thread equivalence cases are the slow part of the
+# unoptimized workspace run above.
+timed "scheduler" cargo test -q --release -p ido-vm --lib sched
 
 echo "== static atomicity lint + differential smoke (verify_report) =="
 # Lints every standard workload under every scheme and cross-checks the
