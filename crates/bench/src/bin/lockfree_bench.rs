@@ -149,5 +149,5 @@ fn main() {
         let _ = writeln!(json, "    ]}}{}", if mi + 1 < per_mix.len() { "," } else { "" });
     }
     json.push_str("  ]\n}\n");
-    write_bench_json("lockfree", quick, &json);
+    write_bench_json("lockfree", &json);
 }

@@ -292,5 +292,5 @@ fn main() {
     ido_trace::json::validate_json(&json).expect("BENCH_service.json is valid JSON");
     ido_trace::json::validate_json(&std::fs::read_to_string(&perfetto).expect("reread perfetto"))
         .expect("perfetto counter export is valid JSON");
-    write_bench_json("service", quick, &json);
+    write_bench_json("service", &json);
 }

@@ -239,14 +239,13 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     }
 }
 
-/// Writes a trajectory file: the committed `BENCH_<name>.json` at the repo
-/// root for a full run, `target/figures/BENCH_<name>.json` for a quick
-/// one — so a smoke run never overwrites the committed full-run numbers.
+/// Writes `target/figures/BENCH_<name>.json`, the machine-readable result
+/// CI byte-compares across `IDO_JOBS` settings.
 ///
 /// # Panics
 /// Panics if the file cannot be written.
-pub fn write_bench_json(name: &str, quick: bool, json: &str) {
-    let dir = PathBuf::from(if quick { "target/figures" } else { "." });
+pub fn write_bench_json(name: &str, json: &str) {
+    let dir = PathBuf::from("target/figures");
     let _ = fs::create_dir_all(&dir);
     let path = dir.join(format!("BENCH_{name}.json"));
     fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));

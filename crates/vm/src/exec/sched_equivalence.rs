@@ -270,7 +270,7 @@ fn sched_equivalence_survives_pauses_and_small_budgets() {
 }
 
 /// Threads added between `run_steps` calls — by `spawn`, and by
-/// `push_recovery_thread` as the recovery drivers do — are scheduled
+/// pushing a recovery thread as the resumption driver does — are scheduled
 /// exactly as the reference scan schedules them.
 #[test]
 fn sched_equivalence_sees_threads_added_between_calls() {
@@ -289,23 +289,26 @@ fn sched_equivalence_sees_threads_added_between_calls() {
                     // over freshly allocated log and stack areas.
                     let vm = &mut c.vm;
                     let idx = vm.threads.len();
-                    let (ido, jd, app, stack) = vm.setup(|h, al, _| {
+                    let areas = vm.setup(|h, al, _| {
                         let mut area = |bytes| {
                             let a = al.alloc(h, bytes).expect("recovery thread area");
                             h.persist(a, bytes);
                             a
                         };
-                        (area(4096), area(4096), area(AppendLogLayout::size_for(512)), area(4096))
+                        RegistryEntry {
+                            ido: area(4096),
+                            justdo: area(4096),
+                            append: area(AppendLogLayout::size_for(512)),
+                            stack: area(4096),
+                        }
                     });
                     let func = vm.program().find("worker").expect("worker");
                     let mut regs = vec![0; vm.program().function(func).num_regs() as usize];
                     regs[..3].copy_from_slice(&[c.base, c.base + 8, OPS]);
                     let pc = Pc { func, block: BlockId(0), index: 0 };
-                    let ctx = vm.make_recovery_ctx(
-                        idx, ido, jd, app, stack, func, pc, regs, stack,
-                        Box::new([None; LOCK_ARRAY_SLOTS]),
-                    );
-                    vm.push_recovery_thread(ctx);
+                    let frame = Frame { func, pc, regs, stack_base: areas.stack, ret_reg: None };
+                    let ctx = vm.new_thread(idx, vm.thread_handle(idx), areas, frame, Some(&[]));
+                    vm.threads.push(ctx);
 
                     let outcome = run_to_end(vm, run, UNINTERRUPTED);
                     assert_eq!(outcome, RunOutcome::Completed);

@@ -1,10 +1,13 @@
 //! Persistent log layouts for every scheme's per-thread state.
 //!
 //! All per-thread runtime state that must survive a crash lives in the
-//! simulated NVM pool, laid out here. Offsets are in bytes from the start
+//! simulated NVM pool, laid out here — the resumption logs, the append log,
+//! and the two pieces more than one scheme or crate reads: the thread
+//! [`Registry`] and the [`LockArray`]. Offsets are in bytes from the start
 //! of the thread's log allocation.
 
 use ido_ir::Pc;
+use ido_nvm::root::RootTable;
 use ido_nvm::{PmemHandle, PAddr};
 
 /// Maximum locks a thread may hold simultaneously (size of the paper's
@@ -30,145 +33,251 @@ pub fn decode_pc(word: u64) -> Option<Pc> {
     }
 }
 
-/// The iDO per-thread log (`iDO_Log` in the paper, Fig. 3): `recovery_pc`,
-/// the register file image, and the `lock_array` of indirect lock holders.
+/// The persistent thread registry, published under
+/// [`THREADS_ROOT`](crate::THREADS_ROOT): a count word followed by one
+/// four-word [`RegistryEntry`] per spawned thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Registry {
+    /// Address of the count word.
+    pub base: PAddr,
+}
+
+/// The four areas `spawn` allocates for a thread, in the order stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistryEntry {
+    /// Base of the iDO [`ResumeLog`].
+    pub ido: PAddr,
+    /// Base of the JUSTDO [`ResumeLog`].
+    pub justdo: PAddr,
+    /// Base of the [`AppendLogLayout`].
+    pub append: PAddr,
+    /// Base of the persistent stack area.
+    pub stack: PAddr,
+}
+
+impl RegistryEntry {
+    /// This thread's append log, `capacity` entries long.
+    pub fn append_log(&self, capacity: usize) -> AppendLogLayout {
+        AppendLogLayout { base: self.append, capacity }
+    }
+}
+
+impl Registry {
+    /// Bytes needed to register up to `max_threads` threads.
+    pub fn size_for(max_threads: usize) -> usize {
+        8 + max_threads * 32
+    }
+
+    /// Finds a formatted pool's registry; `None` if no VM ever published one.
+    pub fn open(h: &mut PmemHandle) -> Option<Registry> {
+        RootTable.root(h, crate::THREADS_ROOT).map(|base| Registry { base })
+    }
+
+    /// Number of registered threads.
+    pub fn count(&self, h: &mut PmemHandle) -> usize {
+        h.read_u64(self.base) as usize
+    }
+
+    fn entry_addr(&self, i: usize) -> PAddr {
+        self.base + 8 + i * 32
+    }
+
+    /// Reads thread `i`'s entry (four loads).
+    pub fn entry(&self, h: &mut PmemHandle, i: usize) -> RegistryEntry {
+        let e = self.entry_addr(i);
+        RegistryEntry {
+            ido: h.read_u64(e) as PAddr,
+            justdo: h.read_u64(e + 8) as PAddr,
+            append: h.read_u64(e + 16) as PAddr,
+            stack: h.read_u64(e + 24) as PAddr,
+        }
+    }
+
+    /// Thread `i`'s append log, read with the one load of its base word.
+    pub fn append_log(&self, h: &mut PmemHandle, i: usize, capacity: usize) -> AppendLogLayout {
+        AppendLogLayout { base: h.read_u64(self.entry_addr(i) + 16) as PAddr, capacity }
+    }
+
+    /// Durably registers thread `i`: the entry first, then the count.
+    pub fn publish(&self, h: &mut PmemHandle, i: usize, entry: RegistryEntry) {
+        let e = self.entry_addr(i);
+        h.write_u64(e, entry.ido as u64);
+        h.write_u64(e + 8, entry.justdo as u64);
+        h.write_u64(e + 16, entry.append as u64);
+        h.write_u64(e + 24, entry.stack as u64);
+        h.persist(e, 32);
+        h.write_u64(self.base, (i + 1) as u64);
+        h.persist(self.base, 8);
+    }
+}
+
+/// How a lock record is fenced — the whole difference between iDO's and
+/// JUSTDO's use of the one [`LockArray`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockFence {
+    /// iDO acquire: slot and bitmap written back together, *not* fenced
+    /// (the region boundary that follows every acquisition drains them).
+    Deferred,
+    /// iDO, as in the paper: slot and bitmap under a single fence.
+    Single,
+    /// JUSTDO: intention, then ownership — the slot persists before the
+    /// bitmap bit claims it, the bit clears durably before the slot is wiped.
+    TwoPhase,
+}
+
+/// The paper's `lock_array` of indirect lock holders: a live-slot bitmap
+/// word followed by [`LOCK_ARRAY_SLOTS`] lock addresses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LockArray {
+    /// Address of the bitmap word; the slots follow it.
+    pub base: PAddr,
+}
+
+impl LockArray {
+    /// Bytes the bitmap and the slots occupy.
+    pub const BYTES: usize = 8 + LOCK_ARRAY_SLOTS * 8;
+
+    /// Address of the live-slot bitmap.
+    pub fn bitmap(&self) -> PAddr {
+        self.base
+    }
+
+    /// Address of slot `i`.
+    pub fn slot(&self, i: usize) -> PAddr {
+        assert!(i < LOCK_ARRAY_SLOTS);
+        self.base + 8 + i * 8
+    }
+
+    /// Reads the `(slot, lock)` pairs whose bitmap bit is set.
+    pub fn read_held(&self, h: &mut PmemHandle) -> Vec<(usize, u64)> {
+        let bitmap = h.read_u64(self.bitmap());
+        (0..LOCK_ARRAY_SLOTS)
+            .filter(|i| bitmap & (1 << i) != 0)
+            .map(|i| (i, h.read_u64(self.slot(i))))
+            .collect()
+    }
+
+    /// Records that `lock` is now held, in `slot`.
+    pub fn record_acquire(&self, h: &mut PmemHandle, slot: usize, lock: u64, fence: LockFence) {
+        let (slot_addr, bitmap_addr) = (self.slot(slot), self.bitmap());
+        let two_phase = fence == LockFence::TwoPhase;
+        h.begin_log();
+        h.write_u64(slot_addr, lock);
+        if two_phase {
+            h.clwb(slot_addr);
+            h.sfence();
+        }
+        let bm = h.read_u64(bitmap_addr);
+        h.write_u64(bitmap_addr, bm | (1 << slot));
+        if !two_phase {
+            h.clwb(slot_addr);
+        }
+        h.clwb(bitmap_addr);
+        h.end_log();
+        if fence != LockFence::Deferred {
+            h.sfence();
+        }
+    }
+
+    /// Records that the lock in `slot` is being released (always fenced).
+    pub fn record_release(&self, h: &mut PmemHandle, slot: usize, fence: LockFence) {
+        let (slot_addr, bitmap_addr) = (self.slot(slot), self.bitmap());
+        let two_phase = fence == LockFence::TwoPhase;
+        h.begin_log();
+        let bm = h.read_u64(bitmap_addr);
+        h.write_u64(bitmap_addr, bm & !(1u64 << slot));
+        if two_phase {
+            h.clwb(bitmap_addr);
+            h.sfence();
+        }
+        h.write_u64(slot_addr, 0);
+        h.clwb(slot_addr);
+        if !two_phase {
+            h.clwb(bitmap_addr);
+        }
+        h.end_log();
+        h.sfence();
+    }
+
+    /// Durably drops every record (recovery's robbed-lock case).
+    pub fn clear(&self, h: &mut PmemHandle) {
+        h.write_u64(self.bitmap(), 0);
+        h.persist(self.bitmap(), 8);
+    }
+}
+
+/// The per-thread log of a scheme that recovers by resumption:
+/// `[pc][scheme words][stack base][lock array][register image]`.
 ///
-/// The paper splits the register image into `intRF` and `floatRF`; our IR
-/// gives every virtual register a unique id, so a single array serves both
-/// classes with identical semantics (a fixed slot per register, enabling
-/// persist coalescing of up to 8 slots per cache-line write-back).
+/// * iDO's `iDO_Log` (Fig. 3) has no scheme words: `pc` is `recovery_pc` and
+///   the image holds the registers live out of the last region. The paper
+///   splits it into `intRF` and `floatRF`; our IR gives every virtual
+///   register a unique id, so a single array serves both classes with
+///   identical semantics (a fixed slot per register, enabling persist
+///   coalescing of up to 8 slots per cache-line write-back).
+/// * JUSTDO's log has two, the ⟨addr, value⟩ of the store `pc` points at,
+///   and the image is the shadow register file required by the
+///   no-register-caching rule.
 #[derive(Debug, Clone, Copy)]
-pub struct IdoLogLayout {
+pub struct ResumeLog {
     /// Base address of the log in the pool.
     pub base: PAddr,
     /// Number of register slots.
     pub max_regs: u32,
+    scheme_words: usize,
 }
 
-impl IdoLogLayout {
-    const RECOVERY_PC: usize = 0;
-    const STACK_BASE: usize = 8;
-    const LOCK_BITMAP: usize = 16;
-    const LOCK_ARRAY: usize = 24;
-    const RF: usize = Self::LOCK_ARRAY + LOCK_ARRAY_SLOTS * 8;
-
-    /// Bytes needed for a log with `max_regs` register slots.
-    pub fn size_for(max_regs: u32) -> usize {
-        Self::RF + max_regs as usize * 8
+impl ResumeLog {
+    /// An iDO log at `base`.
+    pub fn ido(base: PAddr, max_regs: u32) -> ResumeLog {
+        ResumeLog { base, max_regs, scheme_words: 0 }
     }
 
-    /// Address of the `recovery_pc` field.
-    pub fn recovery_pc(&self) -> PAddr {
-        self.base + Self::RECOVERY_PC
+    /// A JUSTDO log at `base`.
+    pub fn justdo(base: PAddr, max_regs: u32) -> ResumeLog {
+        ResumeLog { base, max_regs, scheme_words: 2 }
     }
 
-    /// Address of the saved stack-frame base field.
-    pub fn stack_base(&self) -> PAddr {
-        self.base + Self::STACK_BASE
+    /// Bytes the log occupies.
+    pub fn size(&self) -> usize {
+        self.regs() + self.max_regs as usize * 8 - self.base
     }
 
-    /// Address of the live-slot bitmap for the lock array.
-    pub fn lock_bitmap(&self) -> PAddr {
-        self.base + Self::LOCK_BITMAP
+    /// Address of the encoded pc recovery resumes at; 0 there = no FASE in
+    /// progress.
+    pub fn pc(&self) -> PAddr {
+        self.base
     }
 
-    /// Address of lock-array slot `i`.
-    pub fn lock_slot(&self, i: usize) -> PAddr {
-        assert!(i < LOCK_ARRAY_SLOTS);
-        self.base + Self::LOCK_ARRAY + i * 8
+    /// JUSTDO: address of the logged store's target.
+    pub fn store_addr(&self) -> PAddr {
+        assert_eq!(self.scheme_words, 2, "an iDO log records no store");
+        self.base + 8
     }
 
-    /// Address of the register-file slot for register id `r`.
-    pub fn rf_slot(&self, r: u32) -> PAddr {
-        assert!(r < self.max_regs, "register {r} outside log ({} slots)", self.max_regs);
-        self.base + Self::RF + r as usize * 8
-    }
-
-    /// Reads the persisted recovery PC.
-    pub fn read_recovery_pc(&self, h: &mut PmemHandle) -> Option<Pc> {
-        decode_pc(h.read_u64(self.recovery_pc()))
-    }
-
-    /// Reads the lock-array entries whose bitmap bit is set.
-    pub fn read_held_locks(&self, h: &mut PmemHandle) -> Vec<u64> {
-        let bitmap = h.read_u64(self.lock_bitmap());
-        (0..LOCK_ARRAY_SLOTS)
-            .filter(|i| bitmap & (1 << i) != 0)
-            .map(|i| h.read_u64(self.lock_slot(i)))
-            .collect()
-    }
-}
-
-/// The JUSTDO per-thread log: the ⟨pc, addr, value⟩ triple plus the shadow
-/// register file required by the no-register-caching rule, and the same
-/// lock array as iDO (JUSTDO persists lock intention/ownership with two
-/// fences; we reuse the array layout).
-#[derive(Debug, Clone, Copy)]
-pub struct JustDoLogLayout {
-    /// Base address of the log.
-    pub base: PAddr,
-    /// Number of shadow register slots.
-    pub max_regs: u32,
-}
-
-impl JustDoLogLayout {
-    const ACTIVE_PC: usize = 0; // encoded pc; 0 = inactive
-    const ADDR: usize = 8;
-    const VALUE: usize = 16;
-    const STACK_BASE: usize = 24;
-    const LOCK_BITMAP: usize = 32;
-    const LOCK_ARRAY: usize = 40;
-    const SHADOW: usize = Self::LOCK_ARRAY + LOCK_ARRAY_SLOTS * 8;
-
-    /// Bytes needed for a log with `max_regs` shadow slots.
-    pub fn size_for(max_regs: u32) -> usize {
-        Self::SHADOW + max_regs as usize * 8
-    }
-
-    /// Address of the active-PC field.
-    pub fn active_pc(&self) -> PAddr {
-        self.base + Self::ACTIVE_PC
-    }
-
-    /// Address of the logged store target.
-    pub fn addr(&self) -> PAddr {
-        self.base + Self::ADDR
-    }
-
-    /// Address of the logged store value.
-    pub fn value(&self) -> PAddr {
-        self.base + Self::VALUE
+    /// JUSTDO: address of the logged store's value.
+    pub fn store_value(&self) -> PAddr {
+        self.store_addr() + 8
     }
 
     /// Address of the saved stack-frame base.
     pub fn stack_base(&self) -> PAddr {
-        self.base + Self::STACK_BASE
+        self.base + 8 + self.scheme_words * 8
     }
 
-    /// Address of the lock bitmap.
-    pub fn lock_bitmap(&self) -> PAddr {
-        self.base + Self::LOCK_BITMAP
+    /// The `lock_array`.
+    pub fn locks(&self) -> LockArray {
+        LockArray { base: self.stack_base() + 8 }
     }
 
-    /// Address of lock-array slot `i`.
-    pub fn lock_slot(&self, i: usize) -> PAddr {
-        assert!(i < LOCK_ARRAY_SLOTS);
-        self.base + Self::LOCK_ARRAY + i * 8
+    fn regs(&self) -> PAddr {
+        self.locks().base + LockArray::BYTES
     }
 
-    /// Address of shadow slot for register id `r`.
-    pub fn shadow_slot(&self, r: u32) -> PAddr {
-        assert!(r < self.max_regs);
-        self.base + Self::SHADOW + r as usize * 8
-    }
-
-    /// Reads the lock-array entries whose bitmap bit is set.
-    pub fn read_held_locks(&self, h: &mut PmemHandle) -> Vec<u64> {
-        let bitmap = h.read_u64(self.lock_bitmap());
-        (0..LOCK_ARRAY_SLOTS)
-            .filter(|i| bitmap & (1 << i) != 0)
-            .map(|i| h.read_u64(self.lock_slot(i)))
-            .collect()
+    /// Address of the image slot for register id `r`.
+    pub fn reg_slot(&self, r: u32) -> PAddr {
+        assert!(r < self.max_regs, "register {r} outside log ({} slots)", self.max_regs);
+        self.regs() + r as usize * 8
     }
 }
 
@@ -428,13 +537,16 @@ mod tests {
 
     #[test]
     fn ido_layout_offsets_disjoint() {
-        let l = IdoLogLayout { base: 4096, max_regs: 16 };
-        assert!(l.recovery_pc() < l.stack_base());
-        assert!(l.stack_base() < l.lock_bitmap());
-        assert!(l.lock_bitmap() < l.lock_slot(0));
-        assert!(l.lock_slot(LOCK_ARRAY_SLOTS - 1) < l.rf_slot(0));
-        assert_eq!(l.rf_slot(1) - l.rf_slot(0), 8);
-        assert!(IdoLogLayout::size_for(16) >= (l.rf_slot(15) - 4096) + 8);
+        for (l, first_word) in [(ResumeLog::ido(4096, 16), 8), (ResumeLog::justdo(4096, 16), 24)] {
+            assert_eq!(l.stack_base() - l.pc(), first_word);
+            assert!(l.stack_base() < l.locks().bitmap());
+            assert!(l.locks().bitmap() < l.locks().slot(0));
+            assert!(l.locks().slot(LOCK_ARRAY_SLOTS - 1) < l.reg_slot(0));
+            assert_eq!(l.reg_slot(1) - l.reg_slot(0), 8);
+            assert_eq!(l.size(), (l.reg_slot(15) - 4096) + 8);
+        }
+        let l = ResumeLog::justdo(4096, 16);
+        assert!(l.pc() < l.store_addr() && l.store_value() < l.stack_base());
     }
 
     #[test]
@@ -654,11 +766,11 @@ mod tests {
     fn held_locks_reflect_bitmap() {
         let pool = PmemPool::new(PoolConfig::small_for_tests());
         let mut h = pool.handle();
-        let l = IdoLogLayout { base: 4096, max_regs: 4 };
-        h.write_u64(l.lock_slot(0), 111);
-        h.write_u64(l.lock_slot(3), 333);
-        h.write_u64(l.lock_bitmap(), 0b1001);
-        assert_eq!(l.read_held_locks(&mut h), vec![111, 333]);
+        let l = ResumeLog::ido(4096, 4).locks();
+        h.write_u64(l.slot(0), 111);
+        h.write_u64(l.slot(3), 333);
+        h.write_u64(l.bitmap(), 0b1001);
+        assert_eq!(l.read_held(&mut h), vec![(0, 111), (3, 333)]);
     }
 
     #[test]

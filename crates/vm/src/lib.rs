@@ -34,6 +34,7 @@ pub mod locks;
 pub mod profile;
 pub mod recovery;
 mod sched;
+mod scheme;
 mod tier2;
 
 pub use exec::{
@@ -42,8 +43,5 @@ pub use exec::{
 };
 pub use locks::ThreadId;
 pub use profile::Profile;
-pub use recovery::{
-    recover, recover_budgeted, recover_interrupted, recover_partial, RecoveryConfig,
-    RecoveryReport,
-};
+pub use recovery::{recover, recover_partial, RecoveryConfig, RecoveryReport};
 pub use sched::MAX_CLOCK_NS;

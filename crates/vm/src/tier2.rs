@@ -29,9 +29,9 @@
 //!   exactly the conditions under which tier 1's scheduler would have
 //!   switched threads; on the sole-runnable-thread Random path it burns
 //!   the same one RNG word per step that tier-1 picks would have drawn.
-//!   The JUSTDO in-FASE memory tax is added per step, like tier 1's
-//!   `exec_inst` preamble (`fase_active` cannot change inside a segment:
-//!   only unfused runtime ops toggle it).
+//!   The scheme's per-step tax (JUSTDO's in-FASE memory tax) is added per
+//!   step, like tier 1's `exec_inst` preamble (it cannot change inside a
+//!   segment: only unfused runtime ops toggle it).
 //! * **Deopt points.** Any pc without a fused entry — calls, returns,
 //!   allocation, runtime ops, and every recovery thread — executes on
 //!   tier 1 via `step_thread`. The step hook forces `max_steps == 1`, so
@@ -40,12 +40,10 @@
 use ido_ir::{BlockId, FuncId, Operand, Pc, T2Kind, Tier2Entry, Tier2Function};
 use ido_trace::{Category, EventKind};
 
-use crate::exec::{
-    eval_binop, mem_addr, scheme_load, scheme_store, Status, ThreadCtx, VmConfig,
-};
+use crate::exec::{eval_binop, mem_addr, Status, ThreadCtx, VmConfig};
 use crate::locks::{Acquire, LockTable, ThreadId};
 use crate::sched::{next_rng, MAX_CLOCK_NS};
-use ido_compiler::Scheme;
+use crate::scheme;
 
 /// Where to enter the segment (resolved from a [`Tier2Entry`]).
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +100,6 @@ pub(crate) fn exec_segment(
     t: usize,
     th: &mut ThreadCtx,
     locks: &mut LockTable,
-    scheme: Scheme,
     config: &VmConfig,
     f2: &Tier2Function,
     entry: SegEntry,
@@ -110,9 +107,9 @@ pub(crate) fn exec_segment(
     limits: SegLimits,
 ) -> SegRun {
     let inst_cost = config.inst_cost_ns;
-    // Constant for the whole segment: only unfused runtime ops toggle
-    // `fase_active`.
-    let tax = if scheme == Scheme::JustDo && th.fase_active { config.justdo_mem_tax_ns } else { 0 };
+    // Constant for the whole segment: only unfused runtime ops change it.
+    let tax = scheme::step_tax(th, config);
+    let locks_subsumed = scheme::subsumes_program_locks(th);
     let SegLimits { max_steps, clock_limit, mut rng } = limits;
 
     let frame = th.frames.last_mut().expect("runnable thread has a frame");
@@ -261,7 +258,7 @@ pub(crate) fn exec_segment(
                         gate!(idx);
                         let addr = mem_addr(rd!(base), offset);
                         flush!();
-                        let v = scheme_load(th, addr);
+                        let v = scheme::load(th, addr);
                         wr!(dst, v);
                         executed += 1;
                         op_i += 1;
@@ -271,13 +268,7 @@ pub(crate) fn exec_segment(
                         let addr = mem_addr(rd!(base), offset);
                         let v = ev!(src);
                         flush!();
-                        scheme_store(scheme, th, addr, v);
-                        if config.tier2_bug_misfuse_store_clwb && scheme == Scheme::Ido {
-                            // Deliberate mis-fusion for harness self-tests:
-                            // forget the tracked store so its clwb never
-                            // happens at the next boundary.
-                            th.region_stores.pop();
-                        }
+                        scheme::store_fused(th, config, addr, v);
                         executed += 1;
                         op_i += 1;
                     }
@@ -285,7 +276,7 @@ pub(crate) fn exec_segment(
                         gate!(idx);
                         let addr = stack_base + slot.0 as usize * 8;
                         flush!();
-                        let v = scheme_load(th, addr);
+                        let v = scheme::load(th, addr);
                         wr!(dst, v);
                         executed += 1;
                         op_i += 1;
@@ -295,7 +286,7 @@ pub(crate) fn exec_segment(
                         let v = ev!(src);
                         let addr = stack_base + slot.0 as usize * 8;
                         flush!();
-                        scheme_store(scheme, th, addr, v);
+                        scheme::store(th, addr, v);
                         executed += 1;
                         op_i += 1;
                     }
@@ -328,9 +319,9 @@ pub(crate) fn exec_segment(
                     }
                     T2Kind::Lock { lock } => {
                         gate!(idx);
-                        if scheme == Scheme::Mnemosyne {
-                            // Program locks are subsumed by the global txn
-                            // lock: pc advance only, no charge.
+                        if locks_subsumed {
+                            // Subsumed by the scheme's own lock: pc
+                            // advance only, no charge.
                             executed += 1;
                             op_i += 1;
                         } else {
@@ -355,7 +346,7 @@ pub(crate) fn exec_segment(
                     }
                     T2Kind::Unlock { lock } => {
                         gate!(idx);
-                        if scheme == Scheme::Mnemosyne {
+                        if locks_subsumed {
                             executed += 1;
                             op_i += 1;
                         } else {

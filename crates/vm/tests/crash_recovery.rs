@@ -325,7 +325,7 @@ fn crash_during_recovery_is_survivable() {
     // Crash mid-FASE, then crash *during* the recovery's re-execution at
     // every possible point, then recover fully. The final state must be
     // consistent and the twin counters intact — recovery is idempotent.
-    use ido_vm::recover_interrupted;
+    use ido_vm::recover_partial;
     for scheme in [Scheme::Ido, Scheme::JustDo] {
         let inst = twin_counter(scheme);
         let cfg = vm_config(CrashPolicy::DropDirty, 21);
@@ -339,7 +339,10 @@ fn crash_during_recovery_is_survivable() {
             let pool = s.vm.crash(11);
             // Crash the recovery itself after `recovery_budget` steps.
             let finished =
-                recover_interrupted(pool.clone(), inst.clone(), cfg.clone(), recovery_budget, 77);
+                recover_partial(pool.clone(), inst.clone(), cfg.clone(), recovery_budget);
+            if !finished {
+                pool.crash(77);
+            }
             // Then recover for real.
             recover(pool.clone(), inst.clone(), cfg.clone(), RecoveryConfig::for_tests());
             let mut h = pool.handle();

@@ -6,7 +6,7 @@
 use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_ir::{Operand, ProgramBuilder};
 use ido_nvm::{CrashPolicy, PAddr};
-use ido_vm::{recover, recover_interrupted, RecoveryConfig, RunOutcome, Vm, VmConfig};
+use ido_vm::{recover, recover_partial, RecoveryConfig, RunOutcome, Vm, VmConfig};
 
 /// `op(lock, p)`: under `lock`, increment `mem[p]` and `mem[p+64]`.
 fn twin_counter(scheme: Scheme) -> Instrumented {
@@ -159,8 +159,8 @@ fn fase_interrupted_before_first_boundary_rolls_back_cleanly() {
     }
 }
 
-/// `recover_interrupted` on a crash-before-first-boundary image: crashing
-/// the (trivial) recovery at any budget must leave a pool a subsequent
+/// `recover_partial` on a crash-before-first-boundary image: cutting the
+/// (trivial) recovery short at any budget must leave a pool a subsequent
 /// full recovery brings back — including budget 0.
 #[test]
 fn interrupted_recovery_of_empty_fase_is_survivable() {
@@ -170,7 +170,10 @@ fn interrupted_recovery_of_empty_fase_is_survivable() {
         vm.run_steps(2); // inside the FASE, before the first boundary
         let pool = vm.crash(0xBAD);
         for budget in 0..3u64 {
-            let done = recover_interrupted(pool.clone(), inst.clone(), cfg(31), budget, budget);
+            let done = recover_partial(pool.clone(), inst.clone(), cfg(31), budget);
+            if !done {
+                pool.crash(budget);
+            }
             // With nothing to resume the recovery VM has no steps to run,
             // so any budget completes it.
             assert!(done, "{scheme}: empty recovery must finish within budget {budget}");
@@ -180,6 +183,40 @@ fn interrupted_recovery_of_empty_fase_is_survivable() {
         let mut vm = Vm::attach(pool, inst.clone(), cfg(32));
         vm.spawn("op", &[lock as u64, cell as u64]);
         assert_eq!(vm.run(), RunOutcome::Completed, "{scheme}");
+    }
+}
+
+/// One budgeted entry point for every scheme: a budget of one unit — an
+/// interpreter step under resumption, a persist operation under log
+/// processing — must leave an interrupted FASE's recovery unfinished
+/// (`recover_partial` says so, and there is still one FASE to finish), and
+/// a full recovery afterwards must finish it.
+#[test]
+fn a_budget_of_one_cuts_every_schemes_recovery_short() {
+    for scheme in [Scheme::Ido, Scheme::JustDo, Scheme::Atlas, Scheme::Nvml] {
+        let inst = twin_counter(scheme);
+        let crashed_at = |step| {
+            let (mut vm, _, cell) = twin_setup(&inst, 53, 1);
+            assert_eq!(vm.run_steps(step), RunOutcome::Paused, "{scheme}: no busy step");
+            (vm.crash(5), cell)
+        };
+        // The first step at which a crash leaves recovery more than one unit
+        // of work: a FASE to resume, or UNDO entries to roll back.
+        let busy = |step: &u64| {
+            let pool = crashed_at(*step).0;
+            let r = recover(pool, inst.clone(), cfg(53), RecoveryConfig::for_tests());
+            r.steps > 1 || r.undo_entries > 0
+        };
+        let (pool, cell) = crashed_at((1..).find(busy).expect("a crash step with recovery work"));
+
+        assert!(!recover_partial(pool.clone(), inst.clone(), cfg(53), 0), "{scheme}: budget 0");
+        assert!(!recover_partial(pool.clone(), inst.clone(), cfg(53), 1), "{scheme}: budget 1");
+        pool.crash(6);
+        let report = recover(pool.clone(), inst.clone(), cfg(53), RecoveryConfig::for_tests());
+        assert_eq!(report.resumed + report.rolled_back, 1, "{scheme}: still one FASE to finish");
+        let mut h = pool.handle();
+        assert_eq!(h.read_u64(cell), h.read_u64(cell + 64), "{scheme}: torn after recovery");
+        assert!(recover_partial(pool.clone(), inst.clone(), cfg(53), 0), "{scheme}: nothing left");
     }
 }
 

@@ -10,8 +10,8 @@
 use ido_compiler::{instrument_program, Scheme};
 use ido_ir::Program;
 use ido_nvm::StatsSnapshot;
-use ido_vm::layout::AppendLogLayout;
-use ido_vm::{Profile, RunOutcome, SchedPolicy, Vm, VmConfig, THREADS_ROOT};
+use ido_vm::layout::Registry;
+use ido_vm::{Profile, RunOutcome, SchedPolicy, Vm, VmConfig};
 
 /// A benchmark workload: an IR program plus its persistent-state setup.
 ///
@@ -141,19 +141,17 @@ pub fn run_workload(
 
 /// Counts surviving entries across all per-thread append logs.
 fn count_log_entries(vm: &Vm) -> usize {
+    // `benchmark/src/driver.rs::log_entries` mirrors these loads one for
+    // one (root lookup, count word, one word per thread, the scan): the
+    // pool's load counter is part of what it fingerprints.
     let mut h = vm.pool().handle();
-    let roots = ido_nvm::root::RootTable;
-    let Some(registry) = roots.root(&mut h, THREADS_ROOT) else {
+    let Some(registry) = Registry::open(&mut h) else {
         return 0;
     };
-    let count = h.read_u64(registry) as usize;
-    let mut total = 0;
-    for i in 0..count {
-        let app_base = h.read_u64(registry + 8 + i * 32 + 16) as usize;
-        let log = AppendLogLayout { base: app_base, capacity: vm.config().log_entries };
-        total += log.scan_len(&mut h);
-    }
-    total
+    let capacity = vm.config().log_entries;
+    (0..registry.count(&mut h))
+        .map(|i| registry.append_log(&mut h, i, capacity).scan_len(&mut h))
+        .sum()
 }
 
 #[cfg(test)]

@@ -25,7 +25,8 @@
 use ido_ir::{BinOp, FunctionBuilder, Operand, Program, ProgramBuilder, Reg};
 use ido_lockfree::{align64, LfState, NvtList, NvtMap, NODE_BYTES, NODE_KEY, NODE_NEXT, NODE_NEXT_TAG, NODE_VAL};
 use ido_nvm::{PAddr, PmemHandle};
-use ido_vm::{Vm, THREADS_ROOT};
+use ido_vm::layout::Registry;
+use ido_vm::Vm;
 
 use crate::harness::WorkloadSpec;
 use crate::util::{emit_bucket_hash, emit_xorshift};
@@ -156,9 +157,7 @@ fn alloc_lf_arena(h: &mut PmemHandle, alloc: &ido_nvm::alloc::NvAllocator, threa
 fn check_prefix_invariant(vm: &Vm, chains: &[PAddr], bound: usize) {
     let mut h = vm.pool().handle();
     let st: LfState = vm.lf_state().expect("lock-free scheme must carry lf_state");
-    let roots = ido_nvm::root::RootTable;
-    let registry = roots.root(&mut h, THREADS_ROOT).expect("thread registry");
-    let threads = h.read_u64(registry) as usize;
+    let threads = Registry::open(&mut h).expect("thread registry").count(&mut h);
 
     // Collect (thread, seq) per present key across all chains.
     let mut per: Vec<Vec<u64>> = vec![Vec::new(); threads];

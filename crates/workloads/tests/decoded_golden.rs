@@ -17,7 +17,9 @@
 
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::CrashPolicy;
-use ido_vm::{recover, ExecTier, RecoveryConfig, RecoveryReport, RunOutcome, SchedPolicy, Vm, VmConfig};
+use ido_vm::{
+    recover, ExecTier, RecoveryConfig, RecoveryReport, RunOutcome, SchedPolicy, Vm, VmConfig,
+};
 use ido_workloads::lockfree::LfMapSpec;
 use ido_workloads::micro::TwinSpec;
 use ido_workloads::WorkloadSpec;
@@ -189,6 +191,8 @@ const GOLDEN_REPORTS: &[RecoveryReport] = &[
 ];
 
 fn golden_rows() -> impl Iterator<Item = (Scheme, Option<u64>, Fingerprint)> {
+    let crash_rows = GOLDEN.iter().filter(|row| row.1.is_some()).count();
+    assert_eq!(crash_rows, GOLDEN_REPORTS.len(), "a report per crash row");
     let mut reports = GOLDEN_REPORTS.iter().copied();
     GOLDEN.iter().map(move |&(scheme, crash_at, steps, sim_ns, hash)| {
         let report = crash_at.map(|_| reports.next().expect("a report per crash row"));
@@ -249,7 +253,8 @@ fn probe_print_goldens() {
             // next to nothing).
             let work = |step: &u64| {
                 let r = fingerprint(scheme, ExecTier::Tier1, Some(*step)).3.expect("crashed");
-                (r.resumed + r.replayed + r.undo_entries > 0) as u32 * 2 + (r.rolled_back > 0) as u32
+                let applied = r.resumed + r.replayed + r.undo_entries > 0;
+                applied as u32 * 2 + (r.rolled_back > 0) as u32
             };
             let busiest = || (total / 2..total).rev().max_by_key(work).expect("a second half");
             let crash_at = crash.then(busiest);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build, full test suite, smoke runs of every bench and
-# figure binary, and the CLI gates. Quick-mode runs write their
-# BENCH_*.json under target/figures/, so the tree is clean afterwards.
+# figure binary, and the CLI gates. Everything a run writes lands under
+# target/, so the tree is clean afterwards.
 #
 # Proptest regression files (tests/*.proptest-regressions) are committed and
 # replayed automatically by proptest before new random cases — the guard
@@ -55,6 +55,22 @@ echo "== region formation: partition against the reference loop at full size, an
 timed "region formation" cargo test -q --release -p ido-idem \
   --test partition_equivalence --test partition_scaling
 
+echo "== scheme seams: one home per scheme in ido-vm =="
+# The engine names no scheme (every dispatch on one is in
+# crates/vm/src/scheme/mod.rs), the thread registry's entry arithmetic is
+# written once, and the refactor-proof goldens (forward runs and crash +
+# recover rows, both tiers) hold in an optimized build.
+scheme_seams() {
+  if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
+    echo "the engine dispatches on a scheme outside crates/vm/src/scheme/"; return 1
+  fi
+  if grep -rn '+ 8 + i \* 32\|+ 8 + idx \* 32' crates/vm crates/workloads | grep -v '^crates/vm/src/layout.rs:'; then
+    echo "the thread registry is decoded outside layout::Registry"; return 1
+  fi
+  cargo test -q --release -p ido-workloads --test decoded_golden
+}
+timed "scheme seams" scheme_seams
+
 echo "== scheduler: tree vs scan model test, scaling, sched_equivalence to 129 threads =="
 # Optimized: the 128-129-thread equivalence cases are the slow part of the
 # unoptimized workspace run above.
@@ -77,34 +93,17 @@ oracle_stage() {
 }
 timed "crash oracle" oracle_stage
 
-echo "== interpreter throughput smoke (quick mode, tier-1 + tier-2 series) =="
-# interp_bench measures every bench on both execution tiers and asserts
-# equal step counts per pair, so this smoke also gates tier-2 determinism.
-IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin interp_bench
-
 echo "== trace smoke: quick trace_report + JSON/event-kind self-check =="
 IDO_BENCH_QUICK=1 IDO_TRACE_SMOKE=1 cargo run -q --release -p ido-bench --bin trace_report
 
 echo "== trace determinism: IDO_JOBS=2 must match IDO_JOBS=1 byte-for-byte =="
+mkdir -p target/tmp
 IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin trace_report > /dev/null
-cp target/figures/trace_hash-map.trace.json /tmp/trace_jobs1.json
+cp target/figures/trace_hash-map.trace.json target/tmp/trace_jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin trace_report > /dev/null
-cmp /tmp/trace_jobs1.json target/figures/trace_hash-map.trace.json \
+cmp target/tmp/trace_jobs1.json target/figures/trace_hash-map.trace.json \
   || { echo "IDO_JOBS=2 changed the emitted trace"; exit 1; }
-rm -f /tmp/trace_jobs1.json
-
-echo "== interp-throughput smoke with tracing explicitly disabled =="
-IDO_TRACE=0 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin interp_bench
-
-echo "== sweep determinism: IDO_JOBS=2 must match IDO_JOBS=1 =="
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin interp_bench
-cp target/figures/BENCH_interp.json target/figures/BENCH_interp.jobs1.json
-IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin interp_bench
-# Steps (and everything else derived from simulation state) are identical
-# across job counts; only wall-clock fields may differ.
-diff <(grep -o '"steps": [0-9]*' target/figures/BENCH_interp.jobs1.json) \
-     <(grep -o '"steps": [0-9]*' target/figures/BENCH_interp.json) \
-  || { echo "IDO_JOBS=2 changed simulation results"; exit 1; }
+rm -f target/tmp/trace_jobs1.json
 
 echo "== service bench smoke (crash under load, online-recovery windows) =="
 # The binary itself asserts the crash lands mid-traffic for every durable
@@ -166,15 +165,15 @@ done
 
 echo "== ido run determinism: --jobs 2 must match --jobs 1 byte-for-byte =="
 cargo run -q --release -p ido-repro --bin ido -- run corpus/map.ido --jobs 1 \
-  > /tmp/ido_run_jobs1.json
+  > target/tmp/ido_run_jobs1.json
 cargo run -q --release -p ido-repro --bin ido -- run corpus/map.ido --jobs 2 \
-  > /tmp/ido_run_jobs2.json
-cmp /tmp/ido_run_jobs1.json /tmp/ido_run_jobs2.json \
+  > target/tmp/ido_run_jobs2.json
+cmp target/tmp/ido_run_jobs1.json target/tmp/ido_run_jobs2.json \
   || { echo "--jobs 2 changed ido run output"; exit 1; }
 IDO_JOBS=2 cargo run -q --release -p ido-repro --bin ido -- run corpus/map.ido \
-  > /tmp/ido_run_envjobs.json
-cmp /tmp/ido_run_jobs1.json /tmp/ido_run_envjobs.json \
+  > target/tmp/ido_run_envjobs.json
+cmp target/tmp/ido_run_jobs1.json target/tmp/ido_run_envjobs.json \
   || { echo "IDO_JOBS=2 changed ido run output"; exit 1; }
-rm -f /tmp/ido_run_jobs1.json /tmp/ido_run_jobs2.json /tmp/ido_run_envjobs.json
+rm -f target/tmp/ido_run_jobs1.json target/tmp/ido_run_jobs2.json target/tmp/ido_run_envjobs.json
 
 echo "CI OK"
