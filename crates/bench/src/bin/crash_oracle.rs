@@ -17,18 +17,30 @@ fn main() {
         "== Crash oracle — twin-counter, {} thread(s) x {} op(s), seed {:#x} ==",
         cfg.threads, cfg.ops_per_thread, cfg.seed
     );
-    // `replayed` (steps the forward runs executed: at most jobs x steps)
-    // and `forked` (lines copied to fork crash states) are host-side costs
-    // that vary with IDO_JOBS, so they are printed but not in the CSV.
+    // `replayed` (steps the forward runs executed: at most jobs x steps),
+    // `forked` (lines copied to fork crash states), `us/state` (host time
+    // past set-up, per crash state) and `setup` (instrument + reference
+    // pass + forward-run construction, as a share of the exploration's host
+    // time) are host-side costs that vary with IDO_JOBS and the machine,
+    // so they are printed but not in the CSV.
     println!(
-        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>8}",
-        "scheme", "steps", "events", "boundaries", "crash states", "replayed", "forked", "result"
+        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9} {:>6} {:>8}",
+        "scheme",
+        "steps",
+        "events",
+        "boundaries",
+        "crash states",
+        "replayed",
+        "forked",
+        "us/state",
+        "setup",
+        "result"
     );
     let reports = explore_all(&TwinSpec, &cfg);
     let mut rows = Vec::new();
     for r in &reports {
         println!(
-            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>8}",
+            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9.2} {:>5.0}% {:>8}",
             r.scheme.name(),
             r.total_steps,
             r.persist_events,
@@ -36,6 +48,8 @@ fn main() {
             r.crash_states_explored,
             r.replayed_steps,
             r.forked_lines,
+            (r.host_ns - r.setup_ns) as f64 / 1e3 / r.crash_states_explored as f64,
+            100.0 * r.setup_ns as f64 / r.host_ns as f64,
             if r.counterexample.is_none() { "ok" } else { "FAIL" }
         );
         rows.push(format!(

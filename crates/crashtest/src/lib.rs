@@ -51,6 +51,7 @@ use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::Once;
+use std::time::Instant;
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_nvm::{CrashPolicy, PersistEvent, PmemPool};
@@ -165,6 +166,13 @@ pub struct Exploration {
     /// Cache lines `PmemPool::sync_from` copied to fork crash states, summed
     /// over workers (host-side, like `replayed_steps`).
     pub forked_lines: u64,
+    /// Host wall-clock nanoseconds the whole exploration took, shrinking
+    /// included (host-side: never in the [`std::fmt::Display`] report).
+    pub host_ns: u64,
+    /// The part of `host_ns` spent before the first crash state: instrument,
+    /// reference pass, and building the forward run (with several workers,
+    /// the first chunk's). What is left is the per-state path.
+    pub setup_ns: u64,
     /// The minimal failing crash state, if any check failed.
     pub counterexample: Option<Counterexample>,
 }
@@ -305,24 +313,21 @@ pub fn persist_boundaries(
     cfg: &OracleConfig,
 ) -> (u64, u64, Vec<u64>) {
     let (mut vm, _) = make_vm(spec, inst, cfg);
-    let setup_events = vm.pool().persist_event_count();
-    let trace: Rc<RefCell<Vec<(u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
-    let sink = Rc::clone(&trace);
+    // The hook keeps only the steps whose persist-event count advanced.
+    let boundaries = Rc::new(RefCell::new(vec![0u64]));
+    let sink = Rc::clone(&boundaries);
+    let mut prev = vm.pool().persist_event_count();
     vm.set_step_hook(Box::new(move |info| {
-        sink.borrow_mut().push((info.step, info.persist_events));
+        if info.persist_events != prev {
+            prev = info.persist_events;
+            sink.borrow_mut().push(info.step);
+        }
         StepControl::Continue
     }));
     assert_eq!(vm.run(), RunOutcome::Completed, "reference run must complete");
     let total = vm.steps();
     let events = vm.pool().persist_event_count();
-    let mut boundaries = vec![0u64];
-    let mut prev = setup_events;
-    for &(step, after) in trace.borrow().iter() {
-        if after != prev {
-            boundaries.push(step);
-            prev = after;
-        }
-    }
+    let mut boundaries = boundaries.take();
     if *boundaries.last().unwrap() != total {
         boundaries.push(total);
     }
@@ -558,6 +563,14 @@ struct Sweep<T> {
     outcomes: Vec<(u64, T)>,
     replayed_steps: u64,
     forked_lines: u64,
+    /// When the first chunk's forward run stood ready: the end of set-up.
+    ready: Instant,
+}
+
+/// `(host_ns, setup_ns)` of an exploration that began at `started`, had its
+/// forward run `ready` ([`Sweep::ready`]) and ends now.
+fn host_costs(started: Instant, ready: Instant) -> (u64, u64) {
+    (started.elapsed().as_nanos() as u64, (ready - started).as_nanos() as u64)
 }
 
 /// Fans `boundaries` out over `jobs` workers (ido-par's deterministic
@@ -583,6 +596,7 @@ fn sweep<T: Send>(
     let chunks: Vec<&[u64]> = boundaries.chunks(chunk_len).collect();
     let per_chunk = ido_par::par_map_jobs(jobs, chunks, |chunk| {
         let mut run = ForwardRun::new(spec, inst, cfg);
+        let ready = Instant::now();
         let mut outcomes = Vec::with_capacity(chunk.len());
         let mut failed = false;
         for &step in chunk {
@@ -595,11 +609,12 @@ fn sweep<T: Send>(
                 break;
             }
         }
-        (outcomes, failed, run.live.steps(), run.forked_lines)
+        (outcomes, failed, run.live.steps(), run.forked_lines, ready)
     });
-    let mut sweep = Sweep { outcomes: Vec::new(), replayed_steps: 0, forked_lines: 0 };
+    let ready = per_chunk[0].4;
+    let mut sweep = Sweep { outcomes: Vec::new(), replayed_steps: 0, forked_lines: 0, ready };
     let mut reached = true;
-    for (outcomes, failed, steps, lines) in per_chunk {
+    for (outcomes, failed, steps, lines, _) in per_chunk {
         sweep.replayed_steps += steps;
         sweep.forked_lines += lines;
         if reached {
@@ -668,6 +683,12 @@ pub struct RecoveryExploration {
     /// Cache lines copied to fork crash states (see
     /// [`Exploration::forked_lines`]).
     pub forked_lines: u64,
+    /// Host nanoseconds of the whole exploration (see
+    /// [`Exploration::host_ns`]).
+    pub host_ns: u64,
+    /// Host nanoseconds before the first crash state (see
+    /// [`Exploration::setup_ns`]).
+    pub setup_ns: u64,
     /// The first failing state, minimized over its recovery-lost set.
     pub counterexample: Option<RecoveryCounterexample>,
 }
@@ -703,6 +724,7 @@ pub fn explore_recovery(
     cfg: &OracleConfig,
     budgets: &[u64],
 ) -> RecoveryExploration {
+    let started = Instant::now();
     let inst = instrument(spec, scheme);
     let (_, _, boundaries) = persist_boundaries(spec, &inst, cfg);
 
@@ -779,6 +801,7 @@ pub fn explore_recovery(
         }
     }
 
+    let (host_ns, setup_ns) = host_costs(started, swept.ready);
     RecoveryExploration {
         scheme,
         workload: spec.name(),
@@ -787,6 +810,8 @@ pub fn explore_recovery(
         crash_states_explored: explored,
         replayed_steps: swept.replayed_steps,
         forked_lines: swept.forked_lines,
+        host_ns,
+        setup_ns,
         counterexample,
     }
 }
@@ -807,6 +832,7 @@ pub fn explore_jobs(
     scheme: Scheme,
     cfg: &OracleConfig,
 ) -> Exploration {
+    let started = Instant::now();
     let inst = instrument(spec, scheme);
     let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
 
@@ -847,6 +873,7 @@ pub fn explore_jobs(
         }
     }
 
+    let (host_ns, setup_ns) = host_costs(started, swept.ready);
     Exploration {
         scheme,
         workload: spec.name(),
@@ -858,6 +885,8 @@ pub fn explore_jobs(
         shrink_attempts: shrinks,
         replayed_steps: swept.replayed_steps,
         forked_lines: swept.forked_lines,
+        host_ns,
+        setup_ns,
         counterexample,
     }
 }
@@ -902,25 +931,25 @@ pub fn candidate_subsets(dirty: &[usize], cfg: &OracleConfig, step: u64) -> Vec<
         co.remove(i);
         push(co, &mut seen, &mut out); // co-singletons
     }
-    // Seeded xorshift fills the remaining budget with random subsets;
-    // deterministic in (seed, step).
+    // Seeded xorshift fills the remaining budget with random subsets, one
+    // word per 64 dirty lines; deterministic in (seed, step).
     let mut x = (cfg.seed ^ step.wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
+    let mut next_word = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
     for _ in 0..cfg.max_subsets_per_step * 4 {
         if out.len() >= cfg.max_subsets_per_step {
             break;
         }
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let mut mask = x;
         let s: Vec<usize> = dirty
-            .iter()
-            .filter(|_| {
-                let keep = mask & 1 == 1;
-                mask >>= 1;
-                keep
+            .chunks(64)
+            .flat_map(|lines| {
+                let mask = next_word();
+                lines.iter().enumerate().filter(move |(b, _)| mask >> b & 1 == 1).map(|(_, &l)| l)
             })
-            .copied()
             .collect();
         push(s, &mut seen, &mut out);
     }
@@ -1082,6 +1111,30 @@ mod tests {
     }
 
     #[test]
+    fn random_subsets_lose_lines_past_the_64th() {
+        // Regression: one xorshift word per subset, shifted once per line,
+        // ran out after 64 lines, so no seeded draw ever lost a later one.
+        let dirty: Vec<usize> = (1000..1200).collect();
+        let fixed = 2 + 2 * dirty.len(); // all, none, singletons, co-singletons
+        let cfg = OracleConfig { max_subsets_per_step: fixed + 16, ..OracleConfig::default() };
+        let subs = candidate_subsets(&dirty, &cfg, 3);
+        assert_eq!(subs.len(), fixed + 16);
+        for (lo, hi) in [(0, 64), (64, 128), (128, 192), (192, 200)] {
+            for s in &subs[fixed..] {
+                let lost = s.iter().filter(|l| dirty[lo..hi].contains(l)).count();
+                assert!(
+                    lost > 0 && lost < hi - lo,
+                    "a seeded draw loses {lost} of dirty[{lo}..{hi}]"
+                );
+            }
+        }
+        assert_eq!(subs, candidate_subsets(&dirty, &cfg, 3));
+        assert_ne!(subs, candidate_subsets(&dirty, &cfg, 4));
+        let reseeded = OracleConfig { seed: cfg.seed ^ 0xA5A5, ..cfg };
+        assert_ne!(subs, candidate_subsets(&dirty, &reseeded, 3));
+    }
+
+    #[test]
     fn boundaries_start_at_zero_and_end_at_total() {
         let cfg = OracleConfig { threads: 1, ops_per_thread: 1, ..OracleConfig::default() };
         let inst = instrument(&TwinSpec, Scheme::Ido);
@@ -1096,6 +1149,34 @@ mod tests {
         );
         // Deterministic: same config, same boundaries.
         assert_eq!(persist_boundaries(&TwinSpec, &inst, &cfg), (total, events, bounds));
+    }
+
+    #[test]
+    fn an_exploration_holds_the_decoded_program_once_and_leaves_none_behind() {
+        // The per-state path hands the program to two recoveries and an
+        // attach; none of them may decode it again or keep it. What holds
+        // `inst.program.decoded()`: the program's cache, the handle below,
+        // and the forward run's live VM.
+        use std::sync::Arc;
+        let cfg = OracleConfig::default();
+        for scheme in [Scheme::Ido, Scheme::Nvml] {
+            let inst = instrument(&TwinSpec, scheme);
+            let decoded = inst.program.decoded();
+            let idle = Arc::strong_count(&decoded);
+            let (_, _, boundaries) = persist_boundaries(&TwinSpec, &inst, &cfg);
+            assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: reference pass");
+            let swept = sweep(1, &TwinSpec, &inst, &cfg, &boundaries, |run, step, dirty| {
+                for lost in candidate_subsets(&dirty, &cfg, step) {
+                    run.check(&lost).expect("a correct scheme");
+                    run.check_recovery(&lost, 2, &[]).expect("a correct scheme");
+                    assert_eq!(Arc::strong_count(&decoded), idle + 1, "{scheme}: step {step}");
+                }
+                ControlFlow::Continue(())
+            });
+            assert_eq!(swept.outcomes.len(), boundaries.len());
+            assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: after the sweep");
+            assert!(Arc::ptr_eq(&decoded, &inst.program.decoded()));
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! carries a `Vec<Operand>`, the durable markers carry `Vec<Reg>` /
 //! `Vec<StackSlot>`, so that clone heap-allocates on every step).
 //!
-//! [`DecodedProgram`] fixes the layout once, at VM construction: each
+//! [`DecodedProgram`] fixes the layout once per program value
+//! ([`Program::decoded`], shared by every VM built from a clone of it): each
 //! function's instructions are flattened block-major into one contiguous
 //! `Vec<DecodedInst>` with a precomputed block-start offset table, and the
 //! per-function metadata the interpreter needs on calls/returns (register
@@ -35,7 +36,7 @@ pub type DecodedInst = Inst;
 /// One function, decoded: flat instruction stream + block offsets + the
 /// per-call metadata the interpreter needs without touching the original
 /// [`crate::Function`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodedFunction {
     /// All instructions, block-major: block 0's instructions, then block
     /// 1's, ... Indexed via [`Self::inst_at`].
@@ -87,9 +88,10 @@ impl DecodedFunction {
     }
 }
 
-/// A whole program, decoded once for interpretation. Construct with
-/// [`DecodedProgram::decode`]; the structure is immutable afterwards.
-#[derive(Debug, Clone)]
+/// A whole program, decoded once for interpretation. [`Program::decoded`]
+/// is the cached, shared way to one; [`DecodedProgram::decode`] builds a
+/// fresh one. The structure is immutable afterwards.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodedProgram {
     funcs: Vec<DecodedFunction>,
     /// Max `num_regs` over all functions (sizes shared per-thread logs and

@@ -1,5 +1,8 @@
 //! Functions, basic blocks, and programs.
 
+use std::sync::{Arc, OnceLock};
+
+use crate::decoded::DecodedProgram;
 use crate::inst::Inst;
 use crate::reg::{Reg, RegClass};
 
@@ -184,9 +187,44 @@ impl Function {
 }
 
 /// A whole program: a set of functions sharing a call graph.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// A `Program` is a copy-on-write shared value. `clone()` bumps a reference
+/// count; the two mutators ([`Program::add_function`],
+/// [`Program::function_mut`]) un-share first (`Arc::make_mut`, a deep copy
+/// only when another clone is alive) and drop the cached decoded form, so a
+/// clone never observes a mutation of another and [`Program::decoded`] never
+/// returns a stale stream. Compilation passes mutate a program they own;
+/// everything downstream of `instrument_program` — every VM, recovery and
+/// crash state of a run — only reads it and shares one allocation.
+#[derive(Clone, Default)]
 pub struct Program {
+    inner: Arc<ProgramInner>,
+}
+
+#[derive(Default)]
+struct ProgramInner {
     funcs: Vec<Function>,
+    /// [`Program::decoded`]'s result, valid for `funcs` as they are: the
+    /// mutators take it, and a copy made by `Arc::make_mut` starts without.
+    decoded: OnceLock<Arc<DecodedProgram>>,
+}
+
+impl Clone for ProgramInner {
+    fn clone(&self) -> Self {
+        ProgramInner { funcs: self.funcs.clone(), decoded: OnceLock::new() }
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner) || self.inner.funcs == other.inner.funcs
+    }
+}
+
+impl std::fmt::Debug for Program {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Program").field("funcs", &self.inner.funcs).finish()
+    }
 }
 
 impl Program {
@@ -195,9 +233,18 @@ impl Program {
         Program::default()
     }
 
+    /// The functions, for mutation: un-shared from every other clone, and
+    /// with no decoded form until the next [`Program::decoded`].
+    fn funcs_mut(&mut self) -> &mut Vec<Function> {
+        let inner = Arc::make_mut(&mut self.inner);
+        inner.decoded.take();
+        &mut inner.funcs
+    }
+
     pub(crate) fn push_function(&mut self, f: Function) -> FuncId {
-        self.funcs.push(f);
-        FuncId(self.funcs.len() as u32 - 1)
+        let funcs = self.funcs_mut();
+        funcs.push(f);
+        FuncId(funcs.len() as u32 - 1)
     }
 
     /// Appends a fully built function, returning its id. Ids are dense
@@ -209,28 +256,119 @@ impl Program {
 
     /// All functions, indexed by [`FuncId`].
     pub fn functions(&self) -> &[Function] {
-        &self.funcs
+        &self.inner.funcs
     }
 
     /// A function by id.
     pub fn function(&self, f: FuncId) -> &Function {
-        &self.funcs[f.0 as usize]
+        &self.inner.funcs[f.0 as usize]
     }
 
     /// Mutable access for instrumentation passes.
     pub fn function_mut(&mut self, f: FuncId) -> &mut Function {
-        &mut self.funcs[f.0 as usize]
+        &mut self.funcs_mut()[f.0 as usize]
     }
 
     /// Looks a function up by name.
     pub fn find(&self, name: &str) -> Option<FuncId> {
-        self.funcs.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
+        self.inner.funcs.iter().position(|f| f.name == name).map(|i| FuncId(i as u32))
+    }
+
+    /// The program's decoded form ([`DecodedProgram::decode`]), built on the
+    /// first call and shared by every clone of this program value until one
+    /// of them is mutated.
+    pub fn decoded(&self) -> Arc<DecodedProgram> {
+        Arc::clone(self.inner.decoded.get_or_init(|| Arc::new(DecodedProgram::decode(self))))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::ProgramBuilder;
+    use crate::reg::Operand;
+
+    /// `name(p) = p`, one block.
+    fn identity(name: &str) -> Function {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.new_function(name, 1);
+        let p = f.param(0);
+        f.ret(Some(Operand::Reg(p)));
+        f.finish().unwrap();
+        pb.finish().function(FuncId(0)).clone()
+    }
+
+    fn one_function() -> Program {
+        let mut p = Program::new();
+        p.add_function(identity("main"));
+        p
+    }
+
+    const _: fn() = || {
+        fn shared_across_threads<T: Send + Sync>() {}
+        shared_across_threads::<Program>();
+    };
+
+    #[test]
+    fn clones_share_one_decoded_form() {
+        let p = one_function();
+        let q = p.clone();
+        assert!(Arc::ptr_eq(&p.decoded(), &q.decoded()));
+        assert!(Arc::ptr_eq(&p.decoded(), &p.clone().decoded()));
+        // The cache holds one reference; every `decoded()` hands out another.
+        let held = p.decoded();
+        assert_eq!(Arc::strong_count(&held), 2);
+    }
+
+    #[test]
+    fn mutating_a_clone_leaves_the_original_and_its_decoded_form_untouched() {
+        let p = one_function();
+        let before = p.decoded();
+        let mut q = p.clone();
+        q.function_mut(FuncId(0)).fresh_reg(RegClass::Int);
+        q.add_function(identity("helper"));
+        assert_eq!(p.functions().len(), 1);
+        assert_eq!(p.function(FuncId(0)).num_regs(), 1);
+        assert_eq!(p, one_function());
+        assert!(Arc::ptr_eq(&p.decoded(), &before), "the original keeps its cache");
+        assert_eq!(q.functions().len(), 2);
+        assert_eq!(*q.decoded(), DecodedProgram::decode(&q));
+        assert_ne!(*q.decoded(), *before);
+    }
+
+    #[test]
+    fn decoded_after_a_mutation_reflects_it() {
+        // Stale-cache guard, on an unshared program (no copy is made, so
+        // only the mutators' `take` stands between it and a stale stream).
+        let mut p = one_function();
+        let stale = p.decoded();
+        p.function_mut(FuncId(0)).fresh_reg(RegClass::Int);
+        assert_eq!(*p.decoded(), DecodedProgram::decode(&p));
+        assert_eq!(p.decoded().max_regs(), 2);
+        assert_eq!(stale.max_regs(), 1, "a handed-out decoded form is immutable");
+
+        let stale = p.decoded();
+        p.add_function(identity("helper"));
+        assert_eq!(*p.decoded(), DecodedProgram::decode(&p));
+        assert_eq!(p.decoded().num_functions(), 2);
+        assert_eq!(stale.num_functions(), 1);
+    }
+
+    #[test]
+    fn equality_and_debug_see_the_functions_only() {
+        let (p, q) = (one_function(), one_function());
+        let undecoded = format!("{p:?}");
+        p.decoded();
+        assert_eq!(p, q, "one side decoded");
+        assert_eq!(q, p);
+        q.decoded();
+        assert_eq!(p, q, "both sides decoded");
+        assert_eq!(format!("{p:?}"), undecoded);
+        assert!(undecoded.starts_with("Program { funcs: [Function {"), "{undecoded}");
+        let mut r = p.clone();
+        r.add_function(identity("helper"));
+        assert_ne!(p, r);
+    }
 
     #[test]
     fn pc_encode_roundtrip() {

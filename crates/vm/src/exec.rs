@@ -363,10 +363,11 @@ pub struct Vm {
     alloc: NvAllocator,
     roots: RootTable,
     program: Program,
-    /// The program decoded once at construction into flat per-function
-    /// instruction streams; `step_thread` fetches from here by reference.
-    /// Behind an `Arc` so `run_steps` can hold the stream across the step
-    /// loop while `&mut self` executes instructions.
+    /// `program.decoded()`: flat per-function instruction streams, decoded
+    /// once per program value and shared with every other VM built from a
+    /// clone of it; `step_thread` fetches from here by reference. Held as
+    /// an `Arc` of its own so `run_steps` can keep the stream across the
+    /// step loop while `&mut self` executes instructions.
     code: Arc<DecodedProgram>,
     /// The tier-2 block-compiled form, built at construction only when
     /// `config.tier == ExecTier::Tier2` (the crash oracle constructs many
@@ -436,7 +437,7 @@ impl Vm {
         instrumented: Instrumented,
         config: VmConfig,
     ) -> Vm {
-        let code = Arc::new(DecodedProgram::decode(&instrumented.program));
+        let code = instrumented.program.decoded();
         let t2 = (config.tier == ExecTier::Tier2)
             .then(|| Arc::new(Tier2Program::compile(&instrumented.program)));
         Vm {

@@ -15,6 +15,7 @@ use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_ir::{Operand, ProgramBuilder};
 use ido_nvm::{CrashPolicy, PAddr};
 use ido_vm::{recover, RecoveryConfig, RunOutcome, Status, Vm, VmConfig};
+use std::sync::Arc;
 
 /// `op(lock, p)`: under `lock`, increment `mem[p]` and `mem[p+64]`.
 fn twin_counter(scheme: Scheme) -> Instrumented {
@@ -356,5 +357,35 @@ fn crash_during_recovery_is_survivable() {
                 break; // recovery completed within the budget: sweep done
             }
         }
+    }
+}
+
+#[test]
+fn vms_and_recoveries_of_one_program_share_one_decoded_form() {
+    // Every VM holds `program.decoded()`, so the reference count of that
+    // one allocation is the number of live VMs built from clones of `inst`
+    // (plus the program's cache and the handle held here) — and a VM that
+    // decoded for itself would leave it unmoved.
+    for scheme in [Scheme::Ido, Scheme::Atlas] {
+        let inst = twin_counter(scheme);
+        let cfg = vm_config(CrashPolicy::DropDirty, 5);
+        let decoded = inst.program.decoded();
+        let idle = Arc::strong_count(&decoded);
+
+        let mut s = setup(inst.clone(), cfg.clone(), 2, true);
+        assert_eq!(Arc::strong_count(&decoded), idle + 1, "{scheme}: Vm::new");
+        s.vm.run_steps(total_steps(scheme, 2, true) / 2);
+        let pool = s.vm.crash(3);
+        assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: crashed VM");
+
+        let a = Vm::attach(pool.clone(), inst.clone(), cfg.clone());
+        let b = Vm::attach(pool.clone(), inst.clone(), cfg.clone());
+        assert_eq!(Arc::strong_count(&decoded), idle + 2, "{scheme}: two attaches");
+        assert_eq!(a.program(), b.program());
+        drop((a, b));
+
+        recover(pool, inst.clone(), cfg, RecoveryConfig::for_tests());
+        assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: after recovery");
+        assert!(Arc::ptr_eq(&decoded, &inst.program.decoded()));
     }
 }

@@ -82,13 +82,26 @@ echo "== static atomicity lint + differential smoke (verify_report) =="
 # static/dynamic disagreement makes the binary assert and fail CI.
 timed "verify_report" env IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin verify_report
 
-echo "== crash-oracle smoke sweep + memcached-like store at 512 ops (iDO, Atlas) =="
-# The second is the application-scale gate: every persist boundary of a
-# 512-operation run, bounded lost-line cover, affordable because the
-# oracle steps one VM forward per worker and forks states from it.
-# Release-only (the test is ignored in unoptimized builds).
+echo "== crash-oracle smoke sweep + program sharing + memcached-like store at 512 ops (iDO, Atlas) =="
+# The sharing tests pin that a crash state neither clones nor decodes the
+# program (`Program`'s value semantics, VMs of one program holding one
+# decoded form, an exploration leaving it as it found it), in the build the
+# oracle is timed in; the table's us/state and setup columns put the
+# per-state path and its fixed cost in this log (host numbers: read them
+# against the previous run's, they gate nothing). The kv sweep is the
+# application-scale gate: every persist boundary of a 512-operation run,
+# bounded lost-line cover, affordable because the oracle steps one VM
+# forward per worker and forks states from it. Release-only (the test is
+# ignored in unoptimized builds).
 oracle_stage() {
-  IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle
+  cargo test -q --release -p ido-ir --lib func::tests
+  cargo test -q --release -p ido-vm --test crash_recovery share_one_decoded_form
+  cargo test -q --release -p ido-crashtest --lib
+  local table
+  table=$(IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle)
+  echo "$table"
+  echo "$table" | grep -q 'us/state' \
+    || { echo "crash_oracle's table lost its us/state column"; return 1; }
   cargo test -q --release -p ido-crashtest --test kv_sweep -- --nocapture
 }
 timed "crash oracle" oracle_stage
