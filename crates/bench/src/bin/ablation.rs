@@ -9,11 +9,10 @@
 //!    could be improved with better alias analysis"): basicAA vs. no alias
 //!    analysis at all.
 
-use ido_bench::{
-    bench_config, counters_to_fields, ops_per_thread, run_point, COUNTER_HEADER, NO_LOG,
-};
+use ido_bench::{bench_config, ops_per_thread, run_point, NO_LOG};
 use ido_compiler::Scheme;
 use ido_idem::{analyze_with, AliasMode, RegionStats};
+use ido_nvm::StatsSnapshot;
 use ido_vm::VmConfig;
 use ido_workloads::kv::memcached::MemcachedSpec;
 use ido_workloads::micro::{ListSpec, StackSpec};
@@ -32,7 +31,7 @@ fn measure(
         "{variant},{},{threads},{:.4},{}",
         stats.workload,
         stats.mops(),
-        counters_to_fields(&stats.mem_stats)
+        stats.mem_stats.csv_fields()
     ));
     stats.mops()
 }
@@ -70,7 +69,7 @@ fn main() {
     ido_bench::write_csv("ablation_runtime", "variant,stack,list,memcached", &rows);
     ido_bench::write_csv(
         "ablation_counters",
-        &format!("variant,workload,threads,mops,{COUNTER_HEADER}"),
+        &format!("variant,workload,threads,mops,{}", StatsSnapshot::CSV_HEADER),
         &counter_rows,
     );
 

@@ -10,11 +10,12 @@
 //! overtakes it as extracted parallelism wins.
 
 use ido_bench::{
-    bench_config, counters_to_fields, curves_from_stats, curves_to_rows, format_curves,
-    hi_thread_config, list_log_per_op, ops_per_thread, point_at, sweep_stats, write_csv,
-    COUNTER_HEADER, HI_THREAD_SWEEP, LOG_PER_OP, THREAD_SWEEP,
+    bench_config, curves_from_stats, curves_to_rows, format_curves, hi_thread_config,
+    list_log_per_op, ops_per_thread, point_at, sweep_stats, write_csv, HI_THREAD_SWEEP,
+    LOG_PER_OP, THREAD_SWEEP,
 };
 use ido_compiler::Scheme;
+use ido_nvm::StatsSnapshot;
 use ido_workloads::micro::{AllocChurnSpec, ListSpec, MapSpec, QueueSpec, StackSpec};
 use ido_workloads::WorkloadSpec;
 
@@ -49,13 +50,13 @@ fn main() {
                     s.threads,
                     s.scheme.name(),
                     s.mops(),
-                    counters_to_fields(&s.mem_stats)
+                    s.mem_stats.csv_fields()
                 )
             })
             .collect();
         write_csv(
             &format!("fig7_{name}_counters"),
-            &format!("threads,scheme,mops,{COUNTER_HEADER}"),
+            &format!("threads,scheme,mops,{}", StatsSnapshot::CSV_HEADER),
             &counter_rows,
         );
 

@@ -180,18 +180,6 @@ pub fn sweep_stats_jobs(
     ido_par::par_map_jobs(jobs, tasks, |(scheme, t)| run_workload(scheme, spec, t, ops, cfg.clone()))
 }
 
-/// CSV header fragment for the per-point persistence counters appended by
-/// [`counters_to_fields`]. Keep the two in sync.
-pub const COUNTER_HEADER: &str = "loads,stores,nt_stores,clwbs,fences,lines_persisted,log_bytes";
-
-/// Formats a snapshot as the CSV fields named by [`COUNTER_HEADER`].
-pub fn counters_to_fields(s: &ido_nvm::StatsSnapshot) -> String {
-    format!(
-        "{},{},{},{},{},{},{}",
-        s.loads, s.stores, s.nt_stores, s.clwbs, s.fences, s.lines_persisted, s.log_bytes
-    )
-}
-
 /// Runs one point and returns full stats.
 pub fn run_point(
     spec: &dyn WorkloadSpec,

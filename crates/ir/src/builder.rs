@@ -82,11 +82,6 @@ impl<'a> FunctionBuilder<'a> {
         self.func.fresh_reg(RegClass::Int)
     }
 
-    /// Allocates a fresh floating-point register.
-    pub fn new_freg(&mut self) -> Reg {
-        self.func.fresh_reg(RegClass::Float)
-    }
-
     /// Allocates a fresh stack slot.
     pub fn new_stack_slot(&mut self) -> StackSlot {
         let s = StackSlot(self.n_slots);
@@ -102,11 +97,6 @@ impl<'a> FunctionBuilder<'a> {
     /// Redirects subsequent emissions into `b`.
     pub fn switch_to(&mut self, b: BlockId) {
         self.cur = b;
-    }
-
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.cur
     }
 
     /// Appends a raw instruction to the current block.

@@ -18,8 +18,7 @@
 //! * calls, branches, and an explicit CFG.
 //!
 //! On top of the IR live the classic analyses the iDO compiler uses:
-//! dominators ([`dom`]), liveness ([`liveness`]), reaching definitions
-//! ([`reaching`]), and a conservative `basicAA`-style alias analysis
+//! liveness ([`liveness`]) and a conservative `basicAA`-style alias analysis
 //! ([`alias`]). The idempotent-region partitioning itself lives in the
 //! `ido-idem` crate; the FASE inference and per-scheme instrumentation passes
 //! live in `ido-compiler`; execution lives in `ido-vm`.
@@ -47,13 +46,11 @@ mod builder;
 pub mod cfg;
 pub mod dataflow;
 mod decoded;
-pub mod dom;
 mod func;
 mod inst;
 pub mod liveness;
 pub mod opt;
 mod pretty;
-pub mod reaching;
 mod reg;
 pub mod semantics;
 pub mod tier2;

@@ -88,6 +88,116 @@ pub struct Token {
     pub span: Span,
 }
 
+/// A cursor over a lexed token stream — the one `peek` / `bump` / `expect_*`
+/// vocabulary of the scenario header and the program section. Reads past
+/// the end keep returning the final [`Tok::Eof`].
+pub(crate) struct Cursor {
+    toks: Vec<Token>,
+    pos: usize,
+}
+
+impl Cursor {
+    /// A cursor at the start of `toks`, which must end in [`Tok::Eof`].
+    pub(crate) fn new(toks: Vec<Token>) -> Cursor {
+        Cursor { toks, pos: 0 }
+    }
+
+    pub(crate) fn peek(&self) -> &Token {
+        &self.toks[self.pos.min(self.toks.len() - 1)]
+    }
+
+    /// The token after [`Cursor::peek`]'s, if any.
+    pub(crate) fn peek_second(&self) -> Option<&Tok> {
+        self.toks.get(self.pos + 1).map(|t| &t.tok)
+    }
+
+    /// The span of the token consumed last (of the first, before any).
+    pub(crate) fn prev_span(&self) -> Span {
+        self.toks[self.pos.saturating_sub(1)].span
+    }
+
+    pub(crate) fn bump(&mut self) -> Token {
+        let t = self.peek().clone();
+        if self.pos < self.toks.len() - 1 {
+            self.pos += 1;
+        }
+        t
+    }
+
+    pub(crate) fn eat_newlines(&mut self) {
+        while self.peek().tok == Tok::Newline {
+            self.bump();
+        }
+    }
+
+    pub(crate) fn expect(&mut self, want: Tok, ctx: &str) -> Result<Token, LangError> {
+        let t = self.bump();
+        if t.tok == want {
+            Ok(t)
+        } else {
+            Err(LangError::new(
+                format!("expected {} {ctx}, found {}", want.describe(), t.tok.describe()),
+                t.span,
+                format!("expected {}", want.describe()),
+            ))
+        }
+    }
+
+    pub(crate) fn expect_ident(&mut self, ctx: &str) -> Result<(String, Span), LangError> {
+        let t = self.bump();
+        match t.tok {
+            Tok::Ident(s) => Ok((s, t.span)),
+            other => Err(LangError::new(
+                format!("expected identifier {ctx}, found {}", other.describe()),
+                t.span,
+                "expected an identifier",
+            )),
+        }
+    }
+
+    pub(crate) fn expect_keyword(&mut self, word: &str, ctx: &str) -> Result<Span, LangError> {
+        let (s, span) = self.expect_ident(ctx)?;
+        if s == word {
+            Ok(span)
+        } else {
+            Err(LangError::new(
+                format!("expected `{word}` {ctx}, found `{s}`"),
+                span,
+                format!("expected `{word}`"),
+            ))
+        }
+    }
+
+    pub(crate) fn expect_u64(&mut self, ctx: &str) -> Result<(u64, Span), LangError> {
+        let t = self.bump();
+        match t.tok {
+            Tok::Int(v) => Ok((v, t.span)),
+            other => Err(LangError::new(
+                format!("expected integer {ctx}, found {}", other.describe()),
+                t.span,
+                "expected an integer",
+            )),
+        }
+    }
+
+    /// Consumes the end-of-statement newline (or accepts EOF for the last
+    /// line of a file); anything else is an error labelled `label`.
+    pub(crate) fn expect_line_end(&mut self, label: &str) -> Result<(), LangError> {
+        match &self.peek().tok {
+            Tok::Newline => {
+                self.bump();
+                Ok(())
+            }
+            Tok::Eof => Ok(()),
+            other => Err(LangError::new(
+                format!("expected end of line, found {}", other.describe()),
+                self.peek().span,
+                label,
+            )),
+        }
+    }
+}
+
 /// Lexes `source` into a token stream ending in [`Tok::Eof`].
 ///
 /// # Errors

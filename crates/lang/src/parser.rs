@@ -18,7 +18,7 @@ use ido_ir::{
 };
 
 use crate::diag::{LangError, Span};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{lex, Cursor, Tok};
 
 /// A parsed program plus source positions for every instruction, keyed by
 /// `(function id, block id, instruction index)`.
@@ -40,18 +40,13 @@ pub struct ParsedProgram {
 /// declared counts, out-of-range call targets, call arity mismatches, and
 /// anything `ido_ir::verify_function` rejects.
 pub fn parse_program_text(source: &str) -> Result<ParsedProgram, LangError> {
-    let toks = lex(source)?;
-    let mut p = Parser::new(toks);
-    p.parse_program()
+    Parser::new(Cursor::new(lex(source)?)).parse_program()
 }
 
-/// Parses the token stream from `start` (used by the scenario layer to
-/// parse the program section after the header).
-pub(crate) fn parse_program_tokens(
-    toks: Vec<Token>,
-) -> Result<ParsedProgram, LangError> {
-    let mut p = Parser::new(toks);
-    p.parse_program()
+/// Parses the rest of the token stream under `c` (used by the scenario
+/// layer to parse the program section after the header).
+pub(crate) fn parse_program_tokens(c: Cursor) -> Result<ParsedProgram, LangError> {
+    Parser::new(c).parse_program()
 }
 
 struct CallSite {
@@ -61,8 +56,7 @@ struct CallSite {
 }
 
 struct Parser {
-    toks: Vec<Token>,
-    pos: usize,
+    c: Cursor,
     calls: Vec<CallSite>,
     /// Highest register id mentioned so far in the current function, with
     /// the span of the mention (for the `regs=` bound diagnostic).
@@ -71,102 +65,14 @@ struct Parser {
 }
 
 impl Parser {
-    fn new(toks: Vec<Token>) -> Parser {
-        Parser { toks, pos: 0, calls: Vec::new(), max_reg: None, max_slot: None }
-    }
-
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_newlines(&mut self) {
-        while self.peek().tok == Tok::Newline {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: Tok, ctx: &str) -> Result<Token, LangError> {
-        let t = self.bump();
-        if t.tok == want {
-            Ok(t)
-        } else {
-            Err(LangError::new(
-                format!("expected {} {ctx}, found {}", want.describe(), t.tok.describe()),
-                t.span,
-                format!("expected {}", want.describe()),
-            ))
-        }
-    }
-
-    fn expect_ident(&mut self, ctx: &str) -> Result<(String, Span), LangError> {
-        let t = self.bump();
-        match t.tok {
-            Tok::Ident(s) => Ok((s, t.span)),
-            other => Err(LangError::new(
-                format!("expected identifier {ctx}, found {}", other.describe()),
-                t.span,
-                "expected an identifier",
-            )),
-        }
-    }
-
-    fn expect_keyword(&mut self, word: &str, ctx: &str) -> Result<Span, LangError> {
-        let (s, span) = self.expect_ident(ctx)?;
-        if s == word {
-            Ok(span)
-        } else {
-            Err(LangError::new(
-                format!("expected `{word}` {ctx}, found `{s}`"),
-                span,
-                format!("expected `{word}`"),
-            ))
-        }
-    }
-
-    /// Consumes the end-of-statement newline (or accepts EOF / a `}` on
-    /// the same position for the last line of a file).
-    fn expect_line_end(&mut self) -> Result<(), LangError> {
-        match &self.peek().tok {
-            Tok::Newline => {
-                self.bump();
-                Ok(())
-            }
-            Tok::Eof => Ok(()),
-            other => {
-                let t = self.peek().clone();
-                Err(LangError::new(
-                    format!("expected end of line, found {}", other.describe()),
-                    t.span,
-                    "instruction continues past its statement",
-                ))
-            }
-        }
+    fn new(c: Cursor) -> Parser {
+        Parser { c, calls: Vec::new(), max_reg: None, max_slot: None }
     }
 
     // ---- numbers, registers, slots, ids ----
 
-    fn expect_u64(&mut self, ctx: &str) -> Result<(u64, Span), LangError> {
-        let t = self.bump();
-        match t.tok {
-            Tok::Int(v) => Ok((v, t.span)),
-            other => Err(LangError::new(
-                format!("expected integer {ctx}, found {}", other.describe()),
-                t.span,
-                "expected an integer",
-            )),
-        }
-    }
-
     fn expect_u32(&mut self, ctx: &str) -> Result<(u32, Span), LangError> {
-        let (v, span) = self.expect_u64(ctx)?;
+        let (v, span) = self.c.expect_u64(ctx)?;
         u32::try_from(v).map(|v| (v, span)).map_err(|_| {
             LangError::new(format!("{ctx} does not fit in 32 bits"), span, "too large")
         })
@@ -174,7 +80,7 @@ impl Parser {
 
     /// `r12` / `f3` → a register. Updates the per-function max tracker.
     fn expect_reg(&mut self, ctx: &str) -> Result<(Reg, Span), LangError> {
-        let (s, span) = self.expect_ident(ctx)?;
+        let (s, span) = self.c.expect_ident(ctx)?;
         match parse_reg_name(&s) {
             Some(r) => {
                 self.note_reg(r, span);
@@ -189,7 +95,7 @@ impl Parser {
     }
 
     fn expect_slot(&mut self, ctx: &str) -> Result<(StackSlot, Span), LangError> {
-        let (s, span) = self.expect_ident(ctx)?;
+        let (s, span) = self.c.expect_ident(ctx)?;
         match parse_suffixed(&s, "s") {
             Some(id) => {
                 let slot = StackSlot(id);
@@ -205,7 +111,7 @@ impl Parser {
     }
 
     fn expect_block_ref(&mut self, ctx: &str) -> Result<(BlockId, Span), LangError> {
-        let (s, span) = self.expect_ident(ctx)?;
+        let (s, span) = self.c.expect_ident(ctx)?;
         match parse_suffixed(&s, "bb") {
             Some(id) => Ok((BlockId(id), span)),
             None => Err(LangError::new(
@@ -232,11 +138,11 @@ impl Parser {
     /// printed form of `i64::MIN` (`-9223372036854775808`) parses via the
     /// u64 magnitude and a wrapping negation.
     fn expect_operand(&mut self, ctx: &str) -> Result<(Operand, Span), LangError> {
-        let t = self.peek().clone();
+        let t = self.c.peek().clone();
         match &t.tok {
             Tok::Minus => {
-                let minus = self.bump();
-                let (v, vspan) = self.expect_u64(ctx)?;
+                let minus = self.c.bump();
+                let (v, vspan) = self.c.expect_u64(ctx)?;
                 if v > (1u64 << 63) {
                     return Err(LangError::new(
                         "negative immediate below i64::MIN",
@@ -248,7 +154,7 @@ impl Parser {
             }
             Tok::Int(v) => {
                 let v = *v;
-                let t = self.bump();
+                let t = self.c.bump();
                 if v > i64::MAX as u64 {
                     return Err(LangError::new(
                         "immediate exceeds i64::MAX",
@@ -273,9 +179,9 @@ impl Parser {
     /// `[base+off]` / `[base-off]` address expression (after the opening
     /// bracket's *preceding* mnemonic; consumes from `[` to `]`).
     fn expect_address(&mut self, ctx: &str) -> Result<(Reg, i64, Span), LangError> {
-        let open = self.expect(Tok::LBracket, ctx)?;
+        let open = self.c.expect(Tok::LBracket, ctx)?;
         let (base, _) = self.expect_reg("as address base")?;
-        let sign = self.bump();
+        let sign = self.c.bump();
         let negative = match sign.tok {
             Tok::Plus => false,
             Tok::Minus => true,
@@ -287,7 +193,7 @@ impl Parser {
                 ))
             }
         };
-        let (mag, mag_span) = self.expect_u64("as address offset")?;
+        let (mag, mag_span) = self.c.expect_u64("as address offset")?;
         let offset = if negative {
             if mag > (1u64 << 63) {
                 return Err(LangError::new(
@@ -307,7 +213,7 @@ impl Parser {
             }
             mag as i64
         };
-        let close = self.expect(Tok::RBracket, "to close the address")?;
+        let close = self.c.expect(Tok::RBracket, "to close the address")?;
         Ok((base, offset, open.span.to(close.span)))
     }
 
@@ -317,18 +223,18 @@ impl Parser {
         let mut program = Program::new();
         let mut inst_spans = HashMap::new();
         let mut fn_spans = Vec::new();
-        self.eat_newlines();
-        while self.peek().tok != Tok::Eof {
+        self.c.eat_newlines();
+        while self.c.peek().tok != Tok::Eof {
             let (func, header_span, spans) = self.parse_function()?;
             let fid = program.add_function(func).0;
             fn_spans.push(header_span);
             for ((b, i), s) in spans {
                 inst_spans.insert((fid, b, i), s);
             }
-            self.eat_newlines();
+            self.c.eat_newlines();
         }
         if program.functions().is_empty() {
-            let span = self.peek().span;
+            let span = self.c.peek().span;
             return Err(LangError::new(
                 "empty program: no `fn` definitions",
                 span,
@@ -376,10 +282,10 @@ impl Parser {
     ) -> Result<(Function, Span, Vec<((u32, u32), Span)>), LangError> {
         self.max_reg = None;
         self.max_slot = None;
-        let fn_kw = self.expect_keyword("fn", "to start a function")?;
+        let fn_kw = self.c.expect_keyword("fn", "to start a function")?;
 
         // Name: bare identifier or quoted string.
-        let name_tok = self.bump();
+        let name_tok = self.c.bump();
         let name = match name_tok.tok {
             Tok::Ident(s) => s,
             Tok::Str(s) => s,
@@ -393,31 +299,31 @@ impl Parser {
         };
 
         // Parameter list.
-        self.expect(Tok::LParen, "after the function name")?;
+        self.c.expect(Tok::LParen, "after the function name")?;
         let mut params = Vec::new();
-        if self.peek().tok != Tok::RParen {
+        if self.c.peek().tok != Tok::RParen {
             loop {
                 let (r, _) = self.expect_reg("as a parameter")?;
                 params.push(r);
-                if self.peek().tok == Tok::Comma {
-                    self.bump();
+                if self.c.peek().tok == Tok::Comma {
+                    self.c.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(Tok::RParen, "to close the parameter list")?;
+        self.c.expect(Tok::RParen, "to close the parameter list")?;
 
         // Optional explicit counts: `regs=N slots=M`.
         let mut regs_decl: Option<(u32, Span)> = None;
         let mut slots_decl: Option<(u32, Span)> = None;
-        while let Tok::Ident(word) = &self.peek().tok {
+        while let Tok::Ident(word) = &self.c.peek().tok {
             let which = word.clone();
             if which != "regs" && which != "slots" {
                 break;
             }
-            let kw = self.bump();
-            self.expect(Tok::Equals, "after the count keyword")?;
+            let kw = self.c.bump();
+            self.c.expect(Tok::Equals, "after the count keyword")?;
             let (v, vspan) = self.expect_u32(&format!("as the `{which}` count"))?;
             let span = kw.span.to(vspan);
             if which == "regs" {
@@ -427,9 +333,9 @@ impl Parser {
             }
         }
 
-        let brace = self.expect(Tok::LBrace, "to open the function body")?;
+        let brace = self.c.expect(Tok::LBrace, "to open the function body")?;
         let header_span = fn_kw.to(brace.span);
-        self.expect_line_end()?;
+        self.c.expect_line_end("instruction continues past its statement")?;
 
         // Parameters count toward the register bound.
         for &p in &params {
@@ -440,28 +346,28 @@ impl Parser {
         let mut blocks: Vec<BasicBlock> = Vec::new();
         let mut spans: Vec<((u32, u32), Span)> = Vec::new();
         loop {
-            self.eat_newlines();
-            if self.peek().tok == Tok::RBrace {
-                self.bump();
+            self.c.eat_newlines();
+            if self.c.peek().tok == Tok::RBrace {
+                self.c.bump();
                 break;
             }
-            if self.peek().tok == Tok::Eof {
+            if self.c.peek().tok == Tok::Eof {
                 return Err(LangError::new(
                     "unclosed function body",
-                    self.peek().span,
+                    self.c.peek().span,
                     "expected `}`",
                 )
                 .with_note(header_span, "function opened here"));
             }
             // A block label?
             let is_label = matches!(
-                (&self.peek().tok, self.toks.get(self.pos + 1).map(|t| &t.tok)),
+                (&self.c.peek().tok, self.c.peek_second()),
                 (Tok::Ident(s), Some(Tok::Colon)) if parse_suffixed(s, "bb").is_some()
             );
             if is_label {
                 let (b, bspan) = self.expect_block_ref("as a block label")?;
-                self.expect(Tok::Colon, "after the block label")?;
-                self.expect_line_end()?;
+                self.c.expect(Tok::Colon, "after the block label")?;
+                self.c.expect_line_end("instruction continues past its statement")?;
                 if b.0 as usize != blocks.len() {
                     return Err(LangError::new(
                         format!(
@@ -477,7 +383,7 @@ impl Parser {
                 continue;
             }
             // An instruction line.
-            let start_span = self.peek().span;
+            let start_span = self.c.peek().span;
             if blocks.is_empty() {
                 return Err(LangError::new(
                     "instruction before the first block label",
@@ -486,8 +392,8 @@ impl Parser {
                 ));
             }
             let inst = self.parse_inst()?;
-            let end_span = self.toks[self.pos.saturating_sub(1)].span;
-            self.expect_line_end()?;
+            let end_span = self.c.prev_span();
+            self.c.expect_line_end("instruction continues past its statement")?;
             let b = blocks.len() - 1;
             let i = blocks[b].insts.len();
             blocks[b].insts.push(inst);
@@ -540,7 +446,7 @@ impl Parser {
     // ---- instructions ----
 
     fn parse_inst(&mut self) -> Result<Inst, LangError> {
-        let t = self.peek().clone();
+        let t = self.c.peek().clone();
         let Tok::Ident(word) = &t.tok else {
             return Err(LangError::new(
                 format!("expected an instruction, found {}", t.tok.describe()),
@@ -553,62 +459,62 @@ impl Parser {
         // Assignment forms start with a destination register.
         if parse_reg_name(&word).is_some() {
             let (dst, dspan) = self.expect_reg("as destination")?;
-            self.expect(Tok::Equals, "after the destination register")?;
+            self.c.expect(Tok::Equals, "after the destination register")?;
             return self.parse_assign_rhs(dst, dspan);
         }
 
         match word.as_str() {
             "mem" => {
-                self.bump();
+                self.c.bump();
                 let (base, offset, _) = self.expect_address("after `mem`")?;
-                self.expect(Tok::Equals, "after the store address")?;
+                self.c.expect(Tok::Equals, "after the store address")?;
                 let (src, _) = self.expect_operand("as the stored value")?;
                 Ok(Inst::Store { base, offset, src })
             }
             "stack" => {
-                self.bump();
-                self.expect(Tok::LBracket, "after `stack`")?;
+                self.c.bump();
+                self.c.expect(Tok::LBracket, "after `stack`")?;
                 let (slot, _) = self.expect_slot("as the stored slot")?;
-                self.expect(Tok::RBracket, "to close the slot")?;
-                self.expect(Tok::Equals, "after the slot")?;
+                self.c.expect(Tok::RBracket, "to close the slot")?;
+                self.c.expect(Tok::Equals, "after the slot")?;
                 let (src, _) = self.expect_operand("as the stored value")?;
                 Ok(Inst::StoreStack { slot, src })
             }
             "free" => {
-                self.bump();
+                self.c.bump();
                 let (base, _) = self.expect_reg("as the freed address")?;
                 Ok(Inst::Free { base })
             }
             "lock" => {
-                self.bump();
+                self.c.bump();
                 let (lock, _) = self.expect_operand("as the lock token")?;
                 Ok(Inst::Lock { lock })
             }
             "unlock" => {
-                self.bump();
+                self.c.bump();
                 let (lock, _) = self.expect_operand("as the lock token")?;
                 Ok(Inst::Unlock { lock })
             }
             "durable_begin" => {
-                self.bump();
+                self.c.bump();
                 Ok(Inst::DurableBegin)
             }
             "durable_end" => {
-                self.bump();
+                self.c.bump();
                 Ok(Inst::DurableEnd)
             }
             "region_marker" => {
-                self.bump();
+                self.c.bump();
                 Ok(Inst::RegionMarker)
             }
             "call" => {
-                self.bump();
+                self.c.bump();
                 let (func, args) = self.parse_call_tail()?;
                 Ok(Inst::Call { func, args, ret: None })
             }
             "delay" => {
-                self.bump();
-                let (ns, span) = self.expect_u64("as the delay")?;
+                self.c.bump();
+                let (ns, span) = self.c.expect_u64("as the delay")?;
                 // One delay alone would leave the range the VM's scheduler
                 // orders clocks in; a sum that does is a run-time failure.
                 if ns > ido_vm::MAX_CLOCK_NS {
@@ -622,36 +528,36 @@ impl Parser {
                         "too long",
                     ));
                 }
-                self.expect_keyword("ns", "after the delay value")?;
+                self.c.expect_keyword("ns", "after the delay value")?;
                 Ok(Inst::Delay { ns })
             }
             "op_begin" => {
-                self.bump();
+                self.c.bump();
                 let (kind, _) = self.expect_operand("as the op kind")?;
                 Ok(Inst::OpMark { kind, begin: true })
             }
             "op_end" => {
-                self.bump();
+                self.c.bump();
                 let (kind, _) = self.expect_operand("as the op kind")?;
                 Ok(Inst::OpMark { kind, begin: false })
             }
             "jump" => {
-                self.bump();
+                self.c.bump();
                 let (target, _) = self.expect_block_ref("as the jump target")?;
                 Ok(Inst::Jump { target })
             }
             "br" => {
-                self.bump();
+                self.c.bump();
                 let (cond, _) = self.expect_operand("as the branch condition")?;
-                self.expect(Tok::Question, "after the branch condition")?;
+                self.c.expect(Tok::Question, "after the branch condition")?;
                 let (then_bb, _) = self.expect_block_ref("as the taken target")?;
-                self.expect(Tok::Colon, "between branch targets")?;
+                self.c.expect(Tok::Colon, "between branch targets")?;
                 let (else_bb, _) = self.expect_block_ref("as the fall-through target")?;
                 Ok(Inst::Branch { cond, then_bb, else_bb })
             }
             "ret" => {
-                self.bump();
-                if matches!(self.peek().tok, Tok::Newline | Tok::Eof) {
+                self.c.bump();
+                if matches!(self.c.peek().tok, Tok::Newline | Tok::Eof) {
                     Ok(Inst::Ret { val: None })
                 } else {
                     let (val, _) = self.expect_operand("as the return value")?;
@@ -668,7 +574,7 @@ impl Parser {
     }
 
     fn parse_assign_rhs(&mut self, dst: Reg, _dspan: Span) -> Result<Inst, LangError> {
-        let t = self.peek().clone();
+        let t = self.c.peek().clone();
         match &t.tok {
             Tok::Int(_) | Tok::Minus => {
                 let (src, _) = self.expect_operand("as the moved value")?;
@@ -677,41 +583,41 @@ impl Parser {
             Tok::Ident(word) => {
                 let word = word.clone();
                 if let Some(op) = parse_binop_name(&word) {
-                    self.bump();
+                    self.c.bump();
                     let (a, _) = self.expect_operand("as the left operand")?;
-                    self.expect(Tok::Comma, "between operands")?;
+                    self.c.expect(Tok::Comma, "between operands")?;
                     let (b, _) = self.expect_operand("as the right operand")?;
                     return Ok(Inst::Bin { op, dst, a, b });
                 }
                 match word.as_str() {
                     "mem" => {
-                        self.bump();
+                        self.c.bump();
                         let (base, offset, _) = self.expect_address("after `mem`")?;
                         Ok(Inst::Load { dst, base, offset })
                     }
                     "stack" => {
-                        self.bump();
-                        self.expect(Tok::LBracket, "after `stack`")?;
+                        self.c.bump();
+                        self.c.expect(Tok::LBracket, "after `stack`")?;
                         let (slot, _) = self.expect_slot("as the loaded slot")?;
-                        self.expect(Tok::RBracket, "to close the slot")?;
+                        self.c.expect(Tok::RBracket, "to close the slot")?;
                         Ok(Inst::LoadStack { dst, slot })
                     }
                     "cas" => {
-                        self.bump();
-                        self.expect_keyword("mem", "after `cas`")?;
+                        self.c.bump();
+                        self.c.expect_keyword("mem", "after `cas`")?;
                         let (base, offset, _) = self.expect_address("after `cas mem`")?;
                         let (expected, _) = self.expect_operand("as the expected value")?;
-                        self.expect(Tok::Arrow, "between expected and new values")?;
+                        self.c.expect(Tok::Arrow, "between expected and new values")?;
                         let (new, _) = self.expect_operand("as the new value")?;
                         Ok(Inst::Cas { dst, base, offset, expected, new })
                     }
                     "alloc" => {
-                        self.bump();
+                        self.c.bump();
                         let (size, _) = self.expect_operand("as the allocation size")?;
                         Ok(Inst::Alloc { dst, size })
                     }
                     "call" => {
-                        self.bump();
+                        self.c.bump();
                         let (func, args) = self.parse_call_tail()?;
                         Ok(Inst::Call { func, args, ret: Some(dst) })
                     }
@@ -733,7 +639,7 @@ impl Parser {
     /// `fnN(arg, ...)` after the `call` keyword. Records the site for
     /// late validation of target range and arity.
     fn parse_call_tail(&mut self) -> Result<(FuncId, Vec<Operand>), LangError> {
-        let (s, span) = self.expect_ident("as the call target")?;
+        let (s, span) = self.c.expect_ident("as the call target")?;
         let Some(id) = parse_suffixed(&s, "fn") else {
             return Err(LangError::new(
                 format!("expected call target `fnN`, found `{s}`"),
@@ -741,20 +647,20 @@ impl Parser {
                 "functions are called by positional id",
             ));
         };
-        self.expect(Tok::LParen, "to open the argument list")?;
+        self.c.expect(Tok::LParen, "to open the argument list")?;
         let mut args = Vec::new();
-        if self.peek().tok != Tok::RParen {
+        if self.c.peek().tok != Tok::RParen {
             loop {
                 let (a, _) = self.expect_operand("as a call argument")?;
                 args.push(a);
-                if self.peek().tok == Tok::Comma {
-                    self.bump();
+                if self.c.peek().tok == Tok::Comma {
+                    self.c.bump();
                 } else {
                     break;
                 }
             }
         }
-        let close = self.expect(Tok::RParen, "to close the argument list")?;
+        let close = self.c.expect(Tok::RParen, "to close the argument list")?;
         self.calls.push(CallSite {
             span: span.to(close.span),
             callee: FuncId(id),
@@ -765,42 +671,42 @@ impl Parser {
 
     /// `regs=[r1,r2]`-style bracketed register or slot list.
     fn parse_reg_list(&mut self, kw: &str) -> Result<Vec<Reg>, LangError> {
-        self.expect_keyword(kw, "in the boundary operand list")?;
-        self.expect(Tok::Equals, "after the list keyword")?;
-        self.expect(Tok::LBracket, "to open the list")?;
+        self.c.expect_keyword(kw, "in the boundary operand list")?;
+        self.c.expect(Tok::Equals, "after the list keyword")?;
+        self.c.expect(Tok::LBracket, "to open the list")?;
         let mut v = Vec::new();
-        if self.peek().tok != Tok::RBracket {
+        if self.c.peek().tok != Tok::RBracket {
             loop {
                 let (r, _) = self.expect_reg("in the register list")?;
                 v.push(r);
-                if self.peek().tok == Tok::Comma {
-                    self.bump();
+                if self.c.peek().tok == Tok::Comma {
+                    self.c.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(Tok::RBracket, "to close the list")?;
+        self.c.expect(Tok::RBracket, "to close the list")?;
         Ok(v)
     }
 
     fn parse_slot_list(&mut self, kw: &str) -> Result<Vec<StackSlot>, LangError> {
-        self.expect_keyword(kw, "in the boundary operand list")?;
-        self.expect(Tok::Equals, "after the list keyword")?;
-        self.expect(Tok::LBracket, "to open the list")?;
+        self.c.expect_keyword(kw, "in the boundary operand list")?;
+        self.c.expect(Tok::Equals, "after the list keyword")?;
+        self.c.expect(Tok::LBracket, "to open the list")?;
         let mut v = Vec::new();
-        if self.peek().tok != Tok::RBracket {
+        if self.c.peek().tok != Tok::RBracket {
             loop {
                 let (s, _) = self.expect_slot("in the slot list")?;
                 v.push(s);
-                if self.peek().tok == Tok::Comma {
-                    self.bump();
+                if self.c.peek().tok == Tok::Comma {
+                    self.c.bump();
                 } else {
                     break;
                 }
             }
         }
-        self.expect(Tok::RBracket, "to close the list")?;
+        self.c.expect(Tok::RBracket, "to close the list")?;
         Ok(v)
     }
 
@@ -810,11 +716,11 @@ impl Parser {
         &mut self,
         ctx: &str,
     ) -> Result<Result<(Reg, i64), StackSlot>, LangError> {
-        if matches!(&self.peek().tok, Tok::Ident(w) if w == "stack") {
-            self.bump();
-            self.expect(Tok::LBracket, "after `stack`")?;
+        if matches!(&self.c.peek().tok, Tok::Ident(w) if w == "stack") {
+            self.c.bump();
+            self.c.expect(Tok::LBracket, "after `stack`")?;
             let (slot, _) = self.expect_slot(ctx)?;
-            self.expect(Tok::RBracket, "to close the slot")?;
+            self.c.expect(Tok::RBracket, "to close the slot")?;
             Ok(Err(slot))
         } else {
             let (base, offset, _) = self.expect_address(ctx)?;
@@ -823,7 +729,7 @@ impl Parser {
     }
 
     fn parse_rt(&mut self) -> Result<Inst, LangError> {
-        let (word, span) = self.expect_ident("as a runtime op")?;
+        let (word, span) = self.c.expect_ident("as a runtime op")?;
         let rt = match word.as_str() {
             "rt.fase_begin" => RtOp::FaseBegin,
             "rt.fase_end" => RtOp::FaseEnd,
@@ -865,7 +771,7 @@ impl Parser {
             }
             "rt.justdo_log" => {
                 let target = self.parse_rt_target("as the logged location")?;
-                self.expect(Tok::LArrow, "before the logged value")?;
+                self.c.expect(Tok::LArrow, "before the logged value")?;
                 let (value, _) = self.expect_operand("as the logged value")?;
                 match target {
                     Ok((base, offset)) => RtOp::JustDoLog { base, offset, value },
@@ -889,14 +795,14 @@ impl Parser {
             "rt.lf_cas_prepare" => {
                 let (base, offset, _) = self.expect_address("as the CAS cell")?;
                 let (expected, _) = self.expect_operand("as the expected value")?;
-                self.expect(Tok::Arrow, "between expected and new values")?;
+                self.c.expect(Tok::Arrow, "between expected and new values")?;
                 let (new, _) = self.expect_operand("as the new value")?;
                 RtOp::LfCasPrepare { base, offset, expected, new }
             }
             "rt.lf_cas_publish" => {
                 let (base, offset, _) = self.expect_address("as the CAS cell")?;
-                self.expect_keyword("taken", "after the CAS cell")?;
-                self.expect(Tok::Equals, "after `taken`")?;
+                self.c.expect_keyword("taken", "after the CAS cell")?;
+                self.c.expect(Tok::Equals, "after `taken`")?;
                 let (taken, _) = self.expect_reg("as the CAS result register")?;
                 RtOp::LfCasPublish { base, offset, taken }
             }

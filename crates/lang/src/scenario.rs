@@ -32,7 +32,7 @@ use ido_vm::{ExecTier, Vm};
 use ido_workloads::{kv, lockfree, micro, service, WorkloadSpec};
 
 use crate::diag::{LangError, Span};
-use crate::lexer::{lex, Tok, Token};
+use crate::lexer::{lex, Cursor, Tok};
 use crate::parser::{parse_program_tokens, ParsedProgram};
 
 /// Which native workload a scenario drives.
@@ -222,13 +222,12 @@ fn scheme_from_ident(s: &str) -> Option<Scheme> {
 /// range-on-wrong-workload errors carry a secondary label at the related
 /// position.
 pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
-    let toks = lex(source)?;
-    let mut c = Cur { toks, pos: 0 };
+    let mut c = Cursor::new(lex(source)?);
     c.eat_newlines();
     c.expect_keyword("scenario", "to start the file")?;
     let (name, _name_span) = c.expect_ident("as the scenario name")?;
     let open = c.expect(Tok::LBrace, "to open the scenario block")?;
-    c.expect_line_end()?;
+    c.expect_line_end("one key per line")?;
 
     let mut seen: HashMap<String, Span> = HashMap::new();
     let mut kind: Option<(WorkloadKind, Span)> = None;
@@ -367,7 +366,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 ))
             }
         }
-        c.expect_line_end()?;
+        c.expect_line_end("one key per line")?;
     };
 
     // Required keys.
@@ -435,8 +434,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let program = if c.peek().tok == Tok::Eof {
         None
     } else {
-        let rest: Vec<Token> = c.toks[c.pos..].to_vec();
-        let parsed = parse_program_tokens(rest)?;
+        let parsed = parse_program_tokens(c)?;
         if parsed.program.find("worker").is_none() {
             return Err(LangError::new(
                 "program section defines no `worker` function",
@@ -448,101 +446,6 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     };
 
     Ok(Scenario { name, kind, range: range.map(|(v, _)| v), threads, ops, schemes, tier, seed, crash, program })
-}
-
-/// Minimal token cursor for the scenario header (the program section uses
-/// the full [`crate::parser`]).
-struct Cur {
-    toks: Vec<Token>,
-    pos: usize,
-}
-
-impl Cur {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
-    }
-
-    fn bump(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
-        if self.pos < self.toks.len() - 1 {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn eat_newlines(&mut self) {
-        while self.peek().tok == Tok::Newline {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, want: Tok, ctx: &str) -> Result<Token, LangError> {
-        let t = self.bump();
-        if t.tok == want {
-            Ok(t)
-        } else {
-            Err(LangError::new(
-                format!("expected {} {ctx}, found {}", want.describe(), t.tok.describe()),
-                t.span,
-                format!("expected {}", want.describe()),
-            ))
-        }
-    }
-
-    fn expect_ident(&mut self, ctx: &str) -> Result<(String, Span), LangError> {
-        let t = self.bump();
-        match t.tok {
-            Tok::Ident(s) => Ok((s, t.span)),
-            other => Err(LangError::new(
-                format!("expected identifier {ctx}, found {}", other.describe()),
-                t.span,
-                "expected an identifier",
-            )),
-        }
-    }
-
-    fn expect_keyword(&mut self, word: &str, ctx: &str) -> Result<Span, LangError> {
-        let (s, span) = self.expect_ident(ctx)?;
-        if s == word {
-            Ok(span)
-        } else {
-            Err(LangError::new(
-                format!("expected `{word}` {ctx}, found `{s}`"),
-                span,
-                format!("expected `{word}`"),
-            ))
-        }
-    }
-
-    fn expect_u64(&mut self, ctx: &str) -> Result<(u64, Span), LangError> {
-        let t = self.bump();
-        match t.tok {
-            Tok::Int(v) => Ok((v, t.span)),
-            other => Err(LangError::new(
-                format!("expected integer {ctx}, found {}", other.describe()),
-                t.span,
-                "expected an integer",
-            )),
-        }
-    }
-
-    fn expect_line_end(&mut self) -> Result<(), LangError> {
-        match &self.peek().tok {
-            Tok::Newline => {
-                self.bump();
-                Ok(())
-            }
-            Tok::Eof => Ok(()),
-            other => {
-                let t = self.peek().clone();
-                Err(LangError::new(
-                    format!("expected end of line, found {}", other.describe()),
-                    t.span,
-                    "one key per line",
-                ))
-            }
-        }
-    }
 }
 
 #[cfg(test)]

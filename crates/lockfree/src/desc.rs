@@ -1,6 +1,7 @@
 //! The persistent per-thread CAS descriptor table and its recovery
-//! resolution — the shared vocabulary between the native structures, the
-//! VM's lock-free scheme runtime, and crash recovery.
+//! resolution. The words defined here are read and written by this crate
+//! only: the three protocol steps in [`crate::rcas`] and the resolution
+//! below, which the VM's budgeted recovery driver calls per thread.
 
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{NvmError, PmemHandle, CACHE_LINE, PAddr};
@@ -88,25 +89,12 @@ pub enum Resolution {
     NotTaken,
 }
 
-/// Counters from a [`LfState::recover`] pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// In-flight descriptors resolved taken.
-    pub resolved_taken: u64,
-    /// In-flight descriptors resolved not-taken.
-    pub resolved_empty: u64,
-}
-
 impl LfState {
     /// Allocates and zeroes a table for `threads` slots, persisting it.
     ///
     /// # Errors
     /// Propagates allocator exhaustion.
-    pub fn create(
-        h: &mut PmemHandle,
-        alloc: &NvAllocator,
-        threads: u32,
-    ) -> Result<LfState, NvmError> {
+    pub fn create(h: &mut PmemHandle, alloc: &NvAllocator, threads: u32) -> Result<Self, NvmError> {
         let raw = alloc.alloc(h, DESC_BYTES * threads as usize + CACHE_LINE)?;
         let st = LfState { base: align64(raw), threads };
         for t in 0..threads {
@@ -162,43 +150,32 @@ impl LfState {
         }
     }
 
-    /// Resolves thread `t`'s descriptor and durably closes it: state
-    /// becomes done-taken/done-empty and the durable success counter is
-    /// bumped on a taken CAS (one write-back + fence). Idempotent — a
-    /// second pass finds the descriptor closed and does nothing, so
-    /// recovery may itself crash and rerun.
-    pub fn resolve_and_close(&self, h: &mut PmemHandle, t: u32) -> Resolution {
-        let r = self.resolve(h, t);
+    /// Durably closes thread `t`'s descriptor as done-taken or done-empty,
+    /// bumping the durable success counter on a taken CAS (one write-back
+    /// + fence): the tail of [`crate::rcas::publish`] and of recovery.
+    #[inline]
+    pub(crate) fn close(&self, h: &mut PmemHandle, t: u32, taken: bool) {
         let slot = self.slot(t);
-        match r {
-            Resolution::Closed => {}
-            Resolution::Taken => {
-                let done = h.read_u64(slot + DESC_DONE);
-                h.write_u64(slot + DESC_DONE, done + 1);
-                h.write_u64(slot + DESC_STATE, STATE_DONE_TAKEN);
-                h.clwb(slot);
-                h.sfence();
-            }
-            Resolution::NotTaken => {
-                h.write_u64(slot + DESC_STATE, STATE_DONE_EMPTY);
-                h.clwb(slot);
-                h.sfence();
-            }
+        if taken {
+            let done = h.read_u64(slot + DESC_DONE);
+            h.write_u64(slot + DESC_DONE, done + 1);
+            h.write_u64(slot + DESC_STATE, STATE_DONE_TAKEN);
+        } else {
+            h.write_u64(slot + DESC_STATE, STATE_DONE_EMPTY);
         }
-        r
+        h.clwb(slot);
+        h.sfence();
     }
 
-    /// Resolves every thread's descriptor ([`LfState::resolve_and_close`]).
-    pub fn recover(&self, h: &mut PmemHandle) -> RecoveryStats {
-        let mut stats = RecoveryStats::default();
-        for t in 0..self.threads {
-            match self.resolve_and_close(h, t) {
-                Resolution::Closed => {}
-                Resolution::Taken => stats.resolved_taken += 1,
-                Resolution::NotTaken => stats.resolved_empty += 1,
-            }
+    /// Resolves thread `t`'s descriptor and durably closes it.
+    /// Idempotent — a second pass finds the descriptor closed and does
+    /// nothing, so recovery may itself crash and rerun.
+    pub fn resolve_and_close(&self, h: &mut PmemHandle, t: u32) -> Resolution {
+        let r = self.resolve(h, t);
+        if r != Resolution::Closed {
+            self.close(h, t, r == Resolution::Taken);
         }
-        stats
+        r
     }
 
     /// The durable success count of thread `t`.

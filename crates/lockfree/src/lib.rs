@@ -8,21 +8,24 @@
 //! crash, so recovery can tell for every in-flight operation whether it
 //! took effect, never ambiguously.
 //!
-//! The protocol, per CAS by thread `t` with sequence number `s`:
+//! The protocol, per CAS by thread `t` with sequence number `s` — a
+//! window flush, then the three steps of [`rcas`], the only code that
+//! touches a descriptor word or a cell tag (`ido-vm` runs one step per
+//! `Rt` op or `cas`; [`RcasThread::rcas`] is their composition):
 //!
-//! 1. **Flush window** (NVTraverse's flush-on-traverse-exit): write back
+//! 0. **Flush window** (NVTraverse's flush-on-traverse-exit): write back
 //!    and fence every line the operation read or wrote since its last
 //!    window flush. This persists the new node's contents *and* every
 //!    link the critical write depends on before the CAS value can escape
 //!    to other threads.
-//! 2. **Prepare**: durably publish the thread's descriptor — one cache
+//! 1. **Prepare**: durably publish the thread's descriptor — one cache
 //!    line holding `(state=in-flight, s, target, expected, new)`.
-//! 3. **CAS** on the two-word cell `[value, owner/seq tag]` (one cache
-//!    line, so the pair persists or drops atomically). On success the
-//!    outgoing occupant is persisted first and a superseded owner is
-//!    credited in its descriptor's `super` word, then `value=new` and
-//!    `tag=(t,s)` are installed.
-//! 4. **Publish** (persist-before-escape): write back + fence the cell
+//! 2. **Exchange**: the CAS on the two-word cell `[value, owner/seq tag]`
+//!    (one cache line, so the pair persists or drops atomically). On
+//!    success the outgoing occupant is persisted first and a superseded
+//!    owner is credited in its descriptor's `super` word, then
+//!    `value=new` and `tag=(t,s)` are installed.
+//! 3. **Publish** (persist-before-escape): write back + fence the cell
 //!    line, then durably close the descriptor, bumping the thread's
 //!    durable success counter on a taken CAS.
 //!
@@ -45,7 +48,7 @@ pub mod map;
 pub mod rcas;
 
 pub use desc::{
-    align64, encode_tag, tag_owner, tag_seq, LfState, RecoveryStats, Resolution, CELL_TAG,
+    align64, encode_tag, tag_owner, tag_seq, LfState, Resolution, CELL_TAG,
     DESC_BYTES, DESC_DONE, DESC_EXPECTED, DESC_NEW, DESC_SEQ, DESC_STATE, DESC_SUPER, DESC_TARGET,
     STATE_DONE_EMPTY, STATE_DONE_TAKEN, STATE_IDLE, STATE_INFLIGHT,
 };

@@ -1,17 +1,13 @@
-//! An NVTraverse-style lock-free persistent sorted list.
-//!
-//! Nodes are cache-line-sized and aligned so each `next` cell's
-//! `[value, tag]` pair shares a line. Traversal reads nothing back from
-//! NVM eagerly — touched lines are only noted in the [`FlushWindow`] and
-//! written back when the operation exits the traversal phase, right
-//! before its recoverable CAS ("the destination is more important than
-//! the journey").
+//! An NVTraverse-style lock-free persistent sorted list: the node layout
+//! and the host-side half, set-up and verification. The operations are IR
+//! programs in `ido-workloads`, run by the VM under [`crate::rcas`]. Nodes
+//! are cache-line-sized and aligned so each `next` cell's `[value, tag]`
+//! pair shares a line.
 
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{NvmError, PmemHandle, PAddr};
 
-use crate::desc::{align64, LfState, CELL_TAG};
-use crate::rcas::{FlushWindow, RcasThread};
+use crate::desc::{align64, CELL_TAG};
 
 /// Node size: one cache line (the alloc over-provisions for alignment).
 pub const NODE_BYTES: usize = 64;
@@ -31,22 +27,14 @@ pub struct NvtList {
     pub head: PAddr,
 }
 
-/// Allocates a cache-line-aligned node. The raw allocation is retained in
-/// front padding, so aligned nodes are simply leaked on `free` — retry
-/// garbage is bounded by contention and reclaimed only at reformat, a
-/// caveat documented in DESIGN.md §13.
-fn alloc_node(h: &mut PmemHandle, alloc: &NvAllocator) -> Result<PAddr, NvmError> {
-    let raw = alloc.alloc(h, NODE_BYTES + 64)?;
-    Ok(align64(raw))
-}
-
 impl NvtList {
-    /// Allocates and persists an empty list.
+    /// Allocates and persists an empty list. The sentinel is aligned inside
+    /// an over-provisioned allocation whose front padding is leaked.
     ///
     /// # Errors
     /// Propagates allocator exhaustion.
     pub fn create(h: &mut PmemHandle, alloc: &NvAllocator) -> Result<NvtList, NvmError> {
-        let head = alloc_node(h, alloc)?;
+        let head = align64(alloc.alloc(h, NODE_BYTES + 64)?);
         for w in 0..(NODE_BYTES / 8) {
             h.write_u64(head + 8 * w, 0);
         }
@@ -57,71 +45,6 @@ impl NvtList {
     /// Re-attaches to a list previously created at `head`.
     pub fn attach(head: PAddr) -> NvtList {
         NvtList { head }
-    }
-
-    /// Traverses to the insertion point for `key`: returns `(pred, cur)`
-    /// with `pred.key < key <= cur.key` (`cur == 0` at the tail). Notes
-    /// every visited node in the window.
-    fn find(&self, h: &mut PmemHandle, w: &mut FlushWindow, key: i64) -> (PAddr, PAddr) {
-        let mut pred = self.head;
-        w.note(pred);
-        let mut cur = h.read_u64(pred + NODE_NEXT) as PAddr;
-        while cur != 0 {
-            w.note(cur);
-            if h.read_u64(cur + NODE_KEY) as i64 >= key {
-                break;
-            }
-            pred = cur;
-            cur = h.read_u64(cur + NODE_NEXT) as PAddr;
-        }
-        (pred, cur)
-    }
-
-    /// Inserts `key -> val`; returns false if the key is already present.
-    ///
-    /// # Errors
-    /// Propagates allocator exhaustion.
-    pub fn insert(
-        &self,
-        h: &mut PmemHandle,
-        alloc: &NvAllocator,
-        st: &LfState,
-        th: &mut RcasThread,
-        w: &mut FlushWindow,
-        key: i64,
-        val: u64,
-    ) -> Result<bool, NvmError> {
-        let mut node = 0;
-        loop {
-            let (pred, cur) = self.find(h, w, key);
-            if cur != 0 && h.read_u64(cur + NODE_KEY) as i64 == key {
-                w.flush(h); // exit the traversal phase cleanly
-                return Ok(false);
-            }
-            if node == 0 {
-                node = alloc_node(h, alloc)?;
-                h.write_u64(node + NODE_KEY, key as u64);
-                h.write_u64(node + NODE_VAL, val);
-                h.write_u64(node + NODE_NEXT_TAG, 0);
-            }
-            h.write_u64(node + NODE_NEXT, cur as u64);
-            w.note(node);
-            w.flush(h);
-            if th.rcas(h, st, pred + NODE_NEXT, cur as u64, node as u64) {
-                return Ok(true);
-            }
-            // Lost the race: re-traverse and retry, reusing the node.
-        }
-    }
-
-    /// Looks up `key`, noting traversed lines in the window.
-    pub fn lookup(&self, h: &mut PmemHandle, w: &mut FlushWindow, key: i64) -> Option<u64> {
-        let (_, cur) = self.find(h, w, key);
-        if cur != 0 && h.read_u64(cur + NODE_KEY) as i64 == key {
-            Some(h.read_u64(cur + NODE_VAL))
-        } else {
-            None
-        }
     }
 
     /// Walks the chain asserting structural invariants — strictly
@@ -143,75 +66,5 @@ impl NvtList {
             cur = h.read_u64(cur + NODE_NEXT) as PAddr;
         }
         keys
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::desc::Resolution;
-    use ido_nvm::{PmemPool, PoolConfig};
-
-    fn setup() -> (PmemPool, NvAllocator, LfState, NvtList) {
-        let pool = PmemPool::new(PoolConfig::small_for_tests());
-        let mut h = pool.handle();
-        let alloc = NvAllocator::format(&mut h, pool.size());
-        let st = LfState::create(&mut h, &alloc, 4).unwrap();
-        let list = NvtList::create(&mut h, &alloc).unwrap();
-        drop(h);
-        (pool, alloc, st, list)
-    }
-
-    #[test]
-    fn insert_lookup_sorted() {
-        let (pool, alloc, st, list) = setup();
-        let mut h = pool.handle();
-        let mut th = RcasThread::attach(&mut h, &st, 0);
-        let mut w = FlushWindow::new();
-        for key in [5i64, 1, 9, 3, 7] {
-            assert!(list.insert(&mut h, &alloc, &st, &mut th, &mut w, key, 2 * key as u64 + 1).unwrap());
-        }
-        assert!(!list.insert(&mut h, &alloc, &st, &mut th, &mut w, 5, 0).unwrap(), "duplicate");
-        assert_eq!(list.check_invariants(&mut h, 16), vec![1, 3, 5, 7, 9]);
-        assert_eq!(list.lookup(&mut h, &mut w, 7), Some(15));
-        assert_eq!(list.lookup(&mut h, &mut w, 8), None);
-    }
-
-    #[test]
-    fn inserts_survive_crash_and_interrupted_insert_resolves() {
-        // Trap every persist boundary of one insert; after the crash the
-        // list must be sorted, contain exactly the committed keys, and
-        // the in-flight insert must resolve to present xor absent.
-        for trap in 1..24u64 {
-            let (pool, alloc, st, list) = setup();
-            let mut h = pool.handle();
-            let mut th = RcasThread::attach(&mut h, &st, 0);
-            let mut w = FlushWindow::new();
-            for key in [10i64, 30] {
-                list.insert(&mut h, &alloc, &st, &mut th, &mut w, key, 0).unwrap();
-            }
-            let base = pool.persist_event_count();
-            pool.set_persist_trap(Some(base + trap));
-            let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                list.insert(&mut h, &alloc, &st, &mut th, &mut w, 20, 0).unwrap()
-            }))
-            .is_err();
-            pool.set_persist_trap(None);
-            drop(h);
-            if !hit {
-                break;
-            }
-            pool.crash(0x5EED ^ trap);
-            let mut h = pool.handle();
-            let r = st.resolve_and_close(&mut h, 0);
-            let keys = list.check_invariants(&mut h, 8);
-            match r {
-                Resolution::Taken => assert_eq!(keys, vec![10, 20, 30], "trap {trap}"),
-                Resolution::NotTaken => assert_eq!(keys, vec![10, 30], "trap {trap}"),
-                Resolution::Closed => {
-                    assert!(keys == vec![10, 30] || keys == vec![10, 20, 30], "trap {trap}")
-                }
-            }
-        }
     }
 }

@@ -1,13 +1,12 @@
 //! A lock-free persistent hash map: a directory of NVTraverse sorted
-//! lists, one per bucket. The directory is immutable after creation, so
-//! only the per-bucket lists ever need the recoverable-CAS protocol.
+//! lists, one per bucket (like [`crate::list`], layout, set-up and
+//! verification only). The directory is immutable after creation, so only
+//! the per-bucket lists ever need the recoverable-CAS protocol.
 
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{NvmError, PmemHandle, PAddr};
 
-use crate::desc::LfState;
 use crate::list::NvtList;
-use crate::rcas::{FlushWindow, RcasThread};
 
 /// A fixed-directory lock-free hash map.
 #[derive(Debug, Clone, Copy)]
@@ -55,31 +54,6 @@ impl NvtMap {
         NvtList::attach(h.read_u64(self.dir + 8 + 8 * b as usize) as PAddr)
     }
 
-    /// Inserts `key -> val`; false if already present.
-    ///
-    /// # Errors
-    /// Propagates allocator exhaustion.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert(
-        &self,
-        h: &mut PmemHandle,
-        alloc: &NvAllocator,
-        st: &LfState,
-        th: &mut RcasThread,
-        w: &mut FlushWindow,
-        key: i64,
-        val: u64,
-    ) -> Result<bool, NvmError> {
-        let b = self.bucket_of(key);
-        self.bucket(h, b).insert(h, alloc, st, th, w, key, val)
-    }
-
-    /// Looks up `key`.
-    pub fn lookup(&self, h: &mut PmemHandle, w: &mut FlushWindow, key: i64) -> Option<u64> {
-        let b = self.bucket_of(key);
-        self.bucket(h, b).lookup(h, w, key)
-    }
-
     /// Checks every bucket's structural invariants plus home-bucket
     /// placement; returns the total key count.
     ///
@@ -95,35 +69,5 @@ impl NvtMap {
             total += keys.len();
         }
         total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ido_nvm::alloc::NvAllocator;
-    use ido_nvm::{PmemPool, PoolConfig};
-
-    #[test]
-    fn map_insert_lookup_and_invariants() {
-        let pool = PmemPool::new(PoolConfig::small_for_tests());
-        let mut h = pool.handle();
-        let alloc = NvAllocator::format(&mut h, pool.size());
-        let st = LfState::create(&mut h, &alloc, 2).unwrap();
-        let map = NvtMap::create(&mut h, &alloc, 4).unwrap();
-        let mut th = RcasThread::attach(&mut h, &st, 0);
-        let mut w = FlushWindow::new();
-        for key in 0..32i64 {
-            assert!(map.insert(&mut h, &alloc, &st, &mut th, &mut w, key, key as u64 * 2 + 1).unwrap());
-        }
-        assert!(!map.insert(&mut h, &alloc, &st, &mut th, &mut w, 7, 0).unwrap());
-        drop(h);
-        pool.crash(3);
-        let mut h = pool.handle();
-        let map = NvtMap::attach(&mut h, map.dir);
-        assert_eq!(map.check_invariants(&mut h, 64), 32);
-        for key in 0..32i64 {
-            assert_eq!(map.lookup(&mut h, &mut w, key), Some(key as u64 * 2 + 1), "key {key}");
-        }
     }
 }

@@ -1,11 +1,15 @@
-//! The recoverable-CAS primitive and the NVTraverse flush window.
+//! The recoverable-CAS protocol in its three persist-ordered steps — each
+//! one `Rt` op or instruction of the VM's instrumented code — and the
+//! NVTraverse flush window. The steps' *access sequence* is a contract:
+//! loads cost simulated nanoseconds, so the figures, the decoded goldens
+//! and the benchmark's fingerprints pin the order and number of reads,
+//! stores, write-backs and fences here to the byte.
 
 use ido_nvm::{line_of, PmemHandle, CACHE_LINE, PAddr};
 
 use crate::desc::{
-    encode_tag, tag_owner, tag_seq, LfState, CELL_TAG, DESC_DONE, DESC_EXPECTED, DESC_NEW,
-    DESC_SEQ, DESC_STATE, DESC_SUPER, DESC_TARGET, STATE_DONE_EMPTY, STATE_DONE_TAKEN,
-    STATE_INFLIGHT,
+    encode_tag, tag_owner, tag_seq, LfState, CELL_TAG, DESC_EXPECTED, DESC_NEW, DESC_SEQ,
+    DESC_STATE, DESC_SUPER, DESC_TARGET, STATE_INFLIGHT,
 };
 
 /// The set of cache lines an operation has touched since its last flush —
@@ -22,20 +26,16 @@ pub struct FlushWindow {
 }
 
 impl FlushWindow {
-    /// An empty window.
-    pub fn new() -> FlushWindow {
-        FlushWindow::default()
-    }
-
-    /// Notes that the operation touched `addr`.
+    /// Notes that the operation touched `addr`, by a store or a load.
+    #[inline]
     pub fn note(&mut self, addr: PAddr) {
         // `line_of` yields a line *index*; store the line-start byte
         // address so `flush` can hand it straight to `clwb`.
         self.lines.push(line_of(addr) * CACHE_LINE);
     }
 
-    /// Writes back every noted line that is still volatile (deduplicated,
-    /// dirty-filtered) and fences, emptying the window.
+    /// Writes back every noted line that is still volatile (sorted,
+    /// deduplicated, dirty-filtered) and fences once, emptying the window.
     ///
     /// The dirty filter is sound because the structures maintain the
     /// NVTraverse reachability invariant: a published node was flushed by
@@ -43,6 +43,7 @@ impl FlushWindow {
     /// be non-persistent when it holds this op's own stores or a
     /// neighbor's not-yet-published install — exactly the lines the
     /// paper's "critical zone" rule flushes.
+    #[inline]
     pub fn flush(&mut self, h: &mut PmemHandle) {
         self.lines.sort_unstable();
         self.lines.dedup();
@@ -54,41 +55,115 @@ impl FlushWindow {
         h.sfence();
         self.lines.clear();
     }
+
+    /// Forgets the window without writing anything back.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.lines.clear();
+    }
 }
 
-/// Per-thread volatile CAS issuing state: the monotone sequence counter
-/// feeding the persistent descriptor.
+/// Step 1: durably publish thread `t`'s in-flight descriptor (one line,
+/// one write-back + fence) before the CAS touches the cell. The sequence
+/// number continues from the persisted one, so a re-attach after a crash
+/// never reuses a sequence number.
+#[inline]
+pub fn prepare(h: &mut PmemHandle, st: LfState, t: u32, target: PAddr, expected: u64, new: u64) {
+    let slot = st.slot(t);
+    let s = h.read_u64(slot + DESC_SEQ) + 1;
+    h.write_u64(slot + DESC_SEQ, s);
+    h.write_u64(slot + DESC_TARGET, target as u64);
+    h.write_u64(slot + DESC_EXPECTED, expected);
+    h.write_u64(slot + DESC_NEW, new);
+    h.write_u64(slot + DESC_STATE, STATE_INFLIGHT);
+    h.clwb(slot);
+    h.sfence();
+}
+
+/// Step 2, the compare-and-swap: true when `mem[target]` held `expected`
+/// and `new` was installed. `target` is the cell's value word; its
+/// owner/sequence tag lives at `target + 8` and must share the cache line
+/// ([`CELL_TAG`]).
+#[inline]
+pub fn exchange(
+    h: &mut PmemHandle,
+    st: LfState,
+    t: u32,
+    target: PAddr,
+    expected: u64,
+    new: u64,
+) -> bool {
+    if h.read_u64(target) != expected {
+        // Nothing written: recovery would resolve not-taken, and
+        // `publish` closes the descriptor.
+        return false;
+    }
+    // Persist the outgoing occupant before overwriting it, and credit
+    // a superseded owner so its crashed publish stays detectable.
+    let prev_tag = h.read_u64(target + CELL_TAG);
+    h.clwb(target);
+    h.sfence();
+    if let Some(prev_owner) = tag_owner(prev_tag).filter(|owner| *owner < st.threads) {
+        let prev_slot = st.slot(prev_owner);
+        let prev_seq = tag_seq(prev_tag);
+        if h.read_u64(prev_slot + DESC_SUPER) < prev_seq {
+            h.write_u64(prev_slot + DESC_SUPER, prev_seq);
+            h.clwb(prev_slot);
+            h.sfence();
+        }
+    }
+    // Install (volatile; the pair shares a line so it cannot tear). The
+    // tag's sequence number is the one `prepare` just persisted.
+    let s = h.read_u64(st.slot(t) + DESC_SEQ);
+    h.write_u64(target, new);
+    h.write_u64(target + CELL_TAG, encode_tag(t, s));
+    true
+}
+
+/// Step 3: persist-before-escape (write back + fence the cell of a
+/// `taken` CAS), then durably close the descriptor. A failed CAS closes
+/// durably too (done-empty): that persist per attempt is the
+/// descriptor-tracking tax the bench attributes to the lock-free family.
+/// Only the VM's injected bug passes `flush_cell = false`.
+#[inline]
+pub fn publish(
+    h: &mut PmemHandle,
+    st: LfState,
+    t: u32,
+    target: PAddr,
+    taken: bool,
+    flush_cell: bool,
+) {
+    if taken && flush_cell {
+        h.clwb(target);
+        h.sfence();
+    }
+    st.close(h, t, taken);
+}
+
+/// A host-side caller of the three steps for one thread slot.
 #[derive(Debug)]
 pub struct RcasThread {
     /// This thread's slot in the [`LfState`] table.
     pub t: u32,
-    seq: u64,
 }
 
 impl RcasThread {
-    /// A fresh issuing context for thread `t`, continuing after any
-    /// sequence number already persisted in the descriptor (so re-attach
-    /// after a crash never reuses a sequence number).
-    pub fn attach(h: &mut PmemHandle, st: &LfState, t: u32) -> RcasThread {
-        let seq = h.read_u64(st.slot(t) + DESC_SEQ);
-        RcasThread { t, seq }
+    /// An issuing context for thread `t`. Reads nothing: the sequence
+    /// number lives in the descriptor, where [`prepare`] finds it.
+    pub fn attach(_h: &mut PmemHandle, st: &LfState, t: u32) -> RcasThread {
+        assert!(t < st.threads, "thread {t} has no slot in a table of {}", st.threads);
+        RcasThread { t }
     }
 
-    /// The recoverable CAS: returns true when `mem[target]` held
-    /// `expected` and `new` was installed. The caller must flush its
-    /// [`FlushWindow`] immediately before calling (the VM's instrumented
-    /// twin enforces this ordering structurally).
-    ///
-    /// `target` is the cell's value word; the owner/sequence tag lives at
-    /// `target + 8` and must share its cache line (see
-    /// [`crate::desc::CELL_TAG`]).
+    /// The recoverable CAS. The caller must flush its [`FlushWindow`]
+    /// immediately before (the instrumenter enforces this structurally).
     ///
     /// Linearization is the caller's schedule — the simulated-NVM handle
-    /// is not itself atomic; the VM serializes conflicting steps, and
-    /// native tests drive deterministic schedules. What this primitive
-    /// guarantees is the *crash* contract: after a crash at any persist
-    /// boundary, [`LfState::resolve`] returns taken or not-taken, never
-    /// an ambiguous or inconsistent answer.
+    /// is not itself atomic; the VM serializes conflicting steps. What the
+    /// protocol guarantees is the *crash* contract: after a crash at any
+    /// persist boundary, [`LfState::resolve`] returns taken or not-taken,
+    /// never an ambiguous or inconsistent answer.
     pub fn rcas(
         &mut self,
         h: &mut PmemHandle,
@@ -97,60 +172,10 @@ impl RcasThread {
         expected: u64,
         new: u64,
     ) -> bool {
-        self.seq += 1;
-        let s = self.seq;
-        let slot = st.slot(self.t);
-
-        // Prepare: durably publish the in-flight descriptor (one line).
-        h.write_u64(slot + DESC_SEQ, s);
-        h.write_u64(slot + DESC_TARGET, target as u64);
-        h.write_u64(slot + DESC_EXPECTED, expected);
-        h.write_u64(slot + DESC_NEW, new);
-        h.write_u64(slot + DESC_STATE, STATE_INFLIGHT);
-        h.clwb(slot);
-        h.sfence();
-
-        let cur = h.read_u64(target);
-        if cur != expected {
-            // Failed CAS: nothing was written, so recovery would resolve
-            // not-taken; close the descriptor durably (the publish step of
-            // the instrumented twin does the same for `taken = 0`).
-            h.write_u64(slot + DESC_STATE, STATE_DONE_EMPTY);
-            h.clwb(slot);
-            h.sfence();
-            return false;
-        }
-
-        // Persist the outgoing occupant before overwriting it, and credit
-        // a superseded owner so its crashed publish stays detectable.
-        let prev_tag = h.read_u64(target + CELL_TAG);
-        h.clwb(target);
-        h.sfence();
-        if let Some(prev_owner) = tag_owner(prev_tag) {
-            if prev_owner < st.threads {
-                let prev_slot = st.slot(prev_owner);
-                let prev_seq = tag_seq(prev_tag);
-                if h.read_u64(prev_slot + DESC_SUPER) < prev_seq {
-                    h.write_u64(prev_slot + DESC_SUPER, prev_seq);
-                    h.clwb(prev_slot);
-                    h.sfence();
-                }
-            }
-        }
-
-        // Install (volatile; the pair shares a line so it cannot tear).
-        h.write_u64(target, new);
-        h.write_u64(target + CELL_TAG, encode_tag(self.t, s));
-
-        // Publish: persist-before-escape, then close the descriptor.
-        h.clwb(target);
-        h.sfence();
-        let done = h.read_u64(slot + DESC_DONE);
-        h.write_u64(slot + DESC_DONE, done + 1);
-        h.write_u64(slot + DESC_STATE, STATE_DONE_TAKEN);
-        h.clwb(slot);
-        h.sfence();
-        true
+        prepare(h, *st, self.t, target, expected, new);
+        let taken = exchange(h, *st, self.t, target, expected, new);
+        publish(h, *st, self.t, target, taken, true);
+        taken
     }
 }
 

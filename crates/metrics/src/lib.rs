@@ -79,96 +79,101 @@ impl MetricsConfig {
     }
 }
 
-/// Persist-activity counters — a metrics-layer mirror of the NVM pool's
-/// `StatsSnapshot` (ido-metrics cannot depend on ido-nvm, which depends
-/// on it; the pool converts).
+/// The seven persist-counter column names, in [`StatsSnapshot::to_array`]
+/// order — a macro so that longer headers can `concat!` it.
+macro_rules! counter_header {
+    () => {
+        "loads,stores,nt_stores,clwbs,fences,lines_persisted,log_bytes"
+    };
+}
+
+/// The persist-counter record: what a pool handle counts, what the pool
+/// accumulates, and what a metrics window is attributed. Defined here, the
+/// lowest crate that needs it, and re-exported as `ido_nvm::StatsSnapshot`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Persistent-heap loads.
+pub struct StatsSnapshot {
+    /// Word loads.
     pub loads: u64,
-    /// Cached persistent-heap stores.
+    /// Word stores (cached).
     pub stores: u64,
     /// Non-temporal stores.
     pub nt_stores: u64,
-    /// Cache-line write-backs issued.
+    /// `clwb`/`clflush` issues.
     pub clwbs: u64,
-    /// Persist fences drained.
+    /// Persist fences executed.
     pub fences: u64,
-    /// Cache lines made persistent.
+    /// Cache lines actually drained to NVM by fences.
     pub lines_persisted: u64,
-    /// Log payload bytes appended.
+    /// Bytes written into log structures (stores issued inside a pool
+    /// handle's log scope — UNDO/REDO entry payloads, shadow register
+    /// files, recovery markers).
     pub log_bytes: u64,
 }
 
-impl Counters {
-    /// CSV column names, matching [`Counters::csv_fields`] order.
-    pub const CSV_HEADER: &'static str =
-        "loads,stores,nt_stores,clwbs,fences,lines_persisted,log_bytes";
+impl StatsSnapshot {
+    /// CSV column names, matching [`StatsSnapshot::csv_fields`] order.
+    pub const CSV_HEADER: &'static str = counter_header!();
 
-    /// Field-wise `self - earlier` (saturating).
-    ///
-    /// Persist counters are monotonic, so a regression (`earlier` above
-    /// `self` in any field) means the caller composed snapshots from
-    /// different buffers or out of order — a real accounting bug that a
-    /// bare saturating subtraction masks as a zero delta. Use
-    /// [`Counters::delta_since_counting`] on paths that must surface
-    /// such bugs; this convenience form is for callers that have already
-    /// validated monotonicity.
-    pub fn delta_since(&self, earlier: &Counters) -> Counters {
-        self.delta_since_counting(earlier).0
+    /// The counters in [`StatsSnapshot::CSV_HEADER`] order. With
+    /// [`StatsSnapshot::from_array`], the one place the record is
+    /// enumerated: every field-wise operation goes through the array.
+    #[inline]
+    pub fn to_array(&self) -> [u64; 7] {
+        let s = self;
+        [s.loads, s.stores, s.nt_stores, s.clwbs, s.fences, s.lines_persisted, s.log_bytes]
+    }
+
+    /// The inverse of [`StatsSnapshot::to_array`].
+    #[inline]
+    pub fn from_array(a: [u64; 7]) -> StatsSnapshot {
+        let [loads, stores, nt_stores, clwbs, fences, lines_persisted, log_bytes] = a;
+        StatsSnapshot { loads, stores, nt_stores, clwbs, fences, lines_persisted, log_bytes }
+    }
+
+    /// Total persistence-related events (flush issues + fences + NT stores);
+    /// a rough proxy for instrumentation overhead.
+    pub fn persistence_events(&self) -> u64 {
+        self.clwbs + self.fences + self.nt_stores
     }
 
     /// Field-wise `self - earlier`, counting clamped fields: returns the
     /// saturating delta plus the number of fields in which `earlier`
-    /// exceeded `self` (0 = clean monotonic delta). Each clamped field
-    /// is a masked counter regression — the metrics layer accumulates
-    /// these into [`MetricsBuf::clamped_counter_deltas`] and surfaces
-    /// them through [`ServiceMetrics::validate`].
-    pub fn delta_since_counting(&self, earlier: &Counters) -> (Counters, u64) {
-        let mut clamped = 0u64;
-        let mut sub = |a: u64, b: u64| {
-            if a < b {
-                clamped += 1;
-                0
-            } else {
-                a - b
-            }
-        };
-        let delta = Counters {
-            loads: sub(self.loads, earlier.loads),
-            stores: sub(self.stores, earlier.stores),
-            nt_stores: sub(self.nt_stores, earlier.nt_stores),
-            clwbs: sub(self.clwbs, earlier.clwbs),
-            fences: sub(self.fences, earlier.fences),
-            lines_persisted: sub(self.lines_persisted, earlier.lines_persisted),
-            log_bytes: sub(self.log_bytes, earlier.log_bytes),
-        };
-        (delta, clamped)
+    /// exceeded `self` (0 = clean monotonic delta). Persist counters are
+    /// monotonic, so each clamped field is a masked counter regression —
+    /// the caller composed snapshots from different buffers or out of
+    /// order. The metrics layer accumulates these into
+    /// [`MetricsBuf::clamped_counter_deltas`] and surfaces them through
+    /// [`ServiceMetrics::validate`].
+    pub fn delta_since_counting(&self, earlier: &StatsSnapshot) -> (StatsSnapshot, u64) {
+        let (mut delta, mut clamped) = (self.to_array(), 0);
+        for (d, e) in delta.iter_mut().zip(earlier.to_array()) {
+            clamped += u64::from(*d < e);
+            *d = d.saturating_sub(e);
+        }
+        (StatsSnapshot::from_array(delta), clamped)
     }
 
     /// Field-wise accumulate.
-    pub fn add(&mut self, other: &Counters) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.nt_stores += other.nt_stores;
-        self.clwbs += other.clwbs;
-        self.fences += other.fences;
-        self.lines_persisted += other.lines_persisted;
-        self.log_bytes += other.log_bytes;
+    #[inline]
+    pub fn add(&mut self, other: &StatsSnapshot) {
+        let mut sum = self.to_array();
+        for (s, o) in sum.iter_mut().zip(other.to_array()) {
+            *s += o;
+        }
+        *self = StatsSnapshot::from_array(sum);
     }
 
-    /// Comma-joined fields in [`Counters::CSV_HEADER`] order.
+    /// Comma-joined fields in [`StatsSnapshot::CSV_HEADER`] order.
     pub fn csv_fields(&self) -> String {
-        format!(
-            "{},{},{},{},{},{},{}",
-            self.loads,
-            self.stores,
-            self.nt_stores,
-            self.clwbs,
-            self.fences,
-            self.lines_persisted,
-            self.log_bytes
-        )
+        self.to_array().map(|v| v.to_string()).join(",")
+    }
+}
+
+impl std::fmt::Display for StatsSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [loads, stores, nt, clwb, fences, lines, log_b] = self.to_array();
+        write!(f, "loads={loads} stores={stores} nt={nt} clwb={clwb} fences={fences} ")?;
+        write!(f, "lines={lines} logB={log_b}")
     }
 }
 
@@ -181,7 +186,7 @@ pub struct WindowCell {
     /// Latency histogram of those operations (simulated ns).
     pub lat: Hist,
     /// Persist-counter deltas attributed to this window.
-    pub counters: Counters,
+    pub counters: StatsSnapshot,
     /// Recovery time spent inside this window, by phase
     /// (`[scan, resume, release, rebuild]`, simulated ns).
     pub recovery_ns: [u64; RECOVERY_PHASES],
@@ -222,7 +227,7 @@ pub struct MetricsBuf {
     windows: Vec<WindowCell>,
     /// Counter snapshot at the last attribution point; the next op end
     /// attributes the delta since it to the current window.
-    last: Counters,
+    last: StatsSnapshot,
     /// Spans lost to an `op_begin` arriving while another span was still
     /// open (the earlier begin is discarded). Non-zero means the
     /// instrumentation has unbalanced begin/end markers — every dropped
@@ -256,7 +261,7 @@ impl MetricsBuf {
             open: None,
             per_kind: Default::default(),
             windows,
-            last: Counters::default(),
+            last: StatsSnapshot::default(),
             dropped_spans: 0,
             clamped_spans: 0,
             clamped_counter_deltas: 0,
@@ -309,7 +314,7 @@ impl MetricsBuf {
     /// a harness bug) records zero latency and is counted in
     /// [`MetricsBuf::clamped_spans`]; debug builds assert on it.
     #[inline]
-    pub fn op_end(&mut self, _kind: u64, ts_ns: u64, counters: &Counters) {
+    pub fn op_end(&mut self, _kind: u64, ts_ns: u64, counters: &StatsSnapshot) {
         let Some((kind, begin)) = self.open.take() else { return };
         let end = self.base_ns + ts_ns;
         if end < begin {
@@ -419,7 +424,11 @@ pub struct ServiceMetrics {
 
 impl ServiceMetrics {
     /// CSV header matching [`ServiceMetrics::csv_rows`].
-    pub const CSV_HEADER: &'static str = "window,start_ns,goodput,generic,gets,puts,p50_ns,p90_ns,p99_ns,p999_ns,loads,stores,nt_stores,clwbs,fences,lines_persisted,log_bytes,scan_ns,resume_ns,release_ns,rebuild_ns";
+    pub const CSV_HEADER: &'static str = concat!(
+        "window,start_ns,goodput,generic,gets,puts,p50_ns,p90_ns,p99_ns,p999_ns,",
+        counter_header!(),
+        ",scan_ns,resume_ns,release_ns,rebuild_ns"
+    );
 
     /// Merges folded buffers into one deterministic timeline. Buffers are
     /// ordered by thread id first, so the result is independent of fold
@@ -633,8 +642,8 @@ impl ServiceMetrics {
 mod tests {
     use super::*;
 
-    fn counters(stores: u64, clwbs: u64) -> Counters {
-        Counters { stores, clwbs, ..Counters::default() }
+    fn counters(stores: u64, clwbs: u64) -> StatsSnapshot {
+        StatsSnapshot { stores, clwbs, ..StatsSnapshot::default() }
     }
 
     #[test]
@@ -678,7 +687,7 @@ mod tests {
     fn base_offset_shifts_the_timeline() {
         let mut b = MetricsBuf::new(0, 1000, 5000);
         b.op_begin(0, 10);
-        b.op_end(0, 20, &Counters::default());
+        b.op_end(0, 20, &StatsSnapshot::default());
         let m = ServiceMetrics::from_bufs(1000, vec![b]);
         assert_eq!(m.windows.len(), 6);
         assert_eq!(m.windows[5].ops[0], 1);
@@ -687,9 +696,9 @@ mod tests {
     #[test]
     fn unmatched_end_is_ignored_and_kind_clamps() {
         let mut b = MetricsBuf::new(0, 1000, 0);
-        b.op_end(1, 10, &Counters::default());
+        b.op_end(1, 10, &StatsSnapshot::default());
         b.op_begin(99, 20);
-        b.op_end(99, 30, &Counters::default());
+        b.op_end(99, 30, &StatsSnapshot::default());
         let m = ServiceMetrics::from_bufs(1000, vec![b]);
         assert_eq!(m.total_ops(), 1);
         assert_eq!(m.windows[0].ops[OP_KINDS - 1], 1, "kind clamped to the last index");
@@ -706,7 +715,7 @@ mod tests {
         }));
         assert_eq!(overlap.is_err(), cfg!(debug_assertions));
         assert_eq!(b.dropped_spans, 1, "the discarded span must be counted");
-        b.op_end(2, 30, &Counters::default());
+        b.op_end(2, 30, &StatsSnapshot::default());
         let m = ServiceMetrics::from_bufs(1000, vec![b]);
         assert_eq!(m.dropped_spans, 1);
         assert_eq!(m.total_ops(), 1, "only the surviving span lands");
@@ -722,7 +731,7 @@ mod tests {
         // End with a handle-local timestamp that lands *before* the
         // begin on the global timeline.
         let backwards = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.op_end(0, 50, &Counters::default());
+            b.op_end(0, 50, &StatsSnapshot::default());
         }));
         assert_eq!(backwards.is_err(), cfg!(debug_assertions));
         assert_eq!(b.clamped_spans, 1, "the clamp must be counted");
@@ -747,7 +756,6 @@ mod tests {
         assert_eq!(delta.stores, 0);
         assert_eq!(delta.clwbs, 0);
         // The convenience form still saturates (same delta, count hidden).
-        assert_eq!(later.delta_since(&earlier), delta);
         // A monotonic pair is clean.
         assert_eq!(earlier.delta_since_counting(&later), (counters(3, 2), 0));
 
@@ -783,7 +791,7 @@ mod tests {
     fn clean_run_validates_empty_and_merge_sums_accounting() {
         let mut a = MetricsBuf::new(0, 1000, 0);
         a.op_begin(1, 0);
-        a.op_end(1, 10, &Counters::default());
+        a.op_end(1, 10, &StatsSnapshot::default());
         let ma = ServiceMetrics::from_bufs(1000, vec![a]);
         assert!(ma.validate().is_empty());
 
@@ -815,7 +823,7 @@ mod tests {
         let mk = |thread: u16, ts: u64| {
             let mut b = MetricsBuf::new(thread, 1000, 0);
             b.op_begin(1, ts);
-            b.op_end(1, ts + 50, &Counters::default());
+            b.op_end(1, ts + 50, &StatsSnapshot::default());
             b
         };
         let a = ServiceMetrics::from_bufs(1000, vec![mk(0, 100), mk(1, 2100)]);
@@ -857,7 +865,7 @@ mod tests {
     fn prometheus_snapshot_has_all_families() {
         let mut b = MetricsBuf::new(0, 1000, 0);
         b.op_begin(1, 0);
-        b.op_end(1, 40, &Counters::default());
+        b.op_end(1, 40, &StatsSnapshot::default());
         b.recovery_span(RecoveryPhase::Resume, 0, 300);
         let mut m = ServiceMetrics::from_bufs(1000, vec![b]);
         m.note_crash(123);
@@ -875,7 +883,7 @@ mod tests {
     fn counter_tracks_render_into_chrome_export() {
         let mut b = MetricsBuf::new(0, 1000, 0);
         b.op_begin(2, 100);
-        b.op_end(2, 350, &Counters::default());
+        b.op_end(2, 350, &StatsSnapshot::default());
         b.recovery_span(RecoveryPhase::Scan, 1000, 1400);
         let m = ServiceMetrics::from_bufs(1000, vec![b]);
         let mut c = ChromeTrace::new();
@@ -898,7 +906,7 @@ mod tests {
         assert!(h.is_on());
         if let Some(b) = h.as_buf_mut() {
             b.op_begin(0, 1);
-            b.op_end(0, 2, &Counters::default());
+            b.op_end(0, 2, &StatsSnapshot::default());
         }
         let buf = h.take().expect("buffer present");
         assert_eq!(buf.thread(), 3);

@@ -209,11 +209,6 @@ impl Journal {
         self.recording.store(false, Ordering::Relaxed);
     }
 
-    /// Clears retained events (sequence numbers are not reset).
-    pub(crate) fn clear(&self) {
-        self.lock_ring().clear();
-    }
-
     /// The most recent `n` retained events, oldest first.
     pub(crate) fn tail(&self, n: usize) -> Vec<PersistEvent> {
         let ring = self.lock_ring();
@@ -256,7 +251,7 @@ mod tests {
     }
 
     #[test]
-    fn stop_and_clear() {
+    fn stop_retains_nothing_more_but_keeps_counting() {
         let j = Journal::default();
         j.start(8);
         j.record(|| PersistEventKind::Clwb { line: 0 });
@@ -264,8 +259,6 @@ mod tests {
         j.record(|| PersistEventKind::Clwb { line: 1 });
         assert_eq!(j.tail(10).len(), 1, "not retained after stop");
         assert_eq!(j.seq(), 2, "still counted after stop");
-        j.clear();
-        assert!(j.tail(10).is_empty());
     }
 
     #[test]

@@ -64,10 +64,11 @@ pub use journal::{PersistEvent, PersistEventKind};
 pub use latency::{EmulationMode, LatencyModel};
 pub use line::{line_of, line_offset, CACHE_LINE};
 pub use pool::{CrashOutcome, CrashPolicy, PmemHandle, PmemPool, PoolConfig};
-pub use stats::{PersistStats, StatsSnapshot};
-// Re-exported so pool users can configure windowed metrics without a
-// direct ido-metrics dependency.
-pub use ido_metrics::{MetricsConfig, ServiceMetrics};
+pub use stats::PersistStats;
+// Re-exported so pool users can read counters and configure windowed
+// metrics without a direct ido-metrics dependency. `StatsSnapshot` is the
+// one persist-counter record, defined where the metrics windows need it.
+pub use ido_metrics::{MetricsConfig, ServiceMetrics, StatsSnapshot};
 
 /// A byte offset into a [`PmemPool`]'s address space.
 ///

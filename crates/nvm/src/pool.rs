@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ido_metrics::{Counters, MetricsBuf, MetricsConfig, MetricsHandle, ServiceMetrics};
+use ido_metrics::{MetricsBuf, MetricsConfig, MetricsHandle, ServiceMetrics, StatsSnapshot};
 use ido_trace::{
     Category, CostBreakdown, EventKind, RecoveryPhase, Trace, TraceBuf, TraceConfig, TraceHandle,
 };
@@ -12,7 +12,7 @@ use ido_trace::{
 use crate::journal::{Journal, PersistEvent, PersistEventKind};
 use crate::latency::LatencyModel;
 use crate::line::{line_of, lines_spanning, CACHE_LINE, WORDS_PER_LINE};
-use crate::stats::{PersistStats, StatsSnapshot};
+use crate::stats::PersistStats;
 use crate::PAddr;
 
 /// Decides which dirty lines survive a [`PmemPool::crash`].
@@ -445,11 +445,6 @@ impl PmemPool {
         Some(ServiceMetrics::from_bufs(window, bufs))
     }
 
-    /// Number of crashes injected so far.
-    pub fn crash_count(&self) -> u64 {
-        self.inner.crashes.load(Ordering::Relaxed)
-    }
-
     /// Simulates a fail-stop failure (power loss, kernel panic, SIGKILL).
     ///
     /// Every line that was written back and fenced keeps its persistent
@@ -634,11 +629,6 @@ impl PmemPool {
     /// [`PmemPool::persist_event_count`] keeps advancing.
     pub fn stop_journal(&self) {
         self.inner.journal.stop();
-    }
-
-    /// Discards retained persist events (sequence numbers are not reset).
-    pub fn clear_journal(&self) {
-        self.inner.journal.clear();
     }
 
     /// The most recent `n` retained persist events, oldest first.
@@ -876,16 +866,7 @@ impl PmemHandle {
     #[inline]
     pub fn op_end(&mut self, kind: u64) {
         if let Some(buf) = self.metrics.as_buf_mut() {
-            let c = Counters {
-                loads: self.stats.loads,
-                stores: self.stats.stores,
-                nt_stores: self.stats.nt_stores,
-                clwbs: self.stats.clwbs,
-                fences: self.stats.fences,
-                lines_persisted: self.stats.lines_persisted,
-                log_bytes: self.stats.log_bytes,
-            };
-            buf.op_end(kind, self.clock_ns, &c);
+            buf.op_end(kind, self.clock_ns, &self.stats);
         }
         if let Some(buf) = self.trace.as_buf_mut() {
             trace_push(buf, self.clock_ns, EventKind::OpEnd, kind, 0);
@@ -918,11 +899,6 @@ impl PmemHandle {
     /// The latency model in effect for this handle.
     pub fn latency(&self) -> LatencyModel {
         self.latency
-    }
-
-    /// Overrides the latency model for this handle only.
-    pub fn set_latency(&mut self, latency: LatencyModel) {
-        self.latency = latency;
     }
 
     /// Loads an 8-byte word.

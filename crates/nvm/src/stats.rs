@@ -2,6 +2,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use ido_metrics::StatsSnapshot;
+
 use crate::pad::CachePadded;
 
 /// The pool-global accumulator: per-handle counters (a plain
@@ -12,84 +14,19 @@ use crate::pad::CachePadded;
 /// holds one — a handle that embedded these seven padded lines paid ~450 B
 /// of hot per-thread state for counters it never touched.
 #[derive(Debug, Default)]
-pub struct PersistStats {
-    loads: CachePadded<AtomicU64>,
-    stores: CachePadded<AtomicU64>,
-    nt_stores: CachePadded<AtomicU64>,
-    clwbs: CachePadded<AtomicU64>,
-    fences: CachePadded<AtomicU64>,
-    lines_persisted: CachePadded<AtomicU64>,
-    log_bytes: CachePadded<AtomicU64>,
-}
+pub struct PersistStats([CachePadded<AtomicU64>; 7]);
 
 impl PersistStats {
     /// Folds a handle's local counters into the accumulator.
     pub fn merge(&self, o: &StatsSnapshot) {
-        self.loads.fetch_add(o.loads, Ordering::Relaxed);
-        self.stores.fetch_add(o.stores, Ordering::Relaxed);
-        self.nt_stores.fetch_add(o.nt_stores, Ordering::Relaxed);
-        self.clwbs.fetch_add(o.clwbs, Ordering::Relaxed);
-        self.fences.fetch_add(o.fences, Ordering::Relaxed);
-        self.lines_persisted.fetch_add(o.lines_persisted, Ordering::Relaxed);
-        self.log_bytes.fetch_add(o.log_bytes, Ordering::Relaxed);
+        for (acc, v) in self.0.iter().zip(o.to_array()) {
+            acc.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
     /// A point-in-time copy of the accumulated counters.
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            loads: self.loads.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            nt_stores: self.nt_stores.load(Ordering::Relaxed),
-            clwbs: self.clwbs.load(Ordering::Relaxed),
-            fences: self.fences.load(Ordering::Relaxed),
-            lines_persisted: self.lines_persisted.load(Ordering::Relaxed),
-            log_bytes: self.log_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Immutable copy of the counters at one instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Word loads.
-    pub loads: u64,
-    /// Word stores (cached).
-    pub stores: u64,
-    /// Non-temporal stores.
-    pub nt_stores: u64,
-    /// `clwb`/`clflush` issues.
-    pub clwbs: u64,
-    /// Persist fences executed.
-    pub fences: u64,
-    /// Cache lines actually drained to NVM by fences.
-    pub lines_persisted: u64,
-    /// Bytes written into log structures (stores issued inside a
-    /// [`log scope`](crate::PmemHandle::begin_log) — UNDO/REDO entry
-    /// payloads, shadow register files, recovery markers).
-    pub log_bytes: u64,
-}
-
-impl StatsSnapshot {
-    /// Total persistence-related events (flush issues + fences + NT stores);
-    /// a rough proxy for instrumentation overhead.
-    pub fn persistence_events(&self) -> u64 {
-        self.clwbs + self.fences + self.nt_stores
-    }
-}
-
-impl std::fmt::Display for StatsSnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "loads={} stores={} nt={} clwb={} fences={} lines={} logB={}",
-            self.loads,
-            self.stores,
-            self.nt_stores,
-            self.clwbs,
-            self.fences,
-            self.lines_persisted,
-            self.log_bytes
-        )
+        StatsSnapshot::from_array(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
     }
 }
 
@@ -112,8 +49,8 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        let s = StatsSnapshot::default();
-        assert!(!format!("{s}").is_empty());
+        let s = StatsSnapshot::from_array([1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(s.to_string(), "loads=1 stores=2 nt=3 clwb=4 fences=5 lines=6 logB=7");
     }
 
     #[test]

@@ -914,11 +914,6 @@ impl Vm {
         self.step_hook = Some(hook);
     }
 
-    /// Removes the current step hook, if any.
-    pub fn clear_step_hook(&mut self) {
-        self.step_hook = None;
-    }
-
     // ------------------------------------------------------------------
     // Instruction execution
     // ------------------------------------------------------------------

@@ -10,7 +10,7 @@
 
 use ido_compiler::{Instrumented, Scheme};
 use ido_ir::{Pc, RtOp};
-use ido_lockfree::LfState;
+use ido_lockfree::{rcas, FlushWindow, LfState};
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::root::RootTable;
 use ido_nvm::{PAddr, PmemHandle, PmemPool};
@@ -36,9 +36,9 @@ pub(crate) enum SchemeState {
     Undo(undo::UndoThread),
     Mnemosyne(redo::MnemosyneThread),
     Nvthreads(redo::NvthreadsThread),
-    Nvtraverse(lockfree::Window),
+    Nvtraverse(FlushWindow),
     /// Persists at every store, so its window stays empty.
-    LfEager(lockfree::Window),
+    LfEager(FlushWindow),
 }
 
 /// What a scheme keeps per VM rather than per thread.
@@ -120,8 +120,8 @@ pub(crate) fn new_thread(
         Scheme::Atlas | Scheme::Nvml => SchemeState::Undo(undo::UndoThread::new(log)),
         Scheme::Mnemosyne => SchemeState::Mnemosyne(redo::MnemosyneThread::new(log)),
         Scheme::Nvthreads => SchemeState::Nvthreads(redo::NvthreadsThread::new(log)),
-        Scheme::Nvtraverse => SchemeState::Nvtraverse(lockfree::Window::default()),
-        Scheme::LfEager => SchemeState::LfEager(lockfree::Window::default()),
+        Scheme::Nvtraverse => SchemeState::Nvtraverse(FlushWindow::default()),
+        Scheme::LfEager => SchemeState::LfEager(FlushWindow::default()),
     }
 }
 
@@ -156,7 +156,7 @@ pub(crate) fn store(th: &mut ThreadCtx, addr: PAddr, value: u64) {
         SchemeState::Undo(s) => s.store(h, addr, value),
         SchemeState::Mnemosyne(s) => s.store(h, addr, value),
         SchemeState::Nvthreads(s) => s.store(h, addr, value),
-        SchemeState::Nvtraverse(w) => w.store(h, addr, value),
+        SchemeState::Nvtraverse(w) => lockfree::window_store(w, h, addr, value),
         SchemeState::LfEager(_) => lockfree::eager_store(h, addr, value),
     }
 }
@@ -179,7 +179,7 @@ pub(crate) fn load(th: &mut ThreadCtx, addr: PAddr) -> u64 {
     match &mut th.scheme {
         SchemeState::Mnemosyne(s) => s.tx.load(h, addr),
         SchemeState::Nvthreads(s) => s.tx.load(h, addr),
-        SchemeState::Nvtraverse(w) => w.load(h, addr),
+        SchemeState::Nvtraverse(w) => lockfree::window_load(w, h, addr),
         _ => h.read_u64(addr),
     }
 }
@@ -196,7 +196,7 @@ pub(crate) fn cas(
     new: u64,
 ) -> bool {
     if let Shared::LockFree(st) = shared {
-        return lockfree::cas(&mut th.handle, *st, t as u32, addr, expected, new);
+        return rcas::exchange(&mut th.handle, *st, t as u32, addr, expected, new);
     }
     if load(th, addr) != expected {
         return false;
@@ -263,7 +263,7 @@ pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
         (SchemeState::Mnemosyne(s), _) => s.rt(cx, op),
         (SchemeState::Nvthreads(s), Shared::Nvthreads(stamp)) => s.rt(stamp, cx, op),
         (SchemeState::Nvtraverse(w) | SchemeState::LfEager(w), Shared::LockFree(st)) => {
-            w.rt(*st, cx, op)
+            lockfree::rt(w, *st, cx, op)
         }
         _ => unreachable!("a thread and its VM are of one scheme"),
     };

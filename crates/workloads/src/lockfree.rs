@@ -142,7 +142,7 @@ fn emit_lf_lookup(f: &mut FunctionBuilder<'_>, head: Reg, key: Reg, cont: ido_ir
 /// Allocates a line-aligned per-run node arena: `threads × ops` 64-byte
 /// slots. Separate from `micro::alloc_arena` because lock-free nodes
 /// *must* start on a cache-line boundary (the over-allocated alignment
-/// padding is leaked, mirroring `NvtList::alloc_node` — see DESIGN.md
+/// padding is leaked, like that of `NvtList::create`'s sentinel — see DESIGN.md
 /// §13's caveats).
 fn alloc_lf_arena(h: &mut PmemHandle, alloc: &ido_nvm::alloc::NvAllocator, threads: usize, ops: u64) -> PAddr {
     let total = threads as u64 * ops * NODE_BYTES as u64;

@@ -58,7 +58,8 @@ timed "region formation" cargo test -q --release -p ido-idem \
 echo "== scheme seams: one home per scheme in ido-vm =="
 # The engine names no scheme (every dispatch on one is in
 # crates/vm/src/scheme/mod.rs), the thread registry's entry arithmetic is
-# written once, and the refactor-proof goldens (forward runs and crash +
+# written once, the recoverable-CAS protocol is spelled in ido-lockfree only
+# (ido-vm calls its steps), and the refactor-proof goldens (forward runs and crash +
 # recover rows, both tiers) hold in an optimized build.
 scheme_seams() {
   if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
@@ -67,9 +68,37 @@ scheme_seams() {
   if grep -rn '+ 8 + i \* 32\|+ 8 + idx \* 32' crates/vm crates/workloads | grep -v '^crates/vm/src/layout.rs:'; then
     echo "the thread registry is decoded outside layout::Registry"; return 1
   fi
+  if grep -rn 'DESC_\|STATE_INFLIGHT\|STATE_DONE\|CELL_TAG\|encode_tag\|tag_owner\|tag_seq' crates/vm/src; then
+    echo "ido-vm names a descriptor word or cell tag: the protocol lives in ido-lockfree"; return 1
+  fi
   cargo test -q --release -p ido-workloads --test decoded_golden
 }
 timed "scheme seams" scheme_seams
+
+echo "== benchmark determinism: sim_fingerprint of every workload at seeds 1 and 7 =="
+# The repo benchmark, built from this tree into target/benchmark, one second
+# per run: the simulated side of each workload must be the committed value in
+# scripts/sim_fingerprints.tsv to the bit (a PR that moves one on purpose
+# re-blesses that file). Host clocks stay advisory. run.sh builds without
+# --locked and rewrites the stale benchmark/Cargo.lock; restoring it keeps
+# the tree clean (refreshing it is a benchmark PR's job).
+benchmark_determinism() {
+  local workload seed want last got
+  while IFS=$'\t' read -r workload seed want; do
+    last=$(CARGO_TARGET_DIR=target/benchmark bash benchmark/run.sh \
+      --workload "$workload" --seed "$seed" --seconds 1 --trace 0 2> /dev/null | tail -n 1)
+    if [[ $last != *'"correct": true'* || $last != *'"failed": 0,'* ]]; then
+      echo "$workload seed $seed: not correct, or operations failed: $last"; return 1
+    fi
+    got=$(grep -o '"sim_fingerprint": *"[^"]*"' "benchmark/out/$workload.json" | grep -o '0x[0-9a-f]*')
+    if [[ $got != "$want" ]]; then
+      echo "$workload seed $seed: sim_fingerprint $got, committed $want"; return 1
+    fi
+    echo "$workload seed $seed: $got"
+  done < scripts/sim_fingerprints.tsv
+  git checkout -- benchmark/Cargo.lock
+}
+timed "benchmark determinism" benchmark_determinism
 
 echo "== scheduler: tree vs scan model test, scaling, sched_equivalence to 129 threads =="
 # Optimized: the 128-129-thread equivalence cases are the slow part of the

@@ -151,8 +151,11 @@ fn tier_name(t: ExecTier) -> &'static str {
 }
 
 fn json_line(scenario: &Scenario, spec: &dyn WorkloadSpec, scheme: Scheme, o: &Observed) -> String {
+    let names = StatsSnapshot::CSV_HEADER.split(',');
+    let counters: Vec<String> =
+        names.zip(o.stats.to_array()).map(|(name, v)| format!("\"{name}\":{v}")).collect();
     format!(
-        "{{\"scheme\":\"{}\",\"workload\":\"{}\",\"threads\":{},\"ops\":{},\"tier\":\"{}\",\"seed\":{},\"sim_ns\":{},\"steps\":{},\"loads\":{},\"stores\":{},\"nt_stores\":{},\"clwbs\":{},\"fences\":{},\"lines_persisted\":{},\"log_bytes\":{},\"image_fnv\":\"{:#018x}\"}}",
+        "{{\"scheme\":\"{}\",\"workload\":\"{}\",\"threads\":{},\"ops\":{},\"tier\":\"{}\",\"seed\":{},\"sim_ns\":{},\"steps\":{},{},\"image_fnv\":\"{:#018x}\"}}",
         scheme.name(),
         spec.name(),
         scenario.threads,
@@ -161,13 +164,7 @@ fn json_line(scenario: &Scenario, spec: &dyn WorkloadSpec, scheme: Scheme, o: &O
         scenario.seed,
         o.sim_ns,
         o.steps,
-        o.stats.loads,
-        o.stats.stores,
-        o.stats.nt_stores,
-        o.stats.clwbs,
-        o.stats.fences,
-        o.stats.lines_persisted,
-        o.stats.log_bytes,
+        counters.join(","),
         o.image_fnv,
     )
 }
