@@ -1,28 +1,11 @@
-//! Table II: failure-atomic systems and their properties — regenerated
-//! from the scheme metadata in `ido-compiler` so the table stays in sync
-//! with what the code actually implements.
+//! Table II: failure-atomic systems and their properties — printed from
+//! `Scheme::info()`, the rows the compiler lowers by, so the table is what
+//! the code implements.
 
 use ido_compiler::Scheme;
 
-fn row(s: Scheme) -> (&'static str, &'static str, &'static str, &'static str, &'static str) {
-    match s {
-        Scheme::Ido => ("Lock-inferred FASE", "Resumption", "Idempotent Region", "No", "Yes"),
-        Scheme::Atlas => ("Lock-inferred FASE", "UNDO", "Store", "Yes", "Yes"),
-        Scheme::Mnemosyne => ("C++ Transactions", "REDO", "Store", "No", "Yes"),
-        Scheme::Nvthreads => ("Lock-inferred FASE", "REDO", "Page", "Yes", "Yes"),
-        Scheme::JustDo => ("Lock-inferred FASE", "Resumption", "Store", "No", "No"),
-        Scheme::Nvml => ("Programmer Delineated", "UNDO", "Object", "No", "Yes"),
-        Scheme::Origin => ("(none)", "(none)", "(none)", "No", "-"),
-        // Outside the paper's Table II: the lock-free persistence family
-        // (ISSUE 9) has no lock-delineated FASEs at all — durability hangs
-        // off the recoverable-CAS descriptor, resolved (not resumed) at
-        // recovery.
-        Scheme::Nvtraverse => ("Lock-free op", "CAS resolve", "Cache line", "No", "Yes"),
-        Scheme::LfEager => ("Lock-free op", "CAS resolve", "Store", "No", "Yes"),
-    }
-}
-
 fn main() {
+    let yes_no = |b| if b { "Yes" } else { "No" };
     println!("\n== Table II — failure-atomic systems and their properties ==\n");
     println!(
         "{:<12} {:<24} {:<12} {:<20} {:<12} {:<10}",
@@ -36,11 +19,16 @@ fn main() {
         Scheme::JustDo,
         Scheme::Nvml,
     ] {
-        let (sem, rec, gran, dep, caches) = row(s);
-        println!("{:<12} {:<24} {:<12} {:<20} {:<12} {:<10}", s.name(), sem, rec, gran, dep, caches);
-        // Cross-check the printed table against the scheme metadata.
-        assert_eq!(rec == "Resumption", s.recovers_by_resumption(), "{s}: recovery method");
-        assert_eq!(dep == "Yes", s.needs_dependence_tracking(), "{s}: dependence tracking");
+        let row = s.info();
+        println!(
+            "{:<12} {:<24} {:<12} {:<20} {:<12} {:<10}",
+            row.name,
+            row.region_semantics,
+            row.recovery,
+            row.logging_granularity,
+            yes_no(row.dependence_tracking),
+            yes_no(row.transient_caches)
+        );
     }
     println!("\n(NV-Heaps and SoftWrAP from the paper's Table II are not implemented:");
     println!(" they are object/block-granularity transactional designs whose behavior");

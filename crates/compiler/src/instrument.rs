@@ -1,31 +1,39 @@
-//! Per-scheme instrumentation passes.
+//! The instrumentation pass: one loop over the scheme's row.
 //!
-//! Each pass takes the same source program and weaves in the runtime
-//! operations its scheme needs. The ordering of operations around lock
-//! acquires and releases is load-bearing; the layouts are:
+//! Every scheme sees the same source program; the pass weaves in the runtime
+//! operations the scheme's [`SchemeInfo`](crate::SchemeInfo) row asks for. The
+//! ops name events, not schemes — what `rt.lock_acquired` or `rt.store_record`
+//! costs is the runtime's of the scheme the lowered program carries. The
+//! ordering of operations around lock acquires and releases is load-bearing;
+//! with every row field set the layout is:
 //!
-//! **iDO** (one persist fence per lock operation, Section III-B):
 //! ```text
 //! lock L
-//! rt.fase_begin            (outermost only; bookkeeping, no fence)
-//! rt.ido_lock_acquired L   (record indirect holder; 1 fence)
-//! rt.ido_boundary          (persist outputs, advance recovery_pc)
-//! ... FASE body with rt.ido_boundary at every region entry ...
+//! rt.fase_begin            (outermost only; `rt.tx_begin` under `Marker::Tx`)
+//! rt.lock_acquired L       (`lock_records`)
+//! rt.ido_boundary          (`region_boundaries`)
+//! ... FASE body: rt.ido_boundary at every region entry, rt.store_record
+//!     before every store (`store_records`), rt.justdo_shadow after every
+//!     definition (`shadows_defs`) ...
 //! rt.ido_boundary          (final boundary: everything persisted)
-//! rt.ido_lock_releasing L  (clear lock_array entry; 1 fence)
-//! rt.fase_end              (outermost only; clears recovery_pc)
+//! rt.lock_releasing L      (`lock_records`)
+//! rt.fase_end              (outermost only; `rt.tx_commit` under `Marker::Tx`)
 //! unlock L
 //! ```
 //!
-//! A crash between `lock` and `ido_lock_acquired` loses the lock to
-//! recovery ("robbed lock"), which is harmless because the boundary after
-//! the acquire guarantees no FASE instruction has executed. A crash after
-//! `ido_lock_releasing` but before `unlock` resumes at the releasing op;
+//! **iDO** (`lock_records` + `region_boundaries`; one persist fence per lock
+//! operation, Section III-B): `rt.lock_acquired` records the indirect holder,
+//! each boundary persists outputs and advances `recovery_pc`,
+//! `rt.lock_releasing` clears the `lock_array` entry, `rt.fase_end` clears
+//! `recovery_pc`. A crash between `lock` and `rt.lock_acquired` loses the
+//! lock to recovery ("robbed lock"), which is harmless because the boundary
+//! after the acquire guarantees no FASE instruction has executed. A crash
+//! after `rt.lock_releasing` but before `unlock` resumes at the releasing op;
 //! the VM treats lock operations as idempotent during recovery (acquiring a
 //! lock already held by the thread, or releasing one it does not hold, is a
 //! no-op), mirroring the JUSTDO/iDO runtimes.
 //!
-//! The baseline layouts follow their papers: JUSTDO logs ⟨pc, addr, value⟩
+//! The baseline rows follow their papers: JUSTDO logs ⟨pc, addr, value⟩
 //! before every store (plus register shadowing for its no-register-caching
 //! rule), Atlas appends a persisted UNDO entry before every store and
 //! happens-before entries at lock operations, Mnemosyne brackets the FASE
@@ -39,11 +47,12 @@ use std::fmt;
 use ido_ir::cfg::Cfg;
 use ido_ir::liveness::{Liveness, Var};
 use ido_ir::{
-    verify_function, BlockId, Function, Inst, Program, Reg, RegClass, RtOp, StackSlot, VerifyError,
+    verify_function, BlockId, Function, Inst, Program, Reg, RegClass, RtOp, StackSlot, StoreTarget,
+    VerifyError,
 };
 
 use crate::fase::{FaseError, FaseMap};
-use crate::scheme::Scheme;
+use crate::scheme::{Marker, Scheme};
 
 /// Errors produced while lowering a program for a scheme.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,8 +115,8 @@ const ST_FASE_END: usize = 4;
 
 type Insertions = BTreeMap<(BlockId, usize), [Vec<Inst>; STAGES]>;
 
-fn push(ins: &mut Insertions, pos: (BlockId, usize), stage: usize, inst: Inst) {
-    ins.entry(pos).or_default()[stage].push(inst);
+fn push(ins: &mut Insertions, pos: (BlockId, usize), stage: usize, op: RtOp) {
+    ins.entry(pos).or_default()[stage].push(Inst::Rt(op));
 }
 
 /// Lowers `program` for `scheme`.
@@ -124,29 +133,32 @@ pub fn instrument_program(mut program: Program, scheme: Scheme) -> Result<Instru
 }
 
 fn instrument_function(func: &mut Function, scheme: Scheme) -> Result<(), CompileError> {
+    let info = scheme.info();
     // The lock-free family has no FASEs to infer and no region partition;
     // its entire protocol hangs off the recoverable CAS sites.
-    if scheme.is_lockfree() {
+    if info.cas_protocol {
         instrument_lockfree(func);
         verify_function(func)?;
         return Ok(());
     }
 
-    // Phase 2 (idempotent region formation) runs first for iDO because its
-    // WAR repair mutates the code the later phases see.
-    let analysis = if scheme == Scheme::Ido { Some(ido_idem::partition(func)) } else { None };
+    // Phase 2 (idempotent region formation) runs first because its WAR
+    // repair mutates the code the later phases see.
+    let analysis = info.region_boundaries.then(|| ido_idem::partition(func));
 
     let cfg = Cfg::new(func);
     let fase = FaseMap::analyze(func, &cfg)?;
-    if scheme == Scheme::Origin {
-        return Ok(());
-    }
-    let liveness = Liveness::new(func, &cfg);
+    let (begin, end) = match info.marker {
+        None => return Ok(()),
+        Some(Marker::Fase) => (RtOp::FaseBegin, RtOp::FaseEnd),
+        Some(Marker::Tx) => (RtOp::TxBegin, RtOp::TxCommit),
+    };
 
     let mut ins: Insertions = BTreeMap::new();
 
-    // Region boundaries (iDO only), inside FASEs.
+    // Region boundaries, inside FASEs.
     if let Some(analysis) = &analysis {
+        let liveness = Liveness::new(func, &cfg);
         for &(b, i) in analysis.cuts() {
             if !fase.in_fase(b, i) {
                 continue;
@@ -163,207 +175,44 @@ fn instrument_function(func: &mut Function, scheme: Scheme) -> Result<(), Compil
                     Var::Slot(s) => out_slots.push(StackSlot(s)),
                 }
             }
-            push(&mut ins, (b, i), ST_BOUNDARY, Inst::Rt(RtOp::IdoBoundary { out_regs, out_slots }));
+            push(&mut ins, (b, i), ST_BOUNDARY, RtOp::IdoBoundary { out_regs, out_slots });
         }
     }
 
-    // Lock, durable-marker, and store instrumentation.
+    // FASE markers, lock records, store records and shadows.
     for (bi, bb) in func.blocks().iter().enumerate() {
         let b = BlockId(bi as u32);
         for (i, inst) in bb.insts.iter().enumerate() {
-            match inst {
-                Inst::Lock { lock } => {
-                    let outer = fase.is_outermost_acquire(b, i);
-                    let after = (b, i + 1);
-                    match scheme {
-                        Scheme::Ido => {
-                            if outer {
-                                push(&mut ins, after, ST_FASE_BEGIN, Inst::Rt(RtOp::FaseBegin));
-                            }
-                            push(
-                                &mut ins,
-                                after,
-                                ST_LOCK_ACQ,
-                                Inst::Rt(RtOp::IdoLockAcquired { lock: *lock }),
-                            );
-                        }
-                        Scheme::JustDo => {
-                            if outer {
-                                push(&mut ins, after, ST_FASE_BEGIN, Inst::Rt(RtOp::FaseBegin));
-                            }
-                            push(
-                                &mut ins,
-                                after,
-                                ST_LOCK_ACQ,
-                                Inst::Rt(RtOp::JustDoLockAcquired { lock: *lock }),
-                            );
-                        }
-                        Scheme::Atlas => {
-                            if outer {
-                                push(&mut ins, after, ST_FASE_BEGIN, Inst::Rt(RtOp::FaseBegin));
-                            }
-                            push(
-                                &mut ins,
-                                after,
-                                ST_LOCK_ACQ,
-                                Inst::Rt(RtOp::AtlasLockAcquired { lock: *lock }),
-                            );
-                        }
-                        Scheme::Mnemosyne => {
-                            if outer {
-                                push(&mut ins, after, ST_LOCK_ACQ, Inst::Rt(RtOp::TxBegin));
-                            }
-                        }
-                        Scheme::Nvml | Scheme::Nvthreads => {
-                            if outer {
-                                push(&mut ins, after, ST_FASE_BEGIN, Inst::Rt(RtOp::FaseBegin));
-                            }
-                        }
-                        Scheme::Origin => unreachable!("handled above"),
-                        Scheme::Nvtraverse | Scheme::LfEager => {
-                            unreachable!("lockfree instrumented separately")
-                        }
-                    }
+            let (at, after) = ((b, i), (b, i + 1));
+            let opens = matches!(inst, Inst::Lock { .. } | Inst::DurableBegin);
+            if opens && fase.is_outermost_acquire(b, i) {
+                push(&mut ins, after, ST_FASE_BEGIN, begin.clone());
+            }
+            let closes = matches!(inst, Inst::Unlock { .. } | Inst::DurableEnd);
+            if closes && fase.is_final_release(b, i) {
+                push(&mut ins, at, ST_FASE_END, end.clone());
+            }
+            let record = |target, value| RtOp::StoreRecord { target, value };
+            match *inst {
+                Inst::Lock { lock } if info.lock_records => {
+                    push(&mut ins, after, ST_LOCK_ACQ, RtOp::LockAcquired { lock });
                 }
-                Inst::Unlock { lock } => {
-                    let fin = fase.is_final_release(b, i);
-                    let at = (b, i);
-                    match scheme {
-                        Scheme::Ido => {
-                            push(
-                                &mut ins,
-                                at,
-                                ST_LOCK_REL,
-                                Inst::Rt(RtOp::IdoLockReleasing { lock: *lock }),
-                            );
-                            if fin {
-                                push(&mut ins, at, ST_FASE_END, Inst::Rt(RtOp::FaseEnd));
-                            }
-                        }
-                        Scheme::JustDo => {
-                            push(
-                                &mut ins,
-                                at,
-                                ST_LOCK_REL,
-                                Inst::Rt(RtOp::JustDoLockReleasing { lock: *lock }),
-                            );
-                            if fin {
-                                push(&mut ins, at, ST_FASE_END, Inst::Rt(RtOp::FaseEnd));
-                            }
-                        }
-                        Scheme::Atlas => {
-                            push(
-                                &mut ins,
-                                at,
-                                ST_LOCK_REL,
-                                Inst::Rt(RtOp::AtlasLockReleasing { lock: *lock }),
-                            );
-                            if fin {
-                                push(&mut ins, at, ST_FASE_END, Inst::Rt(RtOp::FaseEnd));
-                            }
-                        }
-                        Scheme::Mnemosyne => {
-                            if fin {
-                                push(&mut ins, at, ST_LOCK_REL, Inst::Rt(RtOp::TxCommit));
-                            }
-                        }
-                        Scheme::Nvml | Scheme::Nvthreads => {
-                            if fin {
-                                push(&mut ins, at, ST_FASE_END, Inst::Rt(RtOp::FaseEnd));
-                            }
-                        }
-                        Scheme::Origin => unreachable!("handled above"),
-                        Scheme::Nvtraverse | Scheme::LfEager => {
-                            unreachable!("lockfree instrumented separately")
-                        }
-                    }
+                Inst::Unlock { lock } if info.lock_records => {
+                    push(&mut ins, at, ST_LOCK_REL, RtOp::LockReleasing { lock });
                 }
-                Inst::DurableBegin => {
-                    let after = (b, i + 1);
-                    let op = match scheme {
-                        Scheme::Mnemosyne => RtOp::TxBegin,
-                        _ => RtOp::FaseBegin,
-                    };
-                    if fase.is_outermost_acquire(b, i) {
-                        push(&mut ins, after, ST_FASE_BEGIN, Inst::Rt(op));
-                    }
+                Inst::Store { base, offset, src } if info.store_records && fase.in_fase(b, i) => {
+                    push(&mut ins, at, ST_BOUNDARY, record(StoreTarget::Heap { base, offset }, src));
                 }
-                Inst::DurableEnd => {
-                    let op = match scheme {
-                        Scheme::Mnemosyne => RtOp::TxCommit,
-                        _ => RtOp::FaseEnd,
-                    };
-                    if fase.is_final_release(b, i) {
-                        push(&mut ins, (b, i), ST_FASE_END, Inst::Rt(op));
-                    }
-                }
-                Inst::Store { base, offset, src } if fase.in_fase(b, i) => {
-                    let at = (b, i);
-                    match scheme {
-                        Scheme::JustDo => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::JustDoLog { base: *base, offset: *offset, value: *src }),
-                        ),
-                        Scheme::Atlas => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::AtlasUndoLog { base: *base, offset: *offset }),
-                        ),
-                        Scheme::Nvml => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::NvmlTxAdd { base: *base, offset: *offset }),
-                        ),
-                        Scheme::Nvthreads => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::NvthreadsPageTouch { base: *base, offset: *offset }),
-                        ),
-                        _ => {}
-                    }
-                }
-                Inst::StoreStack { slot, src } if fase.in_fase(b, i) => {
-                    let at = (b, i);
-                    match scheme {
-                        Scheme::JustDo => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::JustDoLogStack { slot: *slot, value: *src }),
-                        ),
-                        Scheme::Atlas => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::AtlasUndoLogStack { slot: *slot }),
-                        ),
-                        Scheme::Nvml => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::NvmlTxAddStack { slot: *slot }),
-                        ),
-                        Scheme::Nvthreads => push(
-                            &mut ins,
-                            at,
-                            ST_BOUNDARY,
-                            Inst::Rt(RtOp::NvthreadsPageTouchStack { slot: *slot }),
-                        ),
-                        _ => {}
-                    }
+                Inst::StoreStack { slot, src } if info.store_records && fase.in_fase(b, i) => {
+                    push(&mut ins, at, ST_BOUNDARY, record(StoreTarget::Stack(slot), src));
                 }
                 _ => {}
             }
             // JUSTDO's no-register-caching rule: shadow every definition
             // made inside a FASE through to persistent memory.
-            if scheme == Scheme::JustDo && fase.in_fase(b, i) {
-                if let Some(d) = inst.def_reg() {
-                    push(&mut ins, (b, i + 1), ST_LOCK_ACQ, Inst::Rt(RtOp::JustDoShadow { reg: d }));
+            if info.shadows_defs && fase.in_fase(b, i) {
+                if let Some(reg) = inst.def_reg() {
+                    push(&mut ins, after, ST_LOCK_ACQ, RtOp::JustDoShadow { reg });
                 }
             }
         }
@@ -392,25 +241,11 @@ fn instrument_lockfree(func: &mut Function) {
     for (bi, bb) in func.blocks().iter().enumerate() {
         let b = BlockId(bi as u32);
         for (i, inst) in bb.insts.iter().enumerate() {
-            if let Inst::Cas { dst, base, offset, expected, new } = inst {
-                push(&mut ins, (b, i), ST_LOCK_ACQ, Inst::Rt(RtOp::LfFlushWindow));
-                push(
-                    &mut ins,
-                    (b, i),
-                    ST_BOUNDARY,
-                    Inst::Rt(RtOp::LfCasPrepare {
-                        base: *base,
-                        offset: *offset,
-                        expected: *expected,
-                        new: *new,
-                    }),
-                );
-                push(
-                    &mut ins,
-                    (b, i + 1),
-                    ST_FASE_BEGIN,
-                    Inst::Rt(RtOp::LfCasPublish { base: *base, offset: *offset, taken: *dst }),
-                );
+            if let &Inst::Cas { dst, base, offset, expected, new } = inst {
+                let (at, after) = ((b, i), (b, i + 1));
+                push(&mut ins, at, ST_LOCK_ACQ, RtOp::LfFlushWindow);
+                push(&mut ins, at, ST_BOUNDARY, RtOp::LfCasPrepare { base, offset, expected, new });
+                push(&mut ins, after, ST_FASE_BEGIN, RtOp::LfCasPublish { base, offset, taken: dst });
             }
         }
     }
@@ -465,26 +300,39 @@ mod tests {
         assert_eq!(out.program.function(ido_ir::FuncId(0)).num_insts(), before);
     }
 
+    fn lowered(scheme: Scheme) -> Program {
+        instrument_program(sample_program(), scheme).unwrap().program
+    }
+
+    fn is_lock_record(r: &RtOp) -> bool {
+        matches!(r, RtOp::LockAcquired { .. } | RtOp::LockReleasing { .. })
+    }
+
+    fn is_store_record(r: &RtOp) -> bool {
+        matches!(r, RtOp::StoreRecord { .. })
+    }
+
     #[test]
     fn ido_inserts_lock_tracking_and_boundaries() {
-        let out = instrument_program(sample_program(), Scheme::Ido).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::IdoLockAcquired { .. })), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::IdoLockReleasing { .. })), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::FaseBegin)), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::FaseEnd)), 1);
-        assert!(count_ops(&out.program, |r| matches!(r, RtOp::IdoBoundary { .. })) >= 2);
+        let out = lowered(Scheme::Ido);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::LockAcquired { .. })), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::LockReleasing { .. })), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::FaseBegin)), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::FaseEnd)), 1);
+        assert!(count_ops(&out, |r| matches!(r, RtOp::IdoBoundary { .. })) >= 2);
+        assert_eq!(count_ops(&out, is_store_record), 0);
     }
 
     #[test]
     fn ido_orders_ops_correctly_around_locks() {
-        let out = instrument_program(sample_program(), Scheme::Ido).unwrap();
-        let f = out.program.function(ido_ir::FuncId(0));
+        let out = lowered(Scheme::Ido);
+        let f = out.function(ido_ir::FuncId(0));
         let insts: Vec<&Inst> = f.blocks().iter().flat_map(|b| &b.insts).collect();
         let idx = |pred: &dyn Fn(&Inst) -> bool| insts.iter().position(|i| pred(i)).unwrap();
         let lock = idx(&|i| matches!(i, Inst::Lock { .. }));
         let begin = idx(&|i| matches!(i, Inst::Rt(RtOp::FaseBegin)));
-        let acq = idx(&|i| matches!(i, Inst::Rt(RtOp::IdoLockAcquired { .. })));
-        let rel = idx(&|i| matches!(i, Inst::Rt(RtOp::IdoLockReleasing { .. })));
+        let acq = idx(&|i| matches!(i, Inst::Rt(RtOp::LockAcquired { .. })));
+        let rel = idx(&|i| matches!(i, Inst::Rt(RtOp::LockReleasing { .. })));
         let end = idx(&|i| matches!(i, Inst::Rt(RtOp::FaseEnd)));
         let unlock = idx(&|i| matches!(i, Inst::Unlock { .. }));
         assert!(lock < begin && begin < acq, "lock, fase_begin, then acquire record");
@@ -493,42 +341,67 @@ mod tests {
 
     #[test]
     fn justdo_logs_every_store_and_shadows_defs() {
-        let out = instrument_program(sample_program(), Scheme::JustDo).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::JustDoLog { .. })), 1);
+        let out = lowered(Scheme::JustDo);
+        assert_eq!(count_ops(&out, is_store_record), 1);
         // The load inside the FASE defines `v`, which must be shadowed.
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::JustDoShadow { .. })), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::JustDoLockAcquired { .. })), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::JustDoShadow { .. })), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::LockAcquired { .. })), 1);
+        // The record carries the store's own address and source.
+        let f = out.function(ido_ir::FuncId(0));
+        let (p, v) = (f.params()[1], Operand::Reg(Reg::int(2)));
+        let target = StoreTarget::Heap { base: p, offset: 8 };
+        assert_eq!(count_ops(&out, |r| *r == RtOp::StoreRecord { target, value: v }), 1);
     }
 
     #[test]
     fn atlas_undo_logs_before_stores() {
-        let out = instrument_program(sample_program(), Scheme::Atlas).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::AtlasUndoLog { .. })), 1);
-        let f = out.program.function(ido_ir::FuncId(0));
+        let out = lowered(Scheme::Atlas);
+        assert_eq!(count_ops(&out, is_store_record), 1);
+        assert_eq!(count_ops(&out, is_lock_record), 2);
+        let f = out.function(ido_ir::FuncId(0));
         let insts: Vec<&Inst> = f.blocks().iter().flat_map(|b| &b.insts).collect();
-        let undo = insts.iter().position(|i| matches!(i, Inst::Rt(RtOp::AtlasUndoLog { .. })));
+        let undo = insts.iter().position(|i| matches!(i, Inst::Rt(r) if is_store_record(r)));
         let store = insts.iter().position(|i| matches!(i, Inst::Store { .. }));
-        assert!(undo.unwrap() < store.unwrap(), "undo entry precedes the store");
+        assert_eq!(undo.unwrap() + 1, store.unwrap(), "undo entry directly precedes the store");
     }
 
     #[test]
     fn mnemosyne_brackets_fase_in_txn() {
-        let out = instrument_program(sample_program(), Scheme::Mnemosyne).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::TxBegin)), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::TxCommit)), 1);
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::AtlasUndoLog { .. })), 0);
+        let out = lowered(Scheme::Mnemosyne);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::TxBegin)), 1);
+        assert_eq!(count_ops(&out, |r| matches!(r, RtOp::TxCommit)), 1);
+        // The transaction is the whole lowering: no record of any kind.
+        assert_eq!(count_ops(&out, |_| true), 2);
     }
 
     #[test]
     fn nvthreads_touches_pages() {
-        let out = instrument_program(sample_program(), Scheme::Nvthreads).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::NvthreadsPageTouch { .. })), 1);
+        let out = lowered(Scheme::Nvthreads);
+        assert_eq!(count_ops(&out, is_store_record), 1);
+        assert_eq!(count_ops(&out, is_lock_record), 0);
+        assert_eq!(count_ops(&out, |_| true), 3, "fase_begin, the page touch, fase_end");
     }
 
     #[test]
     fn nvml_adds_tx_ranges() {
-        let out = instrument_program(sample_program(), Scheme::Nvml).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::NvmlTxAdd { .. })), 1);
+        let out = lowered(Scheme::Nvml);
+        assert_eq!(count_ops(&out, is_store_record), 1);
+        assert_eq!(count_ops(&out, is_lock_record), 0);
+        assert_eq!(count_ops(&out, |_| true), 3, "fase_begin, the TX_ADD, fase_end");
+    }
+
+    /// The ops one scheme alone emits appear under no other row.
+    #[test]
+    fn single_scheme_ops_stay_with_their_scheme() {
+        for scheme in Scheme::ALL {
+            let out = lowered(scheme);
+            let shadows = count_ops(&out, |r| matches!(r, RtOp::JustDoShadow { .. }));
+            let boundaries = count_ops(&out, |r| matches!(r, RtOp::IdoBoundary { .. }));
+            let tx = count_ops(&out, |r| matches!(r, RtOp::TxBegin | RtOp::TxCommit));
+            assert_eq!(shadows > 0, scheme == Scheme::JustDo, "{scheme}");
+            assert_eq!(boundaries > 0, scheme == Scheme::Ido, "{scheme}");
+            assert_eq!(tx > 0, scheme == Scheme::Mnemosyne, "{scheme}");
+        }
     }
 
     #[test]
@@ -539,8 +412,11 @@ mod tests {
         f.store(p, 0, 1i64); // persistent read/write outside FASE (allowed if race-free)
         f.ret(None);
         f.finish().unwrap();
-        let out = instrument_program(pb.finish(), Scheme::Atlas).unwrap();
-        assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::AtlasUndoLog { .. })), 0);
+        let prog = pb.finish();
+        for scheme in [Scheme::JustDo, Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
+            let out = instrument_program(prog.clone(), scheme).unwrap();
+            assert_eq!(count_ops(&out.program, |_| true), 0, "{scheme}");
+        }
     }
 
     #[test]
@@ -581,7 +457,7 @@ mod tests {
             assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::LfCasPrepare { .. })), 1);
             assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::LfCasPublish { .. })), 1);
             // No per-store logging: the plain store must stay bare.
-            assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::AtlasUndoLog { .. })), 0);
+            assert_eq!(count_ops(&out.program, |_| true), 3);
 
             let f = out.program.function(ido_ir::FuncId(0));
             let insts: Vec<&Inst> = f.blocks().iter().flat_map(|b| &b.insts).collect();

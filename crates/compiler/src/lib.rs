@@ -54,4 +54,4 @@ mod scheme;
 
 pub use fase::{FaseError, FaseMap};
 pub use instrument::{instrument_program, CompileError, Instrumented};
-pub use scheme::Scheme;
+pub use scheme::{Marker, Recovery, Scheme, SchemeInfo};

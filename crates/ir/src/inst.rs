@@ -46,74 +46,79 @@ pub enum BinOp {
 /// (Section III-B of the paper).
 pub type LockToken = Operand;
 
-/// Runtime operations inserted by the per-scheme instrumentation passes.
+/// Where a FASE store is about to write: what a [`RtOp::StoreRecord`]
+/// protects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreTarget {
+    /// `mem[base + offset]`, the following heap store's address.
+    Heap {
+        /// Base register of the following store's address.
+        base: Reg,
+        /// Byte offset of the following store.
+        offset: i64,
+    },
+    /// The stack slot the following store writes.
+    Stack(StackSlot),
+}
+
+/// Runtime operations inserted by the instrumentation pass.
 ///
 /// These are the "library calls" the iDO compiler (and the baseline
-/// compilers) weave into the program. Their semantics — including exactly
-/// which cache-line write-backs and persist fences they perform — are
-/// implemented by the VM's scheme runtimes, so their persistence cost is
-/// charged faithfully.
+/// compilers) weave into the program. An op names the *event* — a FASE
+/// opens, a lock was acquired, a store is about to execute — and the
+/// lowered program names the scheme (`Instrumented::scheme`): what the
+/// event costs, including exactly which cache-line write-backs and persist
+/// fences it performs, is the scheme runtime's in the VM, so persistence
+/// cost is charged faithfully.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RtOp {
     /// Marks entry into a FASE (outermost lock acquired or durable region
     /// begun). Bookkeeping only.
     FaseBegin,
     /// Marks exit from a FASE. For schemes with deferred work (Atlas flush,
-    /// Mnemosyne/NVML commit) this is where it happens.
+    /// NVML/NVThreads commit) this is where it happens.
     FaseEnd,
-
-    // --- iDO (the paper's contribution) ---
-    /// Idempotent region boundary: persist the ending region's outputs
-    /// (listed registers and stack slots, persist-coalesced into as few
-    /// cache lines as possible), write back heap stores tracked at run time,
-    /// fence, update `recovery_pc` to the next instruction, fence.
+    /// Begin a durable transaction in place of a FASE (Mnemosyne: the
+    /// paper's single-global-lock transactional treatment of FASEs).
+    TxBegin,
+    /// Commit: persist the redo log (non-temporal appends were already
+    /// durable), fence, apply the write set in place, mark committed.
+    TxCommit,
+    /// Idempotent region boundary (iDO): persist the ending region's
+    /// outputs (listed registers and stack slots, persist-coalesced into as
+    /// few cache lines as possible), write back heap stores tracked at run
+    /// time, fence, update `recovery_pc` to the next instruction, fence.
     IdoBoundary {
         /// Output registers of the ending region (`Def ∩ LiveOut`).
         out_regs: Vec<Reg>,
         /// Output stack slots of the ending region.
         out_slots: Vec<StackSlot>,
     },
-    /// Record the indirect lock holder in the thread's `lock_array`
-    /// immediately after acquiring `lock`. Costs a single fence.
-    IdoLockAcquired {
+    /// Record that `lock` is held, immediately after acquiring it: the
+    /// indirect lock holder in the thread's `lock_array` (iDO, one fence;
+    /// JUSTDO, lock intention + ownership, two), or a happens-before log
+    /// entry (Atlas).
+    LockAcquired {
         /// The lock's indirect-holder address operand.
         lock: LockToken,
     },
-    /// Clear the `lock_array` entry immediately before releasing `lock`.
-    /// Costs a single fence.
-    IdoLockReleasing {
+    /// Retire the record of `lock` immediately before releasing it.
+    LockReleasing {
         /// The lock's indirect-holder address operand.
         lock: LockToken,
     },
-
-    // --- JUSTDO logging ---
-    /// Persist `(pc, addr, value)` in the thread's JUSTDO log immediately
-    /// before the following store; two persist-fence sequences per store as
-    /// in the original system.
-    JustDoLog {
-        /// Base register of the following store's address.
-        base: Reg,
-        /// Byte offset of the following store.
-        offset: i64,
-        /// Value about to be stored.
-        value: Operand,
-    },
-    /// JUSTDO lock-intention + lock-ownership log update at acquire
-    /// (two persist fences).
-    JustDoLockAcquired {
-        /// The lock operand.
-        lock: LockToken,
-    },
-    /// JUSTDO lock release logging (two persist fences).
-    JustDoLockReleasing {
-        /// The lock operand.
-        lock: LockToken,
-    },
-    /// JUSTDO log entry for a stack-slot store.
-    JustDoLogStack {
-        /// Slot about to be stored.
-        slot: StackSlot,
-        /// Value about to be stored.
+    /// The scheme's per-store record, immediately before the store it
+    /// protects: JUSTDO persists `(pc, addr, value)` (two persist-fence
+    /// sequences per store, as in the original system), Atlas appends a
+    /// persisted UNDO entry `(addr, old value)`, NVML snapshots the 64-byte
+    /// object containing the target once per FASE (`TX_ADD`), NVThreads
+    /// notes the dirtied page (the first store to each page in a FASE pays
+    /// a page copy).
+    StoreRecord {
+        /// Where the following store writes.
+        target: StoreTarget,
+        /// The following store's source — carried under every scheme, read
+        /// by JUSTDO's runtime only.
         value: Operand,
     },
     /// JUSTDO "no register caching" shadow: the value just defined in `reg`
@@ -123,70 +128,6 @@ pub enum RtOp {
     JustDoShadow {
         /// The register that was just defined.
         reg: Reg,
-    },
-
-    // --- Atlas (UNDO) ---
-    /// Append an UNDO entry `(addr, old value)` for the following store and
-    /// persist it before the store may execute.
-    AtlasUndoLog {
-        /// Base register of the following store's address.
-        base: Reg,
-        /// Byte offset of the following store.
-        offset: i64,
-    },
-    /// Atlas happens-before log entry for a lock acquire (persisted).
-    AtlasLockAcquired {
-        /// The lock operand.
-        lock: LockToken,
-    },
-    /// Atlas happens-before log entry for a lock release (persisted).
-    AtlasLockReleasing {
-        /// The lock operand.
-        lock: LockToken,
-    },
-    /// Atlas UNDO entry for a stack-slot store.
-    AtlasUndoLogStack {
-        /// Slot about to be stored.
-        slot: StackSlot,
-    },
-
-    // --- Mnemosyne (REDO transactions) ---
-    /// Begin a durable transaction (global-lock model of the paper's
-    /// single-global-lock transactional treatment of FASEs).
-    TxBegin,
-    /// Commit: persist the redo log (non-temporal appends were already
-    /// durable), fence, apply the write set in place, mark committed.
-    TxCommit,
-
-    // --- NVML-style annotated UNDO ---
-    /// Snapshot the 64-byte object containing the following store's target
-    /// into the transaction's UNDO log and persist it (`TX_ADD`).
-    NvmlTxAdd {
-        /// Base register of the following store's address.
-        base: Reg,
-        /// Byte offset.
-        offset: i64,
-    },
-    /// NVML `TX_ADD` for a stack-slot store.
-    NvmlTxAddStack {
-        /// Slot about to be stored.
-        slot: StackSlot,
-    },
-
-    // --- NVThreads (page-granularity REDO) ---
-    /// Note that the following store dirties a page; the first store to each
-    /// page in a FASE pays a page-copy cost, and `FaseEnd` writes dirty
-    /// pages to the redo log.
-    NvthreadsPageTouch {
-        /// Base register of the following store's address.
-        base: Reg,
-        /// Byte offset.
-        offset: i64,
-    },
-    /// NVThreads page-dirty note for a stack-slot store.
-    NvthreadsPageTouchStack {
-        /// Slot about to be stored.
-        slot: StackSlot,
     },
 
     // --- Lock-free scheme family (NVTraverse / LF-Eager) ---
@@ -233,24 +174,14 @@ impl RtOp {
         let mut v = Vec::new();
         match self {
             RtOp::IdoBoundary { out_regs, .. } => v.extend(out_regs.iter().copied()),
-            RtOp::IdoLockAcquired { lock }
-            | RtOp::IdoLockReleasing { lock }
-            | RtOp::JustDoLockAcquired { lock }
-            | RtOp::JustDoLockReleasing { lock }
-            | RtOp::AtlasLockAcquired { lock }
-            | RtOp::AtlasLockReleasing { lock } => v.extend(lock.as_reg()),
-            RtOp::JustDoLog { base, value, .. } => {
-                v.push(*base);
+            RtOp::LockAcquired { lock } | RtOp::LockReleasing { lock } => v.extend(lock.as_reg()),
+            RtOp::StoreRecord { target, value } => {
+                if let StoreTarget::Heap { base, .. } = target {
+                    v.push(*base);
+                }
                 v.extend(value.as_reg());
             }
-            RtOp::JustDoLogStack { value, .. } => v.extend(value.as_reg()),
             RtOp::JustDoShadow { reg } => v.push(*reg),
-            RtOp::AtlasUndoLog { base, .. }
-            | RtOp::NvmlTxAdd { base, .. }
-            | RtOp::NvthreadsPageTouch { base, .. } => v.push(*base),
-            RtOp::AtlasUndoLogStack { .. }
-            | RtOp::NvmlTxAddStack { .. }
-            | RtOp::NvthreadsPageTouchStack { .. } => {}
             RtOp::LfCasPrepare { base, expected, new, .. } => {
                 v.push(*base);
                 v.extend(expected.as_reg());
@@ -271,9 +202,7 @@ impl RtOp {
     pub fn stack_uses(&self) -> Vec<StackSlot> {
         match self {
             RtOp::IdoBoundary { out_slots, .. } => out_slots.clone(),
-            RtOp::AtlasUndoLogStack { slot }
-            | RtOp::NvmlTxAddStack { slot }
-            | RtOp::NvthreadsPageTouchStack { slot } => vec![*slot],
+            RtOp::StoreRecord { target: StoreTarget::Stack(slot), .. } => vec![*slot],
             _ => Vec::new(),
         }
     }
@@ -623,8 +552,12 @@ mod tests {
 
     #[test]
     fn rtop_uses_cover_operands() {
-        let rt = RtOp::JustDoLog { base: r(4), offset: 0, value: Operand::Reg(r(5)) };
+        let target = StoreTarget::Heap { base: r(4), offset: 0 };
+        let rt = RtOp::StoreRecord { target, value: Operand::Reg(r(5)) };
         assert_eq!(rt.uses(), vec![r(4), r(5)]);
+        let rt = RtOp::StoreRecord { target: StoreTarget::Stack(StackSlot(3)), value: Operand::Imm(1) };
+        assert!(rt.uses().is_empty());
+        assert_eq!(rt.stack_uses(), vec![StackSlot(3)]);
         let b = RtOp::IdoBoundary { out_regs: vec![r(1), r(2)], out_slots: vec![StackSlot(0)] };
         assert_eq!(b.uses(), vec![r(1), r(2)]);
         assert_eq!(b.stack_uses(), vec![StackSlot(0)]);

@@ -59,7 +59,7 @@ mod verify;
 pub use builder::{FunctionBuilder, ProgramBuilder};
 pub use decoded::{DecodedFunction, DecodedInst, DecodedProgram};
 pub use func::{BasicBlock, BlockId, FuncId, Function, Pc, Program};
-pub use inst::{BinOp, Inst, LockToken, RtOp};
+pub use inst::{BinOp, Inst, LockToken, RtOp, StoreTarget};
 pub use pretty::{is_bare_name, FnName};
 pub use reg::{Operand, Reg, RegClass, StackSlot};
 pub use semantics::{eval_binop, ALL_BINOPS};

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::func::{BasicBlock, Function, Program};
-use crate::inst::{BinOp, Inst, RtOp};
+use crate::inst::{BinOp, Inst, RtOp, StoreTarget};
 use crate::reg::{Operand, Reg, RegClass, StackSlot};
 
 /// True when a function name can print bare (unquoted): a C-style
@@ -117,6 +117,15 @@ impl fmt::Display for BinOp {
     }
 }
 
+impl fmt::Display for StoreTarget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StoreTarget::Heap { base, offset } => write!(f, "[{base}{}]", Off(*offset)),
+            StoreTarget::Stack(slot) => write!(f, "stack[{slot}]"),
+        }
+    }
+}
+
 impl fmt::Display for RtOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -139,31 +148,12 @@ impl fmt::Display for RtOp {
                 }
                 write!(f, "]")
             }
-            RtOp::IdoLockAcquired { lock } => write!(f, "rt.ido_lock_acquired {lock}"),
-            RtOp::IdoLockReleasing { lock } => write!(f, "rt.ido_lock_releasing {lock}"),
-            RtOp::JustDoLog { base, offset, value } => {
-                write!(f, "rt.justdo_log [{base}{}] <- {value}", Off(*offset))
-            }
-            RtOp::JustDoLockAcquired { lock } => write!(f, "rt.justdo_lock_acquired {lock}"),
-            RtOp::JustDoLockReleasing { lock } => write!(f, "rt.justdo_lock_releasing {lock}"),
-            RtOp::JustDoLogStack { slot, value } => {
-                write!(f, "rt.justdo_log stack[{slot}] <- {value}")
-            }
+            RtOp::LockAcquired { lock } => write!(f, "rt.lock_acquired {lock}"),
+            RtOp::LockReleasing { lock } => write!(f, "rt.lock_releasing {lock}"),
+            RtOp::StoreRecord { target, value } => write!(f, "rt.store_record {target} <- {value}"),
             RtOp::JustDoShadow { reg } => write!(f, "rt.justdo_shadow {reg}"),
-            RtOp::AtlasUndoLog { base, offset } => write!(f, "rt.atlas_undo [{base}{}]", Off(*offset)),
-            RtOp::AtlasUndoLogStack { slot } => write!(f, "rt.atlas_undo stack[{slot}]"),
-            RtOp::AtlasLockAcquired { lock } => write!(f, "rt.atlas_lock_acquired {lock}"),
-            RtOp::AtlasLockReleasing { lock } => write!(f, "rt.atlas_lock_releasing {lock}"),
             RtOp::TxBegin => write!(f, "rt.tx_begin"),
             RtOp::TxCommit => write!(f, "rt.tx_commit"),
-            RtOp::NvmlTxAdd { base, offset } => write!(f, "rt.nvml_tx_add [{base}{}]", Off(*offset)),
-            RtOp::NvmlTxAddStack { slot } => write!(f, "rt.nvml_tx_add stack[{slot}]"),
-            RtOp::NvthreadsPageTouch { base, offset } => {
-                write!(f, "rt.nvthreads_page_touch [{base}{}]", Off(*offset))
-            }
-            RtOp::NvthreadsPageTouchStack { slot } => {
-                write!(f, "rt.nvthreads_page_touch stack[{slot}]")
-            }
             RtOp::LfFlushWindow => write!(f, "rt.lf_flush_window"),
             RtOp::LfCasPrepare { base, offset, expected, new } => {
                 write!(f, "rt.lf_cas_prepare [{base}{}] {expected} -> {new}", Off(*offset))
@@ -316,8 +306,11 @@ mod tests {
         let min = Inst::Load { dst: Reg::int(0), base: r, offset: i64::MIN };
         assert_eq!(format!("{min}"), "r0 = mem[r1-9223372036854775808]");
         // Rt ops carry offsets too.
-        let rt = RtOp::JustDoLog { base: r, offset: -24, value: Operand::Reg(Reg::int(5)) };
-        assert_eq!(format!("{rt}"), "rt.justdo_log [r1-24] <- r5");
+        let target = StoreTarget::Heap { base: r, offset: -24 };
+        let rt = RtOp::StoreRecord { target, value: Operand::Reg(Reg::int(5)) };
+        assert_eq!(format!("{rt}"), "rt.store_record [r1-24] <- r5");
+        let rt = RtOp::StoreRecord { target: StoreTarget::Stack(StackSlot(2)), value: Operand::Imm(7) };
+        assert_eq!(format!("{rt}"), "rt.store_record stack[s2] <- 7");
         let prep = RtOp::LfCasPrepare {
             base: r,
             offset: -8,

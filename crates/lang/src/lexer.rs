@@ -3,7 +3,7 @@
 //! Newlines are significant (they terminate statements, which is what
 //! disambiguates `ret` from `ret r1`), `#` starts a comment running to
 //! end of line, and identifiers may contain interior dots so runtime-op
-//! mnemonics like `rt.justdo_log` lex as one token. Every token carries
+//! mnemonics like `rt.store_record` lex as one token. Every token carries
 //! its byte [`Span`].
 
 use crate::diag::{LangError, Span};
@@ -432,8 +432,8 @@ mod tests {
     #[test]
     fn dotted_mnemonics_are_one_token() {
         assert_eq!(
-            kinds("rt.justdo_log"),
-            vec![Tok::Ident("rt.justdo_log".into()), Tok::Eof]
+            kinds("rt.store_record"),
+            vec![Tok::Ident("rt.store_record".into()), Tok::Eof]
         );
     }
 

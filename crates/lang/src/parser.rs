@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 use ido_ir::{
     verify_function, BasicBlock, BinOp, BlockId, FuncId, Function, Inst, Operand, Program, Reg,
-    RtOp, StackSlot,
+    RtOp, StackSlot, StoreTarget,
 };
 
 use crate::diag::{LangError, Span};
@@ -710,21 +710,19 @@ impl Parser {
         Ok(v)
     }
 
-    /// Either `[base+o]` or `stack[sN]` — the two address forms the
-    /// per-store runtime ops print.
-    fn parse_rt_target(
-        &mut self,
-        ctx: &str,
-    ) -> Result<Result<(Reg, i64), StackSlot>, LangError> {
+    /// Either `[base+o]` or `stack[sN]` — the two forms `rt.store_record`
+    /// prints its target in.
+    fn parse_store_target(&mut self) -> Result<StoreTarget, LangError> {
+        let ctx = "as the recorded location";
         if matches!(&self.c.peek().tok, Tok::Ident(w) if w == "stack") {
             self.c.bump();
             self.c.expect(Tok::LBracket, "after `stack`")?;
             let (slot, _) = self.expect_slot(ctx)?;
             self.c.expect(Tok::RBracket, "to close the slot")?;
-            Ok(Err(slot))
+            Ok(StoreTarget::Stack(slot))
         } else {
             let (base, offset, _) = self.expect_address(ctx)?;
-            Ok(Ok((base, offset)))
+            Ok(StoreTarget::Heap { base, offset })
         }
     }
 
@@ -741,56 +739,23 @@ impl Parser {
                 let out_slots = self.parse_slot_list("slots")?;
                 RtOp::IdoBoundary { out_regs, out_slots }
             }
-            "rt.ido_lock_acquired" => {
+            "rt.lock_acquired" => {
                 let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::IdoLockAcquired { lock }
+                RtOp::LockAcquired { lock }
             }
-            "rt.ido_lock_releasing" => {
+            "rt.lock_releasing" => {
                 let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::IdoLockReleasing { lock }
-            }
-            "rt.justdo_lock_acquired" => {
-                let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::JustDoLockAcquired { lock }
-            }
-            "rt.justdo_lock_releasing" => {
-                let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::JustDoLockReleasing { lock }
-            }
-            "rt.atlas_lock_acquired" => {
-                let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::AtlasLockAcquired { lock }
-            }
-            "rt.atlas_lock_releasing" => {
-                let (lock, _) = self.expect_operand("as the lock token")?;
-                RtOp::AtlasLockReleasing { lock }
+                RtOp::LockReleasing { lock }
             }
             "rt.justdo_shadow" => {
                 let (reg, _) = self.expect_reg("as the shadowed register")?;
                 RtOp::JustDoShadow { reg }
             }
-            "rt.justdo_log" => {
-                let target = self.parse_rt_target("as the logged location")?;
-                self.c.expect(Tok::LArrow, "before the logged value")?;
-                let (value, _) = self.expect_operand("as the logged value")?;
-                match target {
-                    Ok((base, offset)) => RtOp::JustDoLog { base, offset, value },
-                    Err(slot) => RtOp::JustDoLogStack { slot, value },
-                }
-            }
-            "rt.atlas_undo" => match self.parse_rt_target("as the logged location")? {
-                Ok((base, offset)) => RtOp::AtlasUndoLog { base, offset },
-                Err(slot) => RtOp::AtlasUndoLogStack { slot },
-            },
-            "rt.nvml_tx_add" => match self.parse_rt_target("as the snapshotted location")? {
-                Ok((base, offset)) => RtOp::NvmlTxAdd { base, offset },
-                Err(slot) => RtOp::NvmlTxAddStack { slot },
-            },
-            "rt.nvthreads_page_touch" => {
-                match self.parse_rt_target("as the touched location")? {
-                    Ok((base, offset)) => RtOp::NvthreadsPageTouch { base, offset },
-                    Err(slot) => RtOp::NvthreadsPageTouchStack { slot },
-                }
+            "rt.store_record" => {
+                let target = self.parse_store_target()?;
+                self.c.expect(Tok::LArrow, "before the recorded value")?;
+                let (value, _) = self.expect_operand("as the recorded value")?;
+                RtOp::StoreRecord { target, value }
             }
             "rt.lf_cas_prepare" => {
                 let (base, offset, _) = self.expect_address("as the CAS cell")?;
@@ -908,7 +873,7 @@ mod tests {
 
     #[test]
     fn rt_ops_round_trip() {
-        let src = "fn w(r0, r1) regs=6 slots=1 {\n  bb0:\n    rt.fase_begin\n    rt.ido_boundary regs=[r1,r2] slots=[s0]\n    rt.justdo_log [r0+0] <- r1\n    rt.justdo_log stack[s0] <- 3\n    rt.atlas_undo [r0+8]\n    rt.atlas_undo stack[s0]\n    rt.nvml_tx_add [r0+16]\n    rt.nvthreads_page_touch stack[s0]\n    rt.lf_flush_window\n    rt.lf_cas_prepare [r0+0] r1 -> 7\n    r5 = cas mem[r0+0] r1 -> 7\n    rt.lf_cas_publish [r0+0] taken=r5\n    rt.justdo_shadow r5\n    rt.fase_end\n    ret\n}\n";
+        let src = "fn w(r0, r1) regs=6 slots=1 {\n  bb0:\n    rt.fase_begin\n    rt.ido_boundary regs=[r1,r2] slots=[s0]\n    rt.lock_acquired r0\n    rt.store_record [r0+0] <- r1\n    rt.store_record stack[s0] <- 3\n    rt.store_record [r0-8] <- -1\n    rt.lock_releasing 4096\n    rt.lf_flush_window\n    rt.lf_cas_prepare [r0+0] r1 -> 7\n    r5 = cas mem[r0+0] r1 -> 7\n    rt.lf_cas_publish [r0+0] taken=r5\n    rt.justdo_shadow r5\n    rt.fase_end\n    ret\n}\n";
         let p = parse(src);
         assert_eq!(format!("{}", p.program), src);
     }

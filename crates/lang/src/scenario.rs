@@ -193,27 +193,6 @@ impl WorkloadSpec for ScenarioSpec {
     }
 }
 
-/// Parses a scheme name, case-insensitively and ignoring `_`/`-` (so
-/// `iDO`, `ido`, `JUSTDO`, `justdo`, `lf_eager`, and `LF-Eager` all work
-/// — note `-` only within an identifier typed in lowercase forms; the
-/// canonical scenario spelling is the lowercase underscore form).
-fn scheme_from_ident(s: &str) -> Option<Scheme> {
-    let norm: String =
-        s.chars().filter(|c| *c != '_' && *c != '-').flat_map(|c| c.to_lowercase()).collect();
-    Some(match norm.as_str() {
-        "origin" => Scheme::Origin,
-        "ido" => Scheme::Ido,
-        "atlas" => Scheme::Atlas,
-        "mnemosyne" => Scheme::Mnemosyne,
-        "justdo" => Scheme::JustDo,
-        "nvml" => Scheme::Nvml,
-        "nvthreads" => Scheme::Nvthreads,
-        "nvtraverse" => Scheme::Nvtraverse,
-        "lfeager" => Scheme::LfEager,
-        _ => return None,
-    })
-}
-
 /// Parses a full `.ido` file: the `scenario` header block, then an
 /// optional program section.
 ///
@@ -303,7 +282,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                     match w.as_str() {
                         "all" => scheme_group = Some((&Scheme::ALL, t.span)),
                         "lockfree" => scheme_group = Some((&Scheme::LOCKFREE, t.span)),
-                        _ => match scheme_from_ident(&w) {
+                        _ => match Scheme::from_name(&w) {
                             Some(s) => list.push((s, t.span)),
                             None => {
                                 return Err(LangError::new(

@@ -117,3 +117,13 @@ fn delay_out_of_range_diagnostic() {
         "fn worker() regs=1 slots=0 {\n  bb0:\n    delay 18446744073709551000 ns\n    ret\n}\n",
     );
 }
+
+/// A mnemonic of the per-scheme `Rt` ops ISSUE 24 folded into
+/// `rt.store_record`: an unknown runtime op, not a silent alias.
+#[test]
+fn unknown_rt_op_diagnostic() {
+    program_error(
+        "unknown_rt_op",
+        "fn worker(r0, r1) regs=2 slots=0 {\n  bb0:\n    rt.atlas_undo [r1+0]\n    ret\n}\n",
+    );
+}

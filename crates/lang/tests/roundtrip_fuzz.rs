@@ -10,7 +10,7 @@
 
 use ido_ir::{
     BasicBlock, BinOp, BlockId, FnName, FuncId, Function, Inst, Operand, Program, Reg, RtOp,
-    StackSlot,
+    StackSlot, StoreTarget,
 };
 use ido_lang::parse_program_text;
 use proptest::prelude::*;
@@ -90,22 +90,15 @@ fn rt_op() -> BoxedStrategy<RtOp> {
             prop::collection::vec(slot(), 0..3)
         )
             .prop_map(|(out_regs, out_slots)| RtOp::IdoBoundary { out_regs, out_slots }),
-        operand().prop_map(|lock| RtOp::IdoLockAcquired { lock }),
-        operand().prop_map(|lock| RtOp::IdoLockReleasing { lock }),
-        operand().prop_map(|lock| RtOp::JustDoLockAcquired { lock }),
-        operand().prop_map(|lock| RtOp::JustDoLockReleasing { lock }),
-        operand().prop_map(|lock| RtOp::AtlasLockAcquired { lock }),
-        operand().prop_map(|lock| RtOp::AtlasLockReleasing { lock }),
-        (reg(), offset(), operand())
-            .prop_map(|(base, offset, value)| RtOp::JustDoLog { base, offset, value }),
-        (slot(), operand()).prop_map(|(slot, value)| RtOp::JustDoLogStack { slot, value }),
+        operand().prop_map(|lock| RtOp::LockAcquired { lock }),
+        operand().prop_map(|lock| RtOp::LockReleasing { lock }),
+        (reg(), offset(), operand()).prop_map(|(base, offset, value)| {
+            RtOp::StoreRecord { target: StoreTarget::Heap { base, offset }, value }
+        }),
+        (slot(), operand()).prop_map(|(slot, value)| {
+            RtOp::StoreRecord { target: StoreTarget::Stack(slot), value }
+        }),
         reg().prop_map(|reg| RtOp::JustDoShadow { reg }),
-        (reg(), offset()).prop_map(|(base, offset)| RtOp::AtlasUndoLog { base, offset }),
-        slot().prop_map(|slot| RtOp::AtlasUndoLogStack { slot }),
-        (reg(), offset()).prop_map(|(base, offset)| RtOp::NvmlTxAdd { base, offset }),
-        slot().prop_map(|slot| RtOp::NvmlTxAddStack { slot }),
-        (reg(), offset()).prop_map(|(base, offset)| RtOp::NvthreadsPageTouch { base, offset }),
-        slot().prop_map(|slot| RtOp::NvthreadsPageTouchStack { slot }),
         (reg(), offset(), operand(), operand()).prop_map(|(base, offset, expected, new)| {
             RtOp::LfCasPrepare { base, offset, expected, new }
         }),

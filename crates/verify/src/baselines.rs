@@ -13,271 +13,152 @@
 //! All checks run on the *instrumented* IR and share no code with the
 //! instrumentation pass, so a pass bug (a record dropped on one diverging
 //! path, a commit emitted after the unlock) is caught rather than assumed
-//! away.
+//! away. That extends to *who owes what*: the `match scheme` blocks below are
+//! this crate's own copy of the obligations, deliberately not read from the
+//! compiler's scheme table — the pass lowers by that table, so a wrong row
+//! read here would excuse itself.
 
 use ido_compiler::{FaseMap, Scheme};
 use ido_idem::Pos;
 use ido_ir::cfg::Cfg;
-use ido_ir::{BlockId, Function, Inst, Operand, Reg, RtOp, StackSlot};
+use ido_ir::{BlockId, Function, Inst, RtOp, StoreTarget};
 
 use crate::diag::{Diagnostic, Invariant};
+use crate::forward_fixpoint;
 
 /// Runs the structural and per-store checks for `scheme` on one
-/// instrumented function. For iDO only the shared lock/marker structure is
-/// checked here — the region invariants live in [`crate::ido`].
-pub(crate) fn check(func: &Function, scheme: Scheme, diags: &mut Vec<Diagnostic>) {
-    if scheme == Scheme::Origin {
-        return; // no durability promise, no obligations
-    }
-    let cfg = Cfg::new(func);
-    let fase = match FaseMap::analyze(func, &cfg) {
-        Ok(f) => f,
-        Err(e) => {
-            diags.push(diag(
-                func,
-                scheme,
-                None,
-                Invariant::LockRecord,
-                format!("FASE structure unanalyzable on instrumented code: {e}"),
-                Vec::new(),
-            ));
-            return;
-        }
-    };
-    if fase.fase_inst_count() == 0 {
-        return;
-    }
-    check_structure(func, scheme, &fase, diags);
+/// instrumented function with at least one FASE. For iDO only the shared
+/// lock/marker structure is checked here — the region invariants live in
+/// [`crate::ido`].
+pub(crate) fn check(
+    func: &Function,
+    scheme: Scheme,
+    cfg: &Cfg,
+    fase: &FaseMap,
+    diags: &mut Vec<Diagnostic>,
+) {
+    check_structure(func, scheme, fase, diags);
     match scheme {
         Scheme::JustDo => {
-            check_store_records(func, scheme, &fase, diags);
-            check_shadows(func, &fase, diags);
+            check_records_before_stores(func, scheme, fase, diags);
+            check_shadows(func, fase, diags);
         }
         Scheme::Atlas | Scheme::Nvml | Scheme::Nvthreads => {
-            check_store_records(func, scheme, &fase, diags);
+            check_records_before_stores(func, scheme, fase, diags);
         }
-        Scheme::Mnemosyne => check_tx_open(func, &cfg, &fase, diags),
-        // The lock-free family never reaches here (verify_instrumented
-        // dispatches it to `crate::lockfree` before the FASE checks), and
-        // its instrumented code has no lock-delineated FASEs anyway.
+        Scheme::Mnemosyne => check_tx_open(func, cfg, fase, diags),
+        // Origin promises nothing and the lock-free family has no
+        // lock-delineated FASEs: `verify_instrumented` hands over neither.
         Scheme::Ido | Scheme::Origin | Scheme::Nvtraverse | Scheme::LfEager => {}
     }
 }
 
+/// A finding anchored at `pos`, which is also its whole witness.
 fn diag(
     func: &Function,
     scheme: Scheme,
-    pos: Option<Pos>,
+    pos: Pos,
     invariant: Invariant,
-    message: String,
-    witness: Vec<Pos>,
+    message: impl Into<String>,
 ) -> Diagnostic {
-    Diagnostic { scheme, function: func.name().to_string(), pos, invariant, message, witness }
+    let (function, message) = (func.name().to_string(), message.into());
+    Diagnostic { scheme, function, pos: Some(pos), invariant, message, witness: vec![pos] }
 }
 
-/// Scans forward from `from` over runtime ops, returning the position of
-/// the first one matching `pred`. Stops at the first non-runtime
+fn as_rt(inst: &Inst) -> Option<&RtOp> {
+    match inst {
+        Inst::Rt(rt) => Some(rt),
+        _ => None,
+    }
+}
+
+/// The runtime ops directly after position `i`, up to the first non-runtime
 /// instruction: a record separated from its anchor by program code is not
-/// adjacent, so ordering with respect to the anchor is no longer
-/// guaranteed.
-fn find_rt_forward(
-    func: &Function,
-    b: BlockId,
-    from: usize,
-    pred: impl Fn(&RtOp) -> bool,
-) -> Option<usize> {
-    for (j, inst) in func.block(b).insts.iter().enumerate().skip(from) {
-        match inst {
-            Inst::Rt(rt) => {
-                if pred(rt) {
-                    return Some(j);
-                }
-            }
-            _ => return None,
-        }
-    }
-    None
+/// adjacent, so ordering with respect to the anchor is no longer guaranteed.
+fn rt_after(func: &Function, b: BlockId, i: usize) -> impl Iterator<Item = &RtOp> {
+    func.block(b).insts[i + 1..].iter().map_while(as_rt)
 }
 
-/// Backward twin of [`find_rt_forward`]: scans `upto-1, upto-2, ...` while
-/// instructions are runtime ops.
-fn find_rt_backward(
-    func: &Function,
-    b: BlockId,
-    upto: usize,
-    pred: impl Fn(&RtOp) -> bool,
-) -> Option<usize> {
-    for j in (0..upto).rev() {
-        match &func.block(b).insts[j] {
-            Inst::Rt(rt) => {
-                if pred(rt) {
-                    return Some(j);
-                }
-            }
-            _ => return None,
-        }
-    }
-    None
+/// Backward twin of [`rt_after`]: the runtime ops directly before position
+/// `i`, nearest first.
+fn rt_before(func: &Function, b: BlockId, i: usize) -> impl Iterator<Item = &RtOp> {
+    func.block(b).insts[..i].iter().rev().map_while(as_rt)
 }
 
 /// Shared structure: FASE entry/exit markers adjacent to the outermost
 /// acquire / final release, and per-lock tracking records for the schemes
 /// that keep them (iDO, JUSTDO, Atlas).
 fn check_structure(func: &Function, scheme: Scheme, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
+    let tracks_locks = matches!(scheme, Scheme::Ido | Scheme::JustDo | Scheme::Atlas);
+    let (entry, exit) = match scheme {
+        Scheme::Mnemosyne => (RtOp::TxBegin, RtOp::TxCommit),
+        _ => (RtOp::FaseBegin, RtOp::FaseEnd),
+    };
     for (bi, bb) in func.blocks().iter().enumerate() {
         let b = BlockId(bi as u32);
         for (i, inst) in bb.insts.iter().enumerate() {
+            let mut flag =
+                |invariant, message: &str| diags.push(diag(func, scheme, (b, i), invariant, message));
+            let opens =
+                fase.is_outermost_acquire(b, i) && !rt_after(func, b, i).any(|rt| *rt == entry);
+            // The FASE-exit marker (commit for Mnemosyne) must sit between
+            // the last durable work and the release that makes the FASE
+            // observable as closed.
+            if matches!(inst, Inst::Unlock { .. } | Inst::DurableEnd)
+                && fase.is_final_release(b, i)
+                && !rt_before(func, b, i).any(|rt| *rt == exit)
+            {
+                flag(
+                    Invariant::CommitOnExit,
+                    "final release is not preceded by the scheme's FASE-exit marker: \
+                     the lock becomes observable as free before log retirement is \
+                     ordered",
+                );
+            }
             match inst {
                 Inst::Lock { lock } => {
-                    if fase.is_outermost_acquire(b, i) {
-                        let entry = |rt: &RtOp| match scheme {
-                            Scheme::Mnemosyne => matches!(rt, RtOp::TxBegin),
-                            _ => matches!(rt, RtOp::FaseBegin),
-                        };
-                        if find_rt_forward(func, b, i + 1, entry).is_none() {
-                            diags.push(diag(
-                                func,
-                                scheme,
-                                Some((b, i)),
-                                Invariant::LockRecord,
-                                "outermost lock acquire is not followed by the \
-                                 scheme's FASE-entry marker: recovery cannot tell \
-                                 a FASE was open"
-                                    .to_string(),
-                                vec![(b, i)],
-                            ));
-                        }
+                    if opens {
+                        flag(
+                            Invariant::LockRecord,
+                            "outermost lock acquire is not followed by the scheme's \
+                             FASE-entry marker: recovery cannot tell a FASE was open",
+                        );
                     }
-                    if let Some(pred) = acquire_record(scheme, *lock) {
-                        if find_rt_forward(func, b, i + 1, pred).is_none() {
-                            diags.push(diag(
-                                func,
-                                scheme,
-                                Some((b, i)),
-                                Invariant::LockRecord,
-                                "lock acquire has no adjacent tracking record: a \
-                                 crash inside this FASE hides the holder from \
-                                 recovery"
-                                    .to_string(),
-                                vec![(b, i)],
-                            ));
-                        }
+                    let record =
+                        |rt: &RtOp| matches!(rt, RtOp::LockAcquired { lock: l } if l == lock);
+                    if tracks_locks && !rt_after(func, b, i).any(record) {
+                        flag(
+                            Invariant::LockRecord,
+                            "lock acquire has no adjacent tracking record: a crash \
+                             inside this FASE hides the holder from recovery",
+                        );
                     }
                 }
                 Inst::Unlock { lock } => {
-                    if fase.is_final_release(b, i) {
-                        check_exit_marker(func, scheme, b, i, diags);
-                    }
-                    if let Some(pred) = release_record(scheme, *lock) {
-                        if find_rt_backward(func, b, i, pred).is_none() {
-                            diags.push(diag(
-                                func,
-                                scheme,
-                                Some((b, i)),
-                                Invariant::LockRecord,
-                                "lock release has no adjacent tracking record: \
-                                 recovery would still consider the lock held"
-                                    .to_string(),
-                                vec![(b, i)],
-                            ));
-                        }
+                    let record =
+                        |rt: &RtOp| matches!(rt, RtOp::LockReleasing { lock: l } if l == lock);
+                    if tracks_locks && !rt_before(func, b, i).any(record) {
+                        flag(
+                            Invariant::LockRecord,
+                            "lock release has no adjacent tracking record: recovery \
+                             would still consider the lock held",
+                        );
                     }
                 }
-                Inst::DurableBegin => {
-                    if fase.is_outermost_acquire(b, i) {
-                        let entry = |rt: &RtOp| match scheme {
-                            Scheme::Mnemosyne => matches!(rt, RtOp::TxBegin),
-                            _ => matches!(rt, RtOp::FaseBegin),
-                        };
-                        if find_rt_forward(func, b, i + 1, entry).is_none() {
-                            diags.push(diag(
-                                func,
-                                scheme,
-                                Some((b, i)),
-                                Invariant::LockRecord,
-                                "durable-region begin is not followed by the \
-                                 scheme's FASE-entry marker"
-                                    .to_string(),
-                                vec![(b, i)],
-                            ));
-                        }
-                    }
-                }
-                Inst::DurableEnd => {
-                    if fase.is_final_release(b, i) {
-                        check_exit_marker(func, scheme, b, i, diags);
-                    }
-                }
+                Inst::DurableBegin if opens => flag(
+                    Invariant::LockRecord,
+                    "durable-region begin is not followed by the scheme's FASE-entry marker",
+                ),
                 _ => {}
             }
         }
     }
 }
 
-/// The FASE-exit marker (commit for Mnemosyne) must sit between the last
-/// durable work and the release that makes the FASE observable as closed.
-fn check_exit_marker(
-    func: &Function,
-    scheme: Scheme,
-    b: BlockId,
-    i: usize,
-    diags: &mut Vec<Diagnostic>,
-) {
-    let exit = |rt: &RtOp| match scheme {
-        Scheme::Mnemosyne => matches!(rt, RtOp::TxCommit),
-        _ => matches!(rt, RtOp::FaseEnd),
-    };
-    if find_rt_backward(func, b, i, exit).is_none() {
-        diags.push(diag(
-            func,
-            scheme,
-            Some((b, i)),
-            Invariant::CommitOnExit,
-            "final release is not preceded by the scheme's FASE-exit marker: \
-             the lock becomes observable as free before log retirement is \
-             ordered"
-                .to_string(),
-            vec![(b, i)],
-        ));
-    }
-}
-
-type RtPred = Box<dyn Fn(&RtOp) -> bool>;
-
-fn acquire_record(scheme: Scheme, lock: ido_ir::LockToken) -> Option<RtPred> {
-    match scheme {
-        Scheme::Ido => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::IdoLockAcquired { lock: l } if *l == lock)
-        })),
-        Scheme::JustDo => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::JustDoLockAcquired { lock: l } if *l == lock)
-        })),
-        Scheme::Atlas => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::AtlasLockAcquired { lock: l } if *l == lock)
-        })),
-        _ => None,
-    }
-}
-
-fn release_record(scheme: Scheme, lock: ido_ir::LockToken) -> Option<RtPred> {
-    match scheme {
-        Scheme::Ido => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::IdoLockReleasing { lock: l } if *l == lock)
-        })),
-        Scheme::JustDo => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::JustDoLockReleasing { lock: l } if *l == lock)
-        })),
-        Scheme::Atlas => Some(Box::new(move |rt| {
-            matches!(rt, RtOp::AtlasLockReleasing { lock: l } if *l == lock)
-        })),
-        _ => None,
-    }
-}
-
 /// Per-store record adjacency for JUSTDO, Atlas, NVML, and NVThreads:
 /// every FASE store must have its matching record among the runtime ops
 /// directly preceding it.
-fn check_store_records(
+fn check_records_before_stores(
     func: &Function,
     scheme: Scheme,
     fase: &FaseMap,
@@ -289,34 +170,24 @@ fn check_store_records(
             if !fase.in_fase(b, i) {
                 continue;
             }
-            let found = match inst {
+            // The record describes the store it protects: same target, same
+            // source.
+            let record = match *inst {
                 Inst::Store { base, offset, src } => {
-                    let (base, offset, src) = (*base, *offset, *src);
-                    find_rt_backward(func, b, i, |rt| {
-                        heap_record_matches(scheme, rt, base, offset, src)
-                    })
+                    RtOp::StoreRecord { target: StoreTarget::Heap { base, offset }, value: src }
                 }
                 Inst::StoreStack { slot, src } => {
-                    let (slot, src) = (*slot, *src);
-                    find_rt_backward(func, b, i, |rt| {
-                        stack_record_matches(scheme, rt, slot, src)
-                    })
+                    RtOp::StoreRecord { target: StoreTarget::Stack(slot), value: src }
                 }
                 _ => continue,
             };
-            if found.is_none() {
-                diags.push(diag(
-                    func,
-                    scheme,
-                    Some((b, i)),
-                    Invariant::StoreLogged,
-                    format!(
-                        "FASE store has no adjacent matching {} record: a crash \
-                         after this store cannot roll it back or replay it",
-                        record_name(scheme)
-                    ),
-                    vec![(b, i)],
-                ));
+            if !rt_before(func, b, i).any(|rt| *rt == record) {
+                let message = format!(
+                    "FASE store has no adjacent matching {} record: a crash after this \
+                     store cannot roll it back or replay it",
+                    record_name(scheme)
+                );
+                diags.push(diag(func, scheme, (b, i), Invariant::StoreLogged, message));
             }
         }
     }
@@ -332,30 +203,6 @@ fn record_name(scheme: Scheme) -> &'static str {
     }
 }
 
-fn heap_record_matches(scheme: Scheme, rt: &RtOp, base: Reg, offset: i64, src: Operand) -> bool {
-    match (scheme, rt) {
-        (Scheme::JustDo, RtOp::JustDoLog { base: b, offset: o, value: v }) => {
-            b.id == base.id && *o == offset && *v == src
-        }
-        (Scheme::Atlas, RtOp::AtlasUndoLog { base: b, offset: o })
-        | (Scheme::Nvml, RtOp::NvmlTxAdd { base: b, offset: o })
-        | (Scheme::Nvthreads, RtOp::NvthreadsPageTouch { base: b, offset: o }) => {
-            b.id == base.id && *o == offset
-        }
-        _ => false,
-    }
-}
-
-fn stack_record_matches(scheme: Scheme, rt: &RtOp, slot: StackSlot, src: Operand) -> bool {
-    match (scheme, rt) {
-        (Scheme::JustDo, RtOp::JustDoLogStack { slot: s, value: v }) => *s == slot && *v == src,
-        (Scheme::Atlas, RtOp::AtlasUndoLogStack { slot: s })
-        | (Scheme::Nvml, RtOp::NvmlTxAddStack { slot: s })
-        | (Scheme::Nvthreads, RtOp::NvthreadsPageTouchStack { slot: s }) => *s == slot,
-        _ => false,
-    }
-}
-
 /// JUSTDO's no-register-caching rule: every register defined inside a FASE
 /// is immediately shadowed through to persistent memory.
 fn check_shadows(func: &Function, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
@@ -366,23 +213,15 @@ fn check_shadows(func: &Function, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
                 continue;
             }
             let Some(d) = inst.def_reg() else { continue };
-            let shadowed = find_rt_forward(func, b, i + 1, |rt| {
-                matches!(rt, RtOp::JustDoShadow { reg } if reg.id == d.id)
-            });
-            if shadowed.is_none() {
-                diags.push(diag(
-                    func,
-                    Scheme::JustDo,
-                    Some((b, i)),
-                    Invariant::ShadowMissing,
-                    format!(
-                        "register r{} is defined inside a FASE but not shadowed \
-                         to persistent memory: JUSTDO's forward-resumption \
-                         recovery would resume with a stale register file",
-                        d.id
-                    ),
-                    vec![(b, i)],
-                ));
+            let shadow = |rt: &RtOp| matches!(rt, RtOp::JustDoShadow { reg } if reg.id == d.id);
+            if !rt_after(func, b, i).any(shadow) {
+                let message = format!(
+                    "register r{} is defined inside a FASE but not shadowed to persistent \
+                     memory: JUSTDO's forward-resumption recovery would resume with a stale \
+                     register file",
+                    d.id
+                );
+                diags.push(diag(func, Scheme::JustDo, (b, i), Invariant::ShadowMissing, message));
             }
         }
     }
@@ -393,67 +232,19 @@ fn check_shadows(func: &Function, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
 /// (otherwise it bypasses the REDO log entirely), and no commit may
 /// execute without an open transaction.
 fn check_tx_open(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
-    let n = func.num_blocks();
     // Must-analysis: `true` = open on all paths. Top = true; merge = AND.
-    let mut block_in = vec![true; n];
-    let mut block_out = vec![true; n];
-    block_in[0] = false;
-    let rpo = cfg.rpo();
-    loop {
-        let mut changed = false;
-        for &b in rpo {
-            let bi = b.0 as usize;
-            let mut input = bi != 0;
-            for &p in cfg.preds(b) {
-                input &= block_out[p.0 as usize];
-            }
-            if bi != 0 && input != block_in[bi] {
-                block_in[bi] = input;
-                changed = true;
-            }
-            let out = transfer_tx(func, fase, b, input, |_, _| {});
-            if out != block_out[bi] {
-                block_out[bi] = out;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    for &b in rpo {
-        let start = block_in[b.0 as usize];
-        transfer_tx(func, fase, b, start, |pos, what| {
-            diags.push(diag(
-                func,
-                Scheme::Mnemosyne,
-                Some(pos),
-                match what {
-                    TxViolation::StoreOutsideTx => Invariant::StoreLogged,
-                    TxViolation::CommitWithoutTx => Invariant::CommitOnExit,
-                },
-                match what {
-                    TxViolation::StoreOutsideTx => {
-                        "FASE store executes outside any open REDO transaction: \
-                         it bypasses the redo log and tears under a crash \
-                         before commit"
-                    }
-                    TxViolation::CommitWithoutTx => {
-                        "transaction commit reachable without an open \
-                         transaction on some path"
-                    }
-                }
-                .to_string(),
-                vec![pos],
-            ));
+    let (block_in, _) = forward_fixpoint(
+        cfg,
+        false,
+        true,
+        |open, pred| *open &= *pred,
+        |b, open| transfer_tx(func, fase, b, open, |_, _, _| {}),
+    );
+    for &b in cfg.rpo() {
+        transfer_tx(func, fase, b, block_in[b.0 as usize], |pos, invariant, message| {
+            diags.push(diag(func, Scheme::Mnemosyne, pos, invariant, message));
         });
     }
-}
-
-#[derive(Clone, Copy)]
-enum TxViolation {
-    StoreOutsideTx,
-    CommitWithoutTx,
 }
 
 fn transfer_tx(
@@ -461,22 +252,27 @@ fn transfer_tx(
     fase: &FaseMap,
     b: BlockId,
     mut open: bool,
-    mut emit: impl FnMut(Pos, TxViolation),
+    mut emit: impl FnMut(Pos, Invariant, &'static str),
 ) -> bool {
     for (i, inst) in func.block(b).insts.iter().enumerate() {
         match inst {
             Inst::Rt(RtOp::TxBegin) => open = true,
             Inst::Rt(RtOp::TxCommit) => {
                 if !open {
-                    emit((b, i), TxViolation::CommitWithoutTx);
+                    emit(
+                        (b, i),
+                        Invariant::CommitOnExit,
+                        "transaction commit reachable without an open transaction on some path",
+                    );
                 }
                 open = false;
             }
-            Inst::Store { .. } | Inst::StoreStack { .. } if fase.in_fase(b, i) => {
-                if !open {
-                    emit((b, i), TxViolation::StoreOutsideTx);
-                }
-            }
+            Inst::Store { .. } | Inst::StoreStack { .. } if fase.in_fase(b, i) && !open => emit(
+                (b, i),
+                Invariant::StoreLogged,
+                "FASE store executes outside any open REDO transaction: it bypasses the \
+                 redo log and tears under a crash before commit",
+            ),
             _ => {}
         }
     }

@@ -33,32 +33,22 @@ use ido_ir::liveness::{Liveness, Var};
 use ido_ir::{Function, Inst, RtOp};
 
 use crate::diag::{Diagnostic, Invariant};
+use crate::forward_fixpoint;
 use crate::model::RuntimeModel;
 
-/// Runs all iDO checks on one instrumented function.
-pub(crate) fn check(func: &Function, model: &RuntimeModel, diags: &mut Vec<Diagnostic>) {
-    let cfg = Cfg::new(func);
-    let fase = match FaseMap::analyze(func, &cfg) {
-        Ok(f) => f,
-        Err(e) => {
-            diags.push(diag(
-                func,
-                None,
-                Invariant::LockRecord,
-                format!("FASE structure unanalyzable on instrumented code: {e}"),
-                Vec::new(),
-            ));
-            return;
-        }
-    };
-    if fase.fase_inst_count() == 0 {
-        return; // no FASE, no durability obligations
-    }
-    let liveness = Liveness::new(func, &cfg);
-    check_boundary_coverage(func, &cfg, &fase, diags);
-    check_live_in_logged(func, &fase, &liveness, diags);
-    check_antideps(func, &cfg, &fase, diags);
-    check_persist_ordering(func, &fase, model, diags);
+/// Runs all iDO checks on one instrumented function with at least one FASE.
+pub(crate) fn check(
+    func: &Function,
+    cfg: &Cfg,
+    fase: &FaseMap,
+    model: &RuntimeModel,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let liveness = Liveness::new(func, cfg);
+    check_boundary_coverage(func, cfg, fase, diags);
+    check_live_in_logged(func, fase, &liveness, diags);
+    check_antideps(func, cfg, fase, diags);
+    check_persist_ordering(func, fase, model, diags);
 }
 
 fn diag(
@@ -81,36 +71,16 @@ fn check_boundary_coverage(
     fase: &FaseMap,
     diags: &mut Vec<Diagnostic>,
 ) {
-    let n = func.num_blocks();
     // Must-analysis: `true` = covered on all paths. Top = true; merge = AND.
-    let mut block_in = vec![true; n];
-    let mut block_out = vec![true; n];
-    block_in[0] = false;
-    let rpo = cfg.rpo();
-    loop {
-        let mut changed = false;
-        for &b in rpo {
-            let bi = b.0 as usize;
-            let mut input = if bi == 0 { false } else { true };
-            for &p in cfg.preds(b) {
-                input &= block_out[p.0 as usize];
-            }
-            if bi != 0 && input != block_in[bi] {
-                block_in[bi] = input;
-                changed = true;
-            }
-            let out = transfer_coverage(func, fase, b, input, |_| {});
-            if out != block_out[bi] {
-                block_out[bi] = out;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let (block_in, block_out) = forward_fixpoint(
+        cfg,
+        false,
+        true,
+        |covered, pred| *covered &= *pred,
+        |b, covered| transfer_coverage(func, fase, b, covered, |_| {}),
+    );
     // Reporting pass over the stable solution.
-    for &b in rpo {
+    for &b in cfg.rpo() {
         let start = block_in[b.0 as usize];
         transfer_coverage(func, fase, b, start, |store_pos| {
             let witness = uncovered_witness(func, cfg, fase, &block_out, store_pos);
@@ -311,36 +281,15 @@ impl RegionState {
 /// Forward may-dataflow over the instrumented function, cleared at every
 /// `IdoBoundary` (and on leaving FASEs, whose code is never re-executed).
 fn check_antideps(func: &Function, cfg: &Cfg, fase: &FaseMap, diags: &mut Vec<Diagnostic>) {
-    let n = func.num_blocks();
-    let mut block_in: Vec<RegionState> = vec![RegionState::default(); n];
-    let mut block_out: Vec<RegionState> = vec![RegionState::default(); n];
-    block_in[0] = RegionState::entry();
-    let rpo = cfg.rpo();
-    loop {
-        let mut changed = false;
-        for &b in rpo {
-            let bi = b.0 as usize;
-            let mut input =
-                if bi == 0 { RegionState::entry() } else { RegionState::default() };
-            for &p in cfg.preds(b) {
-                input.merge(&block_out[p.0 as usize]);
-            }
-            if bi != 0 && input != block_in[bi] {
-                block_in[bi] = input.clone();
-                changed = true;
-            }
-            let out = transfer_antidep(func, fase, b, input, |_| {});
-            if out != block_out[bi] {
-                block_out[bi] = out;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let (block_in, _) = forward_fixpoint(
+        cfg,
+        RegionState::entry(),
+        RegionState::default(),
+        RegionState::merge,
+        |b, state| transfer_antidep(func, fase, b, state, |_| {}),
+    );
     let mut seen: BTreeSet<(Pos, Invariant)> = BTreeSet::new();
-    for &b in rpo {
+    for &b in cfg.rpo() {
         let start = block_in[b.0 as usize].clone();
         transfer_antidep(func, fase, b, start, |v| {
             if seen.insert((v.at, v.invariant)) {

@@ -24,8 +24,9 @@
 
 #![deny(missing_docs)]
 
-use ido_compiler::{instrument_program, CompileError, Instrumented, Scheme};
-use ido_ir::Program;
+use ido_compiler::{instrument_program, CompileError, FaseMap, Instrumented, Scheme};
+use ido_ir::cfg::Cfg;
+use ido_ir::{BlockId, Program};
 use ido_workloads::standard_specs;
 
 pub mod diag;
@@ -54,12 +55,72 @@ pub fn verify_instrumented(inst: &Instrumented, model: &RuntimeModel) -> Vec<Dia
             lockfree::check(func, inst.scheme, model, &mut diags);
             continue;
         }
-        baselines::check(func, inst.scheme, &mut diags);
+        if inst.scheme == Scheme::Origin {
+            continue; // no durability promise, no obligations
+        }
+        let cfg = Cfg::new(func);
+        let fase = match FaseMap::analyze(func, &cfg) {
+            Ok(f) => f,
+            Err(e) => {
+                diags.push(Diagnostic {
+                    scheme: inst.scheme,
+                    function: func.name().to_string(),
+                    pos: None,
+                    invariant: Invariant::LockRecord,
+                    message: format!("FASE structure unanalyzable on instrumented code: {e}"),
+                    witness: Vec::new(),
+                });
+                continue;
+            }
+        };
+        if fase.fase_inst_count() == 0 {
+            continue; // no FASE, no durability obligations
+        }
+        baselines::check(func, inst.scheme, &cfg, &fase, &mut diags);
         if inst.scheme == Scheme::Ido {
-            ido::check(func, model, &mut diags);
+            ido::check(func, &cfg, &fase, model, &mut diags);
         }
     }
     diags
+}
+
+/// The RPO forward fixpoint the dataflow checks share: `(block_in,
+/// block_out)` of every block under `transfer`, from `entry` at block 0 and
+/// `top` everywhere else (unreachable blocks keep it), predecessors' outputs
+/// folded in with `meet`. A back edge into block 0 reaches its transfer but
+/// not its reported `block_in`, which stays `entry`.
+fn forward_fixpoint<T: Clone + PartialEq>(
+    cfg: &Cfg,
+    entry: T,
+    top: T,
+    meet: impl Fn(&mut T, &T),
+    mut transfer: impl FnMut(BlockId, T) -> T,
+) -> (Vec<T>, Vec<T>) {
+    let mut block_in = vec![top.clone(); cfg.len()];
+    let mut block_out = vec![top.clone(); cfg.len()];
+    block_in[0] = entry.clone();
+    loop {
+        let mut changed = false;
+        for &b in cfg.rpo() {
+            let bi = b.0 as usize;
+            let mut input = if bi == 0 { entry.clone() } else { top.clone() };
+            for &p in cfg.preds(b) {
+                meet(&mut input, &block_out[p.0 as usize]);
+            }
+            if bi != 0 && input != block_in[bi] {
+                block_in[bi] = input.clone();
+                changed = true;
+            }
+            let out = transfer(b, input);
+            if out != block_out[bi] {
+                block_out[bi] = out;
+                changed = true;
+            }
+        }
+        if !changed {
+            return (block_in, block_out);
+        }
+    }
 }
 
 /// Why [`compile_verified`] rejected a program.

@@ -1,7 +1,7 @@
 //! The runtime model the static verifier checks code against.
 //!
 //! The instrumented IR only *names* runtime operations (`IdoBoundary`,
-//! `AtlasUndoLog`, ...); what those operations persist, and in which
+//! `StoreRecord`, ...); what those operations persist, and in which
 //! order, is decided by the VM configuration and the persistent log
 //! layouts. [`RuntimeModel`] captures the facts the static analysis needs:
 //!

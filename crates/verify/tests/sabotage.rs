@@ -9,7 +9,7 @@
 //! so a regression is caught at lint time rather than by exploration.
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
-use ido_ir::{BlockId, FuncId, Inst, Operand, Program, ProgramBuilder, RtOp};
+use ido_ir::{BlockId, FuncId, Inst, Operand, Program, ProgramBuilder, RtOp, StoreTarget};
 use ido_verify::{verify_instrumented, Invariant, RuntimeModel};
 
 /// worker(lock, p): one FASE containing an antidependent load/store pair
@@ -160,13 +160,15 @@ fn redefining_a_region_input_after_use_is_flagged() {
 
 #[test]
 fn removing_ido_lock_records_is_flagged() {
-    let mut inst = instrumented(Scheme::Ido);
-    remove_first(&mut inst, |i| matches!(i, Inst::Rt(RtOp::IdoLockAcquired { .. })));
-    assert_flags(&inst, Invariant::LockRecord);
+    for scheme in [Scheme::Ido, Scheme::JustDo, Scheme::Atlas] {
+        let mut inst = instrumented(scheme);
+        remove_first(&mut inst, |i| matches!(i, Inst::Rt(RtOp::LockAcquired { .. })));
+        assert_flags(&inst, Invariant::LockRecord);
 
-    let mut inst = instrumented(Scheme::Ido);
-    remove_first(&mut inst, |i| matches!(i, Inst::Rt(RtOp::IdoLockReleasing { .. })));
-    assert_flags(&inst, Invariant::LockRecord);
+        let mut inst = instrumented(scheme);
+        remove_first(&mut inst, |i| matches!(i, Inst::Rt(RtOp::LockReleasing { .. })));
+        assert_flags(&inst, Invariant::LockRecord);
+    }
 }
 
 #[test]
@@ -182,14 +184,9 @@ fn removing_fase_exit_marker_is_flagged() {
 
 #[test]
 fn removing_per_store_records_is_flagged() {
-    for (scheme, is_record) in [
-        (Scheme::JustDo, (|i: &Inst| matches!(i, Inst::Rt(RtOp::JustDoLog { .. }))) as fn(&Inst) -> bool),
-        (Scheme::Atlas, |i: &Inst| matches!(i, Inst::Rt(RtOp::AtlasUndoLog { .. }))),
-        (Scheme::Nvml, |i: &Inst| matches!(i, Inst::Rt(RtOp::NvmlTxAdd { .. }))),
-        (Scheme::Nvthreads, |i: &Inst| matches!(i, Inst::Rt(RtOp::NvthreadsPageTouch { .. }))),
-    ] {
+    for scheme in [Scheme::JustDo, Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
         let mut inst = instrumented(scheme);
-        remove_first(&mut inst, is_record);
+        remove_first(&mut inst, |i| matches!(i, Inst::Rt(RtOp::StoreRecord { .. })));
         let diags = diags_of(&inst);
         assert!(
             diags.iter().any(|d| d.invariant == Invariant::StoreLogged),
@@ -208,7 +205,8 @@ fn mismatched_record_address_is_flagged() {
     for bi in 0..func.num_blocks() {
         let b = BlockId(bi as u32);
         for ins in &mut func.block_mut(b).insts {
-            if let Inst::Rt(RtOp::AtlasUndoLog { offset, .. }) = ins {
+            if let Inst::Rt(RtOp::StoreRecord { target: StoreTarget::Heap { offset, .. }, .. }) = ins
+            {
                 *offset += 8;
                 patched = true;
             }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use ido_compiler::{Instrumented, Scheme};
 use ido_ir::{
     BlockId, DecodedInst, DecodedProgram, FuncId, Inst, Operand, Pc, Program, Reg, StackSlot,
-    Tier2Entry, Tier2Program,
+    StoreTarget, Tier2Entry, Tier2Program,
 };
 use ido_lockfree::LfState;
 use ido_nvm::alloc::{AllocPolicy, NvAllocator};
@@ -302,6 +302,15 @@ impl ThreadCtx {
     #[inline]
     pub(crate) fn slot_addr(&self, slot: StackSlot) -> PAddr {
         self.frames.last().expect("frame").stack_base + slot.0 as usize * 8
+    }
+
+    /// The address the store after an `rt.store_record` is about to write.
+    #[inline]
+    pub(crate) fn target_addr(&mut self, target: StoreTarget) -> PAddr {
+        match target {
+            StoreTarget::Heap { base, offset } => mem_addr(self.read_reg(base), offset),
+            StoreTarget::Stack(slot) => self.slot_addr(slot),
+        }
     }
 }
 

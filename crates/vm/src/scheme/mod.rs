@@ -117,7 +117,9 @@ pub(crate) fn new_thread(
         Scheme::Origin => SchemeState::Origin,
         Scheme::Ido => SchemeState::Ido(resumption::IdoThread::new(areas, max_regs, held)),
         Scheme::JustDo => SchemeState::JustDo(resumption::JustDoThread::new(areas, max_regs, held)),
-        Scheme::Atlas | Scheme::Nvml => SchemeState::Undo(undo::UndoThread::new(log)),
+        Scheme::Atlas | Scheme::Nvml => {
+            SchemeState::Undo(undo::UndoThread::new(scheme == Scheme::Atlas, log))
+        }
         Scheme::Mnemosyne => SchemeState::Mnemosyne(redo::MnemosyneThread::new(log)),
         Scheme::Nvthreads => SchemeState::Nvthreads(redo::NvthreadsThread::new(log)),
         Scheme::Nvtraverse => SchemeState::Nvtraverse(FlushWindow::default()),
@@ -278,7 +280,10 @@ pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
 }
 
 /// An op `scheme` gives no meaning of its own: the FASE markers pass,
-/// anything else was instrumented for another scheme.
+/// anything else is off the (scheme, op) diagonal its row lowers to — a lock
+/// or store record under a scheme that keeps none, or an op only one scheme
+/// emits (`rt.tx_*`, `rt.ido_boundary`, `rt.justdo_shadow`, `rt.lf_*`) under
+/// another.
 fn foreign(op: &RtOp, scheme: &str) -> Effect {
     let marker = matches!(op, RtOp::FaseBegin | RtOp::FaseEnd);
     assert!(marker, "{op:?} is not a runtime op of {scheme}");

@@ -13,7 +13,7 @@ use ido_nvm::{PAddr, PmemHandle};
 use ido_trace::{Category, EventKind, RecoveryPhase};
 
 use super::{Effect, RecoverCx, RtCx, Stamp};
-use crate::exec::{mem_addr, Status, VmConfig, GLOBAL_TX_LOCK};
+use crate::exec::{Status, VmConfig, GLOBAL_TX_LOCK};
 use crate::layout::{AppendLogLayout, LogEntryKind};
 use crate::locks::{Acquire, ThreadId};
 
@@ -185,12 +185,8 @@ impl NvthreadsThread {
                 self.dirty_pages.clear();
             }
             RtOp::FaseEnd => self.commit(&mut th.handle, stamp.next(), cx.config),
-            &RtOp::NvthreadsPageTouch { base, offset } => {
-                let addr = mem_addr(th.read_reg(base), offset);
-                self.touch(&mut th.handle, addr, cx.config);
-            }
-            &RtOp::NvthreadsPageTouchStack { slot } => {
-                let addr = th.slot_addr(slot);
+            &RtOp::StoreRecord { target, .. } => {
+                let addr = th.target_addr(target);
                 self.touch(&mut th.handle, addr, cx.config);
             }
             _ => return super::foreign(op, "NVThreads"),

@@ -11,7 +11,7 @@ use ido_nvm::{PAddr, PmemHandle, PmemPool};
 use ido_trace::{EventKind, RecoveryPhase};
 
 use super::{flush_stores, Effect, RecoverCx, RtCx};
-use crate::exec::{mem_addr, Frame, RunOutcome, Vm, VmConfig};
+use crate::exec::{Frame, RunOutcome, Vm, VmConfig};
 use crate::layout::{
     decode_pc, encode_pc, LockArray, LockFence, RegistryEntry, ResumeLog, LOCK_ARRAY_SLOTS,
 };
@@ -135,7 +135,7 @@ impl IdoThread {
                 self.pc_fence_pending = false;
             }
             RtOp::IdoBoundary { out_regs, .. } => self.boundary(cx, out_regs),
-            &RtOp::IdoLockAcquired { lock } => {
+            &RtOp::LockAcquired { lock } => {
                 let l = th.eval(lock);
                 let fence = if cx.config.ido_unmerged_acquire_fence {
                     LockFence::Single // the paper's single fence, unmerged
@@ -152,7 +152,7 @@ impl IdoThread {
                 };
                 self.held.acquire(self.log.locks(), &mut th.handle, l, fence);
             }
-            &RtOp::IdoLockReleasing { lock } => {
+            &RtOp::LockReleasing { lock } => {
                 let l = th.eval(lock);
                 let (locks, recovery) = (self.log.locks(), th.recovery);
                 self.held.release(locks, &mut th.handle, l, LockFence::Single, recovery);
@@ -278,13 +278,8 @@ impl JustDoThread {
                 th.handle.end_log();
                 th.handle.sfence();
             }
-            &RtOp::JustDoLog { base, offset, value } => {
-                let addr = mem_addr(th.read_reg(base), offset) as u64;
-                let v = th.eval(value);
-                self.log_store(cx, addr, v);
-            }
-            &RtOp::JustDoLogStack { slot, value } => {
-                let addr = th.slot_addr(slot) as u64;
+            &RtOp::StoreRecord { target, value } => {
+                let addr = th.target_addr(target) as u64;
                 let v = th.eval(value);
                 self.log_store(cx, addr, v);
             }
@@ -294,11 +289,11 @@ impl JustDoThread {
                 th.handle.log_write_u64(a, v);
                 th.handle.clwb(a); // ordered by the next log fence
             }
-            &RtOp::JustDoLockAcquired { lock } => {
+            &RtOp::LockAcquired { lock } => {
                 let l = th.eval(lock);
                 self.held.acquire(self.log.locks(), &mut th.handle, l, LockFence::TwoPhase);
             }
-            &RtOp::JustDoLockReleasing { lock } => {
+            &RtOp::LockReleasing { lock } => {
                 let l = th.eval(lock);
                 let (locks, recovery) = (self.log.locks(), th.recovery);
                 self.held.release(locks, &mut th.handle, l, LockFence::TwoPhase, recovery);

@@ -13,11 +13,14 @@ use ido_nvm::{PAddr, PmemHandle};
 use ido_trace::{Category, RecoveryPhase};
 
 use super::{flush_stores, Effect, RecoverCx, RtCx, Stamp};
-use crate::exec::{mem_addr, VmConfig};
+use crate::exec::VmConfig;
 use crate::layout::{AppendLogLayout, LogEntryKind};
 
 /// An Atlas or NVML thread's volatile state.
 pub(crate) struct UndoThread {
+    /// Which of the two it serves: Atlas records lock operations and logs
+    /// per store, NVML snapshots per object.
+    atlas: bool,
     log: AppendLogLayout,
     /// The FASE's stores, written back at its end.
     fase_stores: Vec<PAddr>,
@@ -26,8 +29,8 @@ pub(crate) struct UndoThread {
 }
 
 impl UndoThread {
-    pub(super) fn new(log: AppendLogLayout) -> UndoThread {
-        UndoThread { log, fase_stores: Vec::new(), nvml_added: HashSet::new() }
+    pub(super) fn new(atlas: bool, log: AppendLogLayout) -> UndoThread {
+        UndoThread { atlas, log, fase_stores: Vec::new(), nvml_added: HashSet::new() }
     }
 
     #[inline]
@@ -73,37 +76,29 @@ impl UndoThread {
                 th.handle.sfence();
                 self.log.append(&mut th.handle, LogEntryKind::Commit, 0, 0, stamp);
             }
-            &RtOp::AtlasUndoLog { base, offset } => {
-                let addr = mem_addr(th.read_reg(base), offset);
-                self.atlas_undo(shared, &mut th.handle, config, addr);
+            &RtOp::StoreRecord { target, .. } => {
+                let addr = th.target_addr(target);
+                if self.atlas {
+                    self.atlas_undo(shared, &mut th.handle, config, addr);
+                } else {
+                    self.nvml_tx_add(shared, &mut th.handle, addr);
+                }
             }
-            &RtOp::AtlasUndoLogStack { slot } => {
-                let addr = th.slot_addr(slot);
-                self.atlas_undo(shared, &mut th.handle, config, addr);
-            }
-            &RtOp::AtlasLockAcquired { lock } => {
+            &RtOp::LockAcquired { lock } if self.atlas => {
                 let l = th.eval(lock);
                 let observed = *shared.lock_release_stamps.get(&l).unwrap_or(&0);
                 let stamp = shared.stamp.next();
                 let record = (LogEntryKind::LockAcquire, l, observed, stamp);
                 self.atlas_lock_record(shared, &mut th.handle, config, record);
             }
-            &RtOp::AtlasLockReleasing { lock } => {
+            &RtOp::LockReleasing { lock } if self.atlas => {
                 let l = th.eval(lock);
                 let stamp = shared.stamp.next();
                 shared.lock_release_stamps.insert(l, stamp);
                 let record = (LogEntryKind::LockRelease, l, stamp, stamp);
                 self.atlas_lock_record(shared, &mut th.handle, config, record);
             }
-            &RtOp::NvmlTxAdd { base, offset } => {
-                let addr = mem_addr(th.read_reg(base), offset);
-                self.nvml_tx_add(shared, &mut th.handle, addr);
-            }
-            &RtOp::NvmlTxAddStack { slot } => {
-                let addr = th.slot_addr(slot);
-                self.nvml_tx_add(shared, &mut th.handle, addr);
-            }
-            _ => return super::foreign(op, "Atlas or NVML"),
+            _ => return super::foreign(op, if self.atlas { "Atlas" } else { "NVML" }),
         }
         Effect::Next
     }

@@ -59,8 +59,11 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # The engine names no scheme (every dispatch on one is in
 # crates/vm/src/scheme/mod.rs), the thread registry's entry arithmetic is
 # written once, the recoverable-CAS protocol is spelled in ido-lockfree only
-# (ido-vm calls its steps), and the refactor-proof goldens (forward runs and crash +
-# recover rows, both tiers) hold in an optimized build.
+# (ido-vm calls its steps), an `Rt` op names an event and never a scheme (the
+# fourteen per-scheme variants and their ten mnemonics stay gone; the one
+# written down is the input of the diagnostic pinning it as unknown), and the
+# refactor-proof goldens (forward runs and crash + recover rows, both tiers)
+# hold in an optimized build.
 scheme_seams() {
   if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
     echo "the engine dispatches on a scheme outside crates/vm/src/scheme/"; return 1
@@ -70,6 +73,10 @@ scheme_seams() {
   fi
   if grep -rn 'DESC_\|STATE_INFLIGHT\|STATE_DONE\|CELL_TAG\|encode_tag\|tag_owner\|tag_seq' crates/vm/src; then
     echo "ido-vm names a descriptor word or cell tag: the protocol lives in ido-lockfree"; return 1
+  fi
+  if grep -rnE 'rt\.(ido_lock|justdo_lo|atlas_|nvml_|nvthreads_)|(Ido|JustDo|Atlas)Lock(Acquired|Releasing)|AtlasUndoLog|NvmlTxAdd|NvthreadsPageTouch|JustDoLog' crates src tests examples corpus \
+      | grep -v '^crates/lang/tests/\(goldens/diag_unknown_rt_op.txt\|diagnostics_golden.rs\):'; then
+    echo "an Rt op or mnemonic names its scheme: the program carries the scheme"; return 1
   fi
   cargo test -q --release -p ido-workloads --test decoded_golden
 }
@@ -197,6 +204,11 @@ echo "== ido verify over the scenario corpus (static atomicity, all schemes) =="
 for f in corpus/*.ido; do
   cargo run -q --release -p ido-repro --bin ido -- verify "$f"
 done
+
+echo "== ido crashtest over the lock-free corpus file: both schemes explored =="
+cargo run -q --release -p ido-repro --bin ido -- crashtest corpus/lf_list.ido \
+  | grep -q '2 scheme(s) explored, 0 counterexample(s)' \
+  || { echo "ido crashtest did not explore the lock-free pair"; exit 1; }
 
 echo "== ido run --compare-builder: corpus runs byte-identical to the builder =="
 # The CLI re-runs each scheme from the native Rust-builder program and

@@ -17,8 +17,8 @@
 
 use std::process::ExitCode;
 
-use ido_compiler::{instrument_program, Instrumented, Scheme};
-use ido_crashtest::{explore_jobs, OracleConfig, DURABLE_SCHEMES};
+use ido_compiler::{instrument_program, Instrumented, Recovery, Scheme};
+use ido_crashtest::{explore_jobs, OracleConfig};
 use ido_lang::{parse_scenario, render_diagnostic, LangError, Listing, Scenario, ScenarioSpec};
 use ido_nvm::StatsSnapshot;
 use ido_trace::TraceConfig;
@@ -263,7 +263,7 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
     let mut failed = 0usize;
     let mut ran = 0usize;
     for &scheme in &scenario.schemes {
-        if !DURABLE_SCHEMES.contains(&scheme) {
+        if scheme.info().recovery == Recovery::None {
             println!("crashtest: skipping {} (no durability contract to check)", scheme.name());
             continue;
         }

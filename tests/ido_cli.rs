@@ -29,11 +29,16 @@ fn ido(command: &str, name: &str, source: &str) -> Ran {
     }
 }
 
+/// The source of `corpus/<file>`.
+fn corpus(file: &str) -> String {
+    let path = format!("{}/corpus/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
 /// `corpus/stack.ido` with two delays of `first` and `second` ns at the top
 /// of `worker`.
 fn stack_with_delays(first: u64, second: u64) -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/stack.ido");
-    let source = std::fs::read_to_string(path).expect("corpus/stack.ido");
+    let source = corpus("stack.ido");
     let delays = format!("  bb0:\n    delay {first} ns\n    delay {second} ns\n");
     assert_eq!(source.matches("  bb0:\n").count(), 1, "worker is the only function");
     source.replacen("  bb0:\n", &delays, 1)
@@ -95,4 +100,25 @@ fn a_cas_that_redefines_a_region_input_compiles_under_ido() {
         "exit {code:?}\n{stdout}\n{stderr}"
     );
     assert!(stdout.contains("verify:"), "no verdict printed:\n{stdout}");
+}
+
+/// `ido crashtest` once skipped every scheme outside the six lock-delineated
+/// ones and reported success on the lock-free corpus with nothing explored,
+/// although both of its schemes have a durability contract.
+#[test]
+fn crashtest_explores_the_lockfree_pair() {
+    let Ran { code, stdout, stderr } = ido("crashtest", "lf_list", &corpus("lf_list.ido"));
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert!(stdout.contains("2 scheme(s) explored, 0 counterexample(s)"), "{stdout}");
+    assert!(!stdout.contains("skipping"), "{stdout}");
+}
+
+/// The one scheme with no contract to check is the one with no recovery.
+#[test]
+fn crashtest_skips_only_origin() {
+    let source = corpus("stack.ido").replacen("  ops 4\n", "  ops 4\n  schemes origin ido\n", 1);
+    let Ran { code, stdout, stderr } = ido("crashtest", "origin", &source);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert!(stdout.contains("skipping Origin"), "{stdout}");
+    assert!(stdout.contains("1 scheme(s) explored, 0 counterexample(s)"), "{stdout}");
 }
