@@ -11,14 +11,24 @@
 
 use ido_bench::{bench_config, ops_per_thread, run_point, write_csv, NO_LOG};
 use ido_compiler::Scheme;
-use ido_vm::profile::BUCKETS;
+use ido_trace::{Profile, TraceConfig, PROFILE_BUCKETS};
+use ido_vm::VmConfig;
 use ido_workloads::kv::{memcached::MemcachedSpec, redis::RedisSpec};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
 use ido_workloads::WorkloadSpec;
 
+/// Fig. 8's region profile of one run, read off its trace: tracing costs
+/// no simulated time, and the profile is computed at emission, so a
+/// one-entry ring suffices.
+fn region_profile(spec: &dyn WorkloadSpec, threads: usize, ops: u64, cfg: &VmConfig) -> Profile {
+    let stats = run_point(spec, Scheme::Ido, threads, ops, cfg.clone());
+    stats.trace.expect("tracing on").profile
+}
+
 fn main() {
     let ops = ops_per_thread(1500);
-    let cfg = bench_config(256, 4, ops, NO_LOG); // iDO only
+    let mut cfg = bench_config(256, 4, ops, NO_LOG); // iDO only
+    cfg.pool.trace = TraceConfig { enabled: true, buf_entries: 1 };
     let specs: Vec<(&str, Box<dyn WorkloadSpec>, usize)> = vec![
         ("stack", Box::new(StackSpec), 4),
         ("queue", Box::new(QueueSpec), 4),
@@ -35,11 +45,10 @@ fn main() {
         "benchmark", "regions", "stores/region CDF (0,1,2,3,4+)", "live-in regs CDF (0,1,2,3,4+)"
     );
     for (name, spec, threads) in &specs {
-        let stats = run_point(spec.as_ref(), Scheme::Ido, *threads, ops, cfg.clone());
-        let p = &stats.profile;
+        let p = region_profile(spec.as_ref(), *threads, ops, &cfg);
         let s_cdf = p.stores_cdf();
         let i_cdf = p.inputs_cdf();
-        let fmt5 = |cdf: &[f64; BUCKETS]| {
+        let fmt5 = |cdf: &[f64; PROFILE_BUCKETS]| {
             format!(
                 "{:.2} {:.2} {:.2} {:.2} {:.2}",
                 cdf[0], cdf[1], cdf[2], cdf[3], cdf[4]
@@ -52,7 +61,7 @@ fn main() {
             fmt5(&s_cdf),
             fmt5(&i_cdf)
         );
-        for k in 0..BUCKETS {
+        for k in 0..PROFILE_BUCKETS {
             rows.push(format!("{name},{k},{:.4},{:.4}", s_cdf[k], i_cdf[k]));
         }
     }
@@ -60,8 +69,7 @@ fn main() {
 
     println!("\nshape checks:");
     for (name, spec, threads) in &specs {
-        let stats = run_point(spec.as_ref(), Scheme::Ido, *threads, ops / 3, cfg.clone());
-        let p = &stats.profile;
+        let p = region_profile(spec.as_ref(), *threads, ops / 3, &cfg);
         println!(
             "  {:>14}: multi-store regions = {:>5.1}%   regions with <5 live-ins = {:>5.1}% (paper: >99%)",
             name,

@@ -159,7 +159,7 @@ fn run_scheme(scheme: Scheme, g: Geometry) -> SchemeResult {
     }
     assert_eq!(vm.run(), RunOutcome::Completed, "{scheme}: post-recovery traffic must finish");
     spec.verify(&vm, &base, g.ops_b);
-    drop(vm); // fold the last metrics buffers into the pool
+    drop(vm); // fold the last recorders into the pool
 
     let mut crashed = pool.take_metrics().expect("metrics were enabled");
     crashed.note_crash(t_crash);

@@ -48,9 +48,9 @@ struct Calibration {
 }
 
 /// Extracts the non-empty recovery windows from a drained metrics series
-/// and cross-checks that the windowed split sums exactly to the per-phase
-/// totals measured from the trace stream (two independent observers of the
-/// same spans).
+/// and cross-checks that the windowed split sums exactly to the trace's
+/// per-phase totals (the two exports of each `RecoveryEnd`: split over
+/// windows, and summed).
 fn recovery_windows(
     metrics: Option<ido_nvm::ServiceMetrics>,
     trace_phase_ns: [u64; RECOVERY_PHASES],

@@ -50,8 +50,7 @@ fn main() -> ExitCode {
     let smoke = std::env::var("IDO_TRACE_SMOKE").is_ok_and(|v| v == "1");
     let ops = ops_per_thread(if quick { 40 } else { 250 });
     let mut cfg = bench_config(64, THREADS, ops, list_log_per_op(64));
-    // Force tracing on regardless of IDO_TRACE; honor IDO_TRACE_BUF.
-    cfg.pool.trace = TraceConfig { enabled: true, ..TraceConfig::from_env() };
+    cfg.pool.trace = TraceConfig::on();
 
     let specs: Vec<(&str, Box<dyn WorkloadSpec>)> = vec![
         ("stack", Box::new(StackSpec)),

@@ -69,7 +69,7 @@ use std::sync::{Arc, Mutex};
 use crate::pool::PmemHandle;
 use crate::root::{ALLOC_META_ADDR, HEAP_START};
 use crate::{NvmError, PAddr};
-use ido_trace::{EventKind, RecoveryPhase};
+use ido_trace::RecoveryPhase;
 
 const ALLOCATED_BIT: u64 = 1 << 63;
 const HEADER_BYTES: usize = 8;
@@ -261,8 +261,7 @@ impl NvAllocator {
                 NvAllocator { inner: Inner::GlobalDes { avail: Arc::new(Mutex::new(0)) } }
             }
             AllocPolicy::Sharded { shards } => {
-                let rebuild_t0 = h.clock_ns();
-                h.trace_event(EventKind::RecoveryBegin, RecoveryPhase::Rebuild as u64, 0);
+                let rebuild_t0 = h.recovery_begin(RecoveryPhase::Rebuild);
                 let magic = h.read_u64(META_MAGIC);
                 assert_eq!(magic, SHARD_MAGIC, "pool is not sharded-formatted");
                 let n_chunks = h.read_u64(META_NCHUNKS) as usize;
@@ -305,13 +304,7 @@ impl NvAllocator {
                         state.partial[k].push(c as u32);
                     }
                 }
-                let rebuild_t1 = h.clock_ns();
-                h.trace_event(
-                    EventKind::RecoveryEnd,
-                    RecoveryPhase::Rebuild as u64,
-                    rebuild_t1 - rebuild_t0,
-                );
-                h.metrics_recovery(RecoveryPhase::Rebuild, rebuild_t0, rebuild_t1);
+                h.recovery_end(RecoveryPhase::Rebuild, rebuild_t0);
                 NvAllocator { inner: Inner::Sharded { state: Arc::new(Mutex::new(state)) } }
             }
         }

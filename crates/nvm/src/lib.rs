@@ -66,9 +66,9 @@ pub use line::{line_of, line_offset, CACHE_LINE};
 pub use pool::{CrashOutcome, CrashPolicy, PmemHandle, PmemPool, PoolConfig};
 pub use stats::PersistStats;
 // Re-exported so pool users can read counters and configure windowed
-// metrics without a direct ido-metrics dependency. `StatsSnapshot` is the
+// metrics without a direct ido-trace dependency. `StatsSnapshot` is the
 // one persist-counter record, defined where the metrics windows need it.
-pub use ido_metrics::{MetricsConfig, ServiceMetrics, StatsSnapshot};
+pub use ido_trace::{MetricsConfig, ServiceMetrics, StatsSnapshot};
 
 /// A byte offset into a [`PmemPool`]'s address space.
 ///

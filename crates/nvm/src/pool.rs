@@ -1,12 +1,12 @@
 //! The simulated persistent memory pool and per-thread access handles.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use ido_metrics::{MetricsBuf, MetricsConfig, MetricsHandle, ServiceMetrics, StatsSnapshot};
 use ido_trace::{
-    Category, CostBreakdown, EventKind, RecoveryPhase, Trace, TraceBuf, TraceConfig, TraceHandle,
+    Category, Collector, CostBreakdown, EventKind, MetricsConfig, Recorder, RecoveryPhase,
+    ServiceMetrics, StatsSnapshot, Trace, TraceConfig,
 };
 
 use crate::journal::{Journal, PersistEvent, PersistEventKind};
@@ -89,9 +89,7 @@ pub struct PoolConfig {
     pub latency: LatencyModel,
     /// What happens to dirty lines at crash time.
     pub crash_policy: CrashPolicy,
-    /// Event tracing for handles of this pool. The default reads
-    /// `IDO_TRACE` / `IDO_TRACE_BUF` from the environment, so every
-    /// binary supports tracing without plumbing a flag.
+    /// Event tracing for handles of this pool (off by default).
     pub trace: TraceConfig,
     /// Windowed service metrics for handles of this pool (off by
     /// default; the service harnesses opt in explicitly).
@@ -104,23 +102,16 @@ impl Default for PoolConfig {
             size: 16 << 20, // 16 MiB
             latency: LatencyModel::default(),
             crash_policy: CrashPolicy::DropDirty,
-            trace: TraceConfig::from_env(),
+            trace: TraceConfig::default(),
             metrics: MetricsConfig::default(),
         }
     }
 }
 
 impl PoolConfig {
-    /// A small, zero-latency pool for unit tests (tracing off regardless
-    /// of the environment, for determinism; tests opt in explicitly).
+    /// A small, zero-latency pool for unit tests.
     pub fn small_for_tests() -> Self {
-        Self {
-            size: 1 << 20,
-            latency: LatencyModel::zero(),
-            crash_policy: CrashPolicy::DropDirty,
-            trace: TraceConfig { enabled: false, ..TraceConfig::default() },
-            metrics: MetricsConfig::default(),
-        }
+        Self { size: 1 << 20, latency: LatencyModel::zero(), ..Self::default() }
     }
 }
 
@@ -149,30 +140,20 @@ struct Inner {
     crashes: AtomicU64,
     global_stats: PersistStats,
     journal: Journal,
-    /// Tracing state. Enablement is sampled at handle creation, so
-    /// [`PmemPool::set_trace`] affects only handles created afterwards —
-    /// which is exactly what lets recovery drivers trace the post-crash
-    /// segment alone.
-    trace_enabled: AtomicBool,
-    trace_buf_entries: AtomicUsize,
-    trace_next_tid: AtomicU64,
-    /// Rings folded from dropped handles, awaiting [`PmemPool::take_trace`].
-    trace_bufs: Mutex<Vec<Box<TraceBuf>>>,
-    /// Metrics state, sampled at handle creation exactly like tracing —
-    /// [`PmemPool::set_metrics`] affects only handles created afterwards,
-    /// which is what lets a crash-under-load harness lay pre-crash,
-    /// recovery, and post-crash segments onto one global timeline via the
-    /// base offset.
-    metrics_enabled: AtomicBool,
-    metrics_window_ns: AtomicU64,
-    metrics_base_ns: AtomicU64,
-    metrics_next_tid: AtomicU64,
-    /// Buffers folded from dropped handles, awaiting
-    /// [`PmemPool::take_metrics`].
-    metrics_bufs: Mutex<Vec<Box<MetricsBuf>>>,
+    /// Observation state: the trace and metrics configuration a handle
+    /// snapshots at creation — so [`PmemPool::set_trace`] and
+    /// [`PmemPool::set_metrics`] affect only handles created afterwards,
+    /// which is what lets recovery drivers observe the post-crash segment
+    /// alone and lay every segment onto one timeline — and the recorders
+    /// of dropped handles.
+    collector: Mutex<Collector>,
 }
 
 impl Inner {
+    fn collector(&self) -> MutexGuard<'_, Collector> {
+        self.collector.lock().expect("observation collector poisoned")
+    }
+
     #[inline]
     fn is_dirty(&self, line: usize) -> bool {
         self.dirty[line / 64].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
@@ -311,8 +292,7 @@ impl PmemPool {
         let mk = |n| zeroed_atomics(n, false);
         let image = || zeroed_atomics(words, reserve);
         let config = PoolConfig { size, ..config };
-        let trace = config.trace;
-        let metrics = config.metrics;
+        let collector = Mutex::new(Collector::new(config.trace, config.metrics));
         PmemPool {
             inner: Arc::new(Inner {
                 volatile: image(),
@@ -323,15 +303,7 @@ impl PmemPool {
                 crashes: AtomicU64::new(0),
                 global_stats: PersistStats::default(),
                 journal: Journal::default(),
-                trace_enabled: AtomicBool::new(trace.enabled),
-                trace_buf_entries: AtomicUsize::new(trace.buf_entries),
-                trace_next_tid: AtomicU64::new(0),
-                trace_bufs: Mutex::new(Vec::new()),
-                metrics_enabled: AtomicBool::new(metrics.enabled),
-                metrics_window_ns: AtomicU64::new(metrics.window_ns.max(1)),
-                metrics_base_ns: AtomicU64::new(metrics.base_ns),
-                metrics_next_tid: AtomicU64::new(0),
-                metrics_bufs: Mutex::new(Vec::new()),
+                collector,
             }),
         }
     }
@@ -348,42 +320,17 @@ impl PmemPool {
 
     /// Creates a per-thread access handle with a fresh simulated clock.
     ///
-    /// When tracing is enabled, the handle's event ring is allocated here
-    /// — once, up front — and its trace-thread id is the pool-wide handle
-    /// creation ordinal (deterministic: handles are created in program
-    /// order by the single-OS-thread VM).
+    /// When tracing or metrics are on, the handle's recorder is allocated
+    /// here — once, up front (see [`Collector::recorder`] for its
+    /// trace-thread id).
     pub fn handle(&self) -> PmemHandle {
-        let trace = if self.inner.trace_enabled.load(Ordering::Relaxed) {
-            let tid = self
-                .inner
-                .trace_next_tid
-                .fetch_add(1, Ordering::Relaxed)
-                .min(u16::MAX as u64 - 1) as u16;
-            let entries = self.inner.trace_buf_entries.load(Ordering::Relaxed);
-            TraceHandle::new(TraceBuf::new(tid, entries))
-        } else {
-            TraceHandle::OFF
-        };
-        let metrics = if self.inner.metrics_enabled.load(Ordering::Relaxed) {
-            let tid = self
-                .inner
-                .metrics_next_tid
-                .fetch_add(1, Ordering::Relaxed)
-                .min(u16::MAX as u64 - 1) as u16;
-            let window = self.inner.metrics_window_ns.load(Ordering::Relaxed);
-            let base = self.inner.metrics_base_ns.load(Ordering::Relaxed);
-            MetricsHandle::new(MetricsBuf::new(tid, window, base))
-        } else {
-            MetricsHandle::OFF
-        };
         PmemHandle {
             inner: Arc::clone(&self.inner),
             latency: self.inner.config.latency,
             clock_ns: 0,
             pending: Vec::new(),
             stats: StatsSnapshot::default(),
-            trace,
-            metrics,
+            recorder: self.inner.collector().recorder(),
             costs: CostBreakdown::default(),
             log_depth: 0,
             shard: 0,
@@ -394,26 +341,16 @@ impl PmemPool {
     /// Existing handles keep (or keep lacking) their rings. Recovery
     /// drivers use this to trace only the post-crash segment.
     pub fn set_trace(&self, config: TraceConfig) {
-        self.inner.trace_buf_entries.store(config.buf_entries.max(1), Ordering::Relaxed);
-        self.inner.trace_enabled.store(config.enabled, Ordering::Relaxed);
-    }
-
-    /// True when newly created handles will record trace events.
-    pub fn trace_enabled(&self) -> bool {
-        self.inner.trace_enabled.load(Ordering::Relaxed)
+        self.inner.collector().set_trace(config);
     }
 
     /// Merges every ring folded so far (handles must have been dropped)
-    /// into one deterministic [`Trace`], resetting the collector and the
-    /// trace-thread counter. Returns `None` when tracing never produced
-    /// anything (disabled and nothing collected).
+    /// into one deterministic [`Trace`], resetting the trace-thread
+    /// counter; windows stay for [`PmemPool::take_metrics`]. Returns `None`
+    /// when tracing never produced anything (disabled and nothing
+    /// collected).
     pub fn take_trace(&self) -> Option<Trace> {
-        let bufs = std::mem::take(&mut *self.inner.trace_bufs.lock().expect("trace collector"));
-        self.inner.trace_next_tid.store(0, Ordering::Relaxed);
-        if bufs.is_empty() && !self.trace_enabled() {
-            return None;
-        }
-        Some(Trace::from_bufs(bufs))
+        self.inner.collector().take_trace()
     }
 
     /// Reconfigures windowed metrics for handles created **after** this
@@ -421,28 +358,15 @@ impl PmemPool {
     /// load harnesses call this between segments with an updated
     /// `base_ns` so every segment's handles land on one global timeline.
     pub fn set_metrics(&self, config: MetricsConfig) {
-        self.inner.metrics_window_ns.store(config.window_ns.max(1), Ordering::Relaxed);
-        self.inner.metrics_base_ns.store(config.base_ns, Ordering::Relaxed);
-        self.inner.metrics_enabled.store(config.enabled, Ordering::Relaxed);
+        self.inner.collector().set_metrics(config);
     }
 
-    /// True when newly created handles will record op spans.
-    pub fn metrics_enabled(&self) -> bool {
-        self.inner.metrics_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Merges every metrics buffer folded so far (handles must have been
-    /// dropped) into one deterministic [`ServiceMetrics`] timeline,
-    /// resetting the collector and the metrics-thread counter. Returns
-    /// `None` when metrics never produced anything.
+    /// Merges every timeline folded so far (handles must have been
+    /// dropped) into one deterministic [`ServiceMetrics`]; rings stay for
+    /// [`PmemPool::take_trace`]. Returns `None` when metrics never produced
+    /// anything.
     pub fn take_metrics(&self) -> Option<ServiceMetrics> {
-        let bufs = std::mem::take(&mut *self.inner.metrics_bufs.lock().expect("metrics collector"));
-        self.inner.metrics_next_tid.store(0, Ordering::Relaxed);
-        if bufs.is_empty() && !self.metrics_enabled() {
-            return None;
-        }
-        let window = self.inner.metrics_window_ns.load(Ordering::Relaxed);
-        Some(ServiceMetrics::from_bufs(window, bufs))
+        self.inner.collector().take_metrics()
     }
 
     /// Simulates a fail-stop failure (power loss, kernel panic, SIGKILL).
@@ -527,7 +451,7 @@ impl PmemPool {
         self.note_crash(policy, evicted, dropped)
     }
 
-    /// The bookkeeping tail of a crash: counter, journal and trace events.
+    /// The bookkeeping tail of a crash: counter, journal and trace event.
     fn note_crash(&self, policy: &CrashPolicy, evicted: usize, dropped: usize) -> CrashOutcome {
         let inner = &*self.inner;
         inner.crashes.fetch_add(1, Ordering::Relaxed);
@@ -536,17 +460,7 @@ impl PmemPool {
             evicted,
             dropped,
         });
-        if inner.trace_enabled.load(Ordering::Relaxed) {
-            // Record the crash as a pool-level event, timestamped at the
-            // latest simulated instant any (already-folded) thread
-            // reached — crashed threads' handles are dropped before the
-            // pool crashes, so this is the simulation's crash time.
-            let mut bufs = inner.trace_bufs.lock().expect("trace collector");
-            let ts = bufs.iter().filter_map(|b| b.last_ts()).max().unwrap_or(0);
-            let mut cb = TraceBuf::new(u16::MAX, 1);
-            cb.push(ts, EventKind::Crash, evicted as u64, dropped as u64);
-            bufs.push(cb);
-        }
+        self.inner.collector().crash(evicted as u64, dropped as u64);
         CrashOutcome { lines_evicted: evicted, lines_dropped: dropped }
     }
 
@@ -704,12 +618,13 @@ pub struct PmemHandle {
     /// Local counters; folded into the pool's [`PersistStats`] on
     /// [`PmemHandle::merge_stats`] and on drop.
     stats: StatsSnapshot,
-    trace: TraceHandle,
-    metrics: MetricsHandle,
+    /// The handle's one observation recorder; `None` when tracing and
+    /// metrics are both off.
+    recorder: Option<Box<Recorder>>,
     /// Per-category simulated-time attribution, accumulated
     /// unconditionally (a single add per charge — cheaper than branching
-    /// on the trace handle in the per-instruction hot path) and folded
-    /// into the trace ring at drop time; discarded when tracing is off.
+    /// on the recorder in the per-instruction hot path) and folded into
+    /// the recorder at drop time; discarded when there is none.
     costs: CostBreakdown,
     /// Nesting depth of [`PmemHandle::begin_log`] scopes: while positive,
     /// stores count as log writes (bytes into `stats.log_bytes`, cost
@@ -769,9 +684,7 @@ impl PmemHandle {
         } else {
             self.costs.work_ns += ns;
         }
-        if let Some(buf) = self.trace.as_buf_mut() {
-            trace_push(buf, self.clock_ns, EventKind::Store, addr as u64, value);
-        }
+        self.observe(EventKind::Store, addr as u64, value);
         self.latency.realize(ns);
     }
 
@@ -820,18 +733,16 @@ impl PmemHandle {
         self.log_depth > 0
     }
 
-    /// True when this handle records trace events (callers can skip
-    /// computing event payloads otherwise).
-    #[inline]
-    pub fn trace_on(&self) -> bool {
-        self.trace.is_on()
-    }
-
-    /// Emits a trace event at the handle's current simulated time.
-    /// No-op (one branch) when tracing is off.
-    #[inline]
-    pub fn trace_event(&mut self, kind: EventKind, a: u64, b: u64) {
-        self.trace.emit(self.clock_ns, kind, a, b);
+    /// Observes an event at the handle's current simulated time — a
+    /// memory operation, a FASE or region boundary, an op marker (see
+    /// [`Recorder::record`] for the pairings). One untaken branch when
+    /// tracing and metrics are both off; the recording itself is outlined
+    /// and allocates nothing.
+    #[inline(always)]
+    pub fn observe(&mut self, kind: EventKind, a: u64, b: u64) {
+        if let Some(r) = self.recorder.as_deref_mut() {
+            record(r, self.clock_ns, kind, a, b, &self.stats);
+        }
     }
 
     /// Sets the simulated clock (used by the DES harness when a thread's
@@ -840,47 +751,18 @@ impl PmemHandle {
         self.clock_ns = ns;
     }
 
-    /// True when this handle records windowed op metrics.
-    #[inline]
-    pub fn metrics_on(&self) -> bool {
-        self.metrics.is_on()
+    /// Opens a span of recovery `phase`; returns its start time for
+    /// [`PmemHandle::recovery_end`].
+    pub fn recovery_begin(&mut self, phase: RecoveryPhase) -> u64 {
+        self.observe(EventKind::RecoveryBegin, phase as u64, 0);
+        self.clock_ns
     }
 
-    /// Opens a service-operation span of `kind` (0 = generic, 1 = get,
-    /// 2 = put) at the current simulated time. One untaken branch per
-    /// marker when metrics and tracing are both off; allocates nothing
-    /// either way.
-    #[inline]
-    pub fn op_begin(&mut self, kind: u64) {
-        if let Some(buf) = self.metrics.as_buf_mut() {
-            buf.op_begin(kind, self.clock_ns);
-        }
-        if let Some(buf) = self.trace.as_buf_mut() {
-            trace_push(buf, self.clock_ns, EventKind::OpBegin, kind, 0);
-        }
-    }
-
-    /// Closes the open service-operation span: records its latency into
-    /// the window containing the end timestamp and attributes the
-    /// persist-counter delta since the previous close to that window.
-    #[inline]
-    pub fn op_end(&mut self, kind: u64) {
-        if let Some(buf) = self.metrics.as_buf_mut() {
-            buf.op_end(kind, self.clock_ns, &self.stats);
-        }
-        if let Some(buf) = self.trace.as_buf_mut() {
-            trace_push(buf, self.clock_ns, EventKind::OpEnd, kind, 0);
-        }
-    }
-
-    /// Attributes the recovery span `[t0_ns, t1_ns)` (this handle's
-    /// clock domain) of `phase` to the windowed metrics timeline.
-    /// Recovery drivers call this beside the `RecoveryEnd` trace event.
-    pub fn metrics_recovery(&mut self, phase: RecoveryPhase, t0_ns: u64, t1_ns: u64) {
-        if let Some(buf) = self.metrics.as_buf_mut() {
-            let base = buf.base_ns();
-            buf.recovery_span(phase, base + t0_ns, base + t1_ns);
-        }
+    /// Closes the span of `phase` opened at `t0`: one `RecoveryEnd`
+    /// carrying the duration, which the recorder adds to the phase total
+    /// and splits over the metrics windows it covers.
+    pub fn recovery_end(&mut self, phase: RecoveryPhase, t0: u64) {
+        self.observe(EventKind::RecoveryEnd, phase as u64, self.clock_ns - t0);
     }
 
     /// This handle's allocator shard affinity (see
@@ -946,9 +828,7 @@ impl PmemHandle {
         self.tick(ns);
         self.stats.log_bytes += 8;
         self.costs.log_ns += ns;
-        if let Some(buf) = self.trace.as_buf_mut() {
-            trace_push(buf, self.clock_ns, EventKind::Store, addr as u64, value);
-        }
+        self.observe(EventKind::Store, addr as u64, value);
         self.latency.realize(ns);
         self.inner.volatile[w].store(value, Ordering::Release);
         let line = line_of(addr);
@@ -993,9 +873,7 @@ impl PmemHandle {
         }
         self.inner.journal.record(|| PersistEventKind::Clwb { line });
         self.costs.clwb_ns += ns;
-        if let Some(buf) = self.trace.as_buf_mut() {
-            trace_push(buf, self.clock_ns, EventKind::Clwb, line as u64, 0);
-        }
+        self.observe(EventKind::Clwb, line as u64, 0);
         self.latency.realize(ns);
     }
 
@@ -1027,7 +905,7 @@ impl PmemHandle {
         }
         self.inner.journal.record(|| PersistEventKind::Sfence { lines: self.pending.clone() });
         self.pending.clear();
-        self.trace.emit(self.clock_ns, EventKind::Fence, n, 0);
+        self.observe(EventKind::Fence, n, 0);
     }
 
     /// Convenience: `clwb` every line of the range, then `sfence`.
@@ -1128,9 +1006,7 @@ impl PmemHandle {
         let r = self.inner.volatile[w].compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
         // The store event only fires when the exchange took effect.
         if r.is_ok() {
-            if let Some(buf) = self.trace.as_buf_mut() {
-                trace_push(buf, self.clock_ns, EventKind::Store, addr as u64, new);
-            }
+            self.observe(EventKind::Store, addr as u64, new);
         }
         self.latency.realize(ns);
         if r.is_ok() {
@@ -1160,24 +1036,21 @@ impl PmemHandle {
 impl Drop for PmemHandle {
     fn drop(&mut self) {
         self.inner.global_stats.merge(&self.stats);
-        if let Some(mut buf) = self.trace.take() {
+        if let Some(mut r) = self.recorder.take() {
             // Cost attribution accumulates inline in the handle (see the
-            // `costs` field); it becomes part of the trace only here.
-            buf.costs.merge(&self.costs);
-            self.inner.trace_bufs.lock().expect("trace collector poisoned").push(buf);
-        }
-        if let Some(buf) = self.metrics.take() {
-            self.inner.metrics_bufs.lock().expect("metrics collector poisoned").push(buf);
+            // `costs` field); it becomes part of the recorder only here.
+            r.costs.merge(&self.costs);
+            self.inner.collector().fold(r);
         }
     }
 }
 
-/// Outlined traced-event push. `#[cold]` keeps the (much larger) ring
-/// code out of the inlined store path, so the traced-off interpreter hot
-/// loop stays icache-tight.
+/// Outlined recording. `#[cold]` keeps the recorder's code out of the
+/// inlined store path, so the interpreter hot loop with everything off
+/// stays icache-tight.
 #[cold]
-fn trace_push(buf: &mut TraceBuf, ts: u64, kind: EventKind, a: u64, b: u64) {
-    buf.push(ts, kind, a, b);
+fn record(r: &mut Recorder, ts: u64, kind: EventKind, a: u64, b: u64, counters: &StatsSnapshot) {
+    r.record(ts, kind, a, b, counters);
 }
 
 /// Small deterministic PRNG for crash-time eviction decisions.
@@ -1649,14 +1522,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_is_off_by_default_in_tests() {
-        let p = pool();
+    fn observation_is_off_by_default() {
+        let p = PmemPool::new(PoolConfig::default());
         let mut h = p.handle();
-        assert!(!h.trace_on());
+        assert!(h.recorder.is_none());
         h.write_u64(0, 1);
         h.persist(0, 8);
+        h.observe(EventKind::OpBegin, 1, 0);
+        h.observe(EventKind::OpEnd, 1, 0);
         drop(h);
         assert!(p.take_trace().is_none());
+        assert!(p.take_metrics().is_none());
     }
 
     #[test]
@@ -1766,24 +1642,13 @@ mod tests {
     }
 
     #[test]
-    fn metrics_are_off_by_default() {
-        let p = pool();
-        let mut h = p.handle();
-        assert!(!h.metrics_on());
-        h.op_begin(1);
-        h.op_end(1);
-        drop(h);
-        assert!(p.take_metrics().is_none());
-    }
-
-    #[test]
     fn op_spans_record_latency_and_counter_deltas() {
         let p = metered_pool();
         let mut h = p.handle();
-        h.op_begin(2);
+        h.observe(EventKind::OpBegin, 2, 0);
         h.write_u64(0, 1);
         h.persist(0, 8);
-        h.op_end(2);
+        h.observe(EventKind::OpEnd, 2, 0);
         let spanned = h.clock_ns();
         drop(h);
         let m = p.take_metrics().expect("metrics enabled");
@@ -1802,9 +1667,9 @@ mod tests {
         cfg.trace = TraceConfig { enabled: true, buf_entries: 64 };
         let p = PmemPool::new(cfg);
         let mut h = p.handle();
-        h.op_begin(1);
+        h.observe(EventKind::OpBegin, 1, 0);
         h.advance(40);
-        h.op_end(1);
+        h.observe(EventKind::OpEnd, 1, 0);
         drop(h);
         let t = p.take_trace().unwrap();
         let counts = t.counts_by_kind();
@@ -1818,15 +1683,17 @@ mod tests {
     fn set_metrics_affects_only_later_handles_and_applies_base() {
         let p = pool();
         let mut h = p.handle();
-        h.op_begin(0);
-        h.op_end(0);
+        h.observe(EventKind::OpBegin, 0, 0);
+        h.observe(EventKind::OpEnd, 0, 0);
         p.set_metrics(MetricsConfig::with_window(1_000).at_base(5_000));
         drop(h);
         let mut h2 = p.handle();
-        h2.op_begin(1);
+        h2.observe(EventKind::OpBegin, 1, 0);
         h2.advance(10);
-        h2.op_end(1);
-        h2.metrics_recovery(RecoveryPhase::Rebuild, 10, 30);
+        h2.observe(EventKind::OpEnd, 1, 0);
+        let t0 = h2.recovery_begin(RecoveryPhase::Rebuild);
+        h2.advance(20);
+        h2.recovery_end(RecoveryPhase::Rebuild, t0);
         drop(h2);
         let m = p.take_metrics().unwrap();
         assert_eq!(m.total_ops(), 1, "pre-enable handle recorded nothing");
@@ -1834,12 +1701,48 @@ mod tests {
         assert_eq!(m.windows[5].recovery_ns[3], 20);
     }
 
+    /// One pairing for both exports: a close with no open span records no
+    /// latency, counts no op, and carries `b == 0` — it neither measures
+    /// from 0 nor reports the previous span again plus the gap.
+    #[test]
+    fn unbalanced_op_end_records_nothing_in_either_export() {
+        let both = PoolConfig {
+            trace: TraceConfig { enabled: true, buf_entries: 64 },
+            metrics: MetricsConfig::with_window(1_000),
+            ..PoolConfig::small_for_tests()
+        };
+        let ends = |p: &PmemPool| -> Vec<u64> {
+            let t = p.take_trace().unwrap();
+            t.events.iter().filter(|e| e.kind == EventKind::OpEnd).map(|e| e.b).collect()
+        };
+        let p = PmemPool::new(both.clone());
+        let mut h = p.handle();
+        h.advance(100);
+        h.observe(EventKind::OpEnd, 1, 0);
+        drop(h);
+        assert_eq!(ends(&p), vec![0], "a lone op_end carries no duration");
+        assert_eq!(p.take_metrics().unwrap().total_ops(), 0);
+
+        let p = PmemPool::new(both);
+        let mut h = p.handle();
+        h.observe(EventKind::OpBegin, 1, 0);
+        h.advance(40);
+        h.observe(EventKind::OpEnd, 1, 0);
+        h.advance(100);
+        h.observe(EventKind::OpEnd, 1, 0);
+        drop(h);
+        assert_eq!(ends(&p), vec![40, 0], "the stray op_end repeats nothing");
+        let m = p.take_metrics().unwrap();
+        assert_eq!(m.total_ops(), 1);
+        assert_eq!(m.per_kind[1].sum(), 40);
+    }
+
     #[test]
     fn take_metrics_drains_collector() {
         let p = metered_pool();
         let mut h = p.handle();
-        h.op_begin(0);
-        h.op_end(0);
+        h.observe(EventKind::OpBegin, 0, 0);
+        h.observe(EventKind::OpEnd, 0, 0);
         drop(h);
         assert_eq!(p.take_metrics().unwrap().total_ops(), 1);
         assert_eq!(p.take_metrics().unwrap().total_ops(), 0, "collector drained");

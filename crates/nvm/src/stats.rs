@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ido_metrics::StatsSnapshot;
+use ido_trace::StatsSnapshot;
 
 use crate::pad::CachePadded;
 
@@ -51,11 +51,5 @@ mod tests {
     fn display_is_nonempty() {
         let s = StatsSnapshot::from_array([1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(s.to_string(), "loads=1 stores=2 nt=3 clwb=4 fences=5 lines=6 logB=7");
-    }
-
-    #[test]
-    fn persistence_events_sum() {
-        let s = StatsSnapshot { clwbs: 2, fences: 3, nt_stores: 4, ..Default::default() };
-        assert_eq!(s.persistence_events(), 9);
     }
 }

@@ -143,17 +143,22 @@ mod tests {
     use super::*;
     use crate::event::EventKind;
     use crate::json::validate_json;
-    use crate::ring::TraceBuf;
 
     fn sample_trace() -> Trace {
-        let mut b = TraceBuf::new(0, 64);
-        b.push(0, EventKind::FaseEnter, 0, 0);
-        b.push(10, EventKind::Store, 64, 7);
-        b.push(20, EventKind::Clwb, 1, 0);
-        b.push(1234, EventKind::FaseExit, 0, 0);
-        b.push(2000, EventKind::RecoveryBegin, 1, 0);
-        b.push(3500, EventKind::RecoveryEnd, 1, 1500);
-        Trace::from_bufs(vec![b])
+        crate::trace_of(
+            64,
+            &[(
+                0,
+                &[
+                    (0, EventKind::FaseEnter, 0, 0),
+                    (10, EventKind::Store, 64, 7),
+                    (20, EventKind::Clwb, 1, 0),
+                    (1234, EventKind::FaseExit, 0, 0),
+                    (2000, EventKind::RecoveryBegin, 1, 0),
+                    (3500, EventKind::RecoveryEnd, 1, 1500),
+                ],
+            )],
+        )
     }
 
     #[test]

@@ -73,14 +73,6 @@ impl Hist {
         self.max
     }
 
-    /// Mean of recorded values (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.n as f64
-    }
-
     /// Folds `other` into `self`.
     pub fn merge(&mut self, other: &Hist) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -132,11 +124,6 @@ impl Hist {
         }
         self.max
     }
-
-    /// Alias for [`Hist::value_at_quantile`], kept for older call sites.
-    pub fn quantile(&self, q: f64) -> u64 {
-        self.value_at_quantile(q)
-    }
 }
 
 #[cfg(test)]
@@ -172,7 +159,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1104);
         assert_eq!(h.max(), 1000);
-        assert!((h.mean() - 220.8).abs() < 1e-9);
         let total: u64 = h.nonzero_buckets().iter().map(|&(_, _, c)| c).sum();
         assert_eq!(total, 5);
         // 1 appears twice in its own exact bucket.
@@ -198,11 +184,11 @@ mod tests {
         for v in 1..=100u64 {
             h.record(v);
         }
-        assert!(h.quantile(0.0) >= 1);
-        let p50 = h.quantile(0.5);
+        assert!(h.value_at_quantile(0.0) >= 1);
+        let p50 = h.value_at_quantile(0.5);
         assert!((40..=70).contains(&p50), "p50 bucket edge {p50}");
-        assert!(h.quantile(1.0) >= 100);
-        assert_eq!(Hist::default().quantile(0.5), 0);
+        assert!(h.value_at_quantile(1.0) >= 100);
+        assert_eq!(Hist::default().value_at_quantile(0.5), 0);
     }
 
     #[test]

@@ -1,30 +1,35 @@
-//! Deterministic trace + metrics subsystem for the iDO reproduction.
+//! The observation plane of the iDO reproduction: one deterministic
+//! recorder per pool handle, timestamped with the handle's **simulated**
+//! clock.
 //!
-//! Every handle of the simulated NVM pool can carry a per-thread
-//! fixed-capacity ring buffer of compact binary [`Event`]s, timestamped
-//! with the handle's **simulated** clock. Because the simulation itself is
-//! deterministic (single OS thread per VM, deterministic schedulers) and
-//! the sweep engine reassembles results in input order, merged traces are
+//! Every event a handle observes — a store, a fence, a FASE or region
+//! boundary, an op marker, a recovery phase — is one call on its
+//! [`Recorder`], which updates the aggregates computed at emission (the
+//! Fig. 7 cost breakdown, FASE-duration and region-size [`Hist`]s,
+//! recovery-phase totals, Fig. 8's region [`Profile`]) and then feeds its
+//! two optional parts: a fixed-capacity ring of compact binary [`Event`]s
+//! when tracing is on ([`TraceConfig`]), and a windowed timeline when
+//! metrics are on ([`MetricsConfig`]). Because the simulation itself is
+//! deterministic (single OS thread per VM, deterministic schedulers) and the
+//! sweep engine reassembles results in input order, every export is
 //! bit-identical across runs and across `IDO_JOBS` settings — wall-clock
-//! time never enters the stream.
+//! time never enters it.
 //!
-//! The subsystem has three layers:
-//!
-//! * **Emission** ([`TraceHandle`] / [`TraceBuf`]): the disabled path is a
-//!   single branch on an `Option<Box<_>>` (null-pointer optimized), and
-//!   the enabled path writes into a preallocated ring — no allocation in
-//!   the interpreter hot loop either way (pinned by
+//! * **Emission** ([`Recorder`]): a handle with everything off carries no
+//!   recorder, so the disabled path is one untaken branch on a
+//!   null-pointer-optimized `Option<Box<_>>`; the enabled path writes into
+//!   storage preallocated at handle creation — no allocation in the
+//!   interpreter hot loop either way (pinned by
 //!   `workloads/tests/no_alloc_hot_loop.rs`).
-//! * **Aggregation** ([`Trace`]): per-scheme cost breakdown in simulated
-//!   nanoseconds (useful work / log writes / clwb / fence stall — the
-//!   paper's Fig. 7 axes) plus log-bucketed histograms ([`Hist`]) of FASE
-//!   duration and region size (Fig. 8/9 style).
-//! * **Export** ([`chrome::ChromeTrace`]): Chrome trace-event / Perfetto
-//!   JSON, validated by the dependency-free parser in [`json`].
+//! * **Collection** ([`Collector`]): the pool hands recorders out and folds
+//!   them back at handle drop; [`Trace`] merges the rings and aggregates,
+//!   [`ServiceMetrics`] the timelines.
+//! * **Export**: [`chrome::ChromeTrace`] (Chrome trace-event / Perfetto
+//!   JSON, validated by the dependency-free parser in [`json`]), and
+//!   [`ServiceMetrics`]'s CSV rows, Prometheus text and counter tracks.
 //!
-//! Enable with `IDO_TRACE=1`; size the per-thread ring with
-//! `IDO_TRACE_BUF` (events, default 32768). See the `trace_report` bench
-//! binary for the end-to-end reporting pipeline.
+//! `ido trace <file.ido>` prints a scenario's events; the `trace_report`
+//! bench binary is the end-to-end reporting pipeline.
 
 #![deny(missing_docs)]
 
@@ -32,11 +37,15 @@ pub mod chrome;
 mod event;
 mod hist;
 pub mod json;
-mod ring;
+mod metrics;
+mod profile;
+mod recorder;
 
 pub use event::{Category, Event, EventKind, RecoveryPhase, EVENT_KINDS, RECOVERY_PHASES};
 pub use hist::{Hist, HIST_BUCKETS};
-pub use ring::{CostBreakdown, TraceBuf, TraceHandle};
+pub use metrics::{MetricsConfig, ServiceMetrics, StatsSnapshot, WindowCell, OP_KINDS};
+pub use profile::{Profile, PROFILE_BUCKETS};
+pub use recorder::{Collector, CostBreakdown, Recorder};
 
 /// Pool-level tracing configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,22 +70,11 @@ impl TraceConfig {
     pub fn on() -> Self {
         TraceConfig { enabled: true, ..TraceConfig::default() }
     }
-
-    /// Reads `IDO_TRACE` (any value but `0`/empty enables) and
-    /// `IDO_TRACE_BUF` (events per ring) from the environment.
-    pub fn from_env() -> Self {
-        let enabled = std::env::var("IDO_TRACE").is_ok_and(|v| !v.is_empty() && v != "0");
-        let buf_entries = std::env::var("IDO_TRACE_BUF")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_BUF_ENTRIES);
-        TraceConfig { enabled, buf_entries }
-    }
 }
 
 /// A merged, time-ordered trace: the union of every folded per-thread
-/// ring, with exact (overflow-immune) cost and histogram aggregates.
+/// ring, with the aggregates its recorders computed at emission — exact
+/// even where the rings overflowed.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Events ordered by `(ts_ns, thread, per-thread emission order)`.
@@ -85,42 +83,19 @@ pub struct Trace {
     pub pushed: u64,
     /// Events lost to ring overflow (`pushed - events.len()`), exact.
     pub dropped: u64,
-    /// Simulated-ns cost attribution, summed across threads. Updated at
-    /// emission time, so exact even when the event ring overflowed.
+    /// Simulated-ns cost attribution, summed across threads.
     pub costs: CostBreakdown,
     /// FASE duration histogram (simulated ns per FASE).
     pub fase_hist: Hist,
     /// Region size histogram (stores per idempotent region).
     pub region_hist: Hist,
-    /// Recovery phase totals, summed at emission like `costs`.
+    /// Fig. 8's dynamic region profile.
+    pub profile: Profile,
+    /// Recovery phase totals.
     recovery_ns: [u64; RECOVERY_PHASES],
 }
 
 impl Trace {
-    /// Merges folded rings into one deterministic stream.
-    ///
-    /// Rings are ordered by thread id, concatenated in per-ring emission
-    /// order, then stably sorted by timestamp — so ties break by
-    /// `(thread, emission order)` and the result is independent of fold
-    /// order (handle drop order).
-    pub fn from_bufs(mut bufs: Vec<Box<TraceBuf>>) -> Trace {
-        bufs.sort_by_key(|b| b.thread());
-        let mut t = Trace::default();
-        for b in &bufs {
-            t.pushed += b.pushed();
-            t.dropped += b.dropped();
-            t.costs.merge(&b.costs);
-            t.fase_hist.merge(&b.fase_hist);
-            t.region_hist.merge(&b.region_hist);
-            for (sum, ns) in t.recovery_ns.iter_mut().zip(b.recovery_ns) {
-                *sum += ns;
-            }
-            b.for_each_ordered(|e| t.events.push(e));
-        }
-        t.events.sort_by_key(|e| e.ts_ns);
-        t
-    }
-
     /// Index of the first event where `self` and `other` differ, or
     /// `None` when one stream is a prefix of the other (compare lengths
     /// separately for full equality).
@@ -169,6 +144,22 @@ impl Trace {
     }
 }
 
+/// The trace a collector merges from one ring of `capacity` events per
+/// `(thread, events)` entry, folded in the given order.
+#[cfg(test)]
+pub(crate) fn trace_of(capacity: usize, rings: &[(u16, &[(u64, EventKind, u64, u64)])]) -> Trace {
+    let ring = TraceConfig { enabled: true, buf_entries: capacity };
+    let mut c = Collector::new(ring, MetricsConfig::default());
+    for &(thread, events) in rings {
+        let mut r = Recorder::new(thread, ring, MetricsConfig::default());
+        for &(ts, kind, a, b) in events {
+            r.record(ts, kind, a, b, &StatsSnapshot::default());
+        }
+        c.fold(r);
+    }
+    c.take_trace().expect("tracing on")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,23 +172,13 @@ mod tests {
         assert!(TraceConfig::on().enabled);
     }
 
-    fn buf_with(thread: u16, events: &[(u64, EventKind, u64, u64)]) -> Box<TraceBuf> {
-        let mut b = TraceBuf::new(thread, 64);
-        for &(ts, k, a, bb) in events {
-            b.push(ts, k, a, bb);
-        }
-        b
-    }
-
     #[test]
     fn merge_orders_by_time_then_thread() {
-        let b0 = buf_with(1, &[(5, EventKind::Store, 1, 0), (9, EventKind::Fence, 0, 0)]);
-        let b1 = buf_with(0, &[(5, EventKind::Clwb, 2, 0), (7, EventKind::Store, 3, 0)]);
+        let r1: &[_] = &[(5, EventKind::Store, 1, 0), (9, EventKind::Fence, 0, 0)];
+        let r0: &[_] = &[(5, EventKind::Clwb, 2, 0), (7, EventKind::Store, 3, 0)];
         // Fold order must not matter.
-        let t_ab = Trace::from_bufs(vec![b0, b1]);
-        let b0 = buf_with(1, &[(5, EventKind::Store, 1, 0), (9, EventKind::Fence, 0, 0)]);
-        let b1 = buf_with(0, &[(5, EventKind::Clwb, 2, 0), (7, EventKind::Store, 3, 0)]);
-        let t_ba = Trace::from_bufs(vec![b1, b0]);
+        let t_ab = trace_of(64, &[(1, r1), (0, r0)]);
+        let t_ba = trace_of(64, &[(0, r0), (1, r1)]);
         assert_eq!(t_ab.encode(), t_ba.encode());
         let order: Vec<(u64, u16)> = t_ab.events.iter().map(|e| (e.ts_ns, e.thread)).collect();
         assert_eq!(order, vec![(5, 0), (5, 1), (7, 0), (9, 1)]);
@@ -205,47 +186,48 @@ mod tests {
 
     #[test]
     fn first_divergence_points_at_the_first_differing_event() {
-        let a = Trace::from_bufs(vec![buf_with(
-            0,
-            &[(1, EventKind::Store, 7, 0), (2, EventKind::Clwb, 7, 0), (3, EventKind::Fence, 0, 0)],
-        )]);
-        let b = Trace::from_bufs(vec![buf_with(
-            0,
-            &[(1, EventKind::Store, 7, 0), (2, EventKind::Clwb, 8, 0), (3, EventKind::Fence, 0, 0)],
-        )]);
+        let a = trace_of(
+            64,
+            &[(0, &[(1, EventKind::Store, 7, 0), (2, EventKind::Clwb, 7, 0), (3, EventKind::Fence, 0, 0)])],
+        );
+        let b = trace_of(
+            64,
+            &[(0, &[(1, EventKind::Store, 7, 0), (2, EventKind::Clwb, 8, 0), (3, EventKind::Fence, 0, 0)])],
+        );
         assert_eq!(a.first_divergence(&b), Some(1));
         assert_eq!(a.first_divergence(&a.clone()), None);
         // A strict prefix has no divergence point; lengths tell it apart.
-        let p = Trace::from_bufs(vec![buf_with(0, &[(1, EventKind::Store, 7, 0)])]);
+        let p = trace_of(64, &[(0, &[(1, EventKind::Store, 7, 0)])]);
         assert_eq!(p.first_divergence(&a), None);
     }
 
     #[test]
     fn recovery_phase_durations_sum_from_end_events() {
-        let b = buf_with(
-            0,
-            &[
-                (0, EventKind::RecoveryBegin, RecoveryPhase::Scan as u64, 0),
-                (10, EventKind::RecoveryEnd, RecoveryPhase::Scan as u64, 10),
-                (10, EventKind::RecoveryBegin, RecoveryPhase::Resume as u64, 0),
-                (30, EventKind::RecoveryEnd, RecoveryPhase::Resume as u64, 20),
-                (31, EventKind::RecoveryBegin, RecoveryPhase::Scan as u64, 0),
-                (36, EventKind::RecoveryEnd, RecoveryPhase::Scan as u64, 5),
-                (40, EventKind::RecoveryBegin, RecoveryPhase::Rebuild as u64, 0),
-                (47, EventKind::RecoveryEnd, RecoveryPhase::Rebuild as u64, 7),
-            ],
+        let t = trace_of(
+            64,
+            &[(
+                0,
+                &[
+                    (0, EventKind::RecoveryBegin, RecoveryPhase::Scan as u64, 0),
+                    (10, EventKind::RecoveryEnd, RecoveryPhase::Scan as u64, 10),
+                    (10, EventKind::RecoveryBegin, RecoveryPhase::Resume as u64, 0),
+                    (30, EventKind::RecoveryEnd, RecoveryPhase::Resume as u64, 20),
+                    (31, EventKind::RecoveryBegin, RecoveryPhase::Scan as u64, 0),
+                    (36, EventKind::RecoveryEnd, RecoveryPhase::Scan as u64, 5),
+                    (40, EventKind::RecoveryBegin, RecoveryPhase::Rebuild as u64, 0),
+                    (47, EventKind::RecoveryEnd, RecoveryPhase::Rebuild as u64, 7),
+                ],
+            )],
         );
-        let t = Trace::from_bufs(vec![b]);
         assert_eq!(t.recovery_phase_ns(), [15, 20, 0, 7]);
     }
 
     #[test]
     fn counts_by_kind_counts_every_event() {
-        let b = buf_with(
-            3,
-            &[(1, EventKind::Store, 0, 0), (2, EventKind::Store, 0, 0), (3, EventKind::Crash, 0, 0)],
+        let t = trace_of(
+            64,
+            &[(3, &[(1, EventKind::Store, 0, 0), (2, EventKind::Store, 0, 0), (3, EventKind::Crash, 0, 0)])],
         );
-        let t = Trace::from_bufs(vec![b]);
         let counts = t.counts_by_kind();
         assert_eq!(counts[EventKind::Store as usize], 2);
         assert_eq!(counts[EventKind::Crash as usize], 1);
@@ -254,11 +236,8 @@ mod tests {
 
     #[test]
     fn encode_reflects_dropped_and_pushed() {
-        let mut b = TraceBuf::new(0, 2);
-        for i in 0..5 {
-            b.push(i, EventKind::Store, i, 0);
-        }
-        let t = Trace::from_bufs(vec![b]);
+        let stores: Vec<_> = (0..5).map(|i| (i, EventKind::Store, i, 0)).collect();
+        let t = trace_of(2, &[(0, &stores)]);
         assert_eq!(t.pushed, 5);
         assert_eq!(t.dropped, 3);
         assert_eq!(t.events.len(), 2);

@@ -20,7 +20,6 @@ use ido_trace::{Category, EventKind};
 use crate::bitset::RegBitset;
 use crate::layout::{AppendLogLayout, Registry, RegistryEntry, ResumeLog};
 use crate::locks::{Acquire, LockTable, ThreadId};
-use crate::profile::Profile;
 use crate::sched::{self, Sched, MAX_CLOCK_NS, NOT_READY};
 use crate::scheme::{self, Effect, RtCx, SchemeState, Shared};
 use crate::tier2;
@@ -247,7 +246,7 @@ pub(crate) struct ThreadCtx {
     stack_top: usize, // byte offset within the stack area
 
     // Register tracking, maintained by the engine on every register access
-    // under every scheme (iDO's boundaries and the region profile read it).
+    // under every scheme (iDO's boundaries read it).
     // Hot-path structures: fixed-capacity bitsets (O(1) insert/test, no
     // allocation; see DESIGN.md §7).
     pub(crate) dirty_regs: RegBitset,
@@ -394,7 +393,6 @@ pub struct Vm {
     registry: Registry,
     /// What the scheme keeps per VM (see [`crate::scheme`]).
     shared: Shared,
-    profile: Profile,
     steps: u64,
     step_hook: Option<StepHook>,
 }
@@ -465,7 +463,6 @@ impl Vm {
             config,
             registry,
             shared,
-            profile: Profile::new(),
             steps: 0,
             step_hook: None,
         }
@@ -496,11 +493,6 @@ impl Vm {
     /// durable success counters through it.
     pub fn lf_state(&self) -> Option<LfState> {
         self.shared.lf_state()
-    }
-
-    /// Dynamic region profile collected so far (meaningful for iDO runs).
-    pub fn profile(&self) -> &Profile {
-        &self.profile
     }
 
     /// Total instructions executed.
@@ -1017,7 +1009,7 @@ impl Vm {
                 self.charge(t, self.config.lock_cost_ns);
                 match self.locks.acquire(l, ThreadId(t)) {
                     Acquire::Granted | Acquire::AlreadyHeld => {
-                        self.threads[t].handle.trace_event(EventKind::LockAcquire, l, 0);
+                        self.threads[t].handle.observe(EventKind::LockAcquire, l, 0);
                         self.advance(t);
                     }
                     Acquire::Blocked => {
@@ -1035,7 +1027,7 @@ impl Vm {
                 self.charge(t, self.config.lock_cost_ns);
                 match self.locks.release(l, ThreadId(t)) {
                     Ok(next) => {
-                        self.threads[t].handle.trace_event(EventKind::LockRelease, l, 0);
+                        self.threads[t].handle.observe(EventKind::LockRelease, l, 0);
                         if let Some(n) = next {
                             self.wake(t, n);
                         }
@@ -1107,7 +1099,7 @@ impl Vm {
                 } else {
                     th.ret_val = v;
                     th.status = Status::Done;
-                    th.handle.trace_event(EventKind::ThreadDone, t as u64, 0);
+                    th.handle.observe(EventKind::ThreadDone, t as u64, 0);
                 }
             }
             Inst::RegionMarker => {
@@ -1118,12 +1110,8 @@ impl Vm {
                 // layer observes the same timeline whether or not workloads
                 // annotate their operations.
                 let k = self.threads[t].eval(kind);
-                let h = &mut self.threads[t].handle;
-                if begin {
-                    h.op_begin(k);
-                } else {
-                    h.op_end(k);
-                }
+                let event = if begin { EventKind::OpBegin } else { EventKind::OpEnd };
+                self.threads[t].handle.observe(event, k, 0);
                 self.advance(t);
             }
             &Inst::Delay { ns } => {
@@ -1149,8 +1137,8 @@ impl Vm {
                 self.advance(t);
             }
             Inst::Rt(op) => {
-                let Vm { threads, shared, locks, profile, config, .. } = self;
-                let mut cx = RtCx { t, pc, th: &mut threads[t], locks, profile, config };
+                let Vm { threads, shared, locks, config, .. } = self;
+                let mut cx = RtCx { t, pc, th: &mut threads[t], locks, config };
                 match scheme::rt(&mut cx, shared, op) {
                     Effect::Next => self.advance(t),
                     Effect::Stay => {}
@@ -1167,7 +1155,7 @@ impl Vm {
         let th = &mut self.threads[t];
         th.status = Status::Done;
         th.halt_after_release = false;
-        th.handle.trace_event(EventKind::ThreadDone, t as u64, 0);
+        th.handle.observe(EventKind::ThreadDone, t as u64, 0);
     }
 
     /// Wakes a lock waiter, advancing its clock to the release time so that

@@ -196,14 +196,21 @@ fn mutual_exclusion_across_schemes() {
 
 #[test]
 fn ido_profile_counts_regions_and_fases() {
-    let (mut vm, _) = counter_vm(Scheme::Ido, VmConfig::for_tests(), 1);
+    let mut config = VmConfig::for_tests();
+    config.pool.trace = ido_trace::TraceConfig::on();
+    let (mut vm, _) = counter_vm(Scheme::Ido, config, 1);
     vm.run();
-    assert_eq!(vm.profile().fases, 1);
-    assert!(vm.profile().regions >= 2);
+    let pool = vm.pool().clone();
+    drop(vm);
+    let trace = pool.take_trace().expect("tracing on");
+    let (profile, counts) = (&trace.profile, trace.counts_by_kind());
+    assert_eq!(profile.fases, 1);
+    assert!(profile.regions >= 2);
+    // The profile and the events are one observation.
+    assert_eq!(profile.fases, counts[ido_trace::EventKind::FaseEnter as usize]);
+    assert_eq!(profile.regions, counts[ido_trace::EventKind::RegionBoundary as usize]);
     // The region carrying the store reports it.
-    let stores: u64 = (0..crate::profile::BUCKETS)
-        .map(|k| vm.profile().stores_hist[k] * k as u64)
-        .sum();
+    let stores: u64 = (0..ido_trace::PROFILE_BUCKETS).map(|k| profile.stores_hist[k] * k as u64).sum();
     assert!(stores >= 1);
 }
 

@@ -432,7 +432,7 @@ impl AppendLogLayout {
         h.sfence();
         h.write_u64(self.len_addr(), (n + entries.len()) as u64);
         h.end_log();
-        h.trace_event(
+        h.observe(
             ido_trace::EventKind::LogAppend,
             entries.len() as u64,
             (entries.len() * APPEND_ENTRY_BYTES) as u64,

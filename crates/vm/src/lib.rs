@@ -21,9 +21,9 @@
 //!    image.
 //!
 //! The VM also charges every memory, write-back, and fence operation to
-//! per-thread simulated clocks via `ido-nvm`'s latency model, and profiles
-//! dynamic idempotent-region statistics (stores per region, live-in
-//! registers per region) for the paper's Fig. 8.
+//! per-thread simulated clocks via `ido-nvm`'s latency model, and reports
+//! every dynamic idempotent region it closes (stores per region, live-in
+//! registers per region — the paper's Fig. 8) as a trace event.
 
 #![deny(missing_docs)]
 
@@ -31,7 +31,6 @@ mod bitset;
 mod exec;
 pub mod layout;
 pub mod locks;
-pub mod profile;
 pub mod recovery;
 mod sched;
 mod scheme;
@@ -42,6 +41,5 @@ pub use exec::{
     GLOBAL_TX_LOCK, LF_STATE_ROOT, MAX_THREADS, THREADS_ROOT,
 };
 pub use locks::ThreadId;
-pub use profile::Profile;
 pub use recovery::{recover, recover_partial, RecoveryConfig, RecoveryReport};
 pub use sched::MAX_CLOCK_NS;

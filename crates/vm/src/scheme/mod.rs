@@ -19,7 +19,6 @@ use ido_trace::{EventKind, RecoveryPhase};
 use crate::exec::{ThreadCtx, VmConfig};
 use crate::layout::{Registry, RegistryEntry};
 use crate::locks::{LockTable, ThreadId};
-use crate::profile::Profile;
 use crate::recovery::{RecoveryConfig, RecoveryReport};
 
 mod lockfree;
@@ -230,7 +229,6 @@ pub(crate) struct RtCx<'a> {
     pub(crate) pc: Pc,
     pub(crate) th: &'a mut ThreadCtx,
     pub(crate) locks: &'a mut LockTable,
-    pub(crate) profile: &'a mut Profile,
     pub(crate) config: &'a VmConfig,
 }
 
@@ -251,8 +249,7 @@ pub(crate) enum Effect {
 /// for every scheme; what they *do* is the scheme's.
 pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
     if let RtOp::FaseBegin = op {
-        cx.profile.record_fase();
-        cx.th.handle.trace_event(EventKind::FaseEnter, 0, 0);
+        cx.th.handle.observe(EventKind::FaseEnter, 0, 0);
     }
     // The state leaves the thread for the op, so that its scheme holds it
     // and the rest of the thread as two borrows.
@@ -271,7 +268,7 @@ pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
     };
     cx.th.scheme = state;
     if let RtOp::FaseEnd = op {
-        cx.th.handle.trace_event(EventKind::FaseExit, 0, 0);
+        cx.th.handle.observe(EventKind::FaseExit, 0, 0);
         if cx.th.recovery {
             cx.th.halt_after_release = true;
         }
@@ -311,20 +308,16 @@ impl RecoverCx<'_> {
         Some(())
     }
 
-    /// Runs `body` as one span of recovery `phase`, between its trace events
-    /// and inside its metrics span. When `body` runs out of budget (`None`)
-    /// the phase stays open, as a crash would leave it.
+    /// Runs `body` as one span of recovery `phase`. When `body` runs out of
+    /// budget (`None`) the phase stays open, as a crash would leave it.
     fn phase<T>(
         &mut self,
         phase: RecoveryPhase,
         body: impl FnOnce(&mut Self) -> Option<T>,
     ) -> Option<T> {
-        let t0 = self.h.clock_ns();
-        self.h.trace_event(EventKind::RecoveryBegin, phase as u64, 0);
+        let t0 = self.h.recovery_begin(phase);
         let out = body(self)?;
-        let t1 = self.h.clock_ns();
-        self.h.trace_event(EventKind::RecoveryEnd, phase as u64, t1 - t0);
-        self.h.metrics_recovery(phase, t0, t1);
+        self.h.recovery_end(phase, t0);
         Some(out)
     }
 

@@ -83,7 +83,7 @@ impl MnemosyneThread {
         h.nt_store_u64(e + 24, 0);
         h.nt_store_u64(e, kind as u64);
         h.end_log();
-        h.trace_event(EventKind::LogAppend, 1, 32);
+        h.observe(EventKind::LogAppend, 1, 32);
     }
 
     #[inline]
@@ -137,16 +137,15 @@ impl MnemosyneThread {
                 }
                 self.tx.begin();
                 self.cursor = 0;
-                th.handle.trace_event(EventKind::LockAcquire, GLOBAL_TX_LOCK, 0);
-                th.handle.trace_event(EventKind::FaseEnter, 0, 0);
-                cx.profile.record_fase();
+                th.handle.observe(EventKind::LockAcquire, GLOBAL_TX_LOCK, 0);
+                th.handle.observe(EventKind::FaseEnter, 0, 0);
                 Effect::Next
             }
             RtOp::TxCommit => {
                 self.commit(&mut th.handle);
                 th.handle.advance(cx.config.lock_cost_ns);
-                th.handle.trace_event(EventKind::FaseExit, 0, 0);
-                th.handle.trace_event(EventKind::LockRelease, GLOBAL_TX_LOCK, 0);
+                th.handle.observe(EventKind::FaseExit, 0, 0);
+                th.handle.observe(EventKind::LockRelease, GLOBAL_TX_LOCK, 0);
                 match cx.locks.release(GLOBAL_TX_LOCK, ThreadId(cx.t)) {
                     Ok(Some(next)) => Effect::Wake(next),
                     _ => Effect::Next,

@@ -217,8 +217,7 @@ impl IdoThread {
         th.written_regs.clear();
         th.read_before_write.clear();
         th.stores_since_boundary = 0;
-        th.handle.trace_event(EventKind::RegionBoundary, stores, inputs);
-        cx.profile.record_region(stores, inputs);
+        th.handle.observe(EventKind::RegionBoundary, stores, inputs);
     }
 }
 
@@ -311,7 +310,7 @@ impl JustDoThread {
         h.log_write_u64(l.store_value(), value);
         h.log_write_u64(l.pc(), encode_pc(store_pc));
         h.clwb(l.pc()); // one line holds all three fields
-        h.trace_event(EventKind::LogAppend, 1, 24);
+        h.observe(EventKind::LogAppend, 1, 24);
         h.sfence(); // first fence; the store itself fences again
     }
 }

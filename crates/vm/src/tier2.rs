@@ -330,7 +330,7 @@ pub(crate) fn exec_segment(
                             flush!();
                             match locks.acquire(l, ThreadId(t)) {
                                 Acquire::Granted | Acquire::AlreadyHeld => {
-                                    th.handle.trace_event(EventKind::LockAcquire, l, 0);
+                                    th.handle.observe(EventKind::LockAcquire, l, 0);
                                     executed += 1;
                                     op_i += 1;
                                 }
@@ -355,7 +355,7 @@ pub(crate) fn exec_segment(
                             flush!();
                             match locks.release(l, ThreadId(t)) {
                                 Ok(next) => {
-                                    th.handle.trace_event(EventKind::LockRelease, l, 0);
+                                    th.handle.observe(EventKind::LockRelease, l, 0);
                                     executed += 1;
                                     debug_assert!(
                                         !th.halt_after_release,

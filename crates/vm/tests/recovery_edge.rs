@@ -290,11 +290,12 @@ fn nested_indirect_locks_recover_at_every_step() {
     }
 }
 
-/// The trace and the metrics plane observe the same recovery spans, so
-/// their per-phase totals must agree even when the recovery emits far more
-/// events than a trace ring holds (every undone store and every retired
-/// log entry is a write-back event): the ring evicts the early scan and
-/// resume markers, the emission-time totals keep them.
+/// Each `RecoveryEnd` is both summed into the trace's phase totals and
+/// split over the metrics windows, so the two must agree even when the
+/// recovery emits far more events than a trace ring holds (every undone
+/// store and every retired log entry is a write-back event): the ring
+/// evicts the early scan and resume markers, the emission-time totals keep
+/// them.
 #[test]
 fn trace_and_metrics_agree_on_recovery_phases_under_ring_overflow() {
     let inst = twin_counter(Scheme::Atlas);

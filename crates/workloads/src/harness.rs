@@ -11,7 +11,7 @@ use ido_compiler::{instrument_program, Scheme};
 use ido_ir::Program;
 use ido_nvm::StatsSnapshot;
 use ido_vm::layout::Registry;
-use ido_vm::{Profile, RunOutcome, SchedPolicy, Vm, VmConfig};
+use ido_vm::{RunOutcome, SchedPolicy, Vm, VmConfig};
 
 /// A benchmark workload: an IR program plus its persistent-state setup.
 ///
@@ -61,15 +61,15 @@ pub struct RunStats {
     /// Scheduler picks ([`Vm::sched_picks`]); `steps / sched_picks` is the
     /// mean number of steps a thread ran between hand-offs.
     pub sched_picks: u64,
-    /// Dynamic region profile (meaningful under iDO).
-    pub profile: Profile,
     /// Pool-wide persistence-operation counters.
     pub mem_stats: StatsSnapshot,
     /// Total append-log entries left in per-thread logs (Atlas's recovery
     /// must scan these — the Table I driver).
     pub log_entries: usize,
     /// Merged event trace, when the pool was configured with tracing on
-    /// (`PoolConfig::trace`). `None` when tracing was disabled.
+    /// (`PoolConfig::trace`): events, cost breakdown, and the dynamic
+    /// region profile (meaningful under iDO). `None` when tracing was
+    /// disabled.
     pub trace: Option<ido_trace::Trace>,
     /// Windowed service metrics (op latency quantiles, goodput, persist
     /// counters), when the pool was configured with metrics on
@@ -119,7 +119,6 @@ pub fn run_workload(
     let sim_ns = vm.max_clock_ns();
     let steps = vm.steps();
     let sched_picks = vm.sched_picks();
-    let profile = vm.profile().clone();
     let log_entries = count_log_entries(&vm);
     let pool = vm.pool().clone();
     drop(vm); // fold per-thread stats (and trace rings) into the pool
@@ -131,7 +130,6 @@ pub fn run_workload(
         sim_ns,
         steps,
         sched_picks,
-        profile,
         mem_stats: pool.global_stats(),
         log_entries,
         trace: pool.take_trace(),
@@ -288,10 +286,14 @@ mod tests {
 
     #[test]
     fn ido_profile_collects_region_data() {
-        let stats = smoke(&RedisSpec { buckets: 16, key_range: 256, put_permille: 500 }, Scheme::Ido, 1);
-        assert!(stats.profile.regions > 0);
-        assert!(stats.profile.fases > 0);
-        assert!(stats.profile.frac_inputs_below_5() > 0.5);
+        let mut config = small_config();
+        config.pool.trace = ido_trace::TraceConfig { enabled: true, buf_entries: 1 };
+        let spec = RedisSpec { buckets: 16, key_range: 256, put_permille: 500 };
+        let stats = run_workload(Scheme::Ido, &spec, 1, 40, config);
+        let profile = stats.trace.expect("tracing on").profile;
+        assert!(profile.regions > 0);
+        assert!(profile.fases > 0);
+        assert!(profile.frac_inputs_below_5() > 0.5);
     }
 
     #[test]

@@ -10,16 +10,12 @@
 //! arithmetic loop must perform exactly zero allocations. Any future
 //! regression to per-step cloning/collecting shows up as a nonzero count.
 //!
-//! The trace subsystem extends the guarantee: with `PoolConfig::trace`
-//! enabled, every event lands in the ring buffer preallocated at handle
-//! creation (wrapping overwrites, never grows), so the traced hot loop
-//! must also measure zero allocations.
-//!
-//! The metrics subsystem makes the same promise: with
-//! `PoolConfig::metrics` enabled, every op span lands in the handle's
-//! preallocated `MetricsBuf` (fixed-size histograms, window cells
-//! preallocated up front), so a hot loop bracketed by `op_begin`/`op_end`
-//! markers must also measure zero allocations.
+//! The handle's recorder extends the guarantee: with `PoolConfig::trace`
+//! enabled, every event lands in the ring preallocated at handle creation
+//! (wrapping overwrites, never grows), and with `PoolConfig::metrics`
+//! enabled every op span lands in fixed-size histograms and window cells
+//! preallocated up front — so the traced hot loop and a hot loop bracketed
+//! by `op_begin`/`op_end` markers must also measure zero allocations.
 //!
 //! The tier-2 block-compiled engine (ISSUE 6) inherits the guarantee: a
 //! segment run borrows the thread's register file (`mem::take` of the
@@ -256,7 +252,7 @@ fn hot_loop_makes_zero_allocations_per_step() {
     mcfg.pool.metrics = ido_nvm::MetricsConfig::with_window(1 << 40);
     let vm = measure_window(op_span_loop(), mcfg, "metered");
     let pool = vm.pool().clone();
-    drop(vm); // fold the thread's metrics buffer into the pool collector
+    drop(vm); // fold the thread's recorder into the pool collector
     let m = pool.take_metrics().expect("metrics were on");
     assert!(m.total_ops() > 10_000, "window must record op spans ({} ops)", m.total_ops());
     assert_eq!(m.total_ops(), m.per_kind[2].count(), "all spans carry the put kind");

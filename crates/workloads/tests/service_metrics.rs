@@ -23,6 +23,7 @@ use std::path::PathBuf;
 
 use ido_compiler::Scheme;
 use ido_nvm::{MetricsConfig, ServiceMetrics};
+use ido_trace::{EventKind, TraceConfig};
 use ido_vm::VmConfig;
 use ido_workloads::service::ServiceSpec;
 use ido_workloads::run_workload;
@@ -87,7 +88,18 @@ fn window_series_matches_checked_in_golden() {
 
 #[test]
 fn window_totals_are_consistent() {
-    let m = run_metered(Scheme::Ido);
+    let mut cfg = metered_config();
+    cfg.pool.trace = TraceConfig { enabled: true, buf_entries: 1 << 16 };
+    let stats = run_workload(Scheme::Ido, &ServiceSpec::with_range(256), 2, 120, cfg);
+    let (m, trace) = (stats.metrics.expect("metrics on"), stats.trace.expect("tracing on"));
+    assert_eq!(trace.dropped, 0, "the ring holds every event");
+    // The trace and the windows are two exports of one recorder: one op
+    // span per `OpEnd`, whose payload is the latency the windows record.
+    let ends: Vec<u64> =
+        trace.events.iter().filter(|e| e.kind == EventKind::OpEnd).map(|e| e.b).collect();
+    let per_kind_ops: u64 = m.per_kind.iter().map(|h| h.count()).sum();
+    assert_eq!((ends.len() as u64, per_kind_ops), (m.total_ops(), m.total_ops()));
+    assert_eq!(ends.iter().sum::<u64>(), m.per_kind.iter().map(|h| h.sum()).sum::<u64>());
     assert_eq!(m.total_ops(), 240, "every completed op lands in exactly one window");
     // The service mix is 80/20 get/put with no generic ops.
     let per_kind: [u64; 3] =
@@ -97,8 +109,7 @@ fn window_totals_are_consistent() {
     assert!(per_kind[1] > per_kind[2], "gets dominate the 80/20 mix");
     // Whole-run histograms are the merge of the window histograms.
     let windowed: u64 = m.windows.iter().map(|w| w.lat.count()).sum();
-    let whole: u64 = m.per_kind.iter().map(|h| h.count()).sum();
-    assert_eq!(windowed, whole);
+    assert_eq!(windowed, per_kind_ops);
 }
 
 #[test]

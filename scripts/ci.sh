@@ -61,8 +61,9 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # written once, the recoverable-CAS protocol is spelled in ido-lockfree only
 # (ido-vm calls its steps), an `Rt` op names an event and never a scheme (the
 # fourteen per-scheme variants and their ten mnemonics stay gone; the one
-# written down is the input of the diagnostic pinning it as unknown), and the
-# refactor-proof goldens (forward runs and crash + recover rows, both tiers)
+# written down is the input of the diagnostic pinning it as unknown), every
+# observed event goes to the handle's one recorder, and the refactor-proof
+# goldens (forward runs and crash + recover rows, both tiers)
 # hold in an optimized build.
 scheme_seams() {
   if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
@@ -77,6 +78,16 @@ scheme_seams() {
   if grep -rnE 'rt\.(ido_lock|justdo_lo|atlas_|nvml_|nvthreads_)|(Ido|JustDo|Atlas)Lock(Acquired|Releasing)|AtlasUndoLog|NvmlTxAdd|NvthreadsPageTouch|JustDoLog' crates src tests examples corpus \
       | grep -v '^crates/lang/tests/\(goldens/diag_unknown_rt_op.txt\|diagnostics_golden.rs\):'; then
     echo "an Rt op or mnemonic names its scheme: the program carries the scheme"; return 1
+  fi
+  # Observation plane: one recorder per pool handle, defined in ido-trace —
+  # no metrics crate, second buffer, second recovery call or VM-side
+  # profile, and no tracing switched on from the environment.
+  if grep -rnE 'ido_metrics|ido-metrics|MetricsHandle|MetricsBuf|metrics_recovery|record_region|record_fase|from_env|IDO_TRACE(=|_BUF)' \
+      crates src tests examples README.md Cargo.toml; then
+    echo "a second observation path: every event is one call on the handle's one recorder"; return 1
+  fi
+  if (( $(ls crates | wc -l) != 14 )); then
+    echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1
   fi
   cargo test -q --release -p ido-workloads --test decoded_golden
 }
