@@ -40,7 +40,7 @@ fn main() {
         write_csv(&format!("fig7_{name}"), "threads,scheme,mops", &curves_to_rows(&curves));
 
         // Per-point persistence counters: one row per (scheme, threads)
-        // point, with one column per `PersistStats` counter — the raw
+        // point, with one column per `StatsSnapshot` counter — the raw
         // material behind the Fig. 7 cost story.
         let counter_rows: Vec<String> = stats
             .iter()

@@ -3,8 +3,8 @@
 //! Three allocator policies share one facade, [`NvAllocator`]:
 //!
 //! * [`AllocPolicy::Legacy`] — the original Atlas-style global free list:
-//!   a transient mutex serializes callers, a persistent first-fit list and
-//!   bump pointer hold the state. This is the default and stays
+//!   a persistent first-fit list and bump pointer hold the state, and
+//!   callers pay no simulated contention. This is the default and stays
 //!   byte-identical to the historical behaviour (the trace and decoded
 //!   goldens pin its event sequences).
 //! * [`AllocPolicy::GlobalDes`] — the same persistent layout, but calls
@@ -46,7 +46,7 @@
 //!   volatile cache; a crash mid-free leaves the bit set — a leak, never
 //!   a double-link.
 //! * The volatile caches are *hints*: every handout re-checks and sets
-//!   the persistent bit under the allocator lock, so a stale hint is
+//!   the persistent bit before handing the slot out, so a stale hint is
 //!   skipped rather than double-allocated. The bitfields are the single
 //!   source of truth, which is also what [`NvAllocator::attach_with`]
 //!   rebuilds the upper level from.
@@ -64,7 +64,8 @@
 //! large_start: legacy bump + first-fit region for blocks > 512 B
 //! ```
 
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::pool::PmemHandle;
 use crate::root::{ALLOC_META_ADDR, HEAP_START};
@@ -132,9 +133,20 @@ fn slots_per_chunk(k: usize) -> usize {
 
 /// Crash-consistent persistent heap allocator facade.
 ///
-/// The struct itself holds only transient serialization state; all
-/// allocator metadata that matters across a crash is in the pool. Clone
-/// it freely across threads.
+/// The struct itself holds only transient state — the DES availability
+/// clocks and the sharded upper level; all allocator metadata that matters
+/// across a crash is in the pool. Clones share that state. Like the pool it
+/// serves, it has one driver and stays on the host thread that built it:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<ido_nvm::alloc::NvAllocator>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn sync<T: Sync>() {}
+/// sync::<ido_nvm::alloc::NvAllocator>();
+/// ```
 #[derive(Debug, Clone)]
 pub struct NvAllocator {
     inner: Inner,
@@ -142,9 +154,9 @@ pub struct NvAllocator {
 
 #[derive(Debug, Clone)]
 enum Inner {
-    Legacy { guard: Arc<Mutex<()>> },
-    GlobalDes { avail: Arc<Mutex<u64>> },
-    Sharded { state: Arc<Mutex<ShardedState>> },
+    Legacy,
+    GlobalDes { avail: Rc<Cell<u64>> },
+    Sharded { state: Rc<RefCell<ShardedState>> },
 }
 
 /// Volatile upper level of the sharded allocator, rebuilt on attach.
@@ -195,8 +207,8 @@ impl NvAllocator {
                 h.write_u64(HEAP_END_ADDR, heap_end as u64);
                 h.persist(ALLOC_META_ADDR, 24);
                 let inner = match policy {
-                    AllocPolicy::Legacy => Inner::Legacy { guard: Arc::new(Mutex::new(())) },
-                    _ => Inner::GlobalDes { avail: Arc::new(Mutex::new(0)) },
+                    AllocPolicy::Legacy => Inner::Legacy,
+                    _ => Inner::GlobalDes { avail: Rc::default() },
                 };
                 NvAllocator { inner }
             }
@@ -233,14 +245,14 @@ impl NvAllocator {
                     partial: Default::default(),
                     global_avail: 0,
                 };
-                NvAllocator { inner: Inner::Sharded { state: Arc::new(Mutex::new(state)) } }
+                NvAllocator { inner: Inner::Sharded { state: Rc::new(RefCell::new(state)) } }
             }
         }
     }
 
     /// Re-attaches to legacy allocator metadata after a crash or restart.
     pub fn attach() -> Self {
-        NvAllocator { inner: Inner::Legacy { guard: Arc::new(Mutex::new(())) } }
+        NvAllocator { inner: Inner::Legacy }
     }
 
     /// Re-attaches to allocator metadata after a crash or restart.
@@ -258,7 +270,7 @@ impl NvAllocator {
         match policy {
             AllocPolicy::Legacy => Self::attach(),
             AllocPolicy::GlobalDes => {
-                NvAllocator { inner: Inner::GlobalDes { avail: Arc::new(Mutex::new(0)) } }
+                NvAllocator { inner: Inner::GlobalDes { avail: Rc::default() } }
             }
             AllocPolicy::Sharded { shards } => {
                 let rebuild_t0 = h.recovery_begin(RecoveryPhase::Rebuild);
@@ -305,7 +317,7 @@ impl NvAllocator {
                     }
                 }
                 h.recovery_end(RecoveryPhase::Rebuild, rebuild_t0);
-                NvAllocator { inner: Inner::Sharded { state: Arc::new(Mutex::new(state)) } }
+                NvAllocator { inner: Inner::Sharded { state: Rc::new(RefCell::new(state)) } }
             }
         }
     }
@@ -313,11 +325,9 @@ impl NvAllocator {
     /// The policy this allocator instance runs under.
     pub fn policy(&self) -> AllocPolicy {
         match &self.inner {
-            Inner::Legacy { .. } => AllocPolicy::Legacy,
+            Inner::Legacy => AllocPolicy::Legacy,
             Inner::GlobalDes { .. } => AllocPolicy::GlobalDes,
-            Inner::Sharded { state } => {
-                AllocPolicy::Sharded { shards: lock(state).shards.len() }
-            }
+            Inner::Sharded { state } => AllocPolicy::Sharded { shards: state.borrow().shards.len() },
         }
     }
 
@@ -330,19 +340,15 @@ impl NvAllocator {
     pub fn alloc(&self, h: &mut PmemHandle, size: usize) -> Result<PAddr, NvmError> {
         let need = size.max(MIN_PAYLOAD).next_multiple_of(8);
         match &self.inner {
-            Inner::Legacy { guard } => {
-                let _g = guard.lock().expect("allocator mutex poisoned");
-                list_alloc(h, need, size)
-            }
+            Inner::Legacy => list_alloc(h, need, size),
             Inner::GlobalDes { avail } => {
-                let mut avail = avail.lock().expect("allocator mutex poisoned");
-                des_wait(h, *avail);
+                des_wait(h, avail.get());
                 let r = list_alloc(h, need, size);
-                *avail = h.clock_ns();
+                avail.set(h.clock_ns());
                 r
             }
             Inner::Sharded { state } => {
-                let mut st = lock(state);
+                let mut st = state.borrow_mut();
                 if st.n_chunks == 0 || need > MAX_SMALL {
                     des_wait(h, st.global_avail);
                     let r = list_alloc(h, need, size);
@@ -365,11 +371,9 @@ impl NvAllocator {
     /// Returns [`NvmError::InvalidFree`] if `addr` is not a live allocation.
     pub fn size_of(&self, h: &mut PmemHandle, addr: PAddr) -> Result<usize, NvmError> {
         match &self.inner {
-            Inner::Legacy { .. } | Inner::GlobalDes { .. } => {
-                header_size(h, addr, HEAP_START)
-            }
+            Inner::Legacy | Inner::GlobalDes { .. } => header_size(h, addr, HEAP_START),
             Inner::Sharded { state } => {
-                let st = lock(state);
+                let st = state.borrow();
                 if st.in_small_region(addr) {
                     st.small_slot(h, addr).map(|(_, _, _, cw)| cw)
                 } else {
@@ -385,22 +389,20 @@ impl NvAllocator {
     /// Returns [`NvmError::InvalidFree`] if `addr` is not a live allocation.
     pub fn free(&self, h: &mut PmemHandle, addr: PAddr) -> Result<(), NvmError> {
         match &self.inner {
-            Inner::Legacy { guard } => {
-                let _g = guard.lock().expect("allocator mutex poisoned");
+            Inner::Legacy => {
                 let size = header_size(h, addr, HEAP_START)?;
                 push_free(h, addr, size);
                 Ok(())
             }
             Inner::GlobalDes { avail } => {
-                let mut avail = avail.lock().expect("allocator mutex poisoned");
-                des_wait(h, *avail);
+                des_wait(h, avail.get());
                 let size = header_size(h, addr, HEAP_START)?;
                 push_free(h, addr, size);
-                *avail = h.clock_ns();
+                avail.set(h.clock_ns());
                 Ok(())
             }
             Inner::Sharded { state } => {
-                let mut st = lock(state);
+                let mut st = state.borrow_mut();
                 if st.in_small_region(addr) {
                     let s = h.shard() as usize % st.shards.len();
                     des_wait(h, st.shards[s].avail);
@@ -422,8 +424,8 @@ impl NvAllocator {
     /// sharded policy this covers the large-object region only.
     pub fn high_water(&self, h: &mut PmemHandle) -> usize {
         let floor = match &self.inner {
-            Inner::Legacy { .. } | Inner::GlobalDes { .. } => HEAP_START,
-            Inner::Sharded { state } => lock(state).large_start,
+            Inner::Legacy | Inner::GlobalDes { .. } => HEAP_START,
+            Inner::Sharded { state } => state.borrow().large_start,
         };
         h.read_u64(BUMP_ADDR) as usize - floor
     }
@@ -438,10 +440,6 @@ impl NvAllocator {
         }
         n
     }
-}
-
-fn lock(state: &Arc<Mutex<ShardedState>>) -> std::sync::MutexGuard<'_, ShardedState> {
-    state.lock().expect("allocator mutex poisoned")
 }
 
 /// Waits (advancing `h`'s simulated clock) until `avail`: the DES model of

@@ -10,13 +10,13 @@
 //! most recent events in a bounded ring, so a failing exploration can report
 //! the journal tail leading up to the crash.
 //!
-//! Recording costs one atomic increment per persist-relevant operation when
-//! disabled (the default), and one short mutex-protected ring push when
-//! enabled.
+//! Recording costs one counter increment per persist-relevant operation when
+//! disabled (the default), and one ring push when enabled. The journal
+//! belongs to one pool, and a pool has one driver, so both are plain
+//! memory operations.
 
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::PAddr;
 
@@ -42,13 +42,6 @@ pub enum PersistEventKind {
         value: u64,
         /// True iff the containing line was clean before this store.
         line_was_clean: bool,
-    },
-    /// A byte-granularity store (`write_bytes`), recorded per call.
-    StoreBytes {
-        /// First byte address written.
-        addr: PAddr,
-        /// Number of bytes written.
-        len: usize,
     },
     /// A non-temporal store: both images updated, immediately durable.
     NtStore {
@@ -83,7 +76,6 @@ impl PersistEventKind {
     pub fn tag(&self) -> &'static str {
         match self {
             PersistEventKind::Store { .. } => "store",
-            PersistEventKind::StoreBytes { .. } => "store_bytes",
             PersistEventKind::NtStore { .. } => "nt_store",
             PersistEventKind::Clwb { .. } => "clwb",
             PersistEventKind::Sfence { .. } => "sfence",
@@ -101,9 +93,6 @@ impl std::fmt::Display for PersistEvent {
                 self.seq,
                 if *line_was_clean { " (dirties line)" } else { "" }
             ),
-            PersistEventKind::StoreBytes { addr, len } => {
-                write!(f, "#{} store_bytes [{addr:#x}; {len}]", self.seq)
-            }
             PersistEventKind::NtStore { addr, value } => {
                 write!(f, "#{} nt_store [{addr:#x}] = {value:#x}", self.seq)
             }
@@ -123,26 +112,26 @@ impl std::fmt::Display for PersistEvent {
 /// Pool-internal journal state: the always-on sequence counter plus the
 /// optionally-recording bounded event ring.
 pub(crate) struct Journal {
-    seq: AtomicU64,
-    recording: AtomicBool,
-    capacity: AtomicUsize,
-    ring: Mutex<VecDeque<PersistEvent>>,
+    seq: Cell<u64>,
+    recording: Cell<bool>,
+    capacity: Cell<usize>,
+    ring: RefCell<VecDeque<PersistEvent>>,
     /// Persist-event number at which to simulate a mid-operation crash by
     /// panicking (`u64::MAX` = disarmed). Lets the oracle interrupt
     /// composite operations (e.g. one allocator call spanning several
     /// flush+fence sequences) at *every* flush boundary, not just between
     /// calls.
-    trap_at: AtomicU64,
+    trap_at: Cell<u64>,
 }
 
 impl Default for Journal {
     fn default() -> Self {
         Journal {
-            seq: AtomicU64::new(0),
-            recording: AtomicBool::new(false),
-            capacity: AtomicUsize::new(0),
-            ring: Mutex::new(VecDeque::new()),
-            trap_at: AtomicU64::new(u64::MAX),
+            seq: Cell::new(0),
+            recording: Cell::new(false),
+            capacity: Cell::new(0),
+            ring: RefCell::new(VecDeque::new()),
+            trap_at: Cell::new(u64::MAX),
         }
     }
 }
@@ -150,21 +139,22 @@ impl Default for Journal {
 impl Journal {
     /// Total persist events so far (counted even while not recording).
     pub(crate) fn seq(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
+        self.seq.get()
     }
 
     /// Advances the sequence number; materializes and retains the event
     /// only when recording. `kind` is lazily built so the disabled path
-    /// stays one atomic increment plus two relaxed flag loads — inlined
+    /// stays one counter increment plus two flag loads — inlined
     /// into every store/clwb/sfence, with the ring push and the trap
     /// panic outlined as cold paths.
     #[inline(always)]
     pub(crate) fn record(&self, kind: impl FnOnce() -> PersistEventKind) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.recording.load(Ordering::Relaxed) {
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        if self.recording.get() {
             self.retain(seq, kind());
         }
-        if seq + 1 == self.trap_at.load(Ordering::Relaxed) {
+        if seq + 1 == self.trap_at.get() {
             self.trap(seq);
         }
     }
@@ -172,8 +162,8 @@ impl Journal {
     /// Ring-push slow path of [`Journal::record`].
     #[cold]
     fn retain(&self, seq: u64, kind: PersistEventKind) {
-        let mut ring = self.lock_ring();
-        let cap = self.capacity.load(Ordering::Relaxed);
+        let mut ring = self.ring.borrow_mut();
+        let cap = self.capacity.get();
         if cap > 0 {
             if ring.len() == cap {
                 ring.pop_front();
@@ -187,7 +177,7 @@ impl Journal {
     fn trap(&self, seq: u64) -> ! {
         // Disarm before unwinding so the post-crash machinery (the
         // injected Crash event, recovery's own persists) doesn't re-trap.
-        self.trap_at.store(u64::MAX, Ordering::Relaxed);
+        self.trap_at.set(u64::MAX);
         panic!("persist-trap: simulated crash at persist event {}", seq + 1);
     }
 
@@ -195,31 +185,25 @@ impl Journal {
     /// produces persist event number `at` (1-based) panics, simulating a
     /// crash in the middle of a composite operation. Auto-disarms on firing.
     pub(crate) fn set_trap(&self, at: Option<u64>) {
-        self.trap_at.store(at.unwrap_or(u64::MAX), Ordering::Relaxed);
+        self.trap_at.set(at.unwrap_or(u64::MAX));
     }
 
     /// Starts retaining events in a ring of at most `capacity` entries.
     pub(crate) fn start(&self, capacity: usize) {
-        self.capacity.store(capacity.max(1), Ordering::Relaxed);
-        self.recording.store(true, Ordering::Relaxed);
+        self.capacity.set(capacity.max(1));
+        self.recording.set(true);
     }
 
     /// Stops retaining events (the sequence counter keeps advancing).
     pub(crate) fn stop(&self) {
-        self.recording.store(false, Ordering::Relaxed);
+        self.recording.set(false);
     }
 
     /// The most recent `n` retained events, oldest first.
     pub(crate) fn tail(&self, n: usize) -> Vec<PersistEvent> {
-        let ring = self.lock_ring();
+        let ring = self.ring.borrow();
         let skip = ring.len().saturating_sub(n);
         ring.iter().skip(skip).cloned().collect()
-    }
-
-    fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<PersistEvent>> {
-        // A panicking verifier (the oracle runs checks under catch_unwind)
-        // must not wedge the journal: ignore poisoning.
-        self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -267,9 +251,9 @@ mod tests {
         j.record(|| PersistEventKind::Clwb { line: 0 });
         j.set_trap(Some(3));
         j.record(|| PersistEventKind::Clwb { line: 1 }); // event 2: no trap
-        let r = std::panic::catch_unwind(|| {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             j.record(|| PersistEventKind::Clwb { line: 2 }); // event 3: trap
-        });
+        }));
         assert!(r.is_err(), "trap must fire at event 3");
         assert_eq!(j.seq(), 3, "the trapped event still counts");
         j.record(|| PersistEventKind::Clwb { line: 3 }); // disarmed: no panic

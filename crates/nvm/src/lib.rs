@@ -29,6 +29,11 @@
 //! ([`alloc::NvAllocator`]) and an Atlas-style region manager with named
 //! persistent roots ([`root::RootTable`]).
 //!
+//! A pool has one driver: the pool, its handles and its allocator stay on
+//! the host thread that built them (none is `Send` or `Sync`), so every
+//! simulated store, write-back and fence is plain loads and stores on host
+//! memory.
+//!
 //! # Example
 //!
 //! ```
@@ -52,19 +57,15 @@ mod error;
 pub mod journal;
 mod latency;
 mod line;
-pub mod pad;
 mod pool;
 pub mod root;
-mod stats;
 
 pub use alloc::AllocPolicy;
 pub use error::NvmError;
-pub use pad::CachePadded;
 pub use journal::{PersistEvent, PersistEventKind};
 pub use latency::{EmulationMode, LatencyModel};
 pub use line::{line_of, line_offset, CACHE_LINE};
 pub use pool::{CrashOutcome, CrashPolicy, PmemHandle, PmemPool, PoolConfig};
-pub use stats::PersistStats;
 // Re-exported so pool users can read counters and configure windowed
 // metrics without a direct ido-trace dependency. `StatsSnapshot` is the
 // one persist-counter record, defined where the metrics windows need it.

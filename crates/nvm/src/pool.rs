@@ -1,8 +1,9 @@
 //! The simulated persistent memory pool and per-thread access handles.
 
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
+use std::sync::Arc;
 
 use ido_trace::{
     Category, Collector, CostBreakdown, EventKind, MetricsConfig, Recorder, RecoveryPhase,
@@ -12,7 +13,6 @@ use ido_trace::{
 use crate::journal::{Journal, PersistEvent, PersistEventKind};
 use crate::latency::LatencyModel;
 use crate::line::{line_of, lines_spanning, CACHE_LINE, WORDS_PER_LINE};
-use crate::stats::PersistStats;
 use crate::PAddr;
 
 /// Decides which dirty lines survive a [`PmemPool::crash`].
@@ -115,11 +115,13 @@ impl PoolConfig {
     }
 }
 
+/// The pool's state, shared by the pool value and its handles. One driver
+/// (see [`PmemPool`]): plain cells, no locked instruction on any path.
 struct Inner {
     /// The cache + DRAM view: what loads and stores observe pre-crash.
-    volatile: Vec<AtomicU64>,
+    volatile: Vec<Cell<u64>>,
     /// The NVM view: what survives a crash.
-    persistent: Vec<AtomicU64>,
+    persistent: Vec<Cell<u64>>,
     /// One bit per cache line: set if the volatile line may differ from the
     /// persistent line by an un-written-back store. The converse is the
     /// **clean-line invariant** every O(dirty) operation below relies on: a
@@ -128,17 +130,18 @@ struct Inner {
     /// write-back (fence, crash survivor) or a restore (crash loser) — both
     /// of which equalize the line first — clears it; a non-temporal store
     /// writes both images.
-    dirty: Vec<AtomicU64>,
+    dirty: Vec<Cell<u64>>,
     /// One bit per cache line: set where the *persistent* image or a crash
     /// changed the line since the last [`PmemPool::sync_from`] — by
     /// [`Inner::writeback_line`], `nt_store_u64`, and every line a crash
     /// resolves. Plain stores do not set it (they set `dirty`), so the
     /// store path pays nothing; `touched ∪ dirty` is exactly the set of
     /// lines that can differ from a pool last synced with this one.
-    touched: Vec<AtomicU64>,
+    touched: Vec<Cell<u64>>,
     config: PoolConfig,
-    crashes: AtomicU64,
-    global_stats: PersistStats,
+    crashes: Cell<u64>,
+    /// Counters of the handles dropped or merged so far.
+    global_stats: Cell<StatsSnapshot>,
     journal: Journal,
     /// Observation state: the trace and metrics configuration a handle
     /// snapshots at creation — so [`PmemPool::set_trace`] and
@@ -146,37 +149,37 @@ struct Inner {
     /// which is what lets recovery drivers observe the post-crash segment
     /// alone and lay every segment onto one timeline — and the recorders
     /// of dropped handles.
-    collector: Mutex<Collector>,
+    collector: RefCell<Collector>,
 }
 
 impl Inner {
-    fn collector(&self) -> MutexGuard<'_, Collector> {
-        self.collector.lock().expect("observation collector poisoned")
+    fn collector(&self) -> RefMut<'_, Collector> {
+        self.collector.borrow_mut()
     }
 
     #[inline]
     fn is_dirty(&self, line: usize) -> bool {
-        self.dirty[line / 64].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
+        self.dirty[line / 64].get() & (1 << (line % 64)) != 0
     }
 
+    /// Marks `line` dirty; true iff it was clean. A store to a line that
+    /// is already dirty — the common case — writes nothing to the bitset.
     #[inline]
-    fn set_dirty(&self, line: usize) {
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
+    fn set_dirty(&self, line: usize) -> bool {
+        set_bit(&self.dirty, line)
     }
 
     #[inline]
     fn clear_dirty(&self, line: usize) {
-        self.dirty[line / 64].fetch_and(!(1u64 << (line % 64)), Ordering::Relaxed);
+        let word = &self.dirty[line / 64];
+        word.set(word.get() & !(1u64 << (line % 64)));
     }
 
+    /// Only a sync clears a `touched` bit, and log heads and hot lines are
+    /// fenced over and over: usually this is a load, not a store.
     #[inline]
     fn set_touched(&self, line: usize) {
-        let (word, bit) = (&self.touched[line / 64], 1u64 << (line % 64));
-        // Only a sync clears the bit, and log heads and hot lines are
-        // fenced over and over: usually this is a load, not an RMW.
-        if word.load(Ordering::Relaxed) & bit == 0 {
-            word.fetch_or(bit, Ordering::Relaxed);
-        }
+        set_bit(&self.touched, line);
     }
 
     #[inline]
@@ -186,12 +189,25 @@ impl Inner {
     }
 }
 
+/// Sets bit `line` of `bits` unless it is set already; true iff it was
+/// clear.
+#[inline]
+fn set_bit(bits: &[Cell<u64>], line: usize) -> bool {
+    let (word, bit) = (&bits[line / 64], 1u64 << (line % 64));
+    let old = word.get();
+    let was_clear = old & bit == 0;
+    if was_clear {
+        word.set(old | bit);
+    }
+    was_clear
+}
+
 /// Copies the eight words of `line` from `src` to `dst`.
 #[inline]
-fn copy_line(src: &[AtomicU64], dst: &[AtomicU64], line: usize) {
+fn copy_line(src: &[Cell<u64>], dst: &[Cell<u64>], line: usize) {
     let base = line * WORDS_PER_LINE;
     for (s, d) in src[base..base + WORDS_PER_LINE].iter().zip(&dst[base..base + WORDS_PER_LINE]) {
-        d.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
+        d.set(s.get());
     }
 }
 
@@ -209,26 +225,40 @@ fn lines_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
 
 /// A simulated pool of byte-addressable nonvolatile memory.
 ///
-/// Cloning the pool is cheap (it is an `Arc` internally); every thread should
-/// obtain its own [`PmemHandle`] via [`PmemPool::handle`] for access, since
-/// handles carry thread-local simulated clocks and write-back queues.
+/// Cloning the pool is cheap (it is an `Rc` internally). Each simulated
+/// thread gets its own [`PmemHandle`] via [`PmemPool::handle`], since
+/// handles carry per-thread simulated clocks and write-back queues.
+///
+/// A pool has one driver: the pool, its handles and its allocator live on
+/// the host thread that built them, and the compiler checks it — none of
+/// them is `Send` or `Sync`. (Parallel sweeps build one pool per worker.)
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<ido_nvm::PmemPool>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn sync<T: Sync>() {}
+/// sync::<ido_nvm::PmemPool>();
+/// ```
 #[derive(Clone)]
 pub struct PmemPool {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl std::fmt::Debug for PmemPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PmemPool")
             .field("size", &self.size())
-            .field("crashes", &self.inner.crashes.load(Ordering::Relaxed))
+            .field("crashes", &self.inner.crashes.get())
             .finish()
     }
 }
 
-/// Allocates `n` zeroed `AtomicU64`s.
+/// Allocates `n` zeroed `Cell<u64>`s.
 ///
-/// `AtomicU64` is `repr(transparent)` over `u64` and all-zeros is a valid
+/// `Cell<u64>` is `repr(transparent)` over `u64` and all-zeros is a valid
 /// value, so `alloc_zeroed` is a correct initializer. What it costs depends
 /// on where the allocator finds the memory. A fresh anonymous mapping is
 /// untouched zero pages: nothing is written, and only pages the pool's
@@ -249,7 +279,7 @@ impl std::fmt::Debug for PmemPool {
 /// ([`PmemPool::scratch`]): the request is padded past glibc's cap, so it
 /// is always a mapping; the padding is address space only. Under another
 /// allocator it is merely a larger reservation.
-fn zeroed_atomics(n: usize, reserve: bool) -> Vec<AtomicU64> {
+fn zeroed_cells(n: usize, reserve: bool) -> Vec<Cell<u64>> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
     /// One word past glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit).
     const ALWAYS_MAPPED_WORDS: usize = (32 << 20) / 8 + 1;
@@ -257,12 +287,12 @@ fn zeroed_atomics(n: usize, reserve: bool) -> Vec<AtomicU64> {
         return Vec::new();
     }
     let cap = if reserve { n.max(ALWAYS_MAPPED_WORDS) } else { n };
-    let layout = Layout::array::<AtomicU64>(cap).expect("pool allocation fits a Layout");
+    let layout = Layout::array::<Cell<u64>>(cap).expect("pool allocation fits a Layout");
     // SAFETY: the pointer comes from the global allocator with exactly the
     // layout `Vec`'s drop will deallocate with (capacity == cap), and the
-    // zero bit pattern is a valid `AtomicU64` for all `n <= cap` elements.
+    // zero bit pattern is a valid `Cell<u64>` for all `n <= cap` elements.
     unsafe {
-        let ptr = alloc_zeroed(layout) as *mut AtomicU64;
+        let ptr = alloc_zeroed(layout) as *mut Cell<u64>;
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
@@ -279,7 +309,7 @@ impl PmemPool {
     /// Creates the scratch half of a [`PmemPool::sync_from`] pair: an empty
     /// pool of this pool's configuration, for a caller that keeps it for
     /// many syncs. Its images are reserved as untouched mappings (see
-    /// `zeroed_atomics`), so it is resident only where syncs and its own
+    /// `zeroed_cells`), so it is resident only where syncs and its own
     /// users write: a forked copy of a pool does not double its footprint.
     pub fn scratch(&self) -> Self {
         Self::zeroed(self.inner.config.clone(), true)
@@ -289,19 +319,19 @@ impl PmemPool {
         let size = config.size.next_multiple_of(CACHE_LINE).max(CACHE_LINE);
         let words = size / 8;
         let lines = size / CACHE_LINE;
-        let mk = |n| zeroed_atomics(n, false);
-        let image = || zeroed_atomics(words, reserve);
+        let mk = |n| zeroed_cells(n, false);
+        let image = || zeroed_cells(words, reserve);
         let config = PoolConfig { size, ..config };
-        let collector = Mutex::new(Collector::new(config.trace, config.metrics));
+        let collector = RefCell::new(Collector::new(config.trace, config.metrics));
         PmemPool {
-            inner: Arc::new(Inner {
+            inner: Rc::new(Inner {
                 volatile: image(),
                 persistent: image(),
                 dirty: mk(lines.div_ceil(64)),
                 touched: mk(lines.div_ceil(64)),
                 config,
-                crashes: AtomicU64::new(0),
-                global_stats: PersistStats::default(),
+                crashes: Cell::new(0),
+                global_stats: Cell::default(),
                 journal: Journal::default(),
                 collector,
             }),
@@ -325,7 +355,7 @@ impl PmemPool {
     /// trace-thread id).
     pub fn handle(&self) -> PmemHandle {
         PmemHandle {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             latency: self.inner.config.latency,
             clock_ns: 0,
             pending: Vec::new(),
@@ -378,9 +408,6 @@ impl PmemPool {
     /// its last persisted contents. Afterwards the volatile image equals the
     /// persistent image, exactly as a fresh process mapping the NVM region
     /// would observe.
-    ///
-    /// Callers must ensure no handle is concurrently accessing the pool
-    /// (crashed threads are, by definition, gone).
     pub fn crash(&self, seed: u64) -> CrashOutcome {
         let policy = self.inner.config.crash_policy.clone();
         self.crash_with(seed, &policy)
@@ -403,7 +430,7 @@ impl PmemPool {
         let mut evicted = 0usize;
         let mut dropped = 0usize;
         for (w, word) in inner.dirty.iter().enumerate() {
-            let bits = word.load(Ordering::Relaxed);
+            let bits = word.get();
             if bits == 0 {
                 continue;
             }
@@ -416,8 +443,8 @@ impl PmemPool {
                     dropped += 1;
                 }
             }
-            word.store(0, Ordering::Relaxed);
-            inner.touched[w].fetch_or(bits, Ordering::Relaxed);
+            word.set(0);
+            inner.touched[w].set(inner.touched[w].get() | bits);
         }
         self.note_crash(policy, evicted, dropped)
     }
@@ -444,9 +471,8 @@ impl PmemPool {
             inner.clear_dirty(l);
         }
         // The "new process" sees only what persisted.
-        for w in 0..inner.volatile.len() {
-            let v = inner.persistent[w].load(Ordering::Relaxed);
-            inner.volatile[w].store(v, Ordering::Relaxed);
+        for (v, p) in inner.volatile.iter().zip(&inner.persistent) {
+            v.set(p.get());
         }
         self.note_crash(policy, evicted, dropped)
     }
@@ -454,7 +480,7 @@ impl PmemPool {
     /// The bookkeeping tail of a crash: counter, journal and trace event.
     fn note_crash(&self, policy: &CrashPolicy, evicted: usize, dropped: usize) -> CrashOutcome {
         let inner = &*self.inner;
-        inner.crashes.fetch_add(1, Ordering::Relaxed);
+        inner.crashes.set(inner.crashes.get() + 1);
         inner.journal.record(|| PersistEventKind::Crash {
             policy: policy.name(),
             evicted,
@@ -480,8 +506,6 @@ impl PmemPool {
     /// one scratch pool per live pool.) Only memory state is copied —
     /// counters, journal, trace and metrics collectors stay each pool's own.
     ///
-    /// Callers must ensure no handle is concurrently accessing either pool.
-    ///
     /// # Panics
     /// Panics if the pools differ in size.
     pub fn sync_from(&self, live: &PmemPool) -> usize {
@@ -489,11 +513,8 @@ impl PmemPool {
         assert_eq!(dst.config.size, src.config.size, "sync_from needs equal-sized pools");
         let mut copied = 0usize;
         for w in 0..dst.dirty.len() {
-            let src_dirty = src.dirty[w].load(Ordering::Relaxed);
-            let differ = src_dirty
-                | src.touched[w].load(Ordering::Relaxed)
-                | dst.dirty[w].load(Ordering::Relaxed)
-                | dst.touched[w].load(Ordering::Relaxed);
+            let src_dirty = src.dirty[w].get();
+            let differ = src_dirty | src.touched[w].get() | dst.dirty[w].get() | dst.touched[w].get();
             if differ == 0 {
                 continue;
             }
@@ -502,9 +523,9 @@ impl PmemPool {
                 copy_line(&src.persistent, &dst.persistent, l);
                 copied += 1;
             }
-            dst.dirty[w].store(src_dirty, Ordering::Relaxed);
-            dst.touched[w].store(0, Ordering::Relaxed);
-            src.touched[w].store(0, Ordering::Relaxed);
+            dst.dirty[w].set(src_dirty);
+            dst.touched[w].set(0);
+            src.touched[w].set(0);
         }
         copied
     }
@@ -520,7 +541,7 @@ impl PmemPool {
         // no tail masking is needed.
         let mut out = Vec::new();
         for (w, word) in self.inner.dirty.iter().enumerate() {
-            out.extend(lines_of(w, word.load(Ordering::Relaxed)));
+            out.extend(lines_of(w, word.get()));
         }
         out
     }
@@ -569,15 +590,15 @@ impl PmemPool {
         let inner = &*self.inner;
         let mut out = Vec::with_capacity(inner.config.size);
         for w in &inner.persistent {
-            out.extend_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+            out.extend_from_slice(&w.get().to_le_bytes());
         }
         out
     }
 
     /// Aggregated statistics across all handles that have been dropped or
-    /// explicitly merged, plus crash counts.
+    /// explicitly merged.
     pub fn global_stats(&self) -> StatsSnapshot {
-        self.inner.global_stats.snapshot()
+        self.inner.global_stats.get()
     }
 
     /// Reads a word directly from the *persistent* image, bypassing the
@@ -587,7 +608,7 @@ impl PmemPool {
     /// Panics if `addr` is not 8-byte aligned or out of bounds.
     pub fn read_u64_persistent(&self, addr: PAddr) -> u64 {
         assert!(addr.is_multiple_of(8), "unaligned word read at {addr:#x}");
-        self.inner.persistent[addr / 8].load(Ordering::Relaxed)
+        self.inner.persistent[addr / 8].get()
     }
 
     /// True if the line containing `addr` has unpersisted stores.
@@ -608,14 +629,25 @@ pub struct CrashOutcome {
 /// A per-thread handle onto a [`PmemPool`].
 ///
 /// The handle carries the thread's simulated clock (nanoseconds), its queue
-/// of issued-but-unfenced write-backs, and local statistics. It is
-/// deliberately `!Sync`; create one per thread.
+/// of issued-but-unfenced write-backs, and local statistics. Create one per
+/// simulated thread. Like its pool, it never leaves the host thread that
+/// built the pool:
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<ido_nvm::PmemHandle>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn sync<T: Sync>() {}
+/// sync::<ido_nvm::PmemHandle>();
+/// ```
 pub struct PmemHandle {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
     latency: LatencyModel,
     clock_ns: u64,
     pending: Vec<usize>,
-    /// Local counters; folded into the pool's [`PersistStats`] on
+    /// Local counters; folded into the pool's totals on
     /// [`PmemHandle::merge_stats`] and on drop.
     stats: StatsSnapshot,
     /// The handle's one observation recorder; `None` when tracing and
@@ -792,7 +824,7 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.loads += 1;
         self.charge(self.latency.load_ns);
-        self.inner.volatile[w].load(Ordering::Acquire)
+        self.inner.volatile[w].get()
     }
 
     /// Stores an 8-byte word into the volatile image and marks its line dirty.
@@ -804,10 +836,8 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.stores += 1;
         self.charge_store_and_emit(self.latency.store_ns, 8, addr, value);
-        self.inner.volatile[w].store(value, Ordering::Release);
-        let line = line_of(addr);
-        let line_was_clean = !self.inner.is_dirty(line);
-        self.inner.set_dirty(line);
+        self.inner.volatile[w].set(value);
+        let line_was_clean = self.inner.set_dirty(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
     }
 
@@ -830,10 +860,8 @@ impl PmemHandle {
         self.costs.log_ns += ns;
         self.observe(EventKind::Store, addr as u64, value);
         self.latency.realize(ns);
-        self.inner.volatile[w].store(value, Ordering::Release);
-        let line = line_of(addr);
-        let line_was_clean = !self.inner.is_dirty(line);
-        self.inner.set_dirty(line);
+        self.inner.volatile[w].set(value);
+        let line_was_clean = self.inner.set_dirty(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
     }
 
@@ -844,8 +872,8 @@ impl PmemHandle {
         let w = self.check_word(addr);
         self.stats.nt_stores += 1;
         self.charge_store_and_emit(self.latency.nt_store_cost(), 8, addr, value);
-        self.inner.volatile[w].store(value, Ordering::Release);
-        self.inner.persistent[w].store(value, Ordering::Release);
+        self.inner.volatile[w].set(value);
+        self.inner.persistent[w].set(value);
         self.inner.set_touched(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::NtStore { addr, value });
     }
@@ -919,107 +947,6 @@ impl PmemHandle {
         self.pending.len()
     }
 
-    /// Reads `buf.len()` bytes starting at `addr`. Not atomic; callers must
-    /// provide their own synchronization (e.g. a FASE lock).
-    pub fn read_bytes(&mut self, addr: PAddr, buf: &mut [u8]) {
-        for (i, b) in buf.iter_mut().enumerate() {
-            let a = addr + i;
-            let w = a / 8;
-            assert!(a < self.inner.config.size, "out-of-bounds read at {a:#x}");
-            let word = self.inner.volatile[w].load(Ordering::Acquire);
-            *b = word.to_le_bytes()[a % 8];
-        }
-        self.stats.loads += buf.len().div_ceil(8) as u64;
-        self.charge(self.latency.load_ns * buf.len().div_ceil(8) as u64);
-    }
-
-    /// Writes `buf` starting at `addr`, marking spanned lines dirty. Not
-    /// atomic; callers must provide their own synchronization.
-    pub fn write_bytes(&mut self, addr: PAddr, buf: &[u8]) {
-        for (i, b) in buf.iter().enumerate() {
-            let a = addr + i;
-            let w = a / 8;
-            assert!(a < self.inner.config.size, "out-of-bounds write at {a:#x}");
-            let mut word = self.inner.volatile[w].load(Ordering::Acquire).to_le_bytes();
-            word[a % 8] = *b;
-            self.inner.volatile[w].store(u64::from_le_bytes(word), Ordering::Release);
-        }
-        for line in lines_spanning(addr, buf.len()) {
-            self.inner.set_dirty(line);
-        }
-        self.stats.stores += buf.len().div_ceil(8) as u64;
-        let len = buf.len();
-        self.charge_store_and_emit(
-            self.latency.store_ns * len.div_ceil(8) as u64,
-            len as u64,
-            addr,
-            len as u64,
-        );
-        self.inner.journal.record(|| PersistEventKind::StoreBytes { addr, len });
-    }
-
-    /// Atomically ORs `bits` into the word at `addr` (used by lock bitmaps).
-    pub fn fetch_or_u64(&mut self, addr: PAddr, bits: u64) -> u64 {
-        let w = self.check_word(addr);
-        self.stats.stores += 1;
-        let line_was_clean = !self.inner.is_dirty(line_of(addr));
-        self.inner.set_dirty(line_of(addr));
-        let prev = self.inner.volatile[w].fetch_or(bits, Ordering::AcqRel);
-        self.charge_store_and_emit(self.latency.store_ns, 8, addr, prev | bits);
-        self.inner.journal.record(|| PersistEventKind::Store {
-            addr,
-            value: prev | bits,
-            line_was_clean,
-        });
-        prev
-    }
-
-    /// Atomically ANDs `bits` into the word at `addr`.
-    pub fn fetch_and_u64(&mut self, addr: PAddr, bits: u64) -> u64 {
-        let w = self.check_word(addr);
-        self.stats.stores += 1;
-        let line_was_clean = !self.inner.is_dirty(line_of(addr));
-        self.inner.set_dirty(line_of(addr));
-        let prev = self.inner.volatile[w].fetch_and(bits, Ordering::AcqRel);
-        self.charge_store_and_emit(self.latency.store_ns, 8, addr, prev & bits);
-        self.inner.journal.record(|| PersistEventKind::Store {
-            addr,
-            value: prev & bits,
-            line_was_clean,
-        });
-        prev
-    }
-
-    /// Compare-and-swap on the word at `addr`. Returns the previous value.
-    pub fn compare_exchange_u64(&mut self, addr: PAddr, current: u64, new: u64) -> Result<u64, u64> {
-        let w = self.check_word(addr);
-        self.stats.stores += 1;
-        let ns = self.latency.store_ns;
-        self.tick(ns);
-        if self.log_depth > 0 {
-            self.stats.log_bytes += 8;
-            self.costs.log_ns += ns;
-        } else {
-            self.costs.work_ns += ns;
-        }
-        let line_was_clean = !self.inner.is_dirty(line_of(addr));
-        let r = self.inner.volatile[w].compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
-        // The store event only fires when the exchange took effect.
-        if r.is_ok() {
-            self.observe(EventKind::Store, addr as u64, new);
-        }
-        self.latency.realize(ns);
-        if r.is_ok() {
-            self.inner.set_dirty(line_of(addr));
-            self.inner.journal.record(|| PersistEventKind::Store {
-                addr,
-                value: new,
-                line_was_clean,
-            });
-        }
-        r
-    }
-
     /// This handle's local statistics.
     pub fn stats(&self) -> StatsSnapshot {
         self.stats
@@ -1028,14 +955,20 @@ impl PmemHandle {
     /// Folds this handle's statistics into the pool-global counters and
     /// resets the local ones.
     pub fn merge_stats(&mut self) {
-        self.inner.global_stats.merge(&self.stats);
+        self.fold_stats();
         self.stats = StatsSnapshot::default();
+    }
+
+    fn fold_stats(&self) {
+        let mut total = self.inner.global_stats.get();
+        total.add(&self.stats);
+        self.inner.global_stats.set(total);
     }
 }
 
 impl Drop for PmemHandle {
     fn drop(&mut self) {
-        self.inner.global_stats.merge(&self.stats);
+        self.fold_stats();
         if let Some(mut r) = self.recorder.take() {
             // Cost attribution accumulates inline in the handle (see the
             // `costs` field); it becomes part of the recorder only here.
@@ -1079,7 +1012,7 @@ mod tests {
 
     /// A handle is per-simulated-thread hot state: the VM's scheduler and
     /// step loop stride over one per thread. It carries plain counters
-    /// only — the cache-padded accumulator lives in the pool — and must
+    /// only — the pool-global accumulator lives in the pool — and must
     /// not silently regrow (it was 704 B when it embedded one).
     #[test]
     fn handle_stays_within_four_cache_lines() {
@@ -1097,7 +1030,7 @@ mod tests {
             latency: LatencyModel::default(),
             ..PoolConfig::small_for_tests()
         });
-        let ops: [fn(&mut PmemHandle); 9] = [
+        let ops: [fn(&mut PmemHandle); 8] = [
             |h| h.advance(1000),
             |h| h.advance_as(Category::Log, 1000),
             |h| h.write_u64(128, 1),
@@ -1105,7 +1038,6 @@ mod tests {
             |h| h.nt_store_u64(128, 1),
             |h| h.clwb(128),
             |h| h.sfence(),
-            |h| _ = h.compare_exchange_u64(128, 0, 1),
             |h| _ = h.read_u64(128),
         ];
         for (i, op) in ops.iter().enumerate() {
@@ -1247,24 +1179,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_roundtrip_and_span_lines() {
-        let p = pool();
-        let mut h = p.handle();
-        let data: Vec<u8> = (0..100).collect();
-        h.write_bytes(60, &data);
-        let mut back = vec![0u8; 100];
-        h.read_bytes(60, &mut back);
-        assert_eq!(back, data);
-        h.persist(60, 100);
-        drop(h);
-        p.crash(0);
-        let mut h = p.handle();
-        let mut back = vec![0u8; 100];
-        h.read_bytes(60, &mut back);
-        assert_eq!(back, data);
-    }
-
-    #[test]
     fn clock_accumulates_costs() {
         let mut cfg = PoolConfig::small_for_tests();
         cfg.latency = LatencyModel::default();
@@ -1311,24 +1225,23 @@ mod tests {
     }
 
     #[test]
-    fn atomics_mark_lines_dirty() {
+    fn merged_and_dropped_handles_accumulate_in_the_pool() {
         let p = pool();
-        let mut h = p.handle();
-        h.fetch_or_u64(192, 0b1010);
-        assert!(p.is_line_dirty(192));
-        assert_eq!(h.read_u64(192), 0b1010);
-        assert_eq!(h.fetch_and_u64(192, 0b0010), 0b1010);
-        assert_eq!(h.read_u64(192), 0b0010);
-    }
-
-    #[test]
-    fn compare_exchange_success_and_failure() {
-        let p = pool();
-        let mut h = p.handle();
-        h.write_u64(192, 5);
-        assert_eq!(h.compare_exchange_u64(192, 5, 6), Ok(5));
-        assert_eq!(h.compare_exchange_u64(192, 5, 7), Err(6));
-        assert_eq!(h.read_u64(192), 6);
+        let mut a = p.handle();
+        a.read_u64(0);
+        a.read_u64(0);
+        a.persist(0, 8);
+        a.merge_stats();
+        assert_eq!(a.stats(), StatsSnapshot::default(), "merging resets the handle");
+        a.read_u64(0);
+        let mut b = p.handle();
+        b.begin_log();
+        b.write_u64(64, 1);
+        b.end_log();
+        drop((a, b));
+        let s = p.global_stats();
+        assert_eq!((s.loads, s.stores, s.fences, s.lines_persisted), (3, 1, 1, 1));
+        assert_eq!(s.log_bytes, 8);
     }
 
     #[test]
@@ -1371,17 +1284,11 @@ mod tests {
         for _ in 0..rng.next() % 60 {
             let addr = (rng.next() % (24 * 8)) as usize * 8;
             let v = rng.next();
-            match rng.next() % 9 {
+            match rng.next() % 6 {
                 0 | 1 => h.write_u64(addr, v),
-                2 => h.write_bytes(addr + 3, &v.to_le_bytes().repeat(10)), // spans lines
+                2 => h.log_write_u64(addr, v),
                 3 => h.nt_store_u64(addr, v),
-                4 => drop(h.fetch_or_u64(addr, v)),
-                5 => drop(h.fetch_and_u64(addr, v)),
-                6 => {
-                    // Succeeds when the word is still zero, fails otherwise.
-                    let _ = h.compare_exchange_u64(addr, 0, v | 1);
-                }
-                7 => h.clwb(addr),
+                4 => h.clwb(addr),
                 _ => h.sfence(),
             }
         }
@@ -1427,9 +1334,9 @@ mod tests {
                 assert!(new.dirty_lines().is_empty(), "{what}: dirty lines left");
                 let (n, o) = (&*new.inner, &*old.inner);
                 for w in 0..n.volatile.len() {
-                    let v = n.volatile[w].load(Ordering::Relaxed);
-                    assert_eq!(v, n.persistent[w].load(Ordering::Relaxed), "{what}: word {w}");
-                    assert_eq!(v, o.volatile[w].load(Ordering::Relaxed), "{what}: word {w}");
+                    let v = n.volatile[w].get();
+                    assert_eq!(v, n.persistent[w].get(), "{what}: word {w}");
+                    assert_eq!(v, o.volatile[w].get(), "{what}: word {w}");
                 }
             }
         }
@@ -1482,20 +1389,6 @@ mod tests {
             assert_eq!(w[1].seq, w[0].seq + 1);
         }
         assert_eq!(p.persist_event_count(), tail[4].seq + 1);
-    }
-
-    #[test]
-    fn atomic_rmw_ops_are_journaled_as_stores() {
-        let p = pool();
-        p.record_journal(16);
-        let mut h = p.handle();
-        h.fetch_or_u64(0, 0b1);
-        h.fetch_and_u64(0, 0b1);
-        assert_eq!(h.compare_exchange_u64(0, 1, 9), Ok(1));
-        assert!(h.compare_exchange_u64(0, 1, 5).is_err());
-        let tail = p.journal_tail(16);
-        assert_eq!(tail.len(), 3, "failed CAS is not a persist event");
-        assert!(matches!(tail[2].kind, PersistEventKind::Store { value: 9, .. }));
     }
 
     #[test]
@@ -1562,11 +1455,12 @@ mod tests {
         assert!(h.in_log());
         h.write_u64(8, 2);
         h.write_u64(16, 3);
-        h.write_bytes(64, &[0xAB; 12]);
+        h.write_u64(64, 0xAB);
+        h.write_u64(72, 0xCD);
         h.end_log();
         assert!(!h.in_log());
         h.write_u64(24, 4); // outside again
-        assert_eq!(h.stats().log_bytes, 8 + 8 + 12);
+        assert_eq!(h.stats().log_bytes, 8 + 8 + 16);
         drop(h);
         let t = p.take_trace().unwrap();
         assert!(t.costs.log_ns > 0);

@@ -723,6 +723,12 @@ mod tests {
     }
 
     #[test]
+    fn display_is_nonempty() {
+        let s = StatsSnapshot::from_array([1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(s.to_string(), "loads=1 stores=2 nt=3 clwb=4 fences=5 lines=6 logB=7");
+    }
+
+    #[test]
     fn merge_is_fold_order_independent() {
         let mk = |ts: u64| {
             let mut b = metered(0);

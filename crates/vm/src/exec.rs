@@ -366,6 +366,19 @@ pub enum StepControl {
 pub type StepHook = Box<dyn FnMut(StepInfo) -> StepControl>;
 
 /// The virtual machine.
+///
+/// A VM drives one pool and, like the pool, never leaves the host thread
+/// that built it (parallel sweeps build one VM per worker):
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<ido_vm::Vm>();
+/// ```
+///
+/// ```compile_fail,E0277
+/// fn sync<T: Sync>() {}
+/// sync::<ido_vm::Vm>();
+/// ```
 pub struct Vm {
     pool: PmemPool,
     alloc: NvAllocator,

@@ -10,8 +10,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use ido_nvm::CachePadded;
-
 /// Dense VM thread identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub usize);
@@ -55,14 +53,9 @@ struct LockState {
 }
 
 /// The VM's table of transient locks, keyed by indirect-holder address.
-///
-/// Each lock's state is cache-line padded: high-thread sweeps run many VMs
-/// concurrently on host threads, and hot lock entries of neighbouring
-/// simulations must not false-share when allocators place tables close
-/// together.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    locks: AddrMap<CachePadded<LockState>>,
+    locks: AddrMap<LockState>,
 }
 
 /// Error from [`LockTable::release`]: the caller does not own the lock.

@@ -62,7 +62,8 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # (ido-vm calls its steps), an `Rt` op names an event and never a scheme (the
 # fourteen per-scheme variants and their ten mnemonics stay gone; the one
 # written down is the input of the diagnostic pinning it as unknown), every
-# observed event goes to the handle's one recorder, and the refactor-proof
+# observed event goes to the handle's one recorder, a pool and a VM have one
+# driver (no atomic, lock or padding in ido-nvm or ido-vm), and the refactor-proof
 # goldens (forward runs and crash + recover rows, both tiers)
 # hold in an optimized build.
 scheme_seams() {
@@ -85,6 +86,14 @@ scheme_seams() {
   if grep -rnE 'ido_metrics|ido-metrics|MetricsHandle|MetricsBuf|metrics_recovery|record_region|record_fase|from_env|IDO_TRACE(=|_BUF)' \
       crates src tests examples README.md Cargo.toml; then
     echo "a second observation path: every event is one call on the handle's one recorder"; return 1
+  fi
+  # One driver: a pool, its handles, its allocator and the VM are driven
+  # from one host thread (and are !Send + !Sync), so no locked instruction,
+  # lock or padding against another thread belongs in either crate. The
+  # Arcs left there hold shared immutable values.
+  if grep -rnE 'Atomic|Mutex|RwLock|fetch_(or|and|add|sub)|compare_exchange|CachePadded' \
+      crates/nvm/src crates/vm/src; then
+    echo "one driver: ido-nvm and ido-vm hold no atomic, lock or padding"; return 1
   fi
   if (( $(ls crates | wc -l) != 14 )); then
     echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1
@@ -176,10 +185,11 @@ IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin service_b
 cmp target/figures/BENCH_service.jobs1.json target/figures/BENCH_service.json \
   || { echo "IDO_JOBS=2 changed service bench results"; exit 1; }
 
-echo "== metrics-off overhead guard (best-of-7 wall ns/step) =="
+echo "== metrics-off overhead guard (median of 9 paired runs, wall ns/step) =="
 # Disabled metrics must stay one untaken branch per marker: the guard
-# compares per-step wall cost of a marked vs unmarked hot loop and fails
-# CI if the disabled path grows past the tolerance.
+# compares per-step wall cost of a marked vs unmarked hot loop within
+# back-to-back pairs and fails CI if the median per-pair overhead grows
+# past the tolerance.
 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin metrics_guard
 
 echo "== lock-free contention smoke (quick mode, window <= eager clwb gate) =="
