@@ -1,8 +1,14 @@
-//! The crash oracle: systematic crash-point exploration with deterministic
+//! The crash oracle: systematic crash-state exploration with deterministic
 //! replay and minimal-counterexample reporting.
 //!
 //! The property tests in this workspace *sample* crash points; this crate
-//! *enumerates* them. For a workload run under a scheme, the oracle:
+//! *enumerates* crash states. A [`CrashState`] is one value: the step a run
+//! crashes at and the dirty cache lines that crash loses, plus, for a crash
+//! *during recovery*, the work budget after which recovery crashes too and
+//! the lines that second crash loses. Both kinds go through one path —
+//! one way to reach a state, one verdict, one shrinker, one
+//! [`Counterexample`] and one [`Exploration`]. For a workload run under a
+//! scheme, the oracle:
 //!
 //! 1. **Reference pass** — runs the workload once with a [`Vm`] step hook
 //!    installed, recording the pool's persist-event counter after every
@@ -16,26 +22,31 @@
 //!    and from then on only steps forward, boundary to boundary (the
 //!    schedule is a pure function of the seed, program, and spawn order,
 //!    and pausing does not perturb it). At each boundary it reads the set
-//!    of dirty cache lines and, once per candidate *lost-line set* —
-//!    exhaustively (all `2^n` subsets) when few lines are dirty, with a
-//!    bounded cover (everything, nothing, every singleton, every
-//!    co-singleton, plus seeded random subsets) when many are — *forks* the
-//!    state: a scratch pool is re-synced to the live pool
+//!    of dirty cache lines and builds states from candidate *lost-line
+//!    sets* ([`candidate_subsets`]): all `2^n` subsets when few lines are
+//!    dirty; when many are, everything, nothing, then singletons and
+//!    co-singletons in line order, then seeded random subsets, cut to
+//!    `max_subsets_per_step` — so with the default 24 and 12 or more dirty
+//!    lines only the first 11 singletons and co-singletons are tried.
+//!    [`explore`] crashes once per set; [`explore_recovery`] crashes losing
+//!    every dirty line, cuts recovery short at each budget that interrupts
+//!    it, and crashes again once per set of the lines recovery left dirty.
+//!    Each state is *forked*: a scratch pool is re-synced to the live pool
 //!    (`PmemPool::sync_from`, O(lines either changed)) and crashed with
 //!    `CrashPolicy::Subset`. Nothing is rebuilt per state.
-//! 3. **Verification** — after each injected crash the scheme's recovery
+//! 3. **Verification** — after the state's last crash the scheme's recovery
 //!    runs, the workload's own invariants are checked, and recovery is
 //!    re-run to confirm idempotence — all under `catch_unwind`.
-//! 4. **Shrinking** — on failure, the lost-line set is greedily minimized
-//!    (drop any line whose loss is not needed to fail), then the crash step
-//!    is minimized to the earliest boundary where that set still fails. The
-//!    resulting [`Counterexample`] carries everything needed to replay it —
-//!    seed, VM config, crash step, lost lines — plus the persist-event
-//!    journal tail leading into the crash. Shrinking, journal capture and
-//!    [`Counterexample::reproduce`] use the from-scratch
-//!    [`check_crash_state`] (a fresh VM replayed from step 0): they are
-//!    rare, jump backwards, and are the independent reference the forked
-//!    path is differentially tested against.
+//! 4. **Shrinking** — on failure, every lost-line set of the state is
+//!    greedily minimized (drop any line whose loss is not needed to fail),
+//!    then the crash step is minimized to the earliest boundary where the
+//!    state still fails. The resulting [`Counterexample`] carries
+//!    everything needed to replay it — seed, VM config, the crash state —
+//!    plus the persist-event journal tail leading into its last crash.
+//!    Shrinking, journal capture and [`Counterexample::reproduce`] use the
+//!    from-scratch [`CrashState::check`] (a fresh VM replayed from step 0):
+//!    they are rare, jump backwards, and are the independent reference the
+//!    forked path is differentially tested against.
 //!
 //! Determinism: the VM's scheduler RNG lives in the VM and never observes
 //! the step hook, so a run paused at every step, a run paused once at step
@@ -61,10 +72,6 @@ use ido_workloads::WorkloadSpec;
 /// Salt mixed into the crash seed so injected crashes are decorrelated from
 /// the scheduling seed while staying deterministic.
 const CRASH_SALT: u64 = 0x0bc3_5eed;
-
-/// Salt for the *second* crash of a crash-during-recovery check, so the two
-/// injected failures draw independent line-survival decisions.
-const RECOVERY_CRASH_SALT: u64 = 0x7e_c0_7e_55;
 
 /// The six durable schemes the oracle explores: iDO plus the five baseline
 /// runtimes. `Origin` is excluded — it makes no durability promise, so
@@ -152,8 +159,13 @@ pub struct Exploration {
     /// Distinct persist-boundary crash steps enumerated (the crash-state
     /// equivalence classes over all `total_steps + 1` crash points).
     pub boundary_steps: usize,
+    /// Recoveries a crash-during-recovery sweep cut short: one per
+    /// (boundary, budget) pair whose budget ran out before recovery
+    /// finished (larger budgets are skipped). 0 for a plain sweep.
+    pub interruptions: usize,
     /// Crash states actually checked: one per (boundary step, lost-line
-    /// subset) pair.
+    /// subset) pair, or per (boundary, budget, subset) triple for a crash
+    /// during recovery.
     pub crash_states_explored: usize,
     /// Extra states checked while shrinking a counterexample.
     pub shrink_attempts: usize,
@@ -196,6 +208,59 @@ impl std::fmt::Display for Exploration {
     }
 }
 
+/// One crash state: where a run crashes and which dirty lines the crash
+/// loses, and — for a crash during recovery — where recovery crashes and
+/// which lines that second crash loses.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrashState {
+    /// Interpreter steps run before the crash.
+    pub step: u64,
+    /// Dirty lines the crash loses; the other dirty lines survive.
+    pub lost: Vec<usize>,
+    /// `(budget, lost)`: recovery is cut short after `budget` units of work
+    /// (interpreter steps for the resumption schemes, persist operations for
+    /// the log-processing ones) and crashes again, losing `lost` of the
+    /// lines it left dirty. `None`: recovery runs to completion.
+    pub recovery: Option<(u64, Vec<usize>)>,
+}
+
+impl CrashState {
+    /// Checks this state from scratch: replay a fresh VM to `step`, crash
+    /// losing `lost`, crash the recovery too if `recovery` says so, then
+    /// recover, verify the workload's invariants on a re-attached VM, and
+    /// recover again to confirm idempotence. [`explore`] and
+    /// [`explore_recovery`] reach the same states by forking a forward run
+    /// instead; this is the reference they are tested against, and what
+    /// shrinking and [`Counterexample::reproduce`] use.
+    ///
+    /// # Errors
+    /// The panic message of whichever stage failed. When the state is not a
+    /// crash state of this run: "lost line N is not dirty at step S" (or
+    /// "after B recovery unit(s)"), or "recovery completes within B
+    /// unit(s)" when the budget does not interrupt recovery.
+    pub fn check(
+        &self,
+        spec: &dyn WorkloadSpec,
+        inst: &Instrumented,
+        cfg: &OracleConfig,
+    ) -> Result<(), String> {
+        let (pool, base) = replay_and_crash(spec, inst, cfg, self, false)?;
+        verify_recovery(spec, inst, cfg, &base, &pool)
+    }
+
+    /// This state without the `i`-th of its lost lines, counting the first
+    /// crash's lines before the second crash's.
+    fn without(&self, i: usize) -> CrashState {
+        let mut smaller = self.clone();
+        match (i.checked_sub(self.lost.len()), &mut smaller.recovery) {
+            (None, _) => smaller.lost.remove(i),
+            (Some(j), Some((_, lost))) => lost.remove(j),
+            (Some(_), None) => unreachable!("line {i} of a state losing {} lines", self.lost.len()),
+        };
+        smaller
+    }
+}
+
 /// A minimal failing crash state, self-contained enough to replay.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
@@ -216,9 +281,12 @@ pub struct Counterexample {
     pub crash_step: u64,
     /// Minimal set of dirty cache lines whose loss triggers the failure.
     pub lost_lines: Vec<usize>,
+    /// For a crash during recovery, the second crash
+    /// ([`CrashState::recovery`]), its lost set minimized like `lost_lines`.
+    pub recovery: Option<(u64, Vec<usize>)>,
     /// The panic message from recovery or invariant verification.
     pub failure: String,
-    /// The persist events leading into (and including) the crash.
+    /// The persist events leading into (and including) the last crash.
     pub journal_tail: Vec<PersistEvent>,
 }
 
@@ -232,11 +300,15 @@ impl Counterexample {
             "# {} on '{}': spawn {} thread(s) x {} op(s), scheduler seed {:#x}",
             self.scheme, self.workload, self.threads, self.ops_per_thread, self.seed
         );
-        let _ = writeln!(
+        let _ = write!(
             out,
-            "# run exactly {} step(s), crash losing dirty line(s) {:?}, recover, verify",
+            "# run exactly {} step(s), crash losing dirty line(s) {:?}, ",
             self.crash_step, self.lost_lines
         );
+        if let Some((budget, lost)) = &self.recovery {
+            let _ = write!(out, "recover for {budget} unit(s), crash losing dirty line(s) {lost:?}, ");
+        }
+        let _ = writeln!(out, "recover, verify");
         let _ = writeln!(out, "# failure: {}", first_line(&self.failure));
         let _ = writeln!(out, "# journal tail:");
         for e in &self.journal_tail {
@@ -252,8 +324,9 @@ impl Counterexample {
     /// `Err(failure)` with the replayed failure message if the failure still
     /// reproduces; `Ok(())` if it no longer does (i.e. the bug is fixed).
     /// A counterexample that no longer names a crash state of this program
-    /// — one of its lost lines is not dirty at its crash step — is also an
-    /// `Err` ("lost line N is not dirty at step S"), never a silent "fixed".
+    /// — a lost line is not dirty when its crash hits, or the recovery
+    /// budget no longer interrupts recovery — is also an `Err` (see
+    /// [`CrashState::check`]), never a silent "fixed".
     pub fn reproduce(&self, spec: &dyn WorkloadSpec) -> Result<(), String> {
         let cfg = OracleConfig {
             threads: self.threads,
@@ -262,21 +335,22 @@ impl Counterexample {
             vm: self.vm.clone(),
             ..OracleConfig::default()
         };
-        let inst = instrument(spec, self.scheme);
-        check_crash_state(spec, &inst, &cfg, self.crash_step, &self.lost_lines)
+        let state = CrashState {
+            step: self.crash_step,
+            lost: self.lost_lines.clone(),
+            recovery: self.recovery.clone(),
+        };
+        state.check(spec, &instrument(spec, self.scheme), &cfg)
     }
 }
 
 impl std::fmt::Display for Counterexample {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "crash at step {} losing lines {:?} (seed {:#x}): {}",
-            self.crash_step,
-            self.lost_lines,
-            self.seed,
-            first_line(&self.failure)
-        )
+        write!(f, "crash at step {} losing lines {:?}", self.crash_step, self.lost_lines)?;
+        if let Some((budget, lost)) = &self.recovery {
+            write!(f, ", then after {budget} recovery unit(s) losing lines {lost:?}")?;
+        }
+        write!(f, " (seed {:#x}): {}", self.seed, first_line(&self.failure))
     }
 }
 
@@ -334,31 +408,77 @@ pub fn persist_boundaries(
     (total, events, boundaries)
 }
 
-/// `Err` naming the first line of `lost` that is not dirty in `pool`, which
-/// has run to `step`: losing a clean line is not a crash state, and
-/// `CrashPolicy::Subset` would silently check a different one.
-fn require_dirty(pool: &PmemPool, step: u64, lost: &[usize]) -> Result<(), String> {
+/// `Err` naming the first line of `lost` that is not dirty in `pool`
+/// (`when` says at which point): losing a clean line is not a crash state,
+/// and `CrashPolicy::Subset` would silently check a different one.
+fn require_dirty(pool: &PmemPool, lost: &[usize], when: std::fmt::Arguments) -> Result<(), String> {
     let dirty = pool.dirty_lines();
     match lost.iter().find(|l| dirty.binary_search(l).is_err()) {
-        Some(l) => Err(format!("lost line {l} is not dirty at step {step}")),
+        Some(l) => Err(format!("lost line {l} is not dirty {when}")),
         None => Ok(()),
     }
 }
 
-/// The from-scratch way to a crash state: a fresh VM replayed to `step` and
-/// crashed losing exactly `lost_lines`. Returns the crashed pool and the
+/// Runs recovery of the crashed `pool` for at most `budget` units of work:
+/// `Ok(true)` when it finished, `Err` with the panic message if it panicked.
+fn recovers_within(
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    pool: &PmemPool,
+    budget: u64,
+) -> Result<bool, String> {
+    quiet_panics(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            recover_partial(pool.clone(), inst.clone(), cfg.vm_config(), budget)
+        }))
+    })
+    .map_err(panic_text)
+}
+
+/// Crashes the recovery of `pool`, which has crashed into `state`'s first
+/// crash, as `state.recovery` says; nothing when it is `None`.
+///
+/// # Errors
+/// The panic message if recovery panics within the budget. Otherwise, when
+/// the budget does not interrupt recovery or a line to lose is not dirty
+/// after it: either way `state` is not a crash state of this run.
+fn crash_recovery(
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    pool: &PmemPool,
+    state: &CrashState,
+) -> Result<(), String> {
+    let Some((budget, lost)) = &state.recovery else {
+        return Ok(());
+    };
+    if recovers_within(inst, cfg, pool, *budget)? {
+        return Err(format!("recovery completes within {budget} unit(s): no crash during it"));
+    }
+    require_dirty(pool, lost, format_args!("after {budget} recovery unit(s)"))?;
+    pool.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost.iter().copied()));
+    Ok(())
+}
+
+/// The from-scratch way to `state`: a fresh VM replayed to its step and
+/// crashed losing exactly its lost lines, then its recovery crashed if the
+/// state says so. With `journal`, the pool retains the last
+/// `cfg.journal_tail` persist events. Returns the crashed pool and the
 /// workload's setup values.
 fn replay_and_crash(
     spec: &dyn WorkloadSpec,
     inst: &Instrumented,
     cfg: &OracleConfig,
-    step: u64,
-    lost_lines: &[usize],
+    state: &CrashState,
+    journal: bool,
 ) -> Result<(PmemPool, Vec<u64>), String> {
     let (mut vm, base) = make_vm(spec, inst, cfg);
-    vm.run_steps(step);
-    require_dirty(vm.pool(), step, lost_lines)?;
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost_lines.iter().copied()));
+    if journal {
+        vm.pool().record_journal(cfg.journal_tail.max(1));
+    }
+    vm.run_steps(state.step);
+    require_dirty(vm.pool(), &state.lost, format_args!("at step {}", state.step))?;
+    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(state.lost.iter().copied()));
+    crash_recovery(inst, cfg, &pool, state)?;
     Ok((pool, base))
 }
 
@@ -385,52 +505,11 @@ fn verify_recovery(
     .map_err(panic_text)
 }
 
-/// The verdict on a crashed `pool` whose recovery is itself interrupted
-/// after `recovery_budget` units of work and — if that interrupts it —
-/// crashed again losing `recovery_lost`: a full recovery must then restore
-/// the workload's invariants, and a further one find nothing left to do.
-fn verify_interrupted_recovery(
-    spec: &dyn WorkloadSpec,
-    inst: &Instrumented,
-    cfg: &OracleConfig,
-    base: &[u64],
-    pool: &PmemPool,
-    recovery_budget: u64,
-    recovery_lost: &[usize],
-) -> Result<(), String> {
-    let vc = cfg.vm_config();
-    quiet_panics(|| {
-        catch_unwind(AssertUnwindSafe(|| {
-            let complete =
-                recover_partial(pool.clone(), inst.clone(), vc.clone(), recovery_budget);
-            if !complete {
-                pool.crash_with(
-                    cfg.seed ^ RECOVERY_CRASH_SALT,
-                    &CrashPolicy::losing(recovery_lost.iter().copied()),
-                );
-                let _ =
-                    recover(pool.clone(), inst.clone(), vc.clone(), RecoveryConfig::for_tests());
-            }
-            let post = Vm::attach(pool.clone(), inst.clone(), vc.clone());
-            spec.verify(&post, base, cfg.total_ops());
-            drop(post);
-            let second = recover(pool.clone(), inst.clone(), vc, RecoveryConfig::for_tests());
-            assert_eq!(second.resumed, 0, "final recovery must find nothing to resume");
-        }))
-    })
-    .map_err(panic_text)
-}
-
-/// Checks one crash state from scratch: replay a fresh VM to `step`, crash
-/// losing exactly `lost_lines` of the dirty lines, recover, verify the
-/// workload's invariants on a re-attached VM, and recover again to confirm
-/// idempotence. [`explore`] reaches the same states by forking a forward
-/// run instead; this is the reference it is tested against, and what
-/// shrinking and [`Counterexample::reproduce`] use.
+/// [`CrashState::check`] of the state that crashes at `step` losing exactly
+/// `lost_lines` of the dirty lines and lets recovery run to completion.
 ///
 /// # Errors
-/// The panic message of whichever stage failed, or "lost line N is not
-/// dirty at step S" when `lost_lines` does not name a crash state.
+/// As [`CrashState::check`].
 pub fn check_crash_state(
     spec: &dyn WorkloadSpec,
     inst: &Instrumented,
@@ -438,33 +517,7 @@ pub fn check_crash_state(
     step: u64,
     lost_lines: &[usize],
 ) -> Result<(), String> {
-    let (pool, base) = replay_and_crash(spec, inst, cfg, step, lost_lines)?;
-    verify_recovery(spec, inst, cfg, &base, &pool)
-}
-
-/// Checks one crash-**during-recovery** state from scratch: replay to
-/// `step`, crash losing `lost_lines`, run recovery with a work budget of
-/// `recovery_budget` (interpreter steps for resumption schemes, persist
-/// operations for the log-processing baselines), and — if the budget
-/// interrupts it — crash *again* losing exactly `recovery_lost` of the
-/// lines the interrupted recovery left dirty. A full recovery must then
-/// restore the workload's invariants, and a third recovery must find
-/// nothing left to do.
-///
-/// # Errors
-/// The panic message of whichever stage failed, or "lost line N is not
-/// dirty at step S" when `lost_lines` does not name a crash state.
-pub fn check_recovery_crash_state(
-    spec: &dyn WorkloadSpec,
-    inst: &Instrumented,
-    cfg: &OracleConfig,
-    step: u64,
-    lost_lines: &[usize],
-    recovery_budget: u64,
-    recovery_lost: &[usize],
-) -> Result<(), String> {
-    let (pool, base) = replay_and_crash(spec, inst, cfg, step, lost_lines)?;
-    verify_interrupted_recovery(spec, inst, cfg, &base, &pool, recovery_budget, recovery_lost)
+    CrashState { step, lost: lost_lines.to_vec(), recovery: None }.check(spec, inst, cfg)
 }
 
 /// One worker's share of an exploration: a live VM that only ever steps
@@ -511,56 +564,29 @@ impl<'a> ForwardRun<'a> {
         assert_eq!(outcome.lines_dropped, lost.len(), "forked state lost a line that was not dirty");
     }
 
-    /// The forked [`check_crash_state`] at the live VM's current step.
-    fn check(&mut self, lost: &[usize]) -> Result<(), String> {
-        self.fork_and_crash(lost);
+    /// The forked [`CrashState::check`] of `state`, whose step is the live
+    /// VM's current one.
+    fn check(&mut self, state: &CrashState) -> Result<(), String> {
+        self.fork_and_crash(&state.lost);
+        crash_recovery(self.inst, self.cfg, &self.scratch, state)?;
         verify_recovery(self.spec, self.inst, self.cfg, &self.base, &self.scratch)
     }
 
-    /// The forked [`check_recovery_crash_state`] at the current step.
-    fn check_recovery(
-        &mut self,
-        lost: &[usize],
-        recovery_budget: u64,
-        recovery_lost: &[usize],
-    ) -> Result<(), String> {
+    /// The lines an interrupted recovery leaves dirty: crash the current
+    /// state losing `lost`, run recovery under `budget`. `None` when
+    /// recovery finishes within the budget (nothing left to crash) or
+    /// panics, which the unbudgeted recovery of the same crash does too.
+    fn interrupted_recovery_dirty(&mut self, lost: &[usize], budget: u64) -> Option<Vec<usize>> {
         self.fork_and_crash(lost);
-        verify_interrupted_recovery(
-            self.spec,
-            self.inst,
-            self.cfg,
-            &self.base,
-            &self.scratch,
-            recovery_budget,
-            recovery_lost,
-        )
-    }
-
-    /// The dirty-line set an interrupted recovery leaves behind: crash the
-    /// current state losing `lost`, run recovery under `recovery_budget`.
-    /// `None` when the recovery completes within the budget (nothing left
-    /// to crash).
-    fn interrupted_recovery_dirty(&mut self, lost: &[usize], recovery_budget: u64) -> Option<Vec<usize>> {
-        self.fork_and_crash(lost);
-        let complete = quiet_panics(|| {
-            catch_unwind(AssertUnwindSafe(|| {
-                recover_partial(
-                    self.scratch.clone(),
-                    self.inst.clone(),
-                    self.cfg.vm_config(),
-                    recovery_budget,
-                )
-            }))
-        })
-        .unwrap_or(true); // a panicking recovery is caught by the checker proper
-        (!complete).then(|| self.scratch.dirty_lines())
+        let finished = recovers_within(self.inst, self.cfg, &self.scratch, budget).unwrap_or(true);
+        (!finished).then(|| self.scratch.dirty_lines())
     }
 }
 
 /// What [`sweep`] returns: per-boundary outcomes in boundary order, up to
 /// and including the first failing boundary, and the workers' summed costs.
 struct Sweep<T> {
-    outcomes: Vec<(u64, T)>,
+    outcomes: Vec<T>,
     replayed_steps: u64,
     forked_lines: u64,
     /// When the first chunk's forward run stood ready: the end of set-up.
@@ -604,7 +630,7 @@ fn sweep<T: Send>(
             let flow = at_boundary(&mut run, step, dirty);
             failed = flow.is_break();
             let (ControlFlow::Continue(outcome) | ControlFlow::Break(outcome)) = flow;
-            outcomes.push((step, outcome));
+            outcomes.push(outcome);
             if failed {
                 break;
             }
@@ -625,195 +651,104 @@ fn sweep<T: Send>(
     sweep
 }
 
-/// A minimal failing crash-during-recovery state.
-#[derive(Debug, Clone)]
-pub struct RecoveryCounterexample {
-    /// Scheme that failed.
-    pub scheme: Scheme,
-    /// Workload name.
-    pub workload: String,
-    /// Scheduling seed.
-    pub seed: u64,
-    /// Step of the first (application) crash.
-    pub crash_step: u64,
-    /// Lines lost by the first crash.
-    pub lost_lines: Vec<usize>,
-    /// Recovery work budget at which the second crash hit.
-    pub recovery_budget: u64,
-    /// Lines lost by the crash *during recovery*.
-    pub recovery_lost_lines: Vec<usize>,
-    /// The panic message of the failing stage.
-    pub failure: String,
-}
-
-impl std::fmt::Display for RecoveryCounterexample {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "crash at step {} losing {:?}, then crash after {} recovery unit(s) losing {:?} (seed {:#x}): {}",
-            self.crash_step,
-            self.lost_lines,
-            self.recovery_budget,
-            self.recovery_lost_lines,
-            self.seed,
-            first_line(&self.failure)
-        )
-    }
-}
-
-/// The result of a crash-during-recovery exploration.
-#[derive(Debug, Clone)]
-pub struct RecoveryExploration {
-    /// Scheme explored.
-    pub scheme: Scheme,
-    /// Workload name.
-    pub workload: String,
-    /// Persist-boundary crash steps swept.
-    pub boundary_steps: usize,
-    /// (boundary, budget) pairs at which recovery was actually interrupted
-    /// mid-protocol (budgets larger than the recovery's total work never
-    /// interrupt and are skipped).
-    pub interruptions: usize,
-    /// Crash-during-recovery states checked: one per (boundary, budget,
-    /// recovery-lost-subset) triple.
-    pub crash_states_explored: usize,
-    /// Interpreter steps the workers' forward runs executed (see
-    /// [`Exploration::replayed_steps`]).
-    pub replayed_steps: u64,
-    /// Cache lines copied to fork crash states (see
-    /// [`Exploration::forked_lines`]).
-    pub forked_lines: u64,
-    /// Host nanoseconds of the whole exploration (see
-    /// [`Exploration::host_ns`]).
-    pub host_ns: u64,
-    /// Host nanoseconds before the first crash state (see
-    /// [`Exploration::setup_ns`]).
-    pub setup_ns: u64,
-    /// The first failing state, minimized over its recovery-lost set.
-    pub counterexample: Option<RecoveryCounterexample>,
-}
-
-impl std::fmt::Display for RecoveryExploration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}/{} recovery-crash: {} boundaries, {} interruptions, {} states: {}",
-            self.workload,
-            self.scheme,
-            self.boundary_steps,
-            self.interruptions,
-            self.crash_states_explored,
-            match &self.counterexample {
-                None => "all consistent".to_string(),
-                Some(c) => format!("FAILED ({c})"),
-            }
-        )
-    }
-}
-
-/// Sweeps crash-**during-recovery** states: for every persist-boundary
-/// crash step, crash losing all dirty lines, interrupt the subsequent
-/// recovery at each work budget in `budgets`, and crash again over
-/// lost-line subsets of whatever the interrupted recovery left dirty. This
-/// is the oracle's coverage of the recovery paths themselves — rollback and
-/// replay writes, log retirement — which the plain [`explore`] sweep never
-/// exercises mid-protocol.
-pub fn explore_recovery(
+/// The one sweep body behind [`explore_jobs`] and [`explore_recovery`]. At
+/// every persist boundary it checks one group of crash states per entry of
+/// `recoveries`: `None` crashes once, losing each candidate subset of the
+/// dirty lines; `Some(budget)` crashes losing all of them, cuts recovery
+/// short after `budget` units of work and, if that interrupts it, crashes
+/// again losing each candidate subset of the lines recovery left dirty.
+/// The first failing state is shrunk to a minimal [`Counterexample`].
+fn explore_states(
+    jobs: usize,
     spec: &dyn WorkloadSpec,
     scheme: Scheme,
     cfg: &OracleConfig,
-    budgets: &[u64],
-) -> RecoveryExploration {
+    recoveries: &[Option<u64>],
+) -> Exploration {
     let started = Instant::now();
     let inst = instrument(spec, scheme);
-    let (_, _, boundaries) = persist_boundaries(spec, &inst, cfg);
+    let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
 
-    // At each boundary the first crash loses everything dirty (the classic
-    // drop-all crash maximizes the recovery work available to interrupt),
-    // then each budget that actually interrupts the recovery fans out over
-    // subsets of the mid-recovery dirty set. Every state re-forks the
-    // boundary and re-runs the (cheap, budgeted) partial recovery rather
-    // than forking a second time mid-recovery.
-    struct AtBoundary {
-        interruptions: usize,
-        checked: usize,
-        /// `(lost, budget, recovery_lost)` of the first failing state.
-        fail: Option<(Vec<usize>, u64, Vec<usize>)>,
-    }
-    let swept = sweep(ido_par::jobs(), spec, &inst, cfg, &boundaries, |run, step, lost| {
-        let mut at = AtBoundary { interruptions: 0, checked: 0, fail: None };
-        for &budget in budgets {
-            let Some(dirty) = run.interrupted_recovery_dirty(&lost, budget) else {
-                continue;
+    // Per boundary: (recoveries interrupted, states checked, the first
+    // failing state and its failure); a failure ends the boundary.
+    type AtBoundary = (usize, usize, Option<(CrashState, String)>);
+    let swept = sweep(jobs, spec, &inst, cfg, &boundaries, |run, step, dirty| {
+        let (mut interrupted, mut checked) = (0, 0);
+        for &budget in recoveries {
+            let (lines, salt) = match budget {
+                None => (dirty.clone(), step),
+                Some(b) => match run.interrupted_recovery_dirty(&dirty, b) {
+                    Some(left) => {
+                        interrupted += 1;
+                        (left, step ^ b.rotate_left(17))
+                    }
+                    None => continue,
+                },
             };
-            at.interruptions += 1;
-            for rec_lost in candidate_subsets(&dirty, cfg, step ^ budget.rotate_left(17)) {
-                at.checked += 1;
-                if run.check_recovery(&lost, budget, &rec_lost).is_err() {
-                    at.fail = Some((lost, budget, rec_lost));
-                    return ControlFlow::Break(at);
+            for lines_lost in candidate_subsets(&lines, cfg, salt) {
+                let state = match budget {
+                    None => CrashState { step, lost: lines_lost, recovery: None },
+                    Some(b) => CrashState { step, lost: dirty.clone(), recovery: Some((b, lines_lost)) },
+                };
+                checked += 1;
+                if let Err(failure) = run.check(&state) {
+                    let fail = Some((state, failure));
+                    return ControlFlow::<AtBoundary, _>::Break((interrupted, checked, fail));
                 }
             }
         }
-        ControlFlow::Continue(at)
+        ControlFlow::Continue((interrupted, checked, None))
     });
 
-    let mut interruptions = 0usize;
-    let mut explored = 0usize;
+    // `explored` counts every state checked up to and including the first
+    // failing one. Shrinking is serial and from scratch — it is a
+    // data-dependent greedy walk from one failure, backwards in steps.
+    let (mut interruptions, mut explored, mut shrinks) = (0, 0, 0);
     let mut counterexample = None;
-    for (step, at) in swept.outcomes {
-        interruptions += at.interruptions;
-        explored += at.checked;
-        if let Some((lost, budget, mut rec_lost)) = at.fail {
-            // Greedily minimize the recovery-lost set.
-            let mut failure = check_recovery_crash_state(
-                spec, &inst, cfg, step, &lost, budget, &rec_lost,
-            )
-            .expect_err("failure must reproduce during shrinking");
-            loop {
-                let mut reduced = false;
-                for i in 0..rec_lost.len() {
-                    let mut cand = rec_lost.clone();
-                    cand.remove(i);
-                    if let Err(f) =
-                        check_recovery_crash_state(spec, &inst, cfg, step, &lost, budget, &cand)
-                    {
-                        rec_lost = cand;
-                        failure = f;
-                        reduced = true;
-                        break;
-                    }
-                }
-                if !reduced {
-                    break;
-                }
-            }
-            counterexample = Some(RecoveryCounterexample {
-                scheme,
-                workload: spec.name(),
-                seed: cfg.seed,
-                crash_step: step,
-                lost_lines: lost,
-                recovery_budget: budget,
-                recovery_lost_lines: rec_lost,
-                failure,
-            });
+    for (interrupted, checked, fail) in swept.outcomes {
+        interruptions += interrupted;
+        explored += checked;
+        if let Some((state, failure)) = fail {
+            counterexample =
+                Some(shrink(spec, &inst, cfg, scheme, &boundaries, state, failure, &mut shrinks));
         }
     }
 
     let (host_ns, setup_ns) = host_costs(started, swept.ready);
-    RecoveryExploration {
+    Exploration {
         scheme,
         workload: spec.name(),
+        seed: cfg.seed,
+        total_steps,
+        persist_events,
         boundary_steps: boundaries.len(),
         interruptions,
         crash_states_explored: explored,
+        shrink_attempts: shrinks,
         replayed_steps: swept.replayed_steps,
         forked_lines: swept.forked_lines,
         host_ns,
         setup_ns,
         counterexample,
     }
+}
+
+/// Sweeps crash-**during-recovery** states: at every persist boundary,
+/// crash losing all dirty lines, cut the subsequent recovery short at each
+/// work budget in `budgets`, and crash again over candidate subsets of
+/// whatever the interrupted recovery left dirty (budgets that let recovery
+/// finish are skipped). This is the oracle's coverage of the recovery paths
+/// themselves — rollback and replay writes, log retirement — which the
+/// plain [`explore`] sweep never crashes mid-protocol. A failure shrinks to
+/// a [`Counterexample`] whose `recovery` holds the second crash.
+pub fn explore_recovery(
+    spec: &dyn WorkloadSpec,
+    scheme: Scheme,
+    cfg: &OracleConfig,
+    budgets: &[u64],
+) -> Exploration {
+    let recoveries: Vec<Option<u64>> = budgets.iter().copied().map(Some).collect();
+    explore_states(ido_par::jobs(), spec, scheme, cfg, &recoveries)
 }
 
 /// Explores every persist-boundary crash step of `spec` under `scheme`,
@@ -832,63 +767,7 @@ pub fn explore_jobs(
     scheme: Scheme,
     cfg: &OracleConfig,
 ) -> Exploration {
-    let started = Instant::now();
-    let inst = instrument(spec, scheme);
-    let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
-
-    // At each boundary: enumerate candidate lost-line subsets and stop at
-    // the boundary's first failure.
-    type AtBoundary = (usize, Option<(Vec<usize>, String)>);
-    let swept = sweep(jobs, spec, &inst, cfg, &boundaries, |run, step, dirty| {
-        let mut checked = 0usize;
-        for lost in candidate_subsets(&dirty, cfg, step) {
-            checked += 1;
-            if let Err(failure) = run.check(&lost) {
-                return ControlFlow::<AtBoundary, _>::Break((checked, Some((lost, failure))));
-            }
-        }
-        ControlFlow::Continue((checked, None))
-    });
-
-    // `explored` counts every subset checked up to and including the first
-    // failing one. Shrinking is serial and from scratch — it is a
-    // data-dependent greedy walk from one failure, backwards in steps.
-    let mut explored = 0usize;
-    let mut shrinks = 0usize;
-    let mut counterexample = None;
-    for (step, (checked, fail)) in swept.outcomes {
-        explored += checked;
-        if let Some((lost, failure)) = fail {
-            counterexample = Some(shrink(
-                spec,
-                &inst,
-                cfg,
-                scheme,
-                &boundaries,
-                step,
-                lost,
-                failure,
-                &mut shrinks,
-            ));
-        }
-    }
-
-    let (host_ns, setup_ns) = host_costs(started, swept.ready);
-    Exploration {
-        scheme,
-        workload: spec.name(),
-        seed: cfg.seed,
-        total_steps,
-        persist_events,
-        boundary_steps: boundaries.len(),
-        crash_states_explored: explored,
-        shrink_attempts: shrinks,
-        replayed_steps: swept.replayed_steps,
-        forked_lines: swept.forked_lines,
-        host_ns,
-        setup_ns,
-        counterexample,
-    }
+    explore_states(jobs, spec, scheme, cfg, &[None])
 }
 
 /// Runs [`explore`] for every durable scheme (iDO + the five baselines).
@@ -897,11 +776,15 @@ pub fn explore_all(spec: &dyn WorkloadSpec, cfg: &OracleConfig) -> Vec<Explorati
 }
 
 /// Candidate lost-line sets for a crash point whose dirty lines are `dirty`,
-/// in the order [`explore`] checks them: the full powerset when `dirty` is
-/// small, a bounded deduplicated cover (full set, empty set, singletons,
-/// co-singletons, subsets drawn from `(cfg.seed, step)`) when it is large.
-/// The full set comes first — it is the classic drop-all-dirty crash and
-/// the most likely to fail.
+/// in the order [`explore`] checks them. When `dirty` is small, the full
+/// powerset. When it is large, a deduplicated cover cut to
+/// `cfg.max_subsets_per_step` (at least 2): the full set, the empty set,
+/// then singleton and co-singleton of each line in turn, then subsets drawn
+/// from `(cfg.seed, step)`. The cut keeps a prefix, so past
+/// `(max_subsets_per_step - 2) / 2` dirty lines the later singletons and
+/// co-singletons, and every drawn subset, are never tried. The full set
+/// comes first — it is the classic drop-all-dirty crash and the most likely
+/// to fail.
 pub fn candidate_subsets(dirty: &[usize], cfg: &OracleConfig, step: u64) -> Vec<Vec<usize>> {
     let n = dirty.len();
     let pick = |mask: u64| -> Vec<usize> {
@@ -957,10 +840,11 @@ pub fn candidate_subsets(dirty: &[usize], cfg: &OracleConfig, step: u64) -> Vec<
     out
 }
 
-/// Shrinks a failing `(step, lost)` pair: greedily drop lines that are not
-/// needed to fail, then move the crash to the earliest boundary step where
-/// the minimized set still fails. Captures the journal tail of the final
-/// minimal case.
+/// Shrinks a failing `state`: greedily drop lines of its lost sets that are
+/// not needed to fail, then move the crash to the earliest boundary step
+/// where the minimized state still fails. A candidate that is not a crash
+/// state of this run is skipped; every candidate counts in `attempts`.
+/// Captures the journal tail of the final minimal state.
 #[allow(clippy::too_many_arguments)]
 fn shrink(
     spec: &dyn WorkloadSpec,
@@ -968,41 +852,33 @@ fn shrink(
     cfg: &OracleConfig,
     scheme: Scheme,
     boundaries: &[u64],
-    mut step: u64,
-    mut lost: Vec<usize>,
+    mut state: CrashState,
     mut failure: String,
     attempts: &mut usize,
 ) -> Counterexample {
-    loop {
-        let mut reduced = false;
-        for i in 0..lost.len() {
-            let mut cand = lost.clone();
-            cand.remove(i);
-            *attempts += 1;
-            if let Err(f) = check_crash_state(spec, inst, cfg, step, &cand) {
-                lost = cand;
-                failure = f;
-                reduced = true;
-                break;
-            }
-        }
-        if !reduced {
-            break;
-        }
-    }
-    for &s in boundaries.iter().filter(|&&s| s < step) {
+    // `Some((cand, failure))` when `cand` is a crash state and fails.
+    let mut fails = |cand: CrashState| {
         *attempts += 1;
-        // Where a line of `lost` is not dirty yet, (s, lost) is no crash state.
-        let Ok((pool, base)) = replay_and_crash(spec, inst, cfg, s, &lost) else {
-            continue;
-        };
-        if let Err(f) = verify_recovery(spec, inst, cfg, &base, &pool) {
-            step = s;
-            failure = f;
+        let (pool, base) = replay_and_crash(spec, inst, cfg, &cand, false).ok()?;
+        verify_recovery(spec, inst, cfg, &base, &pool).err().map(|f| (cand, f))
+    };
+    loop {
+        let lines = state.lost.len() + state.recovery.as_ref().map_or(0, |(_, l)| l.len());
+        let Some(smaller) = (0..lines).find_map(|i| fails(state.without(i))) else {
             break;
-        }
+        };
+        (state, failure) = smaller;
     }
-    let journal_tail = capture_journal(spec, inst, cfg, step, &lost);
+    let last = state.step;
+    let earlier = boundaries
+        .iter()
+        .take_while(|&&s| s < last)
+        .find_map(|&step| fails(CrashState { step, ..state.clone() }));
+    if let Some(earlier) = earlier {
+        (state, failure) = earlier;
+    }
+    let (pool, _) =
+        replay_and_crash(spec, inst, cfg, &state, true).expect("a shrunk state is a crash state");
     Counterexample {
         scheme,
         workload: spec.name(),
@@ -1010,29 +886,12 @@ fn shrink(
         threads: cfg.threads,
         ops_per_thread: cfg.ops_per_thread,
         vm: cfg.vm.clone(),
-        crash_step: step,
-        lost_lines: lost,
+        crash_step: state.step,
+        lost_lines: state.lost,
+        recovery: state.recovery,
         failure,
-        journal_tail,
+        journal_tail: pool.journal_tail(cfg.journal_tail),
     }
-}
-
-/// Replays the failing case once more with journal retention enabled and
-/// returns the persist events leading into (and including) the crash.
-fn capture_journal(
-    spec: &dyn WorkloadSpec,
-    inst: &Instrumented,
-    cfg: &OracleConfig,
-    step: u64,
-    lost: &[usize],
-) -> Vec<PersistEvent> {
-    let (mut vm, _) = make_vm(spec, inst, cfg);
-    vm.pool().record_journal(cfg.journal_tail.max(1));
-    vm.run_steps(step);
-    let pool = vm.crash_with(cfg.seed ^ CRASH_SALT, &CrashPolicy::losing(lost.iter().copied()));
-    let tail = pool.journal_tail(cfg.journal_tail);
-    pool.stop_journal();
-    tail
 }
 
 /// Extracts a printable message from a caught panic payload.
@@ -1111,6 +970,26 @@ mod tests {
     }
 
     #[test]
+    fn the_default_bounded_cover_is_a_prefix_of_eleven_singletons_and_co_singletons() {
+        // 24 subsets: everything, nothing, then (singleton, co-singleton)
+        // for the first 11 dirty lines. From the 12th line on, no singleton
+        // is tried and no seeded subset fits.
+        let cfg = OracleConfig::default();
+        for n in [12usize, 13, 40] {
+            let dirty: Vec<usize> = (500..500 + n).collect();
+            let subs = candidate_subsets(&dirty, &cfg, 5);
+            let mut prefix = vec![dirty.clone(), vec![]];
+            for i in 0..11 {
+                let mut co = dirty.clone();
+                co.remove(i);
+                prefix.extend([vec![dirty[i]], co]);
+            }
+            assert_eq!(subs, prefix, "{n} dirty lines");
+            assert!(!subs.contains(&vec![dirty[11]]), "{n} dirty lines");
+        }
+    }
+
+    #[test]
     fn random_subsets_lose_lines_past_the_64th() {
         // Regression: one xorshift word per subset, shifted once per line,
         // ran out after 64 lines, so no seeded draw ever lost a later one.
@@ -1167,8 +1046,12 @@ mod tests {
             assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: reference pass");
             let swept = sweep(1, &TwinSpec, &inst, &cfg, &boundaries, |run, step, dirty| {
                 for lost in candidate_subsets(&dirty, &cfg, step) {
-                    run.check(&lost).expect("a correct scheme");
-                    run.check_recovery(&lost, 2, &[]).expect("a correct scheme");
+                    let plain = CrashState { step, lost, recovery: None };
+                    run.check(&plain).expect("a correct scheme");
+                    if run.interrupted_recovery_dirty(&plain.lost, 2).is_some() {
+                        let during = CrashState { recovery: Some((2, vec![])), ..plain };
+                        run.check(&during).expect("a correct scheme");
+                    }
                     assert_eq!(Arc::strong_count(&decoded), idle + 1, "{scheme}: step {step}");
                 }
                 ControlFlow::Continue(())
@@ -1176,6 +1059,32 @@ mod tests {
             assert_eq!(swept.outcomes.len(), boundaries.len());
             assert_eq!(Arc::strong_count(&decoded), idle, "{scheme}: after the sweep");
             assert!(Arc::ptr_eq(&decoded, &inst.program.decoded()));
+        }
+    }
+
+    #[test]
+    fn the_recovery_sweep_is_identical_for_any_job_count() {
+        // Atlas's rollback and log retirement give every budget something
+        // to cut; iDO with its boundary store flushes skipped fails, so the
+        // shrunk crash-during-recovery counterexample is compared too.
+        let recoveries = [1, 2, 5, 11].map(Some);
+        let mut buggy = OracleConfig::default();
+        buggy.vm.ido_bug_skip_store_flush = true;
+        for (scheme, cfg) in [(Scheme::Atlas, OracleConfig::default()), (Scheme::Ido, buggy)] {
+            let serial = explore_states(1, &TwinSpec, scheme, &cfg, &recoveries);
+            assert!(serial.interruptions > 0, "{serial}");
+            let recipe = serial.counterexample.as_ref().map(Counterexample::replay_recipe);
+            assert_eq!(recipe.is_some(), scheme == Scheme::Ido, "{serial}");
+            for jobs in [2, 4] {
+                let par = explore_states(jobs, &TwinSpec, scheme, &cfg, &recoveries);
+                let counts = |e: &Exploration| {
+                    (e.boundary_steps, e.interruptions, e.crash_states_explored, e.shrink_attempts)
+                };
+                assert_eq!(counts(&par), counts(&serial), "{scheme} jobs={jobs}");
+                assert_eq!(par.to_string(), serial.to_string(), "{scheme} jobs={jobs}");
+                let par_recipe = par.counterexample.as_ref().map(Counterexample::replay_recipe);
+                assert_eq!(par_recipe, recipe, "{scheme} jobs={jobs}");
+            }
         }
     }
 

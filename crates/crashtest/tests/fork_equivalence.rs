@@ -1,25 +1,49 @@
 //! The forked exploration against the from-scratch oracle it replaced.
 //!
-//! `explore` reaches a crash state by stepping one live VM forward and
-//! forking its pool (`PmemPool::sync_from`) per state; `check_crash_state`
-//! reaches it by replaying a fresh VM from step 0. This suite re-runs the
-//! old exploration — per boundary a fresh replay for the dirty set, per
-//! subset a from-scratch check — and requires the forked one to visit the
-//! same states with the same verdicts: equal state counts and the first
-//! failure at the same ordinal state, over the five micro structures under
-//! every durable scheme, the lock-free pair, and the three injected bugs,
-//! whose shrunk counterexamples are pinned to the values the pre-fork
-//! oracle produced.
+//! `explore` and `explore_recovery` reach a crash state by stepping one
+//! live VM forward and forking its pool (`PmemPool::sync_from`) per state;
+//! `CrashState::check` reaches it by replaying a fresh VM from step 0. This
+//! suite re-runs the old exploration — per boundary a fresh replay for the
+//! dirty set (and, per recovery budget, for what the interrupted recovery
+//! left dirty), per state a from-scratch check — and requires the forked
+//! one to visit the same states with the same verdicts: equal state and
+//! interruption counts and the first failure at the same ordinal state,
+//! over the five micro structures under every durable scheme, the twin
+//! counter crashed during recovery under every durable scheme, the
+//! lock-free pair, and the three injected bugs, whose shrunk
+//! counterexamples are pinned to the values the pre-fork oracle produced.
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_crashtest::{
-    candidate_subsets, check_crash_state, explore_jobs, persist_boundaries, Exploration,
-    OracleConfig, DURABLE_SCHEMES,
+    candidate_subsets, check_crash_state, explore_jobs, explore_recovery, persist_boundaries,
+    CrashState, Exploration, OracleConfig, DURABLE_SCHEMES,
 };
-use ido_vm::{Vm, VmConfig};
+use ido_nvm::CrashPolicy;
+use ido_vm::{recover_partial, Vm, VmConfig};
 use ido_workloads::lockfree::{LfListSpec, LfMapSpec};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec, TwinSpec};
 use ido_workloads::WorkloadSpec;
+
+/// The budgets of the crash-during-recovery sweep (as in `recovery_crash.rs`).
+const BUDGETS: [u64; 4] = [1, 2, 5, 11];
+
+fn vm_config(cfg: &OracleConfig) -> VmConfig {
+    VmConfig {
+        seed: cfg.seed,
+        ..cfg.vm.clone()
+    }
+}
+
+/// A fresh VM replayed to `step`.
+fn replay(spec: &dyn WorkloadSpec, inst: &Instrumented, cfg: &OracleConfig, step: u64) -> Vm {
+    let mut vm = Vm::new(inst.clone(), vm_config(cfg));
+    let base = spec.setup(&mut vm, cfg.threads, cfg.ops_per_thread);
+    for t in 0..cfg.threads {
+        vm.spawn("worker", &spec.worker_args(&base, t, cfg.ops_per_thread));
+    }
+    vm.run_steps(step);
+    vm
+}
 
 /// The lines dirty at `step` of a fresh replay.
 fn dirty_at(
@@ -28,70 +52,110 @@ fn dirty_at(
     cfg: &OracleConfig,
     step: u64,
 ) -> Vec<usize> {
-    let mut vm = Vm::new(
-        inst.clone(),
-        VmConfig {
-            seed: cfg.seed,
-            ..cfg.vm.clone()
-        },
-    );
-    let base = spec.setup(&mut vm, cfg.threads, cfg.ops_per_thread);
-    for t in 0..cfg.threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, cfg.ops_per_thread));
-    }
-    vm.run_steps(step);
-    vm.pool().dirty_lines()
+    replay(spec, inst, cfg, step).pool().dirty_lines()
+}
+
+/// The lines left dirty by recovery of a fresh replay crashed at `step`
+/// losing every dirty line, cut short after `budget` units of work; `None`
+/// when recovery finishes within the budget.
+fn dirty_after_recovery(
+    spec: &dyn WorkloadSpec,
+    inst: &Instrumented,
+    cfg: &OracleConfig,
+    step: u64,
+    budget: u64,
+) -> Option<Vec<usize>> {
+    let vm = replay(spec, inst, cfg, step);
+    let lost = vm.pool().dirty_lines();
+    let pool = vm.crash_with(cfg.seed, &CrashPolicy::losing(lost));
+    let finished = recover_partial(pool.clone(), inst.clone(), vm_config(cfg), budget);
+    (!finished).then(|| pool.dirty_lines())
 }
 
 /// The pre-fork exploration: states checked up to and including the first
-/// failing one, and whether there was one.
+/// failing one, recoveries interrupted, and whether a state failed. With
+/// `budgets`, the states of the crash-during-recovery sweep: the crash
+/// loses every dirty line, and per budget that interrupts recovery a
+/// second crash loses each candidate subset of what recovery left dirty.
 fn explore_from_scratch(
     spec: &dyn WorkloadSpec,
     scheme: Scheme,
     cfg: &OracleConfig,
-) -> (usize, bool) {
+    budgets: Option<&[u64]>,
+) -> (usize, usize, bool) {
     let inst = instrument_program(spec.build_program(), scheme).expect("instruments");
     let (_, _, boundaries) = persist_boundaries(spec, &inst, cfg);
-    let mut explored = 0;
+    let (mut explored, mut interrupted) = (0, 0);
+    let groups: Vec<Option<u64>> = match budgets {
+        None => vec![None],
+        Some(b) => b.iter().copied().map(Some).collect(),
+    };
     for step in boundaries {
-        for lost in candidate_subsets(&dirty_at(spec, &inst, cfg, step), cfg, step) {
-            explored += 1;
-            if check_crash_state(spec, &inst, cfg, step, &lost).is_err() {
-                return (explored, true);
+        let dirty = dirty_at(spec, &inst, cfg, step);
+        for &budget in &groups {
+            let states: Vec<CrashState> = match budget {
+                None => candidate_subsets(&dirty, cfg, step)
+                    .into_iter()
+                    .map(|lost| CrashState { step, lost, recovery: None })
+                    .collect(),
+                Some(budget) => {
+                    let Some(left) = dirty_after_recovery(spec, &inst, cfg, step, budget) else {
+                        continue;
+                    };
+                    interrupted += 1;
+                    candidate_subsets(&left, cfg, step ^ budget.rotate_left(17))
+                        .into_iter()
+                        .map(|lost| CrashState {
+                            step,
+                            lost: dirty.clone(),
+                            recovery: Some((budget, lost)),
+                        })
+                        .collect()
+                }
+            };
+            for state in states {
+                explored += 1;
+                if state.check(spec, &inst, cfg).is_err() {
+                    return (explored, interrupted, true);
+                }
             }
         }
     }
-    (explored, false)
+    (explored, interrupted, false)
 }
 
-/// Explores forked at 1, 2 and 4 jobs and compares each against the
-/// from-scratch exploration; returns the serial one.
-fn assert_equivalent(spec: &dyn WorkloadSpec, scheme: Scheme, cfg: &OracleConfig) -> Exploration {
-    let (explored, failed) = explore_from_scratch(spec, scheme, cfg);
-    let mut serial = None;
-    for jobs in [4usize, 2, 1] {
-        let e = explore_jobs(jobs, spec, scheme, cfg);
-        let what = format!("{}/{scheme} jobs={jobs}", spec.name());
+/// Explores forked — a plain sweep at 1, 2 and 4 jobs, or with `budgets`
+/// the crash-during-recovery sweep — and compares each against the
+/// from-scratch exploration; returns the last one.
+fn assert_equivalent(
+    spec: &dyn WorkloadSpec,
+    scheme: Scheme,
+    cfg: &OracleConfig,
+    budgets: Option<&[u64]>,
+) -> Exploration {
+    let (explored, interrupted, failed) = explore_from_scratch(spec, scheme, cfg, budgets);
+    let runs = match budgets {
+        None => Vec::from([4, 2, 1].map(|jobs| (jobs, explore_jobs(jobs, spec, scheme, cfg)))),
+        Some(b) => vec![(ido_par::jobs(), explore_recovery(spec, scheme, cfg, b))],
+    };
+    for (jobs, e) in &runs {
+        let what = format!("{}/{scheme} jobs={jobs} budgets={budgets:?}", spec.name());
         assert_eq!(e.crash_states_explored, explored, "{what}: states visited");
+        assert_eq!(e.interruptions, interrupted, "{what}: recoveries interrupted");
         assert_eq!(e.counterexample.is_some(), failed, "{what}: verdict");
         // Linear exploration: each worker replays to its chunk once and
         // then only steps forward.
         assert!(
-            e.replayed_steps <= jobs as u64 * e.total_steps,
+            e.replayed_steps <= *jobs as u64 * e.total_steps,
             "{what}: {}",
             e.replayed_steps
         );
         assert!(e.forked_lines > 0, "{what}: states are forked, not rebuilt");
-        serial = Some(e);
+        if *jobs == 1 && !failed {
+            assert_eq!(e.replayed_steps, e.total_steps, "one worker, one forward run");
+        }
     }
-    let serial = serial.expect("jobs=1 ran last");
-    if !failed {
-        assert_eq!(
-            serial.replayed_steps, serial.total_steps,
-            "one worker, one forward run"
-        );
-    }
-    serial
+    runs.into_iter().last().expect("one exploration ran").1
 }
 
 #[test]
@@ -106,10 +170,37 @@ fn forked_verdicts_match_from_scratch_on_the_structures_under_every_durable_sche
     ];
     for spec in specs {
         for scheme in DURABLE_SCHEMES {
-            let e = assert_equivalent(spec, scheme, &cfg);
+            let e = assert_equivalent(spec, scheme, &cfg, None);
             assert!(e.counterexample.is_none(), "{e}");
         }
     }
+}
+
+#[test]
+fn forked_recovery_crash_verdicts_match_from_scratch_under_every_durable_scheme() {
+    let cfg = OracleConfig::default();
+    let mut interrupted = 0;
+    for scheme in DURABLE_SCHEMES {
+        let e = assert_equivalent(&TwinSpec, scheme, &cfg, Some(&BUDGETS));
+        assert!(e.counterexample.is_none(), "{e}");
+        interrupted += e.interruptions;
+    }
+    assert!(interrupted > 0, "no budget interrupted any recovery");
+
+    // With iDO's boundary store flushes skipped, the first failing state is
+    // one whose second crash tears the region recovery re-executes: a
+    // forked check that skipped the second crash would pass it and fail
+    // later, at a plain torn boundary.
+    let mut buggy = cfg;
+    buggy.vm.ido_bug_skip_store_flush = true;
+    let e = assert_equivalent(&TwinSpec, Scheme::Ido, &buggy, Some(&BUDGETS));
+    assert_eq!((e.crash_states_explored, e.shrink_attempts), (6, 4));
+    let c = e.counterexample.expect("both explorations found a failure");
+    assert_eq!(
+        (c.crash_step, c.lost_lines.as_slice(), c.recovery),
+        (12, &[][..], Some((11, vec![83])))
+    );
+    assert!(c.failure.contains("torn FASE"), "{}", c.failure);
 }
 
 #[test]
@@ -123,7 +214,7 @@ fn forked_verdicts_match_from_scratch_on_the_lock_free_pair() {
     let specs: [&dyn WorkloadSpec; 2] = [&LfListSpec, &map];
     for spec in specs {
         for scheme in Scheme::LOCKFREE {
-            let e = assert_equivalent(spec, scheme, &cfg);
+            let e = assert_equivalent(spec, scheme, &cfg, None);
             assert!(e.counterexample.is_none(), "{e}");
         }
     }
@@ -205,7 +296,7 @@ fn injected_bugs_shrink_to_the_counterexamples_of_the_from_scratch_oracle() {
         ),
     ];
     for (spec, scheme, cfg, states, shrinks, step, lost, failure) in pins {
-        let e = assert_equivalent(spec, scheme, cfg);
+        let e = assert_equivalent(spec, scheme, cfg, None);
         let what = format!("{}/{scheme}", spec.name());
         assert_eq!(
             (e.crash_states_explored, e.shrink_attempts),
@@ -226,7 +317,9 @@ fn injected_bugs_shrink_to_the_counterexamples_of_the_from_scratch_oracle() {
 }
 
 /// A lost line that is not dirty at the crash step is not a crash state:
-/// the from-scratch check says so instead of silently losing less.
+/// the from-scratch check says so instead of silently losing less. The
+/// same holds for the second crash of a crash during recovery, which must
+/// also have a recovery to interrupt.
 #[test]
 fn losing_a_clean_line_is_an_error_not_a_different_state() {
     let cfg = OracleConfig::default();
@@ -250,4 +343,32 @@ fn losing_a_clean_line_is_an_error_not_a_different_state() {
         check_crash_state(&TwinSpec, &inst, &cfg, step, &lost),
         Err(format!("lost line {clean} is not dirty at step {step}"))
     );
+
+    let (step, left) = boundaries
+        .iter()
+        .find_map(|&s| dirty_after_recovery(&TwinSpec, &inst, &cfg, s, 1).map(|left| (s, left)))
+        .expect("a budget of 1 interrupts some recovery");
+    let during = |budget: u64, lost: Vec<usize>| CrashState {
+        step,
+        lost: dirty_at(&TwinSpec, &inst, &cfg, step),
+        recovery: Some((budget, lost)),
+    };
+    assert_eq!(during(1, left.clone()).check(&TwinSpec, &inst, &cfg), Ok(()));
+    let clean = (0..)
+        .find(|l| !left.contains(l))
+        .expect("some line is clean");
+    let finishes = 1 << 20;
+    let cases = [
+        (
+            during(1, [left, vec![clean]].concat()),
+            format!("lost line {clean} is not dirty after 1 recovery unit(s)"),
+        ),
+        (
+            during(finishes, vec![]),
+            format!("recovery completes within {finishes} unit(s): no crash during it"),
+        ),
+    ];
+    for (state, err) in cases {
+        assert_eq!(state.check(&TwinSpec, &inst, &cfg), Err(err), "{state:?}");
+    }
 }

@@ -8,7 +8,9 @@
 //!   write-back at boundaries) is caught, and the report shrinks to a
 //!   minimal counterexample that replays from its recorded seed.
 
-use ido_crashtest::{explore, explore_all, Counterexample, OracleConfig, DURABLE_SCHEMES};
+use ido_crashtest::{
+    explore, explore_all, explore_recovery, Counterexample, OracleConfig, DURABLE_SCHEMES,
+};
 use ido_compiler::Scheme;
 use ido_workloads::micro::{AllocChurnSpec, TwinSpec};
 
@@ -110,6 +112,35 @@ fn counterexample_reproduces_from_its_seed() {
     let again = explore(&TwinSpec, Scheme::Ido, &buggy_config()).counterexample.unwrap();
     assert_eq!(again.crash_step, cex.crash_step);
     assert_eq!(again.lost_lines, cex.lost_lines);
+}
+
+/// A crash-during-recovery counterexample is the same value and replays
+/// the same way. Built by hand from the shrunk one — the same first crash,
+/// then recovery cut after one unit of work and crashed losing nothing —
+/// it reproduces the same failure and its recipe spells out the second
+/// crash; the one the recovery sweep finds reproduces too, and its journal
+/// tail leads into the second crash.
+#[test]
+fn crash_during_recovery_counterexamples_replay_and_print_their_second_crash() {
+    let cex = find_bug();
+    let by_hand = Counterexample { recovery: Some((1, vec![])), ..cex.clone() };
+    assert_eq!(by_hand.reproduce(&TwinSpec), Err(cex.failure.clone()));
+    let recipe = by_hand.replay_recipe();
+    let run = format!(
+        "# run exactly {} step(s), crash losing dirty line(s) {:?}, recover for 1 unit(s), \
+         crash losing dirty line(s) [], recover, verify\n",
+        cex.crash_step, cex.lost_lines
+    );
+    assert!(recipe.contains(&run), "recipe:\n{recipe}");
+    assert!(by_hand.to_string().contains(", then after 1 recovery unit(s) losing lines [] "));
+
+    let found = explore_recovery(&TwinSpec, Scheme::Ido, &buggy_config(), &[1, 2, 5, 11])
+        .counterexample
+        .expect("the recovery sweep catches the injected bug too");
+    assert!(found.recovery.is_some(), "{found}");
+    assert_eq!(found.reproduce(&TwinSpec), Err(found.failure.clone()));
+    let last = found.journal_tail.last().expect("journal tail must be captured");
+    assert_eq!(last.kind.tag(), "crash");
 }
 
 /// The fixed scheme cannot reach the crash state that broke the buggy one:

@@ -6,7 +6,7 @@
 //! 1. **Scenario header** — a `scenario <name> { ... }` block naming a
 //!    workload (one of the harness's standard or lock-free specs),
 //!    thread/op counts, the schemes to run, the execution tier, and the
-//!    crash policy.
+//!    scheduler seed.
 //! 2. **Program section** — optional: a full textual IR program in the
 //!    canonical format (the pretty-printer's output). When present it
 //!    replaces the workload's built-in program; setup, per-thread

@@ -9,7 +9,6 @@
 //!   schemes all           # `all`, `lockfree`, or explicit names (ido atlas ...)
 //!   tier tier1            # optional, default tier1
 //!   seed 0                # optional, default 0
-//!   crash none            # optional: none|smoke
 //! }
 //!
 //! fn worker(r0) regs=1 slots=0 {   # optional: replaces the workload's program
@@ -115,16 +114,6 @@ impl WorkloadKind {
     }
 }
 
-/// Crash-exploration policy for `ido crashtest`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CrashPolicy {
-    /// No crash exploration.
-    #[default]
-    None,
-    /// The crash oracle's smoke budget.
-    Smoke,
-}
-
 /// A parsed `.ido` scenario.
 #[derive(Debug)]
 pub struct Scenario {
@@ -144,8 +133,6 @@ pub struct Scenario {
     pub tier: ExecTier,
     /// Scheduler seed.
     pub seed: u64,
-    /// Crash-exploration policy.
-    pub crash: CrashPolicy,
     /// The optional program section (replaces the native program).
     pub program: Option<ParsedProgram>,
 }
@@ -217,7 +204,6 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut scheme_group: Option<(&'static [Scheme], Span)> = None;
     let mut tier = ExecTier::Tier1;
     let mut seed = 0u64;
-    let mut crash = CrashPolicy::None;
 
     let close = loop {
         c.eat_newlines();
@@ -323,25 +309,11 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 let (v, _) = c.expect_u64("as the scheduler seed")?;
                 seed = v;
             }
-            "crash" => {
-                let (w, wspan) = c.expect_ident("as the crash policy")?;
-                crash = match w.as_str() {
-                    "none" => CrashPolicy::None,
-                    "smoke" => CrashPolicy::Smoke,
-                    _ => {
-                        return Err(LangError::new(
-                            format!("unknown crash policy `{w}`"),
-                            wspan,
-                            "expected `none` or `smoke`",
-                        ))
-                    }
-                };
-            }
             _ => {
                 return Err(LangError::new(
                     format!("unknown scenario key `{key}`"),
                     key_span,
-                    "expected one of: workload range threads ops schemes tier seed crash",
+                    "expected one of: workload range threads ops schemes tier seed",
                 ))
             }
         }
@@ -424,7 +396,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         Some(parsed)
     };
 
-    Ok(Scenario { name, kind, range: range.map(|(v, _)| v), threads, ops, schemes, tier, seed, crash, program })
+    Ok(Scenario { name, kind, range: range.map(|(v, _)| v), threads, ops, schemes, tier, seed, program })
 }
 
 #[cfg(test)]
@@ -442,21 +414,19 @@ mod tests {
         assert_eq!(s.schemes, Scheme::ALL.to_vec());
         assert_eq!(s.tier, ExecTier::Tier1);
         assert_eq!(s.seed, 0);
-        assert_eq!(s.crash, CrashPolicy::None);
         assert!(s.program.is_none());
         assert_eq!(s.spec().name(), "stack");
     }
 
     #[test]
     fn explicit_keys_parse() {
-        let src = "scenario svc {\n  workload service\n  range 128\n  threads 4\n  ops 50\n  schemes ido justdo\n  tier tier2\n  seed 42\n  crash smoke\n}\n";
+        let src = "scenario svc {\n  workload service\n  range 128\n  threads 4\n  ops 50\n  schemes ido justdo\n  tier tier2\n  seed 42\n}\n";
         let s = parse_scenario(src).unwrap();
         assert_eq!(s.kind, WorkloadKind::Service);
         assert_eq!(s.range, Some(128));
         assert_eq!(s.schemes, vec![Scheme::Ido, Scheme::JustDo]);
         assert_eq!(s.tier, ExecTier::Tier2);
         assert_eq!(s.seed, 42);
-        assert_eq!(s.crash, CrashPolicy::Smoke);
         assert_eq!(s.spec().name(), "service(range=128)");
     }
 

@@ -138,7 +138,7 @@ echo "== static atomicity lint + differential smoke (verify_report) =="
 # static/dynamic disagreement makes the binary assert and fail CI.
 timed "verify_report" env IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin verify_report
 
-echo "== crash-oracle smoke sweep + program sharing + memcached-like store at 512 ops (iDO, Atlas) =="
+echo "== crash-oracle smoke sweep + program sharing + one crash-state track + memcached-like store at 512 ops (iDO, Atlas) =="
 # The sharing tests pin that a crash state neither clones nor decodes the
 # program (`Program`'s value semantics, VMs of one program holding one
 # decoded form, an exploration leaving it as it found it), in the build the
@@ -148,11 +148,20 @@ echo "== crash-oracle smoke sweep + program sharing + memcached-like store at 51
 # application-scale gate: every persist boundary of a 512-operation run,
 # bounded lost-line cover, affordable because the oracle steps one VM
 # forward per worker and forks states from it. Release-only (the test is
-# ignored in unoptimized builds).
+# ignored in unoptimized builds). A crash state is one value: a crash during
+# recovery goes through the same check, shrinker, `Counterexample` and
+# `Exploration` as an application crash, so no second track may come back,
+# and both sweeps are held to the from-scratch reference (fork_equivalence)
+# and their acceptance sweep (recovery_crash) in the timed build too.
 oracle_stage() {
+  if grep -rnE 'RecoveryCounterexample|RecoveryExploration|check_recovery_crash_state|verify_interrupted_recovery' \
+      crates src tests; then
+    echo "a second crash-state track: a crash during recovery is a CrashState"; return 1
+  fi
   cargo test -q --release -p ido-ir --lib func::tests
   cargo test -q --release -p ido-vm --test crash_recovery share_one_decoded_form
   cargo test -q --release -p ido-crashtest --lib
+  cargo test -q --release -p ido-crashtest --test fork_equivalence --test recovery_crash
   local table
   table=$(IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle)
   echo "$table"
