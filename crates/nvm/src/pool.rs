@@ -359,6 +359,7 @@ impl PmemPool {
             latency: self.inner.config.latency,
             clock_ns: 0,
             pending: Vec::new(),
+            pending_filter: [0; PENDING_FILTER_BITS / 64],
             stats: StatsSnapshot::default(),
             recorder: self.inner.collector().recorder(),
             costs: CostBreakdown::default(),
@@ -626,6 +627,12 @@ pub struct CrashOutcome {
     pub lines_dropped: usize,
 }
 
+/// Bits of a handle's pending-line filter. Log retirement and undo-log
+/// rollback queue hundreds of consecutive lines before one fence, which a
+/// scan per `clwb` made quadratic; on a short queue the filter costs one
+/// bit test per `clwb`. 256 bits keep `PmemHandle` within four cache lines.
+const PENDING_FILTER_BITS: usize = 256;
+
 /// A per-thread handle onto a [`PmemPool`].
 ///
 /// The handle carries the thread's simulated clock (nanoseconds), its queue
@@ -646,7 +653,12 @@ pub struct PmemHandle {
     inner: Rc<Inner>,
     latency: LatencyModel,
     clock_ns: u64,
+    /// Lines written back since the last fence, in issue order, each once.
     pending: Vec<usize>,
+    /// Bit `line % PENDING_FILTER_BITS` is set for every line in `pending`
+    /// (and possibly for others): a clear bit means the line is absent, so
+    /// a `clwb` queues it without scanning. Cleared by the fence.
+    pending_filter: [u64; PENDING_FILTER_BITS / 64],
     /// Local counters; folded into the pool's totals on
     /// [`PmemHandle::merge_stats`] and on drop.
     stats: StatsSnapshot,
@@ -896,13 +908,35 @@ impl PmemHandle {
         self.stats.clwbs += 1;
         let ns = self.latency.clwb_issue_ns;
         self.tick(ns);
-        if !self.pending.contains(&line) {
-            self.pending.push(line);
-        }
+        self.queue_writeback(line);
         self.inner.journal.record(|| PersistEventKind::Clwb { line });
         self.costs.clwb_ns += ns;
         self.observe(EventKind::Clwb, line as u64, 0);
         self.latency.realize(ns);
+    }
+
+    /// Appends `line` to the write-back queue unless it is queued already.
+    /// A set filter bit falls back to a scan from the end, where a repeated
+    /// `clwb` of the same line usually finds it.
+    #[inline]
+    fn queue_writeback(&mut self, line: usize) {
+        let bit = line % PENDING_FILTER_BITS;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        if self.pending_filter[word] & mask == 0 {
+            self.pending_filter[word] |= mask;
+        } else if self.pending.iter().rev().any(|&l| l == line) {
+            return;
+        }
+        self.pending.push(line);
+    }
+
+    /// The linear-scan [`PmemHandle::queue_writeback`] the filter replaced,
+    /// kept as the reference the equivalence test compares against.
+    #[cfg(test)]
+    fn queue_writeback_reference(&mut self, line: usize) {
+        if !self.pending.contains(&line) {
+            self.pending.push(line);
+        }
     }
 
     /// Issues write-backs for every line spanned by `[addr, addr + len)`.
@@ -933,6 +967,7 @@ impl PmemHandle {
         }
         self.inner.journal.record(|| PersistEventKind::Sfence { lines: self.pending.clone() });
         self.pending.clear();
+        self.pending_filter = [0; PENDING_FILTER_BITS / 64];
         self.observe(EventKind::Fence, n, 0);
     }
 
@@ -1204,6 +1239,58 @@ mod tests {
         h.clwb(128);
         h.clwb(136);
         assert_eq!(h.pending_writebacks(), 1);
+    }
+
+    /// The filtered write-back queue against the linear scan it replaced,
+    /// over random `clwb` / fence sequences: lines from a narrow range (so
+    /// duplicates interleave), lines that share a filter bit, and 512-entry
+    /// resets like log retirement's (one `clwb` per 32-byte entry, earlier
+    /// lines re-issued in between). The queues must agree after every
+    /// operation, and every fence journals the reference's lines.
+    #[test]
+    fn filtered_clwb_queue_matches_the_linear_scan_reference() {
+        let p = pool();
+        p.record_journal(1);
+        let (mut h, mut reference) = (p.handle(), p.handle());
+        let mut rng = SplitMix64::new(0x5eed);
+        let mut draw = |n: usize| (rng.next() % n as u64) as usize;
+        let (mut fences, mut lines) = (0, 0);
+        for op in 0..5_000 {
+            let issued: Vec<usize> = match draw(16) {
+                0..=8 => vec![300 + draw(24)],
+                9..=11 => vec![draw(4) * PENDING_FILTER_BITS + draw(3)],
+                12 => {
+                    let start = 1024 + draw(4096);
+                    let mut run = Vec::new();
+                    for e in 0..512 {
+                        run.push(start + e / 2);
+                        if e % 7 == 0 {
+                            run.push(start + draw(e / 2 + 1));
+                        }
+                    }
+                    run
+                }
+                _ => {
+                    let want = reference.pending.clone();
+                    h.sfence();
+                    reference.pending.clear();
+                    let event = p.journal_tail(1).pop().expect("the fence is journaled");
+                    assert!(
+                        matches!(&event.kind, PersistEventKind::Sfence { lines } if *lines == want),
+                        "op {op}: {event}"
+                    );
+                    (fences, lines) = (fences + 1, lines + want.len() as u64);
+                    continue;
+                }
+            };
+            for line in issued {
+                h.clwb(line * CACHE_LINE);
+                reference.queue_writeback_reference(line);
+                assert_eq!(h.pending, reference.pending, "op {op}: clwb of line {line}");
+            }
+        }
+        assert!(fences > 500 && lines > 10 * fences, "{fences} fences, {lines} lines");
+        assert_eq!((h.stats().fences, h.stats().lines_persisted), (fences, lines));
     }
 
     #[test]

@@ -234,7 +234,11 @@ pub(crate) struct Frame {
 pub(crate) struct ThreadCtx {
     id: ThreadId,
     pub(crate) handle: PmemHandle,
-    pub(crate) frames: Vec<Frame>,
+    /// The running frame: a register is `frame.regs[id]`, one index away.
+    /// A finished thread keeps its last frame.
+    pub(crate) frame: Frame,
+    /// The suspended callers, innermost last.
+    callers: Vec<Frame>,
     pub(crate) status: Status,
     /// True for threads created by the recovery procedure: lock operations
     /// become idempotent and the thread halts after its FASE completes.
@@ -280,14 +284,14 @@ impl ThreadCtx {
         if !self.written_regs.contains(r.id) {
             self.read_before_write.insert(r.id);
         }
-        self.frames.last().expect("frame").regs[r.id as usize]
+        self.frame.regs[r.id as usize]
     }
 
     #[inline]
     fn write_reg(&mut self, r: Reg, v: u64) {
         self.written_regs.insert(r.id);
         self.dirty_regs.insert(r.id);
-        self.frames.last_mut().expect("frame").regs[r.id as usize] = v;
+        self.frame.regs[r.id as usize] = v;
     }
 
     #[inline]
@@ -300,7 +304,7 @@ impl ThreadCtx {
 
     #[inline]
     pub(crate) fn slot_addr(&self, slot: StackSlot) -> PAddr {
-        self.frames.last().expect("frame").stack_base + slot.0 as usize * 8
+        self.frame.stack_base + slot.0 as usize * 8
     }
 
     /// The address the store after an `rt.store_record` is about to write.
@@ -311,6 +315,20 @@ impl ThreadCtx {
             StoreTarget::Stack(slot) => self.slot_addr(slot),
         }
     }
+
+    /// Thread `t` (its position in `Vm::threads`) is done.
+    fn finish(&mut self, t: usize) {
+        self.status = Status::Done;
+        self.handle.observe(EventKind::ThreadDone, t as u64, 0);
+    }
+
+    /// A recovery thread halts once its FASE has released its locks.
+    fn halt_if_released(&mut self, t: usize) {
+        if self.halt_after_release {
+            self.halt_after_release = false;
+            self.finish(t);
+        }
+    }
 }
 
 impl std::fmt::Debug for ThreadCtx {
@@ -318,7 +336,7 @@ impl std::fmt::Debug for ThreadCtx {
         f.debug_struct("ThreadCtx")
             .field("id", &self.id)
             .field("status", &self.status)
-            .field("frames", &self.frames.len())
+            .field("depth", &(self.callers.len() + 1))
             .finish()
     }
 }
@@ -386,9 +404,8 @@ pub struct Vm {
     program: Program,
     /// `program.decoded()`: flat per-function instruction streams, decoded
     /// once per program value and shared with every other VM built from a
-    /// clone of it; `step_thread` fetches from here by reference. Held as
-    /// an `Arc` of its own so `run_steps` can keep the stream across the
-    /// step loop while `&mut self` executes instructions.
+    /// clone of it; the step loops fetch from here by reference, borrowing
+    /// it next to the running thread.
     code: Arc<DecodedProgram>,
     /// The tier-2 block-compiled form, built at construction only when
     /// `config.tier == ExecTier::Tier2` (the crash oracle constructs many
@@ -613,7 +630,8 @@ impl Vm {
             ret_val: None,
             stack_area: areas.stack,
             stack_top: (frame.stack_base - areas.stack) + slots,
-            frames: vec![frame],
+            frame,
+            callers: Vec::new(),
             dirty_regs: RegBitset::new(self.max_regs),
             written_regs: RegBitset::new(self.max_regs),
             read_before_write: RegBitset::new(self.max_regs),
@@ -679,12 +697,11 @@ impl Vm {
     fn run_steps_reference(&mut self, budget: u64) -> RunOutcome {
         // Unused by the reference picks; sized so `wake` can index it.
         self.rebuild_sched();
-        let code = Arc::clone(&self.code);
         for _ in 0..budget {
             let Some(pick) = self.pick_reference() else {
                 return self.stalled_outcome();
             };
-            self.step_thread(pick, &code);
+            self.step_thread(pick);
             self.steps += 1;
             if self.fire_hook(pick) == StepControl::Pause {
                 return RunOutcome::Paused;
@@ -700,27 +717,21 @@ impl Vm {
         self.sched.rebuild(self.threads.iter().enumerate().map(|(i, t)| t.ready_key(i)));
     }
 
-    /// Publishes the key of the thread that just stepped; returns it.
+    /// Publishes the key of the current pick `t` — once per hand-off, after
+    /// the hand-off's wake — and returns whether `t` is still the
+    /// scheduler's choice (its key below the run-ahead limit, which the
+    /// wake may have lowered).
     #[inline]
-    fn publish_key(&mut self, t: usize) -> u64 {
+    fn publish_key(&mut self, t: usize) -> bool {
         let key = self.threads[t].ready_key(t);
         self.sched.set(t, key);
-        key
+        key < self.sched.limit_key()
     }
 
     /// Fires the step hook (if installed) for the step just executed by
     /// thread `pick`; returns the hook's verdict.
     fn fire_hook(&mut self, pick: usize) -> StepControl {
-        if let Some(hook) = self.step_hook.as_mut() {
-            let info = StepInfo {
-                step: self.steps,
-                thread: ThreadId(pick),
-                persist_events: self.pool.persist_event_count(),
-            };
-            hook(info)
-        } else {
-            StepControl::Continue
-        }
+        fire(&mut self.step_hook, self.steps, pick, &self.pool)
     }
 
     /// Executes up to `budget` *more* instructions — a relative budget,
@@ -736,30 +747,79 @@ impl Vm {
     }
 
     fn run_steps_tier1(&mut self, budget: u64) -> RunOutcome {
-        // Hold the decoded stream for the whole loop: one Arc clone per
-        // call, zero per-step refcount traffic or program lookups.
-        let code = Arc::clone(&self.code);
         let mut remaining = budget;
         while remaining > 0 {
             let Some((pick, _)) = self.pick() else {
                 return self.stalled_outcome();
             };
-            // Run-ahead: `pick` keeps stepping, with no rescan, while the
-            // per-step scan would have chosen it again (DESIGN.md §7.4).
+            // Run-ahead: `pick` keeps running, with no rescan, while the
+            // per-step scan would have chosen it again (DESIGN.md §7.4). A
+            // hand-off ends a `run_pick` so that its wake can be applied;
+            // the pick may still be the choice afterwards.
             loop {
-                self.step_thread(pick, &code);
-                self.steps += 1;
-                remaining -= 1;
-                let key = self.publish_key(pick);
-                if self.fire_hook(pick) == StepControl::Pause {
+                let ran = self.run_pick(pick, remaining);
+                remaining -= ran.executed;
+                if let Some(woken) = ran.woken {
+                    self.wake(pick, woken);
+                }
+                let stays = self.publish_key(pick);
+                if ran.paused || self.fire_hook(pick) == StepControl::Pause {
                     return RunOutcome::Paused;
                 }
-                if remaining == 0 || key >= self.sched.limit_key() {
+                if remaining == 0 || !stays {
                     break;
                 }
             }
         }
         self.budget_outcome()
+    }
+
+    /// Runs `pick`, the scheduler's choice, for at most `budget` (≥ 1)
+    /// steps: one loop over one borrowed thread, which stops where tier 2's
+    /// segment gate does — budget spent, the thread no longer runnable, its
+    /// clock at the run-ahead limit — or at a lock hand-off, whose wake
+    /// needs a second thread. The hook fires after every step but the
+    /// last; the caller fires it for the last one once the key is published
+    /// (DESIGN.md §7.6).
+    fn run_pick(&mut self, pick: usize, budget: u64) -> PickRun {
+        // `key >= limit_key` in the clock domain. Never above
+        // `MAX_CLOCK_NS + 1`, so a clock that left the range ends the pick
+        // and the caller's `publish_key` names the failure before any hook
+        // sees that step.
+        let limit = self.sched.limit();
+        let Vm {
+            ref mut threads,
+            ref mut locks,
+            ref mut shared,
+            ref alloc,
+            ref config,
+            ref code,
+            ref mut step_hook,
+            ref pool,
+            ref mut steps,
+            ..
+        } = *self;
+        let th = &mut threads[pick];
+        let mut cx = Cx { locks, shared, alloc, config, code };
+        let mut executed = 0;
+        loop {
+            let pc = th.frame.pc;
+            // Borrowed from the decoded stream, never cloned (§7.1).
+            let inst: &DecodedInst = code.function(pc.func).inst_at(pc);
+            let woken = exec(pick, th, &mut cx, pc, inst);
+            executed += 1;
+            *steps += 1;
+            if executed == budget
+                || woken.is_some()
+                || th.status != Status::Runnable
+                || th.handle.clock_ns() >= limit
+            {
+                return PickRun { executed, woken, paused: false };
+            }
+            if fire(step_hook, *steps, pick, pool) == StepControl::Pause {
+                return PickRun { executed, woken: None, paused: true };
+            }
+        }
     }
 
     /// The tier-2 step loop: the scheduler pick and run-ahead are tier 1's,
@@ -771,8 +831,7 @@ impl Vm {
     /// scheme runtime op run on the reference engine with bit-identical
     /// semantics.
     fn run_steps_tier2(&mut self, budget: u64) -> RunOutcome {
-        let code = Arc::clone(&self.code);
-        let t2 = Arc::clone(self.t2.as_ref().expect("tier-2 program compiled at construction"));
+        let t2 =Arc::clone(self.t2.as_ref().expect("tier-2 program compiled at construction"));
         // With a hook installed every dispatch is exactly one step (the
         // oracle pauses between individual steps).
         let hooked = self.step_hook.is_some();
@@ -790,7 +849,7 @@ impl Vm {
             let one_step = hooked || !(min_clock || sole);
             loop {
                 let th = &self.threads[pick];
-                let pc = th.frames.last().expect("runnable thread has a frame").pc;
+                let pc = th.frame.pc;
                 // Recovery threads always run on tier 1: their lock
                 // semantics (idempotent release, halt-after-release) are
                 // deopt paths.
@@ -829,7 +888,7 @@ impl Vm {
                 };
                 let executed = match fused {
                     None => {
-                        self.step_thread(pick, &code);
+                        self.step_thread(pick);
                         1
                     }
                     Some((seg, op, branch_half)) => {
@@ -859,11 +918,11 @@ impl Vm {
                 };
                 self.steps += executed;
                 remaining -= executed;
-                let key = self.publish_key(pick);
+                let stays = self.publish_key(pick);
                 if self.fire_hook(pick) == StepControl::Pause {
                     return RunOutcome::Paused;
                 }
-                if remaining == 0 || key >= self.sched.limit_key() {
+                if remaining == 0 || !stays {
                     break;
                 }
             }
@@ -932,243 +991,19 @@ impl Vm {
     // Instruction execution
     // ------------------------------------------------------------------
 
-    fn step_thread(&mut self, t: usize, code: &DecodedProgram) {
-        let pc = self.threads[t].frames.last().expect("runnable thread has a frame").pc;
-        // Hot-loop contract (ISSUE 2 / DESIGN.md §7): the instruction is
-        // *borrowed* from the decoded stream for the duration of the step —
-        // never cloned, never allocated. The explicit reference type is the
-        // code-level assertion of that contract.
+    /// One step of thread `t` outside a pick loop — tier 2's deopt path and
+    /// the reference scheduler: the same [`exec`], its wake applied at once.
+    fn step_thread(&mut self, t: usize) {
+        let Vm {
+            ref mut threads, ref mut locks, ref mut shared, ref alloc, ref config, ref code, ..
+        } = *self;
+        let th = &mut threads[t];
+        let pc = th.frame.pc;
         let inst: &DecodedInst = code.function(pc.func).inst_at(pc);
-        self.exec_inst(t, pc, inst, code);
-    }
-
-    fn advance(&mut self, t: usize) {
-        let frame = self.threads[t].frames.last_mut().expect("frame");
-        frame.pc.index += 1;
-    }
-
-    fn set_pc(&mut self, t: usize, block: BlockId) {
-        let frame = self.threads[t].frames.last_mut().expect("frame");
-        frame.pc.block = block;
-        frame.pc.index = 0;
-    }
-
-    fn charge(&mut self, t: usize, ns: u64) {
-        self.threads[t].handle.advance(ns);
-    }
-
-    fn exec_inst(&mut self, t: usize, pc: Pc, inst: &DecodedInst, code: &DecodedProgram) {
-        let tax = scheme::step_tax(&self.threads[t], &self.config);
-        if tax > 0 {
-            self.threads[t].handle.advance_as(Category::Log, tax);
+        let mut cx = Cx { locks, shared, alloc, config, code };
+        if let Some(woken) = exec(t, th, &mut cx, pc, inst) {
+            self.wake(t, woken);
         }
-        match inst {
-            &Inst::Mov { dst, src } => {
-                let v = self.threads[t].eval(src);
-                self.charge(t, self.config.inst_cost_ns);
-                self.threads[t].write_reg(dst, v);
-                self.advance(t);
-            }
-            &Inst::Bin { op, dst, a, b } => {
-                let x = self.threads[t].eval(a);
-                let y = self.threads[t].eval(b);
-                self.charge(t, self.config.inst_cost_ns);
-                self.threads[t].write_reg(dst, eval_binop(op, x, y));
-                self.advance(t);
-            }
-            &Inst::LoadStack { dst, slot } => {
-                let addr = self.threads[t].slot_addr(slot);
-                let v = scheme::load(&mut self.threads[t], addr);
-                self.threads[t].write_reg(dst, v);
-                self.advance(t);
-            }
-            &Inst::StoreStack { slot, src } => {
-                let v = self.threads[t].eval(src);
-                let addr = self.threads[t].slot_addr(slot);
-                scheme::store(&mut self.threads[t], addr, v);
-                self.advance(t);
-            }
-            &Inst::Load { dst, base, offset } => {
-                let addr = mem_addr(self.threads[t].read_reg(base), offset);
-                let v = scheme::load(&mut self.threads[t], addr);
-                self.threads[t].write_reg(dst, v);
-                self.advance(t);
-            }
-            &Inst::Store { base, offset, src } => {
-                let addr = mem_addr(self.threads[t].read_reg(base), offset);
-                let v = self.threads[t].eval(src);
-                scheme::store(&mut self.threads[t], addr, v);
-                self.advance(t);
-            }
-            &Inst::Alloc { dst, size } => {
-                let sz = self.threads[t].eval(size) as usize;
-                let th = &mut self.threads[t];
-                let addr = self.alloc.alloc(&mut th.handle, sz).expect("nv_malloc failed");
-                self.threads[t].write_reg(dst, addr as u64);
-                self.advance(t);
-            }
-            &Inst::Free { base } => {
-                let addr = self.threads[t].read_reg(base) as usize;
-                let th = &mut self.threads[t];
-                self.alloc.free(&mut th.handle, addr).expect("nv_free failed");
-                self.advance(t);
-            }
-            &Inst::Lock { lock } => {
-                if scheme::subsumes_program_locks(&self.threads[t]) {
-                    self.advance(t);
-                    return;
-                }
-                let l = self.threads[t].eval(lock);
-                self.charge(t, self.config.lock_cost_ns);
-                match self.locks.acquire(l, ThreadId(t)) {
-                    Acquire::Granted | Acquire::AlreadyHeld => {
-                        self.threads[t].handle.observe(EventKind::LockAcquire, l, 0);
-                        self.advance(t);
-                    }
-                    Acquire::Blocked => {
-                        self.threads[t].status = Status::Blocked(l);
-                        // pc stays; re-executes after handoff.
-                    }
-                }
-            }
-            &Inst::Unlock { lock } => {
-                if scheme::subsumes_program_locks(&self.threads[t]) {
-                    self.advance(t);
-                    return;
-                }
-                let l = self.threads[t].eval(lock);
-                self.charge(t, self.config.lock_cost_ns);
-                match self.locks.release(l, ThreadId(t)) {
-                    Ok(next) => {
-                        self.threads[t].handle.observe(EventKind::LockRelease, l, 0);
-                        if let Some(n) = next {
-                            self.wake(t, n);
-                        }
-                    }
-                    Err(_) => {
-                        assert!(
-                            self.threads[t].recovery,
-                            "thread {t} released a lock it does not hold"
-                        );
-                    }
-                }
-                self.advance(t);
-                if self.threads[t].halt_after_release {
-                    self.finish_thread(t);
-                }
-            }
-            Inst::DurableBegin => {
-                self.advance(t);
-            }
-            Inst::DurableEnd => {
-                self.advance(t);
-                if self.threads[t].halt_after_release {
-                    self.finish_thread(t);
-                }
-            }
-            Inst::Call { func, args, ret } => {
-                let func = *func;
-                let ret = *ret;
-                // Cold path relative to the step loop; the per-call `vals`
-                // and `regs` buffers are the frame's own storage, not
-                // per-step churn.
-                let vals: Vec<u64> = args.iter().map(|a| self.threads[t].eval(*a)).collect();
-                self.charge(t, self.config.inst_cost_ns * 2);
-                let f = code.function(func);
-                let mut regs = vec![0u64; f.num_regs() as usize];
-                regs[..vals.len()].copy_from_slice(&vals);
-                let frame_bytes = f.frame_bytes();
-                let th = &mut self.threads[t];
-                assert!(
-                    th.stack_top + frame_bytes <= self.config.stack_bytes,
-                    "persistent stack overflow"
-                );
-                let stack_base = th.stack_area + th.stack_top;
-                th.stack_top += frame_bytes;
-                // Callee parameters are fresh definitions for logging
-                // purposes (a FASE inside the callee must log them).
-                th.dirty_regs.insert_range(vals.len() as u32);
-                // Return to the instruction after the call.
-                th.frames.last_mut().expect("frame").pc.index += 1;
-                th.frames.push(Frame {
-                    func,
-                    pc: Pc { func, block: BlockId(0), index: 0 },
-                    regs,
-                    stack_base,
-                    ret_reg: ret,
-                });
-            }
-            &Inst::Ret { val } => {
-                let v = val.map(|o| self.threads[t].eval(o));
-                self.charge(t, self.config.inst_cost_ns);
-                let th = &mut self.threads[t];
-                let frame = th.frames.pop().expect("frame");
-                let frame_bytes = code.function(frame.func).frame_bytes();
-                th.stack_top -= frame_bytes;
-                if let Some(caller) = th.frames.last_mut() {
-                    if let (Some(r), Some(v)) = (frame.ret_reg, v) {
-                        caller.regs[r.id as usize] = v;
-                    }
-                } else {
-                    th.ret_val = v;
-                    th.status = Status::Done;
-                    th.handle.observe(EventKind::ThreadDone, t as u64, 0);
-                }
-            }
-            Inst::RegionMarker => {
-                self.advance(t);
-            }
-            &Inst::OpMark { kind, begin } => {
-                // Pure span marker: charges no simulated time so the metrics
-                // layer observes the same timeline whether or not workloads
-                // annotate their operations.
-                let k = self.threads[t].eval(kind);
-                let event = if begin { EventKind::OpBegin } else { EventKind::OpEnd };
-                self.threads[t].handle.observe(event, k, 0);
-                self.advance(t);
-            }
-            &Inst::Delay { ns } => {
-                self.charge(t, ns);
-                self.advance(t);
-            }
-            &Inst::Jump { target } => {
-                self.charge(t, self.config.inst_cost_ns);
-                self.set_pc(t, target);
-            }
-            &Inst::Branch { cond, then_bb, else_bb } => {
-                let c = self.threads[t].eval(cond);
-                self.charge(t, self.config.inst_cost_ns);
-                self.set_pc(t, if c != 0 { then_bb } else { else_bb });
-            }
-            &Inst::Cas { dst, base, offset, expected, new } => {
-                let addr = mem_addr(self.threads[t].read_reg(base), offset);
-                let expected = self.threads[t].eval(expected);
-                let new = self.threads[t].eval(new);
-                self.charge(t, self.config.inst_cost_ns);
-                let taken = scheme::cas(&mut self.threads[t], &self.shared, t, addr, expected, new);
-                self.threads[t].write_reg(dst, taken as u64);
-                self.advance(t);
-            }
-            Inst::Rt(op) => {
-                let Vm { threads, shared, locks, config, .. } = self;
-                let mut cx = RtCx { t, pc, th: &mut threads[t], locks, config };
-                match scheme::rt(&mut cx, shared, op) {
-                    Effect::Next => self.advance(t),
-                    Effect::Stay => {}
-                    Effect::Wake(woken) => {
-                        self.wake(t, woken);
-                        self.advance(t);
-                    }
-                }
-            }
-        }
-    }
-
-    fn finish_thread(&mut self, t: usize) {
-        let th = &mut self.threads[t];
-        th.status = Status::Done;
-        th.halt_after_release = false;
-        th.handle.observe(EventKind::ThreadDone, t as u64, 0);
     }
 
     /// Wakes a lock waiter, advancing its clock to the release time so that
@@ -1184,6 +1019,243 @@ impl Vm {
         let key = w.ready_key(woken.0);
         self.sched.wake(woken.0, key);
     }
+}
+
+/// How one [`Vm::run_pick`] ended.
+struct PickRun {
+    executed: u64,
+    /// The waiter the last step handed a lock to; the caller wakes it.
+    woken: Option<ThreadId>,
+    /// The hook paused on a step before the last.
+    paused: bool,
+}
+
+/// Calls `hook`, if one is installed, for step `step`, just executed by
+/// thread `t`.
+#[inline]
+fn fire(hook: &mut Option<StepHook>, step: u64, t: usize, pool: &PmemPool) -> StepControl {
+    match hook {
+        Some(hook) => hook(StepInfo {
+            step,
+            thread: ThreadId(t),
+            persist_events: pool.persist_event_count(),
+        }),
+        None => StepControl::Continue,
+    }
+}
+
+/// Everything of the VM one instruction may touch besides its own thread.
+struct Cx<'a> {
+    locks: &'a mut LockTable,
+    shared: &'a mut Shared,
+    alloc: &'a NvAllocator,
+    config: &'a VmConfig,
+    code: &'a DecodedProgram,
+}
+
+/// Executes `inst`, at `pc`, as thread `t`: the one definition of each
+/// instruction's tier-1 semantics. Its only effect on another thread is a
+/// lock hand-off, returned as the waiter to wake, which the caller applies
+/// once `th` is no longer borrowed. The arms that make up most steps are
+/// inlined here; every other one is a single outlined call (DESIGN.md §7.6).
+#[inline(always)]
+fn exec(
+    t: usize,
+    th: &mut ThreadCtx,
+    cx: &mut Cx<'_>,
+    pc: Pc,
+    inst: &DecodedInst,
+) -> Option<ThreadId> {
+    let tax = scheme::step_tax(th, cx.config);
+    if tax > 0 {
+        th.handle.advance_as(Category::Log, tax);
+    }
+    match *inst {
+        Inst::Mov { dst, src } => {
+            let v = th.eval(src);
+            th.handle.advance(cx.config.inst_cost_ns);
+            th.write_reg(dst, v);
+        }
+        Inst::Bin { op, dst, a, b } => {
+            let x = th.eval(a);
+            let y = th.eval(b);
+            th.handle.advance(cx.config.inst_cost_ns);
+            th.write_reg(dst, eval_binop(op, x, y));
+        }
+        Inst::Load { dst, base, offset } => {
+            let addr = mem_addr(th.read_reg(base), offset);
+            let v = scheme::load(th, addr);
+            th.write_reg(dst, v);
+        }
+        Inst::Store { base, offset, src } => {
+            let addr = mem_addr(th.read_reg(base), offset);
+            let v = th.eval(src);
+            scheme::store(th, addr, v);
+        }
+        Inst::Jump { target } => {
+            th.handle.advance(cx.config.inst_cost_ns);
+            th.frame.pc = Pc { block: target, index: 0, ..pc };
+            return None;
+        }
+        Inst::Branch { cond, then_bb, else_bb } => {
+            let c = th.eval(cond);
+            th.handle.advance(cx.config.inst_cost_ns);
+            th.frame.pc = Pc { block: if c != 0 { then_bb } else { else_bb }, index: 0, ..pc };
+            return None;
+        }
+        _ => return exec_cold(t, th, cx, pc, inst),
+    }
+    th.frame.pc.index += 1;
+    None
+}
+
+/// The arms [`exec`] keeps out of the pick loop.
+#[inline(never)]
+fn exec_cold(
+    t: usize,
+    th: &mut ThreadCtx,
+    cx: &mut Cx<'_>,
+    pc: Pc,
+    inst: &DecodedInst,
+) -> Option<ThreadId> {
+    let mut woken = None;
+    match inst {
+        Inst::Mov { .. }
+        | Inst::Bin { .. }
+        | Inst::Load { .. }
+        | Inst::Store { .. }
+        | Inst::Jump { .. }
+        | Inst::Branch { .. } => unreachable!("`exec` runs its hot arms inline"),
+        &Inst::LoadStack { dst, slot } => {
+            let addr = th.slot_addr(slot);
+            let v = scheme::load(th, addr);
+            th.write_reg(dst, v);
+        }
+        &Inst::StoreStack { slot, src } => {
+            let v = th.eval(src);
+            let addr = th.slot_addr(slot);
+            scheme::store(th, addr, v);
+        }
+        &Inst::Alloc { dst, size } => {
+            let sz = th.eval(size) as usize;
+            let addr = cx.alloc.alloc(&mut th.handle, sz).expect("nv_malloc failed");
+            th.write_reg(dst, addr as u64);
+        }
+        &Inst::Free { base } => {
+            let addr = th.read_reg(base) as usize;
+            cx.alloc.free(&mut th.handle, addr).expect("nv_free failed");
+        }
+        &Inst::Lock { lock } => {
+            if !scheme::subsumes_program_locks(th) {
+                let l = th.eval(lock);
+                th.handle.advance(cx.config.lock_cost_ns);
+                match cx.locks.acquire(l, ThreadId(t)) {
+                    Acquire::Granted | Acquire::AlreadyHeld => {
+                        th.handle.observe(EventKind::LockAcquire, l, 0);
+                    }
+                    Acquire::Blocked => {
+                        th.status = Status::Blocked(l);
+                        // pc stays; re-executes after handoff.
+                        return None;
+                    }
+                }
+            }
+        }
+        &Inst::Unlock { lock } => {
+            if !scheme::subsumes_program_locks(th) {
+                let l = th.eval(lock);
+                th.handle.advance(cx.config.lock_cost_ns);
+                match cx.locks.release(l, ThreadId(t)) {
+                    Ok(next) => {
+                        th.handle.observe(EventKind::LockRelease, l, 0);
+                        woken = next;
+                    }
+                    Err(_) => {
+                        assert!(th.recovery, "thread {t} released a lock it does not hold");
+                    }
+                }
+                th.frame.pc.index += 1;
+                th.halt_if_released(t);
+                return woken;
+            }
+        }
+        Inst::DurableBegin | Inst::RegionMarker => {}
+        Inst::DurableEnd => {
+            th.frame.pc.index += 1;
+            th.halt_if_released(t);
+            return None;
+        }
+        &Inst::Call { func, ref args, ret } => {
+            // The callee's register file is its frame's own storage.
+            let f = cx.code.function(func);
+            let mut regs = vec![0u64; f.num_regs() as usize];
+            for (i, &a) in args.iter().enumerate() {
+                regs[i] = th.eval(a);
+            }
+            th.handle.advance(cx.config.inst_cost_ns * 2);
+            let frame_bytes = f.frame_bytes();
+            assert!(
+                th.stack_top + frame_bytes <= cx.config.stack_bytes,
+                "persistent stack overflow"
+            );
+            let stack_base = th.stack_area + th.stack_top;
+            th.stack_top += frame_bytes;
+            // Callee parameters are fresh definitions for logging
+            // purposes (a FASE inside the callee must log them).
+            th.dirty_regs.insert_range(args.len() as u32);
+            // Return to the instruction after the call.
+            th.frame.pc.index += 1;
+            let entry = Pc { func, block: BlockId(0), index: 0 };
+            let callee = Frame { func, pc: entry, regs, stack_base, ret_reg: ret };
+            th.callers.push(std::mem::replace(&mut th.frame, callee));
+            return None;
+        }
+        &Inst::Ret { val } => {
+            let v = val.map(|o| th.eval(o));
+            th.handle.advance(cx.config.inst_cost_ns);
+            th.stack_top -= cx.code.function(th.frame.func).frame_bytes();
+            match th.callers.pop() {
+                Some(caller) => {
+                    let callee = std::mem::replace(&mut th.frame, caller);
+                    if let (Some(r), Some(v)) = (callee.ret_reg, v) {
+                        th.frame.regs[r.id as usize] = v;
+                    }
+                }
+                None => {
+                    th.ret_val = v;
+                    th.finish(t);
+                }
+            }
+            return None;
+        }
+        &Inst::OpMark { kind, begin } => {
+            // Pure span marker: charges no simulated time so the metrics
+            // layer observes the same timeline whether or not workloads
+            // annotate their operations.
+            let k = th.eval(kind);
+            let event = if begin { EventKind::OpBegin } else { EventKind::OpEnd };
+            th.handle.observe(event, k, 0);
+        }
+        &Inst::Delay { ns } => th.handle.advance(ns),
+        &Inst::Cas { dst, base, offset, expected, new } => {
+            let addr = mem_addr(th.read_reg(base), offset);
+            let expected = th.eval(expected);
+            let new = th.eval(new);
+            th.handle.advance(cx.config.inst_cost_ns);
+            let taken = scheme::cas(th, cx.shared, t, addr, expected, new);
+            th.write_reg(dst, taken as u64);
+        }
+        Inst::Rt(op) => {
+            let mut rcx = RtCx { t, pc, th: &mut *th, locks: &mut *cx.locks, config: cx.config };
+            match scheme::rt(&mut rcx, cx.shared, op) {
+                Effect::Next => {}
+                Effect::Stay => return None,
+                Effect::Wake(w) => woken = Some(w),
+            }
+        }
+    }
+    th.frame.pc.index += 1;
+    woken
 }
 
 pub(crate) fn mem_addr(base: u64, offset: i64) -> PAddr {

@@ -23,6 +23,7 @@ use super::*;
 const THREAD_COUNTS: [usize; 13] = [1, 2, 3, 4, 5, 8, 9, 16, 63, 64, 65, 128, 129];
 const SCHEMES: [Scheme; 5] =
     [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme::Mnemosyne, Scheme::JustDo];
+const GUESTS: [Guest; 3] = [Guest::Stack, Guest::Map, Guest::Call];
 const OPS: u64 = 3;
 const BUCKETS: u64 = 64;
 
@@ -33,7 +34,13 @@ enum Guest {
     Stack,
     /// Mostly uncontended: each add locks one of [`BUCKETS`] buckets.
     Map,
+    /// Run-ahead across frames: the FASE is in a helper the worker calls,
+    /// over one of [`CALL_BUCKETS`] buckets.
+    Call,
 }
+
+/// Buckets the [`Guest::Call`] workers share: contended, but not by all.
+const CALL_BUCKETS: u64 = 4;
 
 /// `worker(lock, head, n)`: `n` pushes onto a Treiber-shaped stack under
 /// one global lock.
@@ -94,11 +101,54 @@ fn map_program(pb: &mut ProgramBuilder) {
     f.finish().expect("map worker verifies");
 }
 
+/// `worker(table, seed, n)`: `n` calls of `bump(bucket, i)` on buckets
+/// `seed + i` (mod [`CALL_BUCKETS`]), summing what they return; `bump(b,
+/// k)` adds `k + 1` to `b`'s counter under `b`'s lock and returns the old
+/// value.
+fn call_program(pb: &mut ProgramBuilder) {
+    let bump = pb.declare("bump");
+    let mut f = pb.new_function("worker", 3);
+    let (table, seed, n) = (f.param(0), f.param(1), f.param(2));
+    let (i, c, b, v, sum) = (f.new_reg(), f.new_reg(), f.new_reg(), f.new_reg(), f.new_reg());
+    let (test, body, exit) = (f.new_block(), f.new_block(), f.new_block());
+    f.mov(i, 0i64);
+    f.mov(sum, 0i64);
+    f.jump(test);
+    f.switch_to(test);
+    f.bin(BinOp::Lt, c, i, n);
+    f.branch(c, body, exit);
+    f.switch_to(body);
+    f.bin(BinOp::Add, b, seed, i);
+    f.bin(BinOp::And, b, b, (CALL_BUCKETS - 1) as i64);
+    f.bin(BinOp::Shl, b, b, 4i64);
+    f.bin(BinOp::Add, b, b, table);
+    f.call(bump, vec![Operand::Reg(b), Operand::Reg(i)], Some(v));
+    f.bin(BinOp::Add, sum, sum, v);
+    f.bin(BinOp::Add, i, i, 1i64);
+    f.jump(test);
+    f.switch_to(exit);
+    f.ret(Some(Operand::Reg(sum)));
+    f.finish().expect("call worker verifies");
+
+    let mut g = pb.new_function("bump", 2);
+    let (b, k) = (g.param(0), g.param(1));
+    let (old, new) = (g.new_reg(), g.new_reg());
+    g.lock(b);
+    g.load(old, b, 8);
+    g.bin(BinOp::Add, new, old, k);
+    g.bin(BinOp::Add, new, new, 1i64);
+    g.store(b, 8, new);
+    g.unlock(b);
+    g.ret(Some(Operand::Reg(old)));
+    g.finish().expect("bump verifies");
+}
+
 fn instrumented(guest: Guest, scheme: Scheme) -> Instrumented {
     let mut pb = ProgramBuilder::new();
     match guest {
         Guest::Stack => stack_program(&mut pb),
         Guest::Map => map_program(&mut pb),
+        Guest::Call => call_program(&mut pb),
     }
     instrument_program(pb.finish(), scheme).expect("instrumentation")
 }
@@ -137,6 +187,7 @@ impl Case {
             // Lock word and head cell are the first bucket's two words.
             Guest::Stack => [self.base, self.base + 8, OPS],
             Guest::Map => [self.base, 0x9e37_79b9 + nth * 0x1234_5677, OPS],
+            Guest::Call => [self.base, nth, OPS],
         };
         self.vm.spawn("worker", &args);
     }
@@ -147,7 +198,7 @@ impl Case {
 struct Observed {
     steps: u64,
     outcome: RunOutcome,
-    per_thread: Vec<(u64, StatsSnapshot, Status)>,
+    per_thread: Vec<(u64, StatsSnapshot, Status, Option<u64>)>,
 }
 
 fn observe(vm: &Vm, outcome: RunOutcome) -> Observed {
@@ -157,7 +208,7 @@ fn observe(vm: &Vm, outcome: RunOutcome) -> Observed {
         per_thread: vm
             .threads
             .iter()
-            .map(|t| (t.handle.clock_ns(), t.handle.stats(), t.status))
+            .map(|t| (t.handle.clock_ns(), t.handle.stats(), t.status, t.ret_val))
             .collect(),
     }
 }
@@ -195,9 +246,25 @@ fn run_to_end(vm: &mut Vm, run: Runner, budgets: &[u64]) -> RunOutcome {
 
 const UNINTERRUPTED: &[u64] = &[1 << 20];
 
+/// The call guest is not vacuous: every helper call ran its FASE and
+/// returned into its caller's frame.
+#[test]
+fn the_call_guest_runs_its_fase_in_the_helper() {
+    let (guest, threads) = (Guest::Call, 5);
+    let mut c = Case::new(guest, Scheme::Ido, SchedPolicy::MinClock, ExecTier::Tier1, false, 8);
+    (0..threads).for_each(|_| c.spawn_worker(guest));
+    assert_eq!(c.vm.run(), RunOutcome::Completed);
+    let mut h = c.vm.pool().handle();
+    let counter = |k: u64| c.base as PAddr + 16 * k as usize + 8;
+    let total: u64 = (0..CALL_BUCKETS).map(|k| h.read_u64(counter(k))).sum();
+    assert_eq!(total, threads * (1..=OPS).sum::<u64>(), "each bump adds k + 1");
+    let returned: u64 = (0..threads as usize).filter_map(|t| c.vm.return_value(ThreadId(t))).sum();
+    assert!(returned > 0, "old values flow back through `ret`");
+}
+
 #[test]
 fn sched_equivalence_matches_the_reference_scan_step_for_step() {
-    for guest in [Guest::Stack, Guest::Map] {
+    for guest in GUESTS {
         for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
             for scheme in SCHEMES {
                 for threads in THREAD_COUNTS {
@@ -241,7 +308,7 @@ fn sched_equivalence_matches_the_reference_scan_step_for_step() {
 /// run-ahead state never survives a call.
 #[test]
 fn sched_equivalence_survives_pauses_and_small_budgets() {
-    for guest in [Guest::Stack, Guest::Map] {
+    for guest in GUESTS {
         for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
             for tier in [ExecTier::Tier1, ExecTier::Tier2] {
                 let build = || {
@@ -274,7 +341,7 @@ fn sched_equivalence_survives_pauses_and_small_budgets() {
 /// exactly as the reference scan schedules them.
 #[test]
 fn sched_equivalence_sees_threads_added_between_calls() {
-    for guest in [Guest::Stack, Guest::Map] {
+    for guest in GUESTS {
         for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
             for tier in [ExecTier::Tier1, ExecTier::Tier2] {
                 let drive = |run: Runner| {

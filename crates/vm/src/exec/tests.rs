@@ -237,6 +237,35 @@ fn run_steps_budget_is_relative() {
     }
 }
 
+/// A clock that leaves the scheduler's range stops the run by name at the
+/// step that left it, and no hook sees that step: the pick ends there and
+/// its key is published before the hook fires (DESIGN.md §7.6).
+#[test]
+fn a_clock_leaving_the_range_fails_before_the_hook_sees_the_step() {
+    for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
+        let inst = compile(Scheme::Origin, |pb| {
+            let mut f = pb.new_function("main", 0);
+            f.delay(MAX_CLOCK_NS);
+            f.delay(1000);
+            f.ret(None);
+            f.finish().unwrap();
+        });
+        let mut vm = Vm::new(inst, VmConfig { sched, ..VmConfig::for_tests() });
+        vm.spawn("main", &[]);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&seen);
+        vm.set_step_hook(Box::new(move |info| {
+            sink.borrow_mut().push(info.step);
+            StepControl::Continue
+        }));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm.run()));
+        let err = run.expect_err("the run must stop");
+        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(msg.starts_with("thread 0: simulated clock"), "{sched:?}: {msg}");
+        assert_eq!(*seen.borrow(), [1], "{sched:?}: the hook saw only the step in range");
+    }
+}
+
 /// The step loop switches between `ThreadCtx`s on every hand-off, so
 /// the struct's size is host cost at high thread counts. It was 2176 B
 /// with the lock-record array inline and a 704 B handle; keep both out.

@@ -101,7 +101,7 @@ impl IdoThread {
         let th = &mut *cx.th;
         match op {
             RtOp::FaseBegin => {
-                let stack_base = th.frames.last().expect("frame").stack_base;
+                let stack_base = th.frame.stack_base;
                 let a = self.log.stack_base();
                 th.handle.begin_log();
                 th.handle.write_u64(a, stack_base as u64);
@@ -174,7 +174,7 @@ impl IdoThread {
         // `live_filter` comes from the instrumentation in ascending register
         // order; filtering it through the dirty bitset preserves that order,
         // so no intermediate collection is needed.
-        let frame = th.frames.last().expect("frame");
+        let frame = &th.frame;
         th.handle.begin_log();
         for r in live_filter {
             if th.dirty_regs.contains(r.id) {
@@ -255,7 +255,7 @@ impl JustDoThread {
                 // the context at FASE entry (the original system
                 // copied it at FASE initialization).
                 self.fase_active = true;
-                let frame = th.frames.last().expect("frame");
+                let frame = &th.frame;
                 let a = self.log.stack_base();
                 th.handle.begin_log();
                 th.handle.write_u64(a, frame.stack_base as u64);

@@ -30,7 +30,7 @@
 //!   switched threads; on the sole-runnable-thread Random path it burns
 //!   the same one RNG word per step that tier-1 picks would have drawn.
 //!   The scheme's per-step tax (JUSTDO's in-FASE memory tax) is added per
-//!   step, like tier 1's `exec_inst` preamble (it cannot change inside a
+//!   step, like tier 1's `exec` preamble (it cannot change inside a
 //!   segment: only unfused runtime ops toggle it).
 //! * **Deopt points.** Any pc without a fused entry — calls, returns,
 //!   allocation, runtime ops, and every recovery thread — executes on
@@ -112,12 +112,11 @@ pub(crate) fn exec_segment(
     let locks_subsumed = scheme::subsumes_program_locks(th);
     let SegLimits { max_steps, clock_limit, mut rng } = limits;
 
-    let frame = th.frames.last_mut().expect("runnable thread has a frame");
-    let func: FuncId = frame.func;
-    let stack_base = frame.stack_base;
+    let func: FuncId = th.frame.func;
+    let stack_base = th.frame.stack_base;
     // Check the register file out of the frame for the segment (restored
     // at every exit below). The scheme helpers never touch frames.
-    let mut regs_vec = std::mem::take(&mut frame.regs);
+    let mut regs_vec = std::mem::take(&mut th.frame.regs);
 
     let mut cur_block = block;
     let mut blk = &f2.blocks[cur_block.0 as usize];
@@ -406,8 +405,7 @@ pub(crate) fn exec_segment(
     if pending_log > 0 {
         th.handle.advance_as(Category::Log, pending_log);
     }
-    let frame = th.frames.last_mut().expect("frame");
-    frame.regs = regs_vec;
-    frame.pc = Pc { func, block: cur_block, index: resume_idx };
+    th.frame.regs = regs_vec;
+    th.frame.pc = Pc { func, block: cur_block, index: resume_idx };
     SegRun { executed, exit }
 }

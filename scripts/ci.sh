@@ -65,7 +65,8 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # observed event goes to the handle's one recorder, a pool and a VM have one
 # driver (no atomic, lock or padding in ido-nvm or ido-vm), and the refactor-proof
 # goldens (forward runs and crash + recover rows, both tiers)
-# hold in an optimized build.
+# hold in an optimized build. Tier 1 defines each instruction once, over a
+# thread whose running frame is a field.
 scheme_seams() {
   if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
     echo "the engine dispatches on a scheme outside crates/vm/src/scheme/"; return 1
@@ -94,6 +95,12 @@ scheme_seams() {
   if grep -rnE 'Atomic|Mutex|RwLock|fetch_(or|and|add|sub)|compare_exchange|CachePadded' \
       crates/nvm/src crates/vm/src; then
     echo "one driver: ido-nvm and ido-vm hold no atomic, lock or padding"; return 1
+  fi
+  # Tier 1 runs a pick, not a step: each instruction's semantics is the one
+  # free function `exec` (no per-step `Vm` method re-indexing the thread),
+  # and the running frame is a field of the thread, not the top of a stack.
+  if grep -rnE 'fn exec_inst|fn advance\(&mut self|frames\.last' crates/vm/src; then
+    echo "tier 1 has one definition per instruction and the running frame is a field"; return 1
   fi
   if (( $(ls crates | wc -l) != 14 )); then
     echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1
