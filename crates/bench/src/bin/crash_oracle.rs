@@ -86,7 +86,7 @@ fn main() {
                 "found after {} crash states (+{} shrink probes):",
                 report.crash_states_explored, report.shrink_attempts
             );
-            print!("{}", cex.replay_recipe());
+            println!("  {cex}");
         }
         None => panic!("injected bug must yield a counterexample"),
     }

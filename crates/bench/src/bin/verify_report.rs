@@ -99,6 +99,6 @@ fn main() {
         "oracle counterexample after {} crash states (+{} shrink probes):",
         r.exploration.crash_states_explored, r.exploration.shrink_attempts
     );
-    print!("{}", cex.replay_recipe());
+    println!("  {cex}");
     println!("verdicts agree: flagged statically, refuted dynamically");
 }

@@ -43,7 +43,7 @@
 //!    state still fails. The resulting [`Counterexample`] carries
 //!    everything needed to replay it — seed, VM config, the crash state —
 //!    plus the persist-event journal tail leading into its last crash.
-//!    Shrinking, journal capture and [`Counterexample::reproduce`] use the
+//!    Shrinking, journal capture and replaying a counterexample use the
 //!    from-scratch [`CrashState::check`] (a fresh VM replayed from step 0):
 //!    they are rare, jump backwards, and are the independent reference the
 //!    forked path is differentially tested against.
@@ -52,8 +52,9 @@
 //! the step hook, so a run paused at every step, a run paused once at step
 //! `k`, and an uninterrupted run all execute the identical schedule. Two
 //! [`explore`] calls with the same [`OracleConfig`] therefore produce the
-//! same report, and [`Counterexample::reproduce`] re-triggers the same
-//! failure from the recorded seed.
+//! same report, and [`CrashState::check`] of a counterexample's state under
+//! its recorded config re-triggers the same failure. `ido-lang` writes a
+//! counterexample as a `.ido` scenario file that `ido crashtest` replays.
 
 #![deny(missing_docs)]
 
@@ -231,7 +232,7 @@ impl CrashState {
     /// recover again to confirm idempotence. [`explore`] and
     /// [`explore_recovery`] reach the same states by forking a forward run
     /// instead; this is the reference they are tested against, and what
-    /// shrinking and [`Counterexample::reproduce`] use.
+    /// shrinking and a replayed counterexample use.
     ///
     /// # Errors
     /// The panic message of whichever stage failed. When the state is not a
@@ -261,7 +262,9 @@ impl CrashState {
     }
 }
 
-/// A minimal failing crash state, self-contained enough to replay.
+/// A minimal failing crash state, self-contained enough to replay: its
+/// [`CrashState`] checked under `threads`, `ops_per_thread`, `seed` and `vm`
+/// fails again with `failure`.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Scheme that failed.
@@ -288,60 +291,6 @@ pub struct Counterexample {
     pub failure: String,
     /// The persist events leading into (and including) the last crash.
     pub journal_tail: Vec<PersistEvent>,
-}
-
-impl Counterexample {
-    /// A human-readable recipe for reproducing this failure by hand.
-    pub fn replay_recipe(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# {} on '{}': spawn {} thread(s) x {} op(s), scheduler seed {:#x}",
-            self.scheme, self.workload, self.threads, self.ops_per_thread, self.seed
-        );
-        let _ = write!(
-            out,
-            "# run exactly {} step(s), crash losing dirty line(s) {:?}, ",
-            self.crash_step, self.lost_lines
-        );
-        if let Some((budget, lost)) = &self.recovery {
-            let _ = write!(out, "recover for {budget} unit(s), crash losing dirty line(s) {lost:?}, ");
-        }
-        let _ = writeln!(out, "recover, verify");
-        let _ = writeln!(out, "# failure: {}", first_line(&self.failure));
-        let _ = writeln!(out, "# journal tail:");
-        for e in &self.journal_tail {
-            let _ = writeln!(out, "#   {e}");
-        }
-        out
-    }
-
-    /// Replays this counterexample against `spec` (which must be the same
-    /// workload it was found on).
-    ///
-    /// # Errors
-    /// `Err(failure)` with the replayed failure message if the failure still
-    /// reproduces; `Ok(())` if it no longer does (i.e. the bug is fixed).
-    /// A counterexample that no longer names a crash state of this program
-    /// — a lost line is not dirty when its crash hits, or the recovery
-    /// budget no longer interrupts recovery — is also an `Err` (see
-    /// [`CrashState::check`]), never a silent "fixed".
-    pub fn reproduce(&self, spec: &dyn WorkloadSpec) -> Result<(), String> {
-        let cfg = OracleConfig {
-            threads: self.threads,
-            ops_per_thread: self.ops_per_thread,
-            seed: self.seed,
-            vm: self.vm.clone(),
-            ..OracleConfig::default()
-        };
-        let state = CrashState {
-            step: self.crash_step,
-            lost: self.lost_lines.clone(),
-            recovery: self.recovery.clone(),
-        };
-        state.check(spec, &instrument(spec, self.scheme), &cfg)
-    }
 }
 
 impl std::fmt::Display for Counterexample {
@@ -1073,8 +1022,8 @@ mod tests {
         for (scheme, cfg) in [(Scheme::Atlas, OracleConfig::default()), (Scheme::Ido, buggy)] {
             let serial = explore_states(1, &TwinSpec, scheme, &cfg, &recoveries);
             assert!(serial.interruptions > 0, "{serial}");
-            let recipe = serial.counterexample.as_ref().map(Counterexample::replay_recipe);
-            assert_eq!(recipe.is_some(), scheme == Scheme::Ido, "{serial}");
+            let cex = format!("{:?}", serial.counterexample);
+            assert_eq!(serial.counterexample.is_some(), scheme == Scheme::Ido, "{serial}");
             for jobs in [2, 4] {
                 let par = explore_states(jobs, &TwinSpec, scheme, &cfg, &recoveries);
                 let counts = |e: &Exploration| {
@@ -1082,8 +1031,7 @@ mod tests {
                 };
                 assert_eq!(counts(&par), counts(&serial), "{scheme} jobs={jobs}");
                 assert_eq!(par.to_string(), serial.to_string(), "{scheme} jobs={jobs}");
-                let par_recipe = par.counterexample.as_ref().map(Counterexample::replay_recipe);
-                assert_eq!(par_recipe, recipe, "{scheme} jobs={jobs}");
+                assert_eq!(format!("{:?}", par.counterexample), cex, "{scheme} jobs={jobs}");
             }
         }
     }

@@ -130,27 +130,6 @@ fn skipped_publish_flush_is_caught_under_both_schemes() {
     }
 }
 
-/// The counterexample replays from its recorded seed, and the honest
-/// runtime cannot reach the crash state that broke the buggy one (the
-/// publish write-back has cleaned the lost line by then).
-#[test]
-fn lockfree_counterexample_reproduces_and_fix_retires_it() {
-    let mut cfg = OracleConfig::default();
-    cfg.vm.lf_bug_skip_publish = true;
-    let cex = explore(&LfListSpec, Scheme::Nvtraverse, &cfg)
-        .counterexample
-        .expect("publish bug must be caught");
-    let first = cex.reproduce(&LfListSpec).expect_err("must still fail");
-    let second = cex.reproduce(&LfListSpec).expect_err("must fail deterministically");
-    assert_eq!(first, second, "replay must be deterministic");
-    let mut fixed = cex.clone();
-    fixed.vm.lf_bug_skip_publish = false;
-    let stale = fixed.reproduce(&LfListSpec).expect_err("the lost line is clean without the bug");
-    assert!(stale.contains("is not dirty at step"), "{stale}");
-    fixed.lost_lines.clear();
-    assert_eq!(fixed.reproduce(&LfListSpec), Ok(()), "without the bug the step recovers");
-}
-
 /// The exploration is a pure function of its config.
 #[test]
 fn lockfree_exploration_is_deterministic() {

@@ -6,11 +6,10 @@
 //!   lost-line subset;
 //! - a deliberately broken iDO variant (skipping the region-store
 //!   write-back at boundaries) is caught, and the report shrinks to a
-//!   minimal counterexample that replays from its recorded seed.
+//!   minimal counterexample. Replaying one is `ido crashtest` on the scenario
+//!   file `ido_lang::Scenario::reproducer` writes (the root `regress` test).
 
-use ido_crashtest::{
-    explore, explore_all, explore_recovery, Counterexample, OracleConfig, DURABLE_SCHEMES,
-};
+use ido_crashtest::{explore, explore_all, Counterexample, OracleConfig, DURABLE_SCHEMES};
 use ido_compiler::Scheme;
 use ido_workloads::micro::{AllocChurnSpec, TwinSpec};
 
@@ -95,71 +94,6 @@ fn injected_flush_skipping_bug_yields_minimal_counterexample() {
     // crash, ending with the injected crash event itself.
     assert!(!cex.journal_tail.is_empty(), "journal tail must be captured");
     assert_eq!(cex.journal_tail.last().unwrap().kind.tag(), "crash");
-    let recipe = cex.replay_recipe();
-    assert!(recipe.contains("seed") && recipe.contains("journal tail"), "recipe:\n{recipe}");
-}
-
-/// The shrunk counterexample replays from its recorded seed: `reproduce`
-/// re-triggers the identical failure, and is itself deterministic.
-#[test]
-fn counterexample_reproduces_from_its_seed() {
-    let cex = find_bug();
-    let first = cex.reproduce(&TwinSpec).expect_err("must still fail");
-    let second = cex.reproduce(&TwinSpec).expect_err("must fail deterministically");
-    assert_eq!(first, second, "replay must be deterministic");
-    assert_eq!(first, cex.failure, "replayed failure matches the recorded one");
-    // Two independent explorations find the same minimal counterexample.
-    let again = explore(&TwinSpec, Scheme::Ido, &buggy_config()).counterexample.unwrap();
-    assert_eq!(again.crash_step, cex.crash_step);
-    assert_eq!(again.lost_lines, cex.lost_lines);
-}
-
-/// A crash-during-recovery counterexample is the same value and replays
-/// the same way. Built by hand from the shrunk one — the same first crash,
-/// then recovery cut after one unit of work and crashed losing nothing —
-/// it reproduces the same failure and its recipe spells out the second
-/// crash; the one the recovery sweep finds reproduces too, and its journal
-/// tail leads into the second crash.
-#[test]
-fn crash_during_recovery_counterexamples_replay_and_print_their_second_crash() {
-    let cex = find_bug();
-    let by_hand = Counterexample { recovery: Some((1, vec![])), ..cex.clone() };
-    assert_eq!(by_hand.reproduce(&TwinSpec), Err(cex.failure.clone()));
-    let recipe = by_hand.replay_recipe();
-    let run = format!(
-        "# run exactly {} step(s), crash losing dirty line(s) {:?}, recover for 1 unit(s), \
-         crash losing dirty line(s) [], recover, verify\n",
-        cex.crash_step, cex.lost_lines
-    );
-    assert!(recipe.contains(&run), "recipe:\n{recipe}");
-    assert!(by_hand.to_string().contains(", then after 1 recovery unit(s) losing lines [] "));
-
-    let found = explore_recovery(&TwinSpec, Scheme::Ido, &buggy_config(), &[1, 2, 5, 11])
-        .counterexample
-        .expect("the recovery sweep catches the injected bug too");
-    assert!(found.recovery.is_some(), "{found}");
-    assert_eq!(found.reproduce(&TwinSpec), Err(found.failure.clone()));
-    let last = found.journal_tail.last().expect("journal tail must be captured");
-    assert_eq!(last.kind.tag(), "crash");
-}
-
-/// The fixed scheme cannot reach the crash state that broke the buggy one:
-/// the fix *is* that the lost line is written back before that step. A
-/// stale counterexample says so — it used to lose nothing instead, check a
-/// different state, and report "fixed" — and what the honest runtime can
-/// still lose at that step, it survives.
-#[test]
-fn fixed_scheme_no_longer_reaches_the_counterexample_state() {
-    let cex = find_bug();
-    let mut fixed = cex.clone();
-    fixed.vm.ido_bug_skip_store_flush = false;
-    let stale = fixed.reproduce(&TwinSpec).expect_err("the lost line is clean without the bug");
-    assert_eq!(
-        stale,
-        format!("lost line {} is not dirty at step {}", cex.lost_lines[0], cex.crash_step)
-    );
-    fixed.lost_lines.clear();
-    assert_eq!(fixed.reproduce(&TwinSpec), Ok(()), "without the bug the step recovers");
 }
 
 /// The sharded allocator under the full crash oracle: an alloc/free churn

@@ -41,22 +41,3 @@ fn seed_structures_pass_invariants_under_ido_and_baselines() {
         }
     }
 }
-
-/// The checks are live, not vacuous: under the injected flush-skipping
-/// iDO bug the queue produces a counterexample (a torn enqueue detaches
-/// the tail; the stack and list invariants cannot observe this particular
-/// tear at this schedule size), and the honest runtime cannot reach that
-/// crash state: it has written the lost line back by then.
-#[test]
-fn queue_invariants_catch_the_injected_ido_bug() {
-    let mut cfg = OracleConfig::default();
-    cfg.vm.ido_bug_skip_store_flush = true;
-    let r = explore(&QueueSpec, Scheme::Ido, &cfg);
-    assert!(r.counterexample.is_some(), "queue must catch the injected bug: {r}");
-    let mut fixed = r.counterexample.unwrap();
-    fixed.vm.ido_bug_skip_store_flush = false;
-    let stale = fixed.reproduce(&QueueSpec).expect_err("the lost line is clean without the bug");
-    assert!(stale.contains("is not dirty at step"), "{stale}");
-    fixed.lost_lines.clear();
-    assert_eq!(fixed.reproduce(&QueueSpec), Ok(()), "honest runtime recovers at that step");
-}

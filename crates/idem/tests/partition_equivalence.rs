@@ -46,6 +46,7 @@ fn fixed_inputs() -> Vec<(String, Function)> {
     let mut files: Vec<_> = std::fs::read_dir(dir)
         .expect("corpus directory exists")
         .map(|e| e.expect("corpus entry reads").path())
+        .filter(|p| p.is_file())
         .collect();
     files.sort();
     assert_eq!(files.len(), 9, "corpus/ holds the nine standard scenarios");

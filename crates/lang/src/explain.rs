@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use ido_ir::{FnName, Program};
+use ido_ir::Program;
 use ido_verify::Diagnostic;
 
 /// A line-numbered pretty-printed program with a position index.
@@ -26,38 +26,24 @@ impl Listing {
     /// Builds the listing for `program` (typically the *instrumented*
     /// program a verifier run was pointed at).
     pub fn new(program: &Program) -> Listing {
-        let mut lines = Vec::new();
+        let lines: Vec<String> = program.to_string().lines().map(String::from).collect();
+        // Walk the shape `Display` prints: a blank line between functions,
+        // the `fn` header, then per block its `bbN:` label and one line per
+        // instruction, then the closing brace.
         let mut index = HashMap::new();
+        let mut line = 0;
         for (fi, func) in program.functions().iter().enumerate() {
-            if fi > 0 {
-                lines.push(String::new());
-            }
-            let mut header = format!("fn {}(", FnName(func.name()));
-            for (i, p) in func.params().iter().enumerate() {
-                if i > 0 {
-                    header.push_str(", ");
-                }
-                let _ = write!(header, "{p}");
-            }
-            let _ = write!(
-                header,
-                ") regs={} slots={} {{",
-                func.num_regs(),
-                func.num_stack_slots()
-            );
-            lines.push(header);
+            line += if fi > 0 { 2 } else { 1 };
             for (bi, bb) in func.blocks().iter().enumerate() {
-                lines.push(format!("  bb{bi}:"));
-                for (ii, inst) in bb.insts.iter().enumerate() {
-                    index.insert(
-                        (func.name().to_string(), bi as u32, ii as u32),
-                        lines.len(),
-                    );
-                    lines.push(format!("    {inst}"));
+                line += 1;
+                for ii in 0..bb.insts.len() {
+                    index.insert((func.name().to_string(), bi as u32, ii as u32), line);
+                    line += 1;
                 }
             }
-            lines.push("}".to_string());
+            line += 1;
         }
+        debug_assert_eq!(line, lines.len(), "one line per printed item");
         Listing { lines, index }
     }
 

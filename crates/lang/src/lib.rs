@@ -5,8 +5,9 @@
 //!
 //! 1. **Scenario header** — a `scenario <name> { ... }` block naming a
 //!    workload (one of the harness's standard or lock-free specs),
-//!    thread/op counts, the schemes to run, the execution tier, and the
-//!    scheduler seed.
+//!    thread/op counts, the schemes to run, the execution tier, the
+//!    scheduler seed, injected bugs, and optionally one crash state — which
+//!    makes the file a crash-oracle reproducer ([`Scenario::reproducer`]).
 //! 2. **Program section** — optional: a full textual IR program in the
 //!    canonical format (the pretty-printer's output). When present it
 //!    replaces the workload's built-in program; setup, per-thread
@@ -34,4 +35,4 @@ pub mod scenario;
 pub use diag::{Label, LangError, Span};
 pub use explain::{render_diagnostic, Listing};
 pub use parser::{parse_program_text, ParsedProgram};
-pub use scenario::{parse_scenario, Scenario, ScenarioSpec, WorkloadKind};
+pub use scenario::{parse_scenario, scheme_ident, Scenario, ScenarioSpec, WorkloadKind};

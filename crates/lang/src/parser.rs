@@ -32,6 +32,14 @@ pub struct ParsedProgram {
     pub fn_spans: Vec<Span>,
 }
 
+/// Equal when the programs are: the same program parsed from two texts that
+/// lay it out differently is one program.
+impl PartialEq for ParsedProgram {
+    fn eq(&self, other: &ParsedProgram) -> bool {
+        self.program == other.program
+    }
+}
+
 /// Parses a full textual IR program.
 ///
 /// # Errors

@@ -2,13 +2,16 @@
 //! section.
 //!
 //! ```text
+//! # failure: ...            # optional leading comments, kept as `notes`
 //! scenario stack_smoke {
-//!   workload stack        # stack|queue|list|map|memcached|redis|service|lf_list|lf_map
+//!   workload stack        # stack|queue|list|map|memcached|redis|service|twin|lf_list|lf_map
 //!   threads 2
 //!   ops 6
 //!   schemes all           # `all`, `lockfree`, or explicit names (ido atlas ...)
 //!   tier tier1            # optional, default tier1
 //!   seed 0                # optional, default 0
+//!   bug ido_bug_skip_store_flush          # optional: VmConfig bug fields
+//!   crash at step 37 lose [83]            # optional: one crash state
 //! }
 //!
 //! fn worker(r0) regs=1 slots=0 {   # optional: replaces the workload's program
@@ -22,12 +25,20 @@
 //! against its Rust-builder equivalent: same setup, same verification, the
 //! only moving part is whether the program came from the builder or the
 //! parser.
+//!
+//! A scenario prints itself (`Display`) in the form it parses from, so a
+//! crash-oracle [`Counterexample`] becomes a file through
+//! [`Scenario::reproducer`]: the scenario narrowed to the failing scheme, with
+//! the counterexample's seed, sizes, injected bugs and crash state, which
+//! `ido crashtest` replays.
 
 use std::collections::HashMap;
+use std::fmt;
 
 use ido_compiler::Scheme;
+use ido_crashtest::{Counterexample, CrashState, OracleConfig};
 use ido_ir::Program;
-use ido_vm::{ExecTier, Vm};
+use ido_vm::{ExecTier, Vm, VmConfig};
 use ido_workloads::{kv, lockfree, micro, service, WorkloadSpec};
 
 use crate::diag::{LangError, Span};
@@ -51,26 +62,48 @@ pub enum WorkloadKind {
     Redis,
     /// Service-style fixed-slot store; takes `range`.
     Service,
+    /// Twin counters on two cache lines (the crash oracle's probe).
+    Twin,
     /// Lock-free list (recoverable-CAS family only).
     LfList,
     /// Lock-free hash map (recoverable-CAS family only).
     LfMap,
 }
 
+/// Every workload kind with the name a `workload` line spells it by.
+const KINDS: [(&str, WorkloadKind); 10] = [
+    ("stack", WorkloadKind::Stack),
+    ("queue", WorkloadKind::Queue),
+    ("list", WorkloadKind::List),
+    ("map", WorkloadKind::Map),
+    ("memcached", WorkloadKind::Memcached),
+    ("redis", WorkloadKind::Redis),
+    ("service", WorkloadKind::Service),
+    ("twin", WorkloadKind::Twin),
+    ("lf_list", WorkloadKind::LfList),
+    ("lf_map", WorkloadKind::LfMap),
+];
+
+/// One of [`VmConfig`]'s injected-bug switches.
+type BugFlag = fn(&mut VmConfig) -> &mut bool;
+
+/// The injected-bug switches of [`VmConfig`], by field name: what a `bug`
+/// line names.
+const BUGS: [(&str, BugFlag); 4] = [
+    ("ido_bug_skip_store_flush", |c| &mut c.ido_bug_skip_store_flush),
+    ("lf_bug_skip_window_flush", |c| &mut c.lf_bug_skip_window_flush),
+    ("lf_bug_skip_publish", |c| &mut c.lf_bug_skip_publish),
+    ("tier2_bug_misfuse_store_clwb", |c| &mut c.tier2_bug_misfuse_store_clwb),
+];
+
 impl WorkloadKind {
     fn from_ident(s: &str) -> Option<WorkloadKind> {
-        Some(match s {
-            "stack" => WorkloadKind::Stack,
-            "queue" => WorkloadKind::Queue,
-            "list" => WorkloadKind::List,
-            "map" => WorkloadKind::Map,
-            "memcached" => WorkloadKind::Memcached,
-            "redis" => WorkloadKind::Redis,
-            "service" => WorkloadKind::Service,
-            "lf_list" => WorkloadKind::LfList,
-            "lf_map" => WorkloadKind::LfMap,
-            _ => return None,
-        })
+        KINDS.iter().find(|(name, _)| *name == s).map(|&(_, k)| k)
+    }
+
+    /// The name a `workload` line spells this kind by.
+    pub fn ident(self) -> &'static str {
+        KINDS.iter().find(|&&(_, k)| k == self).expect("every kind has a name").0
     }
 
     /// True for the lock-free structures, which only run under
@@ -108,15 +141,28 @@ impl WorkloadKind {
             }
             WorkloadKind::Redis => Box::new(kv::redis::RedisSpec::with_range(range)),
             WorkloadKind::Service => Box::new(service::ServiceSpec::with_range(range)),
+            WorkloadKind::Twin => Box::new(micro::TwinSpec),
             WorkloadKind::LfList => Box::new(lockfree::LfListSpec),
             WorkloadKind::LfMap => Box::new(lockfree::LfMapSpec::default()),
         }
     }
 }
 
-/// A parsed `.ido` scenario.
-#[derive(Debug)]
+/// The name a `schemes` line spells `scheme` by: its display name as one
+/// identifier (`LF-Eager` → `lf_eager`), which [`Scheme::from_name`] reads
+/// back.
+pub fn scheme_ident(scheme: Scheme) -> String {
+    scheme.name().to_lowercase().replace('-', "_")
+}
+
+/// A parsed `.ido` scenario. Two scenarios are equal when they print the
+/// same.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
+    /// The `#` comment lines at the top of the file, without the `#` and
+    /// one following space. A reproducer keeps its failure line and journal
+    /// tail here.
+    pub notes: Vec<String>,
     /// Scenario name (the header's identifier).
     pub name: String,
     /// Workload kind.
@@ -133,6 +179,11 @@ pub struct Scenario {
     pub tier: ExecTier,
     /// Scheduler seed.
     pub seed: u64,
+    /// The injected-bug fields of [`VmConfig`] the `bug` line switches on,
+    /// in [`VmConfig`] order.
+    pub bugs: Vec<&'static str>,
+    /// The one crash state `ido crashtest` checks instead of exploring.
+    pub crash: Option<CrashState>,
     /// The optional program section (replaces the native program).
     pub program: Option<ParsedProgram>,
 }
@@ -145,6 +196,158 @@ impl Scenario {
             native: self.kind.native_spec(self.range),
             program: self.program.as_ref().map(|p| p.program.clone()),
         }
+    }
+
+    /// `base` with the scenario's `seed`, `tier` and `bug` lines applied.
+    pub fn vm_config(&self, mut base: VmConfig) -> VmConfig {
+        base.seed = self.seed;
+        base.tier = self.tier;
+        for &(name, flag) in &BUGS {
+            if self.bugs.contains(&name) {
+                *flag(&mut base) = true;
+            }
+        }
+        base
+    }
+
+    /// The crash oracle's configuration for this scenario:
+    /// [`OracleConfig::default`] with its `threads`, `ops`, `seed`, `tier`
+    /// and `bug` lines applied.
+    pub fn oracle_config(&self) -> OracleConfig {
+        let default = OracleConfig::default();
+        OracleConfig {
+            threads: self.threads,
+            ops_per_thread: self.ops,
+            seed: self.seed,
+            vm: self.vm_config(default.vm.clone()),
+            ..default
+        }
+    }
+
+    /// The scenario that replays `cex`, a counterexample found on this
+    /// scenario's workload: this one narrowed to `cex.scheme`, with the
+    /// counterexample's seed, threads, ops, tier, injected bugs and crash
+    /// state, the program section written out (the workload's own program
+    /// when this scenario has none), and the failure line and journal tail
+    /// as leading comments.
+    ///
+    /// # Errors
+    /// Names what the scenario cannot express: a counterexample of another
+    /// workload, or a `cex.vm` that differs from the configuration
+    /// [`Scenario::oracle_config`] rebuilds (allocator, pool size, …) in any
+    /// field. Such a file would replay a different run.
+    pub fn reproducer(&self, cex: &Counterexample) -> Result<Scenario, String> {
+        let spec = self.spec();
+        if cex.workload != spec.name() {
+            return Err(format!(
+                "the counterexample is of workload `{}`, the scenario runs `{}`",
+                cex.workload,
+                spec.name()
+            ));
+        }
+        let bugs = BUGS.iter().filter(|(_, flag)| *flag(&mut cex.vm.clone())).map(|&(n, _)| n);
+        let mut notes = vec![
+            format!("failure: {}", cex.failure.lines().next().unwrap_or_default()),
+            "journal tail:".to_string(),
+        ];
+        notes.extend(cex.journal_tail.iter().map(|e| format!("  {e}")));
+        let program = self.program.clone().unwrap_or_else(|| ParsedProgram {
+            program: spec.build_program(),
+            inst_spans: HashMap::new(),
+            fn_spans: Vec::new(),
+        });
+        let repro = Scenario {
+            notes,
+            name: self.name.clone(),
+            kind: self.kind,
+            range: self.range,
+            threads: cex.threads,
+            ops: cex.ops_per_thread,
+            schemes: vec![cex.scheme],
+            tier: cex.vm.tier,
+            seed: cex.seed,
+            bugs: bugs.collect(),
+            crash: Some(CrashState {
+                step: cex.crash_step,
+                lost: cex.lost_lines.clone(),
+                recovery: cex.recovery.clone(),
+            }),
+            program: Some(program),
+        };
+        // The oracle runs on its own seed, never on `vm.seed`.
+        let rebuilt = repro.oracle_config().vm;
+        let found = VmConfig { seed: rebuilt.seed, ..cex.vm.clone() };
+        match first_difference(&found, &rebuilt) {
+            Some(field) => Err(format!(
+                "the counterexample's VM config differs from the scenario's in `{field}`"
+            )),
+            None => Ok(repro),
+        }
+    }
+}
+
+/// The path of the first field in which the pretty `Debug` forms of `a`
+/// and `b` differ (`pool.size`), or `None` when they are equal. Reading the
+/// `Debug` form covers every field, including ones added later.
+fn first_difference(a: &impl fmt::Debug, b: &impl fmt::Debug) -> Option<String> {
+    let (a, b) = (format!("{a:#?}"), format!("{b:#?}"));
+    // The field names of the containers open at the current line.
+    let mut path: Vec<&str> = Vec::new();
+    for (x, y) in a.lines().zip(b.lines()) {
+        let text = x.trim_start();
+        path.truncate(((x.len() - text.len()) / 4).saturating_sub(1));
+        let field = text.split(':').next().unwrap_or(text);
+        if x != y {
+            path.push(field);
+            return Some(path.join("."));
+        }
+        if text.ends_with(['{', '(', '[']) {
+            path.push(field);
+        }
+    }
+    (a != b).then(|| "(trailing fields)".to_string())
+}
+
+impl fmt::Display for Scenario {
+    /// The scenario in the form [`parse_scenario`] reads back: notes, the
+    /// header (keys at their defaults left out), then the program section.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for note in &self.notes {
+            let gap = if note.is_empty() { "" } else { " " };
+            writeln!(f, "#{gap}{note}")?;
+        }
+        writeln!(f, "scenario {} {{", self.name)?;
+        writeln!(f, "  workload {}", self.kind.ident())?;
+        if let Some(range) = self.range {
+            writeln!(f, "  range {range}")?;
+        }
+        writeln!(f, "  threads {}", self.threads)?;
+        writeln!(f, "  ops {}", self.ops)?;
+        if self.schemes != self.kind.allowed_schemes() {
+            let names: Vec<String> = self.schemes.iter().map(|&s| scheme_ident(s)).collect();
+            writeln!(f, "  schemes {}", names.join(" "))?;
+        }
+        if self.tier == ExecTier::Tier2 {
+            writeln!(f, "  tier tier2")?;
+        }
+        if self.seed != 0 {
+            writeln!(f, "  seed {}", self.seed)?;
+        }
+        if !self.bugs.is_empty() {
+            writeln!(f, "  bug {}", self.bugs.join(" "))?;
+        }
+        if let Some(crash) = &self.crash {
+            write!(f, "  crash at step {} lose {:?}", crash.step, crash.lost)?;
+            if let Some((budget, lost)) = &crash.recovery {
+                write!(f, " then after {budget} recovery units lose {lost:?}")?;
+            }
+            writeln!(f)?;
+        }
+        writeln!(f, "}}")?;
+        if let Some(p) = &self.program {
+            write!(f, "\n{}", p.program)?;
+        }
+        Ok(())
     }
 }
 
@@ -180,14 +383,54 @@ impl WorkloadSpec for ScenarioSpec {
     }
 }
 
-/// Parses a full `.ido` file: the `scenario` header block, then an
-/// optional program section.
+/// Parses `lose [l1, l2, …]`: the dirty lines a crash loses.
+fn lost_lines(c: &mut Cursor) -> Result<Vec<usize>, LangError> {
+    c.expect_keyword("lose", "before the lost lines")?;
+    c.expect(Tok::LBracket, "to open the lost-line list")?;
+    let mut lines = Vec::new();
+    while c.peek().tok != Tok::RBracket {
+        if !lines.is_empty() {
+            c.expect(Tok::Comma, "between lost lines")?;
+        }
+        lines.push(c.expect_u64("as a lost line")?.0 as usize);
+    }
+    c.bump();
+    Ok(lines)
+}
+
+/// Parses the rest of a `crash` line: `at step N lose [..]`, optionally
+/// followed by `then after B recovery units lose [..]`.
+fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
+    c.expect_keyword("at", "after `crash`")?;
+    c.expect_keyword("step", "after `crash at`")?;
+    let (step, _) = c.expect_u64("as the crash step")?;
+    let lost = lost_lines(c)?;
+    let recovery = if matches!(&c.peek().tok, Tok::Ident(w) if w == "then") {
+        c.bump();
+        c.expect_keyword("after", "after `then`")?;
+        let (budget, _) = c.expect_u64("as the recovery budget")?;
+        c.expect_keyword("recovery", "after the recovery budget")?;
+        c.expect_keyword("units", "after `recovery`")?;
+        Some((budget, lost_lines(c)?))
+    } else {
+        None
+    };
+    Ok(CrashState { step, lost, recovery })
+}
+
+/// Parses a full `.ido` file: leading `#` notes, the `scenario` header
+/// block, then an optional program section.
 ///
 /// # Errors
 /// Returns the first spanned [`LangError`]; duplicate-key and
 /// range-on-wrong-workload errors carry a secondary label at the related
 /// position.
 pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
+    let notes = source
+        .lines()
+        .map_while(|l| l.strip_prefix('#'))
+        .map(|n| n.strip_prefix(' ').unwrap_or(n).to_string())
+        .collect();
     let mut c = Cursor::new(lex(source)?);
     c.eat_newlines();
     c.expect_keyword("scenario", "to start the file")?;
@@ -204,6 +447,8 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut scheme_group: Option<(&'static [Scheme], Span)> = None;
     let mut tier = ExecTier::Tier1;
     let mut seed = 0u64;
+    let mut bugs: Vec<&'static str> = Vec::new();
+    let mut crash = None;
 
     let close = loop {
         c.eat_newlines();
@@ -224,10 +469,11 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
             "workload" => {
                 let (w, wspan) = c.expect_ident("as the workload name")?;
                 let Some(k) = WorkloadKind::from_ident(&w) else {
+                    let names: Vec<&str> = KINDS.iter().map(|(n, _)| *n).collect();
                     return Err(LangError::new(
                         format!("unknown workload `{w}`"),
                         wspan,
-                        "expected one of: stack queue list map memcached redis service lf_list lf_map",
+                        format!("expected one of: {}", names.join(" ")),
                     ));
                 };
                 kind = Some((k, key_span.to(wspan)));
@@ -309,11 +555,36 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 let (v, _) = c.expect_u64("as the scheduler seed")?;
                 seed = v;
             }
+            "bug" => {
+                let mut named: Vec<String> = Vec::new();
+                while let Tok::Ident(w) = &c.peek().tok {
+                    if !BUGS.iter().any(|(n, _)| n == w) {
+                        let names: Vec<&str> = BUGS.iter().map(|(n, _)| *n).collect();
+                        return Err(LangError::new(
+                            format!("unknown bug `{w}`"),
+                            c.peek().span,
+                            format!("expected a VmConfig bug field: {}", names.join(" ")),
+                        ));
+                    }
+                    named.push(w.clone());
+                    c.bump();
+                }
+                if named.is_empty() {
+                    return Err(LangError::new(
+                        "`bug` needs at least one field",
+                        key_span,
+                        "empty bug list",
+                    ));
+                }
+                // In `VmConfig` order, each once.
+                bugs = BUGS.iter().map(|&(n, _)| n).filter(|n| named.iter().any(|w| w == n)).collect();
+            }
+            "crash" => crash = Some(crash_state(&mut c)?),
             _ => {
                 return Err(LangError::new(
                     format!("unknown scenario key `{key}`"),
                     key_span,
-                    "expected one of: workload range threads ops schemes tier seed",
+                    "expected one of: workload range threads ops schemes tier seed bug crash",
                 ))
             }
         }
@@ -396,7 +667,8 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         Some(parsed)
     };
 
-    Ok(Scenario { name, kind, range: range.map(|(v, _)| v), threads, ops, schemes, tier, seed, program })
+    let range = range.map(|(v, _)| v);
+    Ok(Scenario { notes, name, kind, range, threads, ops, schemes, tier, seed, bugs, crash, program })
 }
 
 #[cfg(test)]
@@ -414,6 +686,7 @@ mod tests {
         assert_eq!(s.schemes, Scheme::ALL.to_vec());
         assert_eq!(s.tier, ExecTier::Tier1);
         assert_eq!(s.seed, 0);
+        assert!(s.notes.is_empty() && s.bugs.is_empty() && s.crash.is_none());
         assert!(s.program.is_none());
         assert_eq!(s.spec().name(), "stack");
     }
@@ -502,5 +775,83 @@ mod tests {
         let src = "scenario x {\n  workload stack\n  threads 1\n  ops 2\n}\n\nfn helper() regs=0 slots=0 {\n  bb0:\n    ret\n}\n";
         let e = parse_scenario(src).unwrap_err();
         assert!(e.message.contains("no `worker`"), "{e:?}");
+    }
+
+    /// Parses `src`, requires it to print as itself, and returns it.
+    fn printed_as_itself(src: &str) -> Scenario {
+        let s = parse_scenario(src).unwrap_or_else(|e| panic!("{}", e.render("x.ido", src)));
+        assert_eq!(s.to_string(), src);
+        assert_eq!(parse_scenario(&s.to_string()).unwrap(), s);
+        s
+    }
+
+    #[test]
+    fn every_clause_form_prints_as_it_parses() {
+        let header = "scenario x {\n  workload twin\n  threads 2\n  ops 2\n  schemes ido\n  seed 7\n";
+        let s = printed_as_itself(&format!("{header}}}\n"));
+        assert_eq!((s.kind, s.spec().name()), (WorkloadKind::Twin, "twin-counter".to_string()));
+        let s = printed_as_itself(&format!("{header}  bug ido_bug_skip_store_flush\n}}\n"));
+        assert_eq!(s.bugs, ["ido_bug_skip_store_flush"]);
+        let s = printed_as_itself(&format!("{header}  crash at step 37 lose [83]\n}}\n"));
+        assert_eq!(s.crash, Some(CrashState { step: 37, lost: vec![83], recovery: None }));
+        let s = printed_as_itself(&format!("{header}  crash at step 0 lose []\n}}\n"));
+        assert_eq!(s.crash, Some(CrashState { step: 0, lost: vec![], recovery: None }));
+        let s = printed_as_itself(
+            "# failure: torn\n#\n#   #3 clwb line 9\nscenario x {\n  workload twin\n  threads 2\n  \
+             ops 2\n  schemes ido\n  tier tier2\n  seed 7\n  \
+             bug lf_bug_skip_window_flush tier2_bug_misfuse_store_clwb\n  \
+             crash at step 12 lose [4, 5] then after 11 recovery units lose [83]\n}\n\n\
+             fn worker(r0) regs=1 slots=0 {\n  bb0:\n    ret\n}\n",
+        );
+        assert_eq!(s.notes, ["failure: torn", "", "  #3 clwb line 9"]);
+        assert_eq!(s.bugs, ["lf_bug_skip_window_flush", "tier2_bug_misfuse_store_clwb"]);
+        assert_eq!(s.crash.unwrap().recovery, Some((11, vec![83])));
+        // A lock-free scheme prints as an identifier the lexer reads back.
+        printed_as_itself("scenario lf {\n  workload lf_list\n  threads 1\n  ops 1\n  schemes lf_eager\n}\n");
+    }
+
+    #[test]
+    fn bug_fields_apply_to_the_vm_and_the_oracle() {
+        let src = "scenario x {\n  workload twin\n  threads 3\n  ops 5\n  tier tier2\n  seed 9\n  \
+                   bug lf_bug_skip_publish ido_bug_skip_store_flush lf_bug_skip_publish\n}\n";
+        let s = parse_scenario(src).unwrap();
+        assert_eq!(s.bugs, ["ido_bug_skip_store_flush", "lf_bug_skip_publish"], "VmConfig order, once");
+        let cfg = s.oracle_config();
+        assert_eq!((cfg.threads, cfg.ops_per_thread, cfg.seed), (3, 5, 9));
+        assert!(cfg.vm.ido_bug_skip_store_flush && cfg.vm.lf_bug_skip_publish);
+        assert!(!cfg.vm.lf_bug_skip_window_flush && !cfg.vm.tier2_bug_misfuse_store_clwb);
+        assert_eq!(cfg.vm.tier, ExecTier::Tier2);
+        assert_eq!(cfg.exhaustive_subset_limit, OracleConfig::default().exhaustive_subset_limit);
+    }
+
+    #[test]
+    fn bad_crash_and_bug_clauses_are_spanned() {
+        let header = "scenario x {\n  workload twin\n  threads 2\n  ops 2\n";
+        for (clause, message, spanned) in [
+            ("bug ido_bug_skip_everything", "unknown bug `ido_bug_skip_everything`", "ido_bug_skip_everything"),
+            ("bug", "`bug` needs at least one field", "bug"),
+            ("crash at step 3 lose [1, x]", "expected integer as a lost line", "x"),
+            ("crash at step 3 lose [1 2]", "expected `,` between lost lines", "2"),
+            ("crash at 3 lose []", "after `crash at`, found `3`", "3"),
+            ("crash at step 3 lose [] then after 2 units lose []", "expected `recovery`", "units"),
+        ] {
+            let src = format!("{header}  {clause}\n}}\n");
+            let e = parse_scenario(&src).unwrap_err();
+            assert!(e.message.contains(message), "{clause}: {e:?}");
+            assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");
+        }
+    }
+
+    #[test]
+    fn first_difference_names_the_nested_field() {
+        let a = VmConfig::for_tests();
+        assert_eq!(first_difference(&a, &a.clone()), None);
+        let b = VmConfig { stack_bytes: 1, ..a.clone() };
+        assert_eq!(first_difference(&a, &b).as_deref(), Some("stack_bytes"));
+        let mut c = a.clone();
+        c.pool.size *= 2;
+        assert_eq!(first_difference(&a, &c).as_deref(), Some("pool.size"));
+        let d = VmConfig { sched: ido_vm::SchedPolicy::MinClock, ..a.clone() };
+        assert_eq!(first_difference(&a, &d).as_deref(), Some("sched"));
     }
 }

@@ -127,3 +127,13 @@ fn unknown_rt_op_diagnostic() {
         "fn worker(r0, r1) regs=2 slots=0 {\n  bb0:\n    rt.atlas_undo [r1+0]\n    ret\n}\n",
     );
 }
+
+/// A reproducer's `crash` line with a lost line that is not an integer: the
+/// caret sits on the offending list element.
+#[test]
+fn crash_clause_diagnostic() {
+    scenario_error(
+        "crash_clause",
+        "scenario x {\n  workload twin\n  threads 2\n  ops 2\n  crash at step 20 lose [82, line9]\n}\n",
+    );
+}

@@ -165,10 +165,18 @@ oracle_stage() {
       crates src tests; then
     echo "a second crash-state track: a crash during recovery is a CrashState"; return 1
   fi
+  # One reproducer: a counterexample is a scenario file `ido crashtest`
+  # replays, not a recipe to follow, a Rust-only replay or a CLI flag.
+  if grep -rnE 'replay_recipe|fn reproduce\(|inject-skip-store-flush' crates src tests README.md; then
+    echo "a second replay path: a failure is a scenario file"; return 1
+  fi
   cargo test -q --release -p ido-ir --lib func::tests
   cargo test -q --release -p ido-vm --test crash_recovery share_one_decoded_form
   cargo test -q --release -p ido-crashtest --lib
   cargo test -q --release -p ido-crashtest --test fork_equivalence --test recovery_crash
+  # The regression corpus regenerates byte for byte at either job count.
+  IDO_JOBS=1 cargo test -q --release --test regress
+  IDO_JOBS=2 cargo test -q --release --test regress
   local table
   table=$(IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle)
   echo "$table"
@@ -246,6 +254,39 @@ echo "== ido crashtest over the lock-free corpus file: both schemes explored =="
 cargo run -q --release -p ido-repro --bin ido -- crashtest corpus/lf_list.ido \
   | grep -q '2 scheme(s) explored, 0 counterexample(s)' \
   || { echo "ido crashtest did not explore the lock-free pair"; exit 1; }
+
+echo "== ido crashtest: the corpus is clean, and a failure replays from the file it writes =="
+# crashtest explores at the library oracle's default configuration with the
+# scenario's threads, ops, seed, tier and bug lines applied. The queue is the
+# corpus structure whose invariants see iDO's skipped store flush (the
+# stack's do not, at any seed tried); the printed `replay:` line must fail
+# the same way.
+replay_stage() {
+  local f out replay
+  for f in corpus/*.ido; do
+    ./target/release/ido crashtest "$f" | grep -q 'explored, 0 counterexample(s)' \
+      || { echo "ido crashtest $f found a counterexample"; return 1; }
+  done
+  rm -rf target/replay
+  mkdir -p target/tmp
+  sed 's/^  ops 4$/  ops 4\n  bug ido_bug_skip_store_flush/' corpus/queue.ido > target/tmp/queue_bug.ido
+  if out=$(./target/release/ido crashtest target/tmp/queue_bug.ido); then
+    echo "ido crashtest missed the injected bug:"; echo "$out"; return 1
+  fi
+  echo "$out"
+  replay=$(echo "$out" | sed -n 's/^replay: ido crashtest //p')
+  [[ -f $replay ]] || { echo "no reproducer written"; return 1; }
+  local want got
+  want=$(sed -n 's/^# failure: //p' "$replay")
+  echo "$out" | grep -qF "): $want)" || { echo "the reproducer records another failure"; return 1; }
+  if got=$(./target/release/ido crashtest "$replay"); then
+    echo "the reproducer replays clean:"; echo "$got"; return 1
+  fi
+  echo "$got" | grep -qF ": FAILED: $want" \
+    || { echo "the reproducer fails differently:"; echo "$got"; return 1; }
+  rm -rf target/replay target/tmp/queue_bug.ido
+}
+timed "crashtest replay" replay_stage
 
 echo "== ido run --compare-builder: corpus runs byte-identical to the builder =="
 # The CLI re-runs each scheme from the native Rust-builder program and

@@ -3,7 +3,7 @@
 //! ```text
 //! ido run <file.ido> [--jobs N] [--compare-builder]
 //! ido verify <file.ido>
-//! ido explain <file.ido> [--inject-skip-store-flush]
+//! ido explain <file.ido>
 //! ido crashtest <file.ido>
 //! ido trace <file.ido> [--limit N]
 //! ido emit <file.ido>
@@ -13,13 +13,14 @@
 //! in the scenario's declaration order regardless of `--jobs`, so CI can
 //! byte-compare runs at different parallelism. Parse errors render with
 //! the offending line and a caret; verifier findings are renderable as
-//! spanned witness paths via `explain`.
+//! spanned witness paths via `explain`. A scenario's `bug` line applies to
+//! every subcommand; its `crash` line is `crashtest`'s alone.
 
 use std::process::ExitCode;
 
 use ido_compiler::{instrument_program, Instrumented, Recovery, Scheme};
-use ido_crashtest::{explore_jobs, OracleConfig};
-use ido_lang::{parse_scenario, render_diagnostic, LangError, Listing, Scenario, ScenarioSpec};
+use ido_crashtest::explore_jobs;
+use ido_lang::{parse_scenario, render_diagnostic, scheme_ident, Listing, Scenario};
 use ido_nvm::StatsSnapshot;
 use ido_trace::TraceConfig;
 use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
@@ -45,8 +46,9 @@ fn usage() -> String {
      \x20                              require byte-identical results\n\
      verify     instrument + statically verify each scheme; print findings\n\
      explain    like verify, but render each finding with its witness path\n\
-     \x20          --inject-skip-store-flush   enable the iDO store-flush bug injection\n\
-     crashtest  run the crash oracle (smoke budget) on the durable schemes\n\
+     crashtest  run the crash oracle on the durable schemes; each counterexample\n\
+     \x20          is written to target/replay/ as a scenario with a `crash` line,\n\
+     \x20          and on such a scenario crashtest checks that one crash state\n\
      trace      run the first scheme with event tracing; dump events\n\
      \x20          --limit N           events to print (default 40)\n\
      emit       print the scenario's program in canonical textual form"
@@ -57,24 +59,17 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let cmd = args.first().ok_or_else(usage)?.as_str();
     let path = args.get(1).ok_or_else(usage)?.clone();
     let source = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-    let scenario = match parse_scenario(&source) {
-        Ok(s) => s,
-        Err(e) => return Err(render_err(&e, &path, &source)),
-    };
+    let scenario = parse_scenario(&source).map_err(|e| e.render(&path, &source))?;
     let flags = &args[2..];
     match cmd {
         "run" => cmd_run(&scenario, flags),
-        "verify" => cmd_verify(&scenario, false, flags),
-        "explain" => cmd_verify(&scenario, true, flags),
+        "verify" => cmd_verify(&scenario, false),
+        "explain" => cmd_verify(&scenario, true),
         "crashtest" => cmd_crashtest(&scenario),
         "trace" => cmd_trace(&scenario, flags),
         "emit" => cmd_emit(&scenario),
         other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
     }
-}
-
-fn render_err(e: &LangError, path: &str, source: &str) -> String {
-    e.render(path, source)
 }
 
 /// Writes to stdout, treating a closed pipe (`ido emit ... | head`) as a
@@ -95,12 +90,37 @@ fn flag_value(flags: &[String], name: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// The VM configuration of `run`, `verify`, `explain` and `trace`: the
+/// test-sized config under the MinClock scheduler, with the scenario's
+/// seed, tier and bugs.
 fn vm_config(scenario: &Scenario) -> VmConfig {
     let mut cfg = VmConfig::for_tests();
-    cfg.seed = scenario.seed;
-    cfg.tier = scenario.tier;
     cfg.sched = SchedPolicy::MinClock;
-    cfg
+    scenario.vm_config(cfg)
+}
+
+/// Instruments `spec`'s program for `scheme`.
+fn instrument_for(spec: &dyn WorkloadSpec, scheme: Scheme) -> Result<Instrumented, String> {
+    instrument_program(spec.build_program(), scheme)
+        .map_err(|e| format!("instrumentation failed under {}: {e:?}", scheme.name()))
+}
+
+/// The one set-up path: instrument `spec` for `scheme`, build a VM on
+/// `cfg`, set the workload up, spawn a worker per scenario thread and run
+/// to completion. Returns the VM and the workload's setup values.
+fn run_to_completion(
+    spec: &dyn WorkloadSpec,
+    scheme: Scheme,
+    scenario: &Scenario,
+    cfg: VmConfig,
+) -> Result<(Vm, Vec<u64>), String> {
+    let mut vm = Vm::new(instrument_for(spec, scheme)?, cfg);
+    let base = spec.setup(&mut vm, scenario.threads, scenario.ops);
+    for t in 0..scenario.threads {
+        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
+    }
+    assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme}", spec.name());
+    Ok((vm, base))
 }
 
 /// Everything `run` observes about one scheme's execution.
@@ -113,23 +133,15 @@ struct Observed {
 
 /// Runs `spec` under `scheme` and captures the observables (the same set
 /// the cross-tier differential gates compare).
-fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario) -> Observed {
-    let inst = instrument_program(spec.build_program(), scheme).unwrap_or_else(|e| {
-        panic!("{} does not instrument under {scheme}: {e:?}", spec.name())
-    });
-    let mut vm = Vm::new(inst, vm_config(scenario));
-    let base = spec.setup(&mut vm, scenario.threads, scenario.ops);
-    for t in 0..scenario.threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
-    }
-    assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme}", spec.name());
+fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario) -> Result<Observed, String> {
+    let (vm, base) = run_to_completion(spec, scheme, scenario, vm_config(scenario))?;
     spec.verify(&vm, &base, scenario.threads as u64 * scenario.ops);
     let steps = vm.steps();
     let sim_ns = vm.max_clock_ns();
     let image = vm.pool().persistent_snapshot();
     let pool = vm.pool().clone();
     drop(vm);
-    Observed { steps, sim_ns, stats: pool.global_stats(), image_fnv: fnv64(&image) }
+    Ok(Observed { steps, sim_ns, stats: pool.global_stats(), image_fnv: fnv64(&image) })
 }
 
 /// FNV-1a over the persistent pool image: a compact, dependency-free
@@ -183,6 +195,7 @@ fn cmd_run(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
     let results = ido_par::par_map_jobs(jobs, schemes.clone(), |scheme| {
         observe(&spec, scheme, scenario)
     });
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     for (scheme, o) in schemes.iter().zip(&results) {
         println!("{}", json_line(scenario, &spec, *scheme, o));
     }
@@ -190,7 +203,7 @@ fn cmd_run(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
     if compare {
         let native = scenario.kind.native_spec(scenario.range);
         for (scheme, corpus) in schemes.iter().zip(&results) {
-            let builder = observe(native.as_ref(), *scheme, scenario);
+            let builder = observe(native.as_ref(), *scheme, scenario)?;
             let same = corpus.steps == builder.steps
                 && corpus.sim_ns == builder.sim_ns
                 && corpus.stats == builder.stats
@@ -214,18 +227,8 @@ fn cmd_run(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Instruments the scenario's program for `scheme`.
-fn instrument_for(spec: &ScenarioSpec, scheme: Scheme) -> Result<Instrumented, String> {
-    instrument_program(spec.build_program(), scheme)
-        .map_err(|e| format!("instrumentation failed under {}: {e:?}", scheme.name()))
-}
-
-fn cmd_verify(scenario: &Scenario, explain: bool, flags: &[String]) -> Result<ExitCode, String> {
-    let mut cfg = vm_config(scenario);
-    if flags.iter().any(|f| f == "--inject-skip-store-flush") {
-        cfg.ido_bug_skip_store_flush = true;
-    }
-    let model = ido_verify::RuntimeModel::from_config(&cfg);
+fn cmd_verify(scenario: &Scenario, explain: bool) -> Result<ExitCode, String> {
+    let model = ido_verify::RuntimeModel::from_config(&vm_config(scenario));
     let spec = scenario.spec();
     let mut findings = 0usize;
     for &scheme in &scenario.schemes {
@@ -256,10 +259,13 @@ fn cmd_verify(scenario: &Scenario, explain: bool, flags: &[String]) -> Result<Ex
     }
 }
 
+/// The crash oracle at [`Scenario::oracle_config`] over every listed scheme
+/// with a recovery. Without a `crash` line it explores; each counterexample
+/// becomes `target/replay/<scenario>-<scheme>.ido`, the reproducer whose
+/// `crash` line makes this command check that one state instead.
 fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
     let spec = scenario.spec();
-    let mut cfg = OracleConfig::smoke();
-    cfg.vm = vm_config(scenario);
+    let cfg = scenario.oracle_config();
     let mut failed = 0usize;
     let mut ran = 0usize;
     for &scheme in &scenario.schemes {
@@ -267,31 +273,40 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
             println!("crashtest: skipping {} (no durability contract to check)", scheme.name());
             continue;
         }
+        ran += 1;
+        if let Some(state) = &scenario.crash {
+            if let Err(failure) = state.check(&spec, &instrument_for(&spec, scheme)?, &cfg) {
+                let first = failure.lines().next().unwrap_or_default();
+                println!("{}/{scheme}: FAILED: {first}", spec.name());
+                failed += 1;
+            } else {
+                println!("{}/{scheme}: consistent", spec.name());
+            }
+            continue;
+        }
         let ex = explore_jobs(ido_par::jobs(), &spec, scheme, &cfg);
         println!("{ex}");
-        ran += 1;
-        if let Some(c) = &ex.counterexample {
-            eprint!("{}", c.replay_recipe());
+        if let Some(cex) = &ex.counterexample {
             failed += 1;
+            let reproducer = scenario.reproducer(cex)?;
+            let path = format!("target/replay/{}-{}.ido", scenario.name, scheme_ident(scheme));
+            std::fs::create_dir_all("target/replay")
+                .and_then(|()| std::fs::write(&path, reproducer.to_string()))
+                .map_err(|e| format!("{path}: {e}"))?;
+            println!("replay: ido crashtest {path}");
         }
     }
-    println!("crashtest: {ran} scheme(s) explored, {failed} counterexample(s)");
+    let what = if scenario.crash.is_some() { "checked at one crash state" } else { "explored" };
+    println!("crashtest: {ran} scheme(s) {what}, {failed} counterexample(s)");
     Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
 fn cmd_trace(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
     let limit = flag_value(flags, "--limit")?.unwrap_or(40) as usize;
     let scheme = *scenario.schemes.first().expect("scenario always has schemes");
-    let spec = scenario.spec();
-    let inst = instrument_for(&spec, scheme)?;
     let mut cfg = vm_config(scenario);
     cfg.pool.trace = TraceConfig::on();
-    let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, scenario.threads, scenario.ops);
-    for t in 0..scenario.threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
-    }
-    assert_eq!(vm.run(), RunOutcome::Completed);
+    let (vm, _) = run_to_completion(&scenario.spec(), scheme, scenario, cfg)?;
     let pool = vm.pool().clone();
     drop(vm);
     let trace = pool.take_trace().expect("tracing was enabled");
@@ -313,10 +328,6 @@ fn cmd_trace(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> 
 }
 
 fn cmd_emit(scenario: &Scenario) -> Result<ExitCode, String> {
-    let program = match &scenario.program {
-        Some(p) => p.program.clone(),
-        None => scenario.kind.native_spec(scenario.range).build_program(),
-    };
-    emit_out(&format!("{program}"));
+    emit_out(&scenario.spec().build_program().to_string());
     Ok(ExitCode::SUCCESS)
 }

@@ -46,12 +46,15 @@ fn parse_corpus(name: &str) -> (String, Scenario) {
 }
 
 /// The corpus is a curated set: a stray or missing file is a checked-in
-/// mistake, not a new workload.
+/// mistake, not a new workload. (`corpus/regress/` holds reproducers, which
+/// `tests/regress.rs` replays.)
 #[test]
 fn corpus_holds_exactly_the_nine_standard_scenarios() {
     let mut found: Vec<String> = fs::read_dir(corpus_dir())
         .expect("corpus directory exists")
-        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .map(|e| e.unwrap())
+        .filter(|e| e.path().is_file())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
     found.sort();
     let expected: Vec<String> = CORPUS.iter().map(|n| format!("{n}.ido")).collect();

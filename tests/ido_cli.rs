@@ -113,6 +113,38 @@ fn crashtest_explores_the_lockfree_pair() {
     assert!(!stdout.contains("skipping"), "{stdout}");
 }
 
+/// The step counts `ido crashtest` reports, one per explored scheme.
+fn explored_steps(source: &str, name: &str) -> Vec<u64> {
+    let Ran { code, stdout, stderr } = ido("crashtest", name, source);
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert!(stdout.contains("6 scheme(s) explored, 0 counterexample(s)"), "{stdout}");
+    stdout
+        .lines()
+        .filter_map(|l| l.split(" steps (").next()?.rsplit(' ').next()?.parse().ok())
+        .collect()
+}
+
+/// `ido crashtest` once explored one thread × one op at a fixed seed
+/// whatever the file said: `threads`, `ops` and `seed` changed nothing it
+/// printed. It runs the library oracle's default configuration with the
+/// scenario's keys applied, so each of them moves the explored run.
+#[test]
+fn crashtest_honours_threads_ops_and_seed() {
+    let stack = corpus("stack.ido");
+    let at = |from: &str, to: &str, name: &str| {
+        assert!(stack.contains(from), "{from:?}");
+        explored_steps(&stack.replacen(from, to, 1), name)
+    };
+    let committed = at("  threads 2\n", "  threads 2\n", "committed");
+    assert_eq!(committed.len(), 6, "one line per durable scheme: {committed:?}");
+    let one_thread = at("  threads 2\n", "  threads 1\n", "threads1");
+    let fewer_ops = at("  ops 4\n", "  ops 3\n", "ops3");
+    let seeded = at("  ops 4\n", "  ops 4\n  seed 99\n", "seed99");
+    for (what, steps) in [("threads 1", one_thread), ("ops 3", fewer_ops), ("seed 99", seeded)] {
+        assert_ne!(steps, committed, "{what} explores the committed run");
+    }
+}
+
 /// The one scheme with no contract to check is the one with no recovery.
 #[test]
 fn crashtest_skips_only_origin() {
