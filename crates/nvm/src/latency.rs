@@ -4,22 +4,7 @@
 //! of persisting on an ADR machine, and Section V-E adds a configurable extra
 //! delay after each flush to model slower NVM write paths (20–2000 ns). This
 //! module reproduces that cost structure as *simulated nanoseconds* charged to
-//! a per-thread clock, with an optional mode that additionally spins for the
-//! same duration in real time (for wall-clock Criterion benchmarks).
-
-use std::time::Instant;
-
-/// How latency charges are realized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmulationMode {
-    /// Only advance the simulated clock (deterministic; used by the DES
-    /// throughput harness and by all tests).
-    #[default]
-    Simulated,
-    /// Advance the simulated clock *and* busy-wait for the same duration,
-    /// mimicking the paper's nop-loop delay injection for real-time runs.
-    SpinRealTime,
-}
+//! a per-thread clock; no charge waits in real time.
 
 /// Latency parameters, in nanoseconds, for each memory/persistence primitive.
 ///
@@ -44,8 +29,6 @@ pub struct LatencyModel {
     /// Extra delay per flushed line (and per non-temporal store) modelling
     /// slow NVM media or a long data path; the Fig. 9 sensitivity knob.
     pub nvm_extra_delay_ns: u64,
-    /// How charges are realized.
-    pub mode: EmulationMode,
 }
 
 impl Default for LatencyModel {
@@ -57,7 +40,6 @@ impl Default for LatencyModel {
             sfence_base_ns: 15,
             flush_roundtrip_ns: 100,
             nvm_extra_delay_ns: 0,
-            mode: EmulationMode::Simulated,
         }
     }
 }
@@ -73,7 +55,6 @@ impl LatencyModel {
             sfence_base_ns: 0,
             flush_roundtrip_ns: 0,
             nvm_extra_delay_ns: 0,
-            mode: EmulationMode::Simulated,
         }
     }
 
@@ -105,17 +86,6 @@ impl LatencyModel {
     #[inline]
     pub fn nt_store_cost(&self) -> u64 {
         self.store_ns + self.nvm_extra_delay_ns
-    }
-
-    /// Realize a charge of `ns`: spin in real time if the mode requires it.
-    #[inline]
-    pub(crate) fn realize(&self, ns: u64) {
-        if self.mode == EmulationMode::SpinRealTime && ns > 0 {
-            let start = Instant::now();
-            while (start.elapsed().as_nanos() as u64) < ns {
-                std::hint::spin_loop();
-            }
-        }
     }
 }
 
@@ -157,13 +127,5 @@ mod tests {
         let m = LatencyModel::zero();
         assert_eq!(m.fence_cost(100), 0);
         assert_eq!(m.nt_store_cost(), 0);
-    }
-
-    #[test]
-    fn spin_mode_actually_waits() {
-        let m = LatencyModel { mode: EmulationMode::SpinRealTime, ..LatencyModel::default() };
-        let start = Instant::now();
-        m.realize(200_000); // 200 us
-        assert!(start.elapsed().as_nanos() >= 200_000);
     }
 }

@@ -63,7 +63,7 @@ pub mod root;
 pub use alloc::AllocPolicy;
 pub use error::NvmError;
 pub use journal::{PersistEvent, PersistEventKind};
-pub use latency::{EmulationMode, LatencyModel};
+pub use latency::LatencyModel;
 pub use line::{line_of, line_offset, CACHE_LINE};
 pub use pool::{CrashOutcome, CrashPolicy, PmemHandle, PmemPool, PoolConfig};
 // Re-exported so pool users can read counters and configure windowed

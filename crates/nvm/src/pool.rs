@@ -343,11 +343,6 @@ impl PmemPool {
         self.inner.config.size
     }
 
-    /// The latency model shared by this pool's handles.
-    pub fn latency(&self) -> LatencyModel {
-        self.inner.config.latency
-    }
-
     /// Creates a per-thread access handle with a fresh simulated clock.
     ///
     /// When tracing or metrics are on, the handle's recorder is allocated
@@ -710,7 +705,6 @@ impl PmemHandle {
         self.tick(ns);
         // `cat` is a constant at every call site, so this folds to one add.
         self.costs.add(cat, ns);
-        self.latency.realize(ns);
     }
 
     /// The store-path accounting tail: clock, log-byte counting, cost
@@ -729,14 +723,14 @@ impl PmemHandle {
             self.costs.work_ns += ns;
         }
         self.observe(EventKind::Store, addr as u64, value);
-        self.latency.realize(ns);
     }
 
+    /// The volatile word at `addr`: one bounds check, the image's own.
     #[inline]
-    fn check_word(&self, addr: PAddr) -> usize {
+    fn word(&self, addr: PAddr) -> &Cell<u64> {
         assert!(addr.is_multiple_of(8), "unaligned word access at {addr:#x}");
-        assert!(addr + 8 <= self.inner.config.size, "out-of-bounds access at {addr:#x}");
-        addr / 8
+        let word = self.inner.volatile.get(addr / 8);
+        word.unwrap_or_else(|| panic!("out-of-bounds access at {addr:#x}"))
     }
 
     /// The thread's simulated clock, in nanoseconds.
@@ -770,11 +764,6 @@ impl PmemHandle {
     pub fn end_log(&mut self) {
         debug_assert!(self.log_depth > 0, "end_log without begin_log");
         self.log_depth = self.log_depth.saturating_sub(1);
-    }
-
-    /// True while inside a [`PmemHandle::begin_log`] scope.
-    pub fn in_log(&self) -> bool {
-        self.log_depth > 0
     }
 
     /// Observes an event at the handle's current simulated time — a
@@ -822,21 +811,16 @@ impl PmemHandle {
         self.shard = shard;
     }
 
-    /// The latency model in effect for this handle.
-    pub fn latency(&self) -> LatencyModel {
-        self.latency
-    }
-
     /// Loads an 8-byte word.
     ///
     /// # Panics
     /// Panics if `addr` is unaligned or out of bounds.
     #[inline]
     pub fn read_u64(&mut self, addr: PAddr) -> u64 {
-        let w = self.check_word(addr);
+        let v = self.word(addr).get();
         self.stats.loads += 1;
         self.charge(self.latency.load_ns);
-        self.inner.volatile[w].get()
+        v
     }
 
     /// Stores an 8-byte word into the volatile image and marks its line dirty.
@@ -845,10 +829,9 @@ impl PmemHandle {
     /// Panics if `addr` is unaligned or out of bounds.
     #[inline]
     pub fn write_u64(&mut self, addr: PAddr, value: u64) {
-        let w = self.check_word(addr);
+        self.word(addr).set(value);
         self.stats.stores += 1;
         self.charge_store_and_emit(self.latency.store_ns, 8, addr, value);
-        self.inner.volatile[w].set(value);
         let line_was_clean = self.inner.set_dirty(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
     }
@@ -864,15 +847,13 @@ impl PmemHandle {
     /// Panics if `addr` is unaligned or out of bounds.
     #[inline]
     pub fn log_write_u64(&mut self, addr: PAddr, value: u64) {
-        let w = self.check_word(addr);
+        self.word(addr).set(value);
         self.stats.stores += 1;
         let ns = self.latency.store_ns;
         self.tick(ns);
         self.stats.log_bytes += 8;
         self.costs.log_ns += ns;
         self.observe(EventKind::Store, addr as u64, value);
-        self.latency.realize(ns);
-        self.inner.volatile[w].set(value);
         let line_was_clean = self.inner.set_dirty(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::Store { addr, value, line_was_clean });
     }
@@ -881,11 +862,10 @@ impl PmemHandle {
     /// Used by REDO-log appends in Mnemosyne-style systems.
     #[inline]
     pub fn nt_store_u64(&mut self, addr: PAddr, value: u64) {
-        let w = self.check_word(addr);
+        self.word(addr).set(value);
+        self.inner.persistent[addr / 8].set(value);
         self.stats.nt_stores += 1;
         self.charge_store_and_emit(self.latency.nt_store_cost(), 8, addr, value);
-        self.inner.volatile[w].set(value);
-        self.inner.persistent[w].set(value);
         self.inner.set_touched(line_of(addr));
         self.inner.journal.record(|| PersistEventKind::NtStore { addr, value });
     }
@@ -912,7 +892,6 @@ impl PmemHandle {
         self.inner.journal.record(|| PersistEventKind::Clwb { line });
         self.costs.clwb_ns += ns;
         self.observe(EventKind::Clwb, line as u64, 0);
-        self.latency.realize(ns);
     }
 
     /// Appends `line` to the write-back queue unless it is queued already.
@@ -956,7 +935,6 @@ impl PmemHandle {
         let ns = self.latency.fence_cost(n);
         self.tick(ns);
         self.costs.fence_ns += ns;
-        self.latency.realize(ns);
         // Iterate in place and clear afterwards so `pending` keeps its
         // capacity across fence epochs (taking the Vec would free it and
         // force the next clwb to re-allocate). The clone in the closure is
@@ -1107,6 +1085,15 @@ mod tests {
         h.read_u64(p.size());
     }
 
+    /// The bound is the image's length, not `addr + 8`, which wraps.
+    #[test]
+    #[should_panic(expected = "out-of-bounds access at 0xfffffffffffffff8")]
+    fn an_address_at_the_top_of_the_address_space_is_out_of_bounds() {
+        let p = pool();
+        let mut h = p.handle();
+        h.write_u64(usize::MAX & !7, 1);
+    }
+
     #[test]
     fn unflushed_store_lost_on_crash() {
         let p = pool();
@@ -1223,7 +1210,7 @@ mod tests {
         h.write_u64(128, 1);
         h.clwb(128);
         h.sfence();
-        let lat = p.latency();
+        let lat = LatencyModel::default();
         assert_eq!(
             h.clock_ns() - t0,
             lat.store_ns + lat.clwb_issue_ns + lat.fence_cost(1)
@@ -1539,13 +1526,11 @@ mod tests {
         let mut h = p.handle();
         h.write_u64(0, 1); // outside scope
         h.begin_log();
-        assert!(h.in_log());
         h.write_u64(8, 2);
         h.write_u64(16, 3);
         h.write_u64(64, 0xAB);
         h.write_u64(72, 0xCD);
         h.end_log();
-        assert!(!h.in_log());
         h.write_u64(24, 4); // outside again
         assert_eq!(h.stats().log_bytes, 8 + 8 + 16);
         drop(h);

@@ -146,19 +146,6 @@ impl RootTable {
         }
         None
     }
-
-    /// Removes the binding for `name`, if present.
-    pub fn remove_root(&self, h: &mut PmemHandle, name: &str) {
-        let hash = name_hash(name);
-        for i in 0..N_ROOTS {
-            let slot = ROOT_TABLE_ADDR + i * ROOT_SLOT_BYTES;
-            if h.read_u64(slot) == hash {
-                h.write_u64(slot, 0);
-                h.persist(slot, 8);
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -211,16 +198,6 @@ mod tests {
         rt.set_root(&mut h, "a", 100).unwrap();
         rt.set_root(&mut h, "a", 200).unwrap();
         assert_eq!(rt.root(&mut h, "a"), Some(200));
-    }
-
-    #[test]
-    fn remove_root_clears_binding() {
-        let p = formatted();
-        let mut h = p.handle();
-        let rt = RootTable;
-        rt.set_root(&mut h, "a", 100).unwrap();
-        rt.remove_root(&mut h, "a");
-        assert_eq!(rt.root(&mut h, "a"), None);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Fixed-capacity register bitsets for the interpreter's per-access
-//! tracking.
+//! Fixed-capacity register bitsets for iDO's per-access register tracking
+//! (`scheme::resumption::RegTracking`).
 //!
-//! Every register read and write in a FASE updates up to three tracking
-//! sets (`written_regs`, `dirty_regs`, `read_before_write`). As `BTreeSet`s
-//! those updates are pointer-chasing tree operations on the hottest path in
-//! the whole repro; as bitsets they are one shift, one mask, and one OR on
-//! a word that stays in L1. Capacity is fixed at construction from the
+//! Under iDO every register read and write updates up to three sets
+//! (written, dirty, read before write); no other scheme keeps them. As
+//! `BTreeSet`s those updates are pointer-chasing tree operations on the
+//! hottest path; as bitsets they are one shift, one mask, and one OR on a
+//! word that stays in L1. Capacity is fixed at construction from the
 //! program's `max_regs` (`next_reg` upper bound), so membership never
 //! allocates.
 //!
-//! Determinism note: the interpreter only ever *counts* or *tests* these
+//! Determinism note: iDO's boundary only ever *counts* or *tests* these
 //! sets, or filters an already-ordered list (`live_filter`) through them —
 //! it never iterates a bitset to produce an ordering. So the change from
 //! ordered trees to bitsets cannot perturb any observable event order.
@@ -17,13 +17,13 @@
 /// A fixed-capacity set of register ids backed by `u64` words.
 #[derive(Debug, Clone)]
 pub(crate) struct RegBitset {
-    words: Vec<u64>,
+    words: Box<[u64]>,
 }
 
 impl RegBitset {
     /// An empty set with capacity for register ids `0..max_regs`.
     pub(crate) fn new(max_regs: u32) -> RegBitset {
-        RegBitset { words: vec![0; (max_regs as usize).div_ceil(64)] }
+        RegBitset { words: vec![0; (max_regs as usize).div_ceil(64)].into_boxed_slice() }
     }
 
     /// Inserts `id` (no-op if present).

@@ -17,7 +17,6 @@ use ido_nvm::root::RootTable;
 use ido_nvm::{PmemHandle, PmemPool, PoolConfig, PAddr};
 use ido_trace::{Category, EventKind};
 
-use crate::bitset::RegBitset;
 use crate::layout::{AppendLogLayout, Registry, RegistryEntry, ResumeLog};
 use crate::locks::{Acquire, LockTable, ThreadId};
 use crate::sched::{self, Sched, MAX_CLOCK_NS, NOT_READY};
@@ -249,16 +248,8 @@ pub(crate) struct ThreadCtx {
     stack_area: PAddr,
     stack_top: usize, // byte offset within the stack area
 
-    // Register tracking, maintained by the engine on every register access
-    // under every scheme (iDO's boundaries read it).
-    // Hot-path structures: fixed-capacity bitsets (O(1) insert/test, no
-    // allocation; see DESIGN.md §7).
-    pub(crate) dirty_regs: RegBitset,
-    pub(crate) written_regs: RegBitset,
-    pub(crate) read_before_write: RegBitset,
-    pub(crate) stores_since_boundary: u64,
-
-    /// Everything else a scheme keeps per thread.
+    /// Everything a scheme keeps per thread, iDO's register tracking
+    /// included.
     pub(crate) scheme: SchemeState,
 }
 
@@ -281,16 +272,17 @@ impl ThreadCtx {
 
     #[inline]
     pub(crate) fn read_reg(&mut self, r: Reg) -> u64 {
-        if !self.written_regs.contains(r.id) {
-            self.read_before_write.insert(r.id);
+        if let Some(regs) = self.scheme.ido_regs() {
+            regs.read(r);
         }
         self.frame.regs[r.id as usize]
     }
 
     #[inline]
     fn write_reg(&mut self, r: Reg, v: u64) {
-        self.written_regs.insert(r.id);
-        self.dirty_regs.insert(r.id);
+        if let Some(regs) = self.scheme.ido_regs() {
+            regs.write(r);
+        }
         self.frame.regs[r.id as usize] = v;
     }
 
@@ -592,10 +584,9 @@ impl Vm {
         let entry = Pc { func: fid, block: BlockId(0), index: 0 };
         let frame = Frame { func: fid, pc: entry, regs, stack_base: areas.stack, ret_reg: None };
         let mut ctx = self.new_thread(idx, h, areas, frame, None);
-        // Parameters count as defined-since-the-last-boundary so the
-        // first boundary of the first FASE logs them; a live register's
-        // log slot then always holds its value as of the last boundary.
-        ctx.dirty_regs.insert_range(args.len() as u32);
+        if let Some(regs) = ctx.scheme.ido_regs() {
+            regs.params(args.len());
+        }
         self.threads.push(ctx);
         ThreadId(idx)
     }
@@ -607,11 +598,10 @@ impl Vm {
         h
     }
 
-    /// The context of a thread about to execute `frame` over `areas`, with
-    /// clean register tracking; `resuming` marks a recovery thread and names
-    /// the `(slot, lock)` records its interrupted FASE holds. The caller
-    /// pushes it onto `threads` (the scheduler re-reads them on the next
-    /// `run_steps`).
+    /// The context of a thread about to execute `frame` over `areas`;
+    /// `resuming` marks a recovery thread and names the `(slot, lock)`
+    /// records its interrupted FASE holds. The caller pushes it onto
+    /// `threads` (the scheduler re-reads them on the next `run_steps`).
     pub(crate) fn new_thread(
         &self,
         idx: usize,
@@ -632,10 +622,6 @@ impl Vm {
             stack_top: (frame.stack_base - areas.stack) + slots,
             frame,
             callers: Vec::new(),
-            dirty_regs: RegBitset::new(self.max_regs),
-            written_regs: RegBitset::new(self.max_regs),
-            read_before_write: RegBitset::new(self.max_regs),
-            stores_since_boundary: 0,
             scheme: scheme::new_thread(
                 self.scheme,
                 &areas,
@@ -1200,9 +1186,10 @@ fn exec_cold(
             );
             let stack_base = th.stack_area + th.stack_top;
             th.stack_top += frame_bytes;
-            // Callee parameters are fresh definitions for logging
-            // purposes (a FASE inside the callee must log them).
-            th.dirty_regs.insert_range(args.len() as u32);
+            // A FASE inside the callee must log its parameters.
+            if let Some(regs) = th.scheme.ido_regs() {
+                regs.params(args.len());
+            }
             // Return to the instruction after the call.
             th.frame.pc.index += 1;
             let entry = Pc { func, block: BlockId(0), index: 0 };
@@ -1258,8 +1245,10 @@ fn exec_cold(
     woken
 }
 
+/// A guest address: wraps like the machine's, so an address out of the
+/// pool fails in the pool's bounds check, by name.
 pub(crate) fn mem_addr(base: u64, offset: i64) -> PAddr {
-    (base as i64 + offset) as PAddr
+    base.wrapping_add_signed(offset) as PAddr
 }
 
 // Binary-op semantics are shared with the constant folder and tier-2

@@ -59,6 +59,24 @@ fn heap_store_load_roundtrip() {
     assert_eq!(vm.return_value(t), Some(99));
 }
 
+/// Guest address arithmetic wraps as the machine's does, in debug builds
+/// too, and the pool names the address it refuses.
+#[test]
+#[should_panic(expected = "out-of-bounds access at 0x8000000000000000")]
+fn a_load_past_the_top_of_the_signed_range_is_out_of_bounds() {
+    let inst = compile(Scheme::Origin, |pb| {
+        let mut f = pb.new_function("main", 1);
+        let p = f.param(0);
+        let v = f.new_reg();
+        f.load(v, p, 1);
+        f.ret(Some(Operand::Reg(v)));
+        f.finish().unwrap();
+    });
+    let mut vm = Vm::new(inst, VmConfig::for_tests());
+    vm.spawn("main", &[i64::MAX as u64]);
+    vm.run();
+}
+
 #[test]
 fn stack_slots_work() {
     let inst = compile(Scheme::Origin, |pb| {
@@ -269,10 +287,23 @@ fn a_clock_leaving_the_range_fails_before_the_hook_sees_the_step() {
 /// The step loop switches between `ThreadCtx`s on every hand-off, so
 /// the struct's size is host cost at high thread counts. It was 2176 B
 /// with the lock-record array inline and a 704 B handle; keep both out.
+/// It was 576 B while it kept iDO's register tracking under every scheme;
+/// that tracking is `IdoThread`'s now (488 B).
 #[test]
 fn thread_ctx_stays_compact() {
     let size = std::mem::size_of::<ThreadCtx>();
-    assert!(size <= 640, "ThreadCtx grew to {size} B");
+    assert!(size <= 496, "ThreadCtx grew to {size} B");
+}
+
+/// `scheme::rt` moves a thread's `SchemeState` out and back for every `Rt`
+/// op; past 128 B both moves become `memcpy` calls (at 152 B JUSTDO's
+/// `kv_write` run, the one with the most `Rt` ops, ran slower than before
+/// the tracking moved). iDO's state, with its register tracking, is the
+/// largest variant.
+#[test]
+fn scheme_state_moves_inline() {
+    let size = std::mem::size_of::<SchemeState>();
+    assert!(size <= 120, "SchemeState grew to {size} B");
 }
 
 #[test]

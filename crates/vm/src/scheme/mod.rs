@@ -40,6 +40,18 @@ pub(crate) enum SchemeState {
     LfEager(FlushWindow),
 }
 
+impl SchemeState {
+    /// The register tracking the engine updates on every register access:
+    /// iDO's, the one scheme whose runtime reads it (DESIGN.md §7.2).
+    #[inline(always)]
+    pub(crate) fn ido_regs(&mut self) -> Option<&mut resumption::RegTracking> {
+        match self {
+            SchemeState::Ido(s) => Some(&mut s.regs),
+            _ => None,
+        }
+    }
+}
+
 /// What a scheme keeps per VM rather than per thread.
 pub(crate) enum Shared {
     None,
@@ -148,7 +160,6 @@ fn flush_stores(handle: &mut PmemHandle, stores: &mut Vec<PAddr>) {
 /// keep the register file checked out of the frame while storing.
 #[inline]
 pub(crate) fn store(th: &mut ThreadCtx, addr: PAddr, value: u64) {
-    th.stores_since_boundary += 1;
     let h = &mut th.handle;
     match &mut th.scheme {
         SchemeState::Origin => h.write_u64(addr, value),

@@ -24,11 +24,13 @@ pub(crate) struct TxBuffer {
     in_tx: bool,
     /// Commit drains sort by address, so an unordered map is safe here.
     write_set: HashMap<PAddr, u64>,
+    /// The last commit's write set, sorted; kept for its capacity.
+    drained: Vec<(PAddr, u64)>,
 }
 
 impl TxBuffer {
     fn new(log: AppendLogLayout) -> TxBuffer {
-        TxBuffer { log, in_tx: false, write_set: HashMap::new() }
+        TxBuffer { log, in_tx: false, write_set: HashMap::new(), drained: Vec::new() }
     }
 
     fn begin(&mut self) {
@@ -52,11 +54,12 @@ impl TxBuffer {
     /// address order — the iteration order of the previous
     /// `BTreeMap<PAddr, u64>` representation — so commit-time log appends
     /// and publications stay byte-identical.
-    fn end(&mut self) -> Vec<(PAddr, u64)> {
+    fn end(&mut self) -> &[(PAddr, u64)] {
         self.in_tx = false;
-        let mut writes: Vec<(PAddr, u64)> = self.write_set.drain().collect();
-        writes.sort_unstable_by_key(|&(a, _)| a);
-        writes
+        self.drained.clear();
+        self.drained.extend(self.write_set.drain());
+        self.drained.sort_unstable_by_key(|&(a, _)| a);
+        &self.drained
     }
 }
 
@@ -98,7 +101,6 @@ impl MnemosyneThread {
     }
 
     fn commit(&mut self, h: &mut PmemHandle) {
-        let writes = self.tx.end();
         // NT-store appends are already durable; fence orders them, then the
         // commit record publishes the transaction.
         h.sfence();
@@ -106,7 +108,7 @@ impl MnemosyneThread {
         h.sfence();
         // Apply the write set in place (ascending address order, matching
         // the old `BTreeMap` drain) and persist it.
-        for (addr, v) in writes {
+        for &(addr, v) in self.tx.end() {
             h.write_u64(addr, v);
             h.clwb(addr);
         }
@@ -159,12 +161,15 @@ impl MnemosyneThread {
 /// An NVThreads thread's volatile state.
 pub(crate) struct NvthreadsThread {
     pub(super) tx: TxBuffer,
-    dirty_pages: HashSet<usize>,
+    /// Boxed so that no `SchemeState` variant outgrows iDO's 120 B: `rt`
+    /// moves the state out of the thread and back for every `Rt` op, and a
+    /// larger enum turns both moves into `memcpy` calls.
+    dirty_pages: Box<HashSet<usize>>,
 }
 
 impl NvthreadsThread {
     pub(super) fn new(log: AppendLogLayout) -> NvthreadsThread {
-        NvthreadsThread { tx: TxBuffer::new(log), dirty_pages: HashSet::new() }
+        NvthreadsThread { tx: TxBuffer::new(log), dirty_pages: Box::default() }
     }
 
     #[inline]
@@ -202,21 +207,20 @@ impl NvthreadsThread {
 
     fn commit(&mut self, h: &mut PmemHandle, stamp: u64, config: &VmConfig) {
         let pages = self.dirty_pages.len() as u64;
+        let log = self.tx.log;
         // Drain the write set in ascending address order for both the log
         // entries and the in-place publication.
         let writes = self.tx.end();
         // Write dirty pages to the redo log (word-precise entries for
         // replay; page-granular cost).
-        let entries: Vec<_> =
-            writes.iter().map(|&(a, v)| (LogEntryKind::Redo, a as u64, v, stamp)).collect();
         h.advance_as(Category::Log, pages * config.page_log_ns);
-        let log = self.tx.log;
-        if !entries.is_empty() {
-            log.append_batch(h, &entries);
+        if !writes.is_empty() {
+            let entries = writes.iter().map(|&(a, v)| (LogEntryKind::Redo, a as u64, v, stamp));
+            log.append_batch(h, entries);
         }
         log.append(h, LogEntryKind::Commit, 0, 0, stamp);
         // Publish the write set in place, persist, then retire the log.
-        for (addr, v) in writes {
+        for &(addr, v) in writes {
             h.write_u64(addr, v);
             h.clwb(addr);
         }

@@ -6,12 +6,13 @@
 //! every FASE temporary in NVM, and resumes at the logged store.
 
 use ido_compiler::Instrumented;
-use ido_ir::{Pc, Reg, RtOp};
+use ido_ir::{Operand, Pc, Reg, RtOp};
 use ido_nvm::{PAddr, PmemHandle, PmemPool};
 use ido_trace::{EventKind, RecoveryPhase};
 
 use super::{flush_stores, Effect, RecoverCx, RtCx};
-use crate::exec::{Frame, RunOutcome, Vm, VmConfig};
+use crate::bitset::RegBitset;
+use crate::exec::{Frame, RunOutcome, ThreadCtx, Vm, VmConfig};
 use crate::layout::{
     decode_pc, encode_pc, LockArray, LockFence, RegistryEntry, ResumeLog, LOCK_ARRAY_SLOTS,
 };
@@ -56,10 +57,54 @@ impl HeldLocks {
     }
 }
 
+/// What an iDO thread has done since its last region boundary (Section
+/// III-A): the registers it defined (`dirty`, which the boundary logs), the
+/// ones it read before writing them (the region's inputs, Fig. 8), and its
+/// stores. No other scheme reads registers between FASE entry and exit, so
+/// only iDO threads keep one (DESIGN.md §7.2).
+pub(crate) struct RegTracking {
+    dirty: RegBitset,
+    written: RegBitset,
+    read_before_write: RegBitset,
+    stores: u64,
+}
+
+impl RegTracking {
+    #[inline(always)]
+    pub(crate) fn read(&mut self, r: Reg) {
+        if !self.written.contains(r.id) {
+            self.read_before_write.insert(r.id);
+        }
+    }
+
+    #[inline(always)]
+    pub(crate) fn write(&mut self, r: Reg) {
+        self.written.insert(r.id);
+        self.dirty.insert(r.id);
+    }
+
+    /// Parameters count as defined since the last boundary, so the first
+    /// boundary of a FASE logs them; a live register's log slot then always
+    /// holds its value as of the last boundary.
+    pub(crate) fn params(&mut self, n: usize) {
+        self.dirty.insert_range(n as u32);
+    }
+
+    /// A region starts: nothing written, read or stored yet. `dirty` is
+    /// the boundary's to clear: registers defined before a FASE must be
+    /// logged by its first boundary.
+    fn start_region(&mut self) {
+        self.written.clear();
+        self.read_before_write.clear();
+        self.stores = 0;
+    }
+}
+
 /// An iDO thread's volatile state.
 pub(crate) struct IdoThread {
     log: ResumeLog,
     held: HeldLocks,
+    pub(super) regs: RegTracking,
     /// Stores of the current region, written back at its boundary: a plain
     /// accumulator, sorted + deduped only when drained (DESIGN.md §7).
     region_stores: Vec<PAddr>,
@@ -72,7 +117,10 @@ pub(crate) struct IdoThread {
 impl IdoThread {
     pub(super) fn new(areas: &RegistryEntry, max_regs: u32, held: &[(usize, u64)]) -> IdoThread {
         let (log, held) = (ido_log(areas, max_regs), HeldLocks::new(held));
-        IdoThread { log, held, region_stores: Vec::new(), pc_fence_pending: false }
+        let set = || RegBitset::new(max_regs);
+        let (dirty, written, read_before_write) = (set(), set(), set());
+        let regs = RegTracking { dirty, written, read_before_write, stores: 0 };
+        IdoThread { log, held, regs, region_stores: Vec::new(), pc_fence_pending: false }
     }
 
     #[inline]
@@ -86,6 +134,17 @@ impl IdoThread {
         }
         h.write_u64(addr, value);
         self.region_stores.push(addr);
+        self.regs.stores += 1;
+    }
+
+    /// `th.eval(op)`, tracked: while its `Rt` op runs, the thread's scheme
+    /// state is out of `th` (see `scheme::rt`), so the engine's tracking
+    /// cannot see the read.
+    fn eval(&mut self, th: &mut ThreadCtx, op: Operand) -> u64 {
+        if let Operand::Reg(r) = op {
+            self.regs.read(r);
+        }
+        th.eval(op)
     }
 
     /// Deliberate mis-fusion for harness self-tests: forget the tracked
@@ -108,13 +167,7 @@ impl IdoThread {
                 th.handle.clwb(a);
                 th.handle.end_log();
                 self.region_stores.clear();
-                // dirty_regs deliberately persists across FASE
-                // entry: registers defined since the previous
-                // boundary (including before the FASE) must be
-                // logged by the FASE's first boundary.
-                th.written_regs.clear();
-                th.read_before_write.clear();
-                th.stores_since_boundary = 0;
+                self.regs.start_region();
             }
             RtOp::FaseEnd => {
                 let a = self.log.pc();
@@ -136,7 +189,7 @@ impl IdoThread {
             }
             RtOp::IdoBoundary { out_regs, .. } => self.boundary(cx, out_regs),
             &RtOp::LockAcquired { lock } => {
-                let l = th.eval(lock);
+                let l = self.eval(th, lock);
                 let fence = if cx.config.ido_unmerged_acquire_fence {
                     LockFence::Single // the paper's single fence, unmerged
                 } else {
@@ -153,7 +206,7 @@ impl IdoThread {
                 self.held.acquire(self.log.locks(), &mut th.handle, l, fence);
             }
             &RtOp::LockReleasing { lock } => {
-                let l = th.eval(lock);
+                let l = self.eval(th, lock);
                 let (locks, recovery) = (self.log.locks(), th.recovery);
                 self.held.release(locks, &mut th.handle, l, LockFence::Single, recovery);
             }
@@ -167,8 +220,8 @@ impl IdoThread {
     /// heap/stack stores), fence, advance `recovery_pc`, fence.
     fn boundary(&mut self, cx: &mut RtCx<'_>, live_filter: &[Reg]) {
         let th = &mut *cx.th;
-        let stores = th.stores_since_boundary;
-        let inputs = th.read_before_write.count() as u64;
+        let stores = self.regs.stores;
+        let inputs = self.regs.read_before_write.count() as u64;
         // Step 1: write + write back Def ∩ LiveOut register slots (up to 8
         // slots share one line: persist coalescing) and tracked stores.
         // `live_filter` comes from the instrumentation in ascending register
@@ -177,7 +230,7 @@ impl IdoThread {
         let frame = &th.frame;
         th.handle.begin_log();
         for r in live_filter {
-            if th.dirty_regs.contains(r.id) {
+            if self.regs.dirty.contains(r.id) {
                 let a = self.log.reg_slot(r.id);
                 th.handle.write_u64(a, frame.regs[r.id as usize]);
                 th.handle.clwb(a); // duplicate lines coalesce in the queue
@@ -213,10 +266,8 @@ impl IdoThread {
             th.handle.sfence();
         }
         // Step 3 begins when the caller advances; reset dynamic tracking.
-        th.dirty_regs.clear();
-        th.written_regs.clear();
-        th.read_before_write.clear();
-        th.stores_since_boundary = 0;
+        self.regs.dirty.clear();
+        self.regs.start_region();
         th.handle.observe(EventKind::RegionBoundary, stores, inputs);
     }
 }

@@ -136,12 +136,11 @@ impl UndoThread {
             return;
         }
         let stamp = shared.stamp.next();
-        let mut entries = Vec::with_capacity(8);
-        for w in 0..8 {
+        let entries = std::array::from_fn::<_, 8, _>(|w| {
             let a = obj + w * 8;
-            entries.push((LogEntryKind::Undo, a as u64, h.read_u64(a), stamp));
-        }
-        self.log.append_batch(h, &entries); // one fence per object
+            (LogEntryKind::Undo, a as u64, h.read_u64(a), stamp)
+        });
+        self.log.append_batch(h, entries.into_iter()); // one fence per object
     }
 }
 

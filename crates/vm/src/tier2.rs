@@ -22,7 +22,7 @@
 //! * **Register windows.** The frame's register file is checked out
 //!   (`std::mem::take`) into a local slice for the segment and restored at
 //!   exit. The scheme store/load helpers never touch frames (asserted by
-//!   their signatures: they borrow only the [`ThreadCtx`] tracking state
+//!   their signatures: they borrow only the [`ThreadCtx`]'s scheme state
 //!   and handle), so no aliasing is possible.
 //! * **Per-step gate.** Before every fused step except the segment's first
 //!   (the scheduler pick already authorized that one), the executor checks
@@ -132,23 +132,24 @@ pub(crate) fn exec_segment(
         let regs: &mut [u64] = &mut regs_vec;
         let mut first = true;
 
-        // Tier-1 `read_reg`: record a read-before-write, then read.
+        // Tier-1 `read_reg`: track the read (iDO), then read.
         macro_rules! rd {
             ($r:expr) => {{
                 let r = $r;
-                if !th.written_regs.contains(r.id) {
-                    th.read_before_write.insert(r.id);
+                if let Some(track) = th.scheme.ido_regs() {
+                    track.read(r);
                 }
                 regs[r.id as usize]
             }};
         }
-        // Tier-1 `write_reg`: mark written + dirty, then write.
+        // Tier-1 `write_reg`: track the write (iDO), then write.
         macro_rules! wr {
             ($r:expr, $v:expr) => {{
                 let r = $r;
                 let v = $v;
-                th.written_regs.insert(r.id);
-                th.dirty_regs.insert(r.id);
+                if let Some(track) = th.scheme.ido_regs() {
+                    track.write(r);
+                }
                 regs[r.id as usize] = v;
             }};
         }

@@ -3,7 +3,7 @@
 //! loop").
 //!
 //! The instruction stream is pre-decoded at `Vm::new`, `step_thread`
-//! borrows instructions from it, and the per-access tracking sets are
+//! borrows instructions from it, and iDO's per-access tracking sets are
 //! fixed-size bitsets — so executing straight-line arithmetic must not
 //! touch the heap at all. This test pins that with a counting
 //! `#[global_allocator]`: after warmup, a 100k-step window of a pure
@@ -22,6 +22,9 @@
 //! frame's `Vec`, returned at segment exit), the compiled `Tier2Program`
 //! is built once at `Vm::new`, and batched cost charges are plain integer
 //! arithmetic — so tier-2 segments must also execute allocation-free.
+//! The schemes' FASE paths inherit it too: once a thread has run one FASE,
+//! its logs, write sets and drain buffers keep their capacity, so a store
+//! loop with a FASE per iteration allocates nothing under any scheme.
 //! All phases run sequentially in the single test below.
 //!
 //! Counting is scoped to the test's own thread (see `MEASURED_THREAD`),
@@ -183,11 +186,45 @@ fn op_span_loop() -> ido_ir::Program {
     pb.finish()
 }
 
-/// Runs `program` for a measured 100k-step window and returns the VM for
-/// post-window assertions.
-fn measure_window(program: ido_ir::Program, cfg: VmConfig, what: &str) -> Vm {
-    let inst = instrument_program(program, Scheme::Origin)
-        .expect("origin instrumentation is the identity");
+/// `worker(n)`: the store loop with one lock-delimited FASE per iteration —
+/// the distilled failure-atomic hot path of every scheme.
+fn fase_loop() -> ido_ir::Program {
+    let mut pb = ProgramBuilder::new();
+    let mut f = pb.new_function("worker", 1);
+    let n = f.param(0);
+    let i = f.new_reg();
+    let base = f.new_reg();
+
+    let head = f.new_block();
+    let body = f.new_block();
+    let exit = f.new_block();
+
+    f.alloc(base, 64i64);
+    f.mov(i, 0i64);
+    f.jump(head);
+
+    f.switch_to(head);
+    let c = f.new_reg();
+    f.bin(BinOp::Lt, c, i, n);
+    f.branch(c, body, exit);
+
+    f.switch_to(body);
+    f.lock(base);
+    f.store(base, 8, i);
+    f.unlock(base);
+    f.bin(BinOp::Add, i, i, 1i64);
+    f.jump(head);
+
+    f.switch_to(exit);
+    f.ret(None);
+    f.finish().expect("FASE loop verifies");
+    pb.finish()
+}
+
+/// Runs `program`, instrumented under `scheme`, for a measured 100k-step
+/// window and returns the VM for post-window assertions.
+fn measure_window(program: ido_ir::Program, scheme: Scheme, cfg: VmConfig, what: &str) -> Vm {
+    let inst = instrument_program(program, scheme).expect("instrumentation");
     let mut vm = Vm::new(inst, cfg);
     // More iterations than the measured window can consume, so the thread
     // never exits the loop (Ret/teardown is not the hot path).
@@ -214,14 +251,14 @@ fn hot_loop_makes_zero_allocations_per_step() {
     MEASURED_THREAD.with(|f| f.set(true));
 
     // Phase 1: tracing disabled (the default) — the original guarantee.
-    measure_window(arithmetic_loop(), VmConfig::for_tests(), "decoded-instruction");
+    measure_window(arithmetic_loop(), Scheme::Origin, VmConfig::for_tests(), "decoded-instruction");
 
     // Phase 2: tracing enabled with a deliberately tiny ring, so the
     // measured window both emits events and wraps the ring many times —
     // wrapping must overwrite in place, never grow.
     let mut cfg = VmConfig::for_tests();
     cfg.pool.trace = ido_trace::TraceConfig { enabled: true, buf_entries: 256 };
-    let vm = measure_window(store_loop(), cfg, "traced");
+    let vm = measure_window(store_loop(), Scheme::Origin, cfg, "traced");
 
     let pool = vm.pool().clone();
     drop(vm); // fold the thread's ring into the pool collector
@@ -235,14 +272,14 @@ fn hot_loop_makes_zero_allocations_per_step() {
     // borrowed from the frame, still zero allocations per step.
     let mut t2 = VmConfig::for_tests();
     t2.tier = ExecTier::Tier2;
-    measure_window(arithmetic_loop(), t2, "tier-2 block-compiled");
+    measure_window(arithmetic_loop(), Scheme::Origin, t2, "tier-2 block-compiled");
 
     // Phase 4: tier 2 with tracing on and the tiny wrapping ring — the
     // fused store+clwb path emits through the same preallocated ring.
     let mut t2t = VmConfig::for_tests();
     t2t.tier = ExecTier::Tier2;
     t2t.pool.trace = ido_trace::TraceConfig { enabled: true, buf_entries: 256 };
-    measure_window(store_loop(), t2t, "tier-2 traced");
+    measure_window(store_loop(), Scheme::Origin, t2t, "tier-2 traced");
 
     // Phase 5: metrics enabled — every iteration opens and closes an op
     // span (histogram record + counter-delta attribution). A huge window
@@ -250,7 +287,7 @@ fn hot_loop_makes_zero_allocations_per_step() {
     // never grows inside the measured window.
     let mut mcfg = VmConfig::for_tests();
     mcfg.pool.metrics = ido_nvm::MetricsConfig::with_window(1 << 40);
-    let vm = measure_window(op_span_loop(), mcfg, "metered");
+    let vm = measure_window(op_span_loop(), Scheme::Origin, mcfg, "metered");
     let pool = vm.pool().clone();
     drop(vm); // fold the thread's recorder into the pool collector
     let m = pool.take_metrics().expect("metrics were on");
@@ -263,5 +300,17 @@ fn hot_loop_makes_zero_allocations_per_step() {
     let mut t2m = VmConfig::for_tests();
     t2m.tier = ExecTier::Tier2;
     t2m.pool.metrics = ido_nvm::MetricsConfig::with_window(1 << 40);
-    measure_window(op_span_loop(), t2m, "tier-2 metered");
+    measure_window(op_span_loop(), Scheme::Origin, t2m, "tier-2 metered");
+
+    // Phase 7: a FASE per iteration under every scheme — undo logs and
+    // snapshots (Atlas, NVML), redo write sets drained at commit
+    // (Mnemosyne, NVThreads), per-store logging (JUSTDO), region
+    // boundaries (iDO). Atlas and NVML never truncate their logs, so the
+    // log and the pool are sized for the whole run.
+    for scheme in Scheme::ALL {
+        let mut cfg = VmConfig::for_tests();
+        cfg.log_entries = 1 << 18;
+        cfg.pool.size = 16 << 20;
+        measure_window(fase_loop(), scheme, cfg, &format!("{scheme:?} FASE"));
+    }
 }

@@ -102,6 +102,15 @@ scheme_seams() {
   if grep -rnE 'fn exec_inst|fn advance\(&mut self|frames\.last' crates/vm/src; then
     echo "tier 1 has one definition per instruction and the running frame is a field"; return 1
   fi
+  # Register tracking is iDO's (scheme/resumption.rs), and a latency charge
+  # only advances the simulated clock.
+  if grep -nE 'dirty_regs|written_regs|read_before_write|stores_since_boundary' \
+      crates/vm/src/exec.rs crates/vm/src/tier2.rs; then
+    echo "the engine keeps register tracking: it is iDO's, in IdoThread"; return 1
+  fi
+  if grep -rnE 'EmulationMode|SpinRealTime|fn realize' crates; then
+    echo "a latency charge spins in real time: the model is simulated only"; return 1
+  fi
   if (( $(ls crates | wc -l) != 14 )); then
     echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1
   fi
