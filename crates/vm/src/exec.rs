@@ -229,6 +229,31 @@ pub(crate) struct Frame {
     pub(crate) ret_reg: Option<Reg>,
 }
 
+/// Untracked reads, for `Rt` ops: iDO's go through `RegTracking::eval`.
+impl Frame {
+    #[inline]
+    pub(crate) fn eval(&self, op: Operand) -> u64 {
+        match op {
+            Operand::Reg(r) => self.regs[r.id as usize],
+            Operand::Imm(v) => v as u64,
+        }
+    }
+
+    #[inline]
+    pub(crate) fn slot_addr(&self, slot: StackSlot) -> PAddr {
+        self.stack_base + slot.0 as usize * 8
+    }
+
+    /// The address the store after an `rt.store_record` is about to write.
+    #[inline]
+    pub(crate) fn target_addr(&self, target: StoreTarget) -> PAddr {
+        match target {
+            StoreTarget::Heap { base, offset } => mem_addr(self.regs[base.id as usize], offset),
+            StoreTarget::Stack(slot) => self.slot_addr(slot),
+        }
+    }
+}
+
 /// Per-thread execution context.
 pub(crate) struct ThreadCtx {
     id: ThreadId,
@@ -249,7 +274,7 @@ pub(crate) struct ThreadCtx {
     stack_top: usize, // byte offset within the stack area
 
     /// Everything a scheme keeps per thread, iDO's register tracking
-    /// included.
+    /// included; lent to the scheme's entry points beside the fields above.
     pub(crate) scheme: SchemeState,
 }
 
@@ -271,7 +296,7 @@ impl ThreadCtx {
     }
 
     #[inline]
-    pub(crate) fn read_reg(&mut self, r: Reg) -> u64 {
+    fn read_reg(&mut self, r: Reg) -> u64 {
         if let Some(regs) = self.scheme.ido_regs() {
             regs.read(r);
         }
@@ -287,24 +312,10 @@ impl ThreadCtx {
     }
 
     #[inline]
-    pub(crate) fn eval(&mut self, op: Operand) -> u64 {
+    fn eval(&mut self, op: Operand) -> u64 {
         match op {
             Operand::Reg(r) => self.read_reg(r),
             Operand::Imm(v) => v as u64,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn slot_addr(&self, slot: StackSlot) -> PAddr {
-        self.frame.stack_base + slot.0 as usize * 8
-    }
-
-    /// The address the store after an `rt.store_record` is about to write.
-    #[inline]
-    pub(crate) fn target_addr(&mut self, target: StoreTarget) -> PAddr {
-        match target {
-            StoreTarget::Heap { base, offset } => mem_addr(self.read_reg(base), offset),
-            StoreTarget::Stack(slot) => self.slot_addr(slot),
         }
     }
 
@@ -853,7 +864,7 @@ impl Vm {
                 // its pending work *before* re-checking the clock limit, so
                 // a taxed thread whose clock is within one tax of the limit
                 // also gets exactly one step.
-                let tax = scheme::step_tax(th, &self.config);
+                let tax = scheme::step_tax(&th.scheme, &self.config);
                 let fused = match entry {
                     Tier2Entry::Unfused => None,
                     // Short-segment fast path: when the gate could only
@@ -1052,7 +1063,7 @@ fn exec(
     pc: Pc,
     inst: &DecodedInst,
 ) -> Option<ThreadId> {
-    let tax = scheme::step_tax(th, cx.config);
+    let tax = scheme::step_tax(&th.scheme, cx.config);
     if tax > 0 {
         th.handle.advance_as(Category::Log, tax);
     }
@@ -1070,13 +1081,13 @@ fn exec(
         }
         Inst::Load { dst, base, offset } => {
             let addr = mem_addr(th.read_reg(base), offset);
-            let v = scheme::load(th, addr);
+            let v = scheme::load(&mut th.scheme, &mut th.handle, addr);
             th.write_reg(dst, v);
         }
         Inst::Store { base, offset, src } => {
             let addr = mem_addr(th.read_reg(base), offset);
             let v = th.eval(src);
-            scheme::store(th, addr, v);
+            scheme::store(&mut th.scheme, &mut th.handle, addr, v);
         }
         Inst::Jump { target } => {
             th.handle.advance(cx.config.inst_cost_ns);
@@ -1113,14 +1124,14 @@ fn exec_cold(
         | Inst::Jump { .. }
         | Inst::Branch { .. } => unreachable!("`exec` runs its hot arms inline"),
         &Inst::LoadStack { dst, slot } => {
-            let addr = th.slot_addr(slot);
-            let v = scheme::load(th, addr);
+            let addr = th.frame.slot_addr(slot);
+            let v = scheme::load(&mut th.scheme, &mut th.handle, addr);
             th.write_reg(dst, v);
         }
         &Inst::StoreStack { slot, src } => {
             let v = th.eval(src);
-            let addr = th.slot_addr(slot);
-            scheme::store(th, addr, v);
+            let addr = th.frame.slot_addr(slot);
+            scheme::store(&mut th.scheme, &mut th.handle, addr, v);
         }
         &Inst::Alloc { dst, size } => {
             let sz = th.eval(size) as usize;
@@ -1132,7 +1143,7 @@ fn exec_cold(
             cx.alloc.free(&mut th.handle, addr).expect("nv_free failed");
         }
         &Inst::Lock { lock } => {
-            if !scheme::subsumes_program_locks(th) {
+            if !scheme::subsumes_program_locks(&th.scheme) {
                 let l = th.eval(lock);
                 th.handle.advance(cx.config.lock_cost_ns);
                 match cx.locks.acquire(l, ThreadId(t)) {
@@ -1148,7 +1159,7 @@ fn exec_cold(
             }
         }
         &Inst::Unlock { lock } => {
-            if !scheme::subsumes_program_locks(th) {
+            if !scheme::subsumes_program_locks(&th.scheme) {
                 let l = th.eval(lock);
                 th.handle.advance(cx.config.lock_cost_ns);
                 match cx.locks.release(l, ThreadId(t)) {
@@ -1229,12 +1240,17 @@ fn exec_cold(
             let expected = th.eval(expected);
             let new = th.eval(new);
             th.handle.advance(cx.config.inst_cost_ns);
-            let taken = scheme::cas(th, cx.shared, t, addr, expected, new);
+            let taken =
+                scheme::cas(&mut th.scheme, &mut th.handle, cx.shared, t, addr, expected, new);
             th.write_reg(dst, taken as u64);
         }
         Inst::Rt(op) => {
-            let mut rcx = RtCx { t, pc, th: &mut *th, locks: &mut *cx.locks, config: cx.config };
-            match scheme::rt(&mut rcx, cx.shared, op) {
+            let recovery = th.recovery;
+            let ThreadCtx { handle, frame, status, halt_after_release, scheme: state, .. } = th;
+            let (locks, config) = (&mut *cx.locks, cx.config);
+            let mut rcx =
+                RtCx { t, pc, handle, frame, status, recovery, halt_after_release, locks, config };
+            match scheme::rt(&mut rcx, state, cx.shared, op) {
                 Effect::Next => {}
                 Effect::Stay => return None,
                 Effect::Wake(w) => woken = Some(w),

@@ -295,17 +295,6 @@ fn thread_ctx_stays_compact() {
     assert!(size <= 496, "ThreadCtx grew to {size} B");
 }
 
-/// `scheme::rt` moves a thread's `SchemeState` out and back for every `Rt`
-/// op; past 128 B both moves become `memcpy` calls (at 152 B JUSTDO's
-/// `kv_write` run, the one with the most `Rt` ops, ran slower than before
-/// the tracking moved). iDO's state, with its register tracking, is the
-/// largest variant.
-#[test]
-fn scheme_state_moves_inline() {
-    let size = std::mem::size_of::<SchemeState>();
-    assert!(size <= 120, "SchemeState grew to {size} B");
-}
-
 #[test]
 fn blocked_threads_wait_and_resume() {
     let (mut vm, _) = counter_vm(Scheme::Origin, VmConfig::for_tests(), 3);

@@ -65,19 +65,19 @@ pub(super) fn eager_store(h: &mut PmemHandle, addr: PAddr, value: u64) {
 /// every store at the store itself, so its window is always empty and its
 /// `rt.lf_flush_window` a bare fence).
 pub(super) fn rt(w: &mut FlushWindow, st: LfState, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-    let (th, t) = (&mut *cx.th, cx.t as u32);
+    let (frame, t) = (cx.frame, cx.t as u32);
     match op {
         RtOp::LfFlushWindow if cx.config.lf_bug_skip_window_flush => w.clear(),
-        RtOp::LfFlushWindow => w.flush(&mut th.handle),
+        RtOp::LfFlushWindow => w.flush(cx.handle),
         &RtOp::LfCasPrepare { base, offset, expected, new } => {
-            let target = mem_addr(th.read_reg(base), offset);
-            let (expected, new) = (th.eval(expected), th.eval(new));
-            rcas::prepare(&mut th.handle, st, t, target, expected, new);
+            let target = mem_addr(frame.regs[base.id as usize], offset);
+            let (expected, new) = (frame.eval(expected), frame.eval(new));
+            rcas::prepare(cx.handle, st, t, target, expected, new);
         }
         &RtOp::LfCasPublish { base, offset, taken } => {
-            let target = mem_addr(th.read_reg(base), offset);
-            let taken = th.read_reg(taken) != 0;
-            rcas::publish(&mut th.handle, st, t, target, taken, !cx.config.lf_bug_skip_publish);
+            let target = mem_addr(frame.regs[base.id as usize], offset);
+            let taken = frame.regs[taken.id as usize] != 0;
+            rcas::publish(cx.handle, st, t, target, taken, !cx.config.lf_bug_skip_publish);
         }
         _ => return super::foreign(op, "the lock-free pair"),
     }

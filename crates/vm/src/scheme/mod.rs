@@ -16,7 +16,7 @@ use ido_nvm::root::RootTable;
 use ido_nvm::{PAddr, PmemHandle, PmemPool};
 use ido_trace::{EventKind, RecoveryPhase};
 
-use crate::exec::{ThreadCtx, VmConfig};
+use crate::exec::{Frame, Status, VmConfig};
 use crate::layout::{Registry, RegistryEntry};
 use crate::locks::{LockTable, ThreadId};
 use crate::recovery::{RecoveryConfig, RecoveryReport};
@@ -155,13 +155,12 @@ fn flush_stores(handle: &mut PmemHandle, stores: &mut Vec<PAddr>) {
 /// A persistent store as the thread's scheme sees it, shared verbatim by
 /// both execution tiers (tier 2 must emit the identical persist-event
 /// stream). Returns without writing memory for write-set-buffering schemes
-/// inside transactions. Operates on the thread context alone — notably it
-/// never touches the frame stack, which is what lets the tier-2 executor
-/// keep the register file checked out of the frame while storing.
+/// inside transactions. Borrows the thread's scheme state and handle and
+/// nothing else of it, so both tiers store with the running frame's
+/// registers borrowed beside them.
 #[inline]
-pub(crate) fn store(th: &mut ThreadCtx, addr: PAddr, value: u64) {
-    let h = &mut th.handle;
-    match &mut th.scheme {
+pub(crate) fn store(state: &mut SchemeState, h: &mut PmemHandle, addr: PAddr, value: u64) {
+    match state {
         SchemeState::Origin => h.write_u64(addr, value),
         SchemeState::Ido(s) => s.store(h, addr, value),
         SchemeState::JustDo(_) => resumption::justdo_store(h, addr, value),
@@ -176,9 +175,15 @@ pub(crate) fn store(th: &mut ThreadCtx, addr: PAddr, value: u64) {
 /// The tier-2 `Store` superinstruction: [`store`], and the one place the
 /// harness self-test's mis-fusion can be injected.
 #[inline]
-pub(crate) fn store_fused(th: &mut ThreadCtx, config: &VmConfig, addr: PAddr, value: u64) {
-    store(th, addr, value);
-    if let SchemeState::Ido(s) = &mut th.scheme {
+pub(crate) fn store_fused(
+    state: &mut SchemeState,
+    h: &mut PmemHandle,
+    config: &VmConfig,
+    addr: PAddr,
+    value: u64,
+) {
+    store(state, h, addr, value);
+    if let SchemeState::Ido(s) = state {
         s.misfuse_store(config);
     }
 }
@@ -186,9 +191,8 @@ pub(crate) fn store_fused(th: &mut ThreadCtx, config: &VmConfig, addr: PAddr, va
 /// A persistent load as the thread's scheme sees it (transactional schemes
 /// read through their write sets), shared by both execution tiers.
 #[inline]
-pub(crate) fn load(th: &mut ThreadCtx, addr: PAddr) -> u64 {
-    let h = &mut th.handle;
-    match &mut th.scheme {
+pub(crate) fn load(state: &mut SchemeState, h: &mut PmemHandle, addr: PAddr) -> u64 {
+    match state {
         SchemeState::Mnemosyne(s) => s.tx.load(h, addr),
         SchemeState::Nvthreads(s) => s.tx.load(h, addr),
         SchemeState::Nvtraverse(w) => lockfree::window_load(w, h, addr),
@@ -200,7 +204,8 @@ pub(crate) fn load(th: &mut ThreadCtx, addr: PAddr) -> u64 {
 /// protocol under the lock-free pair, a plain read-compare-[`store`] under
 /// every other scheme.
 pub(crate) fn cas(
-    th: &mut ThreadCtx,
+    state: &mut SchemeState,
+    h: &mut PmemHandle,
     shared: &Shared,
     t: usize,
     addr: PAddr,
@@ -208,20 +213,20 @@ pub(crate) fn cas(
     new: u64,
 ) -> bool {
     if let Shared::LockFree(st) = shared {
-        return rcas::exchange(&mut th.handle, *st, t as u32, addr, expected, new);
+        return rcas::exchange(h, *st, t as u32, addr, expected, new);
     }
-    if load(th, addr) != expected {
+    if load(state, h, addr) != expected {
         return false;
     }
-    store(th, addr, new);
+    store(state, h, addr, new);
     true
 }
 
 /// Simulated ns every instruction of this thread costs on top of its own
 /// charge, attributed to logging.
 #[inline]
-pub(crate) fn step_tax(th: &ThreadCtx, config: &VmConfig) -> u64 {
-    match &th.scheme {
+pub(crate) fn step_tax(state: &SchemeState, config: &VmConfig) -> u64 {
+    match state {
         SchemeState::JustDo(s) => s.step_tax(config),
         _ => 0,
     }
@@ -230,15 +235,20 @@ pub(crate) fn step_tax(th: &ThreadCtx, config: &VmConfig) -> u64 {
 /// True when the program's own `lock` / `unlock` are no-ops for this
 /// thread (Mnemosyne: subsumed by the global transaction lock).
 #[inline]
-pub(crate) fn subsumes_program_locks(th: &ThreadCtx) -> bool {
-    matches!(th.scheme, SchemeState::Mnemosyne(_))
+pub(crate) fn subsumes_program_locks(state: &SchemeState) -> bool {
+    matches!(state, SchemeState::Mnemosyne(_))
 }
 
-/// Everything of the VM an `Rt` op of thread `t`, at `pc`, may touch.
+/// Everything of the VM an `Rt` op of thread `t`, at `pc`, may touch besides
+/// the thread's scheme state, which [`rt`] borrows beside it.
 pub(crate) struct RtCx<'a> {
     pub(crate) t: usize,
     pub(crate) pc: Pc,
-    pub(crate) th: &'a mut ThreadCtx,
+    pub(crate) handle: &'a mut PmemHandle,
+    pub(crate) frame: &'a Frame,
+    pub(crate) status: &'a mut Status,
+    pub(crate) recovery: bool,
+    pub(crate) halt_after_release: &'a mut bool,
     pub(crate) locks: &'a mut LockTable,
     pub(crate) config: &'a VmConfig,
 }
@@ -258,14 +268,16 @@ pub(crate) enum Effect {
 
 /// Executes one scheme runtime op. FASE entry and exit are observed here
 /// for every scheme; what they *do* is the scheme's.
-pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
+pub(crate) fn rt(
+    cx: &mut RtCx<'_>,
+    state: &mut SchemeState,
+    shared: &mut Shared,
+    op: &RtOp,
+) -> Effect {
     if let RtOp::FaseBegin = op {
-        cx.th.handle.observe(EventKind::FaseEnter, 0, 0);
+        cx.handle.observe(EventKind::FaseEnter, 0, 0);
     }
-    // The state leaves the thread for the op, so that its scheme holds it
-    // and the rest of the thread as two borrows.
-    let mut state = std::mem::replace(&mut cx.th.scheme, SchemeState::Origin);
-    let effect = match (&mut state, shared) {
+    let effect = match (state, shared) {
         (SchemeState::Origin, _) => foreign(op, "Origin"),
         (SchemeState::Ido(s), _) => s.rt(cx, op),
         (SchemeState::JustDo(s), _) => s.rt(cx, op),
@@ -277,11 +289,10 @@ pub(crate) fn rt(cx: &mut RtCx<'_>, shared: &mut Shared, op: &RtOp) -> Effect {
         }
         _ => unreachable!("a thread and its VM are of one scheme"),
     };
-    cx.th.scheme = state;
     if let RtOp::FaseEnd = op {
-        cx.th.handle.observe(EventKind::FaseExit, 0, 0);
-        if cx.th.recovery {
-            cx.th.halt_after_release = true;
+        cx.handle.observe(EventKind::FaseExit, 0, 0);
+        if cx.recovery {
+            *cx.halt_after_release = true;
         }
     }
     effect

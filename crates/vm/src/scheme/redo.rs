@@ -129,25 +129,24 @@ impl MnemosyneThread {
     }
 
     pub(super) fn rt(&mut self, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        let th = &mut *cx.th;
         match op {
             RtOp::TxBegin => {
-                th.handle.advance(cx.config.lock_cost_ns);
+                cx.handle.advance(cx.config.lock_cost_ns);
                 if cx.locks.acquire(GLOBAL_TX_LOCK, ThreadId(cx.t)) == Acquire::Blocked {
-                    th.status = Status::Blocked(GLOBAL_TX_LOCK);
+                    *cx.status = Status::Blocked(GLOBAL_TX_LOCK);
                     return Effect::Stay;
                 }
                 self.tx.begin();
                 self.cursor = 0;
-                th.handle.observe(EventKind::LockAcquire, GLOBAL_TX_LOCK, 0);
-                th.handle.observe(EventKind::FaseEnter, 0, 0);
+                cx.handle.observe(EventKind::LockAcquire, GLOBAL_TX_LOCK, 0);
+                cx.handle.observe(EventKind::FaseEnter, 0, 0);
                 Effect::Next
             }
             RtOp::TxCommit => {
-                self.commit(&mut th.handle);
-                th.handle.advance(cx.config.lock_cost_ns);
-                th.handle.observe(EventKind::FaseExit, 0, 0);
-                th.handle.observe(EventKind::LockRelease, GLOBAL_TX_LOCK, 0);
+                self.commit(cx.handle);
+                cx.handle.advance(cx.config.lock_cost_ns);
+                cx.handle.observe(EventKind::FaseExit, 0, 0);
+                cx.handle.observe(EventKind::LockRelease, GLOBAL_TX_LOCK, 0);
                 match cx.locks.release(GLOBAL_TX_LOCK, ThreadId(cx.t)) {
                     Ok(Some(next)) => Effect::Wake(next),
                     _ => Effect::Next,
@@ -161,9 +160,9 @@ impl MnemosyneThread {
 /// An NVThreads thread's volatile state.
 pub(crate) struct NvthreadsThread {
     pub(super) tx: TxBuffer,
-    /// Boxed so that no `SchemeState` variant outgrows iDO's 120 B: `rt`
-    /// moves the state out of the thread and back for every `Rt` op, and a
-    /// larger enum turns both moves into `memcpy` calls.
+    /// Boxed: inline, the set makes `SchemeState` 144 B and a thread's
+    /// context 512 B, past `thread_ctx_stays_compact`'s 496 B, and the step
+    /// loop switches between threads on every hand-off.
     dirty_pages: Box<HashSet<usize>>,
 }
 
@@ -182,16 +181,15 @@ impl NvthreadsThread {
     }
 
     pub(super) fn rt(&mut self, stamp: &mut Stamp, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        let th = &mut *cx.th;
         match op {
             RtOp::FaseBegin => {
                 self.tx.begin();
                 self.dirty_pages.clear();
             }
-            RtOp::FaseEnd => self.commit(&mut th.handle, stamp.next(), cx.config),
+            RtOp::FaseEnd => self.commit(cx.handle, stamp.next(), cx.config),
             &RtOp::StoreRecord { target, .. } => {
-                let addr = th.target_addr(target);
-                self.touch(&mut th.handle, addr, cx.config);
+                let addr = cx.frame.target_addr(target);
+                self.touch(cx.handle, addr, cx.config);
             }
             _ => return super::foreign(op, "NVThreads"),
         }

@@ -12,7 +12,7 @@ use ido_trace::{EventKind, RecoveryPhase};
 
 use super::{flush_stores, Effect, RecoverCx, RtCx};
 use crate::bitset::RegBitset;
-use crate::exec::{Frame, RunOutcome, ThreadCtx, Vm, VmConfig};
+use crate::exec::{Frame, RunOutcome, Vm, VmConfig};
 use crate::layout::{
     decode_pc, encode_pc, LockArray, LockFence, RegistryEntry, ResumeLog, LOCK_ARRAY_SLOTS,
 };
@@ -90,6 +90,14 @@ impl RegTracking {
         self.dirty.insert_range(n as u32);
     }
 
+    /// `frame.eval(op)`, tracked: how an iDO `Rt` op reads an operand.
+    fn eval(&mut self, frame: &Frame, op: Operand) -> u64 {
+        if let Operand::Reg(r) = op {
+            self.read(r);
+        }
+        frame.eval(op)
+    }
+
     /// A region starts: nothing written, read or stored yet. `dirty` is
     /// the boundary's to clear: registers defined before a FASE must be
     /// logged by its first boundary.
@@ -137,16 +145,6 @@ impl IdoThread {
         self.regs.stores += 1;
     }
 
-    /// `th.eval(op)`, tracked: while its `Rt` op runs, the thread's scheme
-    /// state is out of `th` (see `scheme::rt`), so the engine's tracking
-    /// cannot see the read.
-    fn eval(&mut self, th: &mut ThreadCtx, op: Operand) -> u64 {
-        if let Operand::Reg(r) = op {
-            self.regs.read(r);
-        }
-        th.eval(op)
-    }
-
     /// Deliberate mis-fusion for harness self-tests: forget the tracked
     /// store so its clwb never happens at the next boundary.
     #[inline]
@@ -157,15 +155,13 @@ impl IdoThread {
     }
 
     pub(super) fn rt(&mut self, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        let th = &mut *cx.th;
         match op {
             RtOp::FaseBegin => {
-                let stack_base = th.frame.stack_base;
                 let a = self.log.stack_base();
-                th.handle.begin_log();
-                th.handle.write_u64(a, stack_base as u64);
-                th.handle.clwb(a);
-                th.handle.end_log();
+                cx.handle.begin_log();
+                cx.handle.write_u64(a, cx.frame.stack_base as u64);
+                cx.handle.clwb(a);
+                cx.handle.end_log();
                 self.region_stores.clear();
                 self.regs.start_region();
             }
@@ -177,19 +173,19 @@ impl IdoThread {
                 // declare the FASE complete with its last stores
                 // missing.
                 if !self.region_stores.is_empty() {
-                    flush_stores(&mut th.handle, &mut self.region_stores);
-                    th.handle.sfence();
+                    flush_stores(cx.handle, &mut self.region_stores);
+                    cx.handle.sfence();
                 }
-                th.handle.begin_log();
-                th.handle.write_u64(a, 0);
-                th.handle.clwb(a);
-                th.handle.end_log();
-                th.handle.sfence();
+                cx.handle.begin_log();
+                cx.handle.write_u64(a, 0);
+                cx.handle.clwb(a);
+                cx.handle.end_log();
+                cx.handle.sfence();
                 self.pc_fence_pending = false;
             }
             RtOp::IdoBoundary { out_regs, .. } => self.boundary(cx, out_regs),
             &RtOp::LockAcquired { lock } => {
-                let l = self.eval(th, lock);
+                let l = self.regs.eval(cx.frame, lock);
                 let fence = if cx.config.ido_unmerged_acquire_fence {
                     LockFence::Single // the paper's single fence, unmerged
                 } else {
@@ -203,12 +199,11 @@ impl IdoThread {
                     // fence).
                     LockFence::Deferred
                 };
-                self.held.acquire(self.log.locks(), &mut th.handle, l, fence);
+                self.held.acquire(self.log.locks(), cx.handle, l, fence);
             }
             &RtOp::LockReleasing { lock } => {
-                let l = self.eval(th, lock);
-                let (locks, recovery) = (self.log.locks(), th.recovery);
-                self.held.release(locks, &mut th.handle, l, LockFence::Single, recovery);
+                let l = self.regs.eval(cx.frame, lock);
+                self.held.release(self.log.locks(), cx.handle, l, LockFence::Single, cx.recovery);
             }
             _ => return super::foreign(op, "iDO"),
         }
@@ -219,7 +214,6 @@ impl IdoThread {
     /// outputs (register log slots, persist-coalesced, plus run-time-tracked
     /// heap/stack stores), fence, advance `recovery_pc`, fence.
     fn boundary(&mut self, cx: &mut RtCx<'_>, live_filter: &[Reg]) {
-        let th = &mut *cx.th;
         let stores = self.regs.stores;
         let inputs = self.regs.read_before_write.count() as u64;
         // Step 1: write + write back Def ∩ LiveOut register slots (up to 8
@@ -227,28 +221,28 @@ impl IdoThread {
         // `live_filter` comes from the instrumentation in ascending register
         // order; filtering it through the dirty bitset preserves that order,
         // so no intermediate collection is needed.
-        let frame = &th.frame;
-        th.handle.begin_log();
+        let (frame, h) = (cx.frame, &mut *cx.handle);
+        h.begin_log();
         for r in live_filter {
             if self.regs.dirty.contains(r.id) {
                 let a = self.log.reg_slot(r.id);
-                th.handle.write_u64(a, frame.regs[r.id as usize]);
-                th.handle.clwb(a); // duplicate lines coalesce in the queue
+                h.write_u64(a, frame.regs[r.id as usize]);
+                h.clwb(a); // duplicate lines coalesce in the queue
                 if cx.config.ido_no_coalescing {
-                    th.handle.sfence();
+                    h.sfence();
                 }
             }
         }
-        th.handle.end_log();
+        h.end_log();
         if cx.config.ido_bug_skip_store_flush {
             // Injected bug: the region's heap stores are forgotten, not
             // flushed — yet recovery_pc still advances (and is fenced
             // eagerly below), durably claiming the region completed.
             self.region_stores.clear();
         } else {
-            flush_stores(&mut th.handle, &mut self.region_stores);
+            flush_stores(h, &mut self.region_stores);
         }
-        th.handle.sfence();
+        h.sfence();
         // Step 2: advance recovery_pc to the instruction after the boundary.
         // The paper fences here eagerly; we defer the fence until the next
         // region's first store (the only event it must precede — a late
@@ -256,19 +250,19 @@ impl IdoThread {
         // exhaustive crash sweeps in tests/crash_recovery.rs validate this.
         let next = Pc { index: cx.pc.index + 1, ..cx.pc };
         let a = self.log.pc();
-        th.handle.begin_log();
-        th.handle.write_u64(a, encode_pc(next));
-        th.handle.clwb(a);
-        th.handle.end_log();
+        h.begin_log();
+        h.write_u64(a, encode_pc(next));
+        h.clwb(a);
+        h.end_log();
         self.pc_fence_pending =
             !(cx.config.ido_eager_step2_fence || cx.config.ido_bug_skip_store_flush);
         if !self.pc_fence_pending {
-            th.handle.sfence();
+            h.sfence();
         }
         // Step 3 begins when the caller advances; reset dynamic tracking.
         self.regs.dirty.clear();
         self.regs.start_region();
-        th.handle.observe(EventKind::RegionBoundary, stores, inputs);
+        h.observe(EventKind::RegionBoundary, stores, inputs);
     }
 }
 
@@ -298,7 +292,6 @@ impl JustDoThread {
     }
 
     pub(super) fn rt(&mut self, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        let th = &mut *cx.th;
         match op {
             RtOp::FaseBegin => {
                 // JUSTDO forbids caching FASE state in registers:
@@ -306,47 +299,46 @@ impl JustDoThread {
                 // the context at FASE entry (the original system
                 // copied it at FASE initialization).
                 self.fase_active = true;
-                let frame = &th.frame;
+                let (frame, h) = (cx.frame, &mut *cx.handle);
                 let a = self.log.stack_base();
-                th.handle.begin_log();
-                th.handle.write_u64(a, frame.stack_base as u64);
-                th.handle.clwb(a);
+                h.begin_log();
+                h.write_u64(a, frame.stack_base as u64);
+                h.clwb(a);
                 for (r, v) in frame.regs.iter().enumerate() {
                     let slot = self.log.reg_slot(r as u32);
-                    th.handle.write_u64(slot, *v);
-                    th.handle.clwb(slot);
+                    h.write_u64(slot, *v);
+                    h.clwb(slot);
                 }
-                th.handle.end_log();
-                th.handle.sfence();
+                h.end_log();
+                h.sfence();
             }
             RtOp::FaseEnd => {
                 self.fase_active = false;
                 let a = self.log.pc();
-                th.handle.begin_log();
-                th.handle.write_u64(a, 0);
-                th.handle.clwb(a);
-                th.handle.end_log();
-                th.handle.sfence();
+                cx.handle.begin_log();
+                cx.handle.write_u64(a, 0);
+                cx.handle.clwb(a);
+                cx.handle.end_log();
+                cx.handle.sfence();
             }
             &RtOp::StoreRecord { target, value } => {
-                let addr = th.target_addr(target) as u64;
-                let v = th.eval(value);
+                let addr = cx.frame.target_addr(target) as u64;
+                let v = cx.frame.eval(value);
                 self.log_store(cx, addr, v);
             }
             &RtOp::JustDoShadow { reg } => {
-                let v = th.read_reg(reg);
+                let v = cx.frame.regs[reg.id as usize];
                 let a = self.log.reg_slot(reg.id);
-                th.handle.log_write_u64(a, v);
-                th.handle.clwb(a); // ordered by the next log fence
+                cx.handle.log_write_u64(a, v);
+                cx.handle.clwb(a); // ordered by the next log fence
             }
             &RtOp::LockAcquired { lock } => {
-                let l = th.eval(lock);
-                self.held.acquire(self.log.locks(), &mut th.handle, l, LockFence::TwoPhase);
+                let l = cx.frame.eval(lock);
+                self.held.acquire(self.log.locks(), cx.handle, l, LockFence::TwoPhase);
             }
             &RtOp::LockReleasing { lock } => {
-                let l = th.eval(lock);
-                let (locks, recovery) = (self.log.locks(), th.recovery);
-                self.held.release(locks, &mut th.handle, l, LockFence::TwoPhase, recovery);
+                let l = cx.frame.eval(lock);
+                self.held.release(self.log.locks(), cx.handle, l, LockFence::TwoPhase, cx.recovery);
             }
             _ => return super::foreign(op, "JUSTDO"),
         }
@@ -356,7 +348,7 @@ impl JustDoThread {
     fn log_store(&self, cx: &mut RtCx<'_>, addr: u64, value: u64) {
         // The following store is at pc+1 (the log op immediately precedes it).
         let store_pc = Pc { index: cx.pc.index + 1, ..cx.pc };
-        let (h, l) = (&mut cx.th.handle, self.log);
+        let (h, l) = (&mut *cx.handle, self.log);
         h.log_write_u64(l.store_addr(), addr);
         h.log_write_u64(l.store_value(), value);
         h.log_write_u64(l.pc(), encode_pc(store_pc));

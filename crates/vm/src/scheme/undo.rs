@@ -62,41 +62,40 @@ impl Runtime {
 
 impl UndoThread {
     pub(super) fn rt(&mut self, shared: &mut Runtime, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        let (th, config) = (&mut *cx.th, cx.config);
         match op {
             RtOp::FaseBegin => {
                 self.fase_stores.clear();
                 self.nvml_added.clear();
-                self.log.append(&mut th.handle, LogEntryKind::FaseBegin, 0, 0, shared.stamp.next());
+                self.log.append(cx.handle, LogEntryKind::FaseBegin, 0, 0, shared.stamp.next());
             }
             RtOp::FaseEnd => {
                 let stamp = shared.stamp.next();
                 // UNDO systems defer the FASE's writes-back to here.
-                flush_stores(&mut th.handle, &mut self.fase_stores);
-                th.handle.sfence();
-                self.log.append(&mut th.handle, LogEntryKind::Commit, 0, 0, stamp);
+                flush_stores(cx.handle, &mut self.fase_stores);
+                cx.handle.sfence();
+                self.log.append(cx.handle, LogEntryKind::Commit, 0, 0, stamp);
             }
             &RtOp::StoreRecord { target, .. } => {
-                let addr = th.target_addr(target);
+                let addr = cx.frame.target_addr(target);
                 if self.atlas {
-                    self.atlas_undo(shared, &mut th.handle, config, addr);
+                    self.atlas_undo(shared, cx.handle, cx.config, addr);
                 } else {
-                    self.nvml_tx_add(shared, &mut th.handle, addr);
+                    self.nvml_tx_add(shared, cx.handle, addr);
                 }
             }
             &RtOp::LockAcquired { lock } if self.atlas => {
-                let l = th.eval(lock);
+                let l = cx.frame.eval(lock);
                 let observed = *shared.lock_release_stamps.get(&l).unwrap_or(&0);
                 let stamp = shared.stamp.next();
                 let record = (LogEntryKind::LockAcquire, l, observed, stamp);
-                self.atlas_lock_record(shared, &mut th.handle, config, record);
+                self.atlas_lock_record(shared, cx.handle, cx.config, record);
             }
             &RtOp::LockReleasing { lock } if self.atlas => {
-                let l = th.eval(lock);
+                let l = cx.frame.eval(lock);
                 let stamp = shared.stamp.next();
                 shared.lock_release_stamps.insert(l, stamp);
                 let record = (LogEntryKind::LockRelease, l, stamp, stamp);
-                self.atlas_lock_record(shared, &mut th.handle, config, record);
+                self.atlas_lock_record(shared, cx.handle, cx.config, record);
             }
             _ => return super::foreign(op, if self.atlas { "Atlas" } else { "NVML" }),
         }

@@ -19,11 +19,10 @@
 //!   clock or emit a persist/trace event (memory ops, lock ops) and at
 //!   segment exit. Totals per category and the clock at every event are
 //!   therefore bit-identical to tier 1's step-by-step charging.
-//! * **Register windows.** The frame's register file is checked out
-//!   (`std::mem::take`) into a local slice for the segment and restored at
-//!   exit. The scheme store/load helpers never touch frames (asserted by
-//!   their signatures: they borrow only the [`ThreadCtx`]'s scheme state
-//!   and handle), so no aliasing is possible.
+//! * **Register windows.** The segment borrows the running frame's
+//!   register file in place, as a slice. The scheme store/load helpers take
+//!   only the thread's scheme state and handle (their signatures say so),
+//!   so the borrows are disjoint fields of the [`ThreadCtx`].
 //! * **Per-step gate.** Before every fused step except the segment's first
 //!   (the scheduler pick already authorized that one), the executor checks
 //!   exactly the conditions under which tier 1's scheduler would have
@@ -108,15 +107,12 @@ pub(crate) fn exec_segment(
 ) -> SegRun {
     let inst_cost = config.inst_cost_ns;
     // Constant for the whole segment: only unfused runtime ops change it.
-    let tax = scheme::step_tax(th, config);
-    let locks_subsumed = scheme::subsumes_program_locks(th);
+    let tax = scheme::step_tax(&th.scheme, config);
+    let locks_subsumed = scheme::subsumes_program_locks(&th.scheme);
     let SegLimits { max_steps, clock_limit, mut rng } = limits;
 
     let func: FuncId = th.frame.func;
     let stack_base = th.frame.stack_base;
-    // Check the register file out of the frame for the segment (restored
-    // at every exit below). The scheme helpers never touch frames.
-    let mut regs_vec = std::mem::take(&mut th.frame.regs);
 
     let mut cur_block = block;
     let mut blk = &f2.blocks[cur_block.0 as usize];
@@ -129,7 +125,7 @@ pub(crate) fn exec_segment(
     let mut pending_log: u64 = 0;
 
     let (exit, resume_idx): (SegExit, u32) = 'run: {
-        let regs: &mut [u64] = &mut regs_vec;
+        let regs: &mut [u64] = &mut th.frame.regs;
         let mut first = true;
 
         // Tier-1 `read_reg`: track the read (iDO), then read.
@@ -258,7 +254,7 @@ pub(crate) fn exec_segment(
                         gate!(idx);
                         let addr = mem_addr(rd!(base), offset);
                         flush!();
-                        let v = scheme::load(th, addr);
+                        let v = scheme::load(&mut th.scheme, &mut th.handle, addr);
                         wr!(dst, v);
                         executed += 1;
                         op_i += 1;
@@ -268,7 +264,7 @@ pub(crate) fn exec_segment(
                         let addr = mem_addr(rd!(base), offset);
                         let v = ev!(src);
                         flush!();
-                        scheme::store_fused(th, config, addr, v);
+                        scheme::store_fused(&mut th.scheme, &mut th.handle, config, addr, v);
                         executed += 1;
                         op_i += 1;
                     }
@@ -276,7 +272,7 @@ pub(crate) fn exec_segment(
                         gate!(idx);
                         let addr = stack_base + slot.0 as usize * 8;
                         flush!();
-                        let v = scheme::load(th, addr);
+                        let v = scheme::load(&mut th.scheme, &mut th.handle, addr);
                         wr!(dst, v);
                         executed += 1;
                         op_i += 1;
@@ -286,7 +282,7 @@ pub(crate) fn exec_segment(
                         let v = ev!(src);
                         let addr = stack_base + slot.0 as usize * 8;
                         flush!();
-                        scheme::store(th, addr, v);
+                        scheme::store(&mut th.scheme, &mut th.handle, addr, v);
                         executed += 1;
                         op_i += 1;
                     }
@@ -398,15 +394,13 @@ pub(crate) fn exec_segment(
         }
     };
 
-    // Materialize: flush remaining batched charges, restore the register
-    // file, and set the tier-1 pc.
+    // Materialize: flush remaining batched charges and set the tier-1 pc.
     if pending_work > 0 {
         th.handle.advance(pending_work);
     }
     if pending_log > 0 {
         th.handle.advance_as(Category::Log, pending_log);
     }
-    th.frame.regs = regs_vec;
     th.frame.pc = Pc { func, block: cur_block, index: resume_idx };
     SegRun { executed, exit }
 }

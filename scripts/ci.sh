@@ -66,7 +66,9 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # driver (no atomic, lock or padding in ido-nvm or ido-vm), and the refactor-proof
 # goldens (forward runs and crash + recover rows, both tiers)
 # hold in an optimized build. Tier 1 defines each instruction once, over a
-# thread whose running frame is a field.
+# thread whose running frame is a field. A thread lends its scheme state:
+# `Rt` ops and the store path borrow it beside the thread's other fields, so
+# nothing moves it out, and tier 2 borrows the frame's registers in place.
 scheme_seams() {
   if grep -n 'Scheme::' crates/vm/src/exec.rs crates/vm/src/tier2.rs crates/vm/src/recovery.rs; then
     echo "the engine dispatches on a scheme outside crates/vm/src/scheme/"; return 1
@@ -110,6 +112,13 @@ scheme_seams() {
   fi
   if grep -rnE 'EmulationMode|SpinRealTime|fn realize' crates; then
     echo "a latency charge spins in real time: the model is simulated only"; return 1
+  fi
+  if grep -rn 'ThreadCtx' crates/vm/src/scheme; then
+    echo "a scheme entry point takes the thread: it borrows its scheme state and handle"; return 1
+  fi
+  if grep -rnE 'mem::replace\(&mut [a-z_.]*scheme|mem::take\(&mut th\.frame\.regs|scheme_state_moves_inline' \
+      crates/vm/src; then
+    echo "a scheme state or register file is moved out of its thread: borrow it in place"; return 1
   fi
   if (( $(ls crates | wc -l) != 14 )); then
     echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1
