@@ -150,6 +150,13 @@ struct Inner {
     /// alone and lay every segment onto one timeline — and the recorders
     /// of dropped handles.
     collector: RefCell<Collector>,
+    /// One bit per cache line: set where a [`PmemPool::sync_from`], on
+    /// either side, copied the line or cleared its `touched` bit, and never
+    /// cleared while the pool lives. A sync forgets the lines it equalized,
+    /// so only `dirty ∪ touched ∪ synced` covers every line either image
+    /// may hold a nonzero word in: the lines a dropped pool zeroes.
+    /// Last, so that the fields the store path reads keep their offsets.
+    synced: Vec<Cell<u64>>,
 }
 
 impl Inner {
@@ -187,6 +194,88 @@ impl Inner {
         copy_line(&self.volatile, &self.persistent, line);
         self.set_touched(line);
     }
+}
+
+/// A dropped pool goes back to its host thread's spares, all zero: only the
+/// lines its bitsets name are cleared, O(bitset words + lines changed).
+/// Pools too large to be heap-served are not kept (see `SPARE_WORDS_MAX`),
+/// nor one dropped after the thread's spare list itself (say, by another
+/// thread-local's destructor): `try_with` frees that one instead.
+impl Drop for Inner {
+    fn drop(&mut self) {
+        if self.volatile.len() >= SPARE_WORDS_MAX {
+            return;
+        }
+        let bitsets = [&self.dirty, &self.touched, &self.synced];
+        for w in 0..self.dirty.len() {
+            let changed = bitsets.iter().fold(0, |acc, b| acc | b[w].get());
+            if changed == 0 {
+                continue;
+            }
+            for l in lines_of(w, changed) {
+                let words = l * WORDS_PER_LINE..(l + 1) * WORDS_PER_LINE;
+                for image in [&self.volatile, &self.persistent] {
+                    image[words.clone()].iter().for_each(|c| c.set(0));
+                }
+            }
+            bitsets.iter().for_each(|b| b[w].set(0));
+        }
+        let spare = Spare {
+            volatile: std::mem::take(&mut self.volatile),
+            persistent: std::mem::take(&mut self.persistent),
+            dirty: std::mem::take(&mut self.dirty),
+            touched: std::mem::take(&mut self.touched),
+            synced: std::mem::take(&mut self.synced),
+        };
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            if spares.len() == SPARES_KEPT {
+                spares.remove(0);
+            }
+            spares.push(spare);
+        });
+    }
+}
+
+/// The memory of a dropped pool, every word zero: what [`PmemPool::new`]
+/// and [`PmemPool::scratch`] would otherwise allocate and clear.
+struct Spare {
+    volatile: Vec<Cell<u64>>,
+    persistent: Vec<Cell<u64>>,
+    dirty: Vec<Cell<u64>>,
+    touched: Vec<Cell<u64>>,
+    synced: Vec<Cell<u64>>,
+}
+
+/// Spares kept per host thread, the most recently dropped last. The crash
+/// oracle holds at most two pools live per worker at once — a forward
+/// run's live and scratch pool; the reference pass and a from-scratch
+/// check hold one each — so four serve it even on a thread that alternates
+/// between two pool sizes. A fifth drop evicts the oldest, so a thread
+/// that moves on to another size keeps at most four of the old one.
+const SPARES_KEPT: usize = 4;
+
+/// The smallest pool, in words, that is never kept: 32 MiB, glibc's
+/// `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit), from which on an image is always
+/// a fresh mapping. A smaller image may come from the heap, where `calloc`
+/// clears it and so makes it resident in full; kept, it costs no more
+/// memory than it did. A mapped image is resident only where its pool
+/// touched it and is returned at drop; kept, it would stay.
+const SPARE_WORDS_MAX: usize = (32 << 20) / 8;
+
+thread_local! {
+    static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The most recently dropped spare of `words` words, if this thread keeps
+/// one.
+fn take_spare(words: usize) -> Option<Spare> {
+    let take = |spares: &RefCell<Vec<Spare>>| {
+        let mut spares = spares.borrow_mut();
+        let i = spares.iter().rposition(|s| s.volatile.len() == words)?;
+        Some(spares.remove(i))
+    };
+    SPARES.try_with(take).ok().flatten()
 }
 
 /// Sets bit `line` of `bits` unless it is set already; true iff it was
@@ -256,7 +345,7 @@ impl std::fmt::Debug for PmemPool {
     }
 }
 
-/// Allocates `n` zeroed `Cell<u64>`s.
+/// Allocates `n` zeroed `Cell<u64>`s, for a pool no spare serves.
 ///
 /// `Cell<u64>` is `repr(transparent)` over `u64` and all-zeros is a valid
 /// value, so `alloc_zeroed` is a correct initializer. What it costs depends
@@ -268,21 +357,23 @@ impl std::fmt::Debug for PmemPool {
 /// cleared, which writes, and makes resident, the whole image. glibc maps
 /// requests above a threshold that starts at 128 KiB and *grows* to the
 /// size of every mapped block freed, up to 32 MiB, so a process that
-/// builds pool after pool gets its second and later images from the heap:
-/// ≈ 62 µs of `calloc` clearing and 2 MiB resident per 1 MiB test pool
-/// (`nvm.pool_new_us`) — construction is O(pool).
+/// builds pool after pool would get its second and later images from the
+/// heap: ≈ 62 µs of `calloc` clearing per 1 MiB test pool. That O(pool)
+/// cost is why a dropped pool below 32 MiB is kept as a spare instead
+/// (see `Spare`), and its next user of the same size on the same host
+/// thread clears only the lines the last one changed; this function runs
+/// for a thread's first pools of each size, and for every larger pool.
 ///
-/// That is the right trade for a pool built per run, by the thousand and
-/// from parallel workers (mapping every pool instead took the workspace
-/// tests from 24 s to 58 s), and the wrong one for a pool that lives long
-/// and is mostly never touched. `reserve` is for the latter
-/// ([`PmemPool::scratch`]): the request is padded past glibc's cap, so it
-/// is always a mapping; the padding is address space only. Under another
-/// allocator it is merely a larger reservation.
+/// Mapping every pool instead took the workspace tests from 24 s to 58 s;
+/// it is the right trade only for a pool that lives long and is mostly
+/// never touched. `reserve` is for that one ([`PmemPool::scratch`]): the
+/// request is padded past glibc's cap, so it is always a mapping; the
+/// padding is address space only. Under another allocator it is merely a
+/// larger reservation.
 fn zeroed_cells(n: usize, reserve: bool) -> Vec<Cell<u64>> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
     /// One word past glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit).
-    const ALWAYS_MAPPED_WORDS: usize = (32 << 20) / 8 + 1;
+    const ALWAYS_MAPPED_WORDS: usize = SPARE_WORDS_MAX + 1;
     if n == 0 {
         return Vec::new();
     }
@@ -302,6 +393,9 @@ fn zeroed_cells(n: usize, reserve: bool) -> Vec<Cell<u64>> {
 
 impl PmemPool {
     /// Creates a pool whose volatile and persistent images are zero-filled.
+    /// The memory is a spare of the same size that this host thread
+    /// dropped, when it keeps one: a recycled pool is indistinguishable
+    /// from a fresh one.
     pub fn new(config: PoolConfig) -> Self {
         Self::zeroed(config, false)
     }
@@ -311,6 +405,7 @@ impl PmemPool {
     /// many syncs. Its images are reserved as untouched mappings (see
     /// `zeroed_cells`), so it is resident only where syncs and its own
     /// users write: a forked copy of a pool does not double its footprint.
+    /// Like [`PmemPool::new`], it takes a spare of its size first.
     pub fn scratch(&self) -> Self {
         Self::zeroed(self.inner.config.clone(), true)
     }
@@ -319,21 +414,32 @@ impl PmemPool {
         let size = config.size.next_multiple_of(CACHE_LINE).max(CACHE_LINE);
         let words = size / 8;
         let lines = size / CACHE_LINE;
-        let mk = |n| zeroed_cells(n, false);
-        let image = || zeroed_cells(words, reserve);
+        let Spare { volatile, persistent, dirty, touched, synced } = take_spare(words)
+            .unwrap_or_else(|| {
+                let bitset = || zeroed_cells(lines.div_ceil(64), false);
+                let image = || zeroed_cells(words, reserve);
+                Spare {
+                    volatile: image(),
+                    persistent: image(),
+                    dirty: bitset(),
+                    touched: bitset(),
+                    synced: bitset(),
+                }
+            });
         let config = PoolConfig { size, ..config };
         let collector = RefCell::new(Collector::new(config.trace, config.metrics));
         PmemPool {
             inner: Rc::new(Inner {
-                volatile: image(),
-                persistent: image(),
-                dirty: mk(lines.div_ceil(64)),
-                touched: mk(lines.div_ceil(64)),
+                volatile,
+                persistent,
+                dirty,
+                touched,
                 config,
                 crashes: Cell::new(0),
                 global_stats: Cell::default(),
                 journal: Journal::default(),
                 collector,
+                synced,
             }),
         }
     }
@@ -447,7 +553,8 @@ impl PmemPool {
 
     /// The pre-O(dirty) [`PmemPool::crash_with`], kept as the reference the
     /// equivalence test compares against: tests every line of the pool for
-    /// dirtiness, then reloads the whole volatile image word by word.
+    /// dirtiness, then reloads the whole volatile image word by word. Like
+    /// `crash_with`, it marks every line it resolves `touched`.
     #[cfg(test)]
     fn crash_with_full_reload(&self, seed: u64, policy: &CrashPolicy) -> CrashOutcome {
         let inner = &*self.inner;
@@ -465,6 +572,7 @@ impl PmemPool {
                 dropped += 1;
             }
             inner.clear_dirty(l);
+            inner.set_touched(l);
         }
         // The "new process" sees only what persisted.
         for (v, p) in inner.volatile.iter().zip(&inner.persistent) {
@@ -499,8 +607,10 @@ impl PmemPool {
     /// those lines are copied, and both `touched` sets are cleared: the
     /// pair is equal again. (Syncing a third pool from `live` afterwards
     /// would miss the lines this call just forgot; the crash oracle keeps
-    /// one scratch pool per live pool.) Only memory state is copied —
-    /// counters, journal, trace and metrics collectors stay each pool's own.
+    /// one scratch pool per live pool.) Both pools note those lines in
+    /// `synced`, so that each still zeroes them when it is dropped. Only
+    /// memory state is copied — counters, journal, trace and metrics
+    /// collectors stay each pool's own.
     ///
     /// # Panics
     /// Panics if the pools differ in size.
@@ -522,6 +632,9 @@ impl PmemPool {
             dst.dirty[w].set(src_dirty);
             dst.touched[w].set(0);
             src.touched[w].set(0);
+            for pool in [dst, src] {
+                pool.synced[w].set(pool.synced[w].get() | differ);
+            }
         }
         copied
     }
@@ -1413,6 +1526,101 @@ mod tests {
                     assert_eq!(v, o.volatile[w].get(), "{what}: word {w}");
                 }
             }
+        }
+    }
+
+    /// Asserts that `p`, a pool rebuilt from a spare, is indistinguishable
+    /// from `fresh`, which was built from new memory with the same
+    /// configuration.
+    fn assert_like_fresh(p: &PmemPool, fresh: &PmemPool, what: &str) {
+        let words = |cells: &[Cell<u64>]| cells.iter().map(Cell::get).collect::<Vec<_>>();
+        let (r, f) = (&*p.inner, &*fresh.inner);
+        let cells = [
+            ("volatile", &r.volatile, &f.volatile),
+            ("persistent", &r.persistent, &f.persistent),
+            ("dirty", &r.dirty, &f.dirty),
+            ("touched", &r.touched, &f.touched),
+            ("synced", &r.synced, &f.synced),
+        ];
+        for (name, a, b) in cells {
+            assert!(words(a) == words(b), "{what}: {name}");
+        }
+        assert_eq!(p.dirty_lines(), fresh.dirty_lines(), "{what}");
+        assert_eq!(p.global_stats(), fresh.global_stats(), "{what}");
+        assert_eq!(p.persist_event_count(), fresh.persist_event_count(), "{what}");
+        assert_eq!(r.crashes.get(), f.crashes.get(), "{what}");
+        assert_eq!(p.journal_tail(usize::MAX), fresh.journal_tail(usize::MAX), "{what}");
+        let observed = |q: &PmemPool| format!("{:?} {:?}", q.take_trace(), q.take_metrics());
+        assert_eq!(observed(p), observed(fresh), "{what}");
+        // The dropped pool had a trap armed at event 1 and was journaling.
+        p.handle().write_u64(0, 1);
+        assert!(p.journal_tail(1).is_empty(), "{what}: the journal is recording");
+    }
+
+    /// A dropped pool's memory serves the next pool of its size on this
+    /// thread, and that pool is a fresh one in every observable — after
+    /// stores, non-temporal stores, write-backs, fences and a crash under
+    /// each policy, and after serving either side of a sync, whose source
+    /// no longer marks the lines the sync equalized as `touched`.
+    #[test]
+    fn a_recycled_pool_is_indistinguishable_from_a_fresh_one() {
+        let cfg = PoolConfig {
+            size: 64 << 10,
+            latency: LatencyModel::default(),
+            trace: TraceConfig { enabled: true, buf_entries: 64 },
+            metrics: MetricsConfig::with_window(1_000),
+            ..PoolConfig::small_for_tests()
+        };
+        SPARES.with(|s| s.borrow_mut().clear());
+        let fresh = PmemPool::new(cfg.clone());
+        let rebuild = |dropped: PmemPool, what: &str| {
+            let image = dropped.inner.volatile.as_ptr();
+            dropped.set_persist_trap(Some(1));
+            drop(dropped);
+            let p = PmemPool::new(cfg.clone());
+            assert_eq!(p.inner.volatile.as_ptr(), image, "{what}: not recycled");
+            assert_like_fresh(&p, &fresh, what);
+        };
+        let churned = |seed| {
+            let p = PmemPool::new(cfg.clone());
+            p.record_journal(16);
+            churn(&mut p.handle(), seed);
+            p
+        };
+        for seed in 0..60u64 {
+            let probe = churned(seed);
+            let dirty = probe.dirty_lines();
+            rebuild(probe, &format!("seed {seed}, no crash"));
+            for policy in policies(&dirty, seed) {
+                let p = churned(seed);
+                p.crash_with(seed, &policy);
+                churn(&mut p.handle(), !seed);
+                rebuild(p, &format!("seed {seed}, {}", policy.name()));
+            }
+            let live = churned(seed);
+            let scratch = live.scratch();
+            churn(&mut scratch.handle(), !seed);
+            scratch.sync_from(&live);
+            scratch.crash_with(seed, &CrashPolicy::EvictAll);
+            churn(&mut scratch.handle(), seed.rotate_left(7));
+            rebuild(live, &format!("seed {seed}, sync source"));
+            rebuild(scratch, &format!("seed {seed}, sync target"));
+        }
+    }
+
+    /// A pool of 32 MiB or more is always a fresh mapping, resident only
+    /// where it was touched and returned at drop: kept, it would stay
+    /// resident, so it is not kept. One line less is.
+    #[test]
+    fn pools_of_32_mib_and_more_are_never_kept() {
+        let kept = |words| SPARES.with(|s| s.borrow().iter().any(|sp| sp.volatile.len() == words));
+        let always_mapped = ((SPARE_WORDS_MAX + 1) * 8).next_multiple_of(CACHE_LINE);
+        let sizes = [(32 << 20, false), (always_mapped, false), ((32 << 20) - CACHE_LINE, true)];
+        for (size, keep) in sizes {
+            let p = PmemPool::new(PoolConfig { size, ..PoolConfig::small_for_tests() });
+            p.handle().write_u64(size - 8, 1);
+            drop(p);
+            assert_eq!(kept(size / 8), keep, "{size} B");
         }
     }
 

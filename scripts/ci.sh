@@ -41,7 +41,10 @@ echo "== test (workspace) =="
 # zone-incremental region formation against the analyse-everything-per-fixup
 # loop (ido-idem partition_equivalence),
 # allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
-# (service_metrics, no_alloc_hot_loop), lock-free gates (lockfree_oracle,
+# (service_metrics, no_alloc_hot_loop), a recycled pool (ido-nvm --lib
+# a_recycled_pool_is_indistinguishable_from_a_fresh_one, and
+# second_vm_allocates_no_image: a VM built after one of its size was
+# dropped allocates no pool image), lock-free gates (lockfree_oracle,
 # structures_oracle, lockfree_differential, rcas_proptest) and the
 # textual-frontend gates (corpus, roundtrip_fuzz, diagnostics_golden,
 # explain_golden).
@@ -151,6 +154,31 @@ benchmark_determinism() {
   git checkout -- benchmark/Cargo.lock
 }
 timed "benchmark determinism" benchmark_determinism
+
+echo "== code placement: the benchmark's hot functions start on a 64-byte boundary =="
+# .cargo/config.toml aligns every function to 64 bytes, so a change in one
+# crate cannot move another's hot loop across cache lines and shift host
+# timings with byte-identical code. A RUSTFLAGS environment variable
+# replaces the config's flags, which this catches too. `Vm::run_pick` is
+# inlined into `Vm::run_steps` in the release build and is checked if it
+# has a symbol of its own.
+code_placement() {
+  local syms addr name
+  syms=$(nm -C target/benchmark/release/ido-benchmark \
+    | grep -E ' [tT] ido_(vm::exec::(Vm::run_steps|Vm::run_pick|exec_cold)|nvm::pool::PmemHandle::sfence)$')
+  for name in Vm::run_steps exec_cold PmemHandle::sfence; do
+    if ! grep -q "::$name\$" <<< "$syms"; then
+      echo "no symbol for $name in the benchmark binary"; return 1
+    fi
+  done
+  while read -r addr _ name; do
+    if (( 16#$addr % 64 )); then
+      echo "$name starts at 0x$addr, not on a 64-byte boundary"; return 1
+    fi
+    echo "$name: 0x$addr"
+  done <<< "$syms"
+}
+timed "code placement" code_placement
 
 echo "== scheduler: tree vs scan model test, scaling, sched_equivalence to 129 threads =="
 # Optimized: the 128-129-thread equivalence cases are the slow part of the
