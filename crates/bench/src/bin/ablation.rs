@@ -9,14 +9,14 @@
 //!    could be improved with better alias analysis"): basicAA vs. no alias
 //!    analysis at all.
 
-use ido_bench::{bench_config, ops_per_thread, run_point, NO_LOG};
+use ido_bench::ops_per_thread;
 use ido_compiler::Scheme;
 use ido_idem::{analyze_with, AliasMode, RegionStats};
 use ido_nvm::StatsSnapshot;
 use ido_vm::VmConfig;
 use ido_workloads::kv::memcached::MemcachedSpec;
 use ido_workloads::micro::{ListSpec, StackSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{bench_config, run_workload, WorkloadSpec, NO_LOG};
 
 fn measure(
     spec: &dyn WorkloadSpec,
@@ -26,7 +26,7 @@ fn measure(
     variant: &str,
     counter_rows: &mut Vec<String>,
 ) -> f64 {
-    let stats = run_point(spec, Scheme::Ido, threads, ops, cfg);
+    let stats = run_workload(Scheme::Ido, spec, threads, ops, cfg);
     counter_rows.push(format!(
         "{variant},{},{threads},{:.4},{}",
         stats.workload,

@@ -195,5 +195,5 @@ fn main() {
          \"loads_per_op_lo\": {lo:.4}, \"loads_per_op_hi\": {hi:.4}, \"ratio\": {ratio:.4}}}"
     );
     json.push_str("}\n");
-    ido_bench::write_bench_json("alloc", &json);
+    ido_bench::write_figure("BENCH_alloc.json", &json);
 }

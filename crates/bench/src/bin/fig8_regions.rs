@@ -9,19 +9,19 @@
 //! live-in registers, so a typical log operation flushes a single cache
 //! line.
 
-use ido_bench::{bench_config, ops_per_thread, run_point, write_csv, NO_LOG};
+use ido_bench::{ops_per_thread, write_csv};
 use ido_compiler::Scheme;
 use ido_trace::{Profile, TraceConfig, PROFILE_BUCKETS};
 use ido_vm::VmConfig;
 use ido_workloads::kv::{memcached::MemcachedSpec, redis::RedisSpec};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{bench_config, run_workload, WorkloadSpec, NO_LOG};
 
 /// Fig. 8's region profile of one run, read off its trace: tracing costs
 /// no simulated time, and the profile is computed at emission, so a
 /// one-entry ring suffices.
 fn region_profile(spec: &dyn WorkloadSpec, threads: usize, ops: u64, cfg: &VmConfig) -> Profile {
-    let stats = run_point(spec, Scheme::Ido, threads, ops, cfg.clone());
+    let stats = run_workload(Scheme::Ido, spec, threads, ops, cfg.clone());
     stats.trace.expect("tracing on").profile
 }
 

@@ -20,11 +20,11 @@
 
 use std::fmt::Write as _;
 
-use ido_bench::{hi_thread_config, ops_per_thread, sweep_stats, write_bench_json, NO_LOG};
+use ido_bench::{ops_per_thread, write_figure};
 use ido_compiler::Scheme;
 use ido_workloads::lockfree::LfMapSpec;
 use ido_workloads::micro::HohMapMixSpec;
-use ido_workloads::RunStats;
+use ido_workloads::{bench_config, sweep, with_sharded_alloc, RunStats, WorkloadSpec, NO_LOG};
 
 const BUCKETS: u64 = 64;
 const KEY_RANGE: u64 = 1024;
@@ -39,13 +39,19 @@ fn main() {
     let threads: &[usize] = if quick { &[1, 4, 16] } else { &[1, 4, 16, 64, 128, 256] };
     let mixes: &[u64] = if quick { &[500] } else { &[100, 500, 900] };
     let ops = ops_per_thread(if quick { 60 } else { 200 });
-    // Neither iDO (fixed-slot region log) nor the lock-free schemes
-    // (descriptor table) use the append log.
-    let cfg = hi_thread_config(1024, ops, NO_LOG);
+    // Sized for the largest thread count, over the sharded allocator (the
+    // legacy global-mutex allocator would serialize spawn-time log
+    // allocation and drown the signal). Neither iDO (fixed-slot region log)
+    // nor the lock-free schemes (descriptor table) use the append log.
+    let cfg = with_sharded_alloc(bench_config(1024, 256, ops, NO_LOG), 64);
+    let run = |spec: &dyn WorkloadSpec, scheme: Scheme| {
+        let points = threads.iter().map(|&t| (scheme, t, cfg.clone())).collect();
+        sweep(ido_par::jobs(), spec, ops, points)
+    };
 
-    // One sweep per (mix, implementation). Each sweep internally fans its
-    // (scheme × threads) points over ido-par with input-order reassembly,
-    // so the output is independent of the job count.
+    // One sweep per (mix, implementation). Each sweep fans its thread
+    // counts over ido-par with input-order reassembly, so the output is
+    // independent of the job count.
     let mut per_mix: Vec<(u64, Vec<Series>)> = Vec::new();
     for &put_permille in mixes {
         let hoh = HohMapMixSpec { buckets: BUCKETS, key_range: KEY_RANGE, put_permille };
@@ -53,15 +59,15 @@ fn main() {
         let series = vec![
             Series {
                 label: "ido-hoh",
-                stats: sweep_stats(&hoh, &[Scheme::Ido], threads, ops, cfg.clone()),
+                stats: run(&hoh, Scheme::Ido),
             },
             Series {
                 label: "nvtraverse",
-                stats: sweep_stats(&lf, &[Scheme::Nvtraverse], threads, ops, cfg.clone()),
+                stats: run(&lf, Scheme::Nvtraverse),
             },
             Series {
                 label: "lf-eager",
-                stats: sweep_stats(&lf, &[Scheme::LfEager], threads, ops, cfg.clone()),
+                stats: run(&lf, Scheme::LfEager),
             },
         ];
         per_mix.push((put_permille, series));
@@ -149,5 +155,5 @@ fn main() {
         let _ = writeln!(json, "    ]}}{}", if mi + 1 < per_mix.len() { "," } else { "" });
     }
     json.push_str("  ]\n}\n");
-    write_bench_json("lockfree", &json);
+    write_figure("BENCH_lockfree.json", &json);
 }

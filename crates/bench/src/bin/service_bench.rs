@@ -21,7 +21,7 @@
 
 use std::fmt::Write as _;
 
-use ido_bench::write_bench_json;
+use ido_bench::write_figure;
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::{AllocPolicy, MetricsConfig, PoolConfig, ServiceMetrics};
 use ido_trace::chrome::ChromeTrace;
@@ -227,11 +227,8 @@ fn main() {
         chrome.add_process(pid as u32, r.scheme.name());
         r.metrics.add_counter_tracks(&mut chrome, pid as u32);
     }
-    let dir = std::path::PathBuf::from("target/figures");
-    let _ = std::fs::create_dir_all(&dir);
-    let perfetto = dir.join("service_metrics.trace.json");
-    std::fs::write(&perfetto, chrome.finish()).expect("write perfetto counters");
-    println!("wrote {}", perfetto.display());
+    let perfetto = chrome.finish();
+    write_figure("service_metrics.trace.json", &perfetto);
 
     // Prometheus text snapshot, one block per scheme.
     let mut prom = String::new();
@@ -239,9 +236,7 @@ fn main() {
         let _ = writeln!(prom, "# service_bench scheme={}", r.scheme.name());
         prom.push_str(&r.metrics.prometheus_text(&format!("scheme=\"{}\"", r.scheme.name())));
     }
-    let prom_path = dir.join("service_metrics.prom");
-    std::fs::write(&prom_path, prom).expect("write prometheus snapshot");
-    println!("wrote {}", prom_path.display());
+    write_figure("service_metrics.prom", &prom);
 
     // Deterministic JSON: simulated quantities only, fixed field order.
     let mut json = String::from("{\n  \"bench\": \"service\",\n");
@@ -290,7 +285,6 @@ fn main() {
     }
     json.push_str("  ]\n}\n");
     ido_trace::json::validate_json(&json).expect("BENCH_service.json is valid JSON");
-    ido_trace::json::validate_json(&std::fs::read_to_string(&perfetto).expect("reread perfetto"))
-        .expect("perfetto counter export is valid JSON");
-    write_bench_json("service", &json);
+    ido_trace::json::validate_json(&perfetto).expect("perfetto counter export is valid JSON");
+    write_figure("BENCH_service.json", &json);
 }

@@ -16,13 +16,13 @@
 //! a T-second run would accumulate. (Simulating 50 s × 64 threads of
 //! wall-clock directly would interpret ~10¹¹ instructions.)
 
-use ido_bench::{bench_config, list_log_per_op, ops_per_thread};
+use ido_bench::ops_per_thread;
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::MetricsConfig;
 use ido_trace::{TraceConfig, RECOVERY_PHASES};
 use ido_vm::{recover, RecoveryConfig, SchedPolicy, Vm};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{bench_config, list_log_per_op, WorkloadSpec};
 
 const THREADS: usize = 64;
 const KILL_TIMES_S: [u64; 6] = [1, 10, 20, 30, 40, 50];

@@ -11,31 +11,23 @@
 //! failure) — the CI trace smoke.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ido_bench::{
-    bench_config, list_log_per_op, ops_per_thread, sweep_stats, with_sharded_alloc, write_csv,
-};
+use ido_bench::{ops_per_thread, write_csv, write_figure};
 use ido_compiler::{instrument_program, Scheme};
 use ido_trace::chrome::ChromeTrace;
 use ido_trace::json::validate_json;
 use ido_trace::{EventKind, Hist, Trace, TraceConfig};
 use ido_vm::{recover, RecoveryConfig, SchedPolicy, Vm};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{bench_config, list_log_per_op, sweep, with_sharded_alloc, WorkloadSpec};
 
 const THREADS: usize = 3;
 
 /// Writes a non-CSV artifact under `target/figures/` and remembers it for
 /// the smoke self-check.
 fn write_figure_file(emitted: &mut Vec<(String, String)>, name: &str, contents: String) {
-    let dir = PathBuf::from("target/figures");
-    let _ = std::fs::create_dir_all(&dir);
-    let path = dir.join(name);
-    if std::fs::write(&path, &contents).is_ok() {
-        println!("wrote {}", path.display());
-    }
+    write_figure(name, &contents);
     emitted.push((name.to_string(), contents));
 }
 
@@ -63,8 +55,8 @@ fn main() -> ExitCode {
     let mut breakdown_rows = Vec::new();
 
     for (name, spec) in &specs {
-        let stats =
-            sweep_stats(spec.as_ref(), &Scheme::ALL, &[THREADS], ops, cfg.clone());
+        let points = Scheme::ALL.iter().map(|&s| (s, THREADS, cfg.clone())).collect();
+        let stats = sweep(ido_par::jobs(), spec.as_ref(), ops, points);
 
         println!("\n== trace_report — {name} ({THREADS}T x {ops} ops/thread, simulated ms) ==");
         println!(

@@ -2,11 +2,11 @@
 //! across repeated runs and across sweep worker counts (`IDO_JOBS`), since
 //! every figure and the CI smoke diff traces byte-for-byte.
 
-use ido_bench::{bench_config, sweep_stats_jobs, LOG_PER_OP};
 use ido_compiler::Scheme;
 use ido_trace::TraceConfig;
 use ido_vm::VmConfig;
 use ido_workloads::micro::{MapSpec, StackSpec};
+use ido_workloads::{bench_config, sweep, RunStats, WorkloadSpec, LOG_PER_OP};
 
 fn traced_cfg() -> VmConfig {
     let mut cfg = bench_config(8, 3, 25, LOG_PER_OP);
@@ -14,11 +14,24 @@ fn traced_cfg() -> VmConfig {
     cfg
 }
 
+/// The (schemes × threads) sweep of `spec` with `jobs` workers, traced.
+fn traced_sweep(
+    jobs: usize,
+    spec: &dyn WorkloadSpec,
+    schemes: &[Scheme],
+    threads: &[usize],
+    ops: u64,
+) -> Vec<RunStats> {
+    let points =
+        schemes.iter().flat_map(|&s| threads.iter().map(move |&t| (s, t, traced_cfg()))).collect();
+    sweep(jobs, spec, ops, points)
+}
+
 /// Encoded traces of a (schemes × threads) sweep run with `jobs` workers.
 fn encoded_sweep(jobs: usize) -> Vec<Vec<u8>> {
     let spec = MapSpec { buckets: 8, key_range: 128 };
     let schemes = [Scheme::Origin, Scheme::Ido, Scheme::Atlas, Scheme::JustDo];
-    let stats = sweep_stats_jobs(jobs, &spec, &schemes, &[1, 3], 25, traced_cfg());
+    let stats = traced_sweep(jobs, &spec, &schemes, &[1, 3], 25);
     stats
         .iter()
         .map(|s| s.trace.as_ref().expect("tracing was on").encode())
@@ -39,8 +52,7 @@ fn traces_are_identical_across_job_counts() {
 #[test]
 fn traces_are_identical_across_identical_runs() {
     let run = || {
-        let stats =
-            sweep_stats_jobs(2, &StackSpec, &[Scheme::Ido, Scheme::Mnemosyne], &[2], 30, traced_cfg());
+        let stats = traced_sweep(2, &StackSpec, &[Scheme::Ido, Scheme::Mnemosyne], &[2], 30);
         stats
             .iter()
             .map(|s| s.trace.as_ref().expect("tracing was on").encode())

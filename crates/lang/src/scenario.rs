@@ -4,12 +4,17 @@
 //! ```text
 //! # failure: ...            # optional leading comments, kept as `notes`
 //! scenario stack_smoke {
-//!   workload stack        # stack|queue|list|map|memcached|redis|service|twin|lf_list|lf_map
-//!   threads 2
+//!   workload stack        # stack|queue|list|map|memcached|redis|service|twin|lf_list|lf_map|alloc_churn
+//!   range 256             # optional: list|map|redis|service key range
+//!   buckets 64            # optional: map buckets
+//!   puts 500              # optional: memcached set rate, permille
+//!   threads 2             # or a sweep's list: 1,2,4
 //!   ops 6
+//!   delay 0,20,100        # optional, `ido sweep` only: extra NVM ns per write-back
 //!   schemes all           # `all`, `lockfree`, or explicit names (ido atlas ...)
 //!   tier tier1            # optional, default tier1
 //!   seed 0                # optional, default 0
+//!   alloc sharded 64      # optional: the sharded allocator with 64 shards
 //!   bug ido_bug_skip_store_flush          # optional: VmConfig bug fields
 //!   crash at step 37 lose [83]            # optional: one crash state
 //! }
@@ -31,15 +36,27 @@
 //! [`Scenario::reproducer`]: the scenario narrowed to the failing scheme, with
 //! the counterexample's seed, sizes, injected bugs and crash state, which
 //! `ido crashtest` replays.
+//!
+//! A `threads` list and a `delay` list make the file a sweep:
+//! [`Scenario::sweep`] runs every scheme × thread count × delay on a pool
+//! sized for that point and returns one CSV, which is how `ido sweep`
+//! regenerates the paper's throughput figures from `corpus/figures/`.
+//! Every other subcommand runs one point and rejects a sweep
+//! ([`Scenario::sweep_axis`]).
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use ido_compiler::Scheme;
 use ido_crashtest::{Counterexample, CrashState, OracleConfig};
 use ido_ir::Program;
+use ido_nvm::{AllocPolicy, LatencyModel, MetricsConfig, StatsSnapshot};
+use ido_trace::Hist;
 use ido_vm::{ExecTier, Vm, VmConfig};
-use ido_workloads::{kv, lockfree, micro, service, WorkloadSpec};
+use ido_workloads::{
+    bench_config, kv, list_log_per_op, lockfree, micro, service, sweep, with_sharded_alloc,
+    WorkloadSpec, LOG_PER_OP,
+};
 
 use crate::diag::{LangError, Span};
 use crate::lexer::{lex, Cursor, Tok};
@@ -68,10 +85,12 @@ pub enum WorkloadKind {
     LfList,
     /// Lock-free hash map (recoverable-CAS family only).
     LfMap,
+    /// Allocator churn: `nv_malloc` / `nv_free` on the hot path.
+    AllocChurn,
 }
 
 /// Every workload kind with the name a `workload` line spells it by.
-const KINDS: [(&str, WorkloadKind); 10] = [
+const KINDS: [(&str, WorkloadKind); 11] = [
     ("stack", WorkloadKind::Stack),
     ("queue", WorkloadKind::Queue),
     ("list", WorkloadKind::List),
@@ -82,6 +101,7 @@ const KINDS: [(&str, WorkloadKind); 10] = [
     ("twin", WorkloadKind::Twin),
     ("lf_list", WorkloadKind::LfList),
     ("lf_map", WorkloadKind::LfMap),
+    ("alloc_churn", WorkloadKind::AllocChurn),
 ];
 
 /// One of [`VmConfig`]'s injected-bug switches.
@@ -115,7 +135,8 @@ impl WorkloadKind {
 
     /// True when the workload takes a `range` parameter.
     pub fn takes_range(self) -> bool {
-        matches!(self, WorkloadKind::Redis | WorkloadKind::Service)
+        use WorkloadKind::*;
+        matches!(self, List | Map | Redis | Service)
     }
 
     /// The schemes this workload can run under.
@@ -124,26 +145,6 @@ impl WorkloadKind {
             &Scheme::LOCKFREE
         } else {
             &Scheme::ALL
-        }
-    }
-
-    /// Builds the native Rust spec for this kind (with the scenario's
-    /// `range`, where applicable).
-    pub fn native_spec(self, range: Option<u64>) -> Box<dyn WorkloadSpec> {
-        let range = range.unwrap_or(256);
-        match self {
-            WorkloadKind::Stack => Box::new(micro::StackSpec),
-            WorkloadKind::Queue => Box::new(micro::QueueSpec),
-            WorkloadKind::List => Box::new(micro::ListSpec::default()),
-            WorkloadKind::Map => Box::new(micro::MapSpec::default()),
-            WorkloadKind::Memcached => {
-                Box::new(kv::memcached::MemcachedSpec::insertion_intensive())
-            }
-            WorkloadKind::Redis => Box::new(kv::redis::RedisSpec::with_range(range)),
-            WorkloadKind::Service => Box::new(service::ServiceSpec::with_range(range)),
-            WorkloadKind::Twin => Box::new(micro::TwinSpec),
-            WorkloadKind::LfList => Box::new(lockfree::LfListSpec),
-            WorkloadKind::LfMap => Box::new(lockfree::LfMapSpec::default()),
         }
     }
 }
@@ -167,18 +168,29 @@ pub struct Scenario {
     pub name: String,
     /// Workload kind.
     pub kind: WorkloadKind,
-    /// `range` parameter, if given (redis/service only).
+    /// `range` parameter, if given (list/map/redis/service only).
     pub range: Option<u64>,
-    /// Worker thread count.
-    pub threads: usize,
+    /// `buckets` parameter, if given (map only).
+    pub buckets: Option<u64>,
+    /// `puts` parameter: the set rate in permille, if given (memcached
+    /// only).
+    pub puts: Option<u64>,
+    /// Worker thread counts: one, or a sweep's list.
+    pub threads: Vec<usize>,
     /// Operations per thread.
     pub ops: u64,
+    /// Extra NVM delays in ns ([`LatencyModel::with_nvm_delay`]), a sweep
+    /// axis; `[0]`, the default latency model, when not given.
+    pub delay: Vec<u64>,
     /// Schemes to run, in declaration order.
     pub schemes: Vec<Scheme>,
     /// Execution tier.
     pub tier: ExecTier,
     /// Scheduler seed.
     pub seed: u64,
+    /// Shard count of the sharded allocator (`alloc sharded N`); `None`
+    /// for [`VmConfig`]'s default allocator.
+    pub alloc: Option<usize>,
     /// The injected-bug fields of [`VmConfig`] the `bug` line switches on,
     /// in [`VmConfig`] order.
     pub bugs: Vec<&'static str>,
@@ -193,15 +205,63 @@ impl Scenario {
     /// scenario's program (if any) substituted in.
     pub fn spec(&self) -> ScenarioSpec {
         ScenarioSpec {
-            native: self.kind.native_spec(self.range),
+            native: self.native_spec(),
             program: self.program.as_ref().map(|p| p.program.clone()),
         }
     }
 
-    /// `base` with the scenario's `seed`, `tier` and `bug` lines applied.
+    /// The native Rust spec of the scenario's workload, with its `range`,
+    /// `buckets` and `puts` where given.
+    pub fn native_spec(&self) -> Box<dyn WorkloadSpec> {
+        let range = |default| self.range.unwrap_or(default);
+        match self.kind {
+            WorkloadKind::Stack => Box::new(micro::StackSpec),
+            WorkloadKind::Queue => Box::new(micro::QueueSpec),
+            WorkloadKind::List => {
+                Box::new(micro::ListSpec { key_range: range(micro::ListSpec::default().key_range) })
+            }
+            WorkloadKind::Map => {
+                let d = micro::MapSpec::default();
+                let buckets = self.buckets.unwrap_or(d.buckets);
+                Box::new(micro::MapSpec { buckets, key_range: range(d.key_range) })
+            }
+            WorkloadKind::Memcached => {
+                let d = kv::memcached::MemcachedSpec::insertion_intensive();
+                let put_permille = self.puts.unwrap_or(d.put_permille);
+                Box::new(kv::memcached::MemcachedSpec { put_permille, ..d })
+            }
+            WorkloadKind::Redis => Box::new(kv::redis::RedisSpec::with_range(range(256))),
+            WorkloadKind::Service => Box::new(service::ServiceSpec::with_range(range(256))),
+            WorkloadKind::Twin => Box::new(micro::TwinSpec),
+            WorkloadKind::LfList => Box::new(lockfree::LfListSpec),
+            WorkloadKind::LfMap => Box::new(lockfree::LfMapSpec::default()),
+            WorkloadKind::AllocChurn => Box::new(micro::AllocChurnSpec),
+        }
+    }
+
+    /// The axis that makes this scenario a sweep, which only `ido sweep`
+    /// runs: `threads` when it lists more than one count, `delay` when it
+    /// is given at all (the other subcommands keep their own latency
+    /// model). `None` for a scenario of one point, whose thread count is
+    /// `threads[0]`.
+    pub fn sweep_axis(&self) -> Option<&'static str> {
+        if self.threads.len() > 1 {
+            Some("threads")
+        } else if self.delay != [0] {
+            Some("delay")
+        } else {
+            None
+        }
+    }
+
+    /// `base` with the scenario's `seed`, `tier`, `alloc` and `bug` lines
+    /// applied.
     pub fn vm_config(&self, mut base: VmConfig) -> VmConfig {
         base.seed = self.seed;
         base.tier = self.tier;
+        if let Some(shards) = self.alloc {
+            base.alloc = AllocPolicy::Sharded { shards };
+        }
         for &(name, flag) in &BUGS {
             if self.bugs.contains(&name) {
                 *flag(&mut base) = true;
@@ -211,12 +271,12 @@ impl Scenario {
     }
 
     /// The crash oracle's configuration for this scenario:
-    /// [`OracleConfig::default`] with its `threads`, `ops`, `seed`, `tier`
-    /// and `bug` lines applied.
+    /// [`OracleConfig::default`] with its `threads` (the first count),
+    /// `ops`, `seed`, `tier`, `alloc` and `bug` lines applied.
     pub fn oracle_config(&self) -> OracleConfig {
         let default = OracleConfig::default();
         OracleConfig {
-            threads: self.threads,
+            threads: self.threads[0],
             ops_per_thread: self.ops,
             seed: self.seed,
             vm: self.vm_config(default.vm.clone()),
@@ -261,11 +321,18 @@ impl Scenario {
             name: self.name.clone(),
             kind: self.kind,
             range: self.range,
-            threads: cex.threads,
+            buckets: self.buckets,
+            puts: self.puts,
+            threads: vec![cex.threads],
             ops: cex.ops_per_thread,
+            delay: vec![0],
             schemes: vec![cex.scheme],
             tier: cex.vm.tier,
             seed: cex.seed,
+            alloc: match cex.vm.alloc {
+                AllocPolicy::Sharded { shards } => Some(shards),
+                _ => None,
+            },
             bugs: bugs.collect(),
             crash: Some(CrashState {
                 step: cex.crash_step,
@@ -283,6 +350,79 @@ impl Scenario {
             )),
             None => Ok(repro),
         }
+    }
+
+    /// The VM configuration of one sweep point: [`bench_config`]'s pool and
+    /// logs for `threads` × `ops`, the `alloc` line (the sharded allocator
+    /// doubles the pool, see [`with_sharded_alloc`]), the default latency
+    /// model plus `delay` ns, metrics on in one window spanning the run
+    /// (the sweep reads only the whole-run latency histograms, and a window
+    /// per simulated millisecond per thread costs 170 MiB at 256 threads),
+    /// and the `seed`, `tier` and `bug` lines.
+    ///
+    /// The heap is 256 MiB plus 64 B per key and per operation. A pool only
+    /// just large enough moves numbers: with the sharded allocator at 64
+    /// threads, NVThreads' memcached throughput changes in the fourth
+    /// decimal below a 96 MiB heap. Pool images are mapped untouched, so
+    /// the head-room costs no resident memory.
+    pub fn point_config(&self, threads: usize, delay: u64) -> VmConfig {
+        // Keys and operations, 64 B each.
+        let items = self.range.unwrap_or(0) + threads as u64 * self.ops;
+        let heap_mib = 256 + (items >> 14) as usize;
+        let log_per_op = match self.kind {
+            WorkloadKind::List => {
+                list_log_per_op(self.range.unwrap_or(micro::ListSpec::default().key_range))
+            }
+            _ => LOG_PER_OP,
+        };
+        let mut cfg = bench_config(heap_mib, threads, self.ops, log_per_op);
+        if let Some(shards) = self.alloc {
+            cfg = with_sharded_alloc(cfg, shards);
+        }
+        cfg.pool.latency = LatencyModel::with_nvm_delay(delay);
+        cfg.pool.metrics = MetricsConfig::with_window(u64::MAX);
+        self.vm_config(cfg)
+    }
+
+    /// Runs every scheme × `threads` × `delay` point, in that order, over
+    /// [`sweep`] with `jobs` workers, and returns the CSV: a header, then
+    /// one row per point with the simulated time, throughput, whole-run op
+    /// latency quantiles (zero for a workload without op spans) and every
+    /// persistence counter. The text is the same for any `jobs`.
+    pub fn sweep(&self, jobs: usize) -> String {
+        let mut axes = Vec::new();
+        for &scheme in &self.schemes {
+            for &threads in &self.threads {
+                axes.extend(self.delay.iter().map(|&delay| (scheme, threads, delay)));
+            }
+        }
+        let points = axes.iter().map(|&(s, t, d)| (s, t, self.point_config(t, d))).collect();
+        let stats = sweep(jobs, &self.spec(), self.ops, points);
+        let mut csv = format!(
+            "workload,scheme,threads,ops,delay_ns,sim_ns,mops,p50_ns,p99_ns,p999_ns,{}\n",
+            StatsSnapshot::CSV_HEADER
+        );
+        for ((_, _, delay), s) in axes.iter().zip(&stats) {
+            let mut lat = Hist::default();
+            for h in &s.metrics.as_ref().expect("sweep points run with metrics on").per_kind {
+                lat.merge(h);
+            }
+            let _ = writeln!(
+                csv,
+                "{},{},{},{},{delay},{},{:.4},{},{},{},{}",
+                self.kind.ident(),
+                s.scheme.name(),
+                s.threads,
+                self.ops,
+                s.sim_ns,
+                s.mops(),
+                lat.value_at_quantile(0.50),
+                lat.value_at_quantile(0.99),
+                lat.value_at_quantile(0.999),
+                s.mem_stats.csv_fields(),
+            );
+        }
+        csv
     }
 }
 
@@ -318,11 +458,17 @@ impl fmt::Display for Scenario {
         }
         writeln!(f, "scenario {} {{", self.name)?;
         writeln!(f, "  workload {}", self.kind.ident())?;
-        if let Some(range) = self.range {
-            writeln!(f, "  range {range}")?;
+        let params = [("range", self.range), ("buckets", self.buckets), ("puts", self.puts)];
+        for (key, value) in params {
+            if let Some(v) = value {
+                writeln!(f, "  {key} {v}")?;
+            }
         }
-        writeln!(f, "  threads {}", self.threads)?;
+        writeln!(f, "  threads {}", comma_list(&self.threads))?;
         writeln!(f, "  ops {}", self.ops)?;
+        if self.delay != [0] {
+            writeln!(f, "  delay {}", comma_list(&self.delay))?;
+        }
         if self.schemes != self.kind.allowed_schemes() {
             let names: Vec<String> = self.schemes.iter().map(|&s| scheme_ident(s)).collect();
             writeln!(f, "  schemes {}", names.join(" "))?;
@@ -332,6 +478,9 @@ impl fmt::Display for Scenario {
         }
         if self.seed != 0 {
             writeln!(f, "  seed {}", self.seed)?;
+        }
+        if let Some(shards) = self.alloc {
+            writeln!(f, "  alloc sharded {shards}")?;
         }
         if !self.bugs.is_empty() {
             writeln!(f, "  bug {}", self.bugs.join(" "))?;
@@ -349,6 +498,11 @@ impl fmt::Display for Scenario {
         }
         Ok(())
     }
+}
+
+/// `values` as a `threads` or `delay` line spells them: `1,2,4`.
+fn comma_list(values: &[impl fmt::Display]) -> String {
+    values.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
 }
 
 /// A [`WorkloadSpec`] that delegates everything to the scenario's native
@@ -381,6 +535,29 @@ impl WorkloadSpec for ScenarioSpec {
     fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
         self.native.verify(vm, base, total_ops)
     }
+}
+
+/// Parses the values of a `key` line, `v` or `v1,v2,…`: one value, or a
+/// sweep's list. `ctx` names one value in an error.
+fn value_list(
+    c: &mut Cursor,
+    key: &str,
+    key_span: Span,
+    ctx: &str,
+) -> Result<Vec<(u64, Span)>, LangError> {
+    if matches!(c.peek().tok, Tok::Newline | Tok::Eof) {
+        return Err(LangError::new(
+            format!("`{key}` needs at least one value"),
+            key_span,
+            "empty list",
+        ));
+    }
+    let mut values = vec![c.expect_u64(ctx)?];
+    while c.peek().tok == Tok::Comma {
+        c.bump();
+        values.push(c.expect_u64(ctx)?);
+    }
+    Ok(values)
 }
 
 /// Parses `lose [l1, l2, …]`: the dirty lines a crash loses.
@@ -441,8 +618,12 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut seen: HashMap<String, Span> = HashMap::new();
     let mut kind: Option<(WorkloadKind, Span)> = None;
     let mut range: Option<(u64, Span)> = None;
-    let mut threads: Option<usize> = None;
+    let mut buckets: Option<(u64, Span)> = None;
+    let mut puts: Option<(u64, Span)> = None;
+    let mut threads: Option<Vec<usize>> = None;
     let mut ops: Option<u64> = None;
+    let mut delay = vec![0];
+    let mut alloc = None;
     let mut schemes: Option<Vec<(Scheme, Span)>> = None;
     let mut scheme_group: Option<(&'static [Scheme], Span)> = None;
     let mut tier = ExecTier::Tier1;
@@ -482,16 +663,54 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 let (v, vspan) = c.expect_u64("as the key range")?;
                 range = Some((v, key_span.to(vspan)));
             }
+            "buckets" => {
+                let (v, vspan) = c.expect_u64("as the bucket count")?;
+                buckets = Some((v, key_span.to(vspan)));
+            }
+            "puts" => {
+                let (v, vspan) = c.expect_u64("as the set rate in permille")?;
+                if v > 1000 {
+                    let msg = "set rate must be at most 1000‰";
+                    return Err(LangError::new(msg, vspan, "out of range"));
+                }
+                puts = Some((v, key_span.to(vspan)));
+            }
             "threads" => {
-                let (v, vspan) = c.expect_u64("as the thread count")?;
-                if v == 0 || v > 4096 {
+                let mut counts = Vec::new();
+                for (v, vspan) in value_list(&mut c, &key, key_span, "as a thread count")? {
+                    if v == 0 || v > 4096 {
+                        return Err(LangError::new(
+                            "thread count must be between 1 and 4096",
+                            vspan,
+                            "out of range",
+                        ));
+                    }
+                    counts.push(v as usize);
+                }
+                threads = Some(counts);
+            }
+            "delay" => {
+                let values = value_list(&mut c, &key, key_span, "as a delay in ns")?;
+                delay = values.into_iter().map(|(v, _)| v).collect();
+            }
+            "alloc" => {
+                let (w, wspan) = c.expect_ident("as the allocator")?;
+                if w != "sharded" {
                     return Err(LangError::new(
-                        "thread count must be between 1 and 4096",
-                        vspan,
+                        format!("unknown allocator `{w}`"),
+                        wspan,
+                        "expected `sharded` and a shard count",
+                    ));
+                }
+                let (n, nspan) = c.expect_u64("as the shard count")?;
+                if n == 0 || n > 4096 {
+                    return Err(LangError::new(
+                        "shard count must be between 1 and 4096",
+                        nspan,
                         "out of range",
                     ));
                 }
-                threads = Some(v as usize);
+                alloc = Some(n as usize);
             }
             "ops" => {
                 let (v, vspan) = c.expect_u64("as the per-thread op count")?;
@@ -584,7 +803,8 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 return Err(LangError::new(
                     format!("unknown scenario key `{key}`"),
                     key_span,
-                    "expected one of: workload range threads ops schemes tier seed bug crash",
+                    "expected one of: workload range buckets puts threads ops delay schemes tier seed \
+                     alloc bug crash",
                 ))
             }
         }
@@ -605,14 +825,20 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
             .with_note(open.span, "scenario opened here"));
     };
 
-    // Cross-key validation.
-    if let Some((_, rspan)) = range.filter(|_| !kind.takes_range()) {
-        return Err(LangError::new(
-            "`range` only applies to the redis and service workloads",
-            rspan,
-            "range given here",
-        )
-        .with_note(kind_span, "for this workload"));
+    // Cross-key validation: a workload parameter only where it applies.
+    for (key, given, applies, workloads) in [
+        ("range", range, kind.takes_range(), "the list, map, redis and service workloads"),
+        ("buckets", buckets, kind == WorkloadKind::Map, "the map workload"),
+        ("puts", puts, kind == WorkloadKind::Memcached, "the memcached workload"),
+    ] {
+        if let Some((_, span)) = given.filter(|_| !applies) {
+            return Err(LangError::new(
+                format!("`{key}` only applies to {workloads}"),
+                span,
+                format!("{key} given here"),
+            )
+            .with_note(kind_span, "for this workload"));
+        }
     }
     let allowed = kind.allowed_schemes();
     let schemes: Vec<Scheme> = match (schemes, scheme_group) {
@@ -667,8 +893,25 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         Some(parsed)
     };
 
-    let range = range.map(|(v, _)| v);
-    Ok(Scenario { notes, name, kind, range, threads, ops, schemes, tier, seed, bugs, crash, program })
+    let [range, buckets, puts] = [range, buckets, puts].map(|p| p.map(|(v, _)| v));
+    Ok(Scenario {
+        notes,
+        name,
+        kind,
+        range,
+        buckets,
+        puts,
+        threads,
+        ops,
+        delay,
+        schemes,
+        tier,
+        seed,
+        alloc,
+        bugs,
+        crash,
+        program,
+    })
 }
 
 #[cfg(test)]
@@ -681,8 +924,9 @@ mod tests {
             .unwrap();
         assert_eq!(s.name, "smoke");
         assert_eq!(s.kind, WorkloadKind::Stack);
-        assert_eq!(s.threads, 2);
+        assert_eq!(s.threads, [2]);
         assert_eq!(s.ops, 6);
+        assert_eq!((s.delay.as_slice(), s.alloc, s.sweep_axis()), (&[0][..], None, None));
         assert_eq!(s.schemes, Scheme::ALL.to_vec());
         assert_eq!(s.tier, ExecTier::Tier1);
         assert_eq!(s.seed, 0);
@@ -808,6 +1052,58 @@ mod tests {
         assert_eq!(s.crash.unwrap().recovery, Some((11, vec![83])));
         // A lock-free scheme prints as an identifier the lexer reads back.
         printed_as_itself("scenario lf {\n  workload lf_list\n  threads 1\n  ops 1\n  schemes lf_eager\n}\n");
+        // The sweep axes, the workload parameters and the allocator.
+        let s = printed_as_itself(
+            "scenario m {\n  workload memcached\n  puts 100\n  threads 1,2,4\n  ops 3\n  \
+             delay 0,20\n  alloc sharded 8\n}\n",
+        );
+        assert_eq!((s.threads.as_slice(), s.delay.as_slice()), (&[1, 2, 4][..], &[0, 20][..]));
+        assert_eq!((s.spec().name(), s.sweep_axis()), ("memcached(put=100‰)".to_string(), Some("threads")));
+        assert_eq!(s.vm_config(VmConfig::for_tests()).alloc, AllocPolicy::Sharded { shards: 8 });
+        let s = printed_as_itself("scenario m {\n  workload map\n  range 512\n  buckets 16\n  threads 2\n  ops 3\n}\n");
+        assert_eq!(s.spec().name(), "hash-map(buckets=16,range=512)");
+        let s = printed_as_itself("scenario l {\n  workload list\n  range 32\n  threads 1\n  ops 1\n  delay 100\n}\n");
+        assert_eq!((s.spec().name(), s.sweep_axis()), ("ordered-list(range=32)".to_string(), Some("delay")));
+        let s = printed_as_itself("scenario c {\n  workload alloc_churn\n  threads 1\n  ops 1\n}\n");
+        assert_eq!(s.spec().name(), "alloc_churn");
+    }
+
+    #[test]
+    fn a_sweep_point_is_sized_for_its_own_threads() {
+        let src = "scenario m {\n  workload list\n  range 256\n  threads 1,64\n  ops 300\n  \
+                   delay 0,20\n  seed 3\n  alloc sharded 4\n}\n";
+        let s = parse_scenario(src).unwrap();
+        let (one, many) = (s.point_config(1, 0), s.point_config(64, 20));
+        assert!(one.pool.size < many.pool.size && many.max_threads >= 64);
+        assert_eq!(one.log_entries, (300 * list_log_per_op(256)).next_multiple_of(1 << 10));
+        assert_eq!(one.pool.latency, LatencyModel::default());
+        assert_eq!(many.pool.latency, LatencyModel::with_nvm_delay(20));
+        assert_eq!((many.alloc, many.seed), (AllocPolicy::Sharded { shards: 4 }, 3));
+        let legacy = parse_scenario(&src.replace("  alloc sharded 4\n", "")).unwrap();
+        assert_eq!(legacy.point_config(64, 20).pool.size * 2, many.pool.size, "sharded doubles the pool");
+        assert!(many.pool.metrics.enabled);
+    }
+
+    #[test]
+    fn bad_sweep_and_parameter_clauses_are_spanned() {
+        for (workload, clause, message, spanned) in [
+            ("stack", "threads", "`threads` needs at least one value", "threads"),
+            ("stack", "delay", "`delay` needs at least one value", "delay"),
+            ("stack", "threads 1,0,4", "thread count must be between 1 and 4096", "0"),
+            ("stack", "delay 0,x", "expected integer as a delay in ns, found `x`", "x"),
+            ("stack", "threads x", "expected integer as a thread count, found `x`", "x"),
+            ("memcached", "buckets 4", "`buckets` only applies to the map workload", "buckets 4"),
+            ("map", "puts 100", "`puts` only applies to the memcached workload", "puts 100"),
+            ("memcached", "puts 1001", "set rate must be at most 1000‰", "1001"),
+            ("stack", "alloc global 4", "unknown allocator `global`", "global"),
+            ("stack", "alloc sharded 0", "shard count must be between 1 and 4096", "0"),
+        ] {
+            let src = format!("scenario x {{\n  workload {workload}\n  threads 2\n  ops 2\n  {clause}\n}}\n");
+            let src = if clause.starts_with("threads") { src.replacen("  threads 2\n", "", 1) } else { src };
+            let e = parse_scenario(&src).unwrap_err();
+            assert!(e.message.contains(message), "{clause}: {e:?}");
+            assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");
+        }
     }
 
     #[test]

@@ -9,9 +9,75 @@
 
 use ido_compiler::{instrument_program, Scheme};
 use ido_ir::Program;
-use ido_nvm::StatsSnapshot;
-use ido_vm::layout::Registry;
+use ido_nvm::{AllocPolicy, PoolConfig, StatsSnapshot};
+use ido_vm::layout::{AppendLogLayout, Registry};
 use ido_vm::{RunOutcome, SchedPolicy, Vm, VmConfig};
+
+/// Append-log records one operation can leave behind under the hungriest
+/// scheme, for every workload but the hand-over-hand list: NVML's
+/// line-granular `TX_ADD` leaves at most 14 (stack, queue), Atlas at most
+/// 18 (hash map at 256 threads, lock-retry records included) — measured
+/// as whole-run averages, so 64 leaves head-room for the unluckiest thread.
+pub const LOG_PER_OP: usize = 64;
+
+/// For runs that measure no append-log scheme (Origin, iDO, JUSTDO).
+pub const NO_LOG: usize = 0;
+
+/// [`LOG_PER_OP`] for the hand-over-hand ordered list, where Atlas logs an
+/// acquire and a release record per node visited.
+pub fn list_log_per_op(key_range: u64) -> usize {
+    2 * key_range as usize + LOG_PER_OP
+}
+
+/// Returns a VM configuration for up to `threads` workers of `ops`
+/// operations each.
+///
+/// No scheme truncates its append log during a run (Atlas keeps it for
+/// dependence tracking, NVML scans it for the last commit), so its
+/// capacity is `ops * log_per_op` records, and the pool is `heap_mib` for
+/// the workload's own data plus every thread's log and stack: a run sized
+/// this way can raise its ops or thread count without overflowing a log or
+/// exhausting the pool. With head-room these sizes move no simulated
+/// number; a pool only just large enough can (the sharded allocator places
+/// blocks differently in it).
+pub fn bench_config(heap_mib: usize, threads: usize, ops: u64, log_per_op: usize) -> VmConfig {
+    let base = VmConfig::default();
+    let log_entries = (ops as usize * log_per_op).next_multiple_of(1 << 10).max(1 << 12);
+    // The iDO and JUSTDO logs are a few hundred bytes each.
+    let per_thread = AppendLogLayout::size_for(log_entries) + base.stack_bytes + (8 << 10);
+    VmConfig {
+        pool: PoolConfig { size: (heap_mib << 20) + threads * per_thread, ..PoolConfig::default() },
+        log_entries,
+        max_threads: threads.max(base.max_threads),
+        ..base
+    }
+}
+
+/// Switches a [`bench_config`] to the sharded allocator and doubles its
+/// pool: that allocator keeps up to half the pool for its small-object
+/// chunks, while the logs, stacks and arenas `bench_config` sized are
+/// large blocks, which come out of the other half.
+pub fn with_sharded_alloc(mut cfg: VmConfig, shards: usize) -> VmConfig {
+    cfg.alloc = AllocPolicy::Sharded { shards };
+    cfg.pool.size *= 2;
+    cfg
+}
+
+/// The one sweep engine: runs `spec` at `ops` operations per thread on
+/// every (scheme, thread count, VM configuration) point, fanned out over `ido-par`'s ordered parallel map with
+/// `jobs` workers. Each point is an independent simulation over its own
+/// pool and the results come back in input order, so whatever is derived
+/// from them is byte-identical for any job count.
+pub fn sweep(
+    jobs: usize,
+    spec: &dyn WorkloadSpec,
+    ops: u64,
+    points: Vec<(Scheme, usize, VmConfig)>,
+) -> Vec<RunStats> {
+    ido_par::par_map_jobs(jobs, points, |(scheme, threads, cfg)| {
+        run_workload(scheme, spec, threads, ops, cfg)
+    })
+}
 
 /// A benchmark workload: an IR program plus its persistent-state setup.
 ///

@@ -35,7 +35,10 @@ pub mod micro;
 pub mod service;
 mod util;
 
-pub use harness::{run_workload, RunStats, WorkloadSpec};
+pub use harness::{
+    bench_config, list_log_per_op, run_workload, sweep, with_sharded_alloc, RunStats, WorkloadSpec,
+    LOG_PER_OP, NO_LOG,
+};
 
 /// The standard workload suite, one boxed spec per benchmark, in the order
 /// the figures present them: the four microbenchmarks, then the two

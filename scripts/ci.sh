@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI entry point: build, full test suite, smoke runs of every bench and
-# figure binary, and the CLI gates. Everything a run writes lands under
+# table binary, the figure regeneration, and the CLI gates. Everything a run writes lands under
 # target/, so the tree is clean afterwards.
 #
 # Proptest regression files (tests/*.proptest-regressions) are committed and
@@ -35,9 +35,10 @@ echo "== test (workspace) =="
 # limit, and its nodes-per-pick bound (ido-vm --lib
 # tree_matches_the_linear_scan_on_random_operation_sequences,
 # picks_visit_logarithmically_many_nodes),
-# the forked oracle against the from-scratch one (fork_equivalence,
-# par_determinism) and the O(dirty) crash against the full reload (ido-nvm
-# --lib crash_with_matches_the_full_reload_reference, proptest_nvm),
+# the forked oracle against the from-scratch one (fork_equivalence), a
+# scenario sweep at any job count (ido-lang sweep_determinism) and the
+# O(dirty) crash against the full reload (ido-nvm --lib
+# crash_with_matches_the_full_reload_reference, proptest_nvm),
 # zone-incremental region formation against the analyse-everything-per-fixup
 # loop (ido-idem partition_equivalence),
 # allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
@@ -281,14 +282,45 @@ IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin alloc_ben
 cmp target/figures/BENCH_alloc.jobs1.json target/figures/BENCH_alloc.json \
   || { echo "IDO_JOBS=2 changed allocator bench results"; exit 1; }
 
-echo "== figure/table smoke: every paper binary at IDO_BENCH_OPS=200 =="
-# Each binary sizes its pool and logs from (threads, ops), so the smoke
-# exercises the same code as a full regeneration, 64-256-thread sweeps
-# included.
-for b in fig5_memcached fig6_redis fig7_micro fig8_regions fig9_latency \
-         table1_recovery table2_properties ablation; do
+echo "== table/report smoke: every remaining paper binary at IDO_BENCH_OPS=200 =="
+for b in fig8_regions table1_recovery table2_properties ablation; do
   IDO_BENCH_OPS=200 cargo run -q --release -p ido-bench --bin "$b" > /dev/null
 done
+
+echo "== figure regeneration: ido sweep on every corpus/figures/*.ido at its own size =="
+# Figs. 5, 6, 7 and 9 are scenario files: `ido sweep` sizes each point's
+# pool from its own threads and ops, and writes one CSV per file. This is
+# the command that regenerates them. The output is the same bytes at any
+# job count: one file with a `threads` list and one with a `delay` list are
+# compared at --jobs 1, --jobs 2 and IDO_JOBS=2. The four figure binaries
+# and the curve helpers they used stay gone.
+figure_regeneration() {
+  local f name
+  if ls crates/bench/src/bin | grep -E '^(fig5_memcached|fig6_redis|fig7_micro|fig9_latency)\.rs$'; then
+    echo "a figure binary is back: the figure is a scenario file under corpus/figures/"; return 1
+  fi
+  if grep -rnwE 'Curve|sweep_threads(_jobs)?|sweep_stats(_jobs)?|curves_from_stats|format_curves|curves_to_rows|curve_for|point_at|THREAD_SWEEP' \
+      crates src tests examples \
+    || grep -nE 'fn (peak|run_point|with_nvm_delay)\b' crates/bench/src/lib.rs; then
+    echo "a curve helper is back: ido sweep and ido_workloads::sweep are the one sweep path"; return 1
+  fi
+  mkdir -p target/figures target/tmp
+  for f in corpus/figures/*.ido; do
+    name=$(basename "$f" .ido)
+    ./target/release/ido sweep "$f" > "target/figures/$name.csv"
+  done
+  for f in corpus/figures/fig7_hash-map.ido corpus/figures/fig9_latency_memcached.ido; do
+    name=$(basename "$f" .ido)
+    ./target/release/ido sweep "$f" --jobs 1 > "target/tmp/$name.jobs1.csv"
+    ./target/release/ido sweep "$f" --jobs 2 > "target/tmp/$name.jobs2.csv"
+    IDO_JOBS=2 ./target/release/ido sweep "$f" > "target/tmp/$name.env2.csv"
+    cmp "target/tmp/$name.jobs1.csv" "target/tmp/$name.jobs2.csv" \
+      && cmp "target/tmp/$name.jobs1.csv" "target/tmp/$name.env2.csv" \
+      || { echo "the job count changed ido sweep $f"; return 1; }
+    rm -f target/tmp/"$name".{jobs1,jobs2,env2}.csv
+  done
+}
+timed "figure regeneration" figure_regeneration
 
 echo "== ido verify over the scenario corpus (static atomicity, all schemes) =="
 # Every checked-in scenario must verify clean under every scheme it names.

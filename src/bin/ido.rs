@@ -1,6 +1,7 @@
 //! `ido` — the command-line driver for `.ido` scenario files.
 //!
 //! ```text
+//! ido sweep <file.ido> [--jobs N]
 //! ido run <file.ido> [--jobs N] [--compare-builder]
 //! ido verify <file.ido>
 //! ido explain <file.ido>
@@ -9,11 +10,13 @@
 //! ido emit <file.ido>
 //! ```
 //!
-//! Output is deterministic: `run` prints one stable JSON line per scheme
-//! in the scenario's declaration order regardless of `--jobs`, so CI can
-//! byte-compare runs at different parallelism. Parse errors render with
-//! the offending line and a caret; verifier findings are renderable as
-//! spanned witness paths via `explain`. A scenario's `bug` line applies to
+//! Output is deterministic: `sweep` prints one CSV row per point and `run`
+//! one stable JSON line per scheme, in the scenario's declaration order
+//! regardless of `--jobs`, so CI can byte-compare runs at different
+//! parallelism. `sweep` is the only subcommand that takes a `threads` list
+//! or a `delay` line, and each subcommand rejects a flag it does not take.
+//! Parse errors render with the offending line and a caret; verifier
+//! findings are renderable as spanned witness paths via `explain`. A scenario's `bug` line applies to
 //! every subcommand; its `crash` line is `crashtest`'s alone.
 
 use std::process::ExitCode;
@@ -38,8 +41,11 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: ido <run|verify|explain|crashtest|trace|emit> <file.ido> [flags]\n\
+    "usage: ido <sweep|run|verify|explain|crashtest|trace|emit> <file.ido> [flags]\n\
      \n\
+     sweep      run every scheme x threads x delay point on a pool sized for it;\n\
+     \x20          one CSV on stdout (how corpus/figures/*.ido regenerate)\n\
+     \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
      run        run the scenario under every listed scheme; one JSON line each\n\
      \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
      \x20          --compare-builder   also run the native Rust-builder program and\n\
@@ -55,20 +61,59 @@ fn usage() -> String {
         .to_string()
 }
 
+/// The flags after the file: each one `cmd` takes, with its integer value
+/// where it takes one. Anything else is a usage error.
+fn parse_flags(cmd: &str, args: &[String]) -> Result<Vec<(&'static str, u64)>, String> {
+    // (flag, takes a value)
+    let known: &[(&str, bool)] = match cmd {
+        "sweep" => &[("--jobs", true)],
+        "run" => &[("--jobs", true), ("--compare-builder", false)],
+        "trace" => &[("--limit", true)],
+        "verify" | "explain" | "crashtest" | "emit" => &[],
+        _ => return Err(format!("unknown subcommand `{cmd}`\n{}", usage())),
+    };
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(&(name, valued)) = known.iter().find(|(name, _)| arg == name) else {
+            return Err(format!("`ido {cmd}` takes no flag `{arg}`\n{}", usage()));
+        };
+        let value = if valued {
+            args.next()
+                .and_then(|v| v.parse().ok())
+                .ok_or_else(|| format!("{name} needs an integer argument"))?
+        } else {
+            0
+        };
+        flags.push((name, value));
+    }
+    Ok(flags)
+}
+
 fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let cmd = args.first().ok_or_else(usage)?.as_str();
     let path = args.get(1).ok_or_else(usage)?.clone();
+    let flags = parse_flags(cmd, &args[2..])?;
+    let flag = |name| flags.iter().find(|&&(n, _)| n == name).map(|&(_, v)| v);
+    let jobs = flag("--jobs").map_or_else(ido_par::jobs, |n| (n as usize).max(1));
     let source = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let scenario = parse_scenario(&source).map_err(|e| e.render(&path, &source))?;
-    let flags = &args[2..];
+    if cmd == "sweep" {
+        emit_out(&scenario.sweep(jobs));
+        return Ok(ExitCode::SUCCESS);
+    }
+    if let Some(axis) = scenario.sweep_axis() {
+        return Err(format!(
+            "{path}: `{axis}` makes this scenario a sweep: run it with `ido sweep {path}`"
+        ));
+    }
     match cmd {
-        "run" => cmd_run(&scenario, flags),
+        "run" => cmd_run(&scenario, jobs, flag("--compare-builder").is_some()),
         "verify" => cmd_verify(&scenario, false),
         "explain" => cmd_verify(&scenario, true),
         "crashtest" => cmd_crashtest(&scenario),
-        "trace" => cmd_trace(&scenario, flags),
-        "emit" => cmd_emit(&scenario),
-        other => Err(format!("unknown subcommand `{other}`\n{}", usage())),
+        "trace" => cmd_trace(&scenario, flag("--limit").unwrap_or(40) as usize),
+        _ => cmd_emit(&scenario),
     }
 }
 
@@ -79,20 +124,9 @@ fn emit_out(s: &str) -> bool {
     std::io::stdout().write_all(s.as_bytes()).is_ok()
 }
 
-fn flag_value(flags: &[String], name: &str) -> Result<Option<u64>, String> {
-    match flags.iter().position(|f| f == name) {
-        None => Ok(None),
-        Some(i) => flags
-            .get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .map(Some)
-            .ok_or_else(|| format!("{name} needs an integer argument")),
-    }
-}
-
 /// The VM configuration of `run`, `verify`, `explain` and `trace`: the
 /// test-sized config under the MinClock scheduler, with the scenario's
-/// seed, tier and bugs.
+/// seed, tier, allocator and bugs.
 fn vm_config(scenario: &Scenario) -> VmConfig {
     let mut cfg = VmConfig::for_tests();
     cfg.sched = SchedPolicy::MinClock;
@@ -115,8 +149,8 @@ fn run_to_completion(
     cfg: VmConfig,
 ) -> Result<(Vm, Vec<u64>), String> {
     let mut vm = Vm::new(instrument_for(spec, scheme)?, cfg);
-    let base = spec.setup(&mut vm, scenario.threads, scenario.ops);
-    for t in 0..scenario.threads {
+    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
+    for t in 0..scenario.threads[0] {
         vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
     }
     assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme}", spec.name());
@@ -135,7 +169,7 @@ struct Observed {
 /// the cross-tier differential gates compare).
 fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario) -> Result<Observed, String> {
     let (vm, base) = run_to_completion(spec, scheme, scenario, vm_config(scenario))?;
-    spec.verify(&vm, &base, scenario.threads as u64 * scenario.ops);
+    spec.verify(&vm, &base, scenario.threads[0] as u64 * scenario.ops);
     let steps = vm.steps();
     let sim_ns = vm.max_clock_ns();
     let image = vm.pool().persistent_snapshot();
@@ -170,7 +204,7 @@ fn json_line(scenario: &Scenario, spec: &dyn WorkloadSpec, scheme: Scheme, o: &O
         "{{\"scheme\":\"{}\",\"workload\":\"{}\",\"threads\":{},\"ops\":{},\"tier\":\"{}\",\"seed\":{},\"sim_ns\":{},\"steps\":{},{},\"image_fnv\":\"{:#018x}\"}}",
         scheme.name(),
         spec.name(),
-        scenario.threads,
+        scenario.threads[0],
         scenario.ops,
         tier_name(scenario.tier),
         scenario.seed,
@@ -181,12 +215,7 @@ fn json_line(scenario: &Scenario, spec: &dyn WorkloadSpec, scheme: Scheme, o: &O
     )
 }
 
-fn cmd_run(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
-    let jobs = match flag_value(flags, "--jobs")? {
-        Some(n) => (n as usize).max(1),
-        None => ido_par::jobs(),
-    };
-    let compare = flags.iter().any(|f| f == "--compare-builder");
+fn cmd_run(scenario: &Scenario, jobs: usize, compare: bool) -> Result<ExitCode, String> {
     let spec = scenario.spec();
 
     // Fan the schemes out over the deterministic parallel map; results come
@@ -201,7 +230,7 @@ fn cmd_run(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
     }
 
     if compare {
-        let native = scenario.kind.native_spec(scenario.range);
+        let native = scenario.native_spec();
         for (scheme, corpus) in schemes.iter().zip(&results) {
             let builder = observe(native.as_ref(), *scheme, scenario)?;
             let same = corpus.steps == builder.steps
@@ -301,8 +330,7 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
     Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) })
 }
 
-fn cmd_trace(scenario: &Scenario, flags: &[String]) -> Result<ExitCode, String> {
-    let limit = flag_value(flags, "--limit")?.unwrap_or(40) as usize;
+fn cmd_trace(scenario: &Scenario, limit: usize) -> Result<ExitCode, String> {
     let scheme = *scenario.schemes.first().expect("scenario always has schemes");
     let mut cfg = vm_config(scenario);
     cfg.pool.trace = TraceConfig::on();

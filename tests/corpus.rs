@@ -99,12 +99,12 @@ fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario, tier: E
     cfg.tier = tier;
     cfg.pool.trace = TraceConfig::on();
     let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, scenario.threads, scenario.ops);
-    for t in 0..scenario.threads {
+    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
+    for t in 0..scenario.threads[0] {
         vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
     }
     assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme} ({tier:?})", spec.name());
-    spec.verify(&vm, &base, scenario.threads as u64 * scenario.ops);
+    spec.verify(&vm, &base, scenario.threads[0] as u64 * scenario.ops);
     let steps = vm.steps();
     let sim_ns = vm.max_clock_ns();
     let image = vm.pool().persistent_snapshot();
@@ -156,7 +156,7 @@ fn corpus_runs_are_byte_identical_to_the_rust_builder_on_both_tiers() {
     for name in CORPUS {
         let (_, scenario) = parse_corpus(name);
         let corpus_spec = scenario.spec();
-        let native = scenario.kind.native_spec(scenario.range);
+        let native = scenario.native_spec();
         for &scheme in &scenario.schemes {
             for tier in [ExecTier::Tier1, ExecTier::Tier2] {
                 let what = format!("{name}.ido under {scheme} ({tier:?})");

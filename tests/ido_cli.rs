@@ -14,11 +14,17 @@ struct Ran {
 
 /// Writes `source` to a file of its own and runs `ido <command>` on it.
 fn ido(command: &str, name: &str, source: &str) -> Ran {
+    ido_flags(command, name, source, &[])
+}
+
+/// [`ido`] with `flags` after the file.
+fn ido_flags(command: &str, name: &str, source: &str, flags: &[&str]) -> Ran {
     let path = std::env::temp_dir().join(format!("ido_cli_{}_{name}.ido", std::process::id()));
     std::fs::write(&path, source).expect("scenario file written");
     let out = Command::new(env!("CARGO_BIN_EXE_ido"))
         .arg(command)
         .arg(&path)
+        .args(flags)
         .output()
         .expect("the ido binary runs");
     let _ = std::fs::remove_file(&path);
@@ -153,4 +159,54 @@ fn crashtest_skips_only_origin() {
     assert_eq!(code, Some(0), "{stdout}\n{stderr}");
     assert!(stdout.contains("skipping Origin"), "{stdout}");
     assert!(stdout.contains("1 scheme(s) explored, 0 counterexample(s)"), "{stdout}");
+}
+
+/// `ido run f.ido --job 2` once ran at the default job count, and
+/// `crashtest` and `verify` ignored any flag: every subcommand names the
+/// flags it takes, and anything else is a usage error.
+#[test]
+fn each_subcommand_rejects_a_flag_it_does_not_take() {
+    let stack = corpus("stack.ido");
+    for (command, flags) in [
+        ("run", &["--job", "2"][..]),
+        ("crashtest", &["--jobs", "1"]),
+        ("verify", &["--limit", "3"]),
+        ("trace", &["--jobs", "2"]),
+        ("sweep", &["--compare-builder"]),
+    ] {
+        let Ran { code, stdout, stderr } = ido_flags(command, command, &stack, flags);
+        assert_eq!(code, Some(2), "ido {command} {flags:?}:\n{stdout}\n{stderr}");
+        assert!(stdout.is_empty(), "ido {command} {flags:?} ran:\n{stdout}");
+        let want = format!("`ido {command}` takes no flag `{}`", flags[0]);
+        assert!(stderr.contains(&want), "ido {command} {flags:?}:\n{stderr}");
+    }
+    let Ran { code, stderr, .. } = ido_flags("run", "jobs", &stack, &["--jobs", "two"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--jobs needs an integer argument"), "{stderr}");
+}
+
+/// A `threads` list or a `delay` line makes a scenario a sweep: `ido sweep`
+/// runs it, one CSV row per point, and every one-point subcommand refuses it
+/// by naming `ido sweep`.
+#[test]
+fn only_sweep_runs_a_sweep() {
+    let sweep = "scenario s {\n  workload stack\n  threads 1,2\n  ops 4\n  schemes origin ido\n}\n";
+    let delayed = sweep.replace("threads 1,2", "threads 2\n  delay 20");
+    for (axis, source) in [("threads", sweep), ("delay", delayed.as_str())] {
+        for command in ["run", "verify", "explain", "crashtest", "trace", "emit"] {
+            let Ran { code, stdout, stderr } = ido(command, &format!("{command}_{axis}"), source);
+            assert_eq!(code, Some(2), "ido {command}:\n{stdout}\n{stderr}");
+            assert!(stdout.is_empty(), "ido {command} ran:\n{stdout}");
+            assert!(
+                stderr.contains(&format!("`{axis}` makes this scenario a sweep: run it with `ido sweep")),
+                "ido {command}:\n{stderr}"
+            );
+        }
+    }
+    let Ran { code, stdout, stderr } = ido_flags("sweep", "sweep", sweep, &["--jobs", "2"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    let rows: Vec<&str> = stdout.lines().collect();
+    assert!(rows[0].starts_with("workload,scheme,threads,ops,delay_ns,sim_ns,mops,"), "{stdout}");
+    let points: Vec<String> = rows[1..].iter().map(|r| r.split(',').take(5).collect::<Vec<_>>().join(",")).collect();
+    assert_eq!(points, ["stack,Origin,1,4,0", "stack,Origin,2,4,0", "stack,iDO,1,4,0", "stack,iDO,2,4,0"]);
 }

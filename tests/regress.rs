@@ -12,8 +12,8 @@
 //! 4. without its `bug` line and with every `lose` list emptied, the state
 //!    recovers: exit 0.
 //!
-//! Printing also round-trips (`parse(print(s)) == s`) over every corpus and
-//! regress file.
+//! Printing also round-trips (`parse(print(s)) == s`) over every corpus,
+//! regress and figure file, and a regress or figure file prints as itself.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -190,6 +190,7 @@ fn scenarios_print_as_they_parse() {
     for path in ido_files("corpus")
         .into_iter()
         .chain(ido_files("corpus/regress"))
+        .chain(ido_files("corpus/figures"))
     {
         let source = std::fs::read_to_string(&path).unwrap();
         let scenario = parse(&path, &source);
@@ -202,7 +203,7 @@ fn scenarios_print_as_they_parse() {
             path.display()
         );
     }
-    for path in ido_files("corpus/regress") {
+    for path in ido_files("corpus/regress").into_iter().chain(ido_files("corpus/figures")) {
         let source = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             parse(&path, &source).to_string(),
