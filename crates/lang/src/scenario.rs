@@ -621,7 +621,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut buckets: Option<(u64, Span)> = None;
     let mut puts: Option<(u64, Span)> = None;
     let mut threads: Option<Vec<usize>> = None;
-    let mut ops: Option<u64> = None;
+    let mut ops: Option<(u64, Span)> = None;
     let mut delay = vec![0];
     let mut alloc = None;
     let mut schemes: Option<Vec<(Scheme, Span)>> = None;
@@ -721,7 +721,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                         "out of range",
                     ));
                 }
-                ops = Some(v);
+                ops = Some((v, vspan));
             }
             "schemes" => {
                 let mut list = Vec::new();
@@ -820,10 +820,20 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         return Err(LangError::new("scenario is missing `threads`", close.span, "block ends here")
             .with_note(open.span, "scenario opened here"));
     };
-    let Some(ops) = ops else {
+    let Some((ops, ops_span)) = ops else {
         return Err(LangError::new("scenario is missing `ops`", close.span, "block ends here")
             .with_note(open.span, "scenario opened here"));
     };
+    // Guest loop counters compare as signed words, and a sweep point
+    // budgets 64 B of pool per operation (`Scenario::point_config`).
+    let most = *threads.iter().max().expect("`threads` has at least one value") as u64;
+    if most.checked_mul(ops).and_then(|n| n.checked_mul(64)).map_or(true, |b| b > i64::MAX as u64) {
+        return Err(LangError::new(
+            "per-thread op count too large: threads × ops × 64 B must fit a signed 64-bit word",
+            ops_span,
+            "out of range",
+        ));
+    }
 
     // Cross-key validation: a workload parameter only where it applies.
     for (key, given, applies, workloads) in [
@@ -1097,9 +1107,15 @@ mod tests {
             ("memcached", "puts 1001", "set rate must be at most 1000‰", "1001"),
             ("stack", "alloc global 4", "unknown allocator `global`", "global"),
             ("stack", "alloc sharded 0", "shard count must be between 1 and 4096", "0"),
+            ("stack", "ops 9223372036854775808", "per-thread op count too large", "9223372036854775808"),
+            ("memcached", "threads 4\n  ops 4611686018427387904", "op count too large", "4611686018427387904"),
+            // 2^56 ops fit one thread's 64 B budget; the largest count decides.
+            ("stack", "ops 72057594037927936\n  threads 1,4", "op count too large", "72057594037927936"),
         ] {
-            let src = format!("scenario x {{\n  workload {workload}\n  threads 2\n  ops 2\n  {clause}\n}}\n");
-            let src = if clause.starts_with("threads") { src.replacen("  threads 2\n", "", 1) } else { src };
+            let mut src = format!("scenario x {{\n  workload {workload}\n  threads 2\n  ops 2\n  {clause}\n}}\n");
+            for key in ["threads", "ops"].into_iter().filter(|k| clause.contains(k)) {
+                src = src.replacen(&format!("  {key} 2\n"), "", 1);
+            }
             let e = parse_scenario(&src).unwrap_err();
             assert!(e.message.contains(message), "{clause}: {e:?}");
             assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");

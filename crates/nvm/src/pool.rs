@@ -2,6 +2,7 @@
 
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::BTreeSet;
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -154,9 +155,14 @@ struct Inner {
     /// either side, copied the line or cleared its `touched` bit, and never
     /// cleared while the pool lives. A sync forgets the lines it equalized,
     /// so only `dirty ∪ touched ∪ synced` covers every line either image
-    /// may hold a nonzero word in: the lines a dropped pool zeroes.
+    /// may hold a nonzero word in: the lines a dropped pool zeroes. Every
+    /// write to the persistent image sets `touched` or `synced`, so
+    /// `touched ∪ synced` covers that image's nonzero lines.
     /// Last, so that the fields the store path reads keep their offsets.
     synced: Vec<Cell<u64>>,
+    /// The `used` of the spare this pool was built from, empty for new
+    /// memory: the bitset words the previous user changed a line of.
+    used_before: Vec<u64>,
 }
 
 impl Inner {
@@ -197,28 +203,58 @@ impl Inner {
 }
 
 /// A dropped pool goes back to its host thread's spares, all zero: only the
-/// lines its bitsets name are cleared, O(bitset words + lines changed).
-/// Pools too large to be heap-served are not kept (see `SPARE_WORDS_MAX`),
-/// nor one dropped after the thread's spare list itself (say, by another
-/// thread-local's destructor): `try_with` frees that one instead.
+/// lines its bitsets name are cleared, O(bitset words + lines changed). A
+/// mapped pool (see `MAPPED_WORDS_MIN`) gives back the pages of its images
+/// that no reuse is likely to want (see `pages_to_release`) and clears only
+/// the lines outside them; on targets other than x86-64 Linux it is freed
+/// instead, and so is one whose pages could not be given back. A pool
+/// dropped after the thread's spare list itself (say, by another
+/// thread-local's destructor) is freed too: `try_with` fails for it.
 impl Drop for Inner {
     fn drop(&mut self) {
-        if self.volatile.len() >= SPARE_WORDS_MAX {
+        let mapped = self.volatile.len() >= MAPPED_WORDS_MIN;
+        if mapped && !cfg!(all(target_os = "linux", target_arch = "x86_64")) {
             return;
         }
+        // One bit per bitset word this pool changed a line of.
         let bitsets = [&self.dirty, &self.touched, &self.synced];
+        let mut used = vec![0u64; self.dirty.len().div_ceil(64)];
         for w in 0..self.dirty.len() {
-            let changed = bitsets.iter().fold(0, |acc, b| acc | b[w].get());
-            if changed == 0 {
-                continue;
+            if bitsets.iter().any(|b| b[w].get() != 0) {
+                used[w / 64] |= 1 << (w % 64);
             }
-            for l in lines_of(w, changed) {
-                let words = l * WORDS_PER_LINE..(l + 1) * WORDS_PER_LINE;
-                for image in [&self.volatile, &self.persistent] {
-                    image[words.clone()].iter().for_each(|c| c.set(0));
+        }
+        // A mapped pool's pages to give back, per image. A page given back
+        // reads as zero, so clearing its lines first would only fault it in.
+        let images = [&self.volatile, &self.persistent];
+        let mut released = [Vec::new(), Vec::new()];
+        if mapped {
+            for (image, runs) in images.iter().zip(&mut released) {
+                let start = image.as_ptr() as usize;
+                *runs = pages_to_release(start..start + image.len() * 8, &used, &self.used_before);
+            }
+        }
+        for (i, &bits) in used.iter().enumerate() {
+            // `lines_of` numbers the set bits; here they are bitset words.
+            for w in lines_of(i, bits) {
+                // Only a line in `touched ∪ synced` can hold a nonzero
+                // persistent word (see `Inner::synced`).
+                let persisted = self.touched[w].get() | self.synced[w].get();
+                let changed = [self.dirty[w].get() | persisted, persisted];
+                for ((image, runs), changed) in images.iter().zip(&released).zip(changed) {
+                    for l in lines_of(w, changed) {
+                        let line = &image[l * WORDS_PER_LINE..(l + 1) * WORDS_PER_LINE];
+                        if !within(runs, line) {
+                            line.iter().for_each(|c| c.set(0));
+                        }
+                    }
                 }
+                bitsets.iter().for_each(|b| b[w].set(0));
             }
-            bitsets.iter().for_each(|b| b[w].set(0));
+        }
+        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+        if !released.iter().all(|runs| give_back(runs)) {
+            return;
         }
         let spare = Spare {
             volatile: std::mem::take(&mut self.volatile),
@@ -226,6 +262,7 @@ impl Drop for Inner {
             dirty: std::mem::take(&mut self.dirty),
             touched: std::mem::take(&mut self.touched),
             synced: std::mem::take(&mut self.synced),
+            used,
         };
         let _ = SPARES.try_with(|spares| {
             let mut spares = spares.borrow_mut();
@@ -238,13 +275,20 @@ impl Drop for Inner {
 }
 
 /// The memory of a dropped pool, every word zero: what [`PmemPool::new`]
-/// and [`PmemPool::scratch`] would otherwise allocate and clear.
+/// and [`PmemPool::scratch`] would otherwise allocate and clear. A mapped
+/// spare serves only a pool of its own size: a pool that finds no spare of
+/// its size frees the thread's mapped spares before it allocates its own
+/// images, so a thread that moves on to another size holds no unrelated
+/// mapping resident.
 struct Spare {
     volatile: Vec<Cell<u64>>,
     persistent: Vec<Cell<u64>>,
     dirty: Vec<Cell<u64>>,
     touched: Vec<Cell<u64>>,
     synced: Vec<Cell<u64>>,
+    /// One bit per bitset word (a 4 KiB stretch of each image) its last
+    /// user changed a line of. Only a mapped pool's drop reads it.
+    used: Vec<u64>,
 }
 
 /// Spares kept per host thread, the most recently dropped last. The crash
@@ -255,27 +299,110 @@ struct Spare {
 /// that moves on to another size keeps at most four of the old one.
 const SPARES_KEPT: usize = 4;
 
-/// The smallest pool, in words, that is never kept: 32 MiB, glibc's
-/// `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit), from which on an image is always
-/// a fresh mapping. A smaller image may come from the heap, where `calloc`
-/// clears it and so makes it resident in full; kept, it costs no more
-/// memory than it did. A mapped image is resident only where its pool
-/// touched it and is returned at drop; kept, it would stay.
-const SPARE_WORDS_MAX: usize = (32 << 20) / 8;
+/// The smallest pool, in words, whose images are always fresh mappings:
+/// 32 MiB, glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit). A smaller image
+/// may come from the heap, where `calloc` clears it and so makes it
+/// resident in full; kept, it costs no more memory than it did. A mapped
+/// image is resident only where its users touched it, so a kept one would
+/// stay resident on every page any earlier user touched: a dropped mapped
+/// pool gives back all but the pages its next user is likely to touch
+/// (see `pages_to_release`).
+const MAPPED_WORDS_MIN: usize = (32 << 20) / 8;
+
+/// Image bytes one bitset word covers: 64 lines, 4 KiB.
+const BITSET_WORD_BYTES: usize = 64 * CACHE_LINE;
 
 thread_local! {
     static SPARES: RefCell<Vec<Spare>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The most recently dropped spare of `words` words, if this thread keeps
-/// one.
+/// one. If it keeps none, the thread's mapped spares are freed.
 fn take_spare(words: usize) -> Option<Spare> {
     let take = |spares: &RefCell<Vec<Spare>>| {
         let mut spares = spares.borrow_mut();
-        let i = spares.iter().rposition(|s| s.volatile.len() == words)?;
+        let Some(i) = spares.iter().rposition(|s| s.volatile.len() == words) else {
+            spares.retain(|s| s.volatile.len() < MAPPED_WORDS_MIN);
+            return None;
+        };
         Some(spares.remove(i))
     };
     SPARES.try_with(take).ok().flatten()
+}
+
+/// Gives `runs`, whole OS pages of a dropping mapped pool's image, back to
+/// the kernel; true iff every call succeeded. A page given back reads as
+/// zero again on its next touch (`MADV_DONTNEED` on private anonymous
+/// memory), which costs that touch a page fault.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn give_back(runs: &[Range<usize>]) -> bool {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_DONTNEED: i32 = 4;
+    runs.iter().all(|run| {
+        // SAFETY: `run` is whole pages inside an image the dropping pool
+        // owns; a page given back reads as zero, a valid `Cell<u64>`.
+        unsafe { madvise(run.start as *mut std::ffi::c_void, run.len(), MADV_DONTNEED) == 0 }
+    })
+}
+
+/// Whether `cells` lie wholly inside one of `runs`, sorted address ranges.
+fn within(runs: &[Range<usize>], cells: &[Cell<u64>]) -> bool {
+    let start = cells.as_ptr() as usize;
+    let i = runs.partition_point(|r| r.end <= start);
+    runs.get(i).is_some_and(|r| r.start <= start && start + cells.len() * 8 <= r.end)
+}
+
+/// The OS page size `give_back` assumes: 4 KiB on x86-64. A bitset
+/// word covers as many image bytes, which `pages_to_release` relies on.
+const OS_PAGE: usize = 4096;
+const _: () = assert!(BITSET_WORD_BYTES == OS_PAGE);
+
+/// The runs of whole OS pages in the image at addresses `image` that a
+/// dropping mapped pool gives back: every page but those both `used` and
+/// `used_before` touched. A page two users in a row wanted, the next one
+/// likely wants too; the others would keep a spare resident wherever any
+/// earlier user went.
+///
+/// A page counts as touched where either bitset word that overlaps it has
+/// its bit set. Word boundaries are not page boundaries: glibc's 16-byte
+/// chunk header puts each 4 KiB word across two pages, so releasing by
+/// word would never free a whole page. The partial pages at either end of
+/// the image, which hold the allocator's header and padding, are never
+/// given back. Whole page `j` overlaps words `j` and, unless the image is
+/// page-aligned, `j + 1`, so 64 pages are decided per bitset word.
+fn pages_to_release(image: Range<usize>, used: &[u64], used_before: &[u64]) -> Vec<Range<usize>> {
+    let first = image.start.next_multiple_of(OS_PAGE);
+    let pages = (image.end / OS_PAGE).saturating_sub(first / OS_PAGE);
+    let straddles = first != image.start;
+    // Bit `b` set iff whole page `64 * i + b` overlaps a set bit of `bits`.
+    let touched = |bits: &[u64], i: usize| {
+        let word = |k: usize| bits.get(k).copied().unwrap_or(0);
+        if straddles {
+            word(i) | word(i) >> 1 | word(i + 1) << 63
+        } else {
+            word(i)
+        }
+    };
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for i in 0..pages.div_ceil(64) {
+        let beyond = (64 * (i + 1)).saturating_sub(pages);
+        let mut give = !(touched(used, i) & touched(used_before, i)) & (u64::MAX >> beyond);
+        while give != 0 {
+            let at = give.trailing_zeros() as usize;
+            let len = (give >> at).trailing_ones() as usize;
+            let start = first + (64 * i + at) * OS_PAGE;
+            let end = start + len * OS_PAGE;
+            match runs.last_mut() {
+                Some(run) if run.end == start => run.end = end,
+                _ => runs.push(start..end),
+            }
+            // Clear the lowest run of set bits.
+            give &= give.wrapping_add(give & give.wrapping_neg());
+        }
+    }
+    runs
 }
 
 /// Sets bit `line` of `bits` unless it is set already; true iff it was
@@ -359,10 +486,12 @@ impl std::fmt::Debug for PmemPool {
 /// size of every mapped block freed, up to 32 MiB, so a process that
 /// builds pool after pool would get its second and later images from the
 /// heap: ≈ 62 µs of `calloc` clearing per 1 MiB test pool. That O(pool)
-/// cost is why a dropped pool below 32 MiB is kept as a spare instead
-/// (see `Spare`), and its next user of the same size on the same host
-/// thread clears only the lines the last one changed; this function runs
-/// for a thread's first pools of each size, and for every larger pool.
+/// cost is why a dropped pool is kept as a spare instead (see `Spare`),
+/// and its next user of the same size on the same host thread clears only
+/// the lines the last one changed; this function runs for a thread's
+/// first pool of each size. A mapped image's cost is its first-touch
+/// faults (1.6–3.2 µs each on a 2-core x86-64 VM), which a kept mapped
+/// spare saves on the pages it keeps (see `pages_to_release`).
 ///
 /// Mapping every pool instead took the workspace tests from 24 s to 58 s;
 /// it is the right trade only for a pool that lives long and is mostly
@@ -373,7 +502,7 @@ impl std::fmt::Debug for PmemPool {
 fn zeroed_cells(n: usize, reserve: bool) -> Vec<Cell<u64>> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
     /// One word past glibc's `DEFAULT_MMAP_THRESHOLD_MAX` (64-bit).
-    const ALWAYS_MAPPED_WORDS: usize = SPARE_WORDS_MAX + 1;
+    const ALWAYS_MAPPED_WORDS: usize = MAPPED_WORDS_MIN + 1;
     if n == 0 {
         return Vec::new();
     }
@@ -414,7 +543,7 @@ impl PmemPool {
         let size = config.size.next_multiple_of(CACHE_LINE).max(CACHE_LINE);
         let words = size / 8;
         let lines = size / CACHE_LINE;
-        let Spare { volatile, persistent, dirty, touched, synced } = take_spare(words)
+        let Spare { volatile, persistent, dirty, touched, synced, used } = take_spare(words)
             .unwrap_or_else(|| {
                 let bitset = || zeroed_cells(lines.div_ceil(64), false);
                 let image = || zeroed_cells(words, reserve);
@@ -424,6 +553,7 @@ impl PmemPool {
                     dirty: bitset(),
                     touched: bitset(),
                     synced: bitset(),
+                    used: Vec::new(),
                 }
             });
         let config = PoolConfig { size, ..config };
@@ -440,6 +570,7 @@ impl PmemPool {
                 journal: Journal::default(),
                 collector,
                 synced,
+                used_before: used,
             }),
         }
     }
@@ -1564,8 +1695,24 @@ mod tests {
     /// no longer marks the lines the sync equalized as `touched`.
     #[test]
     fn a_recycled_pool_is_indistinguishable_from_a_fresh_one() {
+        recycles_like_fresh(64 << 10, 60);
+    }
+
+    /// The same for a mapped pool, whose spare gives back the pages its
+    /// last two users did not both touch: each user also writes three
+    /// pages spread over the image, two of them shared with the previous
+    /// user, so lines are cleared both in pages kept and in pages given
+    /// back.
+    #[test]
+    fn a_recycled_mapped_pool_is_indistinguishable_from_a_fresh_one() {
+        recycles_like_fresh(MAPPED_WORDS_MIN * 8, 2);
+    }
+
+    /// Drops churned pools of `size` bytes, over `seeds` seeds, and checks
+    /// each pool rebuilt from the spare against a fresh one.
+    fn recycles_like_fresh(size: usize, seeds: u64) {
         let cfg = PoolConfig {
-            size: 64 << 10,
+            size,
             latency: LatencyModel::default(),
             trace: TraceConfig { enabled: true, buf_entries: 64 },
             metrics: MetricsConfig::with_window(1_000),
@@ -1581,13 +1728,26 @@ mod tests {
             assert_eq!(p.inner.volatile.as_ptr(), image, "{what}: not recycled");
             assert_like_fresh(&p, &fresh, what);
         };
+        let users = Cell::new(0u64);
         let churned = |seed| {
             let p = PmemPool::new(cfg.clone());
             p.record_journal(16);
-            churn(&mut p.handle(), seed);
+            let mut h = p.handle();
+            churn(&mut h, seed);
+            let (n, pages) = (users.get(), (size / OS_PAGE) as u64);
+            users.set(n + 1);
+            for k in (n..n + 3).filter(|_| size >= MAPPED_WORDS_MIN * 8) {
+                let addr = (k * 97 % pages) as usize * OS_PAGE + (k % 500) as usize * 8;
+                if k % 2 == 0 {
+                    h.write_u64(addr, k);
+                } else {
+                    h.nt_store_u64(addr, k);
+                }
+            }
+            drop(h);
             p
         };
-        for seed in 0..60u64 {
+        for seed in 0..seeds {
             let probe = churned(seed);
             let dirty = probe.dirty_lines();
             rebuild(probe, &format!("seed {seed}, no crash"));
@@ -1608,20 +1768,142 @@ mod tests {
         }
     }
 
-    /// A pool of 32 MiB or more is always a fresh mapping, resident only
-    /// where it was touched and returned at drop: kept, it would stay
-    /// resident, so it is not kept. One line less is.
+    /// The word counts of this thread's spares, oldest first.
+    fn spare_words() -> Vec<usize> {
+        SPARES.with(|s| s.borrow().iter().map(|sp| sp.volatile.len()).collect())
+    }
+
+    /// A dropped mapped pool (32 MiB and more) is kept, and serves the next
+    /// pool of its size on the thread.
     #[test]
-    fn pools_of_32_mib_and_more_are_never_kept() {
-        let kept = |words| SPARES.with(|s| s.borrow().iter().any(|sp| sp.volatile.len() == words));
-        let always_mapped = ((SPARE_WORDS_MAX + 1) * 8).next_multiple_of(CACHE_LINE);
-        let sizes = [(32 << 20, false), (always_mapped, false), ((32 << 20) - CACHE_LINE, true)];
-        for (size, keep) in sizes {
-            let p = PmemPool::new(PoolConfig { size, ..PoolConfig::small_for_tests() });
-            p.handle().write_u64(size - 8, 1);
-            drop(p);
-            assert_eq!(kept(size / 8), keep, "{size} B");
+    fn a_same_size_pool_reuses_the_mapped_spare() {
+        SPARES.with(|s| s.borrow_mut().clear());
+        let cfg = PoolConfig { size: 32 << 20, ..PoolConfig::small_for_tests() };
+        let p = PmemPool::new(cfg.clone());
+        p.handle().write_u64((32 << 20) - 8, 1);
+        let image = p.inner.volatile.as_ptr();
+        drop(p);
+        assert_eq!(spare_words(), [MAPPED_WORDS_MIN]);
+        let p = PmemPool::new(cfg);
+        assert_eq!(p.inner.volatile.as_ptr(), image, "not recycled");
+        assert_eq!(p.handle().read_u64((32 << 20) - 8), 0);
+        assert!(spare_words().is_empty());
+    }
+
+    /// A pool that finds no spare of its size frees the thread's mapped
+    /// spares before it allocates; heap-served spares stay, and a pool
+    /// that finds its spare frees nothing.
+    #[test]
+    fn a_pool_of_another_size_frees_the_mapped_spares_first() {
+        SPARES.with(|s| s.borrow_mut().clear());
+        let pool = |size| PmemPool::new(PoolConfig { size, ..PoolConfig::small_for_tests() });
+        let (mapped, small) = (32 << 20, 64 << 10);
+        drop(pool(small));
+        drop(pool(mapped));
+        drop(pool(small));
+        assert_eq!(spare_words(), [mapped / 8, small / 8], "a hit freed the mapped spare");
+        let other = pool(mapped + OS_PAGE);
+        assert_eq!(spare_words(), [small / 8], "the mapped spare outlived a miss");
+        drop(other);
+        assert_eq!(spare_words(), [small / 8, (mapped + OS_PAGE) / 8]);
+    }
+
+    /// `pages_to_release` against a byte-level reference, at image bases
+    /// on, just past and mid-way between page boundaries: a whole page is
+    /// kept iff, for both users, some bitset word whose 4 KiB overlaps the
+    /// page has its bit set, and the runs given back are maximal and cover
+    /// exactly the other whole pages.
+    #[test]
+    fn kept_pages_are_those_both_last_users_touched() {
+        let words: usize = 300;
+        for offset in [0, 16, 2048, OS_PAGE - 16] {
+            for seed in 0..40u64 {
+                let mut rng = SplitMix64::new(seed);
+                let mut bits = || {
+                    let dense = rng.next() % 4;
+                    let mut b = vec![0u64; words.div_ceil(64)];
+                    for w in 0..words {
+                        if rng.next() % 4 < dense {
+                            b[w / 64] |= 1 << (w % 64);
+                        }
+                    }
+                    b
+                };
+                let (used, before) = (bits(), bits());
+                let base = (1 << 30) + offset;
+                let image = base..base + words * BITSET_WORD_BYTES - 8 * (seed as usize % 3);
+                let runs = pages_to_release(image.clone(), &used, &before);
+                let touched = |b: &[u64], page: usize| {
+                    (0..words).any(|w| {
+                        let start = base + w * BITSET_WORD_BYTES;
+                        b[w / 64] >> (w % 64) & 1 != 0
+                            && start < page + OS_PAGE
+                            && page < start + BITSET_WORD_BYTES
+                    })
+                };
+                let mut want = Vec::new();
+                let mut page = image.start.next_multiple_of(OS_PAGE);
+                while page + OS_PAGE <= image.end {
+                    if !(touched(&used, page) && touched(&before, page)) {
+                        want.push(page);
+                    }
+                    page += OS_PAGE;
+                }
+                let got: Vec<usize> = runs.iter().flat_map(|r| r.clone().step_by(OS_PAGE)).collect();
+                assert_eq!(got, want, "offset {offset}, seed {seed}");
+                for pair in runs.windows(2) {
+                    assert!(pair[0].end < pair[1].start, "offset {offset}, seed {seed}: runs not maximal");
+                }
+            }
         }
+    }
+
+    /// Whether the page at `addr` is resident, from `/proc/self/pagemap`.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn resident(addr: usize) -> bool {
+        use std::io::{Read, Seek, SeekFrom};
+        let mut map = std::fs::File::open("/proc/self/pagemap").expect("pagemap");
+        let mut entry = [0u8; 8];
+        map.seek(SeekFrom::Start((addr / OS_PAGE * 8) as u64)).expect("seek");
+        map.read_exact(&mut entry).expect("read");
+        u64::from_le_bytes(entry) >> 63 != 0
+    }
+
+    /// In a real mapping: a fresh mapped pool's drop gives back every whole
+    /// page it touched; a later user's drop keeps only the pages it and the
+    /// user before it both touched, and of those, the persistent image's
+    /// only where a line reached it (a plain store's line was never
+    /// resident there, and zeroing it would fault it in).
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_mapped_spare_stays_resident_only_where_both_last_users_went() {
+        SPARES.with(|s| s.borrow_mut().clear());
+        let cfg = PoolConfig { size: 32 << 20, ..PoolConfig::small_for_tests() };
+        let mid = |w: usize| w * BITSET_WORD_BYTES + 2048;
+        // Non-temporal stores (both images) to `nt`, plain ones to `plain`.
+        let user = |nt: &[usize], plain: &[usize]| {
+            let p = PmemPool::new(cfg.clone());
+            let mut h = p.handle();
+            nt.iter().for_each(|&w| h.nt_store_u64(mid(w), 1));
+            plain.iter().for_each(|&w| h.write_u64(mid(w), 1));
+            drop(h);
+            let images = [p.inner.volatile.as_ptr() as usize, p.inner.persistent.as_ptr() as usize];
+            drop(p);
+            images
+        };
+        // Resident whole pages of each image, as offsets from its base.
+        let present = |images: [usize; 2]| {
+            images.map(|base| {
+                let whole = base.next_multiple_of(OS_PAGE)..(base + (32 << 20)) / OS_PAGE * OS_PAGE;
+                whole.step_by(OS_PAGE).filter(|&a| resident(a)).map(|a| a - base).collect::<Vec<_>>()
+            })
+        };
+        let page = |base: usize, w: usize| (base + mid(w)) / OS_PAGE * OS_PAGE - base;
+        assert_eq!(present(user(&[10, 20], &[])), [vec![], vec![]], "a fresh mapping's first user kept pages");
+        let [v, p] = user(&[20, 30], &[40]);
+        assert_eq!(present([v, p]), [vec![page(v, 20)], vec![page(p, 20)]]);
+        let [v, p] = user(&[], &[40]);
+        assert_eq!(present([v, p]), [vec![page(v, 40)], vec![]]);
     }
 
     #[test]

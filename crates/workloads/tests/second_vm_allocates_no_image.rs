@@ -8,9 +8,10 @@
 //! asks for while it builds the second VM; they must come to less than one
 //! pool image. Counting is scoped to that thread, as in
 //! `no_alloc_hot_loop.rs`, so libtest's other threads cannot pollute it.
+//! Both a heap-served 1 MiB pool and a mapped 64 MiB one are checked.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use ido_compiler::{instrument_program, Scheme};
 use ido_ir::{BinOp, ProgramBuilder};
@@ -18,18 +19,16 @@ use ido_vm::{Vm, VmConfig};
 
 struct CountingAlloc;
 
-static BYTES: AtomicU64 = AtomicU64::new(0);
-
-// `const`-init TLS never allocates, so reading the flag inside the
-// allocator cannot recurse; `try_with` covers TLS teardown.
+// The bytes the measuring thread asked for, while it measures. `const`-init
+// TLS never allocates, so reading it inside the allocator cannot recurse;
+// `try_with` covers TLS teardown. Per thread, so the tests below can run
+// side by side.
 thread_local! {
-    static MEASURED_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
 }
 
 fn note(bytes: usize) {
-    if MEASURED_THREAD.try_with(|f| f.get()).unwrap_or(false) {
-        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
+    let _ = MEASURED.try_with(|m| m.set(m.get().map(|b| b + bytes as u64)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -89,8 +88,21 @@ fn store_loop() -> ido_ir::Program {
 
 #[test]
 fn the_second_vm_on_a_thread_allocates_no_pool_image() {
+    second_vm_allocates_less_than_an_image(VmConfig::for_tests());
+}
+
+/// The same for a 64 MiB pool, whose images are fresh mappings: the
+/// dropped pool's spare gives back most of its pages but keeps its
+/// mapping for the next pool of its size.
+#[test]
+fn the_second_64_mib_vm_on_a_thread_allocates_no_pool_image() {
+    let mut cfg = VmConfig::for_tests();
+    cfg.pool.size = 64 << 20;
+    second_vm_allocates_less_than_an_image(cfg);
+}
+
+fn second_vm_allocates_less_than_an_image(cfg: VmConfig) {
     let inst = instrument_program(store_loop(), Scheme::Ido).expect("instrumentation");
-    let cfg = VmConfig::for_tests();
     let image = cfg.pool.size as u64;
 
     // The first VM runs, so its pool has lines to clear when it drops.
@@ -99,10 +111,9 @@ fn the_second_vm_on_a_thread_allocates_no_pool_image() {
     first.run();
     drop(first);
 
-    MEASURED_THREAD.with(|f| f.set(true));
+    MEASURED.with(|m| m.set(Some(0)));
     let second = Vm::new(inst, cfg);
-    MEASURED_THREAD.with(|f| f.set(false));
-    let bytes = BYTES.load(Ordering::Relaxed);
+    let bytes = MEASURED.with(Cell::take).expect("measuring");
     assert!(bytes < image, "the second Vm::new allocated {bytes} B, a pool image is {image} B");
     drop(second);
 }

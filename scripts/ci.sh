@@ -43,9 +43,13 @@ echo "== test (workspace) =="
 # loop (ido-idem partition_equivalence),
 # allocator crash sweeps (alloc_crash, alloc_shard), metrics gates
 # (service_metrics, no_alloc_hot_loop), a recycled pool (ido-nvm --lib
-# a_recycled_pool_is_indistinguishable_from_a_fresh_one, and
+# a_recycled_pool_is_indistinguishable_from_a_fresh_one and its mapped
+# twin, a_same_size_pool_reuses_the_mapped_spare,
+# a_pool_of_another_size_frees_the_mapped_spares_first,
+# kept_pages_are_those_both_last_users_touched,
+# a_mapped_spare_stays_resident_only_where_both_last_users_went, and
 # second_vm_allocates_no_image: a VM built after one of its size was
-# dropped allocates no pool image), lock-free gates (lockfree_oracle,
+# dropped allocates no pool image, at 1 and 64 MiB), lock-free gates (lockfree_oracle,
 # structures_oracle, lockfree_differential, rcas_proptest) and the
 # textual-frontend gates (corpus, roundtrip_fuzz, diagnostics_golden,
 # explain_golden).
@@ -67,7 +71,8 @@ echo "== scheme seams: one home per scheme in ido-vm =="
 # fourteen per-scheme variants and their ten mnemonics stay gone; the one
 # written down is the input of the diagnostic pinning it as unknown), every
 # observed event goes to the handle's one recorder, a pool and a VM have one
-# driver (no atomic, lock or padding in ido-nvm or ido-vm), and the refactor-proof
+# driver (no atomic, lock or padding in ido-nvm or ido-vm), unsafe code and
+# foreign calls live in crates/nvm/src/pool.rs only, and the refactor-proof
 # goldens (forward runs and crash + recover rows, both tiers)
 # hold in an optimized build. Tier 1 defines each instruction once, over a
 # thread whose running frame is a field. A thread lends its scheme state:
@@ -123,6 +128,12 @@ scheme_seams() {
   if grep -rnE 'mem::replace\(&mut [a-z_.]*scheme|mem::take\(&mut th\.frame\.regs|scheme_state_moves_inline' \
       crates/vm/src; then
     echo "a scheme state or register file is moved out of its thread: borrow it in place"; return 1
+  fi
+  # Foreign calls stay in one place: the pool's allocation and its one
+  # `madvise` are the workspace's only `unsafe` and its only `extern "C"`
+  # (test-only allocator counters under crates/*/tests stay allowed).
+  if grep -rnE 'extern "C"|\bunsafe\b' crates/*/src | grep -v '^crates/nvm/src/pool.rs:'; then
+    echo "unsafe code or a foreign call outside crates/nvm/src/pool.rs"; return 1
   fi
   if (( $(ls crates | wc -l) != 14 )); then
     echo "the workspace has $(ls crates | wc -l) crates, not 14"; return 1

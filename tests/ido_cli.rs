@@ -210,3 +210,24 @@ fn only_sweep_runs_a_sweep() {
     let points: Vec<String> = rows[1..].iter().map(|r| r.split(',').take(5).collect::<Vec<_>>().join(",")).collect();
     assert_eq!(points, ["stack,Origin,1,4,0", "stack,Origin,2,4,0", "stack,iDO,1,4,0", "stack,iDO,2,4,0"]);
 }
+
+/// An `ops` the guest cannot count once ran: guest loop counters compare
+/// as signed words, so `ops 2⁶³` ran no operation and `ido sweep` reported
+/// 5.4e18 mops, and `threads 4` × `ops 2⁶²` overflowed memcached's arena
+/// size and panicked in the pool. Both are now a span diagnostic.
+#[test]
+fn an_op_count_the_guest_cannot_count_is_a_parse_diagnostic() {
+    for (name, clauses, ops) in [
+        ("ops_2_63", "workload stack\n  threads 1", "9223372036854775808"),
+        ("ops_2_62", "workload memcached\n  threads 4", "4611686018427387904"),
+    ] {
+        let source = format!("scenario x {{\n  {clauses}\n  ops {ops}\n  schemes ido\n}}\n");
+        for command in ["run", "sweep"] {
+            let Ran { code, stdout, stderr } = ido(command, &format!("{command}_{name}"), &source);
+            assert_eq!(code, Some(2), "ido {command} {name}:\n{stdout}\n{stderr}");
+            assert!(stdout.is_empty(), "ido {command} {name} ran:\n{stdout}");
+            assert!(stderr.contains("per-thread op count too large"), "{stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
