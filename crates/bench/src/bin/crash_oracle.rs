@@ -1,6 +1,8 @@
 //! Crash-oracle sweep: exhaustively explores every persist-boundary crash
 //! state of the twin-counter workload under iDO and all five baselines,
-//! reporting explored-state counts per scheme, then demonstrates the
+//! reporting explored-state counts per scheme — with `distinct`, how many
+//! different persistent images those states crash into, each of which is
+//! recovered once — then demonstrates the
 //! minimal-counterexample machinery on a deliberately broken iDO variant
 //! (store write-backs skipped at region boundaries).
 //!
@@ -18,20 +20,23 @@ fn main() {
         cfg.threads, cfg.ops_per_thread, cfg.seed
     );
     // `replayed` (steps the forward runs executed: at most jobs x steps),
-    // `forked` (lines copied to fork crash states), `us/state` (host time
-    // past set-up, per crash state) and `setup` (instrument + reference
-    // pass + forward-run construction, as a share of the exploration's host
-    // time) are host-side costs that vary with IDO_JOBS and the machine,
-    // so they are printed but not in the CSV.
+    // `forked` (lines copied to fork crash states), `recovered` (states
+    // whose recovery ran: each worker recovers an image once), `us/state`
+    // (host time past set-up, per crash state) and `setup` (instrument +
+    // reference pass + forward-run construction, as a share of the
+    // exploration's host time) are host-side costs that vary with IDO_JOBS
+    // and the machine, so they are printed but not in the CSV.
     println!(
-        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9} {:>6} {:>8}",
+        "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>8}",
         "scheme",
         "steps",
         "events",
         "boundaries",
         "crash states",
+        "distinct",
         "replayed",
         "forked",
+        "recovered",
         "us/state",
         "setup",
         "result"
@@ -40,14 +45,16 @@ fn main() {
     let mut rows = Vec::new();
     for r in &reports {
         println!(
-            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9.2} {:>5.0}% {:>8}",
+            "{:>10} {:>8} {:>8} {:>11} {:>13} {:>9} {:>9} {:>9} {:>10} {:>9.2} {:>5.0}% {:>8}",
             r.scheme.name(),
             r.total_steps,
             r.persist_events,
             r.boundary_steps,
             r.crash_states_explored,
+            r.distinct_images,
             r.replayed_steps,
             r.forked_lines,
+            r.recoveries_run,
             (r.host_ns - r.setup_ns) as f64 / 1e3 / r.crash_states_explored as f64,
             100.0 * r.setup_ns as f64 / r.host_ns as f64,
             if r.counterexample.is_none() { "ok" } else { "FAIL" }

@@ -36,7 +36,13 @@
 //!    `CrashPolicy::Subset`. Nothing is rebuilt per state.
 //! 3. **Verification** — after the state's last crash the scheme's recovery
 //!    runs, the workload's own invariants are checked, and recovery is
-//!    re-run to confirm idempotence — all under `catch_unwind`.
+//!    re-run to confirm idempotence — all under `catch_unwind`. The verdict
+//!    is a function of the crashed persistent image, so each forward run
+//!    keys every image (an XOR of 128-bit per-line keys, kept up to date
+//!    from the lines the live pool writes back) and verifies an image once:
+//!    a state whose image already passed reuses that verdict, skipping the
+//!    fork, the crash and verification. Failing images are never
+//!    remembered.
 //! 4. **Shrinking** — on failure, every lost-line set of the state is
 //!    greedily minimized (drop any line whose loss is not needed to fail),
 //!    then the crash step is minimized to the earliest boundary where the
@@ -59,6 +65,7 @@
 #![deny(missing_docs)]
 
 use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
@@ -176,9 +183,19 @@ pub struct Exploration {
     /// is linear in run length. A host-side cost: it varies with the job
     /// count and is therefore not part of the [`std::fmt::Display`] report.
     pub replayed_steps: u64,
+    /// Distinct persistent images among the crash states checked: states
+    /// whose last crash leaves byte-identical images count once. Counted
+    /// over the same states as `crash_states_explored`, so it is identical
+    /// for any job count; a failing state counts as an image of its own.
+    pub distinct_images: usize,
     /// Cache lines `PmemPool::sync_from` copied to fork crash states, summed
     /// over workers (host-side, like `replayed_steps`).
     pub forked_lines: u64,
+    /// Crash states whose recovery and verification the workers ran, summed:
+    /// a state whose image a worker already saw pass reuses that verdict
+    /// (see `ForwardRun::check`). Host-side, like `replayed_steps`: each
+    /// worker remembers only the images it checked itself.
+    pub recoveries_run: u64,
     /// Host wall-clock nanoseconds the whole exploration took, shrinking
     /// included (host-side: never in the [`std::fmt::Display`] report).
     pub host_ns: u64,
@@ -194,13 +211,14 @@ impl std::fmt::Display for Exploration {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{}/{}: {} boundaries over {} steps ({} persist events), {} crash states: {}",
+            "{}/{}: {} boundaries over {} steps ({} persist events), {} crash states ({} distinct images): {}",
             self.workload,
             self.scheme,
             self.boundary_steps,
             self.total_steps,
             self.persist_events,
             self.crash_states_explored,
+            self.distinct_images,
             match &self.counterexample {
                 None => "all consistent".to_string(),
                 Some(c) => format!("FAILED ({c})"),
@@ -357,6 +375,14 @@ pub fn persist_boundaries(
     (total, events, boundaries)
 }
 
+/// The reference run of `spec` under `inst` — the run [`persist_boundaries`]
+/// steps through — to its end: [`RunOutcome::Completed`], or the
+/// [`RunOutcome::Fault`] that stops it, which leaves no crash state to
+/// explore (`persist_boundaries` panics on it).
+pub fn reference_outcome(spec: &dyn WorkloadSpec, inst: &Instrumented, cfg: &OracleConfig) -> RunOutcome {
+    make_vm(spec, inst, cfg).0.run()
+}
+
 /// `Err` naming the first line of `lost` that is not dirty in `pool`
 /// (`when` says at which point): losing a clean line is not a crash state,
 /// and `CrashPolicy::Subset` would silently check a different one.
@@ -473,6 +499,16 @@ pub fn check_crash_state(
 /// forward, and a scratch pool re-synced to the live one for every crash
 /// state, so a state costs the lines it touched — no VM, pool or replay
 /// per state.
+///
+/// A state's verdict is a function of the image its last crash leaves,
+/// given the exploration's program, config and setup values (recovery,
+/// the re-attached VM and the invariants read only the pool), so the run
+/// also remembers the keys of the images it saw pass (`ok`) and checks
+/// each image once. It keys a plain state before forking it, from the
+/// live image's key and the dirty lines that survive; a crash during
+/// recovery only after its second crash, from the lines the scratch pool
+/// touched. Only passing verdicts are kept: a failing image is always
+/// recovered again, so the first failure and its shrinking do not move.
 struct ForwardRun<'a> {
     spec: &'a dyn WorkloadSpec,
     inst: &'a Instrumented,
@@ -483,21 +519,88 @@ struct ForwardRun<'a> {
     /// Paired with `live.pool()` for [`PmemPool::sync_from`]: both start
     /// zeroed and nothing else ever syncs from the live pool.
     scratch: PmemPool,
+    /// Per line the live pool ever changed the persistent image of, the
+    /// key of that line there as of the current boundary; every other line
+    /// is zero, whose key is 0.
+    line_keys: HashMap<usize, u128>,
+    /// The XOR of `line_keys`: the key of the live persistent image.
+    image_key: u128,
+    /// Per line dirty at the current boundary, ascending: the line, and
+    /// what its surviving a crash XORs into `image_key`.
+    survivors: Vec<(usize, u128)>,
+    /// Keys of the crashed images whose verdict was `Ok`.
+    ok: HashSet<u128>,
     forked_lines: u64,
+    recoveries: u64,
+}
+
+/// A forked check that passed: the key of the state's crashed image, and
+/// whether its verdict was remembered rather than recovered again.
+#[derive(Debug, Clone, Copy)]
+struct Passed {
+    key: u128,
+    remembered: bool,
 }
 
 impl<'a> ForwardRun<'a> {
     fn new(spec: &'a dyn WorkloadSpec, inst: &'a Instrumented, cfg: &'a OracleConfig) -> Self {
         let (live, base) = make_vm(spec, inst, cfg);
         let scratch = live.pool().scratch();
-        ForwardRun { spec, inst, cfg, live, base, scratch, forked_lines: 0 }
+        ForwardRun {
+            spec,
+            inst,
+            cfg,
+            live,
+            base,
+            scratch,
+            line_keys: HashMap::new(),
+            image_key: 0,
+            survivors: Vec::new(),
+            ok: HashSet::new(),
+            forked_lines: 0,
+            recoveries: 0,
+        }
     }
 
     /// Steps the live VM forward to absolute step `step` (a boundary at or
-    /// after its current step) and returns the lines dirty there.
+    /// after its current step), re-keys the lines whose persistent image it
+    /// changed since the last sync, and returns the lines dirty there.
     fn advance_to(&mut self, step: u64) -> Vec<usize> {
         self.live.run_steps(step - self.live.steps());
-        self.live.pool().dirty_lines()
+        let pool = self.live.pool();
+        for line in pool.touched_lines() {
+            let key = pool.persistent_line_key(line);
+            self.image_key ^= key ^ self.line_keys.insert(line, key).unwrap_or(0);
+        }
+        let dirty = pool.dirty_lines();
+        self.survivors =
+            dirty.iter().map(|&l| (l, self.line_key(l) ^ pool.volatile_line_key(l))).collect();
+        dirty
+    }
+
+    /// The key of line `line` of the live persistent image.
+    fn line_key(&self, line: usize) -> u128 {
+        self.line_keys.get(&line).copied().unwrap_or(0)
+    }
+
+    /// The key of the image a crash of the live pool losing `lost` (an
+    /// ascending subset of the dirty lines) leaves: every other dirty line
+    /// writes its volatile contents back.
+    fn crash_key(&self, lost: &[usize]) -> u128 {
+        self.survivors
+            .iter()
+            .filter(|(line, _)| lost.binary_search(line).is_err())
+            .fold(self.image_key, |key, (_, survives)| key ^ survives)
+    }
+
+    /// The key of the scratch pool's persistent image. It equalled the live
+    /// one at the last sync, which was at this boundary; since then it
+    /// differs at most in the lines it touched.
+    fn scratch_key(&self) -> u128 {
+        let pool = &self.scratch;
+        pool.touched_lines()
+            .into_iter()
+            .fold(self.image_key, |key, l| key ^ self.line_key(l) ^ pool.persistent_line_key(l))
     }
 
     /// Forks the live VM's current state into the scratch pool and crashes
@@ -514,11 +617,26 @@ impl<'a> ForwardRun<'a> {
     }
 
     /// The forked [`CrashState::check`] of `state`, whose step is the live
-    /// VM's current one.
-    fn check(&mut self, state: &CrashState) -> Result<(), String> {
-        self.fork_and_crash(&state.lost);
-        crash_recovery(self.inst, self.cfg, &self.scratch, state)?;
-        verify_recovery(self.spec, self.inst, self.cfg, &self.base, &self.scratch)
+    /// VM's current one, unless its image already passed.
+    fn check(&mut self, state: &CrashState) -> Result<Passed, String> {
+        let key = if state.recovery.is_none() {
+            self.crash_key(&state.lost)
+        } else {
+            self.fork_and_crash(&state.lost);
+            crash_recovery(self.inst, self.cfg, &self.scratch, state)?;
+            self.scratch_key()
+        };
+        if self.ok.contains(&key) {
+            return Ok(Passed { key, remembered: true });
+        }
+        if state.recovery.is_none() {
+            self.fork_and_crash(&state.lost);
+        }
+        debug_assert_eq!(key, self.scratch.persistent_key(), "the key of {state:?}");
+        self.recoveries += 1;
+        verify_recovery(self.spec, self.inst, self.cfg, &self.base, &self.scratch)?;
+        self.ok.insert(key);
+        Ok(Passed { key, remembered: false })
     }
 
     /// The lines an interrupted recovery leaves dirty: crash the current
@@ -538,6 +656,7 @@ struct Sweep<T> {
     outcomes: Vec<T>,
     replayed_steps: u64,
     forked_lines: u64,
+    recoveries: u64,
     /// When the first chunk's forward run stood ready: the end of set-up.
     ready: Instant,
 }
@@ -557,7 +676,7 @@ fn host_costs(started: Instant, ready: Instant) -> (u64, u64) {
 /// reaches the same machine state as a fresh replay — and outcomes are
 /// reassembled in boundary order and cut after the first failure, so the
 /// result, and every counterexample derived from it, is identical for any
-/// job count; only the two cost totals depend on it.
+/// job count; only the cost totals depend on it.
 fn sweep<T: Send>(
     jobs: usize,
     spec: &dyn WorkloadSpec,
@@ -584,14 +703,17 @@ fn sweep<T: Send>(
                 break;
             }
         }
-        (outcomes, failed, run.live.steps(), run.forked_lines, ready)
+        let costs = [run.live.steps(), run.forked_lines, run.recoveries];
+        (outcomes, failed, costs, ready)
     });
-    let ready = per_chunk[0].4;
-    let mut sweep = Sweep { outcomes: Vec::new(), replayed_steps: 0, forked_lines: 0, ready };
+    let ready = per_chunk[0].3;
+    let mut sweep =
+        Sweep { outcomes: Vec::new(), replayed_steps: 0, forked_lines: 0, recoveries: 0, ready };
     let mut reached = true;
-    for (outcomes, failed, steps, lines, _) in per_chunk {
+    for (outcomes, failed, [steps, lines, recoveries], _) in per_chunk {
         sweep.replayed_steps += steps;
         sweep.forked_lines += lines;
+        sweep.recoveries += recoveries;
         if reached {
             sweep.outcomes.extend(outcomes);
             reached = !failed;
@@ -600,13 +722,63 @@ fn sweep<T: Send>(
     sweep
 }
 
-/// The one sweep body behind [`explore_jobs`] and [`explore_recovery`]. At
-/// every persist boundary it checks one group of crash states per entry of
-/// `recoveries`: `None` crashes once, losing each candidate subset of the
-/// dirty lines; `Some(budget)` crashes losing all of them, cuts recovery
-/// short after `budget` units of work and, if that interrupts it, crashes
-/// again losing each candidate subset of the lines recovery left dirty.
-/// The first failing state is shrunk to a minimal [`Counterexample`].
+/// What [`check_boundary`] found at one boundary.
+struct AtBoundary {
+    /// Recoveries the boundary's budgets cut short.
+    interrupted: usize,
+    /// States checked, the failing one included.
+    checked: usize,
+    /// The first failing state and its failure; it ends the boundary.
+    failed: Option<(CrashState, String)>,
+}
+
+/// Checks the crash states of the boundary at `step`, where `dirty` is
+/// dirty, in order until one fails: one group per entry of `recoveries`.
+/// `None` crashes once, losing each candidate subset of the dirty lines;
+/// `Some(budget)` crashes losing all of them, cuts recovery short after
+/// `budget` units of work and, if that interrupts it, crashes again losing
+/// each candidate subset of the lines recovery left dirty. `passed` sees
+/// every state that passed.
+fn check_boundary(
+    run: &mut ForwardRun<'_>,
+    recoveries: &[Option<u64>],
+    step: u64,
+    dirty: &[usize],
+    mut passed: impl FnMut(CrashState, Passed),
+) -> AtBoundary {
+    let mut at = AtBoundary { interrupted: 0, checked: 0, failed: None };
+    for &budget in recoveries {
+        let (lines, salt) = match budget {
+            None => (dirty.to_vec(), step),
+            Some(b) => match run.interrupted_recovery_dirty(dirty, b) {
+                Some(left) => {
+                    at.interrupted += 1;
+                    (left, step ^ b.rotate_left(17))
+                }
+                None => continue,
+            },
+        };
+        for lines_lost in candidate_subsets(&lines, run.cfg, salt) {
+            let state = match budget {
+                None => CrashState { step, lost: lines_lost, recovery: None },
+                Some(b) => CrashState { step, lost: dirty.to_vec(), recovery: Some((b, lines_lost)) },
+            };
+            at.checked += 1;
+            match run.check(&state) {
+                Ok(p) => passed(state, p),
+                Err(failure) => {
+                    at.failed = Some((state, failure));
+                    return at;
+                }
+            }
+        }
+    }
+    at
+}
+
+/// The one sweep body behind [`explore_jobs`] and [`explore_recovery`]:
+/// [`check_boundary`] at every persist boundary. The first failing state
+/// is shrunk to a minimal [`Counterexample`].
 fn explore_states(
     jobs: usize,
     spec: &dyn WorkloadSpec,
@@ -618,46 +790,36 @@ fn explore_states(
     let inst = instrument(spec, scheme);
     let (total_steps, persist_events, boundaries) = persist_boundaries(spec, &inst, cfg);
 
-    // Per boundary: (recoveries interrupted, states checked, the first
-    // failing state and its failure); a failure ends the boundary.
-    type AtBoundary = (usize, usize, Option<(CrashState, String)>);
+    // Per boundary: what it found, and the keys of the images its worker
+    // recovered there. A remembered image was recovered earlier by the same
+    // worker — at this boundary or an earlier one of its chunk, kept
+    // whenever this one is — so the kept boundaries' recovered keys are
+    // all their images.
     let swept = sweep(jobs, spec, &inst, cfg, &boundaries, |run, step, dirty| {
-        let (mut interrupted, mut checked) = (0, 0);
-        for &budget in recoveries {
-            let (lines, salt) = match budget {
-                None => (dirty.clone(), step),
-                Some(b) => match run.interrupted_recovery_dirty(&dirty, b) {
-                    Some(left) => {
-                        interrupted += 1;
-                        (left, step ^ b.rotate_left(17))
-                    }
-                    None => continue,
-                },
-            };
-            for lines_lost in candidate_subsets(&lines, cfg, salt) {
-                let state = match budget {
-                    None => CrashState { step, lost: lines_lost, recovery: None },
-                    Some(b) => CrashState { step, lost: dirty.clone(), recovery: Some((b, lines_lost)) },
-                };
-                checked += 1;
-                if let Err(failure) = run.check(&state) {
-                    let fail = Some((state, failure));
-                    return ControlFlow::<AtBoundary, _>::Break((interrupted, checked, fail));
-                }
+        let mut keys = Vec::new();
+        let at = check_boundary(run, recoveries, step, &dirty, |_, p| {
+            if !p.remembered {
+                keys.push(p.key);
             }
+        });
+        if at.failed.is_some() {
+            ControlFlow::Break((at, keys))
+        } else {
+            ControlFlow::Continue((at, keys))
         }
-        ControlFlow::Continue((interrupted, checked, None))
     });
 
     // `explored` counts every state checked up to and including the first
     // failing one. Shrinking is serial and from scratch — it is a
     // data-dependent greedy walk from one failure, backwards in steps.
     let (mut interruptions, mut explored, mut shrinks) = (0, 0, 0);
+    let mut images = HashSet::new();
     let mut counterexample = None;
-    for (interrupted, checked, fail) in swept.outcomes {
-        interruptions += interrupted;
-        explored += checked;
-        if let Some((state, failure)) = fail {
+    for (at, keys) in swept.outcomes {
+        interruptions += at.interrupted;
+        explored += at.checked;
+        images.extend(keys);
+        if let Some((state, failure)) = at.failed {
             counterexample =
                 Some(shrink(spec, &inst, cfg, scheme, &boundaries, state, failure, &mut shrinks));
         }
@@ -675,7 +837,10 @@ fn explore_states(
         crash_states_explored: explored,
         shrink_attempts: shrinks,
         replayed_steps: swept.replayed_steps,
+        // A failing image never passed, so it is one no other state had.
+        distinct_images: images.len() + counterexample.is_some() as usize,
         forked_lines: swept.forked_lines,
+        recoveries_run: swept.recoveries,
         host_ns,
         setup_ns,
         counterexample,
@@ -1034,6 +1199,53 @@ mod tests {
                 assert_eq!(format!("{:?}", par.counterexample), cex, "{scheme} jobs={jobs}");
             }
         }
+    }
+
+    /// Every state whose verdict the memo reused — over the five
+    /// structures under every durable scheme, and the twin counter crashed
+    /// during recovery under Atlas — crashes, from scratch, into an image
+    /// whose key is the one it was skipped under, and checks `Ok`. A key
+    /// update that misses a line fails the first; recovery state that is
+    /// not in the persistent image (a counter, a clock, a handle's queue)
+    /// would differ between two states with one image, and one of them
+    /// would fail the second.
+    #[test]
+    fn every_state_the_memo_skipped_checks_ok_from_scratch() {
+        use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
+        let cfg = OracleConfig::default();
+        let list = ListSpec { key_range: 16 };
+        let map = MapSpec::default();
+        let structures: [&dyn WorkloadSpec; 5] = [&TwinSpec, &StackSpec, &QueueSpec, &list, &map];
+        let plain = structures.into_iter().flat_map(|s| DURABLE_SCHEMES.map(|d| (s, d, vec![None])));
+        let during = (&TwinSpec as &dyn WorkloadSpec, Scheme::Atlas, [1, 2, 5, 11].map(Some).to_vec());
+        let mut skipped_anywhere = 0;
+        for (spec, scheme, recoveries) in plain.chain([during]) {
+            let what = format!("{}/{scheme} {recoveries:?}", spec.name());
+            let inst = instrument(spec, scheme);
+            let (_, _, boundaries) = persist_boundaries(spec, &inst, &cfg);
+            let swept = sweep(1, spec, &inst, &cfg, &boundaries, |run, step, dirty| {
+                let mut skipped = Vec::new();
+                let at = check_boundary(run, &recoveries, step, &dirty, |state, p| {
+                    if p.remembered {
+                        skipped.push((state, p.key));
+                    }
+                });
+                assert!(at.failed.is_none(), "{what}: {:?}", at.failed);
+                ControlFlow::Continue((at.checked, skipped))
+            });
+            let states: usize = swept.outcomes.iter().map(|(checked, _)| checked).sum();
+            let skipped: Vec<(CrashState, u128)> =
+                swept.outcomes.into_iter().flat_map(|(_, s)| s).collect();
+            assert_eq!(swept.recoveries + skipped.len() as u64, states as u64, "{what}");
+            for (state, key) in &skipped {
+                let (pool, base) = replay_and_crash(spec, &inst, &cfg, state, false).expect("a crash state");
+                assert_eq!(pool.persistent_key(), *key, "{what}: {state:?}");
+                let verdict = verify_recovery(spec, &inst, &cfg, &base, &pool);
+                assert_eq!(verdict, Ok(()), "{what}: {state:?}");
+            }
+            skipped_anywhere += skipped.len();
+        }
+        assert!(skipped_anywhere > 0, "the memo never skipped a state");
     }
 
     #[test]

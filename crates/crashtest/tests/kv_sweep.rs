@@ -54,9 +54,10 @@ fn memcached_at_512_ops_survives_every_boundary_under_ido_and_atlas() {
         );
         assert!(e.crash_states_explored >= 2 * e.boundary_steps, "{e}");
         println!(
-            "{e}; {} steps replayed, {} lines forked, {:.1} s",
+            "{e}; {} steps replayed, {} lines forked, {} recoveries run, {:.1} s",
             e.replayed_steps,
             e.forked_lines,
+            e.recoveries_run,
             t.elapsed().as_secs_f64()
         );
     }

@@ -1,10 +1,10 @@
 //! Serial/parallel equivalence of the crash oracle (ISSUE 2 acceptance):
 //! fanning the boundaries out over worker threads — each takes a
 //! contiguous chunk and steps one live VM forward through it — must not
-//! change anything observable: the exploration counters, and above all the
-//! shrunk minimal counterexample, must be identical for `jobs = 1`, `2`
-//! and `4`, and wherever the chunk boundaries fall relative to the failing
-//! step.
+//! change anything observable: the exploration counters (the count of
+//! distinct crash images included), and above all the shrunk minimal
+//! counterexample, must be identical for `jobs = 1`, `2` and `4`, and
+//! wherever the chunk boundaries fall relative to the failing step.
 //!
 //! Uses the explicit-jobs entry point rather than `IDO_JOBS` because the
 //! process environment is shared across the test harness's threads.
@@ -19,14 +19,20 @@ fn clean_exploration_is_identical_for_any_job_count() {
     let cfg = OracleConfig::default();
     let serial = explore_jobs(1, &TwinSpec, Scheme::Ido, &cfg);
     assert!(serial.counterexample.is_none(), "clean run must pass: {serial}");
+    assert_eq!(serial.recoveries_run, serial.distinct_images as u64, "one worker");
+    assert!(serial.distinct_images < serial.crash_states_explored, "{serial}");
     for jobs in [2usize, 4] {
         let par = explore_jobs(jobs, &TwinSpec, Scheme::Ido, &cfg);
         assert_eq!(par.total_steps, serial.total_steps, "jobs={jobs}");
         assert_eq!(par.persist_events, serial.persist_events, "jobs={jobs}");
         assert_eq!(par.boundary_steps, serial.boundary_steps, "jobs={jobs}");
         assert_eq!(par.crash_states_explored, serial.crash_states_explored, "jobs={jobs}");
+        assert_eq!(par.distinct_images, serial.distinct_images, "jobs={jobs}");
         assert_eq!(par.shrink_attempts, serial.shrink_attempts, "jobs={jobs}");
         assert!(par.counterexample.is_none(), "jobs={jobs}");
+        // Each worker remembers only its own images, so more of them are
+        // recovered; the serial run recovers each distinct image once.
+        assert!(par.recoveries_run >= serial.recoveries_run, "jobs={jobs}");
         // The human-readable report is derived from the above, so it is
         // byte-identical too.
         assert_eq!(par.to_string(), serial.to_string(), "jobs={jobs}");
@@ -50,6 +56,7 @@ fn injected_bug_shrinks_to_the_identical_counterexample_under_parallel_sweep() {
         // Everything a reproducer is written from is identical.
         assert_eq!(format!("{b:?}"), format!("{a:?}"), "jobs={jobs}");
         assert_eq!(par.crash_states_explored, serial.crash_states_explored, "jobs={jobs}");
+        assert_eq!(par.distinct_images, serial.distinct_images, "jobs={jobs}");
         assert_eq!(par.shrink_attempts, serial.shrink_attempts, "jobs={jobs}");
     }
 }

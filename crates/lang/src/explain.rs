@@ -12,8 +12,11 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
+use ido_compiler::Scheme;
 use ido_ir::Program;
 use ido_verify::Diagnostic;
+
+use crate::scenario::Fault;
 
 /// A line-numbered pretty-printed program with a position index.
 pub struct Listing {
@@ -82,27 +85,8 @@ pub fn render_diagnostic(d: &Diagnostic, listing: &Listing) -> String {
     let mut out = format!("error[{}]: {}\n", d.invariant, d.message);
     let _ = writeln!(out, "  scheme {}, function `{}`", d.scheme, d.function);
 
-    // Anchored excerpt with a caret under the violating instruction.
     if let Some((b, i)) = d.pos {
-        match listing.line_of(&d.function, b.0, i as u32) {
-            Some(line) => {
-                let text = listing.line_text(line).unwrap_or("");
-                let lineno = format!("{line}");
-                let pad = " ".repeat(lineno.len());
-                let _ = writeln!(out, "  --> listing line {line} (b{}:{i})", b.0);
-                let _ = writeln!(out, "   {lineno} | {text}");
-                let indent = text.len() - text.trim_start().len();
-                let carets = "^".repeat(text.trim_start().len().max(1));
-                let _ = writeln!(
-                    out,
-                    "   {pad} | {}{carets} violating instruction",
-                    " ".repeat(indent)
-                );
-            }
-            None => {
-                let _ = writeln!(out, "  at b{}:{i} (position not in listing)", b.0);
-            }
-        }
+        excerpt(&mut out, listing, &d.function, b.0, i as u32, "violating instruction");
     }
 
     // Witness path: origin first, violation last.
@@ -129,12 +113,42 @@ pub fn render_diagnostic(d: &Diagnostic, listing: &Listing) -> String {
     out
 }
 
+/// Renders a fault a run stopped with against the listing of the
+/// instrumented program it ran: a `fault` header naming the thread and what
+/// failed, then the faulting instruction excerpted with a caret run.
+pub fn render_fault(fault: &Fault, scheme: Scheme, listing: &Listing) -> String {
+    let mut out = format!("fault: thread {}: {}\n", fault.thread, fault.kind);
+    let _ = writeln!(out, "  scheme {scheme}, function `{}`", fault.function);
+    excerpt(&mut out, listing, &fault.function, fault.block, fault.index, "faulting instruction");
+    out
+}
+
+/// Appends the instruction at `(function, block, inst)` to `out`, anchored
+/// to its listing line, with a caret run under it labelled `label`.
+fn excerpt(out: &mut String, listing: &Listing, function: &str, block: u32, inst: u32, label: &str) {
+    match listing.line_of(function, block, inst) {
+        Some(line) => {
+            let text = listing.line_text(line).unwrap_or("");
+            let lineno = format!("{line}");
+            let pad = " ".repeat(lineno.len());
+            let _ = writeln!(out, "  --> listing line {line} (b{block}:{inst})");
+            let _ = writeln!(out, "   {lineno} | {text}");
+            let indent = text.len() - text.trim_start().len();
+            let carets = "^".repeat(text.trim_start().len().max(1));
+            let _ = writeln!(out, "   {pad} | {}{carets} {label}", " ".repeat(indent));
+        }
+        None => {
+            let _ = writeln!(out, "  at b{block}:{inst} (position not in listing)");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::parser::parse_program_text;
-    use ido_compiler::Scheme;
     use ido_ir::BlockId;
+    use ido_vm::FaultKind;
     use ido_verify::Invariant;
 
     fn demo_program() -> Program {
@@ -179,6 +193,23 @@ mod tests {
         assert!(r.contains("^^^^^^^^^^^^^ violating instruction"), "{r}");
         assert!(r.contains("1. b0:0 line 3: lock r0"), "{r}");
         assert!(r.contains("2. b0:1 line 4: mem[r0+8] = 1"), "{r}");
+    }
+
+    #[test]
+    fn a_fault_renders_at_its_instruction() {
+        let l = Listing::new(&demo_program());
+        let fault = Fault {
+            thread: 1,
+            function: "worker".into(),
+            block: 0,
+            index: 1,
+            kind: FaultKind::FreeFailed { addr: 0x48 },
+        };
+        let r = render_fault(&fault, Scheme::Nvml, &l);
+        assert!(r.starts_with("fault: thread 1: nv_free of 0x48 failed\n"), "{r}");
+        assert!(r.contains("scheme NVML, function `worker`"), "{r}");
+        assert!(r.contains("--> listing line 4 (b0:1)"), "{r}");
+        assert!(r.contains("^^^^^^^^^^^^^ faulting instruction"), "{r}");
     }
 
     #[test]

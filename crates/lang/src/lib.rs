@@ -22,7 +22,8 @@
 //!
 //! The [`explain`] module renders `ido-verify` diagnostics — which point
 //! into the *instrumented* program — against a line-numbered listing, so
-//! a witness path becomes a sequence of real source lines.
+//! a witness path becomes a sequence of real source lines; a [`Fault`] a
+//! run stopped with renders the same way.
 
 #![warn(missing_docs)]
 
@@ -33,6 +34,6 @@ pub mod parser;
 pub mod scenario;
 
 pub use diag::{Label, LangError, Span};
-pub use explain::{render_diagnostic, Listing};
+pub use explain::{render_diagnostic, render_fault, Listing};
 pub use parser::{parse_program_text, ParsedProgram};
-pub use scenario::{parse_scenario, scheme_ident, Scenario, ScenarioSpec, WorkloadKind};
+pub use scenario::{parse_scenario, scheme_ident, Fault, Scenario, ScenarioSpec, WorkloadKind};

@@ -17,6 +17,7 @@
 //!   alloc sharded 64      # optional: the sharded allocator with 64 shards
 //!   bug ido_bug_skip_store_flush          # optional: VmConfig bug fields
 //!   crash at step 37 lose [83]            # optional: one crash state
+//!   fault thread 0 at worker bb2 5 nv_malloc 1048576  # or: the fault the run stops with
 //! }
 //!
 //! fn worker(r0) regs=1 slots=0 {   # optional: replaces the workload's program
@@ -35,7 +36,9 @@
 //! crash-oracle [`Counterexample`] becomes a file through
 //! [`Scenario::reproducer`]: the scenario narrowed to the failing scheme, with
 //! the counterexample's seed, sizes, injected bugs and crash state, which
-//! `ido crashtest` replays.
+//! `ido crashtest` replays. A run that stops with a [`RunOutcome::Fault`]
+//! becomes one through [`Scenario::fault_reproducer`]: its `fault` line
+//! names the thread, the instruction and the fault.
 //!
 //! A `threads` list and a `delay` list make the file a sweep:
 //! [`Scenario::sweep`] runs every scheme × thread count × delay on a pool
@@ -49,10 +52,10 @@ use std::fmt::{self, Write as _};
 
 use ido_compiler::Scheme;
 use ido_crashtest::{Counterexample, CrashState, OracleConfig};
-use ido_ir::Program;
+use ido_ir::{Pc, Program};
 use ido_nvm::{AllocPolicy, LatencyModel, MetricsConfig, StatsSnapshot};
 use ido_trace::Hist;
-use ido_vm::{ExecTier, Vm, VmConfig};
+use ido_vm::{ExecTier, FaultKind, RunOutcome, Vm, VmConfig};
 use ido_workloads::{
     bench_config, kv, list_log_per_op, lockfree, micro, service, sweep, with_sharded_alloc,
     WorkloadSpec, LOG_PER_OP,
@@ -156,6 +159,58 @@ pub fn scheme_ident(scheme: Scheme) -> String {
     scheme.name().to_lowercase().replace('-', "_")
 }
 
+/// A fault a run stopped with ([`RunOutcome::Fault`]), with its pc named
+/// the way `ido explain` lists the instrumented program: function, block,
+/// instruction index. A `fault` line holds one:
+/// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Fault {
+    /// The faulting thread.
+    pub thread: usize,
+    /// The function of the faulting instruction.
+    pub function: String,
+    /// Its block.
+    pub block: u32,
+    /// Its index in the block.
+    pub index: u32,
+    /// What went wrong.
+    pub kind: FaultKind,
+}
+
+impl Fault {
+    /// The fault `outcome` reports, its pc resolved in `program` (the
+    /// instrumented program the run executed); `None` for any other outcome.
+    pub fn of(outcome: RunOutcome, program: &Program) -> Option<Fault> {
+        let RunOutcome::Fault { thread, pc: Pc { func, block, index }, kind } = outcome else {
+            return None;
+        };
+        Some(Fault {
+            thread: thread.0,
+            function: program.function(func).name().to_string(),
+            block: block.0,
+            index,
+            kind,
+        })
+    }
+
+    /// The `fault` line's words after `fault`.
+    fn clause(&self) -> String {
+        let (call, value) = match self.kind {
+            FaultKind::AllocFailed { size } => ("nv_malloc", size),
+            FaultKind::FreeFailed { addr } => ("nv_free", addr),
+        };
+        let Fault { thread, function, block, index, .. } = self;
+        format!("thread {thread} at {function} bb{block} {index} {call} {value}")
+    }
+}
+
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Fault { thread, function, block, index, kind } = self;
+        write!(f, "thread {thread} faulted at {function} bb{block} {index}: {kind}")
+    }
+}
+
 /// A parsed `.ido` scenario. Two scenarios are equal when they print the
 /// same.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,6 +251,9 @@ pub struct Scenario {
     pub bugs: Vec<&'static str>,
     /// The one crash state `ido crashtest` checks instead of exploring.
     pub crash: Option<CrashState>,
+    /// The fault `ido crashtest` expects the run to stop with, instead of
+    /// exploring. Never together with `crash`.
+    pub fault: Option<Fault>,
     /// The optional program section (replaces the native program).
     pub program: Option<ParsedProgram>,
 }
@@ -311,22 +369,9 @@ impl Scenario {
             "journal tail:".to_string(),
         ];
         notes.extend(cex.journal_tail.iter().map(|e| format!("  {e}")));
-        let program = self.program.clone().unwrap_or_else(|| ParsedProgram {
-            program: spec.build_program(),
-            inst_spans: HashMap::new(),
-            fn_spans: Vec::new(),
-        });
         let repro = Scenario {
-            notes,
-            name: self.name.clone(),
-            kind: self.kind,
-            range: self.range,
-            buckets: self.buckets,
-            puts: self.puts,
             threads: vec![cex.threads],
             ops: cex.ops_per_thread,
-            delay: vec![0],
-            schemes: vec![cex.scheme],
             tier: cex.vm.tier,
             seed: cex.seed,
             alloc: match cex.vm.alloc {
@@ -339,7 +384,8 @@ impl Scenario {
                 lost: cex.lost_lines.clone(),
                 recovery: cex.recovery.clone(),
             }),
-            program: Some(program),
+            fault: None,
+            ..self.narrowed(cex.scheme, notes)
         };
         // The oracle runs on its own seed, never on `vm.seed`.
         let rebuilt = repro.oracle_config().vm;
@@ -349,6 +395,34 @@ impl Scenario {
                 "the counterexample's VM config differs from the scenario's in `{field}`"
             )),
             None => Ok(repro),
+        }
+    }
+
+    /// The scenario that replays `fault`, which this scenario's run under
+    /// `scheme` stopped with: this one narrowed to `scheme`, with the
+    /// `fault` line, the program section written out, and the fault as the
+    /// leading failure note.
+    pub fn fault_reproducer(&self, scheme: Scheme, fault: Fault) -> Scenario {
+        let notes = vec![format!("failure: {fault}")];
+        Scenario { crash: None, fault: Some(fault), ..self.narrowed(scheme, notes) }
+    }
+
+    /// This scenario as one point under `scheme` alone, with `notes` and
+    /// its program section written out (the workload's own program when it
+    /// has none): what a reproducer starts from.
+    fn narrowed(&self, scheme: Scheme, notes: Vec<String>) -> Scenario {
+        let program = self.program.clone().unwrap_or_else(|| ParsedProgram {
+            program: self.spec().build_program(),
+            inst_spans: HashMap::new(),
+            fn_spans: Vec::new(),
+        });
+        Scenario {
+            notes,
+            threads: vec![self.threads[0]],
+            delay: vec![0],
+            schemes: vec![scheme],
+            program: Some(program),
+            ..self.clone()
         }
     }
 
@@ -492,6 +566,9 @@ impl fmt::Display for Scenario {
             }
             writeln!(f)?;
         }
+        if let Some(fault) = &self.fault {
+            writeln!(f, "  fault {}", fault.clause())?;
+        }
         writeln!(f, "}}")?;
         if let Some(p) = &self.program {
             write!(f, "\n{}", p.program)?;
@@ -595,6 +672,36 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
     Ok(CrashState { step, lost, recovery })
 }
 
+/// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
+/// `nv_malloc SIZE` or `nv_free ADDR`.
+fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
+    c.expect_keyword("thread", "after `fault`")?;
+    let (thread, _) = c.expect_u64("as the faulting thread")?;
+    c.expect_keyword("at", "after the faulting thread")?;
+    let (function, _) = c.expect_ident("as the faulting function")?;
+    let (label, span) = c.expect_ident("as the faulting block")?;
+    let block = label.strip_prefix("bb").and_then(|b| b.parse().ok()).ok_or_else(|| {
+        LangError::new(format!("expected a block label `bbN`, found `{label}`"), span, "not a block")
+    })?;
+    let (index, span) = c.expect_u64("as the faulting instruction's index")?;
+    let index = u32::try_from(index)
+        .map_err(|_| LangError::new("instruction index out of range", span, "too large"))?;
+    let (call, span) = c.expect_ident("as the faulting call")?;
+    let (value, _) = c.expect_u64("as the call's operand")?;
+    let kind = match call.as_str() {
+        "nv_malloc" => FaultKind::AllocFailed { size: value },
+        "nv_free" => FaultKind::FreeFailed { addr: value },
+        _ => {
+            return Err(LangError::new(
+                format!("unknown fault `{call}`"),
+                span,
+                "expected `nv_malloc` or `nv_free`",
+            ))
+        }
+    };
+    Ok(Fault { thread: thread as usize, function, block, index, kind })
+}
+
 /// Parses a full `.ido` file: leading `#` notes, the `scenario` header
 /// block, then an optional program section.
 ///
@@ -630,6 +737,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut seed = 0u64;
     let mut bugs: Vec<&'static str> = Vec::new();
     let mut crash = None;
+    let mut fault = None;
 
     let close = loop {
         c.eat_newlines();
@@ -798,13 +906,28 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 // In `VmConfig` order, each once.
                 bugs = BUGS.iter().map(|&(n, _)| n).filter(|n| named.iter().any(|w| w == n)).collect();
             }
-            "crash" => crash = Some(crash_state(&mut c)?),
+            "crash" | "fault" => {
+                let other = if key == "crash" { "fault" } else { "crash" };
+                if let Some(&other) = seen.get(other) {
+                    return Err(LangError::new(
+                        "`crash` and `fault` exclude each other",
+                        key_span,
+                        "a run that faults has no crash state to check",
+                    )
+                    .with_note(other, "the other one"));
+                }
+                if key == "crash" {
+                    crash = Some(crash_state(&mut c)?);
+                } else {
+                    fault = Some(fault_clause(&mut c)?);
+                }
+            }
             _ => {
                 return Err(LangError::new(
                     format!("unknown scenario key `{key}`"),
                     key_span,
                     "expected one of: workload range buckets puts threads ops delay schemes tier seed \
-                     alloc bug crash",
+                     alloc bug crash fault",
                 ))
             }
         }
@@ -920,6 +1043,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         alloc,
         bugs,
         crash,
+        fault,
         program,
     })
 }
@@ -1146,6 +1270,35 @@ mod tests {
             ("crash at step 3 lose [1 2]", "expected `,` between lost lines", "2"),
             ("crash at 3 lose []", "after `crash at`, found `3`", "3"),
             ("crash at step 3 lose [] then after 2 units lose []", "expected `recovery`", "units"),
+        ] {
+            let src = format!("{header}  {clause}\n}}\n");
+            let e = parse_scenario(&src).unwrap_err();
+            assert!(e.message.contains(message), "{clause}: {e:?}");
+            assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");
+        }
+    }
+
+    #[test]
+    fn a_fault_line_prints_as_it_parses_and_excludes_a_crash_line() {
+        let header = "scenario x {\n  workload stack\n  threads 1\n  ops 1\n";
+        let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb2 5 nv_malloc 64\n}}\n"));
+        let fault = Fault {
+            thread: 0,
+            function: "worker".into(),
+            block: 2,
+            index: 5,
+            kind: FaultKind::AllocFailed { size: 64 },
+        };
+        assert_eq!(s.fault.as_ref(), Some(&fault));
+        assert_eq!(fault.to_string(), "thread 0 faulted at worker bb2 5: nv_malloc of 64 bytes failed");
+        let s = printed_as_itself(&format!("{header}  fault thread 1 at push bb0 0 nv_free 4104\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::FreeFailed { addr: 4104 });
+        for (clause, message, spanned) in [
+            ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
+            ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),
+            ("fault thread 0 at worker bb2 5 nv_calloc 64", "unknown fault `nv_calloc`", "nv_calloc"),
+            ("fault at worker bb2 5 nv_malloc 64", "expected `thread` after `fault`", "at"),
+            ("crash at step 3 lose []\n  fault thread 0 at w bb0 0 nv_free 8", "exclude each other", "fault"),
         ] {
             let src = format!("{header}  {clause}\n}}\n");
             let e = parse_scenario(&src).unwrap_err();

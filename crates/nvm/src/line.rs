@@ -19,6 +19,39 @@ pub fn line_offset(addr: usize) -> usize {
     addr % CACHE_LINE
 }
 
+/// The 128-bit key of line `line` holding `words`: 0 for an all-zero line,
+/// else two independent 64-bit chains (a MurmurHash3 and a SplitMix64
+/// finalizer, each seeded with the line index) over its eight words. An
+/// image's key is the XOR of its lines' keys, so a line that changes
+/// updates it in O(1), and the all-zero lines a sparse image never visits
+/// contribute nothing. Equal images have equal keys; two different images
+/// collide with probability about 2^-128 per pair.
+pub(crate) fn line_key(line: usize, words: &[u64; WORDS_PER_LINE]) -> u128 {
+    if words.iter().all(|&w| w == 0) {
+        return 0;
+    }
+    fn murmur(mut x: u64) -> u64 {
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        x ^= x >> 33;
+        x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        x ^ x >> 33
+    }
+    fn splitmix(mut x: u64) -> u64 {
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ x >> 31
+    }
+    let (mut a, mut b) = (0x9e37_79b9_7f4a_7c15 ^ line as u64, !(line as u64).rotate_left(32));
+    for &w in words {
+        a = murmur(a ^ w);
+        b = splitmix(b.wrapping_add(w));
+    }
+    (a as u128) << 64 | b as u128
+}
+
 /// Iterator over the line indices spanned by the byte range `[addr, addr+len)`.
 pub(crate) fn lines_spanning(addr: usize, len: usize) -> impl Iterator<Item = usize> {
     let first = line_of(addr);
@@ -36,6 +69,18 @@ mod tests {
         assert_eq!(line_of(63), 0);
         assert_eq!(line_of(64), 1);
         assert_eq!(line_offset(65), 1);
+    }
+
+    #[test]
+    fn a_line_key_is_zero_only_for_a_zero_line_and_names_line_and_word() {
+        assert_eq!(line_key(7, &[0; WORDS_PER_LINE]), 0);
+        let mut words = [0u64; WORDS_PER_LINE];
+        words[3] = 1;
+        let key = line_key(7, &words);
+        assert_ne!(key, 0);
+        assert_ne!(key, line_key(8, &words), "another line");
+        words.swap(3, 4);
+        assert_ne!(key, line_key(7, &words), "another word");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ido_trace::{
 
 use crate::journal::{Journal, PersistEvent, PersistEventKind};
 use crate::latency::LatencyModel;
-use crate::line::{line_of, lines_spanning, CACHE_LINE, WORDS_PER_LINE};
+use crate::line::{line_key, line_of, lines_spanning, CACHE_LINE, WORDS_PER_LINE};
 use crate::PAddr;
 
 /// Decides which dirty lines survive a [`PmemPool::crash`].
@@ -427,6 +427,12 @@ fn copy_line(src: &[Cell<u64>], dst: &[Cell<u64>], line: usize) {
     }
 }
 
+/// The eight words of `line` in `image`.
+#[inline]
+fn line_words(image: &[Cell<u64>], line: usize) -> [u64; WORDS_PER_LINE] {
+    std::array::from_fn(|i| image[line * WORDS_PER_LINE + i].get())
+}
+
 /// The set bits of `bits`, as line indices of bitset word `word`.
 #[inline]
 fn lines_of(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
@@ -784,6 +790,49 @@ impl PmemPool {
             out.extend(lines_of(w, word.get()));
         }
         out
+    }
+
+    /// Indices of the lines whose persistent image this pool changed since
+    /// its last [`PmemPool::sync_from`] (on either side), ascending: the
+    /// lines written back, stored non-temporally, or resolved by a crash.
+    /// With the lines dirty now, these are all that can differ from a pool
+    /// last synced with this one.
+    pub fn touched_lines(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (w, word) in self.inner.touched.iter().enumerate() {
+            out.extend(lines_of(w, word.get()));
+        }
+        out
+    }
+
+    /// The key of line `line` of the persistent image: 0 when the line is
+    /// all zero, and otherwise a 128-bit hash of its index and eight
+    /// words. The XOR of every line's key is [`PmemPool::persistent_key`].
+    pub fn persistent_line_key(&self, line: usize) -> u128 {
+        line_key(line, &line_words(&self.inner.persistent, line))
+    }
+
+    /// The key line `line` would have in the persistent image if its
+    /// volatile contents were written back (as a crash that lets a dirty
+    /// line survive does).
+    pub fn volatile_line_key(&self, line: usize) -> u128 {
+        line_key(line, &line_words(&self.inner.volatile, line))
+    }
+
+    /// The key of the whole persistent image: the XOR of
+    /// [`PmemPool::persistent_line_key`] over every line. Two pools with
+    /// equal persistent images have equal keys whatever else differs.
+    /// O(bitset words + lines in `touched ∪ synced`), the only lines that
+    /// can hold a nonzero persistent word (see `Inner::synced`).
+    pub fn persistent_key(&self) -> u128 {
+        let inner = &*self.inner;
+        let mut key = 0;
+        for w in 0..inner.touched.len() {
+            for l in lines_of(w, inner.touched[w].get() | inner.synced[w].get()) {
+                key ^= self.persistent_line_key(l);
+            }
+        }
+        key
     }
 
     /// Total persist-relevant events (stores, write-backs, fences, crashes)
@@ -1904,6 +1953,86 @@ mod tests {
         assert_eq!(present([v, p]), [vec![page(v, 20)], vec![page(p, 20)]]);
         let [v, p] = user(&[], &[40]);
         assert_eq!(present([v, p]), [vec![page(v, 40)], vec![]]);
+    }
+
+    /// The XOR of `line_key` over every line of `p`'s persistent image:
+    /// what `persistent_key` computes from fewer lines.
+    fn full_scan_key(p: &PmemPool) -> u128 {
+        let image = &p.inner.persistent;
+        (0..image.len() / WORDS_PER_LINE).fold(0, |k, l| k ^ line_key(l, &line_words(image, l)))
+    }
+
+    /// Equal persistent images have equal keys whatever history left them
+    /// there — a fresh pool, the scratch side of two syncs, a pool whose
+    /// crash dropped later stores, a pool that rewrote a line and wrote it
+    /// back again, a pool built from a churned spare — and one changed word
+    /// changes the key.
+    #[test]
+    fn equal_persistent_images_have_equal_keys_whatever_their_bitset_history() {
+        SPARES.with(|s| s.borrow_mut().clear());
+        let cfg = || PoolConfig { size: 64 << 10, ..PoolConfig::small_for_tests() };
+        let image = [(0usize, 0x1000u64), (8, 0x1001), (640, 0x1002), (4112, 0x1003), (60_000, 0x1004)];
+        let persist = |h: &mut PmemHandle| {
+            for (addr, v) in image {
+                h.write_u64(addr, v);
+                h.clwb(addr);
+            }
+            h.sfence();
+        };
+        let fresh = PmemPool::new(cfg());
+        persist(&mut fresh.handle());
+        let key = fresh.persistent_key();
+        assert_ne!(key, 0);
+        assert_eq!(key, full_scan_key(&fresh), "fresh");
+
+        let scratch = fresh.scratch();
+        scratch.sync_from(&fresh);
+        fresh.handle().write_u64(128, 5); // dirty only: the image stays
+        scratch.sync_from(&fresh);
+        assert_eq!((fresh.persistent_key(), scratch.persistent_key()), (key, key), "synced");
+
+        let crashed = PmemPool::new(cfg());
+        {
+            let mut h = crashed.handle();
+            persist(&mut h);
+            h.write_u64(8, 99);
+            h.write_u64(2048, 7);
+        }
+        crashed.crash_with(1, &CrashPolicy::DropDirty);
+        assert_eq!(crashed.persistent_key(), key, "crashed");
+
+        let rewritten = PmemPool::new(cfg());
+        {
+            let mut h = rewritten.handle();
+            h.nt_store_u64(640, 77);
+            h.write_u64(3000, 1);
+            h.persist(3000, 8);
+            h.nt_store_u64(3000, 0);
+            persist(&mut h);
+        }
+        assert_eq!(rewritten.persistent_key(), key, "rewritten");
+
+        drop((fresh, scratch, crashed, rewritten));
+        {
+            let churned = PmemPool::new(cfg());
+            churn(&mut churned.handle(), 3);
+            churned.crash(3);
+        }
+        let recycled = PmemPool::new(cfg());
+        assert!(!recycled.inner.used_before.is_empty(), "built from a spare");
+        persist(&mut recycled.handle());
+        assert_eq!(recycled.persistent_key(), key, "recycled");
+
+        for (addr, flip) in [(0, 1u64), (8, 1 << 63), (56, 3), (640, 1 << 20), (65_528, 9)] {
+            let p = PmemPool::new(cfg());
+            let mut h = p.handle();
+            persist(&mut h);
+            h.write_u64(addr, p.read_u64_persistent(addr) ^ flip);
+            h.persist(addr, 8);
+            drop(h);
+            assert_ne!(p.persistent_key(), key, "word {addr:#x} changed");
+            assert_eq!(p.persistent_key(), full_scan_key(&p), "word {addr:#x} changed");
+        }
     }
 
     #[test]

@@ -215,6 +215,33 @@ pub enum Status {
     Blocked(u64),
     /// Finished (returned from its entry function or completed recovery).
     Done,
+    /// Stopped at an instruction it could not execute; its pc stays there.
+    Faulted(FaultKind),
+}
+
+/// Why a thread faulted: a guest error the VM reports as a value
+/// ([`RunOutcome::Fault`]) rather than a host panic.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// `nv_malloc` could not allocate `size` bytes.
+    AllocFailed {
+        /// The requested size in bytes.
+        size: u64,
+    },
+    /// `nv_free` of an address that is not a live allocation.
+    FreeFailed {
+        /// The address freed.
+        addr: u64,
+    },
+}
+
+impl std::fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FaultKind::AllocFailed { size } => write!(f, "nv_malloc of {size} bytes failed"),
+            FaultKind::FreeFailed { addr } => write!(f, "nv_free of {addr:#x} failed"),
+        }
+    }
 }
 
 /// One call frame.
@@ -353,6 +380,16 @@ pub enum RunOutcome {
     Paused,
     /// No thread is runnable but not all are done (deadlock).
     Deadlocked,
+    /// Thread `thread` faulted at `pc`. The run stops there, and every
+    /// later [`Vm::run_steps`] returns the same fault.
+    Fault {
+        /// The faulting thread.
+        thread: ThreadId,
+        /// The instruction it could not execute.
+        pc: Pc,
+        /// What went wrong.
+        kind: FaultKind,
+    },
 }
 
 /// Snapshot passed to a [`StepHook`] after each executed instruction.
@@ -428,6 +465,8 @@ pub struct Vm {
     shared: Shared,
     steps: u64,
     step_hook: Option<StepHook>,
+    /// The [`RunOutcome::Fault`] that stopped the run, if one did.
+    fault: Option<RunOutcome>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -498,6 +537,7 @@ impl Vm {
             shared,
             steps: 0,
             step_hook: None,
+            fault: None,
         }
     }
 
@@ -700,6 +740,9 @@ impl Vm {
             };
             self.step_thread(pick);
             self.steps += 1;
+            if let Status::Faulted(_) = self.threads[pick].status {
+                return self.fault_at(pick);
+            }
             if self.fire_hook(pick) == StepControl::Pause {
                 return RunOutcome::Paused;
             }
@@ -736,6 +779,9 @@ impl Vm {
     /// steps. Returns when the budget is exhausted, all threads are done,
     /// or no thread can run.
     pub fn run_steps(&mut self, budget: u64) -> RunOutcome {
+        if let Some(fault) = self.fault {
+            return fault;
+        }
         self.rebuild_sched();
         match self.config.tier {
             ExecTier::Tier1 => self.run_steps_tier1(budget),
@@ -755,6 +801,9 @@ impl Vm {
             // the pick may still be the choice afterwards.
             loop {
                 let ran = self.run_pick(pick, remaining);
+                if ran.faulted {
+                    return self.fault_at(pick);
+                }
                 remaining -= ran.executed;
                 if let Some(woken) = ran.woken {
                     self.wake(pick, woken);
@@ -811,10 +860,11 @@ impl Vm {
                 || th.status != Status::Runnable
                 || th.handle.clock_ns() >= limit
             {
-                return PickRun { executed, woken, paused: false };
+                let faulted = matches!(th.status, Status::Faulted(_));
+                return PickRun { executed, woken, paused: false, faulted };
             }
             if fire(step_hook, *steps, pick, pool) == StepControl::Pause {
-                return PickRun { executed, woken: None, paused: true };
+                return PickRun { executed, woken: None, paused: true, faulted: false };
             }
         }
     }
@@ -884,8 +934,13 @@ impl Vm {
                     Tier2Entry::BranchHalf { seg, op } => Some((seg, op, true)),
                 };
                 let executed = match fused {
+                    // Only a tier-1 step can fault: allocation never fuses.
                     None => {
                         self.step_thread(pick);
+                        if let Status::Faulted(_) = self.threads[pick].status {
+                            self.steps += 1;
+                            return self.fault_at(pick);
+                        }
                         1
                     }
                     Some((seg, op, branch_half)) => {
@@ -925,6 +980,20 @@ impl Vm {
             }
         }
         self.budget_outcome()
+    }
+
+    /// Ends the run with the fault of thread `t`, which just faulted: it is
+    /// kept, so every later [`Vm::run_steps`] returns it too. The step hook
+    /// does not see a faulting step.
+    #[cold]
+    fn fault_at(&mut self, t: usize) -> RunOutcome {
+        let th = &self.threads[t];
+        let Status::Faulted(kind) = th.status else {
+            unreachable!("thread {t} did not fault");
+        };
+        let fault = RunOutcome::Fault { thread: ThreadId(t), pc: th.frame.pc, kind };
+        self.fault = Some(fault);
+        fault
     }
 
     /// The outcome when the step budget ran out.
@@ -1025,6 +1094,8 @@ struct PickRun {
     woken: Option<ThreadId>,
     /// The hook paused on a step before the last.
     paused: bool,
+    /// The last step faulted.
+    faulted: bool,
 }
 
 /// Calls `hook`, if one is installed, for step `step`, just executed by
@@ -1135,12 +1206,18 @@ fn exec_cold(
         }
         &Inst::Alloc { dst, size } => {
             let sz = th.eval(size) as usize;
-            let addr = cx.alloc.alloc(&mut th.handle, sz).expect("nv_malloc failed");
+            let Ok(addr) = cx.alloc.alloc(&mut th.handle, sz) else {
+                th.status = Status::Faulted(FaultKind::AllocFailed { size: sz as u64 });
+                return None;
+            };
             th.write_reg(dst, addr as u64);
         }
         &Inst::Free { base } => {
             let addr = th.read_reg(base) as usize;
-            cx.alloc.free(&mut th.handle, addr).expect("nv_free failed");
+            if cx.alloc.free(&mut th.handle, addr).is_err() {
+                th.status = Status::Faulted(FaultKind::FreeFailed { addr: addr as u64 });
+                return None;
+            }
         }
         &Inst::Lock { lock } => {
             if !scheme::subsumes_program_locks(&th.scheme) {

@@ -59,6 +59,50 @@ fn heap_store_load_roundtrip() {
     assert_eq!(vm.return_value(t), Some(99));
 }
 
+/// An `nv_malloc` the pool cannot serve and an `nv_free` of an address
+/// never allocated stop the run with a fault at their pc, on both tiers,
+/// and the run stays stopped: later calls return the same fault.
+#[test]
+fn failed_allocator_calls_are_faults_at_their_pc() {
+    let inst = compile(Scheme::Origin, |pb| {
+        let mut f = pb.new_function("main", 1);
+        let (size, p) = (f.param(0), f.new_reg());
+        f.bin(BinOp::Add, p, size, 0i64);
+        f.alloc(p, size);
+        f.free(p);
+        f.bin(BinOp::Add, p, p, 8i64);
+        f.free(p);
+        f.ret(None);
+        f.finish().unwrap();
+    });
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let config = VmConfig { tier, ..VmConfig::for_tests() };
+        let at = |index| Pc { func: FuncId(0), block: BlockId(0), index };
+        let huge = 1 << 40;
+        let mut vm = Vm::new(inst.clone(), config.clone());
+        vm.spawn("main", &[huge]);
+        let fault =
+            RunOutcome::Fault { thread: ThreadId(0), pc: at(1), kind: FaultKind::AllocFailed { size: huge } };
+        assert_eq!(vm.run(), fault, "{tier:?}");
+        assert_eq!(vm.steps(), 2, "{tier:?}: the faulting step counts");
+        assert_eq!(vm.run_steps(10), fault, "{tier:?}: the run stays stopped");
+        assert_eq!(vm.status(ThreadId(0)), Status::Faulted(FaultKind::AllocFailed { size: huge }));
+
+        let mut vm = Vm::new(inst.clone(), config);
+        vm.spawn("main", &[64]);
+        let RunOutcome::Fault { pc, kind: FaultKind::FreeFailed { addr }, .. } = vm.run() else {
+            panic!("{tier:?}: the second free must fault");
+        };
+        assert_eq!(pc, at(4), "{tier:?}");
+        assert_eq!(addr % 8, 0, "{tier:?}: {addr:#x}");
+        assert_eq!(
+            FaultKind::FreeFailed { addr }.to_string(),
+            format!("nv_free of {addr:#x} failed")
+        );
+    }
+    assert_eq!(FaultKind::AllocFailed { size: 9 }.to_string(), "nv_malloc of 9 bytes failed");
+}
+
 /// Guest address arithmetic wraps as the machine's does, in debug builds
 /// too, and the pool names the address it refuses.
 #[test]

@@ -37,7 +37,8 @@ mod scheme;
 mod tier2;
 
 pub use exec::{
-    ExecTier, RunOutcome, SchedPolicy, Status, StepControl, StepHook, StepInfo, Vm, VmConfig,
+    ExecTier, FaultKind, RunOutcome, SchedPolicy, Status, StepControl, StepHook, StepInfo, Vm,
+    VmConfig,
     GLOBAL_TX_LOCK, LF_STATE_ROOT, MAX_THREADS, THREADS_ROOT,
 };
 pub use locks::ThreadId;

@@ -399,6 +399,9 @@ pub(super) fn recover(
     // Resume phase: execute every interrupted FASE forward to completion.
     cx.phase(RecoveryPhase::Resume, |cx| {
         let outcome = vm.run_steps(*cx.budget);
+        if let RunOutcome::Fault { thread, pc, kind } = outcome {
+            panic!("recovery thread {} faulted at {pc:?}: {kind}", thread.0);
+        }
         *cx.budget = cx.budget.saturating_sub(vm.steps());
         cx.report.steps = vm.steps();
         cx.h.set_clock_ns(cx.h.clock_ns() + vm.max_clock_ns());

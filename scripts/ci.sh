@@ -217,7 +217,12 @@ echo "== crash-oracle smoke sweep + program sharing + one crash-state track + me
 # recovery goes through the same check, shrinker, `Counterexample` and
 # `Exploration` as an application crash, so no second track may come back,
 # and both sweeps are held to the from-scratch reference (fork_equivalence)
-# and their acceptance sweep (recovery_crash) in the timed build too.
+# and their acceptance sweep (recovery_crash) in the timed build too. A
+# crash image is recovered once: the --lib run includes the memo re-check
+# (every_state_the_memo_skipped_checks_ok_from_scratch), par_determinism
+# holds the distinct-image count to any job count, and the image key stays
+# off the pool's store, write-back and fence path, so no VM workload pays
+# for it. The table's `distinct` column is the count of images recovered.
 oracle_stage() {
   if grep -rnE 'RecoveryCounterexample|RecoveryExploration|check_recovery_crash_state|verify_interrupted_recovery' \
       crates src tests; then
@@ -228,10 +233,19 @@ oracle_stage() {
   if grep -rnE 'replay_recipe|fn reproduce\(|inject-skip-store-flush' crates src tests README.md; then
     echo "a second replay path: a failure is a scenario file"; return 1
   fi
+  local f body
+  for f in write_u64 clwb sfence writeback_line; do
+    body=$(sed -n "/^    \(pub \)\?fn $f(/,/^    }$/p" crates/nvm/src/pool.rs)
+    [[ -n $body ]] || { echo "no fn $f in crates/nvm/src/pool.rs"; return 1; }
+    if grep -nE '_key|line_words' <<<"$body"; then
+      echo "the image key is computed on the pool's $f path"; return 1
+    fi
+  done
   cargo test -q --release -p ido-ir --lib func::tests
   cargo test -q --release -p ido-vm --test crash_recovery share_one_decoded_form
   cargo test -q --release -p ido-crashtest --lib
-  cargo test -q --release -p ido-crashtest --test fork_equivalence --test recovery_crash
+  cargo test -q --release -p ido-crashtest --test fork_equivalence --test recovery_crash \
+    --test par_determinism
   # The regression corpus regenerates byte for byte at either job count.
   IDO_JOBS=1 cargo test -q --release --test regress
   IDO_JOBS=2 cargo test -q --release --test regress
@@ -240,6 +254,8 @@ oracle_stage() {
   echo "$table"
   echo "$table" | grep -q 'us/state' \
     || { echo "crash_oracle's table lost its us/state column"; return 1; }
+  echo "$table" | grep -q ' distinct ' \
+    || { echo "crash_oracle's table lost its distinct column"; return 1; }
   cargo test -q --release -p ido-crashtest --test kv_sweep -- --nocapture
 }
 timed "crash oracle" oracle_stage

@@ -16,14 +16,18 @@
 //! parallelism. `sweep` is the only subcommand that takes a `threads` list
 //! or a `delay` line, and each subcommand rejects a flag it does not take.
 //! Parse errors render with the offending line and a caret; verifier
-//! findings are renderable as spanned witness paths via `explain`. A scenario's `bug` line applies to
-//! every subcommand; its `crash` line is `crashtest`'s alone.
+//! findings are renderable as spanned witness paths via `explain`, which
+//! also renders a run that faults at its instruction. A scenario's `bug`
+//! line applies to every subcommand; its `crash` and `fault` lines are
+//! `crashtest`'s alone.
 
 use std::process::ExitCode;
 
 use ido_compiler::{instrument_program, Instrumented, Recovery, Scheme};
-use ido_crashtest::explore_jobs;
-use ido_lang::{parse_scenario, render_diagnostic, scheme_ident, Listing, Scenario};
+use ido_crashtest::{explore_jobs, reference_outcome};
+use ido_lang::{
+    parse_scenario, render_diagnostic, render_fault, scheme_ident, Fault, Listing, Scenario,
+};
 use ido_nvm::StatsSnapshot;
 use ido_trace::TraceConfig;
 use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
@@ -51,10 +55,12 @@ fn usage() -> String {
      \x20          --compare-builder   also run the native Rust-builder program and\n\
      \x20                              require byte-identical results\n\
      verify     instrument + statically verify each scheme; print findings\n\
-     explain    like verify, but render each finding with its witness path\n\
+     explain    like verify, but render each finding with its witness path,\n\
+     \x20          and a run that faults at the faulting instruction\n\
      crashtest  run the crash oracle on the durable schemes; each counterexample\n\
-     \x20          is written to target/replay/ as a scenario with a `crash` line,\n\
-     \x20          and on such a scenario crashtest checks that one crash state\n\
+     \x20          is written to target/replay/ as a scenario with a `crash` line\n\
+     \x20          (a `fault` line for a run that faults), and on such a scenario\n\
+     \x20          crashtest checks that one crash state (replays that fault)\n\
      trace      run the first scheme with event tracing; dump events\n\
      \x20          --limit N           events to print (default 40)\n\
      emit       print the scenario's program in canonical textual form"
@@ -139,21 +145,34 @@ fn instrument_for(spec: &dyn WorkloadSpec, scheme: Scheme) -> Result<Instrumente
         .map_err(|e| format!("instrumentation failed under {}: {e:?}", scheme.name()))
 }
 
-/// The one set-up path: instrument `spec` for `scheme`, build a VM on
-/// `cfg`, set the workload up, spawn a worker per scenario thread and run
-/// to completion. Returns the VM and the workload's setup values.
+/// The one set-up path: build a VM for `inst` on `cfg`, set the workload
+/// up and spawn a worker per scenario thread. Returns the VM and the
+/// workload's setup values.
+fn boot(spec: &dyn WorkloadSpec, inst: Instrumented, scenario: &Scenario, cfg: VmConfig) -> (Vm, Vec<u64>) {
+    let mut vm = Vm::new(inst, cfg);
+    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
+    for t in 0..scenario.threads[0] {
+        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
+    }
+    (vm, base)
+}
+
+/// [`boot`] `spec` instrumented for `scheme` and run it to completion.
+///
+/// # Errors
+/// Instrumentation failures, and a run that stops with a fault (named).
 fn run_to_completion(
     spec: &dyn WorkloadSpec,
     scheme: Scheme,
     scenario: &Scenario,
     cfg: VmConfig,
 ) -> Result<(Vm, Vec<u64>), String> {
-    let mut vm = Vm::new(instrument_for(spec, scheme)?, cfg);
-    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
-    for t in 0..scenario.threads[0] {
-        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
+    let (mut vm, base) = boot(spec, instrument_for(spec, scheme)?, scenario, cfg);
+    let outcome = vm.run();
+    if let Some(fault) = Fault::of(outcome, vm.program()) {
+        return Err(format!("{} under {scheme}: {fault}", spec.name()));
     }
-    assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme}", spec.name());
+    assert_eq!(outcome, RunOutcome::Completed, "{} under {scheme}", spec.name());
     Ok((vm, base))
 }
 
@@ -268,6 +287,12 @@ fn cmd_verify(scenario: &Scenario, explain: bool) -> Result<ExitCode, String> {
             for d in &diags {
                 print!("{}", render_diagnostic(d, &listing));
             }
+            // What the static verdicts cannot see: a run that faults.
+            let (mut vm, _) = boot(&spec, inst.clone(), scenario, vm_config(scenario));
+            if let Some(fault) = Fault::of(vm.run(), &inst.program) {
+                print!("{}", render_fault(&fault, scheme, &listing));
+                findings += 1;
+            }
         } else {
             for d in &diags {
                 println!("{d}");
@@ -291,7 +316,9 @@ fn cmd_verify(scenario: &Scenario, explain: bool) -> Result<ExitCode, String> {
 /// The crash oracle at [`Scenario::oracle_config`] over every listed scheme
 /// with a recovery. Without a `crash` line it explores; each counterexample
 /// becomes `target/replay/<scenario>-<scheme>.ido`, the reproducer whose
-/// `crash` line makes this command check that one state instead.
+/// `crash` line makes this command check that one state instead. A run
+/// that faults has no crash state: the fault is the failure, and its
+/// reproducer's `fault` line makes this command replay the run to it.
 fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
     let spec = scenario.spec();
     let cfg = scenario.oracle_config();
@@ -303,8 +330,21 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
             continue;
         }
         ran += 1;
+        let inst = instrument_for(&spec, scheme)?;
+        if let Some(fault) = Fault::of(reference_outcome(&spec, &inst, &cfg), &inst.program) {
+            println!("{}/{scheme}: FAILED: {fault}", spec.name());
+            failed += 1;
+            if scenario.fault.is_none() {
+                write_reproducer(&scenario.fault_reproducer(scheme, fault), scheme)?;
+            }
+            continue;
+        }
+        if scenario.fault.is_some() {
+            println!("{}/{scheme}: completes without a fault", spec.name());
+            continue;
+        }
         if let Some(state) = &scenario.crash {
-            if let Err(failure) = state.check(&spec, &instrument_for(&spec, scheme)?, &cfg) {
+            if let Err(failure) = state.check(&spec, &inst, &cfg) {
                 let first = failure.lines().next().unwrap_or_default();
                 println!("{}/{scheme}: FAILED: {first}", spec.name());
                 failed += 1;
@@ -315,19 +355,31 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
         }
         let ex = explore_jobs(ido_par::jobs(), &spec, scheme, &cfg);
         println!("{ex}");
+        // Host-side: each worker recovers every image it has not seen pass.
+        println!("  recoveries run: {} over {} worker(s)", ex.recoveries_run, ido_par::jobs());
         if let Some(cex) = &ex.counterexample {
             failed += 1;
-            let reproducer = scenario.reproducer(cex)?;
-            let path = format!("target/replay/{}-{}.ido", scenario.name, scheme_ident(scheme));
-            std::fs::create_dir_all("target/replay")
-                .and_then(|()| std::fs::write(&path, reproducer.to_string()))
-                .map_err(|e| format!("{path}: {e}"))?;
-            println!("replay: ido crashtest {path}");
+            write_reproducer(&scenario.reproducer(cex)?, scheme)?;
         }
     }
-    let what = if scenario.crash.is_some() { "checked at one crash state" } else { "explored" };
+    let what = match (&scenario.crash, &scenario.fault) {
+        (Some(_), _) => "checked at one crash state",
+        (_, Some(_)) => "replayed to its fault",
+        _ => "explored",
+    };
     println!("crashtest: {ran} scheme(s) {what}, {failed} counterexample(s)");
     Ok(if failed == 0 { ExitCode::SUCCESS } else { ExitCode::from(1) })
+}
+
+/// Writes `reproducer`, found under `scheme`, to
+/// `target/replay/<scenario>-<scheme>.ido` and prints the line replaying it.
+fn write_reproducer(reproducer: &Scenario, scheme: Scheme) -> Result<(), String> {
+    let path = format!("target/replay/{}-{}.ido", reproducer.name, scheme_ident(scheme));
+    std::fs::create_dir_all("target/replay")
+        .and_then(|()| std::fs::write(&path, reproducer.to_string()))
+        .map_err(|e| format!("{path}: {e}"))?;
+    println!("replay: ido crashtest {path}");
+    Ok(())
 }
 
 fn cmd_trace(scenario: &Scenario, limit: usize) -> Result<ExitCode, String> {

@@ -1,7 +1,7 @@
-//! The regression corpus: every `corpus/regress/*.ido` file is the
-//! reproducer of a counterexample the crash oracle finds against an
-//! injected bug, written by `Scenario::reproducer` and replayed by
-//! `ido crashtest`. Per file:
+//! The regression corpus: every `corpus/regress/*.ido` file is a
+//! reproducer `ido crashtest` writes and replays. Most hold a counterexample
+//! the crash oracle finds against an injected bug, written by
+//! `Scenario::reproducer`; per such file:
 //!
 //! 1. the library oracle finds the counterexample again at the file's own
 //!    configuration, and its reproducer prints byte-identical to the file
@@ -12,14 +12,21 @@
 //! 4. without its `bug` line and with every `lose` list emptied, the state
 //!    recovers: exit 0.
 //!
+//! A file with a `fault` line instead holds a run that faults, written by
+//! `Scenario::fault_reproducer`: it regenerates byte for byte from the
+//! library's reference run, `ido crashtest` replays it to the recorded
+//! fault, and `ido explain` renders the fault at its instruction.
+//!
 //! Printing also round-trips (`parse(print(s)) == s`) over every corpus,
 //! regress and figure file, and a regress or figure file prints as itself.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use ido_crashtest::{explore_jobs, explore_recovery};
-use ido_lang::{parse_scenario, Scenario};
+use ido_compiler::instrument_program;
+use ido_crashtest::{explore_jobs, explore_recovery, reference_outcome};
+use ido_lang::{parse_scenario, Fault, Scenario};
+use ido_workloads::WorkloadSpec;
 
 /// The work budgets a regress file with a `then after` clause was found
 /// at: the recovery sweep's, as `fork_equivalence` runs it.
@@ -46,15 +53,23 @@ fn parse(path: &Path, source: &str) -> Scenario {
 }
 
 /// The reproducer the library oracle writes for `file`'s scenario with its
-/// crash state forgotten, found with `jobs` workers where the sweep takes
-/// a job count.
+/// crash state or fault forgotten, found with `jobs` workers where the
+/// sweep takes a job count.
 fn regenerate(file: &Scenario, jobs: usize) -> String {
     let base = Scenario {
         notes: Vec::new(),
         crash: None,
+        fault: None,
         ..file.clone()
     };
     let (spec, cfg, scheme) = (base.spec(), base.oracle_config(), base.schemes[0]);
+    if file.fault.is_some() {
+        let inst = instrument_program(spec.build_program(), scheme).expect("instruments");
+        let outcome = reference_outcome(&spec, &inst, &cfg);
+        let fault = Fault::of(outcome, &inst.program)
+            .unwrap_or_else(|| panic!("{}: the run does not fault: {outcome:?}", file.name));
+        return base.fault_reproducer(scheme, fault).to_string();
+    }
     let recovery = file.crash.as_ref().is_some_and(|c| c.recovery.is_some());
     let ex = if recovery {
         explore_recovery(&spec, scheme, &cfg, &RECOVERY_BUDGETS)
@@ -72,10 +87,15 @@ fn regenerate(file: &Scenario, jobs: usize) -> String {
 
 /// Runs `ido crashtest` on `source`, written to a file of its own.
 fn crashtest(name: &str, source: &str) -> (Option<i32>, String) {
+    ido("crashtest", name, source)
+}
+
+/// Runs `ido <command>` on `source`, written to a file of its own.
+fn ido(command: &str, name: &str, source: &str) -> (Option<i32>, String) {
     let path = std::env::temp_dir().join(format!("ido_regress_{}_{name}.ido", std::process::id()));
     std::fs::write(&path, source).expect("scenario file written");
     let out = Command::new(env!("CARGO_BIN_EXE_ido"))
-        .arg("crashtest")
+        .arg(command)
         .arg(&path)
         .output()
         .expect("the ido binary runs");
@@ -88,7 +108,7 @@ fn crashtest(name: &str, source: &str) -> (Option<i32>, String) {
 }
 
 #[test]
-fn the_regress_corpus_holds_the_five_reproducers() {
+fn the_regress_corpus_holds_the_six_reproducers() {
     let names: Vec<String> = ido_files("corpus/regress")
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
@@ -96,6 +116,7 @@ fn the_regress_corpus_holds_the_five_reproducers() {
     assert_eq!(
         names,
         [
+            "oversized_alloc_churn",
             "skip_publish_lf_list",
             "skip_store_flush_queue",
             "skip_store_flush_twin",
@@ -133,6 +154,9 @@ fn each_reproducer_replays_and_only_its_bug_reaches_the_state() {
         let source = std::fs::read_to_string(&path).unwrap();
         let file = parse(&path, &source);
         let name = &file.name;
+        if file.fault.is_some() {
+            continue; // `each_fault_reproducer_replays_its_fault`
+        }
         let crash = file
             .crash
             .as_ref()
@@ -183,6 +207,41 @@ fn each_reproducer_replays_and_only_its_bug_reaches_the_state() {
         );
         assert!(out.contains(": consistent\n"), "{name}:\n{out}");
     }
+}
+
+#[test]
+fn each_fault_reproducer_replays_its_fault() {
+    let mut faults = 0;
+    for path in ido_files("corpus/regress") {
+        let source = std::fs::read_to_string(&path).unwrap();
+        let file = parse(&path, &source);
+        let (name, Some(fault)) = (&file.name, &file.fault) else {
+            continue;
+        };
+        faults += 1;
+        let recorded = file.notes[0]
+            .strip_prefix("failure: ")
+            .expect("a failure note");
+        assert_eq!(recorded, fault.to_string(), "{name}");
+
+        let (code, out) = crashtest(name, &source);
+        assert_eq!(code, Some(1), "{name}:\n{out}");
+        assert!(
+            out.contains(&format!(": FAILED: {recorded}\n")),
+            "{name}: not the recorded fault:\n{out}"
+        );
+        assert!(out.contains("replayed to its fault"), "{name}:\n{out}");
+        assert!(!out.contains("replay: "), "{name}: a replay writes no reproducer:\n{out}");
+
+        let (code, out) = ido("explain", name, &source);
+        assert_eq!(code, Some(1), "{name}:\n{out}");
+        assert!(
+            out.contains(&format!("fault: thread {}: {}\n", fault.thread, fault.kind)),
+            "{name}:\n{out}"
+        );
+        assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
+    }
+    assert_eq!(faults, 1, "the fault reproducers");
 }
 
 #[test]
