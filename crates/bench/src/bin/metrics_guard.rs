@@ -10,8 +10,7 @@
 //! of back-to-back runs (which one goes first alternates) and takes the
 //! median of the per-pair ratios: a slow phase moves both halves of a
 //! pair, and one disturbed pair cannot move the median. Every pair is
-//! printed. `IDO_GUARD_TOL` overrides the tolerance (fraction, default
-//! 0.05).
+//! printed. The tolerance is [`TOL`].
 //!
 //! A metrics-on run is also measured and reported (informational — the
 //! enabled path is priced separately by `service_bench`).
@@ -25,6 +24,9 @@ use ido_vm::{RunOutcome, SchedPolicy, Vm, VmConfig};
 
 /// Alternating (unmarked, marked) pairs; odd, so the median is one pair.
 const PAIRS: usize = 9;
+
+/// The largest median per-pair overhead the disabled path may cost.
+const TOL: f64 = 0.05;
 
 /// `worker(n)`: a store-per-iteration loop, optionally bracketed by
 /// op-span markers — the same distilled hot path the zero-allocation
@@ -86,10 +88,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 fn main() {
     let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
     let iters: u64 = if quick { 300_000 } else { 1_000_000 };
-    let tol: f64 = std::env::var("IDO_GUARD_TOL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.05);
     let loop_for = |markers| {
         instrument_program(store_loop(markers), Scheme::Origin)
             .expect("origin instrumentation is the identity")
@@ -122,11 +120,11 @@ fn main() {
     println!("  marked, metrics on: {marked_on:.3} ns/step (median of {PAIRS} runs)");
 
     assert!(
-        off_overhead <= tol,
+        off_overhead <= TOL,
         "disabled metrics must be free: marked loop costs {:.2}% more per step \
          (median of {PAIRS} pairs; tolerance {:.0}%)",
         off_overhead * 100.0,
-        tol * 100.0
+        TOL * 100.0
     );
-    println!("metrics guard OK: disabled-path overhead {:.2}% <= {:.0}%", off_overhead * 100.0, tol * 100.0);
+    println!("metrics guard OK: disabled-path overhead {:.2}% <= {:.0}%", off_overhead * 100.0, TOL * 100.0);
 }

@@ -5,12 +5,10 @@
 //!
 //! Every output is derived from the simulated clock and the deterministic
 //! sweep engine, so all emitted files are byte-identical across runs and
-//! `IDO_JOBS` settings. `IDO_BENCH_QUICK=1` shrinks op counts;
-//! `IDO_TRACE_SMOKE=1` additionally self-checks that every emitted JSON
-//! parses and that every event kind appears somewhere (exit code 1 on
-//! failure) — the CI trace smoke.
+//! `IDO_JOBS` settings. `IDO_BENCH_QUICK=1` shrinks op counts. Every run
+//! checks what it wrote: each emitted JSON parses and every event kind
+//! appears somewhere (exit code 1 on failure).
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use ido_bench::{ops_per_thread, write_csv, write_figure};
@@ -25,7 +23,7 @@ use ido_workloads::{bench_config, list_log_per_op, sweep, with_sharded_alloc, Wo
 const THREADS: usize = 3;
 
 /// Writes a non-CSV artifact under `target/figures/` and remembers it for
-/// the smoke self-check.
+/// the output check.
 fn write_figure_file(emitted: &mut Vec<(String, String)>, name: &str, contents: String) {
     write_figure(name, &contents);
     emitted.push((name.to_string(), contents));
@@ -39,7 +37,6 @@ fn hist_rows(rows: &mut Vec<String>, scheme: Scheme, hist: &Hist) {
 
 fn main() -> ExitCode {
     let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
-    let smoke = std::env::var("IDO_TRACE_SMOKE").is_ok_and(|v| v == "1");
     let ops = ops_per_thread(if quick { 40 } else { 250 });
     let mut cfg = bench_config(64, THREADS, ops, list_log_per_op(64));
     cfg.pool.trace = TraceConfig::on();
@@ -165,8 +162,8 @@ fn main() -> ExitCode {
     // cycle under the sharded allocator. This is the only section that
     // emits op-span events (`op-begin`/`op-end`, from the workload's
     // metrics markers) and the allocator `rebuild` recovery phase (from
-    // the sharded re-attach descriptor scan), so the smoke's all-kinds
-    // check covers them; the windowed metrics ride along as Perfetto
+    // the sharded re-attach descriptor scan), so the all-kinds check
+    // covers them; the windowed metrics ride along as Perfetto
     // counter tracks in the same file.
     let (svc_pre, svc_post) = {
         let spec = ido_workloads::service::ServiceSpec::with_range(512);
@@ -207,59 +204,46 @@ fn main() -> ExitCode {
         svc_phases[3] as f64 / 1e6,
     );
 
-    if smoke {
-        return self_check(&emitted, &[&pre, &post, &svc_pre, &svc_post]);
-    }
-    ExitCode::SUCCESS
+    self_check(&emitted, [&pre, &post, &svc_pre, &svc_post])
 }
 
-/// The `IDO_TRACE_SMOKE=1` gate: every emitted JSON must parse, and every
-/// one of the [`EventKind::ALL`] kinds must appear in some emitted file
-/// (`args.k` carries the kind name in every Chrome record).
-fn self_check(emitted: &[(String, String)], traces: &[&Trace]) -> ExitCode {
-    let mut ok = true;
+/// The output check: every emitted JSON must parse, every one of the
+/// [`EventKind::ALL`] kinds must appear in some emitted file (`args.k`
+/// carries the kind name in every Chrome record), the recovery pair must
+/// carry the crash marker and the phases, and the service pair op spans and
+/// the allocator rebuild phase.
+fn self_check(emitted: &[(String, String)], [pre, post, svc_pre, svc_post]: [&Trace; 4]) -> ExitCode {
+    let mut failures = Vec::new();
     for (name, contents) in emitted {
         if let Err(e) = validate_json(contents) {
-            eprintln!("SMOKE FAIL: {name} is not valid JSON: {e}");
-            ok = false;
+            failures.push(format!("{name} is not valid JSON: {e}"));
         }
     }
-    let mut union = String::new();
-    for (_, contents) in emitted {
-        union.push_str(contents);
-    }
+    let union: String = emitted.iter().map(|(_, contents)| contents.as_str()).collect();
     for kind in EventKind::ALL {
         if !union.contains(&format!("\"k\":\"{}\"", kind.name())) {
-            eprintln!("SMOKE FAIL: no `{}` event in any emitted trace", kind.name());
-            ok = false;
+            failures.push(format!("no `{}` event in any emitted trace", kind.name()));
         }
     }
-    // The recovery pair must carry the crash marker and all three phases.
-    let mut msg = String::new();
-    let _ = write!(msg, "crash events: {}", traces[0].counts_by_kind()[EventKind::Crash as usize]);
-    let phases = traces[1].recovery_phase_ns();
-    if traces[0].counts_by_kind()[EventKind::Crash as usize] == 0 {
-        eprintln!("SMOKE FAIL: pre-crash trace has no crash event ({msg})");
-        ok = false;
+    let count = |trace: &Trace, kind: EventKind| trace.counts_by_kind()[kind as usize];
+    let (phases, svc_phases) = (post.recovery_phase_ns(), svc_post.recovery_phase_ns());
+    if count(pre, EventKind::Crash) == 0 {
+        failures.push("pre-crash trace has no crash event".to_string());
     }
-    if traces[1].counts_by_kind()[EventKind::RecoveryEnd as usize] == 0 || phases[1] == 0 {
-        eprintln!("SMOKE FAIL: recovery trace lacks phase spans ({phases:?})");
-        ok = false;
+    if count(post, EventKind::RecoveryEnd) == 0 || phases[1] == 0 {
+        failures.push(format!("recovery trace lacks phase spans ({phases:?})"));
     }
-    // The service pair must carry op spans and the allocator rebuild phase.
-    if let [_, _, svc_pre, svc_post] = traces {
-        if svc_pre.counts_by_kind()[EventKind::OpEnd as usize] == 0 {
-            eprintln!("SMOKE FAIL: service trace has no op spans");
-            ok = false;
-        }
-        let svc_phases = svc_post.recovery_phase_ns();
-        if svc_phases[3] == 0 {
-            eprintln!("SMOKE FAIL: service recovery has no rebuild phase ({svc_phases:?})");
-            ok = false;
-        }
+    if count(svc_pre, EventKind::OpEnd) == 0 {
+        failures.push("service trace has no op spans".to_string());
     }
-    if ok {
-        println!("trace smoke OK: {} files valid, all {} event kinds present", emitted.len(), EventKind::ALL.len());
+    if svc_phases[3] == 0 {
+        failures.push(format!("service recovery has no rebuild phase ({svc_phases:?})"));
+    }
+    for failure in &failures {
+        eprintln!("CHECK FAIL: {failure}");
+    }
+    if failures.is_empty() {
+        println!("trace check OK: {} files valid, all {} event kinds present", emitted.len(), EventKind::ALL.len());
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

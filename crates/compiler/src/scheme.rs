@@ -290,13 +290,30 @@ mod tests {
         }
     }
 
+    /// Table II as its rows print: system, region semantics, recovery,
+    /// logging granularity, dependence tracking, transient caches. (NV-Heaps
+    /// and SoftWrAP are not implemented; NVML and Mnemosyne cover their
+    /// object- and block-granularity designs.)
     #[test]
     fn table_two_properties() {
-        assert!(Scheme::Ido.recovers_by_resumption());
-        assert!(Scheme::JustDo.recovers_by_resumption());
-        assert!(!Scheme::Atlas.recovers_by_resumption());
-        assert!(Scheme::Atlas.needs_dependence_tracking());
-        assert!(!Scheme::Ido.needs_dependence_tracking());
-        assert!(!Scheme::Mnemosyne.needs_dependence_tracking());
+        use Scheme::*;
+        let yes_no = |b| if b { "Yes" } else { "No" };
+        let printed = [Ido, Atlas, Mnemosyne, Nvthreads, JustDo, Nvml].map(|s| {
+            let r = s.info();
+            let (deps, caches) = (yes_no(r.dependence_tracking), yes_no(r.transient_caches));
+            let (name, regions, log) = (r.name, r.region_semantics, r.logging_granularity);
+            format!("{name} | {regions} | {} | {log} | {deps} | {caches}", r.recovery)
+        });
+        assert_eq!(
+            printed,
+            [
+                "iDO | Lock-inferred FASE | Resumption | Idempotent Region | No | Yes",
+                "Atlas | Lock-inferred FASE | UNDO | Store | Yes | Yes",
+                "Mnemosyne | C++ Transactions | REDO | Store | No | Yes",
+                "NVThreads | Lock-inferred FASE | REDO | Page | Yes | Yes",
+                "JUSTDO | Lock-inferred FASE | Resumption | Store | No | No",
+                "NVML | Programmer Delineated | UNDO | Object | No | Yes",
+            ]
+        );
     }
 }

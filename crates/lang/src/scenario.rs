@@ -162,7 +162,8 @@ pub fn scheme_ident(scheme: Scheme) -> String {
 /// A fault a run stopped with ([`RunOutcome::Fault`]), with its pc named
 /// the way `ido explain` lists the instrumented program: function, block,
 /// instruction index. A `fault` line holds one:
-/// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`).
+/// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`,
+/// or `stack_overflow FRAME_BYTES`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The faulting thread.
@@ -198,6 +199,7 @@ impl Fault {
         let (call, value) = match self.kind {
             FaultKind::AllocFailed { size } => ("nv_malloc", size),
             FaultKind::FreeFailed { addr } => ("nv_free", addr),
+            FaultKind::StackOverflow { frame_bytes } => ("stack_overflow", frame_bytes),
         };
         let Fault { thread, function, block, index, .. } = self;
         format!("thread {thread} at {function} bb{block} {index} {call} {value}")
@@ -673,7 +675,7 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
 }
 
 /// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
-/// `nv_malloc SIZE` or `nv_free ADDR`.
+/// `nv_malloc SIZE`, `nv_free ADDR` or `stack_overflow FRAME_BYTES`.
 fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     c.expect_keyword("thread", "after `fault`")?;
     let (thread, _) = c.expect_u64("as the faulting thread")?;
@@ -691,11 +693,12 @@ fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     let kind = match call.as_str() {
         "nv_malloc" => FaultKind::AllocFailed { size: value },
         "nv_free" => FaultKind::FreeFailed { addr: value },
+        "stack_overflow" => FaultKind::StackOverflow { frame_bytes: value },
         _ => {
             return Err(LangError::new(
                 format!("unknown fault `{call}`"),
                 span,
-                "expected `nv_malloc` or `nv_free`",
+                "expected `nv_malloc`, `nv_free` or `stack_overflow`",
             ))
         }
     };
@@ -1293,6 +1296,8 @@ mod tests {
         assert_eq!(fault.to_string(), "thread 0 faulted at worker bb2 5: nv_malloc of 64 bytes failed");
         let s = printed_as_itself(&format!("{header}  fault thread 1 at push bb0 0 nv_free 4104\n}}\n"));
         assert_eq!(s.fault.unwrap().kind, FaultKind::FreeFailed { addr: 4104 });
+        let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb1 0 stack_overflow 8\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::StackOverflow { frame_bytes: 8 });
         for (clause, message, spanned) in [
             ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
             ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),

@@ -7,16 +7,22 @@ use ido_compiler::Scheme;
 use ido_crashtest::OracleConfig;
 use ido_verify::{differential, differential_all, Invariant};
 use ido_workloads::micro::TwinSpec;
+use ido_workloads::standard_specs;
 
+/// Every standard workload and the twin counter, under every durable scheme.
 #[test]
 fn static_and_dynamic_verdicts_agree_on_the_clean_tree() {
-    let reports = differential_all(&TwinSpec, &OracleConfig::smoke());
-    for r in &reports {
-        assert!(r.agree, "disagreement: {r}");
-        assert!(r.diagnostics.is_empty(), "static findings on clean tree: {r}");
-        assert!(r.exploration.counterexample.is_none(), "oracle failure on clean tree: {r}");
+    let mut specs = standard_specs();
+    specs.push(Box::new(TwinSpec));
+    for spec in &specs {
+        let reports = differential_all(spec.as_ref(), &OracleConfig::smoke());
+        for r in &reports {
+            assert!(r.agree, "disagreement: {r}");
+            assert!(r.diagnostics.is_empty(), "static findings on clean tree: {r}");
+            assert!(r.exploration.counterexample.is_none(), "oracle failure on clean tree: {r}");
+        }
+        assert_eq!(reports.len(), 6);
     }
-    assert_eq!(reports.len(), 6);
 }
 
 #[test]

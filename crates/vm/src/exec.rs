@@ -233,6 +233,11 @@ pub enum FaultKind {
         /// The address freed.
         addr: u64,
     },
+    /// A call whose callee's frame does not fit on the persistent stack.
+    StackOverflow {
+        /// The callee's frame size in bytes.
+        frame_bytes: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -240,6 +245,9 @@ impl std::fmt::Display for FaultKind {
         match self {
             FaultKind::AllocFailed { size } => write!(f, "nv_malloc of {size} bytes failed"),
             FaultKind::FreeFailed { addr } => write!(f, "nv_free of {addr:#x} failed"),
+            FaultKind::StackOverflow { frame_bytes } => {
+                write!(f, "persistent stack overflow: frame of {frame_bytes} bytes")
+            }
         }
     }
 }
@@ -1260,18 +1268,18 @@ fn exec_cold(
             return None;
         }
         &Inst::Call { func, ref args, ret } => {
-            // The callee's register file is its frame's own storage.
             let f = cx.code.function(func);
+            let frame_bytes = f.frame_bytes();
+            if th.stack_top + frame_bytes > cx.config.stack_bytes {
+                th.status = Status::Faulted(FaultKind::StackOverflow { frame_bytes: frame_bytes as u64 });
+                return None;
+            }
+            // The callee's register file is its frame's own storage.
             let mut regs = vec![0u64; f.num_regs() as usize];
             for (i, &a) in args.iter().enumerate() {
                 regs[i] = th.eval(a);
             }
             th.handle.advance(cx.config.inst_cost_ns * 2);
-            let frame_bytes = f.frame_bytes();
-            assert!(
-                th.stack_top + frame_bytes <= cx.config.stack_bytes,
-                "persistent stack overflow"
-            );
             let stack_base = th.stack_area + th.stack_top;
             th.stack_top += frame_bytes;
             // A FASE inside the callee must log its parameters.

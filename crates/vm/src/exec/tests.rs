@@ -103,6 +103,30 @@ fn failed_allocator_calls_are_faults_at_their_pc() {
     assert_eq!(FaultKind::AllocFailed { size: 9 }.to_string(), "nv_malloc of 9 bytes failed");
 }
 
+/// A call whose frame does not fit on the persistent stack stops the run
+/// with a fault at the call, on both tiers, as a failed allocation does.
+#[test]
+fn a_call_past_the_persistent_stack_is_a_fault_at_its_pc() {
+    let inst = compile(Scheme::Origin, |pb| {
+        let mut f = pb.new_function("main", 0);
+        let (slot, me) = (f.new_stack_slot(), f.declare("main"));
+        f.store_stack(slot, 1i64);
+        f.call(me, Vec::new(), None);
+        f.ret(None);
+        f.finish().unwrap();
+    });
+    let overflow = FaultKind::StackOverflow { frame_bytes: 8 };
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let mut vm = Vm::new(inst.clone(), VmConfig { tier, ..VmConfig::for_tests() });
+        vm.spawn("main", &[]);
+        let at = Pc { func: FuncId(0), block: BlockId(0), index: 1 };
+        let fault = RunOutcome::Fault { thread: ThreadId(0), pc: at, kind: overflow };
+        assert_eq!(vm.run(), fault, "{tier:?}");
+        assert_eq!(vm.run_steps(10), fault, "{tier:?}: the run stays stopped");
+    }
+    assert_eq!(overflow.to_string(), "persistent stack overflow: frame of 8 bytes");
+}
+
 /// Guest address arithmetic wraps as the machine's does, in debug builds
 /// too, and the pool names the address it refuses.
 #[test]

@@ -197,19 +197,38 @@ echo "== scheduler: tree vs scan model test, scaling, sched_equivalence to 129 t
 # unoptimized workspace run above.
 timed "scheduler" cargo test -q --release -p ido-vm --lib sched
 
-echo "== static atomicity lint + differential smoke (verify_report) =="
-# Lints every standard workload under every scheme and cross-checks the
-# static verdicts against the crash oracle; any violation or
-# static/dynamic disagreement makes the binary assert and fail CI.
-timed "verify_report" env IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin verify_report
+echo "== static atomicity lint + differential (ido-verify lib and differential tests) =="
+# Lints every standard workload under every scheme
+# (lint_of_current_tree_is_clean) and cross-checks the static verdicts
+# against the crash oracle on every standard workload and the twin counter,
+# clean and with the injected bug (tests/differential.rs); any violation or
+# static/dynamic disagreement fails a test.
+timed "verify lint + differential" cargo test -q --release -p ido-verify --lib --test differential
+
+echo "== one front door: a check is a scenario file or a test =="
+# The crash-oracle sweep is `ido crashtest corpus/oracle/*.ido`, the lint
+# and differential report the ido-verify tests above, and Table II
+# scheme::tests::table_two_properties. Their binaries stay gone, and so do
+# the environment knobs that sized or loosened a check.
+one_front_door() {
+  if ls crates/bench/src/bin | grep -E '^(crash_oracle|verify_report|table2_properties)\.rs$'; then
+    echo "a folded binary is back: the check is an ido command or a test"; return 1
+  fi
+  if grep -rnE 'IDO_(ORACLE_SMOKE|TRACE_SMOKE|GUARD_TOL)' crates src tests README.md DESIGN.md; then
+    echo "a folded environment knob is back: a check has one size"; return 1
+  fi
+}
+one_front_door
 
 echo "== crash-oracle smoke sweep + program sharing + one crash-state track + memcached-like store at 512 ops (iDO, Atlas) =="
 # The sharing tests pin that a crash state neither clones nor decodes the
 # program (`Program`'s value semantics, VMs of one program holding one
 # decoded form, an exploration leaving it as it found it), in the build the
-# oracle is timed in; the table's us/state and setup columns put the
-# per-state path and its fixed cost in this log (host numbers: read them
-# against the previous run's, they gate nothing). The kv sweep is the
+# oracle is timed in; `ido crashtest`'s host lines (us/state, setup) on the
+# benchmark's five oracle specs, corpus/oracle/*.ido, put the per-state path
+# and its fixed cost in this log (host numbers: read them against the
+# previous run's, they gate nothing), and the counts they print must not
+# move with the job count. The kv sweep is the
 # application-scale gate: every persist boundary of a 512-operation run,
 # bounded lost-line cover, affordable because the oracle steps one VM
 # forward per worker and forks states from it. Release-only (the test is
@@ -222,7 +241,7 @@ echo "== crash-oracle smoke sweep + program sharing + one crash-state track + me
 # (every_state_the_memo_skipped_checks_ok_from_scratch), par_determinism
 # holds the distinct-image count to any job count, and the image key stays
 # off the pool's store, write-back and fence path, so no VM workload pays
-# for it. The table's `distinct` column is the count of images recovered.
+# for it. `distinct images` is the count of images recovered.
 oracle_stage() {
   if grep -rnE 'RecoveryCounterexample|RecoveryExploration|check_recovery_crash_state|verify_interrupted_recovery' \
       crates src tests; then
@@ -249,23 +268,32 @@ oracle_stage() {
   # The regression corpus regenerates byte for byte at either job count.
   IDO_JOBS=1 cargo test -q --release --test regress
   IDO_JOBS=2 cargo test -q --release --test regress
-  local table
-  table=$(IDO_ORACLE_SMOKE=1 cargo run -q --release -p ido-bench --bin crash_oracle)
-  echo "$table"
-  echo "$table" | grep -q 'us/state' \
-    || { echo "crash_oracle's table lost its us/state column"; return 1; }
-  echo "$table" | grep -q ' distinct ' \
-    || { echo "crash_oracle's table lost its distinct column"; return 1; }
+  local f out states=0 distinct=0
+  for f in corpus/oracle/*.ido; do
+    out=$(IDO_JOBS=1 ./target/release/ido crashtest "$f")
+    echo "$out"
+    grep -q '6 scheme(s) explored, 0 counterexample(s)' <<<"$out" \
+      || { echo "ido crashtest $f: not six durable schemes explored clean"; return 1; }
+    grep -q 'us/state' <<<"$out" \
+      || { echo "ido crashtest $f lost its us/state host line"; return 1; }
+    grep -q ' distinct images)' <<<"$out" \
+      || { echo "ido crashtest $f lost its distinct-image count"; return 1; }
+    cmp <(grep -v 'us/state' <<<"$out") \
+      <(IDO_JOBS=2 ./target/release/ido crashtest "$f" | grep -v 'us/state') \
+      || { echo "IDO_JOBS=2 changed what ido crashtest $f counts"; return 1; }
+    states=$((states + $(sed -n 's/.* \([0-9]*\) crash states (.*/+\1/p' <<<"$out" | tr -d '\n')))
+    distinct=$((distinct + $(sed -n 's/.* (\([0-9]*\) distinct images).*/+\1/p' <<<"$out" | tr -d '\n')))
+  done
+  echo "corpus/oracle: $states crash states, $distinct distinct images"
   cargo test -q --release -p ido-crashtest --test kv_sweep -- --nocapture
 }
 timed "crash oracle" oracle_stage
 
-echo "== trace smoke: quick trace_report + JSON/event-kind self-check =="
-IDO_BENCH_QUICK=1 IDO_TRACE_SMOKE=1 cargo run -q --release -p ido-bench --bin trace_report
-
-echo "== trace determinism: IDO_JOBS=2 must match IDO_JOBS=1 byte-for-byte =="
+echo "== trace report: JSON/event-kind check, and IDO_JOBS=2 must match IDO_JOBS=1 byte-for-byte =="
+# trace_report checks what it writes on every run: every JSON parses and
+# every event kind appears.
 mkdir -p target/tmp
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin trace_report > /dev/null
+IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin trace_report
 cp target/figures/trace_hash-map.trace.json target/tmp/trace_jobs1.json
 IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin trace_report > /dev/null
 cmp target/tmp/trace_jobs1.json target/figures/trace_hash-map.trace.json \
@@ -310,7 +338,7 @@ cmp target/figures/BENCH_alloc.jobs1.json target/figures/BENCH_alloc.json \
   || { echo "IDO_JOBS=2 changed allocator bench results"; exit 1; }
 
 echo "== table/report smoke: every remaining paper binary at IDO_BENCH_OPS=200 =="
-for b in fig8_regions table1_recovery table2_properties ablation; do
+for b in fig8_regions table1_recovery ablation; do
   IDO_BENCH_OPS=200 cargo run -q --release -p ido-bench --bin "$b" > /dev/null
 done
 

@@ -355,8 +355,17 @@ fn cmd_crashtest(scenario: &Scenario) -> Result<ExitCode, String> {
         }
         let ex = explore_jobs(ido_par::jobs(), &spec, scheme, &cfg);
         println!("{ex}");
-        // Host-side: each worker recovers every image it has not seen pass.
-        println!("  recoveries run: {} over {} worker(s)", ex.recoveries_run, ido_par::jobs());
+        // Host-side, varying with IDO_JOBS and the machine: each worker
+        // recovers every image it has not seen pass, replays to its chunk's
+        // first boundary and forks states from there. `us/state` is host
+        // time past set-up per crash state; `setup` is set-up's share.
+        let us_per_state = (ex.host_ns - ex.setup_ns) as f64 / 1e3 / ex.crash_states_explored.max(1) as f64;
+        let setup_pct = 100.0 * ex.setup_ns as f64 / ex.host_ns.max(1) as f64;
+        println!(
+            "  recoveries run: {} over {} worker(s); {} steps replayed, {} lines forked; \
+             {us_per_state:.2} us/state, setup {setup_pct:.0}%",
+            ex.recoveries_run, ido_par::jobs(), ex.replayed_steps, ex.forked_lines
+        );
         if let Some(cex) = &ex.counterexample {
             failed += 1;
             write_reproducer(&scenario.reproducer(cex)?, scheme)?;

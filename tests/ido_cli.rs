@@ -151,6 +151,40 @@ fn crashtest_honours_threads_ops_and_seed() {
     }
 }
 
+/// `corpus/oracle/twin.ido` is the benchmark's twin-counter oracle spec at
+/// the library's default configuration: each durable scheme's crash states
+/// and the distinct images they crash into are pinned, and each explored
+/// scheme's host line reports the time per state.
+#[test]
+fn crashtest_pins_the_oracle_twin_counts() {
+    let Ran { code, stdout, stderr } = ido("crashtest", "oracle_twin", &corpus("oracle/twin.ido"));
+    assert_eq!(code, Some(0), "{stdout}\n{stderr}");
+    assert!(stdout.contains("6 scheme(s) explored, 0 counterexample(s)"), "{stdout}");
+    // `twin-counter/iDO: …, 78 crash states (52 distinct images): all consistent`
+    let counts: Vec<(&str, u64, u64)> = stdout
+        .lines()
+        .filter_map(|l| {
+            let (scheme, rest) = l.strip_prefix("twin-counter/")?.split_once(": ")?;
+            let (states, rest) = rest.split_once(" crash states (")?;
+            let distinct = rest.split_once(" distinct images")?.0;
+            Some((scheme, states.rsplit(' ').next()?.parse().ok()?, distinct.parse().ok()?))
+        })
+        .collect();
+    assert_eq!(
+        counts,
+        [
+            ("iDO", 78, 52),
+            ("Atlas", 229, 183),
+            ("Mnemosyne", 14, 13),
+            ("JUSTDO", 74, 50),
+            ("NVML", 159, 113),
+            ("NVThreads", 6, 5),
+        ],
+        "{stdout}"
+    );
+    assert_eq!(stdout.matches(" us/state, setup ").count(), 6, "{stdout}");
+}
+
 /// The one scheme with no contract to check is the one with no recovery.
 #[test]
 fn crashtest_skips_only_origin() {

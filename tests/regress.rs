@@ -18,7 +18,8 @@
 //! fault, and `ido explain` renders the fault at its instruction.
 //!
 //! Printing also round-trips (`parse(print(s)) == s`) over every corpus,
-//! regress and figure file, and a regress or figure file prints as itself.
+//! regress, figure and oracle file, and a regress, figure or oracle file
+//! prints as itself.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -108,7 +109,7 @@ fn ido(command: &str, name: &str, source: &str) -> (Option<i32>, String) {
 }
 
 #[test]
-fn the_regress_corpus_holds_the_six_reproducers() {
+fn the_regress_corpus_holds_the_seven_reproducers() {
     let names: Vec<String> = ido_files("corpus/regress")
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
@@ -122,6 +123,7 @@ fn the_regress_corpus_holds_the_six_reproducers() {
             "skip_store_flush_twin",
             "skip_store_flush_twin_recovery",
             "skip_window_flush_lf_list",
+            "unbounded_recursion_twin",
         ]
     );
 }
@@ -241,16 +243,18 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 1, "the fault reproducers");
+    assert_eq!(faults, 2, "the fault reproducers");
 }
 
 #[test]
 fn scenarios_print_as_they_parse() {
-    for path in ido_files("corpus")
-        .into_iter()
-        .chain(ido_files("corpus/regress"))
-        .chain(ido_files("corpus/figures"))
-    {
+    let byte_checked = || {
+        ido_files("corpus/regress")
+            .into_iter()
+            .chain(ido_files("corpus/figures"))
+            .chain(ido_files("corpus/oracle"))
+    };
+    for path in ido_files("corpus").into_iter().chain(byte_checked()) {
         let source = std::fs::read_to_string(&path).unwrap();
         let scenario = parse(&path, &source);
         let printed = scenario.to_string();
@@ -262,7 +266,7 @@ fn scenarios_print_as_they_parse() {
             path.display()
         );
     }
-    for path in ido_files("corpus/regress").into_iter().chain(ido_files("corpus/figures")) {
+    for path in byte_checked() {
         let source = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             parse(&path, &source).to_string(),
