@@ -810,7 +810,7 @@ fn parse_suffixed(s: &str, prefix: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-fn parse_binop_name(s: &str) -> Option<BinOp> {
+pub(crate) fn parse_binop_name(s: &str) -> Option<BinOp> {
     Some(match s {
         "add" => BinOp::Add,
         "sub" => BinOp::Sub,

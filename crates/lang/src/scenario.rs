@@ -5,9 +5,9 @@
 //! # failure: ...            # optional leading comments, kept as `notes`
 //! scenario stack_smoke {
 //!   workload stack        # stack|queue|list|map|memcached|redis|service|twin|lf_list|lf_map|alloc_churn
-//!   range 256             # optional: list|map|redis|service key range
-//!   buckets 64            # optional: map buckets
-//!   puts 500              # optional: memcached set rate, permille
+//!   range 256             # optional: list|map|lf_map|redis|service key range
+//!   buckets 64            # optional: map|lf_map buckets
+//!   puts 500              # optional: memcached|map|lf_map set rate, permille
 //!   threads 2             # or a sweep's list: 1,2,4
 //!   ops 6
 //!   delay 0,20,100        # optional, `ido sweep` only: extra NVM ns per write-back
@@ -18,6 +18,7 @@
 //!   bug ido_bug_skip_store_flush          # optional: VmConfig bug fields
 //!   crash at step 37 lose [83]            # optional: one crash state
 //!   fault thread 0 at worker bb2 5 nv_malloc 1048576  # or: the fault the run stops with
+//!   expect 2 times ido ge atlas at threads 4  # `ido sweep` only: a claim about the CSV
 //! }
 //!
 //! fn worker(r0) regs=1 slots=0 {   # optional: replaces the workload's program
@@ -44,15 +45,16 @@
 //! [`Scenario::sweep`] runs every scheme × thread count × delay on a pool
 //! sized for that point and returns one CSV, which is how `ido sweep`
 //! regenerates the paper's throughput figures from `corpus/figures/`.
-//! Every other subcommand runs one point and rejects a sweep
-//! ([`Scenario::sweep_axis`]).
+//! Its `expect` lines are paper claims about that CSV ([`Claim`],
+//! [`Scenario::check_claims`]). Every other subcommand runs one point and
+//! rejects both ([`Scenario::check_one_point`]).
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use ido_compiler::Scheme;
 use ido_crashtest::{Counterexample, CrashState, OracleConfig};
-use ido_ir::{Pc, Program};
+use ido_ir::{BinOp, Pc, Program};
 use ido_nvm::{AllocPolicy, LatencyModel, MetricsConfig, StatsSnapshot};
 use ido_trace::Hist;
 use ido_vm::{ExecTier, FaultKind, RunOutcome, Vm, VmConfig};
@@ -63,7 +65,7 @@ use ido_workloads::{
 
 use crate::diag::{LangError, Span};
 use crate::lexer::{lex, Cursor, Tok};
-use crate::parser::{parse_program_tokens, ParsedProgram};
+use crate::parser::{parse_binop_name, parse_program_tokens, ParsedProgram};
 
 /// Which native workload a scenario drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +141,7 @@ impl WorkloadKind {
     /// True when the workload takes a `range` parameter.
     pub fn takes_range(self) -> bool {
         use WorkloadKind::*;
-        matches!(self, List | Map | Redis | Service)
+        matches!(self, List | Map | LfMap | Redis | Service)
     }
 
     /// The schemes this workload can run under.
@@ -163,7 +165,7 @@ pub fn scheme_ident(scheme: Scheme) -> String {
 /// the way `ido explain` lists the instrumented program: function, block,
 /// instruction index. A `fault` line holds one:
 /// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`,
-/// or `stack_overflow FRAME_BYTES`).
+/// `stack_overflow FRAME_BYTES` or `call_depth DEPTH`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The faulting thread.
@@ -200,9 +202,53 @@ impl Fault {
             FaultKind::AllocFailed { size } => ("nv_malloc", size),
             FaultKind::FreeFailed { addr } => ("nv_free", addr),
             FaultKind::StackOverflow { frame_bytes } => ("stack_overflow", frame_bytes),
+            FaultKind::CallTooDeep { depth } => ("call_depth", depth),
         };
         let Fault { thread, function, block, index, .. } = self;
         format!("thread {thread} at {function} bb{block} {index} {call} {value}")
+    }
+}
+
+/// One side of an `expect` line, `[K times] SCHEME [COLUMN] [at AXIS V]`:
+/// `K` times `SCHEME`'s `COLUMN` (default `mops`) at one point of the sweep.
+#[derive(Debug, Clone)]
+struct Term {
+    times: Option<u64>,
+    scheme: Scheme,
+    scheme_span: Span,
+    column: Option<&'static str>,
+    at: Option<(String, u64, Span)>,
+}
+
+/// An `expect` line, `expect TERM CMP TERM [miss "REASON"]` with `CMP` one
+/// of `gt ge lt le`: a claim `ido sweep` checks over its CSV. A side without
+/// `at` takes the other's point; with neither, the claim holds at every
+/// point. Equal when printed alike.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    lhs: Term,
+    cmp: BinOp,
+    rhs: Term,
+    miss: Option<String>,
+    span: Span,
+}
+
+impl PartialEq for Claim {
+    fn eq(&self, other: &Claim) -> bool {
+        self.to_string() == other.to_string()
+    }
+}
+
+impl fmt::Display for Claim {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let side = |t: &Term| {
+            let times = t.times.map(|k| format!("{k} times ")).unwrap_or_default();
+            let column = t.column.map(|c| format!(" {c}")).unwrap_or_default();
+            let at = t.at.as_ref().map(|(axis, v, _)| format!(" at {axis} {v}")).unwrap_or_default();
+            format!("{times}{}{column}{at}", scheme_ident(t.scheme))
+        };
+        let miss = self.miss.as_ref().map(|r| format!(" miss {r:?}")).unwrap_or_default();
+        write!(f, "{} {} {}{miss}", side(&self.lhs), self.cmp, side(&self.rhs))
     }
 }
 
@@ -256,6 +302,8 @@ pub struct Scenario {
     /// The fault `ido crashtest` expects the run to stop with, instead of
     /// exploring. Never together with `crash`.
     pub fault: Option<Fault>,
+    /// The `expect` lines, which only `ido sweep` checks.
+    pub claims: Vec<Claim>,
     /// The optional program section (replaces the native program).
     pub program: Option<ParsedProgram>,
 }
@@ -282,8 +330,11 @@ impl Scenario {
             }
             WorkloadKind::Map => {
                 let d = micro::MapSpec::default();
-                let buckets = self.buckets.unwrap_or(d.buckets);
-                Box::new(micro::MapSpec { buckets, key_range: range(d.key_range) })
+                let (buckets, key_range) = (self.buckets.unwrap_or(d.buckets), range(d.key_range));
+                match self.puts {
+                    Some(put_permille) => Box::new(micro::HohMapMixSpec { buckets, key_range, put_permille }),
+                    None => Box::new(micro::MapSpec { buckets, key_range }),
+                }
             }
             WorkloadKind::Memcached => {
                 let d = kv::memcached::MemcachedSpec::insertion_intensive();
@@ -294,7 +345,11 @@ impl Scenario {
             WorkloadKind::Service => Box::new(service::ServiceSpec::with_range(range(256))),
             WorkloadKind::Twin => Box::new(micro::TwinSpec),
             WorkloadKind::LfList => Box::new(lockfree::LfListSpec),
-            WorkloadKind::LfMap => Box::new(lockfree::LfMapSpec::default()),
+            WorkloadKind::LfMap => {
+                let d = lockfree::LfMapSpec::default();
+                let (buckets, put_permille) = (self.buckets.unwrap_or(d.buckets), self.puts.unwrap_or(d.put_permille));
+                Box::new(lockfree::LfMapSpec { buckets, key_range: range(d.key_range), put_permille })
+            }
             WorkloadKind::AllocChurn => Box::new(micro::AllocChurnSpec),
         }
     }
@@ -474,10 +529,7 @@ impl Scenario {
         }
         let points = axes.iter().map(|&(s, t, d)| (s, t, self.point_config(t, d))).collect();
         let stats = sweep(jobs, &self.spec(), self.ops, points);
-        let mut csv = format!(
-            "workload,scheme,threads,ops,delay_ns,sim_ns,mops,p50_ns,p99_ns,p999_ns,{}\n",
-            StatsSnapshot::CSV_HEADER
-        );
+        let mut csv = format!("workload,scheme,{SWEEP_COLUMNS},{}\n", StatsSnapshot::CSV_HEADER);
         for ((_, _, delay), s) in axes.iter().zip(&stats) {
             let mut lat = Hist::default();
             for h in &s.metrics.as_ref().expect("sweep points run with metrics on").per_kind {
@@ -500,7 +552,83 @@ impl Scenario {
         }
         csv
     }
+
+    /// Checks every `expect` line over `csv`, the text [`Scenario::sweep`]
+    /// returned: per claim, whether it came out as announced (it holds, or a
+    /// known miss misses) and its line for stderr, with both sides at the
+    /// first point where it misses, or else where it holds most narrowly.
+    pub fn check_claims(&self, csv: &str) -> Vec<(bool, String)> {
+        let rows: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
+        // Side `t` at the point (threads, delay), moved along the axis by `at`.
+        let value = |t: &Term, (threads, delay): (u64, u64), at: Option<&(String, u64, Span)>| {
+            let (threads, delay) = match at {
+                Some((axis, v, _)) if axis == "threads" => (*v, delay),
+                Some((_, v, _)) => (threads, *v),
+                None => (threads, delay),
+            };
+            let point = (t.scheme.name(), &*threads.to_string(), &*delay.to_string());
+            let row = rows.iter().find(|r| (r[1], r[2], r[4]) == point).expect("every point has a row");
+            let col = rows[0].iter().position(|&c| c == t.column.unwrap_or("mops")).expect("a CSV column");
+            t.times.unwrap_or(1) as f64 * row[col].parse::<f64>().expect("a numeric column")
+        };
+        let points: Vec<(u64, u64)> =
+            self.threads.iter().flat_map(|&t| self.delay.iter().map(move |&d| (t as u64, d))).collect();
+        let check = |claim: &Claim| {
+            // A side without `at` takes the other side's.
+            let (lhs, rhs) = (&claim.lhs, &claim.rhs);
+            let (l_at, r_at) = (lhs.at.as_ref().or(rhs.at.as_ref()), rhs.at.as_ref().or(lhs.at.as_ref()));
+            let sides: Vec<(f64, f64, (u64, u64))> =
+                points.iter().map(|&p| (value(lhs, p, l_at), value(rhs, p, r_at), p)).collect();
+            let holds = |&(l, r, _): &(f64, f64, _)| match claim.cmp {
+                BinOp::Gt => l > r,
+                BinOp::Ge => l >= r,
+                BinOp::Lt => l < r,
+                _ => l <= r,
+            };
+            // How far the claim clears its bound at a point, as a ratio.
+            let margin = |&(l, r, _): &(f64, f64, _)| match claim.cmp {
+                BinOp::Gt | BinOp::Ge => l / r,
+                _ => r / l,
+            };
+            let all = sides.iter().all(holds);
+            let narrowest = sides.iter().min_by(|a, b| margin(a).total_cmp(&margin(b)));
+            let shown = sides.iter().find(|s| !holds(s)).or(narrowest);
+            let (l, r, (threads, delay)) = *shown.expect("a sweep has a point");
+            let point = match self.sweep_axis().filter(|_| l_at.is_none()) {
+                Some("delay") => format!(" at delay {delay}"),
+                Some(axis) => format!(" at {axis} {threads}"),
+                None => String::new(),
+            };
+            let verdict = match (all, &claim.miss) {
+                (true, None) => "holds",
+                (false, None) => "MISSES",
+                (false, Some(_)) => "known miss",
+                (true, Some(_)) => "known miss HOLDS",
+            };
+            let [l, r] = [l, r].map(|v| (v * 1e4).round() / 1e4);
+            (all != claim.miss.is_some(), format!("{verdict}: expect {claim}: {l} {} {r}{point}", claim.cmp))
+        };
+        self.claims.iter().map(check).collect()
+    }
+
+    /// Why every subcommand but `ido sweep` rejects this scenario, read from
+    /// `source` at `path`: its sweep axis, or its first `expect` line.
+    pub fn check_one_point(&self, path: &str, source: &str) -> Result<(), String> {
+        if let Some(axis) = self.sweep_axis() {
+            return Err(format!("{path}: `{axis}` makes this scenario a sweep: run it with `ido sweep {path}`"));
+        }
+        match self.claims.first() {
+            Some(claim) => {
+                let only = "only `ido sweep` checks an `expect` line";
+                Err(LangError::new(only, claim.span, "a claim about the sweep").render(path, source))
+            }
+            None => Ok(()),
+        }
+    }
 }
+
+/// The sweep CSV's numeric columns before the persistence counters.
+const SWEEP_COLUMNS: &str = "threads,ops,delay_ns,sim_ns,mops,p50_ns,p99_ns,p999_ns";
 
 /// The path of the first field in which the pretty `Debug` forms of `a`
 /// and `b` differ (`pool.size`), or `None` when they are equal. Reading the
@@ -570,6 +698,9 @@ impl fmt::Display for Scenario {
         }
         if let Some(fault) = &self.fault {
             writeln!(f, "  fault {}", fault.clause())?;
+        }
+        for claim in &self.claims {
+            writeln!(f, "  expect {claim}")?;
         }
         writeln!(f, "}}")?;
         if let Some(p) = &self.program {
@@ -675,7 +806,8 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
 }
 
 /// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
-/// `nv_malloc SIZE`, `nv_free ADDR` or `stack_overflow FRAME_BYTES`.
+/// `nv_malloc SIZE`, `nv_free ADDR`, `stack_overflow FRAME_BYTES` or
+/// `call_depth DEPTH`.
 fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     c.expect_keyword("thread", "after `fault`")?;
     let (thread, _) = c.expect_u64("as the faulting thread")?;
@@ -694,15 +826,70 @@ fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
         "nv_malloc" => FaultKind::AllocFailed { size: value },
         "nv_free" => FaultKind::FreeFailed { addr: value },
         "stack_overflow" => FaultKind::StackOverflow { frame_bytes: value },
+        "call_depth" => FaultKind::CallTooDeep { depth: value },
         _ => {
             return Err(LangError::new(
                 format!("unknown fault `{call}`"),
                 span,
-                "expected `nv_malloc`, `nv_free` or `stack_overflow`",
+                "expected `nv_malloc`, `nv_free`, `stack_overflow` or `call_depth`",
             ))
         }
     };
     Ok(Fault { thread: thread as usize, function, block, index, kind })
+}
+
+/// Parses the rest of an `expect` line after its key at `key_span`. Its
+/// schemes and `at` points are checked once the whole header is read.
+fn claim(c: &mut Cursor, key_span: Span) -> Result<Claim, LangError> {
+    let word = |c: &Cursor| if let Tok::Ident(w) = &c.peek().tok { w.clone() } else { String::new() };
+    let term = |c: &mut Cursor| -> Result<Term, LangError> {
+        let mut times = None;
+        if let Tok::Int(_) = c.peek().tok {
+            let (k, span) = c.expect_u64("as a multiplier")?;
+            if k == 0 {
+                return Err(LangError::new("a multiplier must be at least 1", span, "out of range"));
+            }
+            c.expect_keyword("times", "after a multiplier")?;
+            times = Some(k);
+        }
+        let (name, scheme_span) = c.expect_ident("as a scheme")?;
+        let scheme = Scheme::from_name(&name).ok_or_else(|| {
+            LangError::new(format!("unknown scheme `{name}`"), scheme_span, "expected a scheme name")
+        })?;
+        let (w, mut column, mut at) = (word(c), None, None);
+        if !["", "at", "miss", "gt", "ge", "lt", "le"].contains(&w.as_str()) {
+            let mut columns = SWEEP_COLUMNS.split(',').chain(StatsSnapshot::CSV_HEADER.split(','));
+            let names = columns.clone().collect::<Vec<_>>().join(" ");
+            let label = format!("expected a comparison, `at` or a column: {names}");
+            let unknown = LangError::new(format!("unknown column `{w}`"), c.bump().span, label);
+            column = Some(columns.find(|&col| col == w).ok_or(unknown)?);
+        }
+        if word(c) == "at" {
+            c.bump();
+            let (axis, span) = c.expect_ident("as the sweep axis")?;
+            let (v, vspan) = c.expect_u64("as a point of the sweep axis")?;
+            at = Some((axis, v, span.to(vspan)));
+        }
+        Ok(Term { times, scheme, scheme_span, column, at })
+    };
+    let lhs = term(c)?;
+    let (op, span) = c.expect_ident("as a comparison")?;
+    let cmp = parse_binop_name(&op)
+        .filter(|o| matches!(o, BinOp::Gt | BinOp::Ge | BinOp::Lt | BinOp::Le))
+        .ok_or_else(|| {
+            LangError::new(format!("unknown comparison `{op}`"), span, "expected `gt`, `ge`, `lt` or `le`")
+        })?;
+    let (rhs, mut miss) = (term(c)?, None);
+    if word(c) == "miss" {
+        c.bump();
+        let t = c.bump();
+        let Tok::Str(reason) = t.tok else {
+            let msg = format!("expected a quoted reason after `miss`, found {}", t.tok.describe());
+            return Err(LangError::new(msg, t.span, "a known miss says why"));
+        };
+        miss = Some(reason);
+    }
+    Ok(Claim { lhs, cmp, rhs, miss, span: key_span.to(c.prev_span()) })
 }
 
 /// Parses a full `.ido` file: leading `#` notes, the `scenario` header
@@ -741,6 +928,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut bugs: Vec<&'static str> = Vec::new();
     let mut crash = None;
     let mut fault = None;
+    let mut claims = Vec::new();
 
     let close = loop {
         c.eat_newlines();
@@ -748,7 +936,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
             break c.bump();
         }
         let (key, key_span) = c.expect_ident("as a scenario key")?;
-        if let Some(&first) = seen.get(&key) {
+        if let Some(&first) = seen.get(&key).filter(|_| key != "expect") {
             return Err(LangError::new(
                 format!("duplicate key `{key}`"),
                 key_span,
@@ -925,12 +1113,13 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                     fault = Some(fault_clause(&mut c)?);
                 }
             }
+            "expect" => claims.push(claim(&mut c, key_span)?),
             _ => {
                 return Err(LangError::new(
                     format!("unknown scenario key `{key}`"),
                     key_span,
                     "expected one of: workload range buckets puts threads ops delay schemes tier seed \
-                     alloc bug crash fault",
+                     alloc bug crash fault expect",
                 ))
             }
         }
@@ -960,12 +1149,18 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
             "out of range",
         ));
     }
+    // A point's heap starts at 256 MiB, which holds a map directory of up
+    // to 2^20 buckets: 8 B and a sentinel of at most 128 B each.
+    if let Some((_, span)) = buckets.filter(|&(b, _)| b == 0 || b > 1 << 20) {
+        return Err(LangError::new("bucket count must be between 1 and 1048576", span, "out of range"));
+    }
 
     // Cross-key validation: a workload parameter only where it applies.
+    let maps = matches!(kind, WorkloadKind::Map | WorkloadKind::LfMap);
     for (key, given, applies, workloads) in [
-        ("range", range, kind.takes_range(), "the list, map, redis and service workloads"),
-        ("buckets", buckets, kind == WorkloadKind::Map, "the map workload"),
-        ("puts", puts, kind == WorkloadKind::Memcached, "the memcached workload"),
+        ("range", range, kind.takes_range(), "the list, map, lf_map, redis and service workloads"),
+        ("buckets", buckets, maps, "the map and lf_map workloads"),
+        ("puts", puts, maps || kind == WorkloadKind::Memcached, "the memcached, map and lf_map workloads"),
     ] {
         if let Some((_, span)) = given.filter(|_| !applies) {
             return Err(LangError::new(
@@ -1030,7 +1225,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     };
 
     let [range, buckets, puts] = [range, buckets, puts].map(|p| p.map(|(v, _)| v));
-    Ok(Scenario {
+    let scenario = Scenario {
         notes,
         name,
         kind,
@@ -1047,8 +1242,27 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         bugs,
         crash,
         fault,
+        claims,
         program,
-    })
+    };
+    // Each side's scheme runs in the sweep, and its `at` names a point of
+    // the sweep's axis.
+    let swept = scenario.sweep_axis().unwrap_or("threads");
+    let points: Vec<u64> = match swept {
+        "threads" => scenario.threads.iter().map(|&t| t as u64).collect(),
+        _ => scenario.delay.clone(),
+    };
+    for term in scenario.claims.iter().flat_map(|c| [&c.lhs, &c.rhs]) {
+        if !scenario.schemes.contains(&term.scheme) {
+            let msg = format!("scheme {} is not in `schemes`", term.scheme.name());
+            return Err(LangError::new(msg, term.scheme_span, "no point of the sweep runs it"));
+        }
+        if let Some((axis, v, span)) = term.at.as_ref().filter(|(axis, v, _)| axis != swept || !points.contains(v)) {
+            let msg = format!("`{axis} {v}` is not a point of this file's sweep");
+            return Err(LangError::new(msg, *span, format!("the points are {swept} {}", comma_list(&points))));
+        }
+    }
+    Ok(scenario)
 }
 
 #[cfg(test)]
@@ -1203,6 +1417,44 @@ mod tests {
         assert_eq!((s.spec().name(), s.sweep_axis()), ("ordered-list(range=32)".to_string(), Some("delay")));
         let s = printed_as_itself("scenario c {\n  workload alloc_churn\n  threads 1\n  ops 1\n}\n");
         assert_eq!(s.spec().name(), "alloc_churn");
+        // `puts` makes the map the mixed-op one; `lf_map` takes all three keys.
+        let s = printed_as_itself("scenario m {\n  workload map\n  range 64\n  buckets 8\n  puts 600\n  threads 1\n  ops 3\n}\n");
+        assert_eq!(s.spec().name(), "hoh-map-mix(buckets=8,range=64,put=600‰)");
+        let s = printed_as_itself("scenario l {\n  workload lf_map\n  range 1024\n  buckets 64\n  puts 100\n  threads 1\n  ops 3\n}\n");
+        assert_eq!(s.spec().name(), "lf-map(buckets=64,range=1024,put=100‰)");
+        // `expect` repeats, and each form prints as written.
+        let s = printed_as_itself(
+            "scenario e {\n  workload stack\n  threads 1,2\n  ops 1\n  schemes origin ido\n  \
+             expect origin gt ido\n  expect 2 times ido mops at threads 2 ge 1 times ido at threads 1\n  \
+             expect ido clwbs le 3 times origin fences miss \"why \\\"not\\\"\"\n}\n",
+        );
+        assert_eq!(s.claims.len(), 3);
+        assert_eq!(s.claims[2].miss.as_deref(), Some("why \"not\""));
+        assert_eq!((s.claims[1].lhs.at.as_ref().map(|a| (&*a.0, a.1)), s.claims[1].cmp), (Some(("threads", 2)), BinOp::Ge));
+        assert!(s.check_one_point("e.ido", "").unwrap_err().contains("`threads` makes this scenario a sweep"));
+    }
+
+    #[test]
+    fn claims_are_checked_over_the_sweep_csv() {
+        let s = parse_scenario(
+            "scenario c {\n  workload stack\n  threads 1,2\n  ops 1\n  schemes origin ido\n  \
+             expect origin gt 2 times ido\n  expect ido at threads 2 ge 2 times ido at threads 1\n  \
+             expect ido ge origin at threads 2\n  expect ido gt origin miss \"slower\"\n  \
+             expect origin clwbs le ido clwbs at threads 1 miss \"none\"\n}\n",
+        )
+        .unwrap();
+        let row = |scheme, threads, mops, clwbs| format!("stack,{scheme},{threads},1,0,0,{mops},0,0,0,0,0,0,{clwbs},0,0,0");
+        let header = format!("workload,scheme,{SWEEP_COLUMNS},{}", StatsSnapshot::CSV_HEADER);
+        let rows = [header, row("Origin", 1, "3", 0), row("Origin", 2, "5", 0), row("iDO", 1, "1", 4), row("iDO", 2, "2.0001", 4)];
+        let checked = s.check_claims(&(rows.join("\n") + "\n"));
+        let want = [
+            (true, "holds: expect origin gt 2 times ido: 5 gt 4.0002 at threads 2"),
+            (true, "holds: expect ido at threads 2 ge 2 times ido at threads 1: 2.0001 ge 2"),
+            (false, "MISSES: expect ido ge origin at threads 2: 2.0001 ge 5"),
+            (true, "known miss: expect ido gt origin miss \"slower\": 1 gt 3 at threads 1"),
+            (false, "known miss HOLDS: expect origin clwbs le ido clwbs at threads 1 miss \"none\": 0 le 4"),
+        ];
+        assert_eq!(checked, want.map(|(ok, line)| (ok, line.to_string())));
     }
 
     #[test]
@@ -1229,8 +1481,10 @@ mod tests {
             ("stack", "threads 1,0,4", "thread count must be between 1 and 4096", "0"),
             ("stack", "delay 0,x", "expected integer as a delay in ns, found `x`", "x"),
             ("stack", "threads x", "expected integer as a thread count, found `x`", "x"),
-            ("memcached", "buckets 4", "`buckets` only applies to the map workload", "buckets 4"),
-            ("map", "puts 100", "`puts` only applies to the memcached workload", "puts 100"),
+            ("memcached", "buckets 4", "`buckets` only applies to the map and lf_map workloads", "buckets 4"),
+            ("stack", "puts 100", "`puts` only applies to the memcached, map and lf_map workloads", "puts 100"),
+            ("map", "buckets 0", "bucket count must be between 1 and 1048576", "buckets 0"),
+            ("lf_map", "buckets 1099511627776", "bucket count must be between 1 and 1048576", "buckets 1099511627776"),
             ("memcached", "puts 1001", "set rate must be at most 1000‰", "1001"),
             ("stack", "alloc global 4", "unknown allocator `global`", "global"),
             ("stack", "alloc sharded 0", "shard count must be between 1 and 4096", "0"),
@@ -1243,6 +1497,29 @@ mod tests {
             for key in ["threads", "ops"].into_iter().filter(|k| clause.contains(k)) {
                 src = src.replacen(&format!("  {key} 2\n"), "", 1);
             }
+            let e = parse_scenario(&src).unwrap_err();
+            assert!(e.message.contains(message), "{clause}: {e:?}");
+            assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");
+        }
+    }
+
+    #[test]
+    fn bad_expect_clauses_are_spanned() {
+        let header = "scenario x {\n  workload stack\n  threads 1,4\n  ops 2\n  schemes origin ido\n";
+        for (clause, message, spanned) in [
+            ("expect ido gt atlas", "scheme Atlas is not in `schemes`", "atlas"),
+            ("expect ido flushes gt origin", "unknown column `flushes`", "flushes"),
+            ("expect ido at threads 2 gt origin", "`threads 2` is not a point", "threads 2"),
+            ("expect ido at delay 0 gt origin", "`delay 0` is not a point", "delay 0"),
+            ("expect ido at cores 4 gt origin", "`cores 4` is not a point", "cores 4"),
+            ("expect 0 times ido gt origin", "a multiplier must be at least 1", "0"),
+            ("expect 2 ido gt origin", "expected `times` after a multiplier", "ido"),
+            ("expect ido eq origin", "unknown column `eq`", "eq"),
+            ("expect ido mops eq origin", "unknown comparison `eq`", "eq"),
+            ("expect ido gt origin miss why", "expected a quoted reason after `miss`", "why"),
+            ("expect ido gt origin miss", "expected a quoted reason after `miss`", "\n"),
+        ] {
+            let src = format!("{header}  {clause}\n}}\n");
             let e = parse_scenario(&src).unwrap_err();
             assert!(e.message.contains(message), "{clause}: {e:?}");
             assert_eq!(&src[e.primary.span.start..e.primary.span.end], spanned, "{clause}");
@@ -1298,6 +1575,8 @@ mod tests {
         assert_eq!(s.fault.unwrap().kind, FaultKind::FreeFailed { addr: 4104 });
         let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb1 0 stack_overflow 8\n}}\n"));
         assert_eq!(s.fault.unwrap().kind, FaultKind::StackOverflow { frame_bytes: 8 });
+        let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb1 9 call_depth 4096\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::CallTooDeep { depth: 4096 });
         for (clause, message, spanned) in [
             ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
             ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),

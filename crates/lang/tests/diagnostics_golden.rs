@@ -137,3 +137,70 @@ fn crash_clause_diagnostic() {
         "scenario x {\n  workload twin\n  threads 2\n  ops 2\n  crash at step 20 lose [82, line9]\n}\n",
     );
 }
+
+/// A two-point sweep of Origin and iDO with one more header line, `line`.
+fn sweep_with(line: &str) -> String {
+    format!("scenario s {{\n  workload stack\n  threads 1,4\n  ops 2\n  schemes origin ido\n  {line}\n}}\n")
+}
+
+/// An `expect` side naming a scheme the file does not run: spanned at the
+/// scheme once the whole header is read.
+#[test]
+fn expect_scheme_not_swept_diagnostic() {
+    scenario_error("expect_scheme_not_swept", &sweep_with("expect ido ge 2 times atlas"));
+}
+
+/// An `expect` column the sweep CSV does not have.
+#[test]
+fn expect_unknown_column_diagnostic() {
+    scenario_error("expect_unknown_column", &sweep_with("expect ido flushes le origin flushes"));
+}
+
+/// An `at` value that is not in the file's `threads` list.
+#[test]
+fn expect_at_not_a_point_diagnostic() {
+    scenario_error("expect_at_not_a_point", &sweep_with("expect ido at threads 16 gt origin"));
+}
+
+/// An `at` on an axis the file does not sweep.
+#[test]
+fn expect_at_wrong_axis_diagnostic() {
+    scenario_error("expect_at_wrong_axis", &sweep_with("expect ido at delay 20 gt origin"));
+}
+
+/// A multiplier of zero.
+#[test]
+fn expect_zero_times_diagnostic() {
+    scenario_error("expect_zero_times", &sweep_with("expect 0 times ido le origin"));
+}
+
+/// A known miss without its reason.
+#[test]
+fn expect_miss_without_reason_diagnostic() {
+    scenario_error("expect_miss_without_reason", &sweep_with("expect ido gt origin miss item8"));
+}
+
+/// An `expect` line in a file `ido run` (or any subcommand but `sweep`) is
+/// handed: spanned at the claim, which only a sweep checks.
+#[test]
+fn expect_under_run_diagnostic() {
+    let src = "scenario s {\n  workload stack\n  threads 2\n  ops 2\n  schemes origin ido\n  expect origin gt ido\n}\n";
+    let scenario = parse_scenario(src).expect("the scenario parses");
+    check("expect_under_run", &scenario.check_one_point("expect_under_run.ido", src).expect_err("a claim is a sweep's"));
+}
+
+/// A map without buckets: its workers would hash into an empty directory
+/// and read past it.
+#[test]
+fn buckets_zero_diagnostic() {
+    scenario_error("buckets_zero", "scenario s {\n  workload map\n  buckets 0\n  threads 1\n  ops 2\n}\n");
+}
+
+/// More buckets than a sweep point's heap holds a directory for.
+#[test]
+fn buckets_too_many_diagnostic() {
+    scenario_error(
+        "buckets_too_many",
+        "scenario s {\n  workload lf_map\n  buckets 1099511627776\n  threads 1\n  ops 2\n}\n",
+    );
+}

@@ -191,7 +191,8 @@ proptest! {
 
 /// `ido-par` fan-out does not perturb recoverable-CAS outcomes: the same
 /// crash-sweep points produce identical traces under 1 and 2 workers —
-/// the in-process twin of the CI `IDO_JOBS` diff on `BENCH_lockfree.json`.
+/// the in-process twin of the CI `--jobs` diff on `ido sweep
+/// corpus/figures/lockfree_lf_500.ido`.
 #[test]
 fn par_jobs_do_not_change_rcas_outcomes() {
     fn sweep_point(seed: u64) -> Vec<u64> {

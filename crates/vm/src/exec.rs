@@ -37,6 +37,10 @@ pub const LF_STATE_ROOT: &str = "lf_state";
 /// Maximum threads a VM instance supports.
 pub const MAX_THREADS: usize = 128;
 
+/// Maximum call depth of a thread. A frame without stack slots takes no
+/// persistent stack, so the stack bound alone leaves its recursion unbounded.
+pub const MAX_CALL_DEPTH: usize = 1 << 12;
+
 /// Thread scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
@@ -238,6 +242,11 @@ pub enum FaultKind {
         /// The callee's frame size in bytes.
         frame_bytes: u64,
     },
+    /// A call past [`MAX_CALL_DEPTH`] frames.
+    CallTooDeep {
+        /// The depth the call would exceed.
+        depth: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -248,6 +257,7 @@ impl std::fmt::Display for FaultKind {
             FaultKind::StackOverflow { frame_bytes } => {
                 write!(f, "persistent stack overflow: frame of {frame_bytes} bytes")
             }
+            FaultKind::CallTooDeep { depth } => write!(f, "call depth exceeds {depth} frames"),
         }
     }
 }
@@ -1272,6 +1282,10 @@ fn exec_cold(
             let frame_bytes = f.frame_bytes();
             if th.stack_top + frame_bytes > cx.config.stack_bytes {
                 th.status = Status::Faulted(FaultKind::StackOverflow { frame_bytes: frame_bytes as u64 });
+                return None;
+            }
+            if th.callers.len() + 1 >= MAX_CALL_DEPTH {
+                th.status = Status::Faulted(FaultKind::CallTooDeep { depth: MAX_CALL_DEPTH as u64 });
                 return None;
             }
             // The callee's register file is its frame's own storage.

@@ -127,6 +127,32 @@ fn a_call_past_the_persistent_stack_is_a_fault_at_its_pc() {
     assert_eq!(overflow.to_string(), "persistent stack overflow: frame of 8 bytes");
 }
 
+/// A self-recursive function without stack slots takes no persistent stack,
+/// so the depth cap is what stops it: a fault at the call that would open
+/// frame `MAX_CALL_DEPTH + 1`, on both tiers, instead of host frames growing
+/// until the host runs out of memory.
+#[test]
+fn a_call_past_the_depth_cap_is_a_fault_at_its_pc() {
+    let inst = compile(Scheme::Origin, |pb| {
+        let mut f = pb.new_function("main", 0);
+        let me = f.declare("main");
+        f.call(me, Vec::new(), None);
+        f.ret(None);
+        f.finish().unwrap();
+    });
+    let too_deep = FaultKind::CallTooDeep { depth: MAX_CALL_DEPTH as u64 };
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let mut vm = Vm::new(inst.clone(), VmConfig { tier, ..VmConfig::for_tests() });
+        vm.spawn("main", &[]);
+        let at = Pc { func: FuncId(0), block: BlockId(0), index: 0 };
+        let fault = RunOutcome::Fault { thread: ThreadId(0), pc: at, kind: too_deep };
+        assert_eq!(vm.run(), fault, "{tier:?}");
+        assert_eq!(vm.steps(), MAX_CALL_DEPTH as u64, "{tier:?}: one call per frame, the faulting one too");
+        assert_eq!(vm.run_steps(10), fault, "{tier:?}: the run stays stopped");
+    }
+    assert_eq!(too_deep.to_string(), "call depth exceeds 4096 frames");
+}
+
 /// Guest address arithmetic wraps as the machine's does, in debug builds
 /// too, and the pool names the address it refuses.
 #[test]

@@ -39,7 +39,7 @@ mod tier2;
 pub use exec::{
     ExecTier, FaultKind, RunOutcome, SchedPolicy, Status, StepControl, StepHook, StepInfo, Vm,
     VmConfig,
-    GLOBAL_TX_LOCK, LF_STATE_ROOT, MAX_THREADS, THREADS_ROOT,
+    GLOBAL_TX_LOCK, LF_STATE_ROOT, MAX_CALL_DEPTH, MAX_THREADS, THREADS_ROOT,
 };
 pub use locks::ThreadId;
 pub use recovery::{recover, recover_partial, RecoveryConfig, RecoveryReport};

@@ -522,7 +522,7 @@ mod tests {
     }
 
     /// The lock-based comparator runs the same mix shape under iDO — the
-    /// pairing `lockfree_bench` sweeps.
+    /// pairing of `corpus/figures/lockfree_{hoh,lf}_*.ido`.
     #[test]
     fn hoh_map_mix_runs_under_ido_and_baselines() {
         let spec = HohMapMixSpec { buckets: 8, key_range: 64, put_permille: 600 };

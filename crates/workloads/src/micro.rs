@@ -659,12 +659,13 @@ fn verify_hoh_map(h: &mut PmemHandle, directory: PAddr, bound: u64) {
 }
 
 /// The hand-over-hand hash map with a *configurable* get/put mix — the
-/// lock-delineated comparator for the lock-free contention benchmark
-/// (`lockfree_bench`). Identical to [`MapSpec`] except the op choice is a
-/// permille draw instead of the fixed 50/50 bit, so the same read/write
-/// mixes can be applied to both the iDO-instrumented lock-based map and
-/// the recoverable-CAS map. Kept separate so [`MapSpec`]'s program (and
-/// the goldens derived from it) stays byte-stable.
+/// lock-delineated comparator of the lock-free contention sweep (`workload
+/// map` with `puts`, `corpus/figures/lockfree_hoh_*.ido`). Identical to
+/// [`MapSpec`] except the op choice is a permille draw instead of the fixed
+/// 50/50 bit, so the same read/write mixes can be applied to both the
+/// iDO-instrumented lock-based map and the recoverable-CAS map. Kept
+/// separate so [`MapSpec`]'s program (and the goldens derived from it)
+/// stays byte-stable.
 #[derive(Debug, Clone, Copy)]
 pub struct HohMapMixSpec {
     /// Number of buckets.

@@ -318,16 +318,6 @@ echo "== metrics-off overhead guard (median of 9 paired runs, wall ns/step) =="
 # past the tolerance.
 IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin metrics_guard
 
-echo "== lock-free contention smoke (quick mode, window <= eager clwb gate) =="
-# The binary itself asserts every point completes and that window flushing
-# never issues more clwbs than eager flushing. BENCH_lockfree.json holds
-# only simulated quantities: byte-identical for any worker count.
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin lockfree_bench
-cp target/figures/BENCH_lockfree.json target/figures/BENCH_lockfree.jobs1.json
-IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin lockfree_bench
-cmp target/figures/BENCH_lockfree.jobs1.json target/figures/BENCH_lockfree.json \
-  || { echo "IDO_JOBS=2 changed lock-free bench results"; exit 1; }
-
 echo "== allocator scaling smoke (quick mode, asserts >= 4x at 64T) =="
 # BENCH_alloc.json holds only simulated quantities: byte-identical for
 # any worker count.
@@ -343,15 +333,18 @@ for b in fig8_regions table1_recovery ablation; do
 done
 
 echo "== figure regeneration: ido sweep on every corpus/figures/*.ido at its own size =="
-# Figs. 5, 6, 7 and 9 are scenario files: `ido sweep` sizes each point's
-# pool from its own threads and ops, and writes one CSV per file. This is
-# the command that regenerates them. The output is the same bytes at any
-# job count: one file with a `threads` list and one with a `delay` list are
-# compared at --jobs 1, --jobs 2 and IDO_JOBS=2. The four figure binaries
-# and the curve helpers they used stay gone.
+# Figs. 5, 6, 7 and 9 and the lock-free contention sweep are scenario files:
+# `ido sweep` sizes each point's pool from its own threads and ops, writes
+# one CSV per file, and checks the file's `expect` claims over it (the
+# lock-free files' claim that window flushing never writes back more lines
+# than eager flushing among them). A claim that misses unannounced, or a
+# known miss that holds, fails the stage. The output is the same bytes at
+# any job count: files with a `threads` list (one lock-free) and one with a
+# `delay` list are compared at --jobs 1, --jobs 2 and IDO_JOBS=2. The figure
+# binaries, the lock-free bench and the curve helpers they used stay gone.
 figure_regeneration() {
   local f name
-  if ls crates/bench/src/bin | grep -E '^(fig5_memcached|fig6_redis|fig7_micro|fig9_latency)\.rs$'; then
+  if ls crates/bench/src/bin | grep -E '^(fig5_memcached|fig6_redis|fig7_micro|fig9_latency|lockfree_bench)\.rs$'; then
     echo "a figure binary is back: the figure is a scenario file under corpus/figures/"; return 1
   fi
   if grep -rnwE 'Curve|sweep_threads(_jobs)?|sweep_stats(_jobs)?|curves_from_stats|format_curves|curves_to_rows|curve_for|point_at|THREAD_SWEEP' \
@@ -362,9 +355,11 @@ figure_regeneration() {
   mkdir -p target/figures target/tmp
   for f in corpus/figures/*.ido; do
     name=$(basename "$f" .ido)
-    ./target/release/ido sweep "$f" > "target/figures/$name.csv"
+    ./target/release/ido sweep "$f" > "target/figures/$name.csv" \
+      || { echo "ido sweep $f: a claim came out other than announced"; return 1; }
   done
-  for f in corpus/figures/fig7_hash-map.ido corpus/figures/fig9_latency_memcached.ido; do
+  for f in corpus/figures/fig7_hash-map.ido corpus/figures/fig9_latency_memcached.ido \
+      corpus/figures/lockfree_lf_500.ido; do
     name=$(basename "$f" .ido)
     ./target/release/ido sweep "$f" --jobs 1 > "target/tmp/$name.jobs1.csv"
     ./target/release/ido sweep "$f" --jobs 2 > "target/tmp/$name.jobs2.csv"

@@ -13,8 +13,9 @@
 //! Output is deterministic: `sweep` prints one CSV row per point and `run`
 //! one stable JSON line per scheme, in the scenario's declaration order
 //! regardless of `--jobs`, so CI can byte-compare runs at different
-//! parallelism. `sweep` is the only subcommand that takes a `threads` list
-//! or a `delay` line, and each subcommand rejects a flag it does not take.
+//! parallelism. `sweep` alone takes a `threads` list, a `delay` line or an
+//! `expect` claim, which it checks over its CSV (exit 1 on a miss it does not
+//! announce); each subcommand rejects a flag it does not take.
 //! Parse errors render with the offending line and a caret; verifier
 //! findings are renderable as spanned witness paths via `explain`, which
 //! also renders a run that faults at its instruction. A scenario's `bug`
@@ -48,7 +49,8 @@ fn usage() -> String {
     "usage: ido <sweep|run|verify|explain|crashtest|trace|emit> <file.ido> [flags]\n\
      \n\
      sweep      run every scheme x threads x delay point on a pool sized for it;\n\
-     \x20          one CSV on stdout (how corpus/figures/*.ido regenerate)\n\
+     \x20          one CSV on stdout (how corpus/figures/*.ido regenerate);\n\
+     \x20          checks its `expect` claims, exit 1 on a miss not announced\n\
      \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
      run        run the scenario under every listed scheme; one JSON line each\n\
      \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
@@ -105,14 +107,13 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let source = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let scenario = parse_scenario(&source).map_err(|e| e.render(&path, &source))?;
     if cmd == "sweep" {
-        emit_out(&scenario.sweep(jobs));
-        return Ok(ExitCode::SUCCESS);
+        let csv = scenario.sweep(jobs);
+        emit_out(&csv);
+        let checked = scenario.check_claims(&csv);
+        checked.iter().for_each(|(_, line)| eprintln!("{path}: {line}"));
+        return Ok(ExitCode::from(u8::from(checked.iter().any(|&(ok, _)| !ok))));
     }
-    if let Some(axis) = scenario.sweep_axis() {
-        return Err(format!(
-            "{path}: `{axis}` makes this scenario a sweep: run it with `ido sweep {path}`"
-        ));
-    }
+    scenario.check_one_point(&path, &source)?;
     match cmd {
         "run" => cmd_run(&scenario, jobs, flag("--compare-builder").is_some()),
         "verify" => cmd_verify(&scenario, false),

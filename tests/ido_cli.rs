@@ -245,6 +245,36 @@ fn only_sweep_runs_a_sweep() {
     assert_eq!(points, ["stack,Origin,1,4,0", "stack,Origin,2,4,0", "stack,iDO,1,4,0", "stack,iDO,2,4,0"]);
 }
 
+/// `ido sweep` checks each `expect` line over the CSV it prints: one line
+/// per claim on stderr with both numbers, exit 1 when a claim misses
+/// unannounced or a known miss holds, and stdout the same bytes as without
+/// the claims. Every other subcommand rejects the claim.
+#[test]
+fn sweep_checks_expect_lines_and_prints_the_same_csv() {
+    let sweep = "scenario s {\n  workload stack\n  threads 1,2\n  ops 4\n  schemes origin ido\n}\n";
+    let with = |claim: &str| sweep.replace("}\n", &format!("  expect {claim}\n}}\n"));
+    let plain = ido("sweep", "claims_none", sweep);
+    assert_eq!((plain.code, plain.stderr.as_str()), (Some(0), ""), "{}", plain.stderr);
+    for (name, claim, want, verdict) in [
+        ("holds", "origin gt ido", 0, "holds"),
+        ("misses", "ido gt origin", 1, "MISSES"),
+        ("known_miss", "ido gt 2 times origin miss \"slower\"", 0, "known miss"),
+        ("known_miss_holds", "origin gt ido miss \"slower\"", 1, "known miss HOLDS"),
+    ] {
+        let Ran { code, stdout, stderr } = ido("sweep", &format!("claims_{name}"), &with(claim));
+        assert_eq!(code, Some(want), "{name}:\n{stderr}");
+        assert_eq!(stdout, plain.stdout, "{name}: the claims moved the CSV");
+        let prefix = format!(": {verdict}: expect {claim}: ");
+        let line = stderr.lines().find(|l| l.contains(&prefix)).unwrap_or_else(|| panic!("{name}:\n{stderr}"));
+        let sides: Vec<&str> = line.rsplit(": ").next().unwrap().split(' ').collect();
+        assert!(sides[0].parse::<f64>().is_ok() && sides[2].parse::<f64>().is_ok(), "{name}: {line}");
+    }
+    let point = sweep.replace("threads 1,2", "threads 2");
+    let Ran { code, stdout, stderr } = ido("run", "claims_run", &point.replace("}\n", "  expect origin gt ido\n}\n"));
+    assert_eq!((code, stdout.as_str()), (Some(2), ""), "{stderr}");
+    assert!(stderr.contains("only `ido sweep` checks an `expect` line"), "{stderr}");
+}
+
 /// An `ops` the guest cannot count once ran: guest loop counters compare
 /// as signed words, so `ops 2⁶³` ran no operation and `ido sweep` reported
 /// 5.4e18 mops, and `threads 4` × `ops 2⁶²` overflowed memcached's arena

@@ -109,7 +109,7 @@ fn ido(command: &str, name: &str, source: &str) -> (Option<i32>, String) {
 }
 
 #[test]
-fn the_regress_corpus_holds_the_seven_reproducers() {
+fn the_regress_corpus_holds_the_eight_reproducers() {
     let names: Vec<String> = ido_files("corpus/regress")
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
@@ -123,6 +123,7 @@ fn the_regress_corpus_holds_the_seven_reproducers() {
             "skip_store_flush_twin",
             "skip_store_flush_twin_recovery",
             "skip_window_flush_lf_list",
+            "slotless_recursion_twin",
             "unbounded_recursion_twin",
         ]
     );
@@ -243,7 +244,7 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 2, "the fault reproducers");
+    assert_eq!(faults, 3, "the fault reproducers");
 }
 
 #[test]
