@@ -9,7 +9,6 @@
 //!    could be improved with better alias analysis"): basicAA vs. no alias
 //!    analysis at all.
 
-use ido_bench::ops_per_thread;
 use ido_compiler::Scheme;
 use ido_idem::{analyze_with, AliasMode, RegionStats};
 use ido_nvm::StatsSnapshot;
@@ -37,7 +36,7 @@ fn measure(
 }
 
 fn main() {
-    let ops = ops_per_thread(400);
+    let ops = 400;
     let base = bench_config(256, 8, ops, NO_LOG); // iDO variants only
 
     println!("\n== Ablation 1+2 — iDO runtime mechanisms (Mops/s) ==");

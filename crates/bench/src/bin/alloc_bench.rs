@@ -13,8 +13,6 @@
 //! blocks must stay within a small constant factor of the 1k-live cost
 //! (the legacy first-fit list is O(live); the sharded class caches and
 //! bitfield carving are O(1) for hot sizes).
-//!
-//! `IDO_BENCH_QUICK=1` shrinks the sweep for CI smoke runs.
 
 use std::fmt::Write as _;
 
@@ -120,10 +118,8 @@ fn policy_name(p: AllocPolicy) -> &'static str {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let thread_counts: &[usize] =
-        if quick { &[1, 4, 16, 64] } else { &[1, 4, 16, 64, 128, 256] };
-    let ops_per_thread: u64 = if quick { 300 } else { 1000 };
+    let thread_counts: &[usize] = &[1, 4, 16, 64, 128, 256];
+    let ops_per_thread: u64 = 300;
 
     // Fan the (policy × threads) points over ido-par; input-order
     // reassembly keeps the JSON identical for any job count.
@@ -154,7 +150,7 @@ fn main() {
     assert!(speedup >= 4.0, "sharded allocator must be >= 4x global mutex at 64T, got {speedup:.2}x");
 
     // Free-list cliff regression.
-    let (lo_live, hi_live, pairs) = if quick { (1_000, 20_000, 500) } else { (1_000, 100_000, 1_000) };
+    let (lo_live, hi_live, pairs) = (1_000, 100_000, 1_000);
     let lo = loads_per_op_at(lo_live, pairs);
     let hi = loads_per_op_at(hi_live, pairs);
     let ratio = hi / lo;
@@ -164,7 +160,6 @@ fn main() {
 
     // Deterministic JSON: simulated quantities only, fixed field order.
     let mut json = String::from("{\n  \"bench\": \"alloc\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"ops_per_thread\": {ops_per_thread},");
     let _ = writeln!(
         json,

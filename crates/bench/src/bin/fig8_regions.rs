@@ -9,7 +9,7 @@
 //! live-in registers, so a typical log operation flushes a single cache
 //! line.
 
-use ido_bench::{ops_per_thread, write_csv};
+use ido_bench::write_csv;
 use ido_compiler::Scheme;
 use ido_trace::{Profile, TraceConfig, PROFILE_BUCKETS};
 use ido_vm::VmConfig;
@@ -26,7 +26,7 @@ fn region_profile(spec: &dyn WorkloadSpec, threads: usize, ops: u64, cfg: &VmCon
 }
 
 fn main() {
-    let ops = ops_per_thread(1500);
+    let ops = 1500;
     let mut cfg = bench_config(256, 4, ops, NO_LOG); // iDO only
     cfg.pool.trace = TraceConfig { enabled: true, buf_entries: 1 };
     let specs: Vec<(&str, Box<dyn WorkloadSpec>, usize)> = vec![

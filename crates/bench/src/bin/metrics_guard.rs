@@ -25,6 +25,9 @@ use ido_vm::{RunOutcome, SchedPolicy, Vm, VmConfig};
 /// Alternating (unmarked, marked) pairs; odd, so the median is one pair.
 const PAIRS: usize = 9;
 
+/// Loop iterations per run.
+const ITERS: u64 = 1_000_000;
+
 /// The largest median per-pair overhead the disabled path may cost.
 const TOL: f64 = 0.05;
 
@@ -68,13 +71,14 @@ fn store_loop(markers: bool) -> Program {
     pb.finish()
 }
 
-/// Wall nanoseconds per interpreter step of one run of `inst`.
-fn ns_per_step(inst: &Instrumented, metrics: MetricsConfig, iters: u64) -> f64 {
+/// Wall nanoseconds per interpreter step of one [`ITERS`]-iteration run of
+/// `inst`.
+fn ns_per_step(inst: &Instrumented, metrics: MetricsConfig) -> f64 {
     let mut cfg = VmConfig::for_tests();
     cfg.sched = SchedPolicy::MinClock;
     cfg.pool.metrics = metrics;
     let mut vm = Vm::new(inst.clone(), cfg);
-    vm.spawn("worker", &[iters]);
+    vm.spawn("worker", &[ITERS]);
     let t0 = Instant::now();
     assert_eq!(vm.run(), RunOutcome::Completed);
     t0.elapsed().as_nanos() as f64 / vm.steps() as f64
@@ -86,8 +90,6 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
-    let iters: u64 = if quick { 300_000 } else { 1_000_000 };
     let loop_for = |markers| {
         instrument_program(store_loop(markers), Scheme::Origin)
             .expect("origin instrumentation is the identity")
@@ -95,15 +97,15 @@ fn main() {
     let (unmarked, marked) = (loop_for(false), loop_for(true));
     let off = MetricsConfig::default;
 
-    println!("== metrics_guard — {iters} iterations, {PAIRS} alternating pairs ==");
+    println!("== metrics_guard — {ITERS} iterations, {PAIRS} alternating pairs ==");
     let mut ratios = Vec::with_capacity(PAIRS);
     for pair in 0..PAIRS {
         let (plain, marked_off) = if pair % 2 == 0 {
-            let plain = ns_per_step(&unmarked, off(), iters);
-            (plain, ns_per_step(&marked, off(), iters))
+            let plain = ns_per_step(&unmarked, off());
+            (plain, ns_per_step(&marked, off()))
         } else {
-            let marked_off = ns_per_step(&marked, off(), iters);
-            (ns_per_step(&unmarked, off(), iters), marked_off)
+            let marked_off = ns_per_step(&marked, off());
+            (ns_per_step(&unmarked, off()), marked_off)
         };
         let ratio = marked_off / plain;
         println!(
@@ -114,7 +116,7 @@ fn main() {
     }
     let off_overhead = median(ratios) - 1.0;
     let marked_on = median(
-        (0..PAIRS).map(|_| ns_per_step(&marked, MetricsConfig::with_window(1 << 40), iters)).collect(),
+        (0..PAIRS).map(|_| ns_per_step(&marked, MetricsConfig::with_window(1 << 40))).collect(),
     );
     println!("  median per-pair overhead, metrics off: {:+.2}% per step", off_overhead * 100.0);
     println!("  marked, metrics on: {marked_on:.3} ns/step (median of {PAIRS} runs)");

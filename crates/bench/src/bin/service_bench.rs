@@ -16,8 +16,7 @@
 //! ordered deterministic map, and every emitted artifact
 //! (`BENCH_service.json`, `service_windows.csv`, the Perfetto counter
 //! tracks, the Prometheus text snapshot) is byte-identical across hosts
-//! and `IDO_JOBS` settings; CI diffs the JSON. `IDO_BENCH_QUICK=1`
-//! shrinks the fleet for CI smoke runs.
+//! and `IDO_JOBS` settings; CI diffs the JSON.
 
 use std::fmt::Write as _;
 
@@ -28,9 +27,9 @@ use ido_trace::chrome::ChromeTrace;
 use ido_trace::RecoveryPhase;
 use ido_vm::{recover, RecoveryConfig, RunOutcome, SchedPolicy, Vm, VmConfig};
 use ido_workloads::service::{verify_slots, ServiceSpec};
-use ido_workloads::{run_workload, WorkloadSpec};
+use ido_workloads::{boot, run_workload, WorkloadSpec};
 
-/// One benchmark geometry (quick CI smoke vs full run).
+/// The benchmark's geometry.
 #[derive(Clone, Copy)]
 struct Geometry {
     shards: usize,
@@ -49,7 +48,7 @@ struct Geometry {
 // `ops_a` must keep even the fastest durable scheme (~260 simulated
 // ns/op under iDO) busy past `t_crash_ns`, or the crash would land after
 // the traffic — the run_scheme assert enforces this.
-const FULL: Geometry = Geometry {
+const GEOMETRY: Geometry = Geometry {
     shards: 4,
     threads_per_shard: 4,
     key_range: 1 << 14,
@@ -57,16 +56,6 @@ const FULL: Geometry = Geometry {
     ops_b: 1200,
     window_ns: 200_000,
     t_crash_ns: 2_000_000,
-};
-
-const QUICK: Geometry = Geometry {
-    shards: 2,
-    threads_per_shard: 2,
-    key_range: 1 << 12,
-    ops_a: 4000,
-    ops_b: 400,
-    window_ns: 100_000,
-    t_crash_ns: 400_000,
 };
 
 /// Service-scale recovery constants. The Table I defaults model a full
@@ -125,11 +114,7 @@ fn run_scheme(scheme: Scheme, g: Geometry) -> SchemeResult {
     // Crashed shard, segment 1: traffic until the first chunk boundary at
     // or past the target crash time.
     let inst = instrument_program(spec.build_program(), scheme).expect("service instruments");
-    let mut vm = Vm::new(inst.clone(), cfg.clone());
-    let base = spec.setup(&mut vm, g.threads_per_shard, g.ops_a);
-    for t in 0..g.threads_per_shard {
-        vm.spawn("worker", &spec.worker_args(&base, t, g.ops_a));
-    }
+    let (mut vm, base) = boot(&spec, inst.clone(), g.threads_per_shard, g.ops_a, cfg.clone());
     let mut outcome = RunOutcome::Paused;
     while vm.max_clock_ns() < g.t_crash_ns && outcome == RunOutcome::Paused {
         outcome = vm.run_steps(CRASH_CHUNK_STEPS);
@@ -175,8 +160,7 @@ fn run_scheme(scheme: Scheme, g: Geometry) -> SchemeResult {
 }
 
 fn main() {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let g = if quick { QUICK } else { FULL };
+    let g = GEOMETRY;
     // Every durable scheme; Origin has nothing to recover.
     let schemes: Vec<Scheme> =
         Scheme::ALL.iter().copied().filter(|s| *s != Scheme::Origin).collect();
@@ -240,7 +224,8 @@ fn main() {
 
     // Deterministic JSON: simulated quantities only, fixed field order.
     let mut json = String::from("{\n  \"bench\": \"service\",\n");
-    let _ = writeln!(json, "  \"quick\": {quick},");
+    // Always false: the field stays so that the file keeps its bytes.
+    json.push_str("  \"quick\": false,\n");
     let _ = writeln!(json, "  \"window_ns\": {},", g.window_ns);
     let _ = writeln!(json, "  \"shards\": {},", g.shards);
     let _ = writeln!(json, "  \"threads_per_shard\": {},", g.threads_per_shard);

@@ -16,13 +16,12 @@
 //! a T-second run would accumulate. (Simulating 50 s × 64 threads of
 //! wall-clock directly would interpret ~10¹¹ instructions.)
 
-use ido_bench::ops_per_thread;
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::MetricsConfig;
 use ido_trace::{TraceConfig, RECOVERY_PHASES};
-use ido_vm::{recover, RecoveryConfig, SchedPolicy, Vm};
+use ido_vm::{recover, RecoveryConfig, SchedPolicy};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::{bench_config, list_log_per_op, WorkloadSpec};
+use ido_workloads::{bench_config, boot, list_log_per_op, WorkloadSpec};
 
 const THREADS: usize = 64;
 const KILL_TIMES_S: [u64; 6] = [1, 10, 20, 30, 40, 50];
@@ -81,11 +80,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
         let inst = instrument_program(program, Scheme::Atlas).expect("instrument atlas");
         let mut cfg = bench_config(256, THREADS, ops, list_log_per_op(128));
         cfg.sched = SchedPolicy::MinClock;
-        let mut vm = Vm::new(inst.clone(), cfg.clone());
-        let base = spec.setup(&mut vm, THREADS, ops);
-        for t in 0..THREADS {
-            vm.spawn("worker", &spec.worker_args(&base, t, ops));
-        }
+        let (mut vm, _) = boot(spec, inst.clone(), THREADS, ops, cfg.clone());
         vm.run();
         let sim_ns = vm.max_clock_ns();
         let pool = vm.crash(1);
@@ -104,11 +99,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
         let inst = instrument_program(program, Scheme::Ido).expect("instrument ido");
         let mut cfg = bench_config(256, THREADS, ops, list_log_per_op(128));
         cfg.sched = SchedPolicy::MinClock;
-        let mut vm = Vm::new(inst.clone(), cfg.clone());
-        let base = spec.setup(&mut vm, THREADS, ops);
-        for t in 0..THREADS {
-            vm.spawn("worker", &spec.worker_args(&base, t, ops));
-        }
+        let (mut vm, _) = boot(spec, inst.clone(), THREADS, ops, cfg.clone());
         // Crash mid-run so recovery actually resumes FASEs.
         vm.run_steps(ops * THREADS as u64 / 2);
         let pool = vm.crash(2);
@@ -140,7 +131,7 @@ fn calibrate(spec: &dyn WorkloadSpec, ops: u64) -> Calibration {
 }
 
 fn main() {
-    let ops = ops_per_thread(150);
+    let ops = 150;
     let specs: Vec<(&str, Box<dyn WorkloadSpec>)> = vec![
         ("Stack", Box::new(StackSpec)),
         ("Queue", Box::new(QueueSpec)),

@@ -5,20 +5,19 @@
 //!
 //! Every output is derived from the simulated clock and the deterministic
 //! sweep engine, so all emitted files are byte-identical across runs and
-//! `IDO_JOBS` settings. `IDO_BENCH_QUICK=1` shrinks op counts. Every run
-//! checks what it wrote: each emitted JSON parses and every event kind
-//! appears somewhere (exit code 1 on failure).
+//! `IDO_JOBS` settings. Every run checks what it wrote: each emitted JSON
+//! parses and every event kind appears somewhere (exit code 1 on failure).
 
 use std::process::ExitCode;
 
-use ido_bench::{ops_per_thread, write_csv, write_figure};
+use ido_bench::{write_csv, write_figure};
 use ido_compiler::{instrument_program, Scheme};
 use ido_trace::chrome::ChromeTrace;
 use ido_trace::json::validate_json;
 use ido_trace::{EventKind, Hist, Trace, TraceConfig};
-use ido_vm::{recover, RecoveryConfig, SchedPolicy, Vm};
+use ido_vm::{recover, RecoveryConfig, SchedPolicy};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::{bench_config, list_log_per_op, sweep, with_sharded_alloc, WorkloadSpec};
+use ido_workloads::{bench_config, boot, list_log_per_op, sweep, with_sharded_alloc, WorkloadSpec};
 
 const THREADS: usize = 3;
 
@@ -36,8 +35,7 @@ fn hist_rows(rows: &mut Vec<String>, scheme: Scheme, hist: &Hist) {
 }
 
 fn main() -> ExitCode {
-    let quick = std::env::var("IDO_BENCH_QUICK").is_ok();
-    let ops = ops_per_thread(if quick { 40 } else { 250 });
+    let ops = 250;
     let mut cfg = bench_config(64, THREADS, ops, list_log_per_op(64));
     cfg.pool.trace = TraceConfig::on();
 
@@ -123,19 +121,11 @@ fn main() -> ExitCode {
         // Scout run: learn the full run's step count so the crash below
         // lands mid-workload with FASEs genuinely in flight.
         let total_steps = {
-            let mut vm = Vm::new(inst.clone(), rcfg.clone());
-            let base = spec.setup(&mut vm, THREADS, ops);
-            for t in 0..THREADS {
-                vm.spawn("worker", &spec.worker_args(&base, t, ops));
-            }
+            let (mut vm, _) = boot(&spec, inst.clone(), THREADS, ops, rcfg.clone());
             vm.run();
             vm.steps()
         };
-        let mut vm = Vm::new(inst.clone(), rcfg.clone());
-        let base = spec.setup(&mut vm, THREADS, ops);
-        for t in 0..THREADS {
-            vm.spawn("worker", &spec.worker_args(&base, t, ops));
-        }
+        let (mut vm, _) = boot(&spec, inst.clone(), THREADS, ops, rcfg.clone());
         vm.run_steps(total_steps / 2);
         let pool = vm.crash(7);
         let pre = pool.take_trace().expect("pre-crash trace");
@@ -171,11 +161,7 @@ fn main() -> ExitCode {
         let mut scfg = with_sharded_alloc(cfg.clone(), 4);
         scfg.sched = SchedPolicy::MinClock;
         scfg.pool.metrics = ido_nvm::MetricsConfig::with_window(100_000);
-        let mut vm = Vm::new(inst.clone(), scfg.clone());
-        let base = spec.setup(&mut vm, THREADS, ops);
-        for t in 0..THREADS {
-            vm.spawn("worker", &spec.worker_args(&base, t, ops));
-        }
+        let (mut vm, _) = boot(&spec, inst.clone(), THREADS, ops, scfg.clone());
         vm.run_steps(40 * ops);
         let t_crash = vm.max_clock_ns();
         let pool = vm.crash(7);

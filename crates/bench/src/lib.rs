@@ -2,26 +2,15 @@
 //!
 //! Each binary in `src/bin/` regenerates one table or report of the paper
 //! (see `DESIGN.md` for the index; the throughput figures are scenario
-//! files under `corpus/figures/`, run by `ido sweep`). This library holds
-//! the ops override and the one writer of `target/figures/`. The sizing
-//! rule and the sweep engine are `ido-workloads`'.
+//! files under `corpus/figures/`, run by `ido sweep`). Each runs at the one
+//! size `EXPERIMENTS.md` reports; this library holds the one writer of
+//! `target/figures/`. The sizing rule, the sweep engine and `boot` are
+//! `ido-workloads`'.
 
 #![deny(missing_docs)]
 
 use std::fs;
 use std::path::Path;
-
-/// Number of operations per thread, overridable with `IDO_BENCH_OPS`.
-///
-/// # Panics
-/// Panics if `IDO_BENCH_OPS` is set but is not a whole number: a typo must
-/// not quietly run the default size.
-pub fn ops_per_thread(default: u64) -> u64 {
-    match std::env::var("IDO_BENCH_OPS") {
-        Ok(v) => v.parse().unwrap_or_else(|_| panic!("IDO_BENCH_OPS={v:?} is not a whole number")),
-        Err(_) => default,
-    }
-}
 
 /// Writes `body` to `target/figures/<file>` and names the file on stdout.
 ///

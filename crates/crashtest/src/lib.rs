@@ -75,11 +75,14 @@ use std::time::Instant;
 use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_nvm::{CrashPolicy, PersistEvent, PmemPool};
 use ido_vm::{recover, recover_partial, RecoveryConfig, RunOutcome, StepControl, Vm, VmConfig};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 /// Salt mixed into the crash seed so injected crashes are decorrelated from
 /// the scheduling seed while staying deterministic.
 const CRASH_SALT: u64 = 0x0bc3_5eed;
+
+/// How many persist events a counterexample's journal tail keeps.
+const JOURNAL_TAIL: usize = 16;
 
 /// The six durable schemes the oracle explores: iDO plus the five baseline
 /// runtimes. `Origin` is excluded — it makes no durability promise, so
@@ -110,9 +113,6 @@ pub struct OracleConfig {
     pub exhaustive_subset_limit: usize,
     /// Subset budget per crash point in bounded-cover mode.
     pub max_subsets_per_step: usize,
-    /// How many persist events to retain for a counterexample's journal
-    /// tail.
-    pub journal_tail: usize,
     /// Base VM configuration (pool size, injected bugs, scheduler policy).
     /// The oracle overrides its `seed` with [`OracleConfig::seed`].
     pub vm: VmConfig,
@@ -126,7 +126,6 @@ impl Default for OracleConfig {
             seed: 0xD15C0,
             exhaustive_subset_limit: 5,
             max_subsets_per_step: 24,
-            journal_tail: 16,
             vm: VmConfig::for_tests(),
         }
     }
@@ -307,7 +306,8 @@ pub struct Counterexample {
     pub recovery: Option<(u64, Vec<usize>)>,
     /// The panic message from recovery or invariant verification.
     pub failure: String,
-    /// The persist events leading into (and including) the last crash.
+    /// The persist events leading into (and including) the last crash, at
+    /// most 16.
     pub journal_tail: Vec<PersistEvent>,
 }
 
@@ -332,13 +332,7 @@ fn instrument(spec: &dyn WorkloadSpec, scheme: Scheme) -> Instrumented {
 /// Builds a VM at step 0: pool formatted, workload set up, workers spawned.
 /// Everything downstream of this call is deterministic in `cfg.seed`.
 fn make_vm(spec: &dyn WorkloadSpec, inst: &Instrumented, cfg: &OracleConfig) -> (Vm, Vec<u64>) {
-    let mut vm = Vm::new(inst.clone(), cfg.vm_config());
-    let base = spec.setup(&mut vm, cfg.threads, cfg.ops_per_thread);
-    for t in 0..cfg.threads {
-        let args = spec.worker_args(&base, t, cfg.ops_per_thread);
-        vm.spawn("worker", &args);
-    }
-    (vm, base)
+    boot(spec, inst.clone(), cfg.threads, cfg.ops_per_thread, cfg.vm_config())
 }
 
 /// The reference pass: runs the workload to completion once and returns
@@ -437,7 +431,7 @@ fn crash_recovery(
 /// The from-scratch way to `state`: a fresh VM replayed to its step and
 /// crashed losing exactly its lost lines, then its recovery crashed if the
 /// state says so. With `journal`, the pool retains the last
-/// `cfg.journal_tail` persist events. Returns the crashed pool and the
+/// [`JOURNAL_TAIL`] persist events. Returns the crashed pool and the
 /// workload's setup values.
 fn replay_and_crash(
     spec: &dyn WorkloadSpec,
@@ -448,7 +442,7 @@ fn replay_and_crash(
 ) -> Result<(PmemPool, Vec<u64>), String> {
     let (mut vm, base) = make_vm(spec, inst, cfg);
     if journal {
-        vm.pool().record_journal(cfg.journal_tail.max(1));
+        vm.pool().record_journal(JOURNAL_TAIL);
     }
     vm.run_steps(state.step);
     require_dirty(vm.pool(), &state.lost, format_args!("at step {}", state.step))?;
@@ -1004,7 +998,7 @@ fn shrink(
         lost_lines: state.lost,
         recovery: state.recovery,
         failure,
-        journal_tail: pool.journal_tail(cfg.journal_tail),
+        journal_tail: pool.journal_tail(JOURNAL_TAIL),
     }
 }
 

@@ -22,7 +22,7 @@ use ido_nvm::CrashPolicy;
 use ido_vm::{recover_partial, Vm, VmConfig};
 use ido_workloads::lockfree::{LfListSpec, LfMapSpec};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec, TwinSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 /// The budgets of the crash-during-recovery sweep (as in `recovery_crash.rs`).
 const BUDGETS: [u64; 4] = [1, 2, 5, 11];
@@ -36,11 +36,7 @@ fn vm_config(cfg: &OracleConfig) -> VmConfig {
 
 /// A fresh VM replayed to `step`.
 fn replay(spec: &dyn WorkloadSpec, inst: &Instrumented, cfg: &OracleConfig, step: u64) -> Vm {
-    let mut vm = Vm::new(inst.clone(), vm_config(cfg));
-    let base = spec.setup(&mut vm, cfg.threads, cfg.ops_per_thread);
-    for t in 0..cfg.threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, cfg.ops_per_thread));
-    }
+    let (mut vm, _) = boot(spec, inst.clone(), cfg.threads, cfg.ops_per_thread, vm_config(cfg));
     vm.run_steps(step);
     vm
 }

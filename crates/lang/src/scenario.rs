@@ -165,7 +165,7 @@ pub fn scheme_ident(scheme: Scheme) -> String {
 /// the way `ido explain` lists the instrumented program: function, block,
 /// instruction index. A `fault` line holds one:
 /// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`,
-/// `stack_overflow FRAME_BYTES` or `call_depth DEPTH`).
+/// `stack_overflow FRAME_BYTES`, `call_depth DEPTH` or `spawn BYTES`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The faulting thread.
@@ -203,6 +203,7 @@ impl Fault {
             FaultKind::FreeFailed { addr } => ("nv_free", addr),
             FaultKind::StackOverflow { frame_bytes } => ("stack_overflow", frame_bytes),
             FaultKind::CallTooDeep { depth } => ("call_depth", depth),
+            FaultKind::SpawnFailed { bytes } => ("spawn", bytes),
         };
         let Fault { thread, function, block, index, .. } = self;
         format!("thread {thread} at {function} bb{block} {index} {call} {value}")
@@ -806,8 +807,8 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
 }
 
 /// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
-/// `nv_malloc SIZE`, `nv_free ADDR`, `stack_overflow FRAME_BYTES` or
-/// `call_depth DEPTH`.
+/// `nv_malloc SIZE`, `nv_free ADDR`, `stack_overflow FRAME_BYTES`,
+/// `call_depth DEPTH` or `spawn BYTES`.
 fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     c.expect_keyword("thread", "after `fault`")?;
     let (thread, _) = c.expect_u64("as the faulting thread")?;
@@ -827,11 +828,12 @@ fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
         "nv_free" => FaultKind::FreeFailed { addr: value },
         "stack_overflow" => FaultKind::StackOverflow { frame_bytes: value },
         "call_depth" => FaultKind::CallTooDeep { depth: value },
+        "spawn" => FaultKind::SpawnFailed { bytes: value },
         _ => {
             return Err(LangError::new(
                 format!("unknown fault `{call}`"),
                 span,
-                "expected `nv_malloc`, `nv_free`, `stack_overflow` or `call_depth`",
+                "expected `nv_malloc`, `nv_free`, `stack_overflow`, `call_depth` or `spawn`",
             ))
         }
     };
@@ -1577,6 +1579,8 @@ mod tests {
         assert_eq!(s.fault.unwrap().kind, FaultKind::StackOverflow { frame_bytes: 8 });
         let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb1 9 call_depth 4096\n}}\n"));
         assert_eq!(s.fault.unwrap().kind, FaultKind::CallTooDeep { depth: 4096 });
+        let s = printed_as_itself(&format!("{header}  fault thread 41 at worker bb0 0 spawn 16480\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::SpawnFailed { bytes: 16480 });
         for (clause, message, spanned) in [
             ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
             ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),

@@ -23,7 +23,7 @@ use ido_ir::{BinOp, Operand, Program, ProgramBuilder};
 use ido_nvm::{CrashPolicy, PAddr};
 use ido_verify::{verify_instrumented, Invariant, RuntimeModel};
 use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 use proptest::prelude::*;
 
 /// Cells `0..OP_CELLS` are operated on by the random op list; cells
@@ -268,17 +268,6 @@ proptest! {
     }
 }
 
-/// Builds a VM for `spec` the same way the oracle's private `make_vm`
-/// does: `threads` workers sharing the generated function, common config.
-fn spawn_vm(spec: &RandomSpec, inst: &Instrumented, cfg: &VmConfig, threads: usize) -> Vm {
-    let mut vm = Vm::new(inst.clone(), cfg.clone());
-    let base = spec.setup(&mut vm, threads, 1);
-    for t in 0..threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, 1));
-    }
-    vm
-}
-
 /// Runs `spec` to completion on `tier` and returns every cheap observable:
 /// step count, final simulated clock, and the persistent pool image.
 fn full_run(
@@ -290,7 +279,7 @@ fn full_run(
     let mut cfg = VmConfig::for_tests();
     cfg.sched = sched;
     cfg.tier = tier;
-    let mut vm = spawn_vm(spec, inst, &cfg, 2);
+    let (mut vm, _) = boot(spec, inst.clone(), 2, 1, cfg);
     assert_eq!(vm.run(), RunOutcome::Completed, "{} ({tier:?}, {sched:?})", spec.name());
     (vm.steps(), vm.max_clock_ns(), vm.pool().persistent_snapshot())
 }
@@ -307,7 +296,7 @@ fn crash_replay(
     let mut vc = cfg.vm.clone();
     vc.seed = cfg.seed;
     vc.tier = tier;
-    let mut vm = spawn_vm(spec, inst, &vc, cfg.threads);
+    let (mut vm, _) = boot(spec, inst.clone(), cfg.threads, 1, vc);
     vm.run_steps(step);
     let dirty = vm.pool().dirty_lines();
     let pool = vm.crash_with(cfg.seed ^ step, &CrashPolicy::DropDirty);

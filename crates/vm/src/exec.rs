@@ -247,6 +247,12 @@ pub enum FaultKind {
         /// The depth the call would exceed.
         depth: u64,
     },
+    /// [`Vm::spawn`] could not allocate one of the thread's areas (its
+    /// logs or its persistent stack): the pool cannot hold another thread.
+    SpawnFailed {
+        /// The size of the area in bytes.
+        bytes: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -258,6 +264,9 @@ impl std::fmt::Display for FaultKind {
                 write!(f, "persistent stack overflow: frame of {frame_bytes} bytes")
             }
             FaultKind::CallTooDeep { depth } => write!(f, "call depth exceeds {depth} frames"),
+            FaultKind::SpawnFailed { bytes } => {
+                write!(f, "spawn could not allocate a {bytes}-byte thread area")
+            }
         }
     }
 }
@@ -613,6 +622,11 @@ impl Vm {
 
     /// Spawns a thread executing `func(args...)`.
     ///
+    /// A thread whose areas the pool cannot hold is a guest fault, not a
+    /// panic: the thread is not added, no later spawn allocates, and the
+    /// next [`Vm::run_steps`] returns [`FaultKind::SpawnFailed`] at the
+    /// thread's entry pc.
+    ///
     /// # Panics
     /// Panics if the function does not exist, the argument count is wrong,
     /// or the thread limit is reached.
@@ -620,20 +634,32 @@ impl Vm {
         let fid = self.program.find(func).unwrap_or_else(|| panic!("no function `{func}`"));
         let f = self.program.function(fid);
         assert_eq!(f.params().len(), args.len(), "argument count mismatch for `{func}`");
-        assert!(self.threads.len() < self.config.max_threads, "thread limit reached");
+        let idx = self.threads.len();
+        if self.fault.is_some() {
+            return ThreadId(idx);
+        }
+        assert!(idx < self.config.max_threads, "thread limit reached");
+        let entry = Pc { func: fid, block: BlockId(0), index: 0 };
 
         // Every scheme's areas, under every scheme: `benchmark/` pins these
         // allocations, stores and write-backs (ROADMAP item 1).
-        let idx = self.threads.len();
         let mut h = self.thread_handle(idx);
-        let mut area = |bytes: usize, what: &str| {
-            self.alloc.alloc(&mut h, bytes).unwrap_or_else(|e| panic!("{what} alloc: {e:?}"))
-        };
-        let areas = RegistryEntry {
-            ido: area(ResumeLog::ido(0, self.max_regs).size(), "ido log"),
-            justdo: area(ResumeLog::justdo(0, self.max_regs).size(), "justdo log"),
-            append: area(AppendLogLayout::size_for(self.config.log_entries), "append log"),
-            stack: area(self.config.stack_bytes, "stack"),
+        let mut area = |bytes: usize| self.alloc.alloc(&mut h, bytes).map_err(|_| bytes);
+        let areas = (|| -> Result<RegistryEntry, usize> {
+            Ok(RegistryEntry {
+                ido: area(ResumeLog::ido(0, self.max_regs).size())?,
+                justdo: area(ResumeLog::justdo(0, self.max_regs).size())?,
+                append: area(AppendLogLayout::size_for(self.config.log_entries))?,
+                stack: area(self.config.stack_bytes)?,
+            })
+        })();
+        let areas = match areas {
+            Ok(areas) => areas,
+            Err(bytes) => {
+                let kind = FaultKind::SpawnFailed { bytes: bytes as u64 };
+                self.fault = Some(RunOutcome::Fault { thread: ThreadId(idx), pc: entry, kind });
+                return ThreadId(idx);
+            }
         };
 
         // Zero-initialize the control words durably.
@@ -650,7 +676,6 @@ impl Vm {
         regs[..args.len()].copy_from_slice(args);
         let slots = f.num_stack_slots() as usize * 8;
         assert!(slots <= self.config.stack_bytes, "frame larger than stack");
-        let entry = Pc { func: fid, block: BlockId(0), index: 0 };
         let frame = Frame { func: fid, pc: entry, regs, stack_base: areas.stack, ret_reg: None };
         let mut ctx = self.new_thread(idx, h, areas, frame, None);
         if let Some(regs) = ctx.scheme.ido_regs() {

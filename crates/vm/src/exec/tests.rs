@@ -153,6 +153,36 @@ fn a_call_past_the_depth_cap_is_a_fault_at_its_pc() {
     assert_eq!(too_deep.to_string(), "call depth exceeds 4096 frames");
 }
 
+/// A thread whose areas the pool cannot hold is a fault at its entry pc, on
+/// both tiers: the threads spawned before it stay, none runs, and a later
+/// spawn adds no thread.
+#[test]
+fn a_spawn_the_pool_cannot_hold_is_a_fault_at_its_entry() {
+    let inst = compile(Scheme::Ido, |pb| {
+        let mut f = pb.new_function("main", 0);
+        f.ret(None);
+        f.finish().unwrap();
+    });
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let mut vm = Vm::new(inst.clone(), VmConfig { tier, ..VmConfig::for_tests() });
+        let ids: Vec<ThreadId> = (0..MAX_THREADS).map(|_| vm.spawn("main", &[])).collect();
+        let fault = vm.run();
+        let RunOutcome::Fault { thread, pc, kind: FaultKind::SpawnFailed { bytes } } = fault else {
+            panic!("{tier:?}: a 1 MiB pool holds {MAX_THREADS} threads: {fault:?}");
+        };
+        assert!(thread.0 > 0 && bytes > 0, "{tier:?}: {fault:?}");
+        assert_eq!(pc, Pc { func: FuncId(0), block: BlockId(0), index: 0 }, "{tier:?}");
+        assert!(ids[thread.0..].iter().all(|&id| id == thread), "{tier:?}: a later spawn added a thread");
+        assert_eq!(vm.steps(), 0, "{tier:?}");
+        assert_eq!(vm.status(ThreadId(thread.0 - 1)), Status::Runnable, "{tier:?}");
+        assert_eq!(vm.run_steps(10), fault, "{tier:?}: the run stays stopped");
+    }
+    assert_eq!(
+        FaultKind::SpawnFailed { bytes: 16480 }.to_string(),
+        "spawn could not allocate a 16480-byte thread area"
+    );
+}
+
 /// Guest address arithmetic wraps as the machine's does, in debug builds
 /// too, and the pool names the address it refuses.
 #[test]

@@ -7,7 +7,7 @@
 //! handoff clock inheritance, so throughput-vs-threads curves capture
 //! serialization exactly as the paper's hardware runs do.
 
-use ido_compiler::{instrument_program, Scheme};
+use ido_compiler::{instrument_program, Instrumented, Scheme};
 use ido_ir::Program;
 use ido_nvm::{AllocPolicy, PoolConfig, StatsSnapshot};
 use ido_vm::layout::{AppendLogLayout, Registry};
@@ -171,12 +171,7 @@ pub fn run_workload(
     let instrumented =
         instrument_program(program, scheme).expect("workload instruments cleanly");
     config.sched = SchedPolicy::MinClock;
-    let mut vm = Vm::new(instrumented, config);
-    let base = spec.setup(&mut vm, threads, ops_per_thread);
-    for t in 0..threads {
-        let args = spec.worker_args(&base, t, ops_per_thread);
-        vm.spawn("worker", &args);
-    }
+    let (mut vm, base) = boot(spec, instrumented, threads, ops_per_thread, config);
     let outcome = vm.run();
     assert_eq!(outcome, RunOutcome::Completed, "workload must run to completion");
     let total_ops = threads as u64 * ops_per_thread;
@@ -201,6 +196,25 @@ pub fn run_workload(
         trace: pool.take_trace(),
         metrics: pool.take_metrics(),
     }
+}
+
+/// How a workload run starts: a VM for `inst` on `cfg`, `spec` set up for
+/// `threads` workers of `ops` operations each, and one `worker` spawned per
+/// thread. Returns the VM at step 0 and the setup values
+/// [`WorkloadSpec::verify`] takes.
+pub fn boot(
+    spec: &dyn WorkloadSpec,
+    inst: Instrumented,
+    threads: usize,
+    ops: u64,
+    cfg: VmConfig,
+) -> (Vm, Vec<u64>) {
+    let mut vm = Vm::new(inst, cfg);
+    let base = spec.setup(&mut vm, threads, ops);
+    for t in 0..threads {
+        vm.spawn("worker", &spec.worker_args(&base, t, ops));
+    }
+    (vm, base)
 }
 
 /// Counts surviving entries across all per-thread append logs.

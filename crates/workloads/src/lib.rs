@@ -24,7 +24,8 @@
 //! The [`harness`] module runs any workload under any scheme in the VM's
 //! min-clock (discrete-event) mode and reports simulated throughput, the
 //! dynamic region profile (Fig. 8), persistence-operation counts, and the
-//! log volumes recovery would have to process (Table I).
+//! log volumes recovery would have to process (Table I). Its [`boot`] is
+//! how every workload run starts: VM, setup, one worker per thread.
 
 #![deny(missing_docs)]
 
@@ -36,7 +37,7 @@ pub mod service;
 mod util;
 
 pub use harness::{
-    bench_config, list_log_per_op, run_workload, sweep, with_sharded_alloc, RunStats, WorkloadSpec,
+    bench_config, boot, list_log_per_op, run_workload, sweep, with_sharded_alloc, RunStats, WorkloadSpec,
     LOG_PER_OP, NO_LOG,
 };
 

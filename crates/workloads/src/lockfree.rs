@@ -439,7 +439,7 @@ impl WorkloadSpec for LfMapSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::run_workload;
+    use crate::harness::{boot, run_workload};
     use crate::micro::HohMapMixSpec;
     use ido_compiler::{instrument_program, Scheme};
     use ido_nvm::PoolConfig;
@@ -467,11 +467,7 @@ mod tests {
                     instrument_program(spec.build_program(), scheme).expect("instruments");
                 let mut config = small_config(tier);
                 config.sched = SchedPolicy::MinClock;
-                let mut vm = Vm::new(program, config);
-                let base = spec.setup(&mut vm, threads, ops);
-                for t in 0..threads {
-                    vm.spawn("worker", &spec.worker_args(&base, t, ops));
-                }
+                let (mut vm, base) = boot(&spec, program, threads, ops, config);
                 assert_eq!(vm.run(), RunOutcome::Completed, "{scheme}/{tier:?}");
                 let total = threads as u64 * ops;
                 spec.verify(&vm, &base, total);

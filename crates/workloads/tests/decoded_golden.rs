@@ -18,11 +18,11 @@
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::CrashPolicy;
 use ido_vm::{
-    recover, ExecTier, RecoveryConfig, RecoveryReport, RunOutcome, SchedPolicy, Vm, VmConfig,
+    recover, ExecTier, RecoveryConfig, RecoveryReport, RunOutcome, SchedPolicy, VmConfig,
 };
 use ido_workloads::lockfree::LfMapSpec;
 use ido_workloads::micro::TwinSpec;
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 const THREADS: usize = 2;
 const OPS: u64 = 4;
@@ -54,11 +54,7 @@ fn fingerprint(scheme: Scheme, tier: ExecTier, crash_at: Option<u64>) -> Fingerp
     cfg.sched = SchedPolicy::MinClock;
     cfg.tier = tier;
     cfg.pool.crash_policy = CrashPolicy::DropDirty;
-    let mut vm = Vm::new(inst.clone(), cfg.clone());
-    let base = spec.setup(&mut vm, THREADS, OPS);
-    for t in 0..THREADS {
-        vm.spawn("worker", &spec.worker_args(&base, t, OPS));
-    }
+    let (mut vm, base) = boot(spec, inst.clone(), THREADS, OPS, cfg.clone());
     let Some(crash_at) = crash_at else {
         assert_eq!(vm.run(), RunOutcome::Completed);
         spec.verify(&vm, &base, THREADS as u64 * OPS);

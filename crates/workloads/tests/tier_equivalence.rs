@@ -13,9 +13,9 @@
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::StatsSnapshot;
 use ido_trace::{Trace, TraceConfig};
-use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
+use ido_vm::{ExecTier, RunOutcome, SchedPolicy, VmConfig};
 use ido_workloads::micro::TwinSpec;
-use ido_workloads::{standard_specs, WorkloadSpec};
+use ido_workloads::{boot, standard_specs, WorkloadSpec};
 
 /// Everything observable about one run.
 struct Observed {
@@ -39,11 +39,7 @@ fn observe(
     cfg.sched = sched;
     cfg.tier = tier;
     cfg.pool.trace = TraceConfig::on();
-    let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, threads, ops);
-    for t in 0..threads {
-        vm.spawn("worker", &spec.worker_args(&base, t, ops));
-    }
+    let (mut vm, base) = boot(spec, inst, threads, ops, cfg);
     assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme} ({tier:?})", spec.name());
     spec.verify(&vm, &base, threads as u64 * ops);
     let steps = vm.steps();
@@ -150,11 +146,7 @@ fn harness_catches_a_misfused_store_clwb_pair() {
     cfg.tier = ExecTier::Tier2;
     cfg.tier2_bug_misfuse_store_clwb = true;
     cfg.pool.trace = TraceConfig::on();
-    let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, 2, 4);
-    for t in 0..2 {
-        vm.spawn("worker", &spec.worker_args(&base, t, 4));
-    }
+    let (mut vm, _) = boot(&spec, inst, 2, 4, cfg);
     assert_eq!(vm.run(), RunOutcome::Completed);
     let pool = vm.pool().clone();
     drop(vm);

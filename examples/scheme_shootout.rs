@@ -9,9 +9,9 @@
 
 use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::PoolConfig;
-use ido_vm::{recover, RecoveryConfig, SchedPolicy, Vm, VmConfig};
+use ido_vm::{recover, RecoveryConfig, SchedPolicy, VmConfig};
 use ido_workloads::micro::MapSpec;
-use ido_workloads::{run_workload, WorkloadSpec};
+use ido_workloads::{boot, run_workload, WorkloadSpec};
 
 fn main() {
     let spec = MapSpec { buckets: 64, key_range: 1024 };
@@ -35,11 +35,8 @@ fn main() {
         // Crash-recovery leg: crash mid-run, recover, count actions.
         let instrumented =
             instrument_program(spec.build_program(), scheme).expect("instrumentation");
-        let mut vm = Vm::new(instrumented.clone(), VmConfig { sched: SchedPolicy::Random, ..cfg.clone() });
-        let base = spec.setup(&mut vm, threads, ops);
-        for t in 0..threads {
-            vm.spawn("worker", &spec.worker_args(&base, t, ops));
-        }
+        let random = VmConfig { sched: SchedPolicy::Random, ..cfg.clone() };
+        let (mut vm, _) = boot(&spec, instrumented.clone(), threads, ops, random);
         vm.run_steps(threads as u64 * ops * 40); // deep into the run
         let pool = vm.crash(99);
         let report = recover(pool, instrumented, cfg.clone(), RecoveryConfig::for_tests());

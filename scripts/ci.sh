@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: build, full test suite, smoke runs of every bench and
-# table binary, the figure regeneration, and the CLI gates. Everything a run writes lands under
+# CI entry point: build, full test suite, every bench and table binary at
+# the one size EXPERIMENTS.md reports, the figure regeneration, and the CLI
+# gates. Everything a run writes lands under
 # target/, so the tree is clean afterwards.
 #
 # Proptest regression files (tests/*.proptest-regressions) are committed and
@@ -220,6 +221,27 @@ one_front_door() {
 }
 one_front_door
 
+echo "== one way to run: a workload starts in ido_workloads::boot, a binary runs at one size =="
+# Outside benchmark/, only `boot` spawns a workload's workers: the other
+# `.worker_args(` calls are the scenario spec delegating to its native spec
+# and service_bench's re-attach of fresh workers after recovery. Each
+# ido-bench binary runs at the size EXPERIMENTS.md reports, so no size
+# override, and `ido run` has no builder comparison (tests/corpus.rs makes
+# it; tests/ido_cli.rs checks that the flag is refused).
+one_way_to_run() {
+  if grep -rn '\.worker_args(' crates src tests examples \
+      | grep -vE '^crates/workloads/src/harness\.rs:.*vm\.spawn\("worker", &spec\.worker_args\(&base, t, ops\)\);$' \
+      | grep -vE '^crates/lang/src/scenario\.rs:.*self\.native\.worker_args\(base, thread, ops\)$' \
+      | grep -vE '^crates/bench/src/bin/service_bench\.rs:.*g\.threads_per_shard \+ t, g\.ops_b'; then
+    echo "a workload's workers are spawned outside ido_workloads::boot"; return 1
+  fi
+  if grep -rnE 'IDO_BENCH_(QUICK|OPS)|fn ops_per_threa[d]|ido_bench::ops_per_threa[d]' crates src tests scripts \
+    || grep -rn 'compare[-]builder' crates src tests scripts | grep -v '^tests/ido_cli\.rs:'; then
+    echo "a second size or a second run path is back"; return 1
+  fi
+}
+one_way_to_run
+
 echo "== crash-oracle smoke sweep + program sharing + one crash-state track + memcached-like store at 512 ops (iDO, Atlas) =="
 # The sharing tests pin that a crash state neither clones nor decodes the
 # program (`Program`'s value semantics, VMs of one program holding one
@@ -289,48 +311,47 @@ oracle_stage() {
 }
 timed "crash oracle" oracle_stage
 
-echo "== trace report: JSON/event-kind check, and IDO_JOBS=2 must match IDO_JOBS=1 byte-for-byte =="
-# trace_report checks what it writes on every run: every JSON parses and
-# every event kind appears.
-mkdir -p target/tmp
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin trace_report
-cp target/figures/trace_hash-map.trace.json target/tmp/trace_jobs1.json
-IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin trace_report > /dev/null
-cmp target/tmp/trace_jobs1.json target/figures/trace_hash-map.trace.json \
-  || { echo "IDO_JOBS=2 changed the emitted trace"; exit 1; }
-rm -f target/tmp/trace_jobs1.json
-
-echo "== service bench smoke (crash under load, online-recovery windows) =="
-# The binary itself asserts the crash lands mid-traffic for every durable
-# scheme, re-verifies the recovered table, and validates every emitted
-# JSON artifact before writing it. BENCH_service.json holds only
-# simulated quantities, so it must be byte-identical for any worker count.
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin service_bench
-cp target/figures/BENCH_service.json target/figures/BENCH_service.jobs1.json
-IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin service_bench
-cmp target/figures/BENCH_service.jobs1.json target/figures/BENCH_service.json \
-  || { echo "IDO_JOBS=2 changed service bench results"; exit 1; }
+echo "== trace report, service bench, allocator scaling: IDO_JOBS=2 must match IDO_JOBS=1 byte-for-byte =="
+# Each binary runs at its one size. trace_report checks what it writes on
+# every run: every JSON parses and every event kind appears. service_bench
+# asserts the crash lands mid-traffic for every durable scheme, re-verifies
+# the recovered table, and validates every emitted JSON artifact before
+# writing it. alloc_bench asserts the sharded allocator is >= 4x the global
+# mutex at 64 threads and that cost per op does not grow with 100k live
+# blocks. Their outputs hold only simulated quantities, so each must be
+# byte-identical for any worker count.
+jobs_invariant_binaries() {
+  local b file
+  mkdir -p target/tmp
+  for b in trace_report:trace_hash-map.trace.json service_bench:BENCH_service.json \
+      alloc_bench:BENCH_alloc.json; do
+    file=${b#*:}
+    b=${b%%:*}
+    IDO_JOBS=1 cargo run -q --release -p ido-bench --bin "$b"
+    cp "target/figures/$file" "target/tmp/$file.jobs1"
+    IDO_JOBS=2 cargo run -q --release -p ido-bench --bin "$b" > /dev/null
+    cmp "target/tmp/$file.jobs1" "target/figures/$file" \
+      || { echo "IDO_JOBS=2 changed $b's $file"; return 1; }
+    rm -f "target/tmp/$file.jobs1"
+  done
+}
+timed "jobs-invariant binaries" jobs_invariant_binaries
 
 echo "== metrics-off overhead guard (median of 9 paired runs, wall ns/step) =="
 # Disabled metrics must stay one untaken branch per marker: the guard
 # compares per-step wall cost of a marked vs unmarked hot loop within
 # back-to-back pairs and fails CI if the median per-pair overhead grows
 # past the tolerance.
-IDO_BENCH_QUICK=1 cargo run -q --release -p ido-bench --bin metrics_guard
+timed "metrics guard" cargo run -q --release -p ido-bench --bin metrics_guard
 
-echo "== allocator scaling smoke (quick mode, asserts >= 4x at 64T) =="
-# BENCH_alloc.json holds only simulated quantities: byte-identical for
-# any worker count.
-IDO_BENCH_QUICK=1 IDO_JOBS=1 cargo run -q --release -p ido-bench --bin alloc_bench
-cp target/figures/BENCH_alloc.json target/figures/BENCH_alloc.jobs1.json
-IDO_BENCH_QUICK=1 IDO_JOBS=2 cargo run -q --release -p ido-bench --bin alloc_bench
-cmp target/figures/BENCH_alloc.jobs1.json target/figures/BENCH_alloc.json \
-  || { echo "IDO_JOBS=2 changed allocator bench results"; exit 1; }
-
-echo "== table/report smoke: every remaining paper binary at IDO_BENCH_OPS=200 =="
-for b in fig8_regions table1_recovery ablation; do
-  IDO_BENCH_OPS=200 cargo run -q --release -p ido-bench --bin "$b" > /dev/null
-done
+echo "== tables and reports: every remaining paper binary at its one size =="
+tables() {
+  local b
+  for b in fig8_regions table1_recovery ablation; do
+    cargo run -q --release -p ido-bench --bin "$b" > /dev/null
+  done
+}
+timed "tables" tables
 
 echo "== figure regeneration: ido sweep on every corpus/figures/*.ido at its own size =="
 # Figs. 5, 6, 7 and 9 and the lock-free contention sweep are scenario files:
@@ -416,11 +437,12 @@ replay_stage() {
 }
 timed "crashtest replay" replay_stage
 
-echo "== ido run --compare-builder: corpus runs byte-identical to the builder =="
-# The CLI re-runs each scheme from the native Rust-builder program and
-# requires identical steps, simulated clocks, stats, and pool-image hash.
+echo "== ido run over the scenario corpus =="
+# Every checked-in scenario runs to completion under every scheme it names
+# (tests/corpus.rs compares each with the Rust-builder program on both
+# tiers).
 for f in corpus/*.ido; do
-  cargo run -q --release -p ido-repro --bin ido -- run "$f" --compare-builder > /dev/null
+  cargo run -q --release -p ido-repro --bin ido -- run "$f" > /dev/null
 done
 
 echo "== ido run determinism: --jobs 2 must match --jobs 1 byte-for-byte =="

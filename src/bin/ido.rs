@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ido sweep <file.ido> [--jobs N]
-//! ido run <file.ido> [--jobs N] [--compare-builder]
+//! ido run <file.ido> [--jobs N]
 //! ido verify <file.ido>
 //! ido explain <file.ido>
 //! ido crashtest <file.ido>
@@ -32,7 +32,7 @@ use ido_lang::{
 use ido_nvm::StatsSnapshot;
 use ido_trace::TraceConfig;
 use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -54,8 +54,6 @@ fn usage() -> String {
      \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
      run        run the scenario under every listed scheme; one JSON line each\n\
      \x20          --jobs N            parallel runner threads (default: IDO_JOBS or 1)\n\
-     \x20          --compare-builder   also run the native Rust-builder program and\n\
-     \x20                              require byte-identical results\n\
      verify     instrument + statically verify each scheme; print findings\n\
      explain    like verify, but render each finding with its witness path,\n\
      \x20          and a run that faults at the faulting instruction\n\
@@ -75,7 +73,7 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Vec<(&'static str, u64)>, S
     // (flag, takes a value)
     let known: &[(&str, bool)] = match cmd {
         "sweep" => &[("--jobs", true)],
-        "run" => &[("--jobs", true), ("--compare-builder", false)],
+        "run" => &[("--jobs", true)],
         "trace" => &[("--limit", true)],
         "verify" | "explain" | "crashtest" | "emit" => &[],
         _ => return Err(format!("unknown subcommand `{cmd}`\n{}", usage())),
@@ -115,7 +113,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     }
     scenario.check_one_point(&path, &source)?;
     match cmd {
-        "run" => cmd_run(&scenario, jobs, flag("--compare-builder").is_some()),
+        "run" => cmd_run(&scenario, jobs),
         "verify" => cmd_verify(&scenario, false),
         "explain" => cmd_verify(&scenario, true),
         "crashtest" => cmd_crashtest(&scenario),
@@ -146,19 +144,8 @@ fn instrument_for(spec: &dyn WorkloadSpec, scheme: Scheme) -> Result<Instrumente
         .map_err(|e| format!("instrumentation failed under {}: {e:?}", scheme.name()))
 }
 
-/// The one set-up path: build a VM for `inst` on `cfg`, set the workload
-/// up and spawn a worker per scenario thread. Returns the VM and the
-/// workload's setup values.
-fn boot(spec: &dyn WorkloadSpec, inst: Instrumented, scenario: &Scenario, cfg: VmConfig) -> (Vm, Vec<u64>) {
-    let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
-    for t in 0..scenario.threads[0] {
-        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
-    }
-    (vm, base)
-}
-
-/// [`boot`] `spec` instrumented for `scheme` and run it to completion.
+/// [`boot`] `spec` instrumented for `scheme` with a worker per scenario
+/// thread, and run it to completion.
 ///
 /// # Errors
 /// Instrumentation failures, and a run that stops with a fault (named).
@@ -168,7 +155,8 @@ fn run_to_completion(
     scenario: &Scenario,
     cfg: VmConfig,
 ) -> Result<(Vm, Vec<u64>), String> {
-    let (mut vm, base) = boot(spec, instrument_for(spec, scheme)?, scenario, cfg);
+    let inst = instrument_for(spec, scheme)?;
+    let (mut vm, base) = boot(spec, inst, scenario.threads[0], scenario.ops, cfg);
     let outcome = vm.run();
     if let Some(fault) = Fault::of(outcome, vm.program()) {
         return Err(format!("{} under {scheme}: {fault}", spec.name()));
@@ -235,7 +223,7 @@ fn json_line(scenario: &Scenario, spec: &dyn WorkloadSpec, scheme: Scheme, o: &O
     )
 }
 
-fn cmd_run(scenario: &Scenario, jobs: usize, compare: bool) -> Result<ExitCode, String> {
+fn cmd_run(scenario: &Scenario, jobs: usize) -> Result<ExitCode, String> {
     let spec = scenario.spec();
 
     // Fan the schemes out over the deterministic parallel map; results come
@@ -247,31 +235,6 @@ fn cmd_run(scenario: &Scenario, jobs: usize, compare: bool) -> Result<ExitCode, 
     let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     for (scheme, o) in schemes.iter().zip(&results) {
         println!("{}", json_line(scenario, &spec, *scheme, o));
-    }
-
-    if compare {
-        let native = scenario.native_spec();
-        for (scheme, corpus) in schemes.iter().zip(&results) {
-            let builder = observe(native.as_ref(), *scheme, scenario)?;
-            let same = corpus.steps == builder.steps
-                && corpus.sim_ns == builder.sim_ns
-                && corpus.stats == builder.stats
-                && corpus.image_fnv == builder.image_fnv;
-            if !same {
-                eprintln!(
-                    "compare-builder MISMATCH under {}: corpus (steps={}, sim_ns={}, fnv={:#x}) vs builder (steps={}, sim_ns={}, fnv={:#x})",
-                    scheme.name(),
-                    corpus.steps,
-                    corpus.sim_ns,
-                    corpus.image_fnv,
-                    builder.steps,
-                    builder.sim_ns,
-                    builder.image_fnv
-                );
-                return Ok(ExitCode::from(1));
-            }
-        }
-        println!("compare-builder: {} scheme(s) byte-identical to the Rust builder", schemes.len());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -289,7 +252,7 @@ fn cmd_verify(scenario: &Scenario, explain: bool) -> Result<ExitCode, String> {
                 print!("{}", render_diagnostic(d, &listing));
             }
             // What the static verdicts cannot see: a run that faults.
-            let (mut vm, _) = boot(&spec, inst.clone(), scenario, vm_config(scenario));
+            let (mut vm, _) = boot(&spec, inst.clone(), scenario.threads[0], scenario.ops, vm_config(scenario));
             if let Some(fault) = Fault::of(vm.run(), &inst.program) {
                 print!("{}", render_fault(&fault, scheme, &listing));
                 findings += 1;

@@ -16,8 +16,8 @@
 //! * [`nvm`] — simulated hybrid NVM: volatile/persistent images,
 //!   cache-line write-backs, persist fences, crash injection, latency
 //!   model, persistent allocator, named roots.
-//! * [`ir`] — the compiler IR with CFG, liveness, reaching definitions,
-//!   and basicAA-style alias analysis.
+//! * [`ir`] — the compiler IR with CFG, liveness and basicAA-style alias
+//!   analysis.
 //! * [`idem`] — idempotent region partitioning (antidependence cutting +
 //!   register-WAR repair).
 //! * [`compiler`] — FASE inference and per-scheme instrumentation.

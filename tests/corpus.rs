@@ -20,9 +20,9 @@ use ido_crashtest::OracleConfig;
 use ido_lang::{parse_program_text, parse_scenario, Scenario};
 use ido_nvm::StatsSnapshot;
 use ido_trace::{Trace, TraceConfig};
-use ido_vm::{ExecTier, RunOutcome, SchedPolicy, Vm, VmConfig};
+use ido_vm::{ExecTier, RunOutcome, SchedPolicy, VmConfig};
 use ido_verify::{verify_instrumented, RuntimeModel};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 /// The nine standard workloads re-expressed as `.ido` files.
 const CORPUS: [&str; 9] = [
@@ -98,11 +98,7 @@ fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario, tier: E
     cfg.sched = SchedPolicy::MinClock;
     cfg.tier = tier;
     cfg.pool.trace = TraceConfig::on();
-    let mut vm = Vm::new(inst, cfg);
-    let base = spec.setup(&mut vm, scenario.threads[0], scenario.ops);
-    for t in 0..scenario.threads[0] {
-        vm.spawn("worker", &spec.worker_args(&base, t, scenario.ops));
-    }
+    let (mut vm, base) = boot(spec, inst, scenario.threads[0], scenario.ops, cfg);
     assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme} ({tier:?})", spec.name());
     spec.verify(&vm, &base, scenario.threads[0] as u64 * scenario.ops);
     let steps = vm.steps();

@@ -85,6 +85,24 @@ fn delays_that_sum_past_the_clock_range_stop_the_run_by_name() {
     }
 }
 
+/// A thread the pool cannot hold once made `ido run` and `ido crashtest`
+/// exit 101 with `append log alloc: OutOfMemory`: it is a guest fault, which
+/// `run` reports as an error (exit 2) and `crashtest` as a failure (exit 1).
+#[test]
+fn a_thread_the_pool_cannot_hold_is_a_named_fault() {
+    let source = "scenario crowded {\n  workload stack\n  threads 48\n  ops 2\n  schemes ido\n}\n";
+    let fault = "thread 47 faulted at worker bb0 0: spawn could not allocate a 16480-byte thread area";
+    let Ran { code, stdout, stderr } = ido("run", "crowded", source);
+    assert_eq!(code, Some(2), "{stdout}\n{stderr}");
+    assert!(stdout.is_empty(), "a run was reported:\n{stdout}");
+    assert!(stderr.contains(&format!("stack under iDO: {fault}")), "{stderr}");
+    let Ran { code, stdout, stderr } = ido("crashtest", "crowded", source);
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    assert!(stdout.contains(&format!("stack/iDO: FAILED: {fault}")), "{stdout}");
+    let replay = stdout.lines().find_map(|l| l.strip_prefix("replay: ido crashtest ")).expect("a reproducer");
+    std::fs::remove_file(replay).expect("the reproducer was written");
+}
+
 /// A CAS that writes its result into a register the region also reads: the
 /// register-WAR fixup has to rename the CAS destination (`rename_def` had
 /// no arm for it and panicked with "does not define a register").
@@ -203,6 +221,7 @@ fn each_subcommand_rejects_a_flag_it_does_not_take() {
     let stack = corpus("stack.ido");
     for (command, flags) in [
         ("run", &["--job", "2"][..]),
+        ("run", &["--compare-builder"]),
         ("crashtest", &["--jobs", "1"]),
         ("verify", &["--limit", "3"]),
         ("trace", &["--jobs", "2"]),

@@ -8,7 +8,7 @@ use ido_nvm::PoolConfig;
 use ido_vm::VmConfig;
 use ido_workloads::kv::redis::RedisSpec;
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::{run_workload, WorkloadSpec};
+use ido_workloads::{boot, run_workload, WorkloadSpec};
 
 fn config() -> VmConfig {
     VmConfig {
@@ -35,13 +35,11 @@ fn fingerprint(spec: &dyn WorkloadSpec, scheme: Scheme) -> Vec<u64> {
 /// The strong version: walk actual chain contents.
 fn chain_fingerprint(spec: &dyn WorkloadSpec, scheme: Scheme, walk_root: usize) -> Vec<(i64, u64)> {
     use ido_compiler::instrument_program;
-    use ido_vm::{SchedPolicy, Vm};
+    use ido_vm::SchedPolicy;
     let instrumented = instrument_program(spec.build_program(), scheme).expect("instrument");
     let mut cfg = config();
     cfg.sched = SchedPolicy::MinClock;
-    let mut vm = Vm::new(instrumented, cfg);
-    let base = spec.setup(&mut vm, 1, 120);
-    vm.spawn("worker", &spec.worker_args(&base, 0, 120));
+    let (mut vm, base) = boot(spec, instrumented, 1, 120, cfg);
     assert_eq!(vm.run(), ido_vm::RunOutcome::Completed);
     // Walk the sorted chain from the given root (sentinel or bucket head).
     let mut h = vm.pool().handle();

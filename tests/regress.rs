@@ -109,7 +109,7 @@ fn ido(command: &str, name: &str, source: &str) -> (Option<i32>, String) {
 }
 
 #[test]
-fn the_regress_corpus_holds_the_eight_reproducers() {
+fn the_regress_corpus_holds_the_nine_reproducers() {
     let names: Vec<String> = ido_files("corpus/regress")
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
@@ -124,6 +124,7 @@ fn the_regress_corpus_holds_the_eight_reproducers() {
             "skip_store_flush_twin_recovery",
             "skip_window_flush_lf_list",
             "slotless_recursion_twin",
+            "spawn_past_the_pool_stack",
             "unbounded_recursion_twin",
         ]
     );
@@ -244,7 +245,7 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 3, "the fault reproducers");
+    assert_eq!(faults, 4, "the fault reproducers");
 }
 
 #[test]

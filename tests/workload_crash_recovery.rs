@@ -7,7 +7,7 @@ use ido_compiler::{instrument_program, Scheme};
 use ido_nvm::{CrashPolicy, PoolConfig};
 use ido_vm::{recover, RecoveryConfig, RunOutcome, SchedPolicy, Vm, VmConfig};
 use ido_workloads::micro::{ListSpec, MapSpec, QueueSpec, StackSpec};
-use ido_workloads::WorkloadSpec;
+use ido_workloads::{boot, WorkloadSpec};
 
 const THREADS: usize = 3;
 const OPS: u64 = 25;
@@ -29,11 +29,7 @@ fn config(policy: CrashPolicy, seed: u64) -> VmConfig {
 fn total_steps(spec: &dyn WorkloadSpec, scheme: Scheme) -> u64 {
     let instrumented = instrument_program(spec.build_program(), scheme).expect("instrument");
     let cfg = config(CrashPolicy::DropDirty, 11);
-    let mut vm = Vm::new(instrumented, cfg);
-    let base = spec.setup(&mut vm, THREADS, OPS);
-    for t in 0..THREADS {
-        vm.spawn("worker", &spec.worker_args(&base, t, OPS));
-    }
+    let (mut vm, _) = boot(spec, instrumented, THREADS, OPS, cfg);
     assert_eq!(vm.run(), RunOutcome::Completed);
     vm.steps()
 }
@@ -41,11 +37,7 @@ fn total_steps(spec: &dyn WorkloadSpec, scheme: Scheme) -> u64 {
 fn crash_and_verify(spec: &dyn WorkloadSpec, scheme: Scheme, step: u64, policy: &CrashPolicy) {
     let instrumented = instrument_program(spec.build_program(), scheme).expect("instrument");
     let cfg = config(policy.clone(), 11);
-    let mut vm = Vm::new(instrumented.clone(), cfg.clone());
-    let base = spec.setup(&mut vm, THREADS, OPS);
-    for t in 0..THREADS {
-        vm.spawn("worker", &spec.worker_args(&base, t, OPS));
-    }
+    let (mut vm, base) = boot(spec, instrumented.clone(), THREADS, OPS, cfg.clone());
     vm.run_steps(step);
     let pool = vm.crash(step ^ 0xA5A5);
     recover(pool.clone(), instrumented.clone(), cfg.clone(), RecoveryConfig::for_tests());
