@@ -224,8 +224,6 @@ fn main() {
 
     // Deterministic JSON: simulated quantities only, fixed field order.
     let mut json = String::from("{\n  \"bench\": \"service\",\n");
-    // Always false: the field stays so that the file keeps its bytes.
-    json.push_str("  \"quick\": false,\n");
     let _ = writeln!(json, "  \"window_ns\": {},", g.window_ns);
     let _ = writeln!(json, "  \"shards\": {},", g.shards);
     let _ = writeln!(json, "  \"threads_per_shard\": {},", g.threads_per_shard);

@@ -78,6 +78,6 @@ pub fn synthetic_function(seed: u64, target: usize) -> Function {
         out,
         "  bb{latch}:\n    r5 = add r5, 1\n    jump bb1\n  bb{exit}:\n    ret\n}}\n"
     );
-    let parsed = ido_lang::parse_program_text(&out).expect("the generated text parses");
+    let parsed = ido_ir::text::parse_program_text(&out).expect("the generated text parses");
     parsed.program.function(FuncId(0)).clone()
 }

@@ -20,6 +20,7 @@ use ido_idem::{analyze, Pos, Region, RegionAnalysis};
 use ido_ir::cfg::Cfg;
 use ido_ir::liveness::{Liveness, Var};
 use ido_ir::opt::optimize_program;
+use ido_ir::text::parse_program_section;
 use ido_ir::{BinOp, BlockId, Function, Operand, Program, ProgramBuilder};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -39,7 +40,7 @@ fn functions_of(name: &str, program: Program, out: &mut Vec<(String, Function)>)
     }
 }
 
-/// The nine corpus programs and the seven standard builders.
+/// The programs of the twelve corpus files, one per workload spec.
 fn fixed_inputs() -> Vec<(String, Function)> {
     let mut out = Vec::new();
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
@@ -49,21 +50,13 @@ fn fixed_inputs() -> Vec<(String, Function)> {
         .filter(|p| p.is_file())
         .collect();
     files.sort();
-    assert_eq!(files.len(), 9, "corpus/ holds the nine standard scenarios");
+    assert_eq!(files.len(), 12, "corpus/ holds the twelve workload programs");
     for path in files {
         let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let scenario = ido_lang::parse_scenario(&text).expect("corpus file parses");
-        let program = scenario.program.expect("corpus file has a program").program;
+        let program = parse_program_section(&text).expect("corpus file parses").program;
         functions_of(
             &format!("corpus/{}", path.file_stem().unwrap().to_string_lossy()),
             program,
-            &mut out,
-        );
-    }
-    for spec in ido_workloads::standard_specs() {
-        functions_of(
-            &format!("builder/{}", spec.name()),
-            spec.build_program(),
             &mut out,
         );
     }
@@ -127,9 +120,9 @@ fn assert_equivalent(name: &str, original: &Function) {
 }
 
 #[test]
-fn corpus_and_builder_programs_partition_identically() {
+fn corpus_programs_partition_identically() {
     let inputs = fixed_inputs();
-    assert!(inputs.len() >= 2 * (9 + 7));
+    assert!(inputs.len() >= 2 * 12);
     for (name, func) in &inputs {
         assert_equivalent(name, func);
     }

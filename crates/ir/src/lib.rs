@@ -23,6 +23,9 @@
 //! `ido-idem` crate; the FASE inference and per-scheme instrumentation passes
 //! live in `ido-compiler`; execution lives in `ido-vm`.
 //!
+//! The IR has one textual form, which this crate both prints (`Display`
+//! for [`Program`]) and parses back ([`text`]).
+//!
 //! # Example
 //!
 //! ```
@@ -53,6 +56,7 @@ pub mod opt;
 mod pretty;
 mod reg;
 pub mod semantics;
+pub mod text;
 pub mod tier2;
 mod verify;
 

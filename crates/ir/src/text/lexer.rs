@@ -6,7 +6,7 @@
 //! mnemonics like `rt.store_record` lex as one token. Every token carries
 //! its byte [`Span`].
 
-use crate::diag::{LangError, Span};
+use super::diag::{LangError, Span};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -91,32 +91,34 @@ pub struct Token {
 /// A cursor over a lexed token stream — the one `peek` / `bump` / `expect_*`
 /// vocabulary of the scenario header and the program section. Reads past
 /// the end keep returning the final [`Tok::Eof`].
-pub(crate) struct Cursor {
+pub struct Cursor {
     toks: Vec<Token>,
     pos: usize,
 }
 
 impl Cursor {
     /// A cursor at the start of `toks`, which must end in [`Tok::Eof`].
-    pub(crate) fn new(toks: Vec<Token>) -> Cursor {
+    pub fn new(toks: Vec<Token>) -> Cursor {
         Cursor { toks, pos: 0 }
     }
 
-    pub(crate) fn peek(&self) -> &Token {
+    /// The next token, without consuming it.
+    pub fn peek(&self) -> &Token {
         &self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
     /// The token after [`Cursor::peek`]'s, if any.
-    pub(crate) fn peek_second(&self) -> Option<&Tok> {
+    pub fn peek_second(&self) -> Option<&Tok> {
         self.toks.get(self.pos + 1).map(|t| &t.tok)
     }
 
     /// The span of the token consumed last (of the first, before any).
-    pub(crate) fn prev_span(&self) -> Span {
+    pub fn prev_span(&self) -> Span {
         self.toks[self.pos.saturating_sub(1)].span
     }
 
-    pub(crate) fn bump(&mut self) -> Token {
+    /// Consumes and returns the next token.
+    pub fn bump(&mut self) -> Token {
         let t = self.peek().clone();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
@@ -124,13 +126,16 @@ impl Cursor {
         t
     }
 
-    pub(crate) fn eat_newlines(&mut self) {
+    /// Skips blank lines.
+    pub fn eat_newlines(&mut self) {
         while self.peek().tok == Tok::Newline {
             self.bump();
         }
     }
 
-    pub(crate) fn expect(&mut self, want: Tok, ctx: &str) -> Result<Token, LangError> {
+    /// Consumes the next token, which must be `want`; `ctx` says where
+    /// in an error.
+    pub fn expect(&mut self, want: Tok, ctx: &str) -> Result<Token, LangError> {
         let t = self.bump();
         if t.tok == want {
             Ok(t)
@@ -143,7 +148,8 @@ impl Cursor {
         }
     }
 
-    pub(crate) fn expect_ident(&mut self, ctx: &str) -> Result<(String, Span), LangError> {
+    /// Consumes an identifier; `ctx` says where in an error.
+    pub fn expect_ident(&mut self, ctx: &str) -> Result<(String, Span), LangError> {
         let t = self.bump();
         match t.tok {
             Tok::Ident(s) => Ok((s, t.span)),
@@ -155,7 +161,8 @@ impl Cursor {
         }
     }
 
-    pub(crate) fn expect_keyword(&mut self, word: &str, ctx: &str) -> Result<Span, LangError> {
+    /// Consumes the identifier `word`; `ctx` says where in an error.
+    pub fn expect_keyword(&mut self, word: &str, ctx: &str) -> Result<Span, LangError> {
         let (s, span) = self.expect_ident(ctx)?;
         if s == word {
             Ok(span)
@@ -168,7 +175,8 @@ impl Cursor {
         }
     }
 
-    pub(crate) fn expect_u64(&mut self, ctx: &str) -> Result<(u64, Span), LangError> {
+    /// Consumes an integer; `ctx` says where in an error.
+    pub fn expect_u64(&mut self, ctx: &str) -> Result<(u64, Span), LangError> {
         let t = self.bump();
         match t.tok {
             Tok::Int(v) => Ok((v, t.span)),
@@ -182,7 +190,7 @@ impl Cursor {
 
     /// Consumes the end-of-statement newline (or accepts EOF for the last
     /// line of a file); anything else is an error labelled `label`.
-    pub(crate) fn expect_line_end(&mut self, label: &str) -> Result<(), LangError> {
+    pub fn expect_line_end(&mut self, label: &str) -> Result<(), LangError> {
         match &self.peek().tok {
             Tok::Newline => {
                 self.bump();

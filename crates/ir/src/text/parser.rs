@@ -12,13 +12,14 @@
 
 use std::collections::HashMap;
 
-use ido_ir::{
+use crate::{
     verify_function, BasicBlock, BinOp, BlockId, FuncId, Function, Inst, Operand, Program, Reg,
     RtOp, StackSlot, StoreTarget,
 };
 
-use crate::diag::{LangError, Span};
-use crate::lexer::{lex, Cursor, Tok};
+use super::diag::{LangError, Span};
+use super::lexer::{lex, Cursor, Tok};
+use super::MAX_DELAY_NS;
 
 /// A parsed program plus source positions for every instruction, keyed by
 /// `(function id, block id, instruction index)`.
@@ -46,14 +47,14 @@ impl PartialEq for ParsedProgram {
 /// Returns the first spanned [`LangError`]: lex errors, malformed
 /// instructions, non-dense block labels, register/slot ids above the
 /// declared counts, out-of-range call targets, call arity mismatches, and
-/// anything `ido_ir::verify_function` rejects.
+/// anything [`verify_function`] rejects.
 pub fn parse_program_text(source: &str) -> Result<ParsedProgram, LangError> {
     Parser::new(Cursor::new(lex(source)?)).parse_program()
 }
 
 /// Parses the rest of the token stream under `c` (used by the scenario
 /// layer to parse the program section after the header).
-pub(crate) fn parse_program_tokens(c: Cursor) -> Result<ParsedProgram, LangError> {
+pub fn parse_program_tokens(c: Cursor) -> Result<ParsedProgram, LangError> {
     Parser::new(c).parse_program()
 }
 
@@ -525,12 +526,12 @@ impl Parser {
                 let (ns, span) = self.c.expect_u64("as the delay")?;
                 // One delay alone would leave the range the VM's scheduler
                 // orders clocks in; a sum that does is a run-time failure.
-                if ns > ido_vm::MAX_CLOCK_NS {
+                if ns > MAX_DELAY_NS {
                     return Err(LangError::new(
                         format!(
                             "delay of {ns} ns exceeds the simulated clock's range \
                              (at most {} ns, about 3.26 simulated days)",
-                            ido_vm::MAX_CLOCK_NS
+                            MAX_DELAY_NS
                         ),
                         span,
                         "too long",
@@ -810,7 +811,8 @@ fn parse_suffixed(s: &str, prefix: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-pub(crate) fn parse_binop_name(s: &str) -> Option<BinOp> {
+/// The [`BinOp`] a mnemonic (`add`, `lt`, …) names.
+pub fn parse_binop_name(s: &str) -> Option<BinOp> {
     Some(match s {
         "add" => BinOp::Add,
         "sub" => BinOp::Sub,

@@ -146,7 +146,7 @@ fn excerpt(out: &mut String, listing: &Listing, function: &str, block: u32, inst
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_program_text;
+    use ido_ir::text::parse_program_text;
     use ido_ir::BlockId;
     use ido_vm::FaultKind;
     use ido_verify::Invariant;

@@ -1,4 +1,4 @@
-//! Textual frontend for the iDO reproduction.
+//! The scenario layer of the iDO reproduction's `.ido` files.
 //!
 //! This crate turns `.ido` files into runnable experiments. A file has
 //! two layers:
@@ -8,17 +8,19 @@
 //!    thread/op counts, the schemes to run, the execution tier, the
 //!    scheduler seed, injected bugs, and optionally one crash state — which
 //!    makes the file a crash-oracle reproducer ([`Scenario::reproducer`]).
+//!    This crate parses it ([`parse_scenario`]).
 //! 2. **Program section** — optional: a full textual IR program in the
-//!    canonical format (the pretty-printer's output). When present it
-//!    replaces the workload's built-in program; setup, per-thread
-//!    arguments, and final-state verification still come from the named
-//!    native workload, which is what lets a corpus-driven run be checked
-//!    byte-for-byte against its Rust-builder equivalent.
+//!    canonical format, which `ido-ir` both prints and parses
+//!    (`ido_ir::text`; re-exported here as [`parse_program_text`] and
+//!    [`ParsedProgram`]). When present it replaces the workload's own
+//!    program, which is itself the program section of `corpus/<kind>.ido`;
+//!    setup, per-thread arguments, and final-state verification still come
+//!    from the named native workload.
 //!
-//! Everything that can go wrong carries a byte span: the
-//! [`diag::LangError`] renderer shows the offending line with a caret,
-//! plus secondary labels for two-position errors (duplicate scenario
-//! keys, `regs=` bound violations, call-arity mismatches).
+//! Everything that can go wrong carries a byte span: the [`LangError`]
+//! renderer shows the offending line with a caret, plus secondary labels
+//! for two-position errors (duplicate scenario keys, `regs=` bound
+//! violations, call-arity mismatches).
 //!
 //! The [`explain`] module renders `ido-verify` diagnostics — which point
 //! into the *instrumented* program — against a line-numbered listing, so
@@ -27,13 +29,9 @@
 
 #![warn(missing_docs)]
 
-pub mod diag;
 pub mod explain;
-pub mod lexer;
-pub mod parser;
 pub mod scenario;
 
-pub use diag::{Label, LangError, Span};
 pub use explain::{render_diagnostic, render_fault, Listing};
-pub use parser::{parse_program_text, ParsedProgram};
+pub use ido_ir::text::{parse_program_text, Label, LangError, ParsedProgram, Span};
 pub use scenario::{parse_scenario, scheme_ident, Fault, Scenario, ScenarioSpec, WorkloadKind};

@@ -28,10 +28,9 @@
 //!
 //! The named workload supplies setup, per-thread arguments, and final-state
 //! verification; the program section (when present) replaces only the code.
-//! That split is what lets a corpus-driven run be compared byte-for-byte
-//! against its Rust-builder equivalent: same setup, same verification, the
-//! only moving part is whether the program came from the builder or the
-//! parser.
+//! Without one the workload runs its own program, the program section of
+//! its `corpus/<kind>.ido` file. A reproducer always writes its program out,
+//! so it replays the code it failed on.
 //!
 //! A scenario prints itself (`Display`) in the form it parses from, so a
 //! crash-oracle [`Counterexample`] becomes a file through
@@ -63,9 +62,9 @@ use ido_workloads::{
     WorkloadSpec, LOG_PER_OP,
 };
 
-use crate::diag::{LangError, Span};
-use crate::lexer::{lex, Cursor, Tok};
-use crate::parser::{parse_binop_name, parse_program_tokens, ParsedProgram};
+use ido_ir::text::lexer::{lex, Cursor, Tok};
+use ido_ir::text::parser::{parse_binop_name, parse_program_tokens};
+use ido_ir::text::{LangError, ParsedProgram, Span};
 
 /// Which native workload a scenario drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +164,8 @@ pub fn scheme_ident(scheme: Scheme) -> String {
 /// the way `ido explain` lists the instrumented program: function, block,
 /// instruction index. A `fault` line holds one:
 /// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`,
-/// `stack_overflow FRAME_BYTES`, `call_depth DEPTH` or `spawn BYTES`).
+/// `stack_overflow FRAME_BYTES`, `call_depth DEPTH`, `spawn BYTES` or
+/// `log_full CAPACITY`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The faulting thread.
@@ -204,6 +204,7 @@ impl Fault {
             FaultKind::StackOverflow { frame_bytes } => ("stack_overflow", frame_bytes),
             FaultKind::CallTooDeep { depth } => ("call_depth", depth),
             FaultKind::SpawnFailed { bytes } => ("spawn", bytes),
+            FaultKind::LogFull { capacity } => ("log_full", capacity),
         };
         let Fault { thread, function, block, index, .. } = self;
         format!("thread {thread} at {function} bb{block} {index} {call} {value}")
@@ -808,7 +809,7 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
 
 /// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
 /// `nv_malloc SIZE`, `nv_free ADDR`, `stack_overflow FRAME_BYTES`,
-/// `call_depth DEPTH` or `spawn BYTES`.
+/// `call_depth DEPTH`, `spawn BYTES` or `log_full CAPACITY`.
 fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     c.expect_keyword("thread", "after `fault`")?;
     let (thread, _) = c.expect_u64("as the faulting thread")?;
@@ -829,11 +830,12 @@ fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
         "stack_overflow" => FaultKind::StackOverflow { frame_bytes: value },
         "call_depth" => FaultKind::CallTooDeep { depth: value },
         "spawn" => FaultKind::SpawnFailed { bytes: value },
+        "log_full" => FaultKind::LogFull { capacity: value },
         _ => {
             return Err(LangError::new(
                 format!("unknown fault `{call}`"),
                 span,
-                "expected `nv_malloc`, `nv_free`, `stack_overflow`, `call_depth` or `spawn`",
+                "expected `nv_malloc`, `nv_free`, `stack_overflow`, `call_depth`, `spawn` or `log_full`",
             ))
         }
     };
@@ -1581,6 +1583,8 @@ mod tests {
         assert_eq!(s.fault.unwrap().kind, FaultKind::CallTooDeep { depth: 4096 });
         let s = printed_as_itself(&format!("{header}  fault thread 41 at worker bb0 0 spawn 16480\n}}\n"));
         assert_eq!(s.fault.unwrap().kind, FaultKind::SpawnFailed { bytes: 16480 });
+        let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb3 1 log_full 512\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::LogFull { capacity: 512 });
         for (clause, message, spanned) in [
             ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
             ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),

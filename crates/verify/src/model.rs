@@ -129,10 +129,10 @@ fn probe_layouts() -> Vec<(Invariant, String)> {
     // If reset only zeroes a prefix of the used entries, the next append
     // reconnects the stale tail — a phantom committed transaction on the
     // following recovery (the original Mnemosyne retirement seed bug).
-    log.append(&mut h, LogEntryKind::Redo, 0x10, 0x11, 1);
-    log.append(&mut h, LogEntryKind::Commit, 0x20, 0x21, 2);
+    log.append(&mut h, LogEntryKind::Redo, 0x10, 0x11, 1).expect("the probe log has room");
+    log.append(&mut h, LogEntryKind::Commit, 0x20, 0x21, 2).expect("the probe log has room");
     log.reset(&mut h);
-    log.append(&mut h, LogEntryKind::Redo, 0x30, 0x31, 3);
+    log.append(&mut h, LogEntryKind::Redo, 0x30, 0x31, 3).expect("the probe log has room");
     let recovered = log.scan_len(&mut h);
     if recovered != 1 {
         violations.push((
@@ -148,7 +148,7 @@ fn probe_layouts() -> Vec<(Invariant, String)> {
 
     // Probe 3: retirement interrupted after its first persist must leave
     // the log *empty* to a scanner, not expose the half-cleared contents.
-    log.append(&mut h, LogEntryKind::Commit, 0x40, 0x41, 4);
+    log.append(&mut h, LogEntryKind::Commit, 0x40, 0x41, 4).expect("the probe log has room");
     let mut budget = 1u64; // enough to publish intent, not to clear
     let complete = log.reset_budgeted(&mut h, &mut budget);
     if !complete {
@@ -233,13 +233,13 @@ mod tests {
         let pool = PmemPool::new(PoolConfig { size: 1 << 16, ..PoolConfig::default() });
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 8 };
-        log.append(&mut h, LogEntryKind::Redo, 0x10, 0x11, 1);
-        log.append(&mut h, LogEntryKind::Commit, 0x20, 0x21, 2);
+        log.append(&mut h, LogEntryKind::Redo, 0x10, 0x11, 1).expect("the probe log has room");
+        log.append(&mut h, LogEntryKind::Commit, 0x20, 0x21, 2).expect("the probe log has room");
         // Emulate the buggy reset: clear the len word and entry 0 only.
         h.write_u64(log.entry_addr(0), 0);
         h.write_u64(log.len_addr(), 0);
         // The next append reconnects the stale commit record...
-        log.append(&mut h, LogEntryKind::Redo, 0x30, 0x31, 3);
+        log.append(&mut h, LogEntryKind::Redo, 0x30, 0x31, 3).expect("the probe log has room");
         let recovered = log.scan_len(&mut h);
         // ...which is exactly the condition probe 2 reports on.
         assert_ne!(recovered, 1, "prefix-only retirement must trip the probe");

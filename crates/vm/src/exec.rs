@@ -253,6 +253,13 @@ pub enum FaultKind {
         /// The size of the area in bytes.
         bytes: u64,
     },
+    /// A runtime op could not append to the thread's append log: it holds
+    /// `capacity` entries ([`VmConfig::log_entries`]) and they are all in
+    /// use.
+    LogFull {
+        /// The log's capacity in entries.
+        capacity: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -266,6 +273,9 @@ impl std::fmt::Display for FaultKind {
             FaultKind::CallTooDeep { depth } => write!(f, "call depth exceeds {depth} frames"),
             FaultKind::SpawnFailed { bytes } => {
                 write!(f, "spawn could not allocate a {bytes}-byte thread area")
+            }
+            FaultKind::LogFull { capacity } => {
+                write!(f, "append log full at its {capacity} entries")
             }
         }
     }
@@ -494,6 +504,9 @@ pub struct Vm {
     step_hook: Option<StepHook>,
     /// The [`RunOutcome::Fault`] that stopped the run, if one did.
     fault: Option<RunOutcome>,
+    /// The fault set-up met ([`Vm::setup_failed`]), until a spawn names
+    /// the thread and pc that report it.
+    setup_fault: Option<FaultKind>,
 }
 
 impl std::fmt::Debug for Vm {
@@ -565,6 +578,7 @@ impl Vm {
             steps: 0,
             step_hook: None,
             fault: None,
+            setup_fault: None,
         }
     }
 
@@ -620,12 +634,21 @@ impl Vm {
         r
     }
 
+    /// Records that the workload's set-up could not build its state (a node
+    /// arena the pool cannot hold): a guest fault, not a panic. The next
+    /// [`Vm::spawn`] does not add its thread, and the next
+    /// [`Vm::run_steps`] returns `kind` at that thread's entry pc.
+    pub fn setup_failed(&mut self, kind: FaultKind) {
+        self.setup_fault.get_or_insert(kind);
+    }
+
     /// Spawns a thread executing `func(args...)`.
     ///
     /// A thread whose areas the pool cannot hold is a guest fault, not a
     /// panic: the thread is not added, no later spawn allocates, and the
     /// next [`Vm::run_steps`] returns [`FaultKind::SpawnFailed`] at the
-    /// thread's entry pc.
+    /// thread's entry pc. So does the first spawn after a
+    /// [`Vm::setup_failed`], with the set-up's fault.
     ///
     /// # Panics
     /// Panics if the function does not exist, the argument count is wrong,
@@ -635,11 +658,14 @@ impl Vm {
         let f = self.program.function(fid);
         assert_eq!(f.params().len(), args.len(), "argument count mismatch for `{func}`");
         let idx = self.threads.len();
+        let entry = Pc { func: fid, block: BlockId(0), index: 0 };
+        if let Some(kind) = self.setup_fault.take() {
+            self.fault.get_or_insert(RunOutcome::Fault { thread: ThreadId(idx), pc: entry, kind });
+        }
         if self.fault.is_some() {
             return ThreadId(idx);
         }
         assert!(idx < self.config.max_threads, "thread limit reached");
-        let entry = Pc { func: fid, block: BlockId(0), index: 0 };
 
         // Every scheme's areas, under every scheme: `benchmark/` pins these
         // allocations, stores and write-backs (ROADMAP item 1).
@@ -1378,6 +1404,10 @@ fn exec_cold(
                 Effect::Next => {}
                 Effect::Stay => return None,
                 Effect::Wake(w) => woken = Some(w),
+                Effect::Fault(kind) => {
+                    th.status = Status::Faulted(kind);
+                    return None;
+                }
             }
         }
     }

@@ -183,6 +183,77 @@ fn a_spawn_the_pool_cannot_hold_is_a_fault_at_its_entry() {
     );
 }
 
+/// A set-up that could not build its state reports its fault at the first
+/// spawn's entry, which adds no thread, as a spawn the pool cannot hold does.
+#[test]
+fn a_failed_setup_is_a_fault_at_the_first_spawned_entry() {
+    let inst = compile(Scheme::Ido, |pb| {
+        let mut f = pb.new_function("main", 0);
+        f.ret(None);
+        f.finish().unwrap();
+    });
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        let mut vm = Vm::new(inst.clone(), VmConfig { tier, ..VmConfig::for_tests() });
+        let kind = FaultKind::AllocFailed { size: 1 << 30 };
+        vm.setup_failed(kind);
+        assert_eq!(vm.spawn("main", &[]), ThreadId(0));
+        assert_eq!(vm.spawn("main", &[]), ThreadId(0), "{tier:?}: a later spawn added a thread");
+        let pc = Pc { func: FuncId(0), block: BlockId(0), index: 0 };
+        let fault = RunOutcome::Fault { thread: ThreadId(0), pc, kind };
+        assert_eq!(vm.run(), fault, "{tier:?}");
+        assert_eq!(vm.steps(), 0, "{tier:?}");
+    }
+}
+
+/// A FASE that logs past the append log's capacity stops the run with a
+/// fault at the runtime op that could not append, on both tiers: Atlas's
+/// per-store record, NVML's per-line snapshot and NVThreads' commit batch.
+#[test]
+fn a_full_append_log_is_a_fault_at_the_appending_op() {
+    let capacity = 64;
+    for scheme in [Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
+        let inst = compile(scheme, |pb| {
+            let mut f = pb.new_function("main", 2);
+            let (lock, block) = (f.param(0), f.param(1));
+            let (i, more, addr) = (f.new_reg(), f.new_reg(), f.new_reg());
+            let (head, body, exit) = (f.new_block(), f.new_block(), f.new_block());
+            f.mov(i, 0i64);
+            f.lock(lock);
+            f.jump(head);
+            f.switch_to(head);
+            f.bin(BinOp::Lt, more, i, 2 * capacity as i64);
+            f.branch(more, body, exit);
+            f.switch_to(body);
+            f.bin(BinOp::Mul, addr, i, 8i64);
+            f.bin(BinOp::Add, addr, addr, block);
+            f.store(addr, 0, Operand::Reg(i));
+            f.bin(BinOp::Add, i, i, 1i64);
+            f.jump(head);
+            f.switch_to(exit);
+            f.unlock(lock);
+            f.ret(None);
+            f.finish().unwrap();
+        });
+        for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+            let config = VmConfig { tier, log_entries: capacity, ..VmConfig::for_tests() };
+            let mut vm = Vm::new(inst.clone(), config);
+            let (lock, block) = vm.setup(|h, alloc, _| {
+                (alloc.alloc(h, 8).unwrap(), alloc.alloc(h, 16 * capacity).unwrap())
+            });
+            vm.spawn("main", &[lock as u64, block as u64]);
+            let fault = vm.run();
+            let RunOutcome::Fault { thread: ThreadId(0), pc, kind } = fault else {
+                panic!("{scheme} {tier:?}: {fault:?}");
+            };
+            assert_eq!(kind, FaultKind::LogFull { capacity: capacity as u64 }, "{scheme} {tier:?}");
+            let op = &vm.program().function(pc.func).block(pc.block).insts[pc.index as usize];
+            assert!(matches!(op, Inst::Rt(_)), "{scheme} {tier:?}: faulted at {op:?}");
+            assert_eq!(vm.run_steps(10), fault, "{scheme} {tier:?}: the run stays stopped");
+        }
+    }
+    assert_eq!(FaultKind::LogFull { capacity: 512 }.to_string(), "append log full at its 512 entries");
+}
+
 /// Guest address arithmetic wraps as the machine's does, in debug builds
 /// too, and the pool names the address it refuses.
 #[test]

@@ -10,6 +10,8 @@ use ido_ir::Pc;
 use ido_nvm::root::RootTable;
 use ido_nvm::{PmemHandle, PAddr};
 
+use crate::exec::FaultKind;
+
 /// Maximum locks a thread may hold simultaneously (size of the paper's
 /// `lock_array`).
 pub const LOCK_ARRAY_SLOTS: usize = 64;
@@ -405,21 +407,34 @@ impl AppendLogLayout {
     /// word doubles as the validity marker. The length hint is updated
     /// without a fence.
     ///
-    /// # Panics
-    /// Panics if the log is full.
-    pub fn append(&self, h: &mut PmemHandle, kind: LogEntryKind, a: u64, b: u64, stamp: u64) {
-        self.append_batch(h, [(kind, a, b, stamp)].into_iter());
+    /// # Errors
+    /// [`FaultKind::LogFull`], writing nothing, if the log is full.
+    pub fn append(
+        &self,
+        h: &mut PmemHandle,
+        kind: LogEntryKind,
+        a: u64,
+        b: u64,
+        stamp: u64,
+    ) -> Result<(), FaultKind> {
+        self.append_batch(h, [(kind, a, b, stamp)].into_iter())
     }
 
     /// Appends several entries under a single persist fence (used by NVML's
     /// object-granularity `TX_ADD`, which snapshots a whole cache line, and
     /// NVThreads' commit).
+    ///
+    /// # Errors
+    /// [`FaultKind::LogFull`], writing nothing, if the entries do not fit.
     pub fn append_batch(
         &self,
         h: &mut PmemHandle,
         entries: impl ExactSizeIterator<Item = (LogEntryKind, u64, u64, u64)>,
-    ) {
+    ) -> Result<(), FaultKind> {
         let (n, len) = (self.len(h), entries.len());
+        if n + len > self.capacity {
+            return Err(FaultKind::LogFull { capacity: self.capacity as u64 });
+        }
         h.begin_log();
         for (k, (kind, a, b, stamp)) in entries.enumerate() {
             let e = self.entry_addr(n + k);
@@ -433,6 +448,7 @@ impl AppendLogLayout {
         h.write_u64(self.len_addr(), (n + len) as u64);
         h.end_log();
         h.observe(ido_trace::EventKind::LogAppend, len as u64, (len * APPEND_ENTRY_BYTES) as u64);
+        Ok(())
     }
 
     /// Reads entry `i`.
@@ -597,8 +613,8 @@ mod tests {
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 32 };
         log.reset(&mut h);
-        log.append(&mut h, LogEntryKind::Undo, 100, 7, 1);
-        log.append(&mut h, LogEntryKind::Commit, 0, 0, 2);
+        log.append(&mut h, LogEntryKind::Undo, 100, 7, 1).unwrap();
+        log.append(&mut h, LogEntryKind::Commit, 0, 0, 2).unwrap();
         assert_eq!(log.len(&mut h), 2);
         let (k, a, b, s) = log.read(&mut h, 0);
         assert_eq!(k, Some(LogEntryKind::Undo));
@@ -643,7 +659,8 @@ mod tests {
                 (LogEntryKind::Undo, 5, 6, 0),
             ]
             .into_iter(),
-        );
+        )
+        .unwrap();
         assert_eq!(h.stats().fences - fences_before, 1);
         drop(h);
         pool.crash(0);
@@ -657,7 +674,7 @@ mod tests {
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 32 };
         log.reset(&mut h);
-        log.append(&mut h, LogEntryKind::Undo, 1, 2, 3);
+        log.append(&mut h, LogEntryKind::Undo, 1, 2, 3).unwrap();
         log.reset(&mut h);
         assert_eq!(log.scan_len(&mut h), 0);
         drop(h);
@@ -673,8 +690,8 @@ mod tests {
         let pool = PmemPool::new(PoolConfig::small_for_tests());
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 32 };
-        log.append(&mut h, LogEntryKind::Undo, 1, 2, 3);
-        log.append(&mut h, LogEntryKind::Commit, 0, 0, 4);
+        log.append(&mut h, LogEntryKind::Undo, 1, 2, 3).unwrap();
+        log.append(&mut h, LogEntryKind::Commit, 0, 0, 4).unwrap();
         h.write_u64(log.len_addr(), RESET_SENTINEL);
         h.clwb(log.len_addr());
         h.sfence();
@@ -693,9 +710,9 @@ mod tests {
         let pool = PmemPool::new(PoolConfig::small_for_tests());
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 32 };
-        log.append(&mut h, LogEntryKind::Redo, 100, 7, 1);
-        log.append(&mut h, LogEntryKind::Redo, 108, 9, 2);
-        log.append(&mut h, LogEntryKind::Commit, 0, 0, 3);
+        log.append(&mut h, LogEntryKind::Redo, 100, 7, 1).unwrap();
+        log.append(&mut h, LogEntryKind::Redo, 108, 9, 2).unwrap();
+        log.append(&mut h, LogEntryKind::Commit, 0, 0, 3).unwrap();
         // A reset that crashes after publishing the sentinel but before any
         // entry-zero write-back persisted.
         assert!(!log.reset_budgeted(&mut h, &mut 1), "budget of 1 covers only the sentinel");
@@ -706,7 +723,7 @@ mod tests {
         // Recovery re-runs the reset; stale entries must be purged for good.
         log.reset(&mut h);
         assert_eq!(h.read_u64(log.len_addr()), 0);
-        log.append(&mut h, LogEntryKind::Undo, 200, 1, 9);
+        log.append(&mut h, LogEntryKind::Undo, 200, 1, 9).unwrap();
         assert_eq!(
             log.scan_len(&mut h),
             1,
@@ -722,7 +739,7 @@ mod tests {
         let mut h = pool.handle();
         let log = AppendLogLayout { base: 4096, capacity: 8 };
         for i in 0..5 {
-            log.append(&mut h, LogEntryKind::Undo, i, i, i);
+            log.append(&mut h, LogEntryKind::Undo, i, i, i).unwrap();
         }
         assert!(!log.reset_budgeted(&mut h, &mut 3));
         // Once interrupted, a resume purges the full capacity (8 entries)

@@ -91,6 +91,9 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 /// stops the run with a panic naming the thread.
 pub const MAX_CLOCK_NS: u64 = (1 << (64 - INDEX_BITS)) - 2;
 
+// The text format rejects a single delay past this range.
+const _: () = assert!(MAX_CLOCK_NS == ido_ir::text::MAX_DELAY_NS);
+
 /// Ready key of a thread that cannot run (blocked or done); above every
 /// runnable key.
 pub(crate) const NOT_READY: u64 = u64::MAX;

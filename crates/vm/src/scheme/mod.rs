@@ -16,7 +16,7 @@ use ido_nvm::root::RootTable;
 use ido_nvm::{PAddr, PmemHandle, PmemPool};
 use ido_trace::{EventKind, RecoveryPhase};
 
-use crate::exec::{Frame, Status, VmConfig};
+use crate::exec::{FaultKind, Frame, Status, VmConfig};
 use crate::layout::{Registry, RegistryEntry};
 use crate::locks::{LockTable, ThreadId};
 use crate::recovery::{RecoveryConfig, RecoveryReport};
@@ -264,6 +264,8 @@ pub(crate) enum Effect {
     Stay,
     /// Fall through, and wake the waiter the op handed its lock to.
     Wake(ThreadId),
+    /// The op could not run; the thread faults with the pc on it.
+    Fault(FaultKind),
 }
 
 /// Executes one scheme runtime op. FASE entry and exit are observed here

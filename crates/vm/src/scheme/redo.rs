@@ -13,7 +13,7 @@ use ido_nvm::{PAddr, PmemHandle};
 use ido_trace::{Category, EventKind, RecoveryPhase};
 
 use super::{Effect, RecoverCx, RtCx, Stamp};
-use crate::exec::{Status, VmConfig, GLOBAL_TX_LOCK};
+use crate::exec::{FaultKind, Status, VmConfig, GLOBAL_TX_LOCK};
 use crate::layout::{AppendLogLayout, LogEntryKind};
 use crate::locks::{Acquire, ThreadId};
 
@@ -186,7 +186,11 @@ impl NvthreadsThread {
                 self.tx.begin();
                 self.dirty_pages.clear();
             }
-            RtOp::FaseEnd => self.commit(cx.handle, stamp.next(), cx.config),
+            RtOp::FaseEnd => {
+                if let Err(fault) = self.commit(cx.handle, stamp.next(), cx.config) {
+                    return Effect::Fault(fault);
+                }
+            }
             &RtOp::StoreRecord { target, .. } => {
                 let addr = cx.frame.target_addr(target);
                 self.touch(cx.handle, addr, cx.config);
@@ -203,7 +207,7 @@ impl NvthreadsThread {
         }
     }
 
-    fn commit(&mut self, h: &mut PmemHandle, stamp: u64, config: &VmConfig) {
+    fn commit(&mut self, h: &mut PmemHandle, stamp: u64, config: &VmConfig) -> Result<(), FaultKind> {
         let pages = self.dirty_pages.len() as u64;
         let log = self.tx.log;
         // Drain the write set in ascending address order for both the log
@@ -214,9 +218,9 @@ impl NvthreadsThread {
         h.advance_as(Category::Log, pages * config.page_log_ns);
         if !writes.is_empty() {
             let entries = writes.iter().map(|&(a, v)| (LogEntryKind::Redo, a as u64, v, stamp));
-            log.append_batch(h, entries);
+            log.append_batch(h, entries)?;
         }
-        log.append(h, LogEntryKind::Commit, 0, 0, stamp);
+        log.append(h, LogEntryKind::Commit, 0, 0, stamp)?;
         // Publish the write set in place, persist, then retire the log.
         for &(addr, v) in writes {
             h.write_u64(addr, v);
@@ -225,6 +229,7 @@ impl NvthreadsThread {
         h.sfence();
         log.reset(h);
         self.dirty_pages.clear();
+        Ok(())
     }
 }
 

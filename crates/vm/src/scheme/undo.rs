@@ -13,7 +13,7 @@ use ido_nvm::{PAddr, PmemHandle};
 use ido_trace::{Category, RecoveryPhase};
 
 use super::{flush_stores, Effect, RecoverCx, RtCx, Stamp};
-use crate::exec::VmConfig;
+use crate::exec::{FaultKind, VmConfig};
 use crate::layout::{AppendLogLayout, LogEntryKind};
 
 /// An Atlas or NVML thread's volatile state.
@@ -62,25 +62,25 @@ impl Runtime {
 
 impl UndoThread {
     pub(super) fn rt(&mut self, shared: &mut Runtime, cx: &mut RtCx<'_>, op: &RtOp) -> Effect {
-        match op {
+        let appended = match op {
             RtOp::FaseBegin => {
                 self.fase_stores.clear();
                 self.nvml_added.clear();
-                self.log.append(cx.handle, LogEntryKind::FaseBegin, 0, 0, shared.stamp.next());
+                self.log.append(cx.handle, LogEntryKind::FaseBegin, 0, 0, shared.stamp.next())
             }
             RtOp::FaseEnd => {
                 let stamp = shared.stamp.next();
                 // UNDO systems defer the FASE's writes-back to here.
                 flush_stores(cx.handle, &mut self.fase_stores);
                 cx.handle.sfence();
-                self.log.append(cx.handle, LogEntryKind::Commit, 0, 0, stamp);
+                self.log.append(cx.handle, LogEntryKind::Commit, 0, 0, stamp)
             }
             &RtOp::StoreRecord { target, .. } => {
                 let addr = cx.frame.target_addr(target);
                 if self.atlas {
-                    self.atlas_undo(shared, cx.handle, cx.config, addr);
+                    self.atlas_undo(shared, cx.handle, cx.config, addr)
                 } else {
-                    self.nvml_tx_add(shared, cx.handle, addr);
+                    self.nvml_tx_add(shared, cx.handle, addr)
                 }
             }
             &RtOp::LockAcquired { lock } if self.atlas => {
@@ -88,25 +88,31 @@ impl UndoThread {
                 let observed = *shared.lock_release_stamps.get(&l).unwrap_or(&0);
                 let stamp = shared.stamp.next();
                 let record = (LogEntryKind::LockAcquire, l, observed, stamp);
-                self.atlas_lock_record(shared, cx.handle, cx.config, record);
+                self.atlas_lock_record(shared, cx.handle, cx.config, record)
             }
             &RtOp::LockReleasing { lock } if self.atlas => {
                 let l = cx.frame.eval(lock);
                 let stamp = shared.stamp.next();
                 shared.lock_release_stamps.insert(l, stamp);
                 let record = (LogEntryKind::LockRelease, l, stamp, stamp);
-                self.atlas_lock_record(shared, cx.handle, cx.config, record);
+                self.atlas_lock_record(shared, cx.handle, cx.config, record)
             }
             _ => return super::foreign(op, if self.atlas { "Atlas" } else { "NVML" }),
-        }
-        Effect::Next
+        };
+        appended.map_or_else(Effect::Fault, |()| Effect::Next)
     }
 
-    fn atlas_undo(&self, shared: &mut Runtime, h: &mut PmemHandle, config: &VmConfig, addr: PAddr) {
+    fn atlas_undo(
+        &self,
+        shared: &mut Runtime,
+        h: &mut PmemHandle,
+        config: &VmConfig,
+        addr: PAddr,
+    ) -> Result<(), FaultKind> {
         let stamp = shared.stamp.next();
         h.advance_as(Category::Log, config.atlas_tracking_ns);
         let old = h.read_u64(addr);
-        self.log.append(h, LogEntryKind::Undo, addr as u64, old, stamp);
+        self.log.append(h, LogEntryKind::Undo, addr as u64, old, stamp)
     }
 
     /// A lock-tracking event: serialize on Atlas's internal runtime
@@ -119,27 +125,27 @@ impl UndoThread {
         h: &mut PmemHandle,
         config: &VmConfig,
         (kind, a, b, stamp): (LogEntryKind, u64, u64, u64),
-    ) {
+    ) -> Result<(), FaultKind> {
         let now = h.clock_ns().max(shared.rt_available);
         h.set_clock_ns(now);
         shared.rt_available = now + config.atlas_rt_serial_ns;
         h.advance_as(Category::Log, config.atlas_tracking_ns);
-        self.log.append(h, kind, a, b, stamp);
+        self.log.append(h, kind, a, b, stamp)
     }
 
-    fn nvml_tx_add(&mut self, shared: &mut Runtime, h: &mut PmemHandle, addr: PAddr) {
+    fn nvml_tx_add(&mut self, shared: &mut Runtime, h: &mut PmemHandle, addr: PAddr) -> Result<(), FaultKind> {
         // Object granularity: snapshot the containing cache line once per
         // FASE (`TX_ADD` deduplicates by range).
         let obj = addr & !63;
         if !self.nvml_added.insert(obj) {
-            return;
+            return Ok(());
         }
         let stamp = shared.stamp.next();
         let entries = std::array::from_fn::<_, 8, _>(|w| {
             let a = obj + w * 8;
             (LogEntryKind::Undo, a as u64, h.read_u64(a), stamp)
         });
-        self.log.append_batch(h, entries.into_iter()); // one fence per object
+        self.log.append_batch(h, entries.into_iter()) // one fence per object
     }
 }
 

@@ -90,8 +90,8 @@ pub trait WorkloadSpec: Sync {
     /// Display name.
     fn name(&self) -> String;
 
-    /// Builds the (uninstrumented) program; must define a `worker`
-    /// function.
+    /// The (uninstrumented) program, which defines a `worker` function:
+    /// for the native specs, the program section of their corpus file.
     fn build_program(&self) -> Program;
 
     /// Initializes persistent structures (including pre-allocated node

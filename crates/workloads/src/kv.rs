@@ -12,23 +12,24 @@
 //!   programmer-delineated durable regions (the NVML-style annotations the
 //!   paper builds on), `get`s run outside FASEs; 80% get / 20% put with a
 //!   power-law key distribution over a configurable key range.
+//!
+//! The programs are `corpus/memcached.ido` and `corpus/redis.ido`. Each
+//! operation pays a 300 ns `delay` for what the IR does not model: a
+//! Memcached op's item bookkeeping and LRU maintenance, inside the global
+//! lock, and a Redis op's command dispatch, before any durable region. Both
+//! open their metrics span (`op_begin`, kind 1 = get, 2 = put) before the
+//! lock, so a recorded latency includes the queueing behind it.
 
-use ido_ir::{BinOp, BlockId, FunctionBuilder, Operand, Program, ProgramBuilder, Reg};
+use ido_ir::Program;
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{PmemHandle, PAddr};
 use ido_vm::Vm;
 
 use crate::harness::WorkloadSpec;
-use crate::util::{emit_arena_take, emit_bucket_hash, emit_powerlaw_key, emit_uniform_key, emit_xorshift};
+use crate::{corpus_program, node_arena};
 
 // Item layout mirrors a real cache item: link, key, value, flags, cas id,
 // and an expiry/LRU timestamp.
-const NEXT: i64 = 0;
-const KEY: i64 = 8;
-const VAL: i64 = 16;
-const FLAGS: i64 = 24;
-const CAS: i64 = 32;
-const EXP: i64 = 40;
 const ITEM_BYTES: i64 = 48;
 
 fn build_chain_node(h: &mut PmemHandle, alloc: &NvAllocator, key: i64, value: u64, next: PAddr) -> PAddr {
@@ -64,124 +65,6 @@ fn build_table(h: &mut PmemHandle, alloc: &NvAllocator, buckets: u64, range: u64
     directory
 }
 
-/// Emits `sentinel-less` sorted-chain search: positions `(pred_slot, succ)`
-/// where `pred_slot` is the *address of the pointer* to `succ` (the bucket
-/// head slot or a node's next field). Returns `(pred_slot, succ)` registers
-/// valid in `at_pos`, to which control falls through.
-fn emit_chain_search(
-    f: &mut FunctionBuilder<'_>,
-    head_slot: Reg,
-    key: Reg,
-) -> (Reg, Reg, BlockId) {
-    let walk = f.new_block();
-    let check = f.new_block();
-    let step = f.new_block();
-    let at_pos = f.new_block();
-
-    let pred_slot = f.new_reg();
-    f.mov(pred_slot, Operand::Reg(head_slot));
-    f.jump(walk);
-
-    f.switch_to(walk);
-    let succ = f.new_reg();
-    f.load(succ, pred_slot, 0);
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, succ, 0i64);
-    f.branch(is_end, at_pos, check);
-
-    f.switch_to(check);
-    let sk = f.new_reg();
-    f.load(sk, succ, KEY);
-    let ge = f.new_reg();
-    f.bin(BinOp::Ge, ge, sk, key);
-    f.branch(ge, at_pos, step);
-
-    f.switch_to(step);
-    // pred_slot = &succ->next
-    f.bin(BinOp::Add, pred_slot, succ, NEXT);
-    f.jump(walk);
-
-    f.switch_to(at_pos);
-    (pred_slot, succ, at_pos)
-}
-
-/// Emits a chain `put` (update-or-insert) from `at_pos`; continues at
-/// `cont`.
-fn emit_chain_put(
-    f: &mut FunctionBuilder<'_>,
-    pred_slot: Reg,
-    succ: Reg,
-    key: Reg,
-    value: Reg,
-    arena: Reg,
-    cont: BlockId,
-) {
-    let check = f.new_block();
-    let update = f.new_block();
-    let insert = f.new_block();
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, succ, 0i64);
-    f.branch(is_end, insert, check);
-
-    f.switch_to(check);
-    let sk = f.new_reg();
-    f.load(sk, succ, KEY);
-    let eq = f.new_reg();
-    f.bin(BinOp::Eq, eq, sk, key);
-    f.branch(eq, update, insert);
-
-    f.switch_to(update);
-    // A set on an existing item rewrites value, CAS id, and expiry.
-    f.store(succ, VAL, Operand::Reg(value));
-    f.store(succ, CAS, Operand::Reg(value));
-    f.store(succ, EXP, Operand::Reg(key));
-    f.jump(cont);
-
-    f.switch_to(insert);
-    let node = f.new_reg();
-    emit_arena_take(f, node, arena, ITEM_BYTES);
-    f.store(node, NEXT, Operand::Reg(succ));
-    f.store(node, KEY, Operand::Reg(key));
-    f.store(node, VAL, Operand::Reg(value));
-    f.store(node, FLAGS, 1i64);
-    f.store(node, CAS, Operand::Reg(value));
-    f.store(node, EXP, Operand::Reg(key));
-    f.store(pred_slot, 0, Operand::Reg(node));
-    f.jump(cont);
-}
-
-/// Emits a chain `get` from `at_pos`; continues at `cont`.
-fn emit_chain_get(f: &mut FunctionBuilder<'_>, succ: Reg, key: Reg, cont: BlockId) {
-    let check = f.new_block();
-    let found = f.new_block();
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, succ, 0i64);
-    f.branch(is_end, cont, check);
-
-    f.switch_to(check);
-    let sk = f.new_reg();
-    f.load(sk, succ, KEY);
-    let eq = f.new_reg();
-    f.bin(BinOp::Eq, eq, sk, key);
-    f.branch(eq, found, cont);
-
-    f.switch_to(found);
-    let v = f.new_reg();
-    f.load(v, succ, VAL);
-    f.jump(cont);
-}
-
-/// Emits `slot = &directory[1 + bucket(key)]`.
-fn emit_bucket_slot(f: &mut FunctionBuilder<'_>, slot: Reg, directory: Reg, key: Reg, n_buckets: Reg) {
-    let b = f.new_reg();
-    emit_bucket_hash(f, b, key, n_buckets);
-    let off = f.new_reg();
-    f.bin(BinOp::Mul, off, b, 8i64);
-    let base = f.new_reg();
-    f.bin(BinOp::Add, base, directory, 8i64);
-    f.bin(BinOp::Add, slot, base, Operand::Reg(off));
-}
-
 /// The Memcached-like workload.
 pub mod memcached {
     use super::*;
@@ -203,11 +86,6 @@ pub mod memcached {
         pub fn insertion_intensive() -> Self {
             MemcachedSpec { buckets: 256, key_range: 4096, put_permille: 500 }
         }
-
-        /// The paper's search-intensive mix (10% set / 90% get).
-        pub fn search_intensive() -> Self {
-            MemcachedSpec { buckets: 256, key_range: 4096, put_permille: 100 }
-        }
     }
 
     impl WorkloadSpec for MemcachedSpec {
@@ -216,88 +94,11 @@ pub mod memcached {
         }
 
         fn build_program(&self) -> Program {
-            let mut pb = ProgramBuilder::new();
-            let mut f = pb.new_function("worker", 8);
-            let lock = f.param(0);
-            let directory = f.param(1);
-            let x = f.param(2);
-            let n_ops = f.param(3);
-            let range = f.param(4);
-            let n_buckets = f.param(5);
-            let put_permille = f.param(6);
-            let arena = f.param(7);
-
-            let i = f.new_reg();
-            let head = f.new_block();
-            let body = f.new_block();
-            let cont = f.new_block();
-            let exit = f.new_block();
-
-            f.mov(i, 0i64);
-            f.jump(head);
-
-            f.switch_to(head);
-            let c = f.new_reg();
-            f.bin(BinOp::Lt, c, i, n_ops);
-            f.branch(c, body, exit);
-
-            f.switch_to(body);
-            emit_xorshift(&mut f, x);
-            let key = f.new_reg();
-            emit_uniform_key(&mut f, key, x, range);
-            let sel = f.new_reg();
-            let shifted = f.new_reg();
-            f.bin(BinOp::Shr, shifted, x, 9i64);
-            f.bin(BinOp::And, sel, shifted, 1023i64);
-            let is_put = f.new_reg();
-            f.bin(BinOp::Lt, is_put, sel, put_permille);
-            // Metrics span: kind 1 = get, 2 = put. Opened before the lock
-            // so the recorded latency includes queueing behind it.
-            let op_kind = f.new_reg();
-            f.bin(BinOp::Add, op_kind, is_put, 1i64);
-            f.op_begin(op_kind);
-
-            // Whole operation under the global lock (Memcached 1.2.4).
-            f.lock(lock);
-            // Item bookkeeping and LRU maintenance happen under the lock in
-            // Memcached 1.2.4; this is the serialized compute of a real op.
-            f.delay(300);
-            let slot = f.new_reg();
-            emit_bucket_slot(&mut f, slot, directory, key, n_buckets);
-            let put_blk = f.new_block();
-            let get_blk = f.new_block();
-            let unlock_blk = f.new_block();
-            f.branch(is_put, put_blk, get_blk);
-
-            f.switch_to(put_blk);
-            let (pred_slot, succ, _at) = emit_chain_search(&mut f, slot, key);
-            emit_chain_put(&mut f, pred_slot, succ, key, x, arena, unlock_blk);
-
-            f.switch_to(get_blk);
-            let (_ps2, succ2, _at2) = emit_chain_search(&mut f, slot, key);
-            emit_chain_get(&mut f, succ2, key, unlock_blk);
-
-            f.switch_to(unlock_blk);
-            f.unlock(lock);
-            f.jump(cont);
-
-            f.switch_to(cont);
-            f.op_end(op_kind);
-            f.bin(BinOp::Add, i, i, 1i64);
-            f.jump(head);
-
-            f.switch_to(exit);
-            f.ret(None);
-            f.finish().expect("memcached worker verifies");
-            pb.finish()
+            corpus_program("memcached")
         }
 
         fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-            let arena = vm.setup(|h, alloc, _| {
-                alloc
-                    .alloc(h, (threads as u64 * ops * ITEM_BYTES as u64) as usize)
-                    .expect("node arena")
-            });
+            let arena = node_arena(vm, threads, ops, ITEM_BYTES as u64);
             let (buckets, range) = (self.buckets, self.key_range);
             vm.setup(|h, alloc, _| {
                 let lock = alloc.alloc(h, 8).expect("lock holder");
@@ -356,86 +157,11 @@ pub mod redis {
         }
 
         fn build_program(&self) -> Program {
-            let mut pb = ProgramBuilder::new();
-            let mut f = pb.new_function("worker", 7);
-            let directory = f.param(0);
-            let x = f.param(1);
-            let n_ops = f.param(2);
-            let range = f.param(3);
-            let n_buckets = f.param(4);
-            let put_permille = f.param(5);
-            let arena = f.param(6);
-
-            let i = f.new_reg();
-            let head = f.new_block();
-            let body = f.new_block();
-            let cont = f.new_block();
-            let exit = f.new_block();
-
-            f.mov(i, 0i64);
-            f.jump(head);
-
-            f.switch_to(head);
-            let c = f.new_reg();
-            f.bin(BinOp::Lt, c, i, n_ops);
-            f.branch(c, body, exit);
-
-            f.switch_to(body);
-            // Command dispatch + object handling cost of a real Redis op.
-            f.delay(300);
-            emit_xorshift(&mut f, x);
-            let key = f.new_reg();
-            emit_powerlaw_key(&mut f, key, x, range);
-            let sel = f.new_reg();
-            let shifted = f.new_reg();
-            f.bin(BinOp::Shr, shifted, x, 9i64);
-            f.bin(BinOp::And, sel, shifted, 1023i64);
-            let is_put = f.new_reg();
-            f.bin(BinOp::Lt, is_put, sel, put_permille);
-            // Metrics span: kind 1 = get, 2 = put.
-            let op_kind = f.new_reg();
-            f.bin(BinOp::Add, op_kind, is_put, 1i64);
-            f.op_begin(op_kind);
-
-            let slot = f.new_reg();
-            emit_bucket_slot(&mut f, slot, directory, key, n_buckets);
-            let put_blk = f.new_block();
-            let get_blk = f.new_block();
-            f.branch(is_put, put_blk, get_blk);
-
-            // put: search + mutate inside a durable region — a long FASE
-            // with few persistent writes, as the paper describes.
-            f.switch_to(put_blk);
-            f.durable_begin();
-            let (pred_slot, succ, _at) = emit_chain_search(&mut f, slot, key);
-            let end_put = f.new_block();
-            emit_chain_put(&mut f, pred_slot, succ, key, x, arena, end_put);
-            f.switch_to(end_put);
-            f.durable_end();
-            f.jump(cont);
-
-            // get: persistent reads outside FASEs are allowed (race-free).
-            f.switch_to(get_blk);
-            let (_ps, succ2, _at2) = emit_chain_search(&mut f, slot, key);
-            emit_chain_get(&mut f, succ2, key, cont);
-
-            f.switch_to(cont);
-            f.op_end(op_kind);
-            f.bin(BinOp::Add, i, i, 1i64);
-            f.jump(head);
-
-            f.switch_to(exit);
-            f.ret(None);
-            f.finish().expect("redis worker verifies");
-            pb.finish()
+            corpus_program("redis")
         }
 
         fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-            let arena = vm.setup(|h, alloc, _| {
-                alloc
-                    .alloc(h, (threads as u64 * ops * ITEM_BYTES as u64) as usize)
-                    .expect("node arena")
-            });
+            let arena = node_arena(vm, threads, ops, ITEM_BYTES as u64);
             let (buckets, range) = (self.buckets, self.key_range);
             vm.setup(|h, alloc, _| {
                 let directory = build_table(h, alloc, buckets, range);

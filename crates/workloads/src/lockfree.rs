@@ -1,8 +1,9 @@
 //! Lock-free persistent workloads over the recoverable-CAS family
 //! (`Scheme::Nvtraverse` / `Scheme::LfEager`, see `ido-lockfree`).
 //!
-//! These specs express the NVTraverse-style sorted list and hash map as IR
-//! programs, so the full pipeline runs on them: `instrument_lockfree`
+//! These specs drive the NVTraverse-style sorted list and hash map, whose
+//! IR programs are `corpus/lf_list.ido` and `corpus/lf_map.ido`, so the
+//! full pipeline runs on them: `instrument_lockfree`
 //! wraps every `Inst::Cas` with flush-window / prepare / publish runtime
 //! ops, the VM executes the recoverable-CAS protocol (both tiers — tier 2
 //! deopts at `Cas`, so the tiers agree by construction), and recovery
@@ -22,132 +23,29 @@
 //!   either panics the verifier. This is the linearizability obligation
 //!   of ISSUE 9 reduced to a checkable per-thread prefix property.
 
-use ido_ir::{BinOp, FunctionBuilder, Operand, Program, ProgramBuilder, Reg};
-use ido_lockfree::{align64, LfState, NvtList, NvtMap, NODE_BYTES, NODE_KEY, NODE_NEXT, NODE_NEXT_TAG, NODE_VAL};
+use ido_ir::Program;
+use ido_lockfree::{align64, LfState, NvtList, NvtMap, NODE_BYTES, NODE_KEY, NODE_NEXT, NODE_VAL};
 use ido_nvm::{PAddr, PmemHandle};
 use ido_vm::layout::Registry;
-use ido_vm::Vm;
+use ido_vm::{FaultKind, Vm};
 
 use crate::harness::WorkloadSpec;
-use crate::util::{emit_bucket_hash, emit_xorshift};
-
-/// Emits a lock-free sorted-list insert of `key`/`val` into the chain
-/// anchored at the sentinel node in `head`. Allocates a 64-byte node from
-/// `arena` (the arena base is line-aligned and slots are 64 B, so every
-/// node is line-aligned — the cell `[next, tag]` pair must share a line
-/// for the recoverable-CAS tag witness to be sound), initializes it, then
-/// loops: traverse to the insertion point, link, CAS the predecessor's
-/// next cell. A failed CAS (a racing insert changed the predecessor)
-/// retries from the head. Keys are unique by construction, so there is no
-/// duplicate path. Control continues at `cont` once the CAS is taken.
-fn emit_lf_insert(
-    f: &mut FunctionBuilder<'_>,
-    head: Reg,
-    key: Reg,
-    val: Reg,
-    arena: Reg,
-    cont: ido_ir::BlockId,
-) {
-    let retry = f.new_block();
-    let walk = f.new_block();
-    let chk = f.new_block();
-    let step = f.new_block();
-    let at_pos = f.new_block();
-
-    let node = f.new_reg();
-    crate::util::emit_arena_take(f, node, arena, NODE_BYTES as i64);
-    f.store(node, NODE_KEY as i64, Operand::Reg(key));
-    f.store(node, NODE_VAL as i64, Operand::Reg(val));
-    f.store(node, NODE_NEXT_TAG as i64, 0i64);
-    f.jump(retry);
-
-    f.switch_to(retry);
-    let pred = f.new_reg();
-    let cur = f.new_reg();
-    f.mov(pred, Operand::Reg(head));
-    f.load(cur, pred, NODE_NEXT as i64);
-    f.jump(walk);
-
-    // walk: stop at end-of-chain or at the first key >= ours.
-    f.switch_to(walk);
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, cur, 0i64);
-    f.branch(is_end, at_pos, chk);
-
-    f.switch_to(chk);
-    let ck = f.new_reg();
-    f.load(ck, cur, NODE_KEY as i64);
-    let ge = f.new_reg();
-    f.bin(BinOp::Ge, ge, ck, key);
-    f.branch(ge, at_pos, step);
-
-    f.switch_to(step);
-    f.mov(pred, Operand::Reg(cur));
-    f.load(cur, pred, NODE_NEXT as i64);
-    f.jump(walk);
-
-    // at_pos: link the node, then the critical write. Instrumentation
-    // inserts LfFlushWindow + LfCasPrepare immediately before the Cas
-    // (persisting the node contents and every traversed line first) and
-    // LfCasPublish immediately after.
-    f.switch_to(at_pos);
-    f.store(node, NODE_NEXT as i64, Operand::Reg(cur));
-    let taken = f.new_reg();
-    f.cas(taken, pred, NODE_NEXT as i64, Operand::Reg(cur), Operand::Reg(node));
-    f.branch(taken, cont, retry);
-}
-
-/// Emits a lock-free lookup of `key` in the chain anchored at `head`:
-/// walk to the first key >= ours, load the value on a hit. Loads are
-/// tracked into the flush window under NVTraverse (and flushed by the
-/// next CAS's window flush), untracked under LF-Eager.
-fn emit_lf_lookup(f: &mut FunctionBuilder<'_>, head: Reg, key: Reg, cont: ido_ir::BlockId) {
-    let walk = f.new_block();
-    let chk = f.new_block();
-    let step = f.new_block();
-    let at = f.new_block();
-    let hit = f.new_block();
-
-    let cur = f.new_reg();
-    f.load(cur, head, NODE_NEXT as i64);
-    f.jump(walk);
-
-    f.switch_to(walk);
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, cur, 0i64);
-    f.branch(is_end, cont, chk);
-
-    f.switch_to(chk);
-    let ck = f.new_reg();
-    f.load(ck, cur, NODE_KEY as i64);
-    let ge = f.new_reg();
-    f.bin(BinOp::Ge, ge, ck, key);
-    f.branch(ge, at, step);
-
-    f.switch_to(step);
-    f.load(cur, cur, NODE_NEXT as i64);
-    f.jump(walk);
-
-    f.switch_to(at);
-    let eq = f.new_reg();
-    f.bin(BinOp::Eq, eq, ck, key);
-    f.branch(eq, hit, cont);
-
-    f.switch_to(hit);
-    let v = f.new_reg();
-    f.load(v, cur, NODE_VAL as i64);
-    f.jump(cont);
-}
+use crate::{arena_or_fault, corpus_program};
 
 /// Allocates a line-aligned per-run node arena: `threads × ops` 64-byte
-/// slots. Separate from `micro::alloc_arena` because lock-free nodes
-/// *must* start on a cache-line boundary (the over-allocated alignment
-/// padding is leaked, like that of `NvtList::create`'s sentinel — see DESIGN.md
-/// §13's caveats).
-fn alloc_lf_arena(h: &mut PmemHandle, alloc: &ido_nvm::alloc::NvAllocator, threads: usize, ops: u64) -> PAddr {
-    let total = threads as u64 * ops * NODE_BYTES as u64;
-    let raw = alloc.alloc(h, total as usize + 64).expect("lock-free node arena");
-    align64(raw)
+/// slots. Separate from [`node_arena`](crate::node_arena) because lock-free
+/// nodes *must* start on a cache-line boundary (the over-allocated
+/// alignment padding is leaked, like that of `NvtList::create`'s sentinel —
+/// see DESIGN.md §13's caveats). One the pool cannot hold is the fault the
+/// caller hands to [`arena_or_fault`].
+fn alloc_lf_arena(
+    h: &mut PmemHandle,
+    alloc: &ido_nvm::alloc::NvAllocator,
+    threads: usize,
+    ops: u64,
+) -> Result<PAddr, FaultKind> {
+    let total = threads as u64 * ops * NODE_BYTES as u64 + 64;
+    alloc.alloc(h, total as usize).map(align64).map_err(|_| FaultKind::AllocFailed { size: total })
 }
 
 /// Walks every chain of the structure, enforcing the odd-value invariant,
@@ -212,52 +110,15 @@ impl WorkloadSpec for LfListSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 4);
-        let head = f.param(0);
-        let tid = f.param(1);
-        let n_ops = f.param(2);
-        let arena = f.param(3);
-
-        let i = f.new_reg();
-        let loop_head = f.new_block();
-        let body = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(loop_head);
-
-        f.switch_to(loop_head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        let key = f.new_reg();
-        f.bin(BinOp::Shl, key, i, 8i64);
-        f.bin(BinOp::Or, key, key, tid);
-        let val = f.new_reg();
-        f.bin(BinOp::Mul, val, key, 2i64);
-        f.bin(BinOp::Add, val, val, 1i64);
-        emit_lf_insert(&mut f, head, key, val, arena, cont);
-
-        f.switch_to(cont);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(loop_head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("lf-list worker verifies");
-        pb.finish()
+        corpus_program("lf_list")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        vm.setup(|h, alloc, _| {
+        let (head, arena) = vm.setup(|h, alloc, _| {
             let list = NvtList::create(h, alloc).expect("lf list");
-            let arena = alloc_lf_arena(h, alloc, threads, ops);
-            vec![list.head as u64, arena as u64, ops * NODE_BYTES as u64]
-        })
+            (list.head, alloc_lf_arena(h, alloc, threads, ops))
+        });
+        vec![head as u64, arena_or_fault(vm, arena) as u64, ops * NODE_BYTES as u64]
     }
 
     fn worker_args(&self, base: &[u64], thread: usize, ops: u64) -> Vec<u64> {
@@ -310,102 +171,16 @@ impl WorkloadSpec for LfMapSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 8);
-        let dir = f.param(0); // [n_buckets][head_0]...
-        let tid = f.param(1);
-        let n_ops = f.param(2);
-        let x = f.param(3);
-        let n_buckets = f.param(4);
-        let range_scaled = f.param(5); // key_range << 8
-        let put_pm = f.param(6);
-        let arena = f.param(7);
-
-        let i = f.new_reg();
-        let seq = f.new_reg();
-        let loop_head = f.new_block();
-        let body = f.new_block();
-        let put_path = f.new_block();
-        let get_path = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.mov(seq, 0i64);
-        f.jump(loop_head);
-
-        f.switch_to(loop_head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        emit_xorshift(&mut f, x);
-        // op kind: ((x >> 3) mod 1000) < put_permille
-        let r = f.new_reg();
-        f.bin(BinOp::Shr, r, x, 3i64);
-        let rm = f.new_reg();
-        f.bin(BinOp::And, rm, r, 0x7FFF_FFFFi64);
-        let pm = f.new_reg();
-        f.bin(BinOp::Rem, pm, rm, 1000i64);
-        let is_put = f.new_reg();
-        f.bin(BinOp::Lt, is_put, pm, put_pm);
-        f.branch(is_put, put_path, get_path);
-
-        // put: key = (seq << 8) | tid, advancing the per-thread sequence.
-        f.switch_to(put_path);
-        let pkey = f.new_reg();
-        f.bin(BinOp::Shl, pkey, seq, 8i64);
-        f.bin(BinOp::Or, pkey, pkey, tid);
-        f.bin(BinOp::Add, seq, seq, 1i64);
-        let pval = f.new_reg();
-        f.bin(BinOp::Mul, pval, pkey, 2i64);
-        f.bin(BinOp::Add, pval, pval, 1i64);
-        let pb_ = f.new_reg();
-        emit_bucket_hash(&mut f, pb_, pkey, n_buckets);
-        let poff = f.new_reg();
-        f.bin(BinOp::Mul, poff, pb_, 8i64);
-        let pslot = f.new_reg();
-        f.bin(BinOp::Add, pslot, dir, Operand::Reg(poff));
-        let phead = f.new_reg();
-        f.load(phead, pslot, 8);
-        emit_lf_insert(&mut f, phead, pkey, pval, arena, cont);
-
-        // get: uniform key over the scaled space, decorrelated bits.
-        f.switch_to(get_path);
-        let gkey = f.new_reg();
-        let gr = f.new_reg();
-        f.bin(BinOp::Shr, gr, x, 13i64);
-        let grm = f.new_reg();
-        f.bin(BinOp::And, grm, gr, 0x7FFF_FFFFi64);
-        f.bin(BinOp::Rem, gkey, grm, range_scaled);
-        let gb = f.new_reg();
-        emit_bucket_hash(&mut f, gb, gkey, n_buckets);
-        let goff = f.new_reg();
-        f.bin(BinOp::Mul, goff, gb, 8i64);
-        let gslot = f.new_reg();
-        f.bin(BinOp::Add, gslot, dir, Operand::Reg(goff));
-        let ghead = f.new_reg();
-        f.load(ghead, gslot, 8);
-        emit_lf_lookup(&mut f, ghead, gkey, cont);
-
-        f.switch_to(cont);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(loop_head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("lf-map worker verifies");
-        pb.finish()
+        corpus_program("lf_map")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
         let buckets = self.buckets;
-        vm.setup(|h, alloc, _| {
+        let (dir, arena) = vm.setup(|h, alloc, _| {
             let map = NvtMap::create(h, alloc, buckets as u32).expect("lf map");
-            let arena = alloc_lf_arena(h, alloc, threads, ops);
-            vec![map.dir as u64, arena as u64, ops * NODE_BYTES as u64]
-        })
+            (map.dir, alloc_lf_arena(h, alloc, threads, ops))
+        });
+        vec![dir as u64, arena_or_fault(vm, arena) as u64, ops * NODE_BYTES as u64]
     }
 
     fn worker_args(&self, base: &[u64], thread: usize, ops: u64) -> Vec<u64> {
@@ -427,7 +202,7 @@ impl WorkloadSpec for LfMapSpec {
         let map = NvtMap::attach(&mut h, base[0] as PAddr);
         // Structural pass: per-bucket ordering/alignment + home-bucket
         // placement (recomputes the Fibonacci hash natively — this is
-        // what pins the IR hash emitter to `NvtMap::bucket_of`).
+        // what pins the program's bucket hash to `NvtMap::bucket_of`).
         map.check_invariants(&mut h, total_ops as usize);
         let chains: Vec<PAddr> =
             (0..map.buckets()).map(|b| map.bucket(&mut h, b).head).collect();

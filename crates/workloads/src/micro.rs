@@ -1,6 +1,7 @@
-//! The four microbenchmark workloads of Section V-B, as IR programs.
+//! The four microbenchmark workloads of Section V-B, plus the twin counter
+//! and allocator churn.
 //!
-//! Each builder produces a program with a single `worker` function that
+//! Each program (`corpus/<kind>.ido`) has a single `worker` function that
 //! performs `n_ops` randomly chosen operations on a shared structure, using
 //! a thread-local xorshift generator — mirroring the JUSTDO paper's
 //! stress-test methodology the iDO paper reuses. Nodes come from
@@ -13,21 +14,14 @@
 //! * [`ListSpec`] — hand-over-hand per-node locks (threads pipeline);
 //! * [`MapSpec`] — hash of hand-over-hand lists (near-linear scaling).
 
-use ido_ir::{BinOp, BlockId, FunctionBuilder, Operand, Program, ProgramBuilder, Reg};
+use ido_ir::Program;
 use ido_lockfree::NvtMap;
 use ido_nvm::alloc::NvAllocator;
 use ido_nvm::{PmemHandle, PAddr};
 use ido_vm::Vm;
 
 use crate::harness::WorkloadSpec;
-use crate::util::{emit_arena_take, emit_bucket_hash, emit_uniform_key, emit_xorshift};
-
-// Node field offsets shared by the list-based structures:
-// [next][key][value][lock_holder]
-const NEXT: i64 = 0;
-const KEY: i64 = 8;
-const VAL: i64 = 16;
-const HOLDER: i64 = 24;
+use crate::{corpus_program, node_arena};
 
 /// Builds a sorted-chain node via direct pool access (setup-time only).
 fn build_node(
@@ -61,11 +55,6 @@ fn build_sorted_chain(h: &mut PmemHandle, alloc: &NvAllocator, range: u64) -> PA
     build_node(h, alloc, -1, 0, next)
 }
 
-fn alloc_arena(vm: &mut Vm, threads: usize, ops: u64, bytes_per_op: u64) -> PAddr {
-    let total = threads as u64 * ops * bytes_per_op;
-    vm.setup(|h, alloc, _| alloc.alloc(h, total as usize).expect("node arena"))
-}
-
 // ---------------------------------------------------------------------
 // Stack
 // ---------------------------------------------------------------------
@@ -80,81 +69,11 @@ impl WorkloadSpec for StackSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 5);
-        let lock = f.param(0);
-        let header = f.param(1);
-        let x = f.param(2);
-        let n_ops = f.param(3);
-        let arena = f.param(4);
-        let i = f.new_reg();
-
-        let head = f.new_block();
-        let body = f.new_block();
-        let push_blk = f.new_block();
-        let pop_blk = f.new_block();
-        let pop_do = f.new_block();
-        let pop_empty = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(head);
-
-        f.switch_to(head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        emit_xorshift(&mut f, x);
-        let bit = f.new_reg();
-        f.bin(BinOp::And, bit, x, 8i64);
-        f.branch(bit, push_blk, pop_blk);
-
-        // push: node from the arena, prepared outside the critical section.
-        f.switch_to(push_blk);
-        let node = f.new_reg();
-        emit_arena_take(&mut f, node, arena, 16);
-        f.store(node, 8, Operand::Reg(x));
-        f.lock(lock);
-        let h = f.new_reg();
-        f.load(h, header, 0);
-        f.store(node, 0, Operand::Reg(h));
-        f.store(header, 0, Operand::Reg(node));
-        f.unlock(lock);
-        f.jump(cont);
-
-        // pop (the node is abandoned, not freed: stress-test reclamation)
-        f.switch_to(pop_blk);
-        f.lock(lock);
-        let h2 = f.new_reg();
-        f.load(h2, header, 0);
-        f.branch(h2, pop_do, pop_empty);
-
-        f.switch_to(pop_do);
-        let nx = f.new_reg();
-        f.load(nx, h2, 0);
-        f.store(header, 0, Operand::Reg(nx));
-        f.unlock(lock);
-        f.jump(cont);
-
-        f.switch_to(pop_empty);
-        f.unlock(lock);
-        f.jump(cont);
-
-        f.switch_to(cont);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("stack worker verifies");
-        pb.finish()
+        corpus_program("stack")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        let arena = alloc_arena(vm, threads, ops, 16);
+        let arena = node_arena(vm, threads, ops, 16);
         vm.setup(|h, alloc, _| {
             let lock = alloc.alloc(h, 8).expect("lock holder");
             let header = alloc.alloc(h, 8).expect("header");
@@ -195,85 +114,11 @@ impl WorkloadSpec for QueueSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 6);
-        let enq_lock = f.param(0);
-        let deq_lock = f.param(1);
-        let header = f.param(2); // [head, tail]
-        let x = f.param(3);
-        let n_ops = f.param(4);
-        let arena = f.param(5);
-        let i = f.new_reg();
-
-        let head = f.new_block();
-        let body = f.new_block();
-        let enq = f.new_block();
-        let deq = f.new_block();
-        let deq_do = f.new_block();
-        let deq_empty = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(head);
-
-        f.switch_to(head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        emit_xorshift(&mut f, x);
-        let bit = f.new_reg();
-        f.bin(BinOp::And, bit, x, 8i64);
-        f.branch(bit, enq, deq);
-
-        // enqueue: node prepared before the critical section (M&S).
-        f.switch_to(enq);
-        let node = f.new_reg();
-        emit_arena_take(&mut f, node, arena, 16);
-        f.store(node, 0, 0i64);
-        f.store(node, 8, Operand::Reg(x));
-        f.lock(enq_lock);
-        let t = f.new_reg();
-        f.load(t, header, 8);
-        f.store(t, 0, Operand::Reg(node));
-        f.store(header, 8, Operand::Reg(node));
-        f.unlock(enq_lock);
-        f.jump(cont);
-
-        // dequeue
-        f.switch_to(deq);
-        f.lock(deq_lock);
-        let hd = f.new_reg();
-        f.load(hd, header, 0);
-        let nx = f.new_reg();
-        f.load(nx, hd, 0);
-        f.branch(nx, deq_do, deq_empty);
-
-        f.switch_to(deq_do);
-        let v = f.new_reg();
-        f.load(v, nx, 8);
-        f.store(header, 0, Operand::Reg(nx));
-        f.unlock(deq_lock);
-        f.jump(cont);
-
-        f.switch_to(deq_empty);
-        f.unlock(deq_lock);
-        f.jump(cont);
-
-        f.switch_to(cont);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("queue worker verifies");
-        pb.finish()
+        corpus_program("queue")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        let arena = alloc_arena(vm, threads, ops, 16);
+        let arena = node_arena(vm, threads, ops, 16);
         vm.setup(|h, alloc, _| {
             let enq_lock = alloc.alloc(h, 8).expect("enq lock");
             let deq_lock = alloc.alloc(h, 8).expect("deq lock");
@@ -313,163 +158,6 @@ impl WorkloadSpec for QueueSpec {
 }
 
 // ---------------------------------------------------------------------
-// Hand-over-hand list body (shared by list and map)
-// ---------------------------------------------------------------------
-
-/// Emits the hand-over-hand get/put operation body. On entry the current
-/// block must be positioned where the op starts; `sentinel` holds the
-/// bucket's sentinel node address, `key` the target key, `x` the value to
-/// put, `opbit` selects put (nonzero) or get, and `arena` is the node
-/// arena cursor. Control continues at `cont`.
-fn emit_hoh_op(
-    f: &mut FunctionBuilder<'_>,
-    sentinel: Reg,
-    key: Reg,
-    x: Reg,
-    opbit: Reg,
-    arena: Reg,
-    cont: BlockId,
-) {
-    let walk = f.new_block();
-    let step = f.new_block();
-    let at_pos = f.new_block();
-    let get_path = f.new_block();
-    let get_check = f.new_block();
-    let get_found = f.new_block();
-    let put_path = f.new_block();
-    let put_check = f.new_block();
-    let update = f.new_block();
-    let insert = f.new_block();
-    let done = f.new_block();
-
-    // Acquire the sentinel's lock; the FASE begins here.
-    let pred = f.new_reg();
-    let predh = f.new_reg();
-    f.mov(pred, Operand::Reg(sentinel));
-    f.load(predh, pred, HOLDER);
-    f.lock(predh);
-    f.jump(walk);
-
-    // walk: stop when succ == 0 or succ.key >= key
-    f.switch_to(walk);
-    let succ = f.new_reg();
-    f.load(succ, pred, NEXT);
-    let is_end = f.new_reg();
-    f.bin(BinOp::Eq, is_end, succ, 0i64);
-    let go_pos = f.new_block();
-    f.branch(is_end, at_pos, go_pos);
-    f.switch_to(go_pos);
-    let sk = f.new_reg();
-    f.load(sk, succ, KEY);
-    let ge = f.new_reg();
-    f.bin(BinOp::Ge, ge, sk, key);
-    f.branch(ge, at_pos, step);
-
-    // step: hand-over-hand — lock successor, release predecessor.
-    f.switch_to(step);
-    let succh = f.new_reg();
-    f.load(succh, succ, HOLDER);
-    f.lock(succh);
-    f.unlock(predh);
-    f.mov(pred, Operand::Reg(succ));
-    f.mov(predh, Operand::Reg(succh));
-    f.jump(walk);
-
-    f.switch_to(at_pos);
-    f.branch(opbit, put_path, get_path);
-
-    // get
-    f.switch_to(get_path);
-    let is_end2 = f.new_reg();
-    f.bin(BinOp::Eq, is_end2, succ, 0i64);
-    f.branch(is_end2, done, get_check);
-    f.switch_to(get_check);
-    let sk2 = f.new_reg();
-    f.load(sk2, succ, KEY);
-    let eq = f.new_reg();
-    f.bin(BinOp::Eq, eq, sk2, key);
-    f.branch(eq, get_found, done);
-    f.switch_to(get_found);
-    let gh = f.new_reg();
-    f.load(gh, succ, HOLDER);
-    f.lock(gh);
-    let v = f.new_reg();
-    f.load(v, succ, VAL);
-    f.unlock(gh);
-    f.jump(done);
-
-    // put
-    f.switch_to(put_path);
-    let is_end3 = f.new_reg();
-    f.bin(BinOp::Eq, is_end3, succ, 0i64);
-    f.branch(is_end3, insert, put_check);
-    f.switch_to(put_check);
-    let sk3 = f.new_reg();
-    f.load(sk3, succ, KEY);
-    let eq2 = f.new_reg();
-    f.bin(BinOp::Eq, eq2, sk3, key);
-    f.branch(eq2, update, insert);
-
-    f.switch_to(update);
-    let uh = f.new_reg();
-    f.load(uh, succ, HOLDER);
-    f.lock(uh);
-    f.store(succ, VAL, Operand::Reg(x));
-    f.unlock(uh);
-    f.jump(done);
-
-    f.switch_to(insert);
-    // node (32 B) and its lock-holder cell (8 B) share one arena slot.
-    let node = f.new_reg();
-    emit_arena_take(f, node, arena, 40);
-    let holder = f.new_reg();
-    f.bin(BinOp::Add, holder, node, 32i64);
-    f.store(node, NEXT, Operand::Reg(succ));
-    f.store(node, KEY, Operand::Reg(key));
-    f.store(node, VAL, Operand::Reg(x));
-    f.store(node, HOLDER, Operand::Reg(holder));
-    f.store(pred, NEXT, Operand::Reg(node));
-    f.jump(done);
-
-    // done: release the final predecessor lock; FASE ends.
-    f.switch_to(done);
-    f.unlock(predh);
-    f.jump(cont);
-}
-
-fn emit_worker_loop(
-    f: &mut FunctionBuilder<'_>,
-    x: Reg,
-    n_ops: Reg,
-    emit_op: impl FnOnce(&mut FunctionBuilder<'_>, BlockId),
-) {
-    let i = f.new_reg();
-    let head = f.new_block();
-    let body = f.new_block();
-    let cont = f.new_block();
-    let exit = f.new_block();
-
-    f.mov(i, 0i64);
-    f.jump(head);
-
-    f.switch_to(head);
-    let c = f.new_reg();
-    f.bin(BinOp::Lt, c, i, n_ops);
-    f.branch(c, body, exit);
-
-    f.switch_to(body);
-    emit_xorshift(f, x);
-    emit_op(f, cont);
-
-    f.switch_to(cont);
-    f.bin(BinOp::Add, i, i, 1i64);
-    f.jump(head);
-
-    f.switch_to(exit);
-    f.ret(None);
-}
-
-// ---------------------------------------------------------------------
 // Ordered list
 // ---------------------------------------------------------------------
 
@@ -493,26 +181,11 @@ impl WorkloadSpec for ListSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 5);
-        let sentinel = f.param(0);
-        let x = f.param(1);
-        let n_ops = f.param(2);
-        let range = f.param(3);
-        let arena = f.param(4);
-        emit_worker_loop(&mut f, x, n_ops, |f, cont| {
-            let key = f.new_reg();
-            emit_uniform_key(f, key, x, range);
-            let opbit = f.new_reg();
-            f.bin(BinOp::And, opbit, x, 16i64);
-            emit_hoh_op(f, sentinel, key, x, opbit, arena, cont);
-        });
-        f.finish().expect("list worker verifies");
-        pb.finish()
+        corpus_program("list")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        let arena = alloc_arena(vm, threads, ops, 40);
+        let arena = node_arena(vm, threads, ops, 40);
         let range = self.key_range;
         vm.setup(|h, alloc, _| {
             let sentinel = build_sorted_chain(h, alloc, range);
@@ -581,36 +254,11 @@ impl WorkloadSpec for MapSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 6);
-        let directory = f.param(0); // [n_buckets][sentinel_0]...
-        let x = f.param(1);
-        let n_ops = f.param(2);
-        let range = f.param(3);
-        let n_buckets = f.param(4);
-        let arena = f.param(5);
-        emit_worker_loop(&mut f, x, n_ops, |f, cont| {
-            let key = f.new_reg();
-            emit_uniform_key(f, key, x, range);
-            let b = f.new_reg();
-            emit_bucket_hash(f, b, key, n_buckets);
-            // sentinel = directory[1 + b]
-            let off = f.new_reg();
-            f.bin(BinOp::Mul, off, b, 8i64);
-            let slot = f.new_reg();
-            f.bin(BinOp::Add, slot, directory, Operand::Reg(off));
-            let sentinel = f.new_reg();
-            f.load(sentinel, slot, 8);
-            let opbit = f.new_reg();
-            f.bin(BinOp::And, opbit, x, 16i64);
-            emit_hoh_op(f, sentinel, key, x, opbit, arena, cont);
-        });
-        f.finish().expect("map worker verifies");
-        pb.finish()
+        corpus_program("map")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        let arena = alloc_arena(vm, threads, ops, 40);
+        let arena = node_arena(vm, threads, ops, 40);
         let buckets = self.buckets;
         vm.setup(|h, alloc, _| {
             let directory = alloc.alloc(h, 8 + buckets as usize * 8).expect("directory");
@@ -645,9 +293,9 @@ impl WorkloadSpec for MapSpec {
 
 /// Every bucket chain is sorted and acyclic, and every key sits in its
 /// home bucket. The home bucket is recomputed on the host by
-/// [`NvtMap::bucket_of`] (the directory layout is the same), never by the
-/// IR emitter `emit_bucket_hash` the workers ran: that independence is
-/// what catches an emitter that hashes wrongly but consistently.
+/// [`NvtMap::bucket_of`] (the directory layout is the same), never from
+/// the hash code the workers ran: that independence is what catches a
+/// program that hashes wrongly but consistently.
 fn verify_hoh_map(h: &mut PmemHandle, directory: PAddr, bound: u64) {
     let map = NvtMap::attach(h, directory);
     for b in 0..map.buckets() {
@@ -685,44 +333,11 @@ impl WorkloadSpec for HohMapMixSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 7);
-        let directory = f.param(0); // [n_buckets][sentinel_0]...
-        let x = f.param(1);
-        let n_ops = f.param(2);
-        let range = f.param(3);
-        let n_buckets = f.param(4);
-        let put_pm = f.param(5);
-        let arena = f.param(6);
-        emit_worker_loop(&mut f, x, n_ops, |f, cont| {
-            let key = f.new_reg();
-            emit_uniform_key(f, key, x, range);
-            let b = f.new_reg();
-            emit_bucket_hash(f, b, key, n_buckets);
-            let off = f.new_reg();
-            f.bin(BinOp::Mul, off, b, 8i64);
-            let slot = f.new_reg();
-            f.bin(BinOp::Add, slot, directory, Operand::Reg(off));
-            let sentinel = f.new_reg();
-            f.load(sentinel, slot, 8);
-            // opbit = ((x >> 13) mod 1000) < put_permille — different bits
-            // than the key draw so op kind and key are decorrelated.
-            let r = f.new_reg();
-            f.bin(BinOp::Shr, r, x, 13i64);
-            let rm = f.new_reg();
-            f.bin(BinOp::And, rm, r, 0x7FFF_FFFFi64);
-            let pm = f.new_reg();
-            f.bin(BinOp::Rem, pm, rm, 1000i64);
-            let opbit = f.new_reg();
-            f.bin(BinOp::Lt, opbit, pm, put_pm);
-            emit_hoh_op(f, sentinel, key, x, opbit, arena, cont);
-        });
-        f.finish().expect("hoh-map-mix worker verifies");
-        pb.finish()
+        corpus_program("map_mix")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
-        let arena = alloc_arena(vm, threads, ops, 40);
+        let arena = node_arena(vm, threads, ops, 40);
         let buckets = self.buckets;
         vm.setup(|h, alloc, _| {
             let directory = alloc.alloc(h, 8 + buckets as usize * 8).expect("directory");
@@ -777,45 +392,7 @@ impl WorkloadSpec for TwinSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 3);
-        let lock = f.param(0);
-        let cell = f.param(1);
-        let n_ops = f.param(2);
-
-        let i = f.new_reg();
-        let head = f.new_block();
-        let body = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(head);
-
-        f.switch_to(head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        let a = f.new_reg();
-        let a2 = f.new_reg();
-        let b = f.new_reg();
-        let b2 = f.new_reg();
-        f.lock(lock);
-        f.load(a, cell, 0);
-        f.bin(BinOp::Add, a2, a, 1i64);
-        f.store(cell, 0, Operand::Reg(a2));
-        f.load(b, cell, 64);
-        f.bin(BinOp::Add, b2, b, 1i64);
-        f.store(cell, 64, Operand::Reg(b2));
-        f.unlock(lock);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("twin worker verifies");
-        pb.finish()
+        corpus_program("twin")
     }
 
     fn setup(&self, vm: &mut Vm, _threads: usize, _ops: u64) -> Vec<u64> {
@@ -869,65 +446,7 @@ impl WorkloadSpec for AllocChurnSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 3);
-        let x = f.param(0);
-        let n_ops = f.param(1);
-        let slots = f.param(2);
-        let i = f.new_reg();
-
-        let head = f.new_block();
-        let body = f.new_block();
-        let do_alloc = f.new_block();
-        let do_free = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(head);
-
-        f.switch_to(head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        emit_xorshift(&mut f, x);
-        // cell = &slots[x % CHURN_SLOTS]
-        let off = f.new_reg();
-        let cell = f.new_reg();
-        f.bin(BinOp::And, off, x, (CHURN_SLOTS as i64 - 1) * 8);
-        f.bin(BinOp::Add, cell, slots, off);
-        let ptr = f.new_reg();
-        f.load(ptr, cell, 0);
-        f.branch(ptr, do_free, do_alloc);
-
-        // Empty slot: allocate 8..=512 bytes (hits every small class) and
-        // publish the address into the slot.
-        f.switch_to(do_alloc);
-        let size = f.new_reg();
-        let node = f.new_reg();
-        f.bin(BinOp::And, size, x, 0x1F8i64);
-        f.bin(BinOp::Add, size, size, 8i64);
-        f.alloc(node, size);
-        f.store(node, 0, Operand::Reg(x));
-        f.store(cell, 0, Operand::Reg(node));
-        f.jump(cont);
-
-        // Full slot: retire the pointer, then free the block.
-        f.switch_to(do_free);
-        f.store(cell, 0, 0i64);
-        f.free(ptr);
-        f.jump(cont);
-
-        f.switch_to(cont);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("alloc churn worker verifies");
-        pb.finish()
+        corpus_program("alloc_churn")
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, _ops: u64) -> Vec<u64> {

@@ -14,13 +14,16 @@
 //! Every operation is bracketed by metrics span markers (`op_begin` /
 //! `op_end`, kind 1 = get, 2 = put), which is what feeds the windowed
 //! latency series of `service_bench`.
+//!
+//! The program is `corpus/service.ido`; each operation pays a 200 ns
+//! `delay` for request parsing and dispatch.
 
-use ido_ir::{BinOp, Program, ProgramBuilder};
+use ido_ir::Program;
 use ido_nvm::{PmemHandle, PAddr};
 use ido_vm::Vm;
 
 use crate::harness::WorkloadSpec;
-use crate::util::{emit_powerlaw_key, emit_xorshift};
+use crate::corpus_program;
 
 /// Checksum mask: a written slot always satisfies `CHK == VAL ^ CHK_MAGIC`;
 /// `(0, 0)` means "never written".
@@ -51,92 +54,7 @@ impl WorkloadSpec for ServiceSpec {
     }
 
     fn build_program(&self) -> Program {
-        let mut pb = ProgramBuilder::new();
-        let mut f = pb.new_function("worker", 6);
-        let lock_base = f.param(0);
-        let table = f.param(1);
-        let x = f.param(2);
-        let n_ops = f.param(3);
-        let range = f.param(4);
-        let put_permille = f.param(5);
-
-        let i = f.new_reg();
-        let head = f.new_block();
-        let body = f.new_block();
-        let cont = f.new_block();
-        let exit = f.new_block();
-
-        f.mov(i, 0i64);
-        f.jump(head);
-
-        f.switch_to(head);
-        let c = f.new_reg();
-        f.bin(BinOp::Lt, c, i, n_ops);
-        f.branch(c, body, exit);
-
-        f.switch_to(body);
-        // Request parsing + dispatch cost of a real service operation.
-        f.delay(200);
-        emit_xorshift(&mut f, x);
-        let key = f.new_reg();
-        emit_powerlaw_key(&mut f, key, x, range);
-        let sel = f.new_reg();
-        let shifted = f.new_reg();
-        f.bin(BinOp::Shr, shifted, x, 9i64);
-        f.bin(BinOp::And, sel, shifted, 1023i64);
-        let is_put = f.new_reg();
-        f.bin(BinOp::Lt, is_put, sel, put_permille);
-        // Metrics span: kind 1 = get, 2 = put. Opened before the lock so
-        // the recorded latency includes queueing behind the stripe.
-        let op_kind = f.new_reg();
-        f.bin(BinOp::Add, op_kind, is_put, 1i64);
-        f.op_begin(op_kind);
-
-        let slot = f.new_reg();
-        f.bin(BinOp::Mul, slot, key, SLOT_BYTES as i64);
-        f.bin(BinOp::Add, slot, slot, table);
-        let lock = f.new_reg();
-        f.bin(BinOp::And, lock, key, (LOCK_STRIPES - 1) as i64);
-        f.bin(BinOp::Mul, lock, lock, 8i64);
-        f.bin(BinOp::Add, lock, lock, lock_base);
-        let put_blk = f.new_block();
-        let get_blk = f.new_block();
-        f.branch(is_put, put_blk, get_blk);
-
-        // put: one short FASE under the stripe lock writing the
-        // value/checksum pair — torn iff failure atomicity is broken.
-        f.switch_to(put_blk);
-        f.lock(lock);
-        let seq = f.new_reg();
-        f.bin(BinOp::And, seq, x, 0xF_FFFFi64);
-        let v = f.new_reg();
-        f.bin(BinOp::Shl, v, key, 20i64);
-        f.bin(BinOp::Or, v, v, seq);
-        f.store(slot, 0, v);
-        let chk = f.new_reg();
-        f.bin(BinOp::Xor, chk, v, CHK_MAGIC as i64);
-        f.store(slot, 8, chk);
-        f.unlock(lock);
-        f.jump(cont);
-
-        // get: lock-free slot read (persistent reads outside FASEs are
-        // race-free in the DES — consistency is asserted at verify time).
-        f.switch_to(get_blk);
-        let rv = f.new_reg();
-        f.load(rv, slot, 0);
-        let rc = f.new_reg();
-        f.load(rc, slot, 8);
-        f.jump(cont);
-
-        f.switch_to(cont);
-        f.op_end(op_kind);
-        f.bin(BinOp::Add, i, i, 1i64);
-        f.jump(head);
-
-        f.switch_to(exit);
-        f.ret(None);
-        f.finish().expect("service worker verifies");
-        pb.finish()
+        corpus_program("service")
     }
 
     fn setup(&self, vm: &mut Vm, _threads: usize, _ops: u64) -> Vec<u64> {

@@ -226,8 +226,8 @@ echo "== one way to run: a workload starts in ido_workloads::boot, a binary runs
 # `.worker_args(` calls are the scenario spec delegating to its native spec
 # and service_bench's re-attach of fresh workers after recovery. Each
 # ido-bench binary runs at the size EXPERIMENTS.md reports, so no size
-# override, and `ido run` has no builder comparison (tests/corpus.rs makes
-# it; tests/ido_cli.rs checks that the flag is refused).
+# override, and `ido run` has no builder comparison (tests/ido_cli.rs
+# checks that the flag is refused).
 one_way_to_run() {
   if grep -rn '\.worker_args(' crates src tests examples \
       | grep -vE '^crates/workloads/src/harness\.rs:.*vm\.spawn\("worker", &spec\.worker_args\(&base, t, ops\)\);$' \
@@ -241,6 +241,21 @@ one_way_to_run() {
   fi
 }
 one_way_to_run
+
+echo "== one definition of a program: a workload's program is its corpus file =="
+# corpus/<kind>.ido is the only definition of each workload's program:
+# ido-workloads compiles the files in and parses them once, and holds only
+# set-up, arguments and verification in Rust. No IR builder comes back
+# there, and no `ido emit` generates a program from one.
+one_program_definition() {
+  if grep -rnE 'ProgramBuilder|FunctionBuilder|emit_' crates/workloads/src; then
+    echo "a workload builds its program in Rust: corpus/<kind>.ido defines it"; return 1
+  fi
+  if grep -nE '"emit"|cmd_emit' src/bin/ido.rs; then
+    echo "ido emit is back: a corpus file is written by hand, not generated"; return 1
+  fi
+}
+one_program_definition
 
 echo "== crash-oracle smoke sweep + program sharing + one crash-state track + memcached-like store at 512 ops (iDO, Atlas) =="
 # The sharing tests pin that a crash state neither clones nor decodes the
@@ -395,9 +410,13 @@ timed "figure regeneration" figure_regeneration
 
 echo "== ido verify over the scenario corpus (static atomicity, all schemes) =="
 # Every checked-in scenario must verify clean under every scheme it names.
-for f in corpus/*.ido; do
-  cargo run -q --release -p ido-repro --bin ido -- verify "$f"
-done
+verify_corpus() {
+  local f
+  for f in corpus/*.ido; do
+    ./target/release/ido verify "$f"
+  done
+}
+timed "ido verify corpus" verify_corpus
 
 echo "== ido crashtest over the lock-free corpus file: both schemes explored =="
 cargo run -q --release -p ido-repro --bin ido -- crashtest corpus/lf_list.ido \
@@ -439,11 +458,15 @@ timed "crashtest replay" replay_stage
 
 echo "== ido run over the scenario corpus =="
 # Every checked-in scenario runs to completion under every scheme it names
-# (tests/corpus.rs compares each with the Rust-builder program on both
-# tiers).
-for f in corpus/*.ido; do
-  cargo run -q --release -p ido-repro --bin ido -- run "$f" > /dev/null
-done
+# (tests/corpus.rs checks that each file's program is the one its
+# workload's spec runs).
+run_corpus() {
+  local f
+  for f in corpus/*.ido; do
+    ./target/release/ido run "$f" > /dev/null
+  done
+}
+timed "ido run corpus" run_corpus
 
 echo "== ido run determinism: --jobs 2 must match --jobs 1 byte-for-byte =="
 cargo run -q --release -p ido-repro --bin ido -- run corpus/map.ido --jobs 1 \

@@ -7,7 +7,6 @@
 //! ido explain <file.ido>
 //! ido crashtest <file.ido>
 //! ido trace <file.ido> [--limit N]
-//! ido emit <file.ido>
 //! ```
 //!
 //! Output is deterministic: `sweep` prints one CSV row per point and `run`
@@ -46,7 +45,7 @@ fn main() -> ExitCode {
 }
 
 fn usage() -> String {
-    "usage: ido <sweep|run|verify|explain|crashtest|trace|emit> <file.ido> [flags]\n\
+    "usage: ido <sweep|run|verify|explain|crashtest|trace> <file.ido> [flags]\n\
      \n\
      sweep      run every scheme x threads x delay point on a pool sized for it;\n\
      \x20          one CSV on stdout (how corpus/figures/*.ido regenerate);\n\
@@ -62,8 +61,7 @@ fn usage() -> String {
      \x20          (a `fault` line for a run that faults), and on such a scenario\n\
      \x20          crashtest checks that one crash state (replays that fault)\n\
      trace      run the first scheme with event tracing; dump events\n\
-     \x20          --limit N           events to print (default 40)\n\
-     emit       print the scenario's program in canonical textual form"
+     \x20          --limit N           events to print (default 40)"
         .to_string()
 }
 
@@ -75,7 +73,7 @@ fn parse_flags(cmd: &str, args: &[String]) -> Result<Vec<(&'static str, u64)>, S
         "sweep" => &[("--jobs", true)],
         "run" => &[("--jobs", true)],
         "trace" => &[("--limit", true)],
-        "verify" | "explain" | "crashtest" | "emit" => &[],
+        "verify" | "explain" | "crashtest" => &[],
         _ => return Err(format!("unknown subcommand `{cmd}`\n{}", usage())),
     };
     let mut flags = Vec::new();
@@ -106,7 +104,7 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
     let scenario = parse_scenario(&source).map_err(|e| e.render(&path, &source))?;
     if cmd == "sweep" {
         let csv = scenario.sweep(jobs);
-        emit_out(&csv);
+        write_stdout(&csv);
         let checked = scenario.check_claims(&csv);
         checked.iter().for_each(|(_, line)| eprintln!("{path}: {line}"));
         return Ok(ExitCode::from(u8::from(checked.iter().any(|&(ok, _)| !ok))));
@@ -118,13 +116,13 @@ fn run_cli(args: &[String]) -> Result<ExitCode, String> {
         "explain" => cmd_verify(&scenario, true),
         "crashtest" => cmd_crashtest(&scenario),
         "trace" => cmd_trace(&scenario, flag("--limit").unwrap_or(40) as usize),
-        _ => cmd_emit(&scenario),
+        _ => unreachable!("parse_flags rejects an unknown subcommand"),
     }
 }
 
-/// Writes to stdout, treating a closed pipe (`ido emit ... | head`) as a
+/// Writes to stdout, treating a closed pipe (`ido trace ... | head`) as a
 /// clean early exit rather than a panic.
-fn emit_out(s: &str) -> bool {
+fn write_stdout(s: &str) -> bool {
     use std::io::Write as _;
     std::io::stdout().write_all(s.as_bytes()).is_ok()
 }
@@ -370,17 +368,12 @@ fn cmd_trace(scenario: &Scenario, limit: usize) -> Result<ExitCode, String> {
         trace.dropped
     );
     for ev in trace.events.iter().take(limit) {
-        if !emit_out(&format!("{ev:?}\n")) {
+        if !write_stdout(&format!("{ev:?}\n")) {
             return Ok(ExitCode::SUCCESS);
         }
     }
     if trace.events.len() > limit {
         println!("... {} more (raise --limit)", trace.events.len() - limit);
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-fn cmd_emit(scenario: &Scenario) -> Result<ExitCode, String> {
-    emit_out(&scenario.spec().build_program().to_string());
     Ok(ExitCode::SUCCESS)
 }

@@ -1,8 +1,7 @@
-//! Corpus gates (ISSUE 10): every checked-in `.ido` scenario must parse,
-//! round-trip through the pretty-printer, and — the headline gate — drive
-//! runs that are **byte-identical** to the equivalent Rust-builder
-//! workload on both execution tiers: same step counts, same simulated
-//! clocks, same stats counters, same event trace, same final pool image.
+//! Corpus gates: `corpus/<kind>.ido` is the one definition of each
+//! workload's program. Every file parses, its program round-trips through
+//! the pretty-printer, and the native spec its header names is the spec
+//! that compiles that very file in, so no spec can read another's program.
 //!
 //! A deterministic mutation fuzzer then hammers each corpus file: every
 //! seeded mutation must either fail to parse with a diagnostic whose
@@ -17,16 +16,26 @@ use std::path::PathBuf;
 
 use ido_compiler::{instrument_program, Scheme};
 use ido_crashtest::OracleConfig;
+use ido_ir::text::parse_program_section;
 use ido_lang::{parse_program_text, parse_scenario, Scenario};
-use ido_nvm::StatsSnapshot;
-use ido_trace::{Trace, TraceConfig};
-use ido_vm::{ExecTier, RunOutcome, SchedPolicy, VmConfig};
+use ido_vm::VmConfig;
 use ido_verify::{verify_instrumented, RuntimeModel};
-use ido_workloads::{boot, WorkloadSpec};
 
-/// The nine standard workloads re-expressed as `.ido` files.
-const CORPUS: [&str; 9] = [
-    "lf_list", "lf_map", "list", "map", "memcached", "queue", "redis", "service", "stack",
+/// One file per native workload spec, named after the `workload` it
+/// declares; `map_mix` is `workload map` with a `puts` line.
+const CORPUS: [&str; 12] = [
+    "alloc_churn",
+    "lf_list",
+    "lf_map",
+    "list",
+    "map",
+    "map_mix",
+    "memcached",
+    "queue",
+    "redis",
+    "service",
+    "stack",
+    "twin",
 ];
 
 fn corpus_dir() -> PathBuf {
@@ -46,10 +55,14 @@ fn parse_corpus(name: &str) -> (String, Scenario) {
 }
 
 /// The corpus is a curated set: a stray or missing file is a checked-in
-/// mistake, not a new workload. (`corpus/regress/` holds reproducers, which
-/// `tests/regress.rs` replays.)
+/// mistake, not a new workload. (`corpus/regress/`, `corpus/figures/` and
+/// `corpus/oracle/` hold header-only or reproducer files, which
+/// `tests/regress.rs` and `ido` itself cover.) Each file's header names
+/// the kind whose native spec compiles the file in: the spec's program is
+/// the file's, and the header-skipping parse the spec uses reads the same
+/// program as the scenario parser.
 #[test]
-fn corpus_holds_exactly_the_nine_standard_scenarios() {
+fn corpus_holds_one_program_per_workload_spec() {
     let mut found: Vec<String> = fs::read_dir(corpus_dir())
         .expect("corpus directory exists")
         .map(|e| e.unwrap())
@@ -58,7 +71,21 @@ fn corpus_holds_exactly_the_nine_standard_scenarios() {
         .collect();
     found.sort();
     let expected: Vec<String> = CORPUS.iter().map(|n| format!("{n}.ido")).collect();
-    assert_eq!(found, expected, "corpus/ contents drifted from the expected nine files");
+    assert_eq!(found, expected, "corpus/ contents drifted from the expected twelve files");
+    for name in CORPUS {
+        let (src, scenario) = parse_corpus(name);
+        let (kind, mix) = name.strip_suffix("_mix").map_or((name, false), |k| (k, true));
+        assert_eq!(scenario.kind.ident(), kind, "{name}.ido: wrong `workload` line");
+        assert_eq!(scenario.puts.is_some(), mix, "{name}.ido: a `puts` line only in a `_mix` file");
+        let section = parse_program_section(&src)
+            .unwrap_or_else(|e| panic!("{}", e.render(&format!("{name}.ido"), &src)));
+        assert_eq!(scenario.program.as_ref(), Some(&section), "{name}.ido: the two parses disagree");
+        assert_eq!(
+            scenario.native_spec().build_program(),
+            section.program,
+            "{name}.ido: the `{kind}` spec compiles in another file"
+        );
+    }
 }
 
 /// Every corpus file parses, carries an explicit program section, and that
@@ -79,88 +106,6 @@ fn corpus_programs_round_trip_through_the_pretty_printer() {
             printed,
             "{name}.ido: pretty-print is not a fixpoint"
         );
-    }
-}
-
-/// Everything observable about one run.
-struct Observed {
-    steps: u64,
-    sim_ns: u64,
-    image: Vec<u8>,
-    stats: StatsSnapshot,
-    trace: Trace,
-}
-
-fn observe(spec: &dyn WorkloadSpec, scheme: Scheme, scenario: &Scenario, tier: ExecTier) -> Observed {
-    let inst = instrument_program(spec.build_program(), scheme).expect("instruments cleanly");
-    let mut cfg = VmConfig::for_tests();
-    cfg.seed = scenario.seed;
-    cfg.sched = SchedPolicy::MinClock;
-    cfg.tier = tier;
-    cfg.pool.trace = TraceConfig::on();
-    let (mut vm, base) = boot(spec, inst, scenario.threads[0], scenario.ops, cfg);
-    assert_eq!(vm.run(), RunOutcome::Completed, "{} under {scheme} ({tier:?})", spec.name());
-    spec.verify(&vm, &base, scenario.threads[0] as u64 * scenario.ops);
-    let steps = vm.steps();
-    let sim_ns = vm.max_clock_ns();
-    let image = vm.pool().persistent_snapshot();
-    let pool = vm.pool().clone();
-    drop(vm); // fold per-thread stats and trace rings into the pool
-    Observed {
-        steps,
-        sim_ns,
-        image,
-        stats: pool.global_stats(),
-        trace: pool.take_trace().expect("tracing was enabled"),
-    }
-}
-
-/// Asserts every observable matches, reporting the first divergence.
-fn assert_identical(a: &Observed, b: &Observed, what: &str) {
-    assert_eq!(a.steps, b.steps, "{what}: step counts diverge");
-    assert_eq!(a.sim_ns, b.sim_ns, "{what}: simulated clocks diverge");
-    assert_eq!(a.stats, b.stats, "{what}: StatsSnapshot counters diverge");
-    assert_eq!(a.trace.pushed, b.trace.pushed, "{what}: trace event counts diverge");
-    assert_eq!(a.trace.dropped, b.trace.dropped, "{what}: trace drop counts diverge");
-    assert_eq!(a.trace.costs, b.trace.costs, "{what}: cost attribution diverges");
-    if a.trace.events != b.trace.events {
-        let i = a
-            .trace
-            .first_divergence(&b.trace)
-            .unwrap_or_else(|| a.trace.events.len().min(b.trace.events.len()));
-        panic!(
-            "{what}: traces diverge at event {i}:\n  corpus:  {:?}\n  builder: {:?}",
-            a.trace.events.get(i),
-            b.trace.events.get(i)
-        );
-    }
-    assert_eq!(a.image.len(), b.image.len(), "{what}: image sizes diverge");
-    if a.image != b.image {
-        let i = a.image.iter().zip(&b.image).position(|(x, y)| x != y).unwrap();
-        panic!(
-            "{what}: pool images diverge at byte {i:#x}: corpus={:#04x} builder={:#04x}",
-            a.image[i], b.image[i]
-        );
-    }
-}
-
-/// The headline gate: a corpus-driven run (program text from the `.ido`
-/// file) is byte-identical to the Rust-builder equivalent for every
-/// scheme the scenario names, on both execution tiers.
-#[test]
-fn corpus_runs_are_byte_identical_to_the_rust_builder_on_both_tiers() {
-    for name in CORPUS {
-        let (_, scenario) = parse_corpus(name);
-        let corpus_spec = scenario.spec();
-        let native = scenario.native_spec();
-        for &scheme in &scenario.schemes {
-            for tier in [ExecTier::Tier1, ExecTier::Tier2] {
-                let what = format!("{name}.ido under {scheme} ({tier:?})");
-                let a = observe(&corpus_spec, scheme, &scenario, tier);
-                let b = observe(native.as_ref(), scheme, &scenario, tier);
-                assert_identical(&a, &b, &what);
-            }
-        }
     }
 }
 

@@ -103,6 +103,23 @@ fn a_thread_the_pool_cannot_hold_is_a_named_fault() {
     std::fs::remove_file(replay).expect("the reproducer was written");
 }
 
+/// A node arena the pool cannot hold is the same kind of fault, named at
+/// the first worker's entry: set-up once panicked with "node arena".
+#[test]
+fn a_node_arena_the_pool_cannot_hold_is_a_named_fault() {
+    let source = "scenario roomy {\n  workload stack\n  threads 2\n  ops 100000\n  schemes ido\n}\n";
+    let fault = "thread 0 faulted at worker bb0 0: nv_malloc of 3200000 bytes failed";
+    let Ran { code, stdout, stderr } = ido("run", "roomy", source);
+    assert_eq!(code, Some(2), "{stdout}\n{stderr}");
+    assert!(stdout.is_empty(), "a run was reported:\n{stdout}");
+    assert!(stderr.contains(&format!("stack under iDO: {fault}")), "{stderr}");
+    let Ran { code, stdout, stderr } = ido("crashtest", "roomy", source);
+    assert_eq!(code, Some(1), "{stdout}\n{stderr}");
+    assert!(stdout.contains(&format!("stack/iDO: FAILED: {fault}")), "{stdout}");
+    let replay = stdout.lines().find_map(|l| l.strip_prefix("replay: ido crashtest ")).expect("a reproducer");
+    std::fs::remove_file(replay).expect("the reproducer was written");
+}
+
 /// A CAS that writes its result into a register the region also reads: the
 /// register-WAR fixup has to rename the CAS destination (`rename_def` had
 /// no arm for it and panicked with "does not define a register").
@@ -236,6 +253,10 @@ fn each_subcommand_rejects_a_flag_it_does_not_take() {
     let Ran { code, stderr, .. } = ido_flags("run", "jobs", &stack, &["--jobs", "two"]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("--jobs needs an integer argument"), "{stderr}");
+    // A workload's program is its corpus file, so nothing prints one.
+    let Ran { code, stdout, stderr } = ido("emit", "emit", &stack);
+    assert_eq!((code, stdout.as_str()), (Some(2), ""), "{stderr}");
+    assert!(stderr.contains("unknown subcommand `emit`"), "{stderr}");
 }
 
 /// A `threads` list or a `delay` line makes a scenario a sweep: `ido sweep`
@@ -246,7 +267,7 @@ fn only_sweep_runs_a_sweep() {
     let sweep = "scenario s {\n  workload stack\n  threads 1,2\n  ops 4\n  schemes origin ido\n}\n";
     let delayed = sweep.replace("threads 1,2", "threads 2\n  delay 20");
     for (axis, source) in [("threads", sweep), ("delay", delayed.as_str())] {
-        for command in ["run", "verify", "explain", "crashtest", "trace", "emit"] {
+        for command in ["run", "verify", "explain", "crashtest", "trace"] {
             let Ran { code, stdout, stderr } = ido(command, &format!("{command}_{axis}"), source);
             assert_eq!(code, Some(2), "ido {command}:\n{stdout}\n{stderr}");
             assert!(stdout.is_empty(), "ido {command} ran:\n{stdout}");

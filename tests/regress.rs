@@ -109,7 +109,7 @@ fn ido(command: &str, name: &str, source: &str) -> (Option<i32>, String) {
 }
 
 #[test]
-fn the_regress_corpus_holds_the_nine_reproducers() {
+fn the_regress_corpus_holds_exactly_its_reproducers() {
     let names: Vec<String> = ido_files("corpus/regress")
         .iter()
         .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
@@ -117,6 +117,7 @@ fn the_regress_corpus_holds_the_nine_reproducers() {
     assert_eq!(
         names,
         [
+            "full_append_log_stack",
             "oversized_alloc_churn",
             "skip_publish_lf_list",
             "skip_store_flush_queue",
@@ -245,7 +246,7 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 4, "the fault reproducers");
+    assert_eq!(faults, 5, "the fault reproducers");
 }
 
 #[test]
