@@ -47,7 +47,7 @@ use std::fmt;
 use ido_ir::cfg::Cfg;
 use ido_ir::liveness::{Liveness, Var};
 use ido_ir::{
-    verify_function, BlockId, Function, Inst, Program, Reg, RegClass, RtOp, StackSlot, StoreTarget,
+    verify_function, BlockId, Function, Inst, MemEffect, Program, Reg, RegClass, RtOp, StackSlot,
     VerifyError,
 };
 
@@ -192,7 +192,6 @@ fn instrument_function(func: &mut Function, scheme: Scheme) -> Result<(), Compil
             if closes && fase.is_final_release(b, i) {
                 push(&mut ins, at, ST_FASE_END, end.clone());
             }
-            let record = |target, value| RtOp::StoreRecord { target, value };
             match *inst {
                 Inst::Lock { lock } if info.lock_records => {
                     push(&mut ins, after, ST_LOCK_ACQ, RtOp::LockAcquired { lock });
@@ -200,13 +199,13 @@ fn instrument_function(func: &mut Function, scheme: Scheme) -> Result<(), Compil
                 Inst::Unlock { lock } if info.lock_records => {
                     push(&mut ins, at, ST_LOCK_REL, RtOp::LockReleasing { lock });
                 }
-                Inst::Store { base, offset, src } if info.store_records && fase.in_fase(b, i) => {
-                    push(&mut ins, at, ST_BOUNDARY, record(StoreTarget::Heap { base, offset }, src));
-                }
-                Inst::StoreStack { slot, src } if info.store_records && fase.in_fase(b, i) => {
-                    push(&mut ins, at, ST_BOUNDARY, record(StoreTarget::Stack(slot), src));
-                }
                 _ => {}
+            }
+            // Every write to memory inside a FASE, a CAS's included.
+            if let Some(MemEffect { loc, writes: Some(value), .. }) = inst.mem_effect() {
+                if info.store_records && fase.in_fase(b, i) {
+                    push(&mut ins, at, ST_BOUNDARY, RtOp::StoreRecord { target: loc, value });
+                }
             }
             // JUSTDO's no-register-caching rule: shadow every definition
             // made inside a FASE through to persistent memory.
@@ -266,7 +265,7 @@ fn apply_insertions(func: &mut Function, ins: Insertions) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ido_ir::{Operand, ProgramBuilder};
+    use ido_ir::{MemLoc, Operand, ProgramBuilder};
 
     /// lock; load; store; unlock — one FASE with one store.
     fn sample_program() -> Program {
@@ -349,7 +348,7 @@ mod tests {
         // The record carries the store's own address and source.
         let f = out.function(ido_ir::FuncId(0));
         let (p, v) = (f.params()[1], Operand::Reg(Reg::int(2)));
-        let target = StoreTarget::Heap { base: p, offset: 8 };
+        let target = MemLoc::Heap { base: p, offset: 8 };
         assert_eq!(count_ops(&out, |r| *r == RtOp::StoreRecord { target, value: v }), 1);
     }
 
@@ -436,6 +435,43 @@ mod tests {
         let out = instrument_program(prog, Scheme::Mnemosyne).unwrap();
         assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::TxBegin)), 1);
         assert_eq!(count_ops(&out.program, |r| matches!(r, RtOp::TxCommit)), 1);
+    }
+
+    /// A CAS writes memory: inside a FASE the per-store schemes record it
+    /// like a store, and iDO cuts the load → CAS antidependence.
+    #[test]
+    fn a_cas_in_a_fase_is_recorded_and_cut_like_a_store() {
+        let mut pb = ProgramBuilder::new();
+        let mut f = pb.new_function("cas", 2);
+        let (l, p) = (f.param(0), f.param(1));
+        let (v, d) = (f.new_reg(), f.new_reg());
+        f.lock(l);
+        f.load(v, p, 0);
+        f.cas(d, p, 0, Operand::Reg(v), 9i64);
+        f.unlock(l);
+        f.ret(None);
+        f.finish().unwrap();
+        let prog = pb.finish();
+        let lowered = |scheme| -> Vec<Inst> {
+            let out = instrument_program(prog.clone(), scheme).unwrap();
+            out.program.function(ido_ir::FuncId(0)).iter_insts().map(|(_, i)| i.clone()).collect()
+        };
+        let record = Inst::Rt(RtOp::StoreRecord {
+            target: MemLoc::Heap { base: p, offset: 0 },
+            value: Operand::Imm(9),
+        });
+        for scheme in [Scheme::JustDo, Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
+            let insts = lowered(scheme);
+            let cas = insts.iter().position(|i| matches!(i, Inst::Cas { .. })).unwrap();
+            assert_eq!(insts[cas - 1], record, "{scheme}: the record directly precedes the CAS");
+        }
+        let insts = lowered(Scheme::Ido);
+        let load = insts.iter().position(|i| matches!(i, Inst::Load { .. })).unwrap();
+        let cas = insts.iter().position(|i| matches!(i, Inst::Cas { .. })).unwrap();
+        assert!(
+            insts[load..cas].iter().any(|i| matches!(i, Inst::Rt(RtOp::IdoBoundary { .. }))),
+            "a region boundary between the load and the CAS"
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 
 use std::collections::BTreeSet;
 
-use ido_ir::alias::{alias, mem_access, AccessKind, AliasResult, MemLoc};
+use ido_ir::alias::{alias, AliasResult};
 use ido_ir::cfg::Cfg;
-use ido_ir::{BlockId, Function, Reg};
+use ido_ir::{BlockId, Function, Inst, MemLoc, Reg};
 
 use crate::regions::{Pos, RegionAnalysis};
 
@@ -43,30 +43,47 @@ pub fn uncut_pairs(func: &Function, analysis: &RegionAnalysis) -> Vec<AntidepPai
         let mut walk_order = region.members.clone();
         walk_order.sort(); // block-major order approximates execution order
         for &(b, i) in &walk_order {
-            let inst = &func.block(b).insts[i];
-            if let Some((loc, kind)) = mem_access(inst) {
-                match kind {
-                    AccessKind::Load => seen.push(((b, i), loc, true)),
-                    AccessKind::Store => {
-                        for &(lpos, lloc, valid) in &seen {
-                            let conflict = if valid {
-                                !matches!(alias(lloc, loc, true), AliasResult::No)
-                            } else {
-                                matches!(loc, MemLoc::Heap { .. })
-                            };
-                            if conflict && reaches(func, analysis, region, lpos, (b, i)) {
-                                pairs.push(AntidepPair { load: lpos, store: (b, i), loc: lloc });
-                            }
-                        }
-                    }
+            step(&mut seen, (b, i), &func.block(b).insts[i], |lpos, lloc| {
+                if reaches(func, analysis, region, lpos, (b, i)) {
+                    pairs.push(AntidepPair { load: lpos, store: (b, i), loc: lloc });
                 }
-            }
-            if let Some(d) = inst.def_reg() {
-                invalidate(&mut seen, d);
-            }
+            });
         }
     }
     pairs
+}
+
+/// One instruction of the pair search over `seen` (position, location,
+/// address still describable): a write is checked against the loads seen
+/// so far, `report`ing each one it may overwrite, then a read joins them.
+/// A CAS does both, in that order — its own compare does not antidepend on
+/// its write.
+fn step(
+    seen: &mut Vec<(Pos, MemLoc, bool)>,
+    pos: Pos,
+    inst: &Inst,
+    mut report: impl FnMut(Pos, MemLoc),
+) {
+    if let Some(effect) = inst.mem_effect() {
+        if effect.writes.is_some() {
+            for &(lpos, lloc, valid) in seen.iter() {
+                let conflict = if valid {
+                    !matches!(alias(lloc, effect.loc, true), AliasResult::No)
+                } else {
+                    matches!(effect.loc, MemLoc::Heap { .. })
+                };
+                if conflict {
+                    report(lpos, lloc);
+                }
+            }
+        }
+        if effect.reads {
+            seen.push((pos, effect.loc, true));
+        }
+    }
+    if let Some(d) = inst.def_reg() {
+        invalidate(seen, d);
+    }
 }
 
 /// True if execution can get from `from` to `to` without leaving `region`
@@ -118,26 +135,9 @@ pub fn all_intra_block_pairs(func: &Function) -> Vec<AntidepPair> {
         let b = BlockId(bi as u32);
         let mut seen: Vec<(Pos, MemLoc, bool)> = Vec::new();
         for (i, inst) in bb.insts.iter().enumerate() {
-            if let Some((loc, kind)) = mem_access(inst) {
-                match kind {
-                    AccessKind::Load => seen.push(((b, i), loc, true)),
-                    AccessKind::Store => {
-                        for &(lpos, lloc, valid) in &seen {
-                            let conflict = if valid {
-                                !matches!(alias(lloc, loc, true), AliasResult::No)
-                            } else {
-                                matches!(loc, MemLoc::Heap { .. })
-                            };
-                            if conflict {
-                                pairs.push(AntidepPair { load: lpos, store: (b, i), loc: lloc });
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(d) = inst.def_reg() {
-                invalidate(&mut seen, d);
-            }
+            step(&mut seen, (b, i), inst, |lpos, lloc| {
+                pairs.push(AntidepPair { load: lpos, store: (b, i), loc: lloc });
+            });
         }
     }
     pairs

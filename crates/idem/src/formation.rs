@@ -38,11 +38,11 @@
 
 use std::collections::BTreeSet;
 
-use ido_ir::alias::{alias, mem_access, AccessKind, AliasResult, MemLoc};
+use ido_ir::alias::{alias, AliasResult};
 use ido_ir::cfg::Cfg;
 use ido_ir::dataflow::BitSet;
 use ido_ir::liveness::{reg_var, slot_var, Liveness};
-use ido_ir::{BlockId, Function, Inst, Reg, RegClass, StackSlot};
+use ido_ir::{BlockId, Function, Inst, MemLoc, Reg, RegClass, StackSlot};
 
 use crate::regions::{AliasMode, PartitionWork, Pos, Region, RegionAnalysis, RegionId};
 
@@ -426,17 +426,18 @@ impl Formation {
                     cuts.push(i);
                 }
             }
-            match mem_access(inst) {
-                Some((loc, AccessKind::Load)) => state.note_load(loc),
-                Some((loc, AccessKind::Store)) => {
-                    if let Some(cuts) = cuts.as_deref_mut() {
-                        if state.store_conflicts(loc, self.mode) {
-                            cuts.push(i);
-                            state.clear();
-                        }
+            // A write is checked before a read is noted: the cut lands
+            // before a CAS, whose compare then opens the new region.
+            if let Some(effect) = inst.mem_effect() {
+                if let (Some(cuts), Some(_)) = (cuts.as_deref_mut(), effect.writes) {
+                    if state.store_conflicts(effect.loc, self.mode) {
+                        cuts.push(i);
+                        state.clear();
                     }
                 }
-                None => {}
+                if effect.reads {
+                    state.note_load(effect.loc);
+                }
             }
             if let Some(d) = inst.def_reg() {
                 state.note_def(d);
@@ -642,10 +643,10 @@ impl Formation {
                 used_slots.extend(inst.stack_uses());
                 def_regs.extend(inst.def_reg());
                 def_slots.extend(inst.stack_def());
-                match inst {
-                    Inst::Store { .. } => heap_stores += 1,
-                    Inst::StoreStack { .. } => stack_stores += 1,
-                    _ => {}
+                match inst.mem_effect().filter(|e| e.writes.is_some()).map(|e| e.loc) {
+                    Some(MemLoc::Heap { .. }) => heap_stores += 1,
+                    Some(MemLoc::Stack(_)) => stack_stores += 1,
+                    None => {}
                 }
                 if inst.is_terminator() {
                     for s in inst.targets() {

@@ -4,15 +4,16 @@
 //! fixpoint (twice: the second round only confirms the first), `build` —
 //! after every single register-WAR fixup. The code is the pre-PR-17
 //! `regions.rs` verbatim apart from its result type, `Cfg::rpo()` now
-//! returning a slice, and the `Cas` arm of the rename.
+//! returning a slice, the `Cas` arm of the rename, and memory accesses read
+//! through `Inst::mem_effect` (a CAS reads and writes its cell).
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use ido_idem::{AliasMode, Pos, Region, RegionId};
-use ido_ir::alias::{alias, mem_access, AccessKind, AliasResult, MemLoc};
+use ido_ir::alias::{alias, AliasResult};
 use ido_ir::cfg::Cfg;
 use ido_ir::liveness::{reg_var, slot_var, Liveness, Var};
-use ido_ir::{BlockId, Function, Inst, Operand, Reg, StackSlot};
+use ido_ir::{BlockId, Function, Inst, MemLoc, Operand, Reg, StackSlot};
 
 /// What the old `build` produced.
 #[derive(Debug, Clone)]
@@ -189,15 +190,13 @@ fn add_antidep_cuts(func: &Function, cfg: &Cfg, cuts: &mut BTreeSet<Pos>, mode: 
                 if cuts.contains(&(b, i)) {
                     state.clear();
                 }
-                if let Some((loc, kind)) = mem_access(inst) {
-                    match kind {
-                        AccessKind::Load => state.note_load(loc),
-                        AccessKind::Store => {
-                            if state.store_conflicts(loc, mode) {
-                                new_cuts.push((b, i));
-                                state.clear();
-                            }
-                        }
+                if let Some(effect) = inst.mem_effect() {
+                    if effect.writes.is_some() && state.store_conflicts(effect.loc, mode) {
+                        new_cuts.push((b, i));
+                        state.clear();
+                    }
+                    if effect.reads {
+                        state.note_load(effect.loc);
                     }
                 }
                 if let Some(d) = inst.def_reg() {
@@ -236,8 +235,8 @@ fn outstanding_fixpoint(func: &Function, cfg: &Cfg, cuts: &BTreeSet<Pos>) -> Vec
                 if cuts.contains(&(b, i)) {
                     state.clear();
                 }
-                if let Some((loc, AccessKind::Load)) = mem_access(inst) {
-                    state.note_load(loc);
+                if let Some(effect) = inst.mem_effect().filter(|e| e.reads) {
+                    state.note_load(effect.loc);
                 }
                 if let Some(d) = inst.def_reg() {
                     state.note_def(d);
@@ -361,10 +360,10 @@ fn build(
             used_slots.extend(inst.stack_uses());
             def_regs.extend(inst.def_reg());
             def_slots.extend(inst.stack_def());
-            match inst {
-                Inst::Store { .. } => heap_stores += 1,
-                Inst::StoreStack { .. } => stack_stores += 1,
-                _ => {}
+            match inst.mem_effect().filter(|e| e.writes.is_some()).map(|e| e.loc) {
+                Some(MemLoc::Heap { .. }) => heap_stores += 1,
+                Some(MemLoc::Stack(_)) => stack_stores += 1,
+                None => {}
             }
         }
 

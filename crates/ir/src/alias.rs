@@ -16,31 +16,7 @@
 //!   one base is a fresh allocation (`Alloc`) that postdates the other
 //!   access — freshly allocated memory cannot alias anything older.
 
-use crate::inst::Inst;
-use crate::reg::{Reg, StackSlot};
-
-/// An abstract memory location touched by an instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum MemLoc {
-    /// A stack slot (exactly known).
-    Stack(StackSlot),
-    /// A heap word at `base + offset`.
-    Heap {
-        /// Address base register.
-        base: Reg,
-        /// Byte offset.
-        offset: i64,
-    },
-}
-
-/// Whether an access reads or writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// A read.
-    Load,
-    /// A write.
-    Store,
-}
+use crate::inst::MemLoc;
 
 /// Result of an alias query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,23 +27,6 @@ pub enum AliasResult {
     No,
     /// Unknown; must be treated as aliasing.
     May,
-}
-
-/// The memory access performed by `inst`, if any. Runtime ops are treated
-/// as opaque (they touch only runtime-private log memory, never program
-/// data, so they do not participate in program aliasing).
-pub fn mem_access(inst: &Inst) -> Option<(MemLoc, AccessKind)> {
-    match inst {
-        Inst::LoadStack { slot, .. } => Some((MemLoc::Stack(*slot), AccessKind::Load)),
-        Inst::StoreStack { slot, .. } => Some((MemLoc::Stack(*slot), AccessKind::Store)),
-        Inst::Load { base, offset, .. } => {
-            Some((MemLoc::Heap { base: *base, offset: *offset }, AccessKind::Load))
-        }
-        Inst::Store { base, offset, .. } => {
-            Some((MemLoc::Heap { base: *base, offset: *offset }, AccessKind::Store))
-        }
-        _ => None,
-    }
 }
 
 /// Width, in bytes, of every access in this IR.
@@ -112,7 +71,7 @@ pub fn alias(a: MemLoc, b: MemLoc, same_base_valid: bool) -> AliasResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reg::Operand;
+    use crate::reg::{Reg, StackSlot};
 
     fn r(id: u32) -> Reg {
         Reg::int(id)
@@ -155,16 +114,5 @@ mod tests {
         let a = MemLoc::Heap { base: r(1), offset: 0 };
         let b = MemLoc::Heap { base: r(2), offset: 0 };
         assert_eq!(alias(a, b, true), AliasResult::May);
-    }
-
-    #[test]
-    fn mem_access_extraction() {
-        let st = Inst::Store { base: r(3), offset: 16, src: Operand::Imm(1) };
-        assert_eq!(
-            mem_access(&st),
-            Some((MemLoc::Heap { base: r(3), offset: 16 }, AccessKind::Store))
-        );
-        let mv = Inst::Mov { dst: r(0), src: Operand::Imm(0) };
-        assert_eq!(mem_access(&mv), None);
     }
 }

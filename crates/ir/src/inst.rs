@@ -46,19 +46,33 @@ pub enum BinOp {
 /// (Section III-B of the paper).
 pub type LockToken = Operand;
 
-/// Where a FASE store is about to write: what a [`RtOp::StoreRecord`]
-/// protects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreTarget {
-    /// `mem[base + offset]`, the following heap store's address.
+/// A memory word an instruction names: what alias analysis compares and
+/// what a [`RtOp::StoreRecord`] protects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum MemLoc {
+    /// A stack slot (exactly known).
+    Stack(StackSlot),
+    /// The persistent heap word at `mem[base + offset]`.
     Heap {
-        /// Base register of the following store's address.
+        /// Address base register.
         base: Reg,
-        /// Byte offset of the following store.
+        /// Byte offset.
         offset: i64,
     },
-    /// The stack slot the following store writes.
-    Stack(StackSlot),
+}
+
+/// What one instruction does to program memory: the one definition that
+/// alias analysis, region formation, instrumentation and the verifier read.
+/// A `cas` both reads and writes its cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemEffect {
+    /// The word accessed.
+    pub loc: MemLoc,
+    /// True if the instruction reads `loc` (a load, or a CAS's compare).
+    pub reads: bool,
+    /// The operand the instruction writes to `loc`, if it writes: a
+    /// store's `src`, a CAS's `new`.
+    pub writes: Option<Operand>,
 }
 
 /// Runtime operations inserted by the instrumentation pass.
@@ -116,7 +130,7 @@ pub enum RtOp {
     /// a page copy).
     StoreRecord {
         /// Where the following store writes.
-        target: StoreTarget,
+        target: MemLoc,
         /// The following store's source — carried under every scheme, read
         /// by JUSTDO's runtime only.
         value: Operand,
@@ -176,7 +190,7 @@ impl RtOp {
             RtOp::IdoBoundary { out_regs, .. } => v.extend(out_regs.iter().copied()),
             RtOp::LockAcquired { lock } | RtOp::LockReleasing { lock } => v.extend(lock.as_reg()),
             RtOp::StoreRecord { target, value } => {
-                if let StoreTarget::Heap { base, .. } = target {
+                if let MemLoc::Heap { base, .. } = target {
                     v.push(*base);
                 }
                 v.extend(value.as_reg());
@@ -202,7 +216,7 @@ impl RtOp {
     pub fn stack_uses(&self) -> Vec<StackSlot> {
         match self {
             RtOp::IdoBoundary { out_slots, .. } => out_slots.clone(),
-            RtOp::StoreRecord { target: StoreTarget::Stack(slot), .. } => vec![*slot],
+            RtOp::StoreRecord { target: MemLoc::Stack(slot), .. } => vec![*slot],
             _ => Vec::new(),
         }
     }
@@ -456,14 +470,19 @@ impl Inst {
         }
     }
 
-    /// True if this instruction writes persistent heap memory.
-    pub fn is_heap_store(&self) -> bool {
-        matches!(self, Inst::Store { .. } | Inst::Cas { .. })
-    }
-
-    /// True if this instruction reads persistent heap memory.
-    pub fn is_heap_load(&self) -> bool {
-        matches!(self, Inst::Load { .. } | Inst::Cas { .. })
+    /// The instruction's access to program memory, if any. Runtime ops
+    /// touch only runtime-private log memory and have none.
+    pub fn mem_effect(&self) -> Option<MemEffect> {
+        let heap = |base, offset| MemLoc::Heap { base, offset };
+        let (loc, reads, writes) = match *self {
+            Inst::Load { base, offset, .. } => (heap(base, offset), true, None),
+            Inst::Store { base, offset, src } => (heap(base, offset), false, Some(src)),
+            Inst::Cas { base, offset, new, .. } => (heap(base, offset), true, Some(new)),
+            Inst::LoadStack { slot, .. } => (MemLoc::Stack(slot), true, None),
+            Inst::StoreStack { slot, src } => (MemLoc::Stack(slot), false, Some(src)),
+            _ => return None,
+        };
+        Some(MemEffect { loc, reads, writes })
     }
 }
 
@@ -488,10 +507,47 @@ mod tests {
         let st = Inst::Store { base: r(1), offset: 8, src: Operand::Reg(r(2)) };
         assert_eq!(st.def_reg(), None);
         assert_eq!(st.uses(), vec![r(1), r(2)]);
-        assert!(st.is_heap_store());
         let ld = Inst::Load { dst: r(0), base: r(1), offset: 0 };
         assert_eq!(ld.def_reg(), Some(r(0)));
-        assert!(ld.is_heap_load());
+    }
+
+    #[test]
+    fn memory_effects_name_the_word_read_and_the_operand_written() {
+        let heap = MemLoc::Heap { base: r(1), offset: 8 };
+        let slot = MemLoc::Stack(StackSlot(2));
+        let effect = |loc, reads, writes| Some(MemEffect { loc, reads, writes });
+        let cases = [
+            (Inst::Load { dst: r(0), base: r(1), offset: 8 }, effect(heap, true, None)),
+            (
+                Inst::Store { base: r(1), offset: 8, src: Operand::Reg(r(2)) },
+                effect(heap, false, Some(Operand::Reg(r(2)))),
+            ),
+            (Inst::LoadStack { dst: r(0), slot: StackSlot(2) }, effect(slot, true, None)),
+            (
+                Inst::StoreStack { slot: StackSlot(2), src: Operand::Imm(5) },
+                effect(slot, false, Some(Operand::Imm(5))),
+            ),
+            // A CAS reads and writes one cell; it writes `new`, never `expected`.
+            (
+                Inst::Cas {
+                    dst: r(0),
+                    base: r(1),
+                    offset: 8,
+                    expected: Operand::Reg(r(2)),
+                    new: Operand::Reg(r(3)),
+                },
+                effect(heap, true, Some(Operand::Reg(r(3)))),
+            ),
+            (Inst::Mov { dst: r(0), src: Operand::Imm(0) }, None),
+            (Inst::Free { base: r(1) }, None),
+            (
+                Inst::Rt(RtOp::StoreRecord { target: heap, value: Operand::Imm(1) }),
+                None,
+            ),
+        ];
+        for (inst, want) in cases {
+            assert_eq!(inst.mem_effect(), want, "{inst}");
+        }
     }
 
     #[test]
@@ -505,8 +561,6 @@ mod tests {
         };
         assert_eq!(cas.def_reg(), Some(r(0)));
         assert_eq!(cas.uses(), vec![r(1), r(2), r(3)]);
-        assert!(cas.is_heap_store());
-        assert!(cas.is_heap_load());
 
         let prep = RtOp::LfCasPrepare {
             base: r(1),
@@ -552,10 +606,10 @@ mod tests {
 
     #[test]
     fn rtop_uses_cover_operands() {
-        let target = StoreTarget::Heap { base: r(4), offset: 0 };
+        let target = MemLoc::Heap { base: r(4), offset: 0 };
         let rt = RtOp::StoreRecord { target, value: Operand::Reg(r(5)) };
         assert_eq!(rt.uses(), vec![r(4), r(5)]);
-        let rt = RtOp::StoreRecord { target: StoreTarget::Stack(StackSlot(3)), value: Operand::Imm(1) };
+        let rt = RtOp::StoreRecord { target: MemLoc::Stack(StackSlot(3)), value: Operand::Imm(1) };
         assert!(rt.uses().is_empty());
         assert_eq!(rt.stack_uses(), vec![StackSlot(3)]);
         let b = RtOp::IdoBoundary { out_regs: vec![r(1), r(2)], out_slots: vec![StackSlot(0)] };

@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::func::{BasicBlock, Function, Program};
-use crate::inst::{BinOp, Inst, RtOp, StoreTarget};
+use crate::inst::{BinOp, Inst, MemLoc, RtOp};
 use crate::reg::{Operand, Reg, RegClass, StackSlot};
 
 /// True when a function name can print bare (unquoted): a C-style
@@ -117,11 +117,11 @@ impl fmt::Display for BinOp {
     }
 }
 
-impl fmt::Display for StoreTarget {
+impl fmt::Display for MemLoc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StoreTarget::Heap { base, offset } => write!(f, "[{base}{}]", Off(*offset)),
-            StoreTarget::Stack(slot) => write!(f, "stack[{slot}]"),
+            MemLoc::Heap { base, offset } => write!(f, "[{base}{}]", Off(*offset)),
+            MemLoc::Stack(slot) => write!(f, "stack[{slot}]"),
         }
     }
 }
@@ -306,10 +306,10 @@ mod tests {
         let min = Inst::Load { dst: Reg::int(0), base: r, offset: i64::MIN };
         assert_eq!(format!("{min}"), "r0 = mem[r1-9223372036854775808]");
         // Rt ops carry offsets too.
-        let target = StoreTarget::Heap { base: r, offset: -24 };
+        let target = MemLoc::Heap { base: r, offset: -24 };
         let rt = RtOp::StoreRecord { target, value: Operand::Reg(Reg::int(5)) };
         assert_eq!(format!("{rt}"), "rt.store_record [r1-24] <- r5");
-        let rt = RtOp::StoreRecord { target: StoreTarget::Stack(StackSlot(2)), value: Operand::Imm(7) };
+        let rt = RtOp::StoreRecord { target: MemLoc::Stack(StackSlot(2)), value: Operand::Imm(7) };
         assert_eq!(format!("{rt}"), "rt.store_record stack[s2] <- 7");
         let prep = RtOp::LfCasPrepare {
             base: r,

@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use crate::{
-    verify_function, BasicBlock, BinOp, BlockId, FuncId, Function, Inst, Operand, Program, Reg,
-    RtOp, StackSlot, StoreTarget,
+    verify_function, BasicBlock, BinOp, BlockId, FuncId, Function, Inst, MemLoc, Operand, Program,
+    Reg, RtOp, StackSlot,
 };
 
 use super::diag::{LangError, Span};
@@ -721,17 +721,17 @@ impl Parser {
 
     /// Either `[base+o]` or `stack[sN]` — the two forms `rt.store_record`
     /// prints its target in.
-    fn parse_store_target(&mut self) -> Result<StoreTarget, LangError> {
+    fn parse_store_target(&mut self) -> Result<MemLoc, LangError> {
         let ctx = "as the recorded location";
         if matches!(&self.c.peek().tok, Tok::Ident(w) if w == "stack") {
             self.c.bump();
             self.c.expect(Tok::LBracket, "after `stack`")?;
             let (slot, _) = self.expect_slot(ctx)?;
             self.c.expect(Tok::RBracket, "to close the slot")?;
-            Ok(StoreTarget::Stack(slot))
+            Ok(MemLoc::Stack(slot))
         } else {
             let (base, offset, _) = self.expect_address(ctx)?;
-            Ok(StoreTarget::Heap { base, offset })
+            Ok(MemLoc::Heap { base, offset })
         }
     }
 

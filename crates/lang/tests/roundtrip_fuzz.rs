@@ -9,8 +9,8 @@
 //! equality, and pretty-print again to confirm the text is a fixpoint.
 
 use ido_ir::{
-    BasicBlock, BinOp, BlockId, FnName, FuncId, Function, Inst, Operand, Program, Reg, RtOp,
-    StackSlot, StoreTarget,
+    BasicBlock, BinOp, BlockId, FnName, FuncId, Function, Inst, MemLoc, Operand, Program, Reg,
+    RtOp, StackSlot,
 };
 use ido_lang::parse_program_text;
 use proptest::prelude::*;
@@ -93,10 +93,10 @@ fn rt_op() -> BoxedStrategy<RtOp> {
         operand().prop_map(|lock| RtOp::LockAcquired { lock }),
         operand().prop_map(|lock| RtOp::LockReleasing { lock }),
         (reg(), offset(), operand()).prop_map(|(base, offset, value)| {
-            RtOp::StoreRecord { target: StoreTarget::Heap { base, offset }, value }
+            RtOp::StoreRecord { target: MemLoc::Heap { base, offset }, value }
         }),
         (slot(), operand()).prop_map(|(slot, value)| {
-            RtOp::StoreRecord { target: StoreTarget::Stack(slot), value }
+            RtOp::StoreRecord { target: MemLoc::Stack(slot), value }
         }),
         reg().prop_map(|reg| RtOp::JustDoShadow { reg }),
         (reg(), offset(), operand(), operand()).prop_map(|(base, offset, expected, new)| {

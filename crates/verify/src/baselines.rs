@@ -21,10 +21,10 @@
 use ido_compiler::{FaseMap, Scheme};
 use ido_idem::Pos;
 use ido_ir::cfg::Cfg;
-use ido_ir::{BlockId, Function, Inst, RtOp, StoreTarget};
+use ido_ir::{BlockId, Function, Inst, MemEffect, RtOp};
 
 use crate::diag::{Diagnostic, Invariant};
-use crate::forward_fixpoint;
+use crate::{forward_fixpoint, writes_memory};
 
 /// Runs the structural and per-store checks for `scheme` on one
 /// instrumented function with at least one FASE. For iDO only the shared
@@ -170,17 +170,12 @@ fn check_records_before_stores(
             if !fase.in_fase(b, i) {
                 continue;
             }
-            // The record describes the store it protects: same target, same
-            // source.
-            let record = match *inst {
-                Inst::Store { base, offset, src } => {
-                    RtOp::StoreRecord { target: StoreTarget::Heap { base, offset }, value: src }
-                }
-                Inst::StoreStack { slot, src } => {
-                    RtOp::StoreRecord { target: StoreTarget::Stack(slot), value: src }
-                }
-                _ => continue,
+            // The record describes the write it protects (a store's or a
+            // CAS's): same location, same value written.
+            let Some(MemEffect { loc, writes: Some(value), .. }) = inst.mem_effect() else {
+                continue;
             };
+            let record = RtOp::StoreRecord { target: loc, value };
             if !rt_before(func, b, i).any(|rt| *rt == record) {
                 let message = format!(
                     "FASE store has no adjacent matching {} record: a crash after this \
@@ -267,7 +262,7 @@ fn transfer_tx(
                 }
                 open = false;
             }
-            Inst::Store { .. } | Inst::StoreStack { .. } if fase.in_fase(b, i) && !open => emit(
+            _ if writes_memory(inst) && fase.in_fase(b, i) && !open => emit(
                 (b, i),
                 Invariant::StoreLogged,
                 "FASE store executes outside any open REDO transaction: it bypasses the \

@@ -27,13 +27,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use ido_compiler::{FaseMap, Scheme};
 use ido_idem::Pos;
-use ido_ir::alias::{alias, mem_access, AccessKind, AliasResult, MemLoc};
+use ido_ir::alias::{alias, AliasResult};
 use ido_ir::cfg::Cfg;
 use ido_ir::liveness::{Liveness, Var};
-use ido_ir::{Function, Inst, RtOp};
+use ido_ir::{Function, Inst, MemEffect, MemLoc, RtOp};
 
 use crate::diag::{Diagnostic, Invariant};
-use crate::forward_fixpoint;
+use crate::{forward_fixpoint, writes_memory};
 use crate::model::RuntimeModel;
 
 /// Runs all iDO checks on one instrumented function with at least one FASE.
@@ -111,14 +111,10 @@ fn transfer_coverage(
             covered = false;
             continue;
         }
-        match inst {
-            Inst::Rt(RtOp::IdoBoundary { .. }) => covered = true,
-            Inst::Store { .. } | Inst::StoreStack { .. } => {
-                if !covered {
-                    on_uncovered((b, i));
-                }
-            }
-            _ => {}
+        if matches!(inst, Inst::Rt(RtOp::IdoBoundary { .. })) {
+            covered = true;
+        } else if writes_memory(inst) && !covered {
+            on_uncovered((b, i));
         }
     }
     covered
@@ -329,35 +325,33 @@ fn transfer_antidep(
             state.clear();
             continue;
         }
-        if let Some((loc, kind)) = mem_access(inst) {
-            match kind {
-                AccessKind::Load => {
-                    state.loads.entry(loc).or_insert(((b, i), true));
+        // A write is checked before a read is recorded, so a CAS's own
+        // compare never antidepends on its write.
+        if let Some(MemEffect { loc, reads, writes }) = inst.mem_effect() {
+            for (lloc, &(lpos, valid)) in state.loads.iter().filter(|_| writes.is_some()) {
+                let conflict = if valid {
+                    !matches!(alias(*lloc, loc, true), AliasResult::No)
+                } else {
+                    matches!(loc, MemLoc::Heap { .. })
+                };
+                if conflict {
+                    emit(AntidepViolation {
+                        at: (b, i),
+                        origin: lpos,
+                        invariant: Invariant::AntidepCut,
+                        message: format!(
+                            "store may overwrite {} read at b{}:{} in the \
+                             same region: re-execution after a crash reads \
+                             the new value",
+                            describe_loc(*lloc),
+                            lpos.0 .0,
+                            lpos.1
+                        ),
+                    });
                 }
-                AccessKind::Store => {
-                    for (lloc, &(lpos, valid)) in &state.loads {
-                        let conflict = if valid {
-                            !matches!(alias(*lloc, loc, true), AliasResult::No)
-                        } else {
-                            matches!(loc, MemLoc::Heap { .. })
-                        };
-                        if conflict {
-                            emit(AntidepViolation {
-                                at: (b, i),
-                                origin: lpos,
-                                invariant: Invariant::AntidepCut,
-                                message: format!(
-                                    "store may overwrite {} read at b{}:{} in the \
-                                     same region: re-execution after a crash reads \
-                                     the new value",
-                                    describe_loc(*lloc),
-                                    lpos.0 .0,
-                                    lpos.1
-                                ),
-                            });
-                        }
-                    }
-                }
+            }
+            if reads {
+                state.loads.entry(loc).or_insert(((b, i), true));
             }
         }
         // Uses happen before the def of the same instruction (e.g.
@@ -418,9 +412,7 @@ fn check_persist_ordering(
     for (bi, bb) in func.blocks().iter().enumerate() {
         let b = ido_ir::BlockId(bi as u32);
         for (i, inst) in bb.insts.iter().enumerate() {
-            if matches!(inst, Inst::Store { .. } | Inst::StoreStack { .. })
-                && fase.in_fase(b, i)
-            {
+            if writes_memory(inst) && fase.in_fase(b, i) {
                 diags.push(diag(
                     func,
                     Some((b, i)),

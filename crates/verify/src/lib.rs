@@ -26,7 +26,7 @@
 
 use ido_compiler::{instrument_program, CompileError, FaseMap, Instrumented, Scheme};
 use ido_ir::cfg::Cfg;
-use ido_ir::{BlockId, Program};
+use ido_ir::{BlockId, Inst, MemEffect, Program};
 use ido_workloads::standard_specs;
 
 pub mod diag;
@@ -82,6 +82,12 @@ pub fn verify_instrumented(inst: &Instrumented, model: &RuntimeModel) -> Vec<Dia
         }
     }
     diags
+}
+
+/// True for what a crash can tear and every scheme must protect: a store, a
+/// stack store or a CAS.
+fn writes_memory(inst: &Inst) -> bool {
+    matches!(inst.mem_effect(), Some(MemEffect { writes: Some(_), .. }))
 }
 
 /// The RPO forward fixpoint the dataflow checks share: `(block_in,

@@ -5,9 +5,12 @@
 
 use ido_compiler::Scheme;
 use ido_crashtest::OracleConfig;
+use ido_ir::text::parse_program_section;
+use ido_ir::Program;
 use ido_verify::{differential, differential_all, Invariant};
+use ido_vm::Vm;
 use ido_workloads::micro::TwinSpec;
-use ido_workloads::standard_specs;
+use ido_workloads::{standard_specs, WorkloadSpec};
 
 /// Every standard workload and the twin counter, under every durable scheme.
 #[test]
@@ -23,6 +26,47 @@ fn static_and_dynamic_verdicts_agree_on_the_clean_tree() {
         }
         assert_eq!(reports.len(), 6);
     }
+}
+
+/// The twin counter whose first counter is bumped by a CAS
+/// (`corpus/oracle/cas_twin.ido`'s program).
+struct CasTwin;
+
+impl WorkloadSpec for CasTwin {
+    fn name(&self) -> String {
+        TwinSpec.name()
+    }
+
+    fn build_program(&self) -> Program {
+        let source = include_str!("../../../corpus/oracle/cas_twin.ido");
+        parse_program_section(source).expect("cas_twin.ido parses").program
+    }
+
+    fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
+        TwinSpec.setup(vm, threads, ops)
+    }
+
+    fn worker_args(&self, base: &[u64], thread: usize, ops: u64) -> Vec<u64> {
+        TwinSpec.worker_args(base, thread, ops)
+    }
+
+    fn verify(&self, vm: &Vm, base: &[u64], total_ops: u64) {
+        TwinSpec.verify(vm, base, total_ops)
+    }
+}
+
+/// A CAS inside a lock-based FASE writes memory like a store: every
+/// scheme protects it, and the verifier checks that it does. At the
+/// oracle file's own size the oracle tears the twins under iDO, Atlas,
+/// JUSTDO and NVML when the CAS goes unrecorded or uncut.
+#[test]
+fn a_cas_in_a_lock_based_fase_is_clean_on_both_sides() {
+    let reports = differential_all(&CasTwin, &OracleConfig::default());
+    for r in &reports {
+        assert!(r.diagnostics.is_empty(), "static findings: {r}");
+        assert!(r.exploration.counterexample.is_none(), "oracle failure: {r}");
+    }
+    assert_eq!(reports.len(), 6);
 }
 
 #[test]

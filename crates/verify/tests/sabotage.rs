@@ -9,11 +9,12 @@
 //! so a regression is caught at lint time rather than by exploration.
 
 use ido_compiler::{instrument_program, Instrumented, Scheme};
-use ido_ir::{BlockId, FuncId, Inst, Operand, Program, ProgramBuilder, RtOp, StoreTarget};
+use ido_ir::{BlockId, FuncId, Inst, MemLoc, Operand, Program, ProgramBuilder, RtOp};
 use ido_verify::{verify_instrumented, Invariant, RuntimeModel};
 
 /// worker(lock, p): one FASE containing an antidependent load/store pair
-/// (`[p+0]` is read, incremented, written back).
+/// (`[p+0]` is read, incremented, written back), then an antidependent
+/// load/CAS pair (`[p+8]` is read, then swapped for the new value).
 fn sample_program() -> Program {
     let mut pb = ProgramBuilder::new();
     let mut f = pb.new_function("worker", 2);
@@ -21,15 +22,22 @@ fn sample_program() -> Program {
     let p = f.param(1);
     let v = f.new_reg();
     let w = f.new_reg();
+    let c = f.new_reg();
+    let taken = f.new_reg();
     f.lock(l);
     f.load(v, p, 0);
     f.bin(ido_ir::BinOp::Add, w, v, 1i64);
     f.store(p, 0, Operand::Reg(w));
+    f.load(c, p, CAS_OFFSET);
+    f.cas(taken, p, CAS_OFFSET, Operand::Reg(c), Operand::Reg(w));
     f.unlock(l);
     f.ret(None);
     f.finish().unwrap();
     pb.finish()
 }
+
+/// The offset of the cell the sample program's CAS swaps.
+const CAS_OFFSET: i64 = 8;
 
 fn instrumented(scheme: Scheme) -> Instrumented {
     instrument_program(sample_program(), scheme).unwrap()
@@ -60,6 +68,27 @@ fn remove_all(inst: &mut Instrumented, pred: impl Fn(&Inst) -> bool) {
         removed += before - bb.insts.len();
     }
     assert!(removed > 0, "no instruction matched the sabotage predicate");
+}
+
+/// Removes the runtime op matching `pred` among those directly preceding
+/// the program's CAS, and returns the CAS's position after the removal.
+fn remove_before_cas(inst: &mut Instrumented, pred: impl Fn(&RtOp) -> bool) -> (BlockId, usize) {
+    let func = inst.program.function_mut(FuncId(0));
+    for bi in 0..func.num_blocks() {
+        let b = BlockId(bi as u32);
+        let bb = func.block_mut(b);
+        let Some(cas) = bb.insts.iter().position(|i| matches!(i, Inst::Cas { .. })) else {
+            continue;
+        };
+        let victim = (0..cas)
+            .rev()
+            .take_while(|&j| matches!(bb.insts[j], Inst::Rt(_)))
+            .find(|&j| matches!(&bb.insts[j], Inst::Rt(rt) if pred(rt)))
+            .expect("a matching runtime op directly before the CAS");
+        bb.insts.remove(victim);
+        return (b, cas - 1);
+    }
+    panic!("no CAS in the sample program");
 }
 
 fn diags_of(inst: &Instrumented) -> Vec<ido_verify::Diagnostic> {
@@ -137,6 +166,17 @@ fn dropping_a_logged_live_in_is_flagged() {
 }
 
 #[test]
+fn dropping_the_cut_before_a_cas_is_flagged() {
+    let mut inst = instrumented(Scheme::Ido);
+    let cas = remove_before_cas(&mut inst, |rt| matches!(rt, RtOp::IdoBoundary { .. }));
+    let diags = diags_of(&inst);
+    assert!(
+        diags.iter().any(|d| d.invariant == Invariant::AntidepCut && d.pos == Some(cas)),
+        "the CAS overwrites the word loaded in its region: {diags:?}"
+    );
+}
+
+#[test]
 fn redefining_a_region_input_after_use_is_flagged() {
     let mut inst = instrumented(Scheme::Ido);
     // Find the heap store (the last region's sole member) and clobber one
@@ -196,6 +236,19 @@ fn removing_per_store_records_is_flagged() {
 }
 
 #[test]
+fn dropping_a_cas_record_is_flagged() {
+    for scheme in [Scheme::JustDo, Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
+        let mut inst = instrumented(scheme);
+        let cas = remove_before_cas(&mut inst, |rt| matches!(rt, RtOp::StoreRecord { .. }));
+        let diags = diags_of(&inst);
+        assert!(
+            diags.iter().any(|d| d.invariant == Invariant::StoreLogged && d.pos == Some(cas)),
+            "{scheme}: a CAS without its record must be flagged: {diags:?}"
+        );
+    }
+}
+
+#[test]
 fn mismatched_record_address_is_flagged() {
     // A record that exists but protects the wrong word is as bad as a
     // missing one.
@@ -205,7 +258,7 @@ fn mismatched_record_address_is_flagged() {
     for bi in 0..func.num_blocks() {
         let b = BlockId(bi as u32);
         for ins in &mut func.block_mut(b).insts {
-            if let Inst::Rt(RtOp::StoreRecord { target: StoreTarget::Heap { offset, .. }, .. }) = ins
+            if let Inst::Rt(RtOp::StoreRecord { target: MemLoc::Heap { offset, .. }, .. }) = ins
             {
                 *offset += 8;
                 patched = true;

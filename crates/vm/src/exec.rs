@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use ido_compiler::{Instrumented, Scheme};
 use ido_ir::{
-    BlockId, DecodedInst, DecodedProgram, FuncId, Inst, Operand, Pc, Program, Reg, StackSlot,
-    StoreTarget, Tier2Entry, Tier2Program,
+    BlockId, DecodedInst, DecodedProgram, FuncId, Inst, MemLoc, Operand, Pc, Program, Reg,
+    StackSlot, Tier2Entry, Tier2Program,
 };
 use ido_lockfree::LfState;
 use ido_nvm::alloc::{AllocPolicy, NvAllocator};
@@ -310,10 +310,10 @@ impl Frame {
 
     /// The address the store after an `rt.store_record` is about to write.
     #[inline]
-    pub(crate) fn target_addr(&self, target: StoreTarget) -> PAddr {
+    pub(crate) fn target_addr(&self, target: MemLoc) -> PAddr {
         match target {
-            StoreTarget::Heap { base, offset } => mem_addr(self.regs[base.id as usize], offset),
-            StoreTarget::Stack(slot) => self.slot_addr(slot),
+            MemLoc::Heap { base, offset } => mem_addr(self.regs[base.id as usize], offset),
+            MemLoc::Stack(slot) => self.slot_addr(slot),
         }
     }
 }
