@@ -207,11 +207,13 @@ fn a_failed_setup_is_a_fault_at_the_first_spawned_entry() {
 
 /// A FASE that logs past the append log's capacity stops the run with a
 /// fault at the runtime op that could not append, on both tiers: Atlas's
-/// per-store record, NVML's per-line snapshot and NVThreads' commit batch.
+/// per-store record, NVML's per-line snapshot, NVThreads' commit batch and
+/// Mnemosyne's commit record (its stores append on the store path, which
+/// only notes the overflow).
 #[test]
 fn a_full_append_log_is_a_fault_at_the_appending_op() {
     let capacity = 64;
-    for scheme in [Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads] {
+    for scheme in [Scheme::Atlas, Scheme::Nvml, Scheme::Nvthreads, Scheme::Mnemosyne] {
         let inst = compile(scheme, |pb| {
             let mut f = pb.new_function("main", 2);
             let (lock, block) = (f.param(0), f.param(1));

@@ -69,11 +69,15 @@ pub(crate) struct MnemosyneThread {
     /// Next free log entry (entries are NT-stored in place, not appended
     /// through the length word).
     cursor: usize,
+    /// Set by a store that found no room for its entry and the commit
+    /// record after it; the commit turns it into a `log_full` fault, so the
+    /// store path needs no fault channel.
+    overflowed: bool,
 }
 
 impl MnemosyneThread {
     pub(super) fn new(log: AppendLogLayout) -> MnemosyneThread {
-        MnemosyneThread { tx: TxBuffer::new(log), cursor: 0 }
+        MnemosyneThread { tx: TxBuffer::new(log), cursor: 0, overflowed: false }
     }
 
     /// NT-stores the log entry at the cursor, kind word last, so a torn
@@ -94,10 +98,15 @@ impl MnemosyneThread {
         if !self.tx.in_tx {
             return h.write_u64(addr, value);
         }
-        // Buffer the write; append a REDO entry.
-        self.nt_entry(h, LogEntryKind::Redo, addr as u64, value);
+        // Buffer the write; append a REDO entry if the commit record still
+        // fits after it.
+        if self.cursor + 1 < self.tx.log.capacity {
+            self.nt_entry(h, LogEntryKind::Redo, addr as u64, value);
+            self.cursor += 1;
+        } else {
+            self.overflowed = true;
+        }
         self.tx.write_set.insert(addr, value);
-        self.cursor += 1;
     }
 
     fn commit(&mut self, h: &mut PmemHandle) {
@@ -143,6 +152,10 @@ impl MnemosyneThread {
                 Effect::Next
             }
             RtOp::TxCommit => {
+                if self.overflowed {
+                    let capacity = self.tx.log.capacity as u64;
+                    return Effect::Fault(FaultKind::LogFull { capacity });
+                }
                 self.commit(cx.handle);
                 cx.handle.advance(cx.config.lock_cost_ns);
                 cx.handle.observe(EventKind::FaseExit, 0, 0);

@@ -44,8 +44,16 @@ fn build_chain_node(h: &mut PmemHandle, alloc: &NvAllocator, key: i64, value: u6
     node
 }
 
+/// The bucket the programs probe for `key`: `corpus/memcached.ido` and
+/// `corpus/redis.ido` compute `((key · 0x9E3779B97F4A7C15) >> 32) mod
+/// buckets`.
+fn home_bucket(key: u64, buckets: u64) -> u64 {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % buckets
+}
+
 /// Builds the hash directory `[n_buckets][head_0]…`, pre-populating even
-/// keys of `0..range` into sorted chains. Returns the directory address.
+/// keys of `0..range` into sorted chains, each in its home bucket. Returns
+/// the directory address.
 fn build_table(h: &mut PmemHandle, alloc: &NvAllocator, buckets: u64, range: u64) -> PAddr {
     let directory = alloc.alloc(h, 8 + buckets as usize * 8).expect("directory");
     h.write_u64(directory, buckets);
@@ -53,7 +61,7 @@ fn build_table(h: &mut PmemHandle, alloc: &NvAllocator, buckets: u64, range: u64
     let mut k = range as i64 - 1;
     while k >= 0 {
         if k % 2 == 0 {
-            let b = (((k as u64).wrapping_mul(0x9E37_79B9) >> 16) & 0x7FFF_FFFF) % buckets;
+            let b = home_bucket(k as u64, buckets);
             heads[b as usize] = build_chain_node(h, alloc, k, (k as u64) << 1, heads[b as usize]);
         }
         k -= 1;
@@ -188,6 +196,9 @@ pub mod redis {
     }
 }
 
+/// Every bucket chain is sorted and acyclic, and every key sits in its home
+/// bucket, recomputed on the host by [`home_bucket`]. A key has one home
+/// and a chain is strictly increasing, so no key appears twice.
 fn verify_table(vm: &Vm, directory: PAddr, bound: u64) {
     let mut h = vm.pool().handle();
     let buckets = h.read_u64(directory);
@@ -198,6 +209,8 @@ fn verify_table(vm: &Vm, directory: PAddr, bound: u64) {
         while cur != 0 {
             let k = h.read_u64(cur + 8) as i64;
             assert!(k > last, "bucket {i}: chain keys not strictly increasing");
+            let home = home_bucket(k as u64, buckets);
+            assert_eq!(home, i as u64, "key {k} found in wrong bucket {i}");
             last = k;
             n += 1;
             assert!(n <= bound, "bucket {i}: chain too long (cycle?)");

@@ -257,6 +257,25 @@ one_program_definition() {
 }
 one_program_definition
 
+echo "== one definition of a memory effect: a CAS is a store =="
+# `Inst::mem_effect` is the one answer to "what does this instruction do
+# to memory" (the word, whether it is read, the operand written): alias
+# analysis, region formation, instrumentation and the verifier read it.
+# The classifications it replaced stay gone, and no crate that reads it
+# decides "what writes memory" by matching the store variants itself
+# (a `StoreStack` arm there is one).
+one_memory_effect() {
+  if grep -rnE '\bmem_access\b|\bAccessKind\b|\bStoreTarget\b|is_heap_(store|load)' \
+      crates src tests examples; then
+    echo "a second classification of memory accesses is back: read Inst::mem_effect"; return 1
+  fi
+  if grep -rnE 'Inst::StoreStack|Inst::Store \{[^}]*\} *(\||=>)' \
+      crates/idem/src crates/compiler/src crates/verify/src; then
+    echo "a per-site store classification is back: read Inst::mem_effect"; return 1
+  fi
+}
+one_memory_effect
+
 echo "== crash-oracle smoke sweep + program sharing + one crash-state track + memcached-like store at 512 ops (iDO, Atlas) =="
 # The sharing tests pin that a crash state neither clones nor decodes the
 # program (`Program`'s value semantics, VMs of one program holding one

@@ -118,6 +118,7 @@ fn the_regress_corpus_holds_exactly_its_reproducers() {
         names,
         [
             "full_append_log_stack",
+            "full_redo_log_twin",
             "oversized_alloc_churn",
             "skip_publish_lf_list",
             "skip_store_flush_queue",
@@ -246,7 +247,7 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 5, "the fault reproducers");
+    assert_eq!(faults, 6, "the fault reproducers");
 }
 
 #[test]
