@@ -8,9 +8,16 @@
 //! operations); and more than 99% of dynamic regions have fewer than five
 //! live-in registers, so a typical log operation flushes a single cache
 //! line.
+//!
+//! It also writes `ablation_alias.csv`, the static half of the ablation
+//! study: alias-analysis precision (Section V-C: "the average region size
+//! could be improved with better alias analysis") against region shape,
+//! basicAA against no alias analysis and an (unsound, analysis-only)
+//! oracle. The runtime half is `corpus/figures/ablation_*.ido`.
 
 use ido_bench::write_csv;
 use ido_compiler::Scheme;
+use ido_idem::{analyze_with, AliasMode, RegionStats};
 use ido_trace::{Profile, TraceConfig, PROFILE_BUCKETS};
 use ido_vm::VmConfig;
 use ido_workloads::kv::{memcached::MemcachedSpec, redis::RedisSpec};
@@ -77,4 +84,15 @@ fn main() {
             p.frac_inputs_below_5() * 100.0,
         );
     }
+
+    let mut rows = Vec::new();
+    for (name, spec, _) in specs.iter().filter(|(name, ..)| ["stack", "ordered-list", "memcached"].contains(name)) {
+        let program = spec.build_program();
+        for (aa, mode) in [("none", AliasMode::None), ("basicAA", AliasMode::Basic), ("oracle", AliasMode::Precise)] {
+            let s = RegionStats::summarize(&analyze_with(program.function(ido_ir::FuncId(0)), mode));
+            let (mean_len, multi_store) = (s.mean_region_len(), s.frac_stores_at_least(2));
+            rows.push(format!("{name},{aa},{},{mean_len:.2},{multi_store:.4}", s.region_count));
+        }
+    }
+    write_csv("ablation_alias", "workload,aa,regions,mean_len,multi_store", &rows);
 }

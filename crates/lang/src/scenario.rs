@@ -10,7 +10,7 @@
 //!   puts 500              # optional: memcached|map|lf_map set rate, permille
 //!   threads 2             # or a sweep's list: 1,2,4
 //!   ops 6
-//!   delay 0,20,100        # optional, `ido sweep` only: extra NVM ns per write-back
+//!   delay 0,20,100        # optional, `ido sweep` only: a sweep parameter (`PARAMS`)
 //!   schemes all           # `all`, `lockfree`, or explicit names (ido atlas ...)
 //!   tier tier1            # optional, default tier1
 //!   seed 0                # optional, default 0
@@ -40,21 +40,24 @@
 //! becomes one through [`Scenario::fault_reproducer`]: its `fault` line
 //! names the thread, the instruction and the fault.
 //!
-//! A `threads` list and a `delay` list make the file a sweep:
-//! [`Scenario::sweep`] runs every scheme × thread count × delay on a pool
+//! A `threads` list and any sweep-parameter line (`delay`, the iDO ablation
+//! flags, `lock_cost_ns`) make the file a sweep: [`Scenario::sweep`] runs
+//! every scheme × thread count × each listed parameter's values on a pool
 //! sized for that point and returns one CSV, which is how `ido sweep`
-//! regenerates the paper's throughput figures from `corpus/figures/`.
+//! regenerates the paper's throughput figures and ablations from
+//! `corpus/figures/`.
 //! Its `expect` lines are paper claims about that CSV ([`Claim`],
 //! [`Scenario::check_claims`]). Every other subcommand runs one point and
 //! rejects both ([`Scenario::check_one_point`]).
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
+use std::ops::RangeInclusive;
 
 use ido_compiler::Scheme;
 use ido_crashtest::{Counterexample, CrashState, OracleConfig};
 use ido_ir::{BinOp, Pc, Program};
-use ido_nvm::{AllocPolicy, LatencyModel, MetricsConfig, StatsSnapshot};
+use ido_nvm::{AllocPolicy, MetricsConfig, StatsSnapshot};
 use ido_trace::Hist;
 use ido_vm::{ExecTier, FaultKind, RunOutcome, Vm, VmConfig};
 use ido_workloads::{
@@ -120,6 +123,49 @@ const BUGS: [(&str, BugFlag); 4] = [
     ("tier2_bug_misfuse_store_clwb", |c| &mut c.tier2_bug_misfuse_store_clwb),
 ];
 
+/// A sweep parameter: a scenario key that takes a value list, as `threads`
+/// does, and sets one [`VmConfig`] field at each point of the sweep. Its
+/// key, its CSV column, its value where a file does not list it (the
+/// field's in [`VmConfig::default`]), its largest value and its setter.
+type Param = (&'static str, &'static str, u64, u64, fn(&mut VmConfig, u64));
+
+/// The bound of an ns parameter. `delay` is charged once per pending line
+/// at a fence (`LatencyModel::fence_cost`); a pool is mapped memory, under
+/// 2^48 bytes and so 2^42 lines, and 2^42 lines × 2^20 ns stays below
+/// 2^63. `lock_cost_ns` is charged as one sum per lock op, which tier 2
+/// batches below the clock's 2^48 ns range before the gate stops it.
+const MAX_PARAM_NS: u64 = 1 << 20;
+
+/// The sweep parameters, in the order a sweep nests them (after schemes
+/// and `threads`). The first, `delay`, is a column of every sweep CSV; each
+/// other is a column, after `delay_ns`, only where a file lists it.
+const PARAMS: [Param; 5] = [
+    ("delay", "delay_ns", 0, MAX_PARAM_NS, |c, v| c.pool.latency.nvm_extra_delay_ns = v),
+    ("ido_eager_step2_fence", "ido_eager_step2_fence", 0, 1, |c, v| c.ido_eager_step2_fence = v == 1),
+    ("ido_unmerged_acquire_fence", "ido_unmerged_acquire_fence", 0, 1, |c, v| c.ido_unmerged_acquire_fence = v == 1),
+    ("ido_no_coalescing", "ido_no_coalescing", 0, 1, |c, v| c.ido_no_coalescing = v == 1),
+    ("lock_cost_ns", "lock_cost_ns", 20, MAX_PARAM_NS, |c, v| c.lock_cost_ns = v),
+];
+
+/// One point of a sweep: its thread count, then every parameter's value in
+/// [`PARAMS`] order (its default where the file does not list it).
+type Point = [u64; 1 + PARAMS.len()];
+
+/// The coordinate of a [`Point`] that `key`, `threads` or a parameter,
+/// names, and the sweep CSV column that holds it.
+fn axis(key: &str) -> Option<(usize, &'static str)> {
+    if key == "threads" {
+        return Some((0, "threads"));
+    }
+    PARAMS.iter().position(|p| p.0 == key).map(|i| (i + 1, PARAMS[i].1))
+}
+
+/// `p` with its coordinate `c` moved to `v`.
+fn set(mut p: Point, c: usize, v: u64) -> Point {
+    p[c] = v;
+    p
+}
+
 impl WorkloadKind {
     fn from_ident(s: &str) -> Option<WorkloadKind> {
         KINDS.iter().find(|(name, _)| *name == s).map(|&(_, k)| k)
@@ -164,8 +210,8 @@ pub fn scheme_ident(scheme: Scheme) -> String {
 /// the way `ido explain` lists the instrumented program: function, block,
 /// instruction index. A `fault` line holds one:
 /// `fault thread 0 at worker bb2 5 nv_malloc 1048576` (or `nv_free ADDR`,
-/// `stack_overflow FRAME_BYTES`, `call_depth DEPTH`, `spawn BYTES` or
-/// `log_full CAPACITY`).
+/// `stack_overflow FRAME_BYTES`, `call_depth DEPTH`, `spawn BYTES`,
+/// `log_full CAPACITY` or `clock NS`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
     /// The faulting thread.
@@ -205,6 +251,7 @@ impl Fault {
             FaultKind::CallTooDeep { depth } => ("call_depth", depth),
             FaultKind::SpawnFailed { bytes } => ("spawn", bytes),
             FaultKind::LogFull { capacity } => ("log_full", capacity),
+            FaultKind::ClockOutOfRange { clock } => ("clock", clock),
         };
         let Fault { thread, function, block, index, .. } = self;
         format!("thread {thread} at {function} bb{block} {index} {call} {value}")
@@ -284,9 +331,9 @@ pub struct Scenario {
     pub threads: Vec<usize>,
     /// Operations per thread.
     pub ops: u64,
-    /// Extra NVM delays in ns ([`LatencyModel::with_nvm_delay`]), a sweep
-    /// axis; `[0]`, the default latency model, when not given.
-    pub delay: Vec<u64>,
+    /// The sweep parameters the file lists (`PARAMS`), each with its
+    /// values, in table order.
+    pub params: Vec<(&'static str, Vec<u64>)>,
     /// Schemes to run, in declaration order.
     pub schemes: Vec<Scheme>,
     /// Execution tier.
@@ -356,19 +403,23 @@ impl Scenario {
         }
     }
 
-    /// The axis that makes this scenario a sweep, which only `ido sweep`
-    /// runs: `threads` when it lists more than one count, `delay` when it
-    /// is given at all (the other subcommands keep their own latency
-    /// model). `None` for a scenario of one point, whose thread count is
-    /// `threads[0]`.
-    pub fn sweep_axis(&self) -> Option<&'static str> {
-        if self.threads.len() > 1 {
-            Some("threads")
-        } else if self.delay != [0] {
-            Some("delay")
-        } else {
-            None
+    /// The keys a point of the sweep is named by, each with its values:
+    /// `threads`, then every listed parameter.
+    fn axes(&self) -> Vec<(&'static str, Vec<u64>)> {
+        let threads = self.threads.iter().map(|&t| t as u64).collect();
+        [("threads", threads)].into_iter().chain(self.params.iter().cloned()).collect()
+    }
+
+    /// Every point of the sweep, `threads` × each listed parameter's values
+    /// in table order.
+    fn points(&self) -> Vec<Point> {
+        let mut points = vec![[0; 1 + PARAMS.len()]];
+        PARAMS.iter().enumerate().for_each(|(i, p)| points[0][i + 1] = p.2);
+        for (key, values) in self.axes() {
+            let (c, _) = axis(key).expect("every axis is a coordinate");
+            points = points.iter().flat_map(|&p| values.iter().map(move |&v| set(p, c, v))).collect();
         }
+        points
     }
 
     /// `base` with the scenario's `seed`, `tier`, `alloc` and `bug` lines
@@ -478,7 +529,7 @@ impl Scenario {
         Scenario {
             notes,
             threads: vec![self.threads[0]],
-            delay: vec![0],
+            params: Vec::new(),
             schemes: vec![scheme],
             program: Some(program),
             ..self.clone()
@@ -486,9 +537,9 @@ impl Scenario {
     }
 
     /// The VM configuration of one sweep point: [`bench_config`]'s pool and
-    /// logs for `threads` × `ops`, the `alloc` line (the sharded allocator
-    /// doubles the pool, see [`with_sharded_alloc`]), the default latency
-    /// model plus `delay` ns, metrics on in one window spanning the run
+    /// logs for its `threads` × `ops`, the `alloc` line (the sharded
+    /// allocator doubles the pool, see [`with_sharded_alloc`]), its value of
+    /// every sweep parameter, metrics on in one window spanning the run
     /// (the sweep reads only the whole-run latency histograms, and a window
     /// per simulated millisecond per thread costs 170 MiB at 256 threads),
     /// and the `seed`, `tier` and `bug` lines.
@@ -498,7 +549,8 @@ impl Scenario {
     /// threads, NVThreads' memcached throughput changes in the fourth
     /// decimal below a 96 MiB heap. Pool images are mapped untouched, so
     /// the head-room costs no resident memory.
-    pub fn point_config(&self, threads: usize, delay: u64) -> VmConfig {
+    fn point_config(&self, point: &Point) -> VmConfig {
+        let threads = point[0] as usize;
         // Keys and operations, 64 B each.
         let items = self.range.unwrap_or(0) + threads as u64 * self.ops;
         let heap_mib = 256 + (items >> 14) as usize;
@@ -512,38 +564,41 @@ impl Scenario {
         if let Some(shards) = self.alloc {
             cfg = with_sharded_alloc(cfg, shards);
         }
-        cfg.pool.latency = LatencyModel::with_nvm_delay(delay);
+        for (param, &v) in PARAMS.iter().zip(&point[1..]) {
+            (param.4)(&mut cfg, v);
+        }
         cfg.pool.metrics = MetricsConfig::with_window(u64::MAX);
         self.vm_config(cfg)
     }
 
-    /// Runs every scheme × `threads` × `delay` point, in that order, over
-    /// [`sweep`] with `jobs` workers, and returns the CSV: a header, then
-    /// one row per point with the simulated time, throughput, whole-run op
-    /// latency quantiles (zero for a workload without op spans) and every
-    /// persistence counter. The text is the same for any `jobs`.
+    /// Runs every scheme × sweep point ([`Scenario::points`]), in that
+    /// order, over [`sweep`] with `jobs` workers, and returns the CSV: a
+    /// header, then one row per point with its coordinates, the simulated
+    /// time, throughput, whole-run op latency quantiles (zero for a workload
+    /// without op spans) and every persistence counter. The text is the same
+    /// for any `jobs`.
     pub fn sweep(&self, jobs: usize) -> String {
-        let mut axes = Vec::new();
-        for &scheme in &self.schemes {
-            for &threads in &self.threads {
-                axes.extend(self.delay.iter().map(|&delay| (scheme, threads, delay)));
-            }
-        }
-        let points = axes.iter().map(|&(s, t, d)| (s, t, self.point_config(t, d))).collect();
-        let stats = sweep(jobs, &self.spec(), self.ops, points);
-        let mut csv = format!("workload,scheme,{SWEEP_COLUMNS},{}\n", StatsSnapshot::CSV_HEADER);
-        for ((_, _, delay), s) in axes.iter().zip(&stats) {
+        let points = self.points();
+        let runs = self.schemes.iter().flat_map(|&s| points.iter().map(move |p| (s, p)));
+        let stats = sweep(jobs, &self.spec(), self.ops, runs.map(|(s, p)| (s, p[0] as usize, self.point_config(p))).collect());
+        // `delay_ns` is the first parameter's column; each other listed one follows it.
+        let listed: Vec<(usize, &str)> = self.params.iter().filter_map(|(key, _)| axis(key).filter(|&(c, _)| c > 1)).collect();
+        let columns: String = listed.iter().map(|(_, column)| format!(",{column}")).collect();
+        let mut csv = format!("workload,scheme,{POINT_COLUMNS}{columns},{RESULT_COLUMNS},{}\n", StatsSnapshot::CSV_HEADER);
+        for (p, s) in points.iter().cycle().zip(&stats) {
             let mut lat = Hist::default();
             for h in &s.metrics.as_ref().expect("sweep points run with metrics on").per_kind {
                 lat.merge(h);
             }
+            let coords: String = listed.iter().map(|&(c, _)| format!(",{}", p[c])).collect();
             let _ = writeln!(
                 csv,
-                "{},{},{},{},{delay},{},{:.4},{},{},{},{}",
+                "{},{},{},{},{}{coords},{},{:.4},{},{},{},{}",
                 self.kind.ident(),
                 s.scheme.name(),
                 s.threads,
                 self.ops,
+                p[1],
                 s.sim_ns,
                 s.mops(),
                 lat.value_at_quantile(0.50),
@@ -561,25 +616,26 @@ impl Scenario {
     /// first point where it misses, or else where it holds most narrowly.
     pub fn check_claims(&self, csv: &str) -> Vec<(bool, String)> {
         let rows: Vec<Vec<&str>> = csv.lines().map(|l| l.split(',').collect()).collect();
-        // Side `t` at the point (threads, delay), moved along the axis by `at`.
-        let value = |t: &Term, (threads, delay): (u64, u64), at: Option<&(String, u64, Span)>| {
-            let (threads, delay) = match at {
-                Some((axis, v, _)) if axis == "threads" => (*v, delay),
-                Some((_, v, _)) => (threads, *v),
-                None => (threads, delay),
-            };
-            let point = (t.scheme.name(), &*threads.to_string(), &*delay.to_string());
-            let row = rows.iter().find(|r| (r[1], r[2], r[4]) == point).expect("every point has a row");
-            let col = rows[0].iter().position(|&c| c == t.column.unwrap_or("mops")).expect("a CSV column");
-            t.times.unwrap_or(1) as f64 * row[col].parse::<f64>().expect("a numeric column")
+        let col = |name: &str| rows[0].iter().position(|&c| c == name).expect("a CSV column");
+        // Each axis: its key, its coordinate and the index of its column.
+        let axes: Vec<(&str, usize, usize)> = self
+            .axes()
+            .into_iter()
+            .map(|(key, _)| axis(key).map(|(c, column)| (key, c, col(column))).expect("an axis"))
+            .collect();
+        // Side `t` at point `p`, with the coordinate its `at` names moved.
+        let value = |t: &Term, p: Point, at: Option<&(String, u64, Span)>| {
+            let p = at.map_or(p, |(key, v, _)| set(p, axis(key).expect("checked at parse").0, *v));
+            let at_p = |r: &&Vec<&str>| axes.iter().all(|&(_, c, col)| r[col] == p[c].to_string());
+            let row = rows.iter().skip(1).filter(|r| r[1] == t.scheme.name()).find(at_p).expect("every point has a row");
+            t.times.unwrap_or(1) as f64 * row[col(t.column.unwrap_or("mops"))].parse::<f64>().expect("a numeric column")
         };
-        let points: Vec<(u64, u64)> =
-            self.threads.iter().flat_map(|&t| self.delay.iter().map(move |&d| (t as u64, d))).collect();
+        let points = self.points();
         let check = |claim: &Claim| {
             // A side without `at` takes the other side's.
             let (lhs, rhs) = (&claim.lhs, &claim.rhs);
             let (l_at, r_at) = (lhs.at.as_ref().or(rhs.at.as_ref()), rhs.at.as_ref().or(lhs.at.as_ref()));
-            let sides: Vec<(f64, f64, (u64, u64))> =
+            let sides: Vec<(f64, f64, Point)> =
                 points.iter().map(|&p| (value(lhs, p, l_at), value(rhs, p, r_at), p)).collect();
             let holds = |&(l, r, _): &(f64, f64, _)| match claim.cmp {
                 BinOp::Gt => l > r,
@@ -595,12 +651,15 @@ impl Scenario {
             let all = sides.iter().all(holds);
             let narrowest = sides.iter().min_by(|a, b| margin(a).total_cmp(&margin(b)));
             let shown = sides.iter().find(|s| !holds(s)).or(narrowest);
-            let (l, r, (threads, delay)) = *shown.expect("a sweep has a point");
-            let point = match self.sweep_axis().filter(|_| l_at.is_none()) {
-                Some("delay") => format!(" at delay {delay}"),
-                Some(axis) => format!(" at {axis} {threads}"),
-                None => String::new(),
-            };
+            let (l, r, p) = *shown.expect("a sweep has a point");
+            // The point's coordinates that vary and that no `at` fixes.
+            let fixed = |key: &str| [l_at, r_at].iter().flatten().any(|(k, _, _)| k == key);
+            let coords: Vec<String> = axes
+                .iter()
+                .filter(|&&(key, ..)| !fixed(key) && (key != "threads" || self.threads.len() > 1))
+                .map(|&(key, c, _)| format!("{key} {}", p[c]))
+                .collect();
+            let point = if coords.is_empty() { String::new() } else { format!(" at {}", coords.join(", ")) };
             let verdict = match (all, &claim.miss) {
                 (true, None) => "holds",
                 (false, None) => "MISSES",
@@ -614,9 +673,13 @@ impl Scenario {
     }
 
     /// Why every subcommand but `ido sweep` rejects this scenario, read from
-    /// `source` at `path`: its sweep axis, or its first `expect` line.
+    /// `source` at `path`: the key that makes it a sweep — `threads` when it
+    /// lists more than one count, else the first sweep parameter it lists at
+    /// all (the other subcommands keep [`VmConfig`]'s own values) — or its
+    /// first `expect` line. A scenario of one point runs `threads[0]`.
     pub fn check_one_point(&self, path: &str, source: &str) -> Result<(), String> {
-        if let Some(axis) = self.sweep_axis() {
+        let threads = (self.threads.len() > 1).then_some("threads");
+        if let Some(axis) = threads.or(self.params.first().map(|&(key, _)| key)) {
             return Err(format!("{path}: `{axis}` makes this scenario a sweep: run it with `ido sweep {path}`"));
         }
         match self.claims.first() {
@@ -629,8 +692,12 @@ impl Scenario {
     }
 }
 
-/// The sweep CSV's numeric columns before the persistence counters.
-const SWEEP_COLUMNS: &str = "threads,ops,delay_ns,sim_ns,mops,p50_ns,p99_ns,p999_ns";
+/// The sweep CSV's columns that name its point, before the listed
+/// parameters' columns other than `delay_ns`.
+const POINT_COLUMNS: &str = "threads,ops,delay_ns";
+
+/// The sweep CSV's numeric result columns before the persistence counters.
+const RESULT_COLUMNS: &str = "sim_ns,mops,p50_ns,p99_ns,p999_ns";
 
 /// The path of the first field in which the pretty `Debug` forms of `a`
 /// and `b` differ (`pool.size`), or `None` when they are equal. Reading the
@@ -672,8 +739,8 @@ impl fmt::Display for Scenario {
         }
         writeln!(f, "  threads {}", comma_list(&self.threads))?;
         writeln!(f, "  ops {}", self.ops)?;
-        if self.delay != [0] {
-            writeln!(f, "  delay {}", comma_list(&self.delay))?;
+        for (key, values) in &self.params {
+            writeln!(f, "  {key} {}", comma_list(values))?;
         }
         if self.schemes != self.kind.allowed_schemes() {
             let names: Vec<String> = self.schemes.iter().map(|&s| scheme_ident(s)).collect();
@@ -712,7 +779,7 @@ impl fmt::Display for Scenario {
     }
 }
 
-/// `values` as a `threads` or `delay` line spells them: `1,2,4`.
+/// `values` as a `threads` or sweep-parameter line spells them: `1,2,4`.
 fn comma_list(values: &[impl fmt::Display]) -> String {
     values.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
 }
@@ -750,13 +817,15 @@ impl WorkloadSpec for ScenarioSpec {
 }
 
 /// Parses the values of a `key` line, `v` or `v1,v2,…`: one value, or a
-/// sweep's list. `ctx` names one value in an error.
+/// sweep's list, each in `bounds`. `ctx` names one value in an error, and
+/// `out_of_range` is the error of a value outside `bounds`.
 fn value_list(
     c: &mut Cursor,
-    key: &str,
-    key_span: Span,
+    (key, key_span): (&str, Span),
     ctx: &str,
-) -> Result<Vec<(u64, Span)>, LangError> {
+    bounds: RangeInclusive<u64>,
+    out_of_range: &str,
+) -> Result<Vec<u64>, LangError> {
     if matches!(c.peek().tok, Tok::Newline | Tok::Eof) {
         return Err(LangError::new(
             format!("`{key}` needs at least one value"),
@@ -764,12 +833,18 @@ fn value_list(
             "empty list",
         ));
     }
-    let mut values = vec![c.expect_u64(ctx)?];
-    while c.peek().tok == Tok::Comma {
+    let mut values = Vec::new();
+    loop {
+        let (v, span) = c.expect_u64(ctx)?;
+        if !bounds.contains(&v) {
+            return Err(LangError::new(out_of_range, span, "out of range"));
+        }
+        values.push(v);
+        if c.peek().tok != Tok::Comma {
+            return Ok(values);
+        }
         c.bump();
-        values.push(c.expect_u64(ctx)?);
     }
-    Ok(values)
 }
 
 /// Parses `lose [l1, l2, …]`: the dirty lines a crash loses.
@@ -809,7 +884,7 @@ fn crash_state(c: &mut Cursor) -> Result<CrashState, LangError> {
 
 /// Parses the rest of a `fault` line: `thread T at FUNCTION bbB I`, then
 /// `nv_malloc SIZE`, `nv_free ADDR`, `stack_overflow FRAME_BYTES`,
-/// `call_depth DEPTH`, `spawn BYTES` or `log_full CAPACITY`.
+/// `call_depth DEPTH`, `spawn BYTES`, `log_full CAPACITY` or `clock NS`.
 fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
     c.expect_keyword("thread", "after `fault`")?;
     let (thread, _) = c.expect_u64("as the faulting thread")?;
@@ -831,11 +906,12 @@ fn fault_clause(c: &mut Cursor) -> Result<Fault, LangError> {
         "call_depth" => FaultKind::CallTooDeep { depth: value },
         "spawn" => FaultKind::SpawnFailed { bytes: value },
         "log_full" => FaultKind::LogFull { capacity: value },
+        "clock" => FaultKind::ClockOutOfRange { clock: value },
         _ => {
             return Err(LangError::new(
                 format!("unknown fault `{call}`"),
                 span,
-                "expected `nv_malloc`, `nv_free`, `stack_overflow`, `call_depth`, `spawn` or `log_full`",
+                "expected `nv_malloc`, `nv_free`, `stack_overflow`, `call_depth`, `spawn`, `log_full` or `clock`",
             ))
         }
     };
@@ -862,7 +938,8 @@ fn claim(c: &mut Cursor, key_span: Span) -> Result<Claim, LangError> {
         })?;
         let (w, mut column, mut at) = (word(c), None, None);
         if !["", "at", "miss", "gt", "ge", "lt", "le"].contains(&w.as_str()) {
-            let mut columns = SWEEP_COLUMNS.split(',').chain(StatsSnapshot::CSV_HEADER.split(','));
+            let mut columns =
+                [POINT_COLUMNS, RESULT_COLUMNS, StatsSnapshot::CSV_HEADER].into_iter().flat_map(|c| c.split(','));
             let names = columns.clone().collect::<Vec<_>>().join(" ");
             let label = format!("expected a comparison, `at` or a column: {names}");
             let unknown = LangError::new(format!("unknown column `{w}`"), c.bump().span, label);
@@ -923,7 +1000,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     let mut puts: Option<(u64, Span)> = None;
     let mut threads: Option<Vec<usize>> = None;
     let mut ops: Option<(u64, Span)> = None;
-    let mut delay = vec![0];
+    let mut params: Vec<(usize, Vec<u64>)> = Vec::new();
     let mut alloc = None;
     let mut schemes: Option<Vec<(Scheme, Span)>> = None;
     let mut scheme_group: Option<(&'static [Scheme], Span)> = None;
@@ -979,22 +1056,9 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
                 puts = Some((v, key_span.to(vspan)));
             }
             "threads" => {
-                let mut counts = Vec::new();
-                for (v, vspan) in value_list(&mut c, &key, key_span, "as a thread count")? {
-                    if v == 0 || v > 4096 {
-                        return Err(LangError::new(
-                            "thread count must be between 1 and 4096",
-                            vspan,
-                            "out of range",
-                        ));
-                    }
-                    counts.push(v as usize);
-                }
-                threads = Some(counts);
-            }
-            "delay" => {
-                let values = value_list(&mut c, &key, key_span, "as a delay in ns")?;
-                delay = values.into_iter().map(|(v, _)| v).collect();
+                let bound = "thread count must be between 1 and 4096";
+                let counts = value_list(&mut c, (&key, key_span), "as a thread count", 1..=4096, bound)?;
+                threads = Some(counts.into_iter().map(|v| v as usize).collect());
             }
             "alloc" => {
                 let (w, wspan) = c.expect_ident("as the allocator")?;
@@ -1119,12 +1183,21 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
             }
             "expect" => claims.push(claim(&mut c, key_span)?),
             _ => {
-                return Err(LangError::new(
-                    format!("unknown scenario key `{key}`"),
-                    key_span,
-                    "expected one of: workload range buckets puts threads ops delay schemes tier seed \
-                     alloc bug crash fault expect",
-                ))
+                let Some(i) = PARAMS.iter().position(|p| p.0 == key) else {
+                    let params: Vec<&str> = PARAMS.iter().map(|p| p.0).collect();
+                    let expected = format!(
+                        "expected one of: workload range buckets puts threads ops schemes tier seed alloc bug \
+                         crash fault expect, or a sweep parameter: {}",
+                        params.join(" ")
+                    );
+                    return Err(LangError::new(format!("unknown scenario key `{key}`"), key_span, expected));
+                };
+                let max = PARAMS[i].3;
+                let (ctx, bound) = match max {
+                    1 => ("as 0 or 1", format!("`{key}` is 0 or 1")),
+                    _ => ("as a value in ns", format!("`{key}` is at most {max} ns")),
+                };
+                params.push((i, value_list(&mut c, (&key, key_span), ctx, 0..=max, &bound)?));
             }
         }
         c.expect_line_end("one key per line")?;
@@ -1229,6 +1302,9 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
     };
 
     let [range, buckets, puts] = [range, buckets, puts].map(|p| p.map(|(v, _)| v));
+    // In table order, the order a sweep nests them.
+    params.sort_by_key(|&(i, _)| i);
+    let params = params.into_iter().map(|(i, values)| (PARAMS[i].0, values)).collect();
     let scenario = Scenario {
         notes,
         name,
@@ -1238,7 +1314,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         puts,
         threads,
         ops,
-        delay,
+        params,
         schemes,
         tier,
         seed,
@@ -1249,21 +1325,19 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
         claims,
         program,
     };
-    // Each side's scheme runs in the sweep, and its `at` names a point of
-    // the sweep's axis.
-    let swept = scenario.sweep_axis().unwrap_or("threads");
-    let points: Vec<u64> = match swept {
-        "threads" => scenario.threads.iter().map(|&t| t as u64).collect(),
-        _ => scenario.delay.clone(),
-    };
+    // Each side's scheme runs in the sweep, and its `at` names a value of
+    // one of the sweep's axes.
+    let axes = scenario.axes();
     for term in scenario.claims.iter().flat_map(|c| [&c.lhs, &c.rhs]) {
         if !scenario.schemes.contains(&term.scheme) {
             let msg = format!("scheme {} is not in `schemes`", term.scheme.name());
             return Err(LangError::new(msg, term.scheme_span, "no point of the sweep runs it"));
         }
-        if let Some((axis, v, span)) = term.at.as_ref().filter(|(axis, v, _)| axis != swept || !points.contains(v)) {
-            let msg = format!("`{axis} {v}` is not a point of this file's sweep");
-            return Err(LangError::new(msg, *span, format!("the points are {swept} {}", comma_list(&points))));
+        let on_an_axis = |(key, v, _): &&(String, u64, Span)| axes.iter().any(|(k, vs)| k == key && vs.contains(v));
+        if let Some((key, v, span)) = term.at.as_ref().filter(|at| !on_an_axis(at)) {
+            let msg = format!("`{key} {v}` is not a point of this file's sweep");
+            let points: Vec<String> = axes.iter().map(|(k, vs)| format!("{k} {}", comma_list(vs))).collect();
+            return Err(LangError::new(msg, *span, format!("the points are {}", points.join("; "))));
         }
     }
     Ok(scenario)
@@ -1272,6 +1346,7 @@ pub fn parse_scenario(source: &str) -> Result<Scenario, LangError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ido_nvm::LatencyModel;
 
     #[test]
     fn minimal_scenario_gets_defaults() {
@@ -1281,7 +1356,7 @@ mod tests {
         assert_eq!(s.kind, WorkloadKind::Stack);
         assert_eq!(s.threads, [2]);
         assert_eq!(s.ops, 6);
-        assert_eq!((s.delay.as_slice(), s.alloc, s.sweep_axis()), (&[0][..], None, None));
+        assert_eq!((s.params.as_slice(), s.alloc, s.check_one_point("x", "")), (&[][..], None, Ok(())));
         assert_eq!(s.schemes, Scheme::ALL.to_vec());
         assert_eq!(s.tier, ExecTier::Tier1);
         assert_eq!(s.seed, 0);
@@ -1412,13 +1487,15 @@ mod tests {
             "scenario m {\n  workload memcached\n  puts 100\n  threads 1,2,4\n  ops 3\n  \
              delay 0,20\n  alloc sharded 8\n}\n",
         );
-        assert_eq!((s.threads.as_slice(), s.delay.as_slice()), (&[1, 2, 4][..], &[0, 20][..]));
-        assert_eq!((s.spec().name(), s.sweep_axis()), ("memcached(put=100‰)".to_string(), Some("threads")));
+        assert_eq!((s.threads.as_slice(), s.params.as_slice()), (&[1, 2, 4][..], &[("delay", vec![0, 20])][..]));
+        assert_eq!(s.spec().name(), "memcached(put=100‰)");
+        assert!(s.check_one_point("m.ido", "").unwrap_err().contains("`threads` makes this scenario a sweep"));
         assert_eq!(s.vm_config(VmConfig::for_tests()).alloc, AllocPolicy::Sharded { shards: 8 });
         let s = printed_as_itself("scenario m {\n  workload map\n  range 512\n  buckets 16\n  threads 2\n  ops 3\n}\n");
         assert_eq!(s.spec().name(), "hash-map(buckets=16,range=512)");
         let s = printed_as_itself("scenario l {\n  workload list\n  range 32\n  threads 1\n  ops 1\n  delay 100\n}\n");
-        assert_eq!((s.spec().name(), s.sweep_axis()), ("ordered-list(range=32)".to_string(), Some("delay")));
+        assert_eq!(s.spec().name(), "ordered-list(range=32)");
+        assert!(s.check_one_point("l.ido", "").unwrap_err().contains("`delay` makes this scenario a sweep"));
         let s = printed_as_itself("scenario c {\n  workload alloc_churn\n  threads 1\n  ops 1\n}\n");
         assert_eq!(s.spec().name(), "alloc_churn");
         // `puts` makes the map the mixed-op one; `lf_map` takes all three keys.
@@ -1448,7 +1525,7 @@ mod tests {
         )
         .unwrap();
         let row = |scheme, threads, mops, clwbs| format!("stack,{scheme},{threads},1,0,0,{mops},0,0,0,0,0,0,{clwbs},0,0,0");
-        let header = format!("workload,scheme,{SWEEP_COLUMNS},{}", StatsSnapshot::CSV_HEADER);
+        let header = format!("workload,scheme,{POINT_COLUMNS},{RESULT_COLUMNS},{}", StatsSnapshot::CSV_HEADER);
         let rows = [header, row("Origin", 1, "3", 0), row("Origin", 2, "5", 0), row("iDO", 1, "1", 4), row("iDO", 2, "2.0001", 4)];
         let checked = s.check_claims(&(rows.join("\n") + "\n"));
         let want = [
@@ -1462,18 +1539,70 @@ mod tests {
     }
 
     #[test]
+    fn sweep_parameters_print_as_they_parse_in_table_order() {
+        // Listed in any order, printed and nested in `PARAMS` order.
+        let src = "scenario a {\n  workload stack\n  threads 1,2\n  ops 1\n  lock_cost_ns 0,20\n  \
+                   ido_no_coalescing 0,1\n  delay 5\n  schemes ido\n}\n";
+        let s = parse_scenario(src).unwrap();
+        let printed = printed_as_itself(&s.to_string());
+        assert_eq!(printed.params, [("delay", vec![5]), ("ido_no_coalescing", vec![0, 1]), ("lock_cost_ns", vec![0, 20])]);
+        let coords: Vec<[u64; 3]> = s.points().iter().map(|p| [p[0], p[4], p[5]]).collect();
+        assert_eq!(coords[..4], [[1, 0, 0], [1, 0, 20], [1, 1, 0], [1, 1, 20]]);
+        assert_eq!(coords.len(), 8);
+        let cfg = s.point_config(&s.points()[3]);
+        assert_eq!((cfg.pool.latency.nvm_extra_delay_ns, cfg.ido_no_coalescing, cfg.lock_cost_ns), (5, true, 20));
+        let flags = parse_scenario(&src.replace("threads 1,2", "threads 1").replace("  delay 5\n", "")).unwrap();
+        assert!(flags.check_one_point("a.ido", "").unwrap_err().contains("`ido_no_coalescing` makes this scenario a sweep"));
+    }
+
+    #[test]
+    fn every_default_is_the_vm_configs_own() {
+        let mut cfg = VmConfig::default();
+        for (key, column, default, _, set) in PARAMS {
+            set(&mut cfg, default);
+            assert_eq!(column == key, key != "delay", "only `delay` has a column of its own");
+        }
+        assert_eq!(first_difference(&cfg, &VmConfig::default()), None);
+    }
+
+    #[test]
+    fn a_claim_at_a_flag_moves_that_coordinate_over_every_other_point() {
+        let s = parse_scenario(
+            "scenario f {\n  workload stack\n  threads 1,2\n  ops 1\n  ido_no_coalescing 0,1\n  schemes ido\n  \
+             expect ido at ido_no_coalescing 0 gt ido at ido_no_coalescing 1\n  \
+             expect ido at threads 2 gt ido at threads 1\n  \
+             expect 2 times ido at ido_no_coalescing 1 gt ido at ido_no_coalescing 0\n}\n",
+        )
+        .unwrap();
+        let header = format!("workload,scheme,{POINT_COLUMNS},ido_no_coalescing,{RESULT_COLUMNS},{}", StatsSnapshot::CSV_HEADER);
+        let zeros = ",0".repeat(StatsSnapshot::CSV_HEADER.split(',').count());
+        let row = |threads, flag, mops| format!("stack,iDO,{threads},1,0,{flag},0,{mops},0,0,0{zeros}");
+        let rows = [header, row(1, 0, "4"), row(1, 1, "3"), row(2, 0, "2"), row(2, 1, "2.5")];
+        let checked = s.check_claims(&(rows.join("\n") + "\n"));
+        let want = [
+            (false, "MISSES: expect ido at ido_no_coalescing 0 gt ido at ido_no_coalescing 1: 2 gt 2.5 at threads 2"),
+            (false, "MISSES: expect ido at threads 2 gt ido at threads 1: 2 gt 4 at ido_no_coalescing 0"),
+            (true, "holds: expect 2 times ido at ido_no_coalescing 1 gt ido at ido_no_coalescing 0: 6 gt 4 at threads 1"),
+        ];
+        assert_eq!(checked, want.map(|(ok, line)| (ok, line.to_string())));
+    }
+
+    #[test]
     fn a_sweep_point_is_sized_for_its_own_threads() {
         let src = "scenario m {\n  workload list\n  range 256\n  threads 1,64\n  ops 300\n  \
                    delay 0,20\n  seed 3\n  alloc sharded 4\n}\n";
         let s = parse_scenario(src).unwrap();
-        let (one, many) = (s.point_config(1, 0), s.point_config(64, 20));
+        let points = s.points();
+        let coords: Vec<[u64; 2]> = points.iter().map(|p| [p[0], p[1]]).collect();
+        assert_eq!(coords, [[1, 0], [1, 20], [64, 0], [64, 20]]);
+        let (one, many) = (s.point_config(&points[0]), s.point_config(&points[3]));
         assert!(one.pool.size < many.pool.size && many.max_threads >= 64);
         assert_eq!(one.log_entries, (300 * list_log_per_op(256)).next_multiple_of(1 << 10));
         assert_eq!(one.pool.latency, LatencyModel::default());
-        assert_eq!(many.pool.latency, LatencyModel::with_nvm_delay(20));
+        assert_eq!(many.pool.latency, LatencyModel { nvm_extra_delay_ns: 20, ..LatencyModel::default() });
         assert_eq!((many.alloc, many.seed), (AllocPolicy::Sharded { shards: 4 }, 3));
         let legacy = parse_scenario(&src.replace("  alloc sharded 4\n", "")).unwrap();
-        assert_eq!(legacy.point_config(64, 20).pool.size * 2, many.pool.size, "sharded doubles the pool");
+        assert_eq!(legacy.point_config(&points[3]).pool.size * 2, many.pool.size, "sharded doubles the pool");
         assert!(many.pool.metrics.enabled);
     }
 
@@ -1483,7 +1612,11 @@ mod tests {
             ("stack", "threads", "`threads` needs at least one value", "threads"),
             ("stack", "delay", "`delay` needs at least one value", "delay"),
             ("stack", "threads 1,0,4", "thread count must be between 1 and 4096", "0"),
-            ("stack", "delay 0,x", "expected integer as a delay in ns, found `x`", "x"),
+            ("stack", "delay 0,x", "expected integer as a value in ns, found `x`", "x"),
+            ("stack", "delay 0,1048577", "`delay` is at most 1048576 ns", "1048577"),
+            ("stack", "lock_cost_ns 18446744073709551615", "`lock_cost_ns` is at most 1048576 ns", "18446744073709551615"),
+            ("stack", "ido_no_coalescing 0,2", "`ido_no_coalescing` is 0 or 1", "2"),
+            ("stack", "ido_eager_step2_fence x", "expected integer as 0 or 1, found `x`", "x"),
             ("stack", "threads x", "expected integer as a thread count, found `x`", "x"),
             ("memcached", "buckets 4", "`buckets` only applies to the map and lf_map workloads", "buckets 4"),
             ("stack", "puts 100", "`puts` only applies to the memcached, map and lf_map workloads", "puts 100"),
@@ -1585,6 +1718,8 @@ mod tests {
         assert_eq!(s.fault.unwrap().kind, FaultKind::SpawnFailed { bytes: 16480 });
         let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb3 1 log_full 512\n}}\n"));
         assert_eq!(s.fault.unwrap().kind, FaultKind::LogFull { capacity: 512 });
+        let s = printed_as_itself(&format!("{header}  fault thread 0 at worker bb0 2 clock 281474976711654\n}}\n"));
+        assert_eq!(s.fault.unwrap().kind, FaultKind::ClockOutOfRange { clock: 281474976711654 });
         for (clause, message, spanned) in [
             ("fault thread 0 at worker 2 5 nv_malloc 64", "as the faulting block", "2"),
             ("fault thread 0 at worker b2 5 nv_malloc 64", "expected a block label `bbN`", "b2"),

@@ -168,6 +168,27 @@ fn expect_at_wrong_axis_diagnostic() {
     scenario_error("expect_at_wrong_axis", &sweep_with("expect ido at delay 20 gt origin"));
 }
 
+/// An `at` on a sweep parameter the file does not list: the label names
+/// every axis and its values.
+#[test]
+fn expect_at_unlisted_key_diagnostic() {
+    let src = sweep_with("ido_eager_step2_fence 0,1\n  expect ido at ido_no_coalescing 1 gt origin");
+    scenario_error("expect_at_unlisted_key", &src);
+}
+
+/// A sweep parameter past its bound: `delay 2^64 - 1` once ran, its
+/// per-line charge wrapping to a row with `sim_ns` 3529.
+#[test]
+fn param_out_of_range_diagnostic() {
+    scenario_error("param_out_of_range", &sweep_with("delay 0,18446744073709551615"));
+}
+
+/// A key that is neither a scenario key nor a sweep parameter.
+#[test]
+fn unknown_key_diagnostic() {
+    scenario_error("unknown_key", &sweep_with("cores 4"));
+}
+
 /// A multiplier of zero.
 #[test]
 fn expect_zero_times_diagnostic() {

@@ -58,11 +58,6 @@ impl LatencyModel {
         }
     }
 
-    /// Returns the default model with the Fig. 9 extra-NVM-delay knob set.
-    pub fn with_nvm_delay(delay_ns: u64) -> Self {
-        Self { nvm_extra_delay_ns: delay_ns, ..Self::default() }
-    }
-
     /// Cost of draining `pending` queued write-backs at a fence.
     ///
     /// Write-backs issued before the fence drain largely in parallel: the
@@ -117,7 +112,7 @@ mod tests {
     #[test]
     fn nvm_delay_is_charged_per_line() {
         let base = LatencyModel::default();
-        let slow = LatencyModel::with_nvm_delay(500);
+        let slow = LatencyModel { nvm_extra_delay_ns: 500, ..base };
         assert_eq!(slow.fence_cost(2) - base.fence_cost(2), 1000);
         assert_eq!(slow.nt_store_cost() - base.nt_store_cost(), 500);
     }

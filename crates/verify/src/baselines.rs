@@ -8,7 +8,9 @@
 //! promises every FASE store happens inside an open REDO transaction and
 //! that the transaction commits before the FASE's final lock release.
 //! JUSTDO additionally shadows every register defined inside a FASE
-//! through to persistent memory (its no-register-caching rule).
+//! through to persistent memory (its no-register-caching rule). JUSTDO and
+//! iDO, the two schemes that resume a FASE rather than replay or roll back
+//! its writes, share one more rule: a FASE's CAS result must be dead.
 //!
 //! All checks run on the *instrumented* IR and share no code with the
 //! instrumentation pass, so a pass bug (a record dropped on one diverging
@@ -21,6 +23,7 @@
 use ido_compiler::{FaseMap, Scheme};
 use ido_idem::Pos;
 use ido_ir::cfg::Cfg;
+use ido_ir::liveness::{Liveness, Var};
 use ido_ir::{BlockId, Function, Inst, MemEffect, RtOp};
 
 use crate::diag::{Diagnostic, Invariant};
@@ -42,6 +45,7 @@ pub(crate) fn check(
         Scheme::JustDo => {
             check_records_before_stores(func, scheme, fase, diags);
             check_shadows(func, fase, diags);
+            check_cas_results(func, scheme, cfg, fase, None, diags);
         }
         Scheme::Atlas | Scheme::Nvml | Scheme::Nvthreads => {
             check_records_before_stores(func, scheme, fase, diags);
@@ -50,6 +54,41 @@ pub(crate) fn check(
         // Origin promises nothing and the lock-free family has no
         // lock-delineated FASEs: `verify_instrumented` hands over neither.
         Scheme::Ido | Scheme::Origin | Scheme::Nvtraverse | Scheme::LfEager => {}
+    }
+}
+
+/// Invariant 5, under `scheme` (iDO or JUSTDO): resumption runs a FASE's
+/// CAS again, from the boundary before it or from its log record. When the
+/// first run's write is durable, the second fails and writes 0 to `dst`,
+/// so no cut separates a CAS's read from its write, and neither scheme
+/// lowers a CAS or makes it detectable. A FASE CAS whose `dst` is live past
+/// the runtime ops after it (JUSTDO's shadow of `dst`) is flagged.
+/// `liveness` is computed here, only for a function that holds one, when
+/// the caller has none.
+pub(crate) fn check_cas_results(
+    func: &Function,
+    scheme: Scheme,
+    cfg: &Cfg,
+    fase: &FaseMap,
+    liveness: Option<&Liveness>,
+    diags: &mut Vec<Diagnostic>,
+) {
+    let mut computed = None;
+    for (bi, bb) in func.blocks().iter().enumerate() {
+        let b = ido_ir::BlockId(bi as u32);
+        for (i, inst) in bb.insts.iter().enumerate() {
+            let (Inst::Cas { dst, .. }, true) = (inst, fase.in_fase(b, i)) else { continue };
+            let after = i + 1 + bb.insts[i + 1..].iter().take_while(|x| matches!(x, Inst::Rt(_))).count();
+            let live = liveness.unwrap_or_else(|| computed.get_or_insert_with(|| Liveness::new(func, cfg)));
+            if live.live_before(func, b, after).contains(&Var::Reg(dst.id)) {
+                let message = format!(
+                    "the CAS result r{} is live after the CAS: resumption runs the CAS again, and a second \
+                     run that finds its own durable write fails, so the FASE can take the other path",
+                    dst.id
+                );
+                diags.push(diag(func, scheme, (b, i), Invariant::CasResultDead, message));
+            }
+        }
     }
 }
 

@@ -75,6 +75,11 @@ pub enum Invariant {
     /// crash leaves an in-flight operation recovery cannot resolve
     /// taken-xor-not-taken.
     CasDetectable,
+    /// iDO and JUSTDO: a CAS inside a lock-based FASE whose result is live
+    /// after it. Resumption runs the CAS again, and a second run that
+    /// finds the first one's durable write fails, so the FASE can take the
+    /// other path.
+    CasResultDead,
 }
 
 impl fmt::Display for Invariant {
@@ -94,6 +99,7 @@ impl fmt::Display for Invariant {
             Invariant::FlushOnTraverseExit => "flush-on-traverse-exit",
             Invariant::PersistBeforeEscape => "persist-before-escape",
             Invariant::CasDetectable => "cas-detectable",
+            Invariant::CasResultDead => "cas-result-dead",
         };
         f.write_str(s)
     }

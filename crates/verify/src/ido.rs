@@ -17,6 +17,9 @@
 //! 4. **Persist ordering** — the boundary persists the previous region's
 //!    stores before `recovery_pc` can durably advance past them. This is
 //!    runtime behavior, checked against the [`RuntimeModel`].
+//! 5. **CAS results dead** — no FASE uses the result of a CAS it holds
+//!    (`baselines::check_cas_results`, shared with JUSTDO, the other
+//!    resumption scheme).
 //!
 //! Checks 1–3 are genuine dataflow analyses over the *instrumented* code —
 //! they share no code with the partitioner in `ido-idem`, so a bug there
@@ -49,6 +52,7 @@ pub(crate) fn check(
     check_live_in_logged(func, fase, &liveness, diags);
     check_antideps(func, cfg, fase, diags);
     check_persist_ordering(func, fase, model, diags);
+    crate::baselines::check_cas_results(func, Scheme::Ido, cfg, fase, Some(&liveness), diags);
 }
 
 fn diag(

@@ -28,9 +28,10 @@ fn static_and_dynamic_verdicts_agree_on_the_clean_tree() {
     }
 }
 
-/// The twin counter whose first counter is bumped by a CAS
-/// (`corpus/oracle/cas_twin.ido`'s program).
-struct CasTwin;
+/// The twin counter with its program replaced by `.0`, the source of a
+/// scenario file: `corpus/oracle/cas_twin.ido`'s program, whose first
+/// counter is bumped by a CAS, or the probe that branches on its result.
+struct CasTwin(&'static str);
 
 impl WorkloadSpec for CasTwin {
     fn name(&self) -> String {
@@ -38,8 +39,7 @@ impl WorkloadSpec for CasTwin {
     }
 
     fn build_program(&self) -> Program {
-        let source = include_str!("../../../corpus/oracle/cas_twin.ido");
-        parse_program_section(source).expect("cas_twin.ido parses").program
+        parse_program_section(self.0).expect("the file parses").program
     }
 
     fn setup(&self, vm: &mut Vm, threads: usize, ops: u64) -> Vec<u64> {
@@ -61,12 +61,26 @@ impl WorkloadSpec for CasTwin {
 /// JUSTDO and NVML when the CAS goes unrecorded or uncut.
 #[test]
 fn a_cas_in_a_lock_based_fase_is_clean_on_both_sides() {
-    let reports = differential_all(&CasTwin, &OracleConfig::default());
+    let reports = differential_all(&CasTwin(include_str!("../../../corpus/oracle/cas_twin.ido")), &OracleConfig::default());
     for r in &reports {
         assert!(r.diagnostics.is_empty(), "static findings: {r}");
         assert!(r.exploration.counterexample.is_none(), "oracle failure: {r}");
     }
     assert_eq!(reports.len(), 6);
+}
+
+/// A FASE that branches on its CAS's result tears under iDO and JUSTDO,
+/// whose resumption runs the CAS again, at a crash that loses no line; the
+/// verifier flags exactly those two. Both sides agree on all six.
+#[test]
+fn a_fase_branching_on_a_cas_result_tears_where_the_verifier_says() {
+    let probe = CasTwin(include_str!("probes/cas_branch_twin.ido"));
+    for r in differential_all(&probe, &OracleConfig::default()) {
+        let resumes = matches!(r.scheme, Scheme::Ido | Scheme::JustDo);
+        assert!(r.agree, "{r}");
+        assert_eq!(r.exploration.counterexample.is_some(), resumes, "{r}");
+        assert!(r.diagnostics.iter().all(|d| d.invariant == Invariant::CasResultDead), "{r}");
+    }
 }
 
 #[test]

@@ -298,3 +298,24 @@ fn origin_makes_no_promises_and_is_never_flagged() {
     let inst = instrumented(Scheme::Origin);
     assert!(diags_of(&inst).is_empty());
 }
+
+// ---- resumption and CAS results ----
+
+/// The twin counter whose FASE branches on its CAS's result
+/// (`tests/probes/cas_branch_twin.ido`): the pass instruments it as it
+/// instruments any CAS, and under the two resumption schemes that is not
+/// enough, because resumption runs the CAS again. Every other scheme
+/// keeps the first run's outcome (a log replays or rolls back writes, not
+/// the CAS), and the sample program's CAS, whose result is dead, is clean
+/// everywhere (`clean_instrumentation_verifies_for_all_schemes`).
+#[test]
+fn a_live_cas_result_is_flagged_under_the_resumption_schemes_only() {
+    let source = include_str!("probes/cas_branch_twin.ido");
+    let program = ido_ir::text::parse_program_section(source).expect("the probe parses").program;
+    for scheme in Scheme::ALL {
+        let diags = diags_of(&instrument_program(program.clone(), scheme).unwrap());
+        let flagged: Vec<Invariant> = diags.iter().map(|d| d.invariant).collect();
+        let want = if matches!(scheme, Scheme::Ido | Scheme::JustDo) { vec![Invariant::CasResultDead] } else { vec![] };
+        assert_eq!(flagged, want, "{scheme}: {diags:?}");
+    }
+}

@@ -260,6 +260,12 @@ pub enum FaultKind {
         /// The log's capacity in entries.
         capacity: u64,
     },
+    /// The thread's simulated clock passed [`MAX_CLOCK_NS`], the largest
+    /// the scheduler can order; named at the instruction it would run next.
+    ClockOutOfRange {
+        /// The clock in ns.
+        clock: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -276,6 +282,9 @@ impl std::fmt::Display for FaultKind {
             }
             FaultKind::LogFull { capacity } => {
                 write!(f, "append log full at its {capacity} entries")
+            }
+            FaultKind::ClockOutOfRange { clock } => {
+                write!(f, "simulated clock {clock} ns left the scheduler's range (at most {MAX_CLOCK_NS} ns)")
             }
         }
     }
@@ -344,11 +353,9 @@ pub(crate) struct ThreadCtx {
 
 impl ThreadCtx {
     /// The scheduler's view of this thread, `idx` being its position in
-    /// `Vm::threads` (see [`crate::sched`]).
-    ///
-    /// # Panics
-    /// Panics, naming the thread, if its clock left the scheduler's range
-    /// — runnable or not, so no step ends with a clock out of range.
+    /// `Vm::threads` (see [`crate::sched`]). Its clock is in the
+    /// scheduler's range: a step that takes it out ends the pick with
+    /// [`ThreadCtx::clock_fault`].
     #[inline]
     pub(crate) fn ready_key(&self, idx: usize) -> u64 {
         let key = sched::pack(self.handle.clock_ns(), idx);
@@ -357,6 +364,17 @@ impl ThreadCtx {
         } else {
             NOT_READY
         }
+    }
+
+    /// Faults the thread if its clock left the scheduler's range, which only
+    /// a pick's last step can do (no run-ahead limit is above the range).
+    #[inline]
+    fn clock_fault(&mut self) -> bool {
+        let clock = self.handle.clock_ns();
+        if clock > MAX_CLOCK_NS {
+            self.status = Status::Faulted(FaultKind::ClockOutOfRange { clock });
+        }
+        matches!(self.status, Status::Faulted(_))
     }
 
     #[inline]
@@ -807,9 +825,9 @@ impl Vm {
             let Some(pick) = self.pick_reference() else {
                 return self.stalled_outcome();
             };
-            self.step_thread(pick);
+            let faulted = self.step_thread(pick);
             self.steps += 1;
-            if let Status::Faulted(_) = self.threads[pick].status {
+            if faulted {
                 return self.fault_at(pick);
             }
             if self.fire_hook(pick) == StepControl::Pause {
@@ -899,8 +917,7 @@ impl Vm {
     fn run_pick(&mut self, pick: usize, budget: u64) -> PickRun {
         // `key >= limit_key` in the clock domain. Never above
         // `MAX_CLOCK_NS + 1`, so a clock that left the range ends the pick
-        // and the caller's `publish_key` names the failure before any hook
-        // sees that step.
+        // as a fault before any hook sees that step.
         let limit = self.sched.limit();
         let Vm {
             ref mut threads,
@@ -929,7 +946,7 @@ impl Vm {
                 || th.status != Status::Runnable
                 || th.handle.clock_ns() >= limit
             {
-                let faulted = matches!(th.status, Status::Faulted(_));
+                let faulted = th.clock_fault();
                 return PickRun { executed, woken, paused: false, faulted };
             }
             if fire(step_hook, *steps, pick, pool) == StepControl::Pause {
@@ -977,7 +994,7 @@ impl Vm {
                 // Under MinClock the segment may run until this thread's
                 // clock reaches the run-ahead limit; under either policy it
                 // stops at the first clock outside the scheduler's range,
-                // which the `publish_key` below turns into the named failure.
+                // which is a fault.
                 let clock_limit = if min_clock { self.sched.limit() } else { MAX_CLOCK_NS + 1 };
                 // The segment gate charges the scheme's per-step tax into
                 // its pending work *before* re-checking the clock limit, so
@@ -1003,10 +1020,10 @@ impl Vm {
                     Tier2Entry::BranchHalf { seg, op } => Some((seg, op, true)),
                 };
                 let executed = match fused {
-                    // Only a tier-1 step can fault: allocation never fuses.
+                    // Only a tier-1 step or a clock can fault: allocation
+                    // never fuses.
                     None => {
-                        self.step_thread(pick);
-                        if let Status::Faulted(_) = self.threads[pick].status {
+                        if self.step_thread(pick) {
                             self.steps += 1;
                             return self.fault_at(pick);
                         }
@@ -1031,6 +1048,10 @@ impl Vm {
                             },
                         );
                         debug_assert!(run.executed >= 1 && run.executed <= max_steps);
+                        if self.threads[pick].clock_fault() {
+                            self.steps += run.executed;
+                            return self.fault_at(pick);
+                        }
                         if let tier2::SegExit::Wake(woken) = run.exit {
                             self.wake(pick, woken);
                         }
@@ -1128,7 +1149,8 @@ impl Vm {
 
     /// One step of thread `t` outside a pick loop — tier 2's deopt path and
     /// the reference scheduler: the same [`exec`], its wake applied at once.
-    fn step_thread(&mut self, t: usize) {
+    /// True if the step faulted, its wake then left undone.
+    fn step_thread(&mut self, t: usize) -> bool {
         let Vm {
             ref mut threads, ref mut locks, ref mut shared, ref alloc, ref config, ref code, ..
         } = *self;
@@ -1136,9 +1158,12 @@ impl Vm {
         let pc = th.frame.pc;
         let inst: &DecodedInst = code.function(pc.func).inst_at(pc);
         let mut cx = Cx { locks, shared, alloc, config, code };
-        if let Some(woken) = exec(t, th, &mut cx, pc, inst) {
+        let woken = exec(t, th, &mut cx, pc, inst);
+        let faulted = th.clock_fault();
+        if let Some(woken) = woken.filter(|_| !faulted) {
             self.wake(t, woken);
         }
+        faulted
     }
 
     /// Wakes a lock waiter, advancing its clock to the release time so that

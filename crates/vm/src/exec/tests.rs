@@ -452,32 +452,36 @@ fn run_steps_budget_is_relative() {
     }
 }
 
-/// A clock that leaves the scheduler's range stops the run by name at the
-/// step that left it, and no hook sees that step: the pick ends there and
-/// its key is published before the hook fires (DESIGN.md §7.6).
+/// A clock that leaves the scheduler's range is a fault of the thread, at
+/// the instruction after the step that left it, and no hook sees that
+/// step: the pick ends there before the hook fires (DESIGN.md §7.6). It
+/// once panicked in the scheduler's key packing.
 #[test]
-fn a_clock_leaving_the_range_fails_before_the_hook_sees_the_step() {
-    for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
-        let inst = compile(Scheme::Origin, |pb| {
-            let mut f = pb.new_function("main", 0);
-            f.delay(MAX_CLOCK_NS);
-            f.delay(1000);
-            f.ret(None);
-            f.finish().unwrap();
-        });
-        let mut vm = Vm::new(inst, VmConfig { sched, ..VmConfig::for_tests() });
-        vm.spawn("main", &[]);
-        let seen = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        vm.set_step_hook(Box::new(move |info| {
-            sink.borrow_mut().push(info.step);
-            StepControl::Continue
-        }));
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| vm.run()));
-        let err = run.expect_err("the run must stop");
-        let msg = err.downcast_ref::<String>().map_or("", String::as_str);
-        assert!(msg.starts_with("thread 0: simulated clock"), "{sched:?}: {msg}");
-        assert_eq!(*seen.borrow(), [1], "{sched:?}: the hook saw only the step in range");
+fn a_clock_leaving_the_range_faults_before_the_hook_sees_the_step() {
+    for tier in [ExecTier::Tier1, ExecTier::Tier2] {
+        for sched in [SchedPolicy::MinClock, SchedPolicy::Random] {
+            let inst = compile(Scheme::Origin, |pb| {
+                let mut f = pb.new_function("main", 0);
+                f.delay(MAX_CLOCK_NS);
+                f.delay(1000);
+                f.ret(None);
+                f.finish().unwrap();
+            });
+            let mut vm = Vm::new(inst, VmConfig { sched, tier, ..VmConfig::for_tests() });
+            vm.spawn("main", &[]);
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let sink = Rc::clone(&seen);
+            vm.set_step_hook(Box::new(move |info| {
+                sink.borrow_mut().push(info.step);
+                StepControl::Continue
+            }));
+            let RunOutcome::Fault { thread, pc, kind } = vm.run() else {
+                panic!("{tier:?} {sched:?}: the run must fault");
+            };
+            assert_eq!((thread, pc.index, kind), (ThreadId(0), 2, FaultKind::ClockOutOfRange { clock: MAX_CLOCK_NS + 1000 }));
+            assert_eq!(*seen.borrow(), [1], "{tier:?} {sched:?}: the hook saw only the step in range");
+            assert_eq!(vm.run(), RunOutcome::Fault { thread, pc, kind }, "the fault is sticky");
+        }
     }
 }
 

@@ -30,11 +30,12 @@
 //! `VmConfig::max_threads` is consumed) and simulated clock ≤
 //! [`MAX_CLOCK_NS`] = 2⁴⁸ − 2 ns ≈ 3.26 simulated days (the all-ones
 //! clock field is [`NOT_READY`]'s). A clock that leaves the range is a
-//! **named failure** — [`pack`] panics saying which thread's clock left
-//! it — never a wrapped or silently clamped order; `ido-nvm` adds to the
-//! clock saturating, so the excursion cannot wrap back into range before
-//! the next key is published. It is a guest fault and joins ROADMAP
-//! item 3's list to become `RunOutcome::Fault`.
+//! **guest fault** (`FaultKind::ClockOutOfRange`, a `RunOutcome::Fault`
+//! naming the thread) — never a wrapped or silently clamped order. A clock
+//! past the range is at or above every run-ahead limit, so the step that
+//! leaves it ends its pick, and the check sits there, before the key is
+//! published: [`pack`] only asserts it in debug builds. `ido-nvm` adds to
+//! the clock saturating, so the excursion cannot wrap back into range.
 //!
 //! # Invariants
 //!
@@ -87,8 +88,8 @@ const INDEX_MASK: u64 = (1 << INDEX_BITS) - 1;
 
 /// Largest simulated thread clock, in ns, the scheduler can order:
 /// 2⁴⁸ − 2 ns ≈ 3.26 simulated days (see the range contract in
-/// `crates/vm/src/sched.rs`). A runnable thread whose clock exceeds it
-/// stops the run with a panic naming the thread.
+/// `crates/vm/src/sched.rs`). A thread whose clock exceeds it faults
+/// (`FaultKind::ClockOutOfRange`), which ends the run.
 pub const MAX_CLOCK_NS: u64 = (1 << (64 - INDEX_BITS)) - 2;
 
 // The text format rejects a single delay past this range.
@@ -98,26 +99,14 @@ const _: () = assert!(MAX_CLOCK_NS == ido_ir::text::MAX_DELAY_NS);
 /// runnable key.
 pub(crate) const NOT_READY: u64 = u64::MAX;
 
-/// The ready key of runnable thread `thread` at simulated time `clock`.
-///
-/// # Panics
-/// Panics, naming the thread, if `clock` exceeds [`MAX_CLOCK_NS`].
+/// The ready key of runnable thread `thread` at simulated time `clock`,
+/// which is at most [`MAX_CLOCK_NS`]: the step that takes a clock past it
+/// faults the thread before its key is published.
 #[inline]
 pub(crate) fn pack(clock: u64, thread: usize) -> u64 {
-    if clock > MAX_CLOCK_NS {
-        clock_left_the_range(clock, thread);
-    }
+    debug_assert!(clock <= MAX_CLOCK_NS, "thread {thread}: clock {clock} ns is out of range");
     debug_assert!(thread as u64 <= INDEX_MASK);
     (clock << INDEX_BITS) | thread as u64
-}
-
-#[cold]
-#[inline(never)]
-fn clock_left_the_range(clock: u64, thread: usize) -> ! {
-    panic!(
-        "thread {thread}: simulated clock {clock} ns left the scheduler's range \
-         (at most {MAX_CLOCK_NS} ns, about 3.26 simulated days)"
-    )
 }
 
 /// One xorshift64 step: the scheduler's RNG (Random policy), one word per
@@ -411,12 +400,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "thread 3: simulated clock 281474976710655 ns left the scheduler's range")]
-    fn a_clock_outside_the_range_is_a_named_failure() {
-        pack(MAX_CLOCK_NS + 1, 3);
     }
 
     #[test]

@@ -304,7 +304,7 @@ pub(crate) fn exec_segment(
                         if ns > MAX_CLOCK_NS {
                             // Charged at once (`ido-nvm` saturates) so the
                             // batched sums cannot wrap; the next gate ends
-                            // the segment and the publish names the failure.
+                            // the segment, which faults the thread.
                             flush!();
                             th.handle.advance(ns);
                         } else {

@@ -381,7 +381,7 @@ timed "metrics guard" cargo run -q --release -p ido-bench --bin metrics_guard
 echo "== tables and reports: every remaining paper binary at its one size =="
 tables() {
   local b
-  for b in fig8_regions table1_recovery ablation; do
+  for b in fig8_regions table1_recovery; do
     cargo run -q --release -p ido-bench --bin "$b" > /dev/null
   done
 }
@@ -392,14 +392,16 @@ echo "== figure regeneration: ido sweep on every corpus/figures/*.ido at its own
 # `ido sweep` sizes each point's pool from its own threads and ops, writes
 # one CSV per file, and checks the file's `expect` claims over it (the
 # lock-free files' claim that window flushing never writes back more lines
-# than eager flushing among them). A claim that misses unannounced, or a
-# known miss that holds, fails the stage. The output is the same bytes at
-# any job count: files with a `threads` list (one lock-free) and one with a
-# `delay` list are compared at --jobs 1, --jobs 2 and IDO_JOBS=2. The figure
-# binaries, the lock-free bench and the curve helpers they used stay gone.
+# than eager flushing among them; the iDO ablation flags' claims). A claim
+# that misses unannounced, or a known miss that holds, fails the stage. The
+# output is the same bytes at any job count: files with a `threads` list
+# (one lock-free), one with a `delay` list and one with the three ablation
+# flag lists are compared at --jobs 1, --jobs 2 and IDO_JOBS=2. The figure
+# binaries, the ablation binary, the lock-free bench and the curve helpers
+# they used stay gone.
 figure_regeneration() {
   local f name
-  if ls crates/bench/src/bin | grep -E '^(fig5_memcached|fig6_redis|fig7_micro|fig9_latency|lockfree_bench)\.rs$'; then
+  if ls crates/bench/src/bin | grep -E '^(fig5_memcached|fig6_redis|fig7_micro|fig9_latency|lockfree_bench|ablation)\.rs$'; then
     echo "a figure binary is back: the figure is a scenario file under corpus/figures/"; return 1
   fi
   if grep -rnwE 'Curve|sweep_threads(_jobs)?|sweep_stats(_jobs)?|curves_from_stats|format_curves|curves_to_rows|curve_for|point_at|THREAD_SWEEP' \
@@ -414,7 +416,7 @@ figure_regeneration() {
       || { echo "ido sweep $f: a claim came out other than announced"; return 1; }
   done
   for f in corpus/figures/fig7_hash-map.ido corpus/figures/fig9_latency_memcached.ido \
-      corpus/figures/lockfree_lf_500.ido; do
+      corpus/figures/lockfree_lf_500.ido corpus/figures/ablation_list.ido; do
     name=$(basename "$f" .ido)
     ./target/release/ido sweep "$f" --jobs 1 > "target/tmp/$name.jobs1.csv"
     ./target/release/ido sweep "$f" --jobs 2 > "target/tmp/$name.jobs2.csv"

@@ -67,20 +67,21 @@ fn a_delay_beyond_the_clock_range_is_a_parse_diagnostic() {
     );
 }
 
-/// Each delay is inside the range, their sum is not: the run stops with the
-/// failure that names the thread (a guest fault — ROADMAP item 3 turns it
-/// into `RunOutcome::Fault`), on either tier, and reports no result.
+/// Each delay is inside the range, their sum is not: the run stops with a
+/// guest fault that names the thread, on either tier, and reports no
+/// result. It once died with a panic in the scheduler (exit 101).
 #[test]
 fn delays_that_sum_past_the_clock_range_stop_the_run_by_name() {
     let source = stack_with_delays(ido_vm::MAX_CLOCK_NS, 1000);
     for tier in ["tier1", "tier2"] {
         let source = source.replace("  ops 4\n", &format!("  ops 4\n  tier {tier}\n"));
         let Ran { code, stdout, stderr } = ido("run", &format!("sum_{tier}"), &source);
-        assert_ne!(code, Some(0), "{tier}:\n{stdout}");
+        assert_eq!(code, Some(2), "{tier}:\n{stdout}\n{stderr}");
         assert!(!stdout.contains("sim_ns"), "{tier}: a run was reported:\n{stdout}");
+        assert!(!stderr.contains("panicked"), "{tier}:\n{stderr}");
         assert!(
-            stderr.contains("simulated clock 281474976711654 ns left the scheduler's range"),
-            "{tier}: not the named failure:\n{stderr}"
+            stderr.contains("faulted at worker bb0 2: simulated clock 281474976711654 ns left the scheduler's range"),
+            "{tier}: not the named fault:\n{stderr}"
         );
     }
 }

@@ -117,6 +117,7 @@ fn the_regress_corpus_holds_exactly_its_reproducers() {
     assert_eq!(
         names,
         [
+            "clock_past_the_range_twin",
             "full_append_log_stack",
             "full_redo_log_twin",
             "oversized_alloc_churn",
@@ -247,7 +248,7 @@ fn each_fault_reproducer_replays_its_fault() {
         );
         assert!(out.contains(" faulting instruction\n"), "{name}:\n{out}");
     }
-    assert_eq!(faults, 6, "the fault reproducers");
+    assert_eq!(faults, 7, "the fault reproducers");
 }
 
 #[test]
